@@ -286,10 +286,14 @@ func TestAsyncOverloadBlockFlushFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Fail the next flush attempt at its phase boundary: the background
-	// flusher (woken at EpochSize=2) errors and parks the failure in
-	// lastErr, leaving the queue at its depth bound.
-	inj.FailAtPhase("flush")
+	// Make every flush attempt fail until the test heals it: crash the
+	// node that homes the first queued order. The crash is discovered by
+	// the background flusher (woken at EpochSize=2), which parks the
+	// failure in lastErr; its retries keep failing against the dead
+	// node, so the queue stays at its depth bound whichever of flusher
+	// retry and third writer runs first.
+	victim := c.part.NodeFor(types.Int(750))
+	inj.Crash(victim)
 	for i := int64(0); i < 2; i++ {
 		if err := c.Insert("orders", []types.Tuple{ord(750+i, i, 1)}); err != nil {
 			t.Fatalf("writer %d under failing flush: %v", i, err)
@@ -309,14 +313,9 @@ func TestAsyncOverloadBlockFlushFailure(t *testing.T) {
 		t.Fatal("blocked writer hung under a persistently failing flush")
 	}
 
-	// Heal: the trigger is spent, so a flush drains the interrupted
-	// epoch and the shed write retries cleanly.
-	if err := c.ResumeMaintenance(); err != nil {
-		t.Fatalf("ResumeMaintenance: %v", err)
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatalf("post-heal flush: %v", err)
-	}
+	// Heal: restart and recover the node, roll the interrupted epoch
+	// forward and drain the queue; the shed write then retries cleanly.
+	healAsync(t, c, inj)
 	if err := c.Insert("orders", []types.Tuple{ord(760, 3, 1)}); err != nil {
 		t.Fatalf("retry after heal: %v", err)
 	}

@@ -333,10 +333,14 @@ func TestAsyncOverloadBlockInlineDrain(t *testing.T) {
 
 // TestAsyncBackgroundFlusher: a saturating writer against a small epoch
 // size is drained by the background flusher without explicit Flush calls
-// — the system recovers on its own.
+// — the system recovers on its own. The depth trigger alone never flushes
+// a tail shorter than EpochSize (how long the tail is depends on where the
+// flusher's epochs happened to cut the stream), so the timer trigger is on
+// as well: the drain must complete whatever the interleaving.
 func TestAsyncBackgroundFlusher(t *testing.T) {
 	c := newAsyncCluster(t, catalog.StrategyAuto, func(cfg *Config) {
 		cfg.EpochSize = 4
+		cfg.FlushInterval = 10 * time.Millisecond
 		cfg.MaxQueueDepth = 8
 		cfg.OverloadBlock = true
 	})

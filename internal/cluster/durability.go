@@ -267,8 +267,10 @@ func (c *Cluster) restartNodeLocked(n int) (node.RestartResult, error) {
 // RecoveryReport accounts what one Recover call did and what it cost.
 type RecoveryReport struct {
 	Node int
-	// Mode is "replay" (checkpoint + log tail, Durability mode) or
-	// "rebuild" (derived fragments recomputed from base relations).
+	// Mode is "replay" (checkpoint + log tail, Durability mode),
+	// "rebuild" (derived fragments recomputed from base relations) or
+	// "rereplicate" (ReplicationFactor > 1: the node is wiped and copied
+	// back in as a follower; only Node, Mode and Messages are filled).
 	Mode string
 	// CheckpointPages and LogPagesRead are the durable-image and log-tail
 	// pages the replay path read; RecordsReplayed the redo records it

@@ -26,6 +26,10 @@ package cluster
 //	         atomically install the new partition map with an epoch bump
 //	         (which invalidates every compiled maintenance plan).
 //
+// The data movement itself — the catalog walk, the snapshot copy and the
+// live mirror — is shared with replication (slotcopy.go); this file is the
+// phase protocol around it.
+//
 // Every transition is logged to the coordinator's WAL. The commit point
 // is the cutover's map install: a start record without a commit record
 // means the migration never happened (presumed abort), and
@@ -42,7 +46,6 @@ import (
 	"sync"
 	"time"
 
-	"joinview/internal/catalog"
 	"joinview/internal/fault"
 	"joinview/internal/hashpart"
 	"joinview/internal/lockmgr"
@@ -127,16 +130,6 @@ type Topology struct {
 	Repair *ReplRepairStatus
 }
 
-// migTap mirrors mutations against one migrating fragment into the
-// catch-up queue. partIdx is the partition column's index in the
-// fragment's tuples; staging maps destination node → staging fragment
-// name there.
-type migTap struct {
-	hintCol string
-	partIdx int
-	staging map[int]string
-}
-
 // migStaging names one staging fragment for the WAL record and cleanup.
 type migStaging struct {
 	Node int
@@ -164,8 +157,7 @@ type migration struct {
 
 	mu      sync.Mutex
 	phase   string
-	taps    map[string]*migTap // base/AR/view fragment → tap
-	giTaps  map[string]*migTap // global index → tap
+	armed   map[string]bool // structures whose copy finished: mirror their mutations
 	queue   []migQueued
 	stopped bool // cutover reached or migration aborted: stop mirroring
 
@@ -267,7 +259,7 @@ func (c *Cluster) Topology() Topology {
 		t.InFlight = &MigrationStatus{
 			ID:         mig.id,
 			Phase:      mig.phase,
-			Slots:      sortedSlots(mig.moves),
+			Slots:      sortedKeys(mig.moves),
 			Dsts:       append([]int(nil), mig.dsts...),
 			QueueDepth: len(mig.queue),
 		}
@@ -298,22 +290,13 @@ func (c *Cluster) migRangeClaims(mode func(string) lockmgr.Claim) []lockmgr.Clai
 		return nil
 	}
 	claims := make([]lockmgr.Claim, 0, len(m.moves))
-	for _, s := range sortedSlots(m.moves) {
+	for _, s := range sortedKeys(m.moves) {
 		claims = append(claims, mode(migRangeRes(s)))
 	}
 	return claims
 }
 
 func migRangeRes(slot int) string { return fmt.Sprintf("mig:slot:%d", slot) }
-
-func sortedSlots(moves map[int]migMove) []int {
-	out := make([]int, 0, len(moves))
-	for s := range moves {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
-}
 
 // AddNode grows the cluster by one data-server node: it provisions the
 // node (transport inbox, empty fragments of every cataloged object),
@@ -366,43 +349,11 @@ func (c *Cluster) provisionNode() (int, error) {
 
 	// Empty fragments of every cataloged object, so broadcasts, gathers
 	// and checkpoints uniformly include the new node from here on.
-	for _, tn := range c.cat.Tables() {
-		t, err := c.cat.Table(tn)
-		if err != nil {
-			return dst, err
-		}
-		if _, err := c.rawCall(dst, node.CreateFragment{
-			Name: t.Name, Schema: t.Schema, ClusterCol: t.ClusterCol, PageRows: c.cfg.PageRows,
-		}); err != nil {
-			return dst, err
-		}
-		for _, ix := range t.Indexes {
-			if _, err := c.rawCall(dst, node.CreateIndex{Frag: t.Name, Name: ix.Name, Col: ix.Col}); err != nil {
+	for _, spec := range c.fragSpecs() {
+		for _, req := range append([]any{spec.createReq(spec.Name, c.cfg.PageRows)}, spec.indexReqs()...) {
+			if _, err := c.rawCall(dst, req); err != nil {
 				return dst, err
 			}
-		}
-		for _, ar := range c.cat.AuxRelsFor(tn) {
-			if _, err := c.rawCall(dst, node.CreateFragment{
-				Name: ar.Name, Schema: ar.Schema, ClusterCol: ar.PartitionCol, PageRows: c.cfg.PageRows,
-			}); err != nil {
-				return dst, err
-			}
-		}
-		for _, gi := range c.cat.GlobalIndexesFor(tn) {
-			if _, err := c.rawCall(dst, node.CreateGlobalIndex{Name: gi.Name, DistClustered: gi.DistClustered}); err != nil {
-				return dst, err
-			}
-		}
-	}
-	for _, vn := range c.cat.Views() {
-		v, err := c.cat.View(vn)
-		if err != nil {
-			return dst, err
-		}
-		if _, err := c.rawCall(dst, node.CreateFragment{
-			Name: v.Name, Schema: v.Schema, ClusterCol: v.PartitionQualified(), PageRows: c.cfg.PageRows,
-		}); err != nil {
-			return dst, err
 		}
 	}
 
@@ -529,40 +480,21 @@ func (c *Cluster) migrate(routing, target hashpart.Map, moves map[int]migMove) e
 		routing: routing,
 		target:  target,
 		moves:   moves,
-		taps:    map[string]*migTap{},
-		giTaps:  map[string]*migTap{},
+		armed:   map[string]bool{},
 		start:   time.Now(),
 	}
 	dstSet := map[int]bool{}
 	for _, mv := range moves {
 		dstSet[mv.Dst] = true
 	}
-	for d := range dstSet {
-		m.dsts = append(m.dsts, d)
-	}
-	sort.Ints(m.dsts)
-	m.stats = MigrationStats{ID: m.id, Slots: sortedSlots(moves), Dsts: m.dsts}
+	m.dsts = sortedKeys(dstSet)
+	m.stats = MigrationStats{ID: m.id, Slots: sortedKeys(moves), Dsts: m.dsts}
 
 	// Plan every staging fragment up front so the WAL start record is a
 	// complete cleanup manifest even if the coordinator dies mid-copy.
-	for _, tn := range c.cat.Tables() {
+	for _, spec := range c.fragSpecs() {
 		for _, d := range m.dsts {
-			m.staging = append(m.staging, migStaging{Node: d, Name: m.stagingName(tn)})
-		}
-		for _, ar := range c.cat.AuxRelsFor(tn) {
-			for _, d := range m.dsts {
-				m.staging = append(m.staging, migStaging{Node: d, Name: m.stagingName(ar.Name)})
-			}
-		}
-		for _, gi := range c.cat.GlobalIndexesFor(tn) {
-			for _, d := range m.dsts {
-				m.staging = append(m.staging, migStaging{Node: d, Name: m.stagingName(gi.Name), GI: true})
-			}
-		}
-	}
-	for _, vn := range c.cat.Views() {
-		for _, d := range m.dsts {
-			m.staging = append(m.staging, migStaging{Node: d, Name: m.stagingName(vn)})
+			m.staging = append(m.staging, migStaging{Node: d, Name: m.stagingName(spec.Name), GI: spec.GI})
 		}
 	}
 
@@ -661,16 +593,16 @@ func (c *Cluster) migCall(m *migration, to int, req any) (any, error) {
 	return c.rawCall(to, req)
 }
 
+// migCaller is migCall bound to one migration.
+func (c *Cluster) migCaller(m *migration) func(to int, req any) (any, error) {
+	return func(to int, req any) (any, error) { return c.migCall(m, to, req) }
+}
+
 // runMigration executes the three phases.
 func (c *Cluster) runMigration(m *migration) error {
 	// Phase 1: snapshot copy, object by object, arming taps.
-	for _, tn := range c.cat.Tables() {
-		if err := c.copyTable(m, tn); err != nil {
-			return err
-		}
-	}
-	for _, vn := range c.cat.Views() {
-		if err := c.copyView(m, vn); err != nil {
+	for _, group := range c.fragGroups() {
+		if err := c.copyGroup(m, group); err != nil {
 			return err
 		}
 	}
@@ -692,12 +624,6 @@ func (c *Cluster) runMigration(m *migration) error {
 	return c.cutover(m)
 }
 
-// lockCopy acquires the snapshot claim for one object: shared on the
-// object (blocking exactly its writers), global in serial modes.
-func (c *Cluster) lockCopy(names ...string) *lockmgr.Held {
-	return c.lockRead(names...)
-}
-
 // migMoved reports whether a value's slot is migrating and currently
 // homed at node `at`.
 func (m *migration) migMoved(v types.Value, at int) (migMove, bool) {
@@ -709,168 +635,77 @@ func (m *migration) migMoved(v types.Value, at int) (migMove, bool) {
 	return mv, true
 }
 
-// armTap registers the mirror for one fragment. Must be called while the
-// copy claim is still held, so no mutation lands between snapshot and tap.
-func (m *migration) armTap(frag, hintCol string, partIdx int, gi bool) {
-	t := &migTap{hintCol: hintCol, partIdx: partIdx, staging: map[int]string{}}
-	for _, d := range m.dsts {
-		t.staging[d] = m.stagingName(frag)
+// sink is the migration's slot sink for data homed at node `at`: an
+// element of a migrating slot goes to the slot's destination, into the
+// staging copy there, unmetered.
+func (m *migration) sink(at int, deliver func(dst int, req any, elems int) error) slotSink {
+	return slotSink{
+		route: func(v types.Value, out []int) []int {
+			if mv, ok := m.migMoved(v, at); ok {
+				out = append(out, mv.Dst)
+			}
+			return out
+		},
+		name:    m.stagingName,
+		deliver: deliver,
 	}
+}
+
+// arm starts mirroring one structure's mutations into the catch-up queue.
+// Must be called while the copy claim is still held, so no mutation lands
+// between snapshot and tap.
+func (m *migration) arm(name string) {
 	m.mu.Lock()
-	if gi {
-		m.giTaps[frag] = t
-	} else {
-		m.taps[frag] = t
-	}
+	m.armed[name] = true
 	m.mu.Unlock()
 }
 
-// copyTable snapshots one base table's migrating rows — plus its
-// auxiliary relations' rows and global-index entries — into staging at
-// the destinations, arming the taps before the claim is released.
-func (c *Cluster) copyTable(m *migration, tn string) error {
-	if err := c.setPhase(m, "copy:"+tn); err != nil {
+func (m *migration) isArmed(name string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return !m.stopped && m.armed[name]
+}
+
+// copyGroup snapshots the migrating slots of one base table — its rows,
+// its auxiliary relations' rows and its global-index entries — or of one
+// view into staging at the destinations, under a shared claim on the
+// owner (blocking exactly its writers; global in serial modes), arming
+// each structure before the claim is released.
+func (c *Cluster) copyGroup(m *migration, group []fragSpec) error {
+	owner := group[0].Owner
+	if err := c.setPhase(m, "copy:"+owner); err != nil {
 		return err
 	}
-	t, err := c.cat.Table(tn)
-	if err != nil {
-		return err
-	}
-	ars := c.cat.AuxRelsFor(tn)
-	gis := c.cat.GlobalIndexesFor(tn)
-	h := c.lockCopy(tn)
+	h := c.lockRead(owner)
 	defer h.Release()
 
 	// Staging fragments exist at every destination regardless of content,
 	// so cleanup and cutover are uniform.
 	for _, d := range m.dsts {
-		if _, err := c.migCall(m, d, node.CreateFragment{
-			Name: m.stagingName(tn), Schema: t.Schema, ClusterCol: t.ClusterCol, PageRows: c.cfg.PageRows,
-		}); err != nil {
-			return err
-		}
-		for _, ar := range ars {
-			if _, err := c.migCall(m, d, node.CreateFragment{
-				Name: m.stagingName(ar.Name), Schema: ar.Schema, ClusterCol: ar.PartitionCol, PageRows: c.cfg.PageRows,
-			}); err != nil {
-				return err
-			}
-		}
-		for _, gi := range gis {
-			if _, err := c.migCall(m, d, node.CreateGlobalIndex{Name: m.stagingName(gi.Name), DistClustered: gi.DistClustered}); err != nil {
+		for _, spec := range group {
+			if _, err := c.migCall(m, d, spec.createReq(m.stagingName(spec.Name), c.cfg.PageRows)); err != nil {
 				return err
 			}
 		}
 	}
-	pi := t.Schema.MustColIndex(t.PartitionCol)
-	if err := c.copyFragSlots(m, tn, pi); err != nil {
-		return err
-	}
-	m.armTap(tn, t.PartitionCol, pi, false)
-	for _, ar := range ars {
-		api := ar.Schema.MustColIndex(ar.PartitionCol)
-		if err := c.copyFragSlots(m, ar.Name, api); err != nil {
+	ship := func(dst int, req any, elems int) error {
+		if _, err := c.migCall(m, dst, req); err != nil {
 			return err
 		}
-		m.armTap(ar.Name, ar.PartitionCol, api, false)
+		m.mu.Lock()
+		m.stats.RowsCopied += int64(elems)
+		m.stats.PagesCopied += 2 * c.pageCount(elems) // read at src + write at dst
+		m.mu.Unlock()
+		return nil
 	}
-	for _, gi := range gis {
-		if err := c.copyGISlots(m, gi.Name); err != nil {
-			return err
-		}
-		m.armTap(gi.Name, "", -1, true)
-	}
-	return nil
-}
-
-// copyView snapshots one view's migrating rows into staging.
-func (c *Cluster) copyView(m *migration, vn string) error {
-	if err := c.setPhase(m, "copy:"+vn); err != nil {
-		return err
-	}
-	v, err := c.cat.View(vn)
-	if err != nil {
-		return err
-	}
-	h := c.lockCopy(vn)
-	defer h.Release()
-	for _, d := range m.dsts {
-		if _, err := c.migCall(m, d, node.CreateFragment{
-			Name: m.stagingName(vn), Schema: v.Schema, ClusterCol: v.PartitionQualified(), PageRows: c.cfg.PageRows,
-		}); err != nil {
-			return err
-		}
-	}
-	pi := v.Schema.MustColIndex(v.PartitionQualified())
-	if err := c.copyFragSlots(m, vn, pi); err != nil {
-		return err
-	}
-	m.armTap(vn, v.PartitionQualified(), pi, false)
-	return nil
-}
-
-// copyFragSlots ships one fragment's migrating rows from each source to
-// the staging fragment at its destination.
-func (c *Cluster) copyFragSlots(m *migration, frag string, partIdx int) error {
-	for _, src := range m.srcNodes() {
-		resp, err := c.migCall(m, src, node.ScanWithRows{Frag: frag})
-		if err != nil {
-			return err
-		}
-		rr := resp.(node.RowsResult)
-		byDst := map[int][]types.Tuple{}
-		for _, tup := range rr.Tuples {
-			if mv, ok := m.migMoved(tup[partIdx], src); ok {
-				byDst[mv.Dst] = append(byDst[mv.Dst], tup)
-			}
-		}
-		for d, tuples := range byDst {
-			if _, err := c.migCall(m, d, node.Insert{Frag: m.stagingName(frag), Tuples: tuples, Unmetered: true}); err != nil {
+	for _, spec := range group {
+		// One batch per source: PagesCopied rounds each to whole pages.
+		for _, src := range m.srcNodes() {
+			if err := copySlots(spec, spec.Name, []int{src}, c.migCaller(m), m.sink(src, ship)); err != nil {
 				return err
 			}
-			m.mu.Lock()
-			m.stats.RowsCopied += int64(len(tuples))
-			m.stats.PagesCopied += 2 * c.pageCount(len(tuples)) // read at src + write at dst
-			m.mu.Unlock()
 		}
-	}
-	return nil
-}
-
-// copyGISlots ships one global index's migrating-value entries from each
-// source's fragment to the staging index at its destination.
-func (c *Cluster) copyGISlots(m *migration, gi string) error {
-	for _, src := range m.srcNodes() {
-		resp, err := c.migCall(m, src, node.GIScan{GI: gi})
-		if err != nil {
-			return err
-		}
-		sc := resp.(node.GIScanResult)
-		type batch struct {
-			vals []types.Value
-			gs   []storage.GlobalRowID
-		}
-		byDst := map[int]*batch{}
-		for i, v := range sc.Vals {
-			if mv, ok := m.migMoved(v, src); ok {
-				b := byDst[mv.Dst]
-				if b == nil {
-					b = &batch{}
-					byDst[mv.Dst] = b
-				}
-				b.vals = append(b.vals, v)
-				b.gs = append(b.gs, sc.Gs[i])
-			}
-		}
-		for d, b := range byDst {
-			if _, err := c.migCall(m, d, node.GIInsertBatch{GI: m.stagingName(gi), Vals: b.vals, Gs: b.gs}); err != nil {
-				return err
-			}
-			m.mu.Lock()
-			m.stats.RowsCopied += int64(len(b.vals))
-			m.stats.PagesCopied += 2 * c.pageCount(len(b.vals))
-			m.mu.Unlock()
-		}
+		m.arm(spec.Name)
 	}
 	return nil
 }
@@ -881,25 +716,21 @@ func (m *migration) srcNodes() []int {
 	for _, mv := range m.moves {
 		set[mv.Src] = true
 	}
-	out := make([]int, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
+	return sortedKeys(set)
 }
 
 // enqueue appends one mirrored operation to the catch-up queue.
-func (m *migration) enqueue(dst int, req any) {
+func (m *migration) enqueue(dst int, req any, _ int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.stopped {
-		return
+		return nil
 	}
 	m.queue = append(m.queue, migQueued{dst: dst, req: req})
 	if len(m.queue) > m.stats.CatchupPeak {
 		m.stats.CatchupPeak = len(m.queue)
 	}
+	return nil
 }
 
 // replayQueue drains the current queue snapshot against the staging
@@ -920,183 +751,6 @@ func (c *Cluster) replayQueue(m *migration) (int, error) {
 	m.stats.CatchupReplayed += len(batch)
 	m.mu.Unlock()
 	return len(batch), nil
-}
-
-// tapMutation mirrors one successfully delivered mutation into the
-// catch-up queue if it touches a migrating hash range. It is called from
-// the resilient delivery layer on every applied DML sub-request (normal
-// path, broadcast path and in-doubt resolution), including compensations,
-// so the staging fragments see exactly the physical history the sources
-// see. Recovery traffic (rawCall/rawDeliver) is deliberately not tapped:
-// derived-fragment rebuilds regenerate source state wholesale and would
-// double-apply against staging.
-func (c *Cluster) tapMutation(to int, wreq, resp any) {
-	c.mirrorMutation(to, wreq, resp)
-	c.migMu.RLock()
-	m := c.mig
-	c.migMu.RUnlock()
-	if m == nil {
-		return
-	}
-	m.absorb(to, wreq, resp)
-}
-
-// absorb inspects one applied request and enqueues its mirror.
-func (m *migration) absorb(to int, wreq, resp any) {
-	if s, ok := wreq.(node.Seq); ok {
-		wreq = s.Req
-	}
-	switch req := wreq.(type) {
-	case node.Insert:
-		t := m.tapFor(req.Frag)
-		if t == nil {
-			return
-		}
-		m.mirrorTuples(to, t, req.Tuples, func(dst int, tuples []types.Tuple) any {
-			return node.Insert{Frag: t.staging[dst], Tuples: tuples, Unmetered: true}
-		})
-	case node.RestoreRows:
-		t := m.tapFor(req.Frag)
-		if t == nil {
-			return
-		}
-		m.mirrorTuples(to, t, req.Tuples, func(dst int, tuples []types.Tuple) any {
-			return node.Insert{Frag: t.staging[dst], Tuples: tuples, Unmetered: true}
-		})
-	case node.DeleteRows:
-		t := m.tapFor(req.Frag)
-		if t == nil {
-			return
-		}
-		dr, ok := resp.(node.DeleteResult)
-		if !ok {
-			return
-		}
-		m.mirrorTuples(to, t, dr.Tuples, func(dst int, tuples []types.Tuple) any {
-			return node.DeleteMatch{Frag: t.staging[dst], HintCol: t.hintCol, Tuples: tuples}
-		})
-	case node.DeleteMatch:
-		t := m.tapFor(req.Frag)
-		if t == nil {
-			return
-		}
-		dr, ok := resp.(node.DeleteResult)
-		if !ok {
-			return
-		}
-		m.mirrorTuples(to, t, dr.Tuples, func(dst int, tuples []types.Tuple) any {
-			return node.DeleteMatch{Frag: t.staging[dst], HintCol: t.hintCol, Tuples: tuples}
-		})
-	case node.AggApply:
-		t := m.tapFor(req.Frag)
-		if t == nil {
-			return
-		}
-		byDst := map[int][]int{}
-		for i, key := range req.Keys {
-			if mv, ok := m.migMoved(key[t.partIdx], to); ok {
-				byDst[mv.Dst] = append(byDst[mv.Dst], i)
-			}
-		}
-		for dst, idxs := range byDst {
-			mirror := node.AggApply{
-				Frag: t.staging[dst], HintCol: req.HintCol,
-				GroupLen: req.GroupLen, CountPos: req.CountPos,
-			}
-			for _, i := range idxs {
-				mirror.Keys = append(mirror.Keys, req.Keys[i])
-				mirror.Deltas = append(mirror.Deltas, req.Deltas[i])
-			}
-			m.enqueue(dst, mirror)
-		}
-	case node.GIInsert:
-		t := m.giTapFor(req.GI)
-		if t == nil {
-			return
-		}
-		if mv, ok := m.migMoved(req.Val, to); ok {
-			m.enqueue(mv.Dst, node.GIInsert{GI: t.staging[mv.Dst], Val: req.Val, G: req.G})
-		}
-	case node.GIDelete:
-		t := m.giTapFor(req.GI)
-		if t == nil {
-			return
-		}
-		if mv, ok := m.migMoved(req.Val, to); ok {
-			m.enqueue(mv.Dst, node.GIDelete{GI: t.staging[mv.Dst], Val: req.Val, G: req.G})
-		}
-	case node.GIInsertBatch:
-		t := m.giTapFor(req.GI)
-		if t == nil {
-			return
-		}
-		m.mirrorGI(to, req.Vals, req.Gs, func(dst int, vals []types.Value, gs []storage.GlobalRowID) any {
-			return node.GIInsertBatch{GI: t.staging[dst], Vals: vals, Gs: gs}
-		})
-	case node.GIDeleteBatch:
-		t := m.giTapFor(req.GI)
-		if t == nil {
-			return
-		}
-		m.mirrorGI(to, req.Vals, req.Gs, func(dst int, vals []types.Value, gs []storage.GlobalRowID) any {
-			return node.GIDeleteBatch{GI: t.staging[dst], Vals: vals, Gs: gs}
-		})
-	}
-}
-
-func (m *migration) tapFor(frag string) *migTap {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.stopped {
-		return nil
-	}
-	return m.taps[frag]
-}
-
-func (m *migration) giTapFor(gi string) *migTap {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.stopped {
-		return nil
-	}
-	return m.giTaps[gi]
-}
-
-// mirrorTuples filters tuples to the migrating slots homed at `to` and
-// enqueues one mirrored request per destination.
-func (m *migration) mirrorTuples(to int, t *migTap, tuples []types.Tuple, build func(dst int, tuples []types.Tuple) any) {
-	byDst := map[int][]types.Tuple{}
-	for _, tup := range tuples {
-		if mv, ok := m.migMoved(tup[t.partIdx], to); ok {
-			byDst[mv.Dst] = append(byDst[mv.Dst], tup)
-		}
-	}
-	for dst, ts := range byDst {
-		m.enqueue(dst, build(dst, ts))
-	}
-}
-
-// mirrorGI is mirrorTuples for global-index entry batches.
-func (m *migration) mirrorGI(to int, vals []types.Value, gs []storage.GlobalRowID, build func(int, []types.Value, []storage.GlobalRowID) any) {
-	type batch struct {
-		vals []types.Value
-		gs   []storage.GlobalRowID
-	}
-	byDst := map[int]*batch{}
-	for i, v := range vals {
-		if mv, ok := m.migMoved(v, to); ok {
-			b := byDst[mv.Dst]
-			if b == nil {
-				b = &batch{}
-				byDst[mv.Dst] = b
-			}
-			b.vals = append(b.vals, v)
-			b.gs = append(b.gs, gs[i])
-		}
-	}
-	for dst, b := range byDst {
-		m.enqueue(dst, build(dst, b.vals, b.gs))
-	}
 }
 
 // cutover is the migration's commit: under exclusive claims on every
@@ -1123,11 +777,8 @@ func (c *Cluster) cutover(m *migration) error {
 		h = c.lm.AcquireShared()
 		var claims []lockmgr.Claim
 		claims = append(claims, c.migRangeClaims(lockmgr.X)...)
-		for _, tn := range c.cat.Tables() {
-			claims = append(claims, lockmgr.X(tn))
-		}
-		for _, vn := range c.cat.Views() {
-			claims = append(claims, lockmgr.X(vn))
+		for _, group := range c.fragGroups() {
+			claims = append(claims, lockmgr.X(group[0].Owner))
 		}
 		h.Lock(claims...)
 		// MVCC snapshot readers hold no table claims, so the exclusive
@@ -1159,100 +810,53 @@ func (c *Cluster) cutover(m *migration) error {
 	}
 	fixDel := map[string][]movedRows{} // table → per-src old rows
 	fixIns := map[string][]movedRows{} // table → per-dst new rows
-	for _, tn := range c.cat.Tables() {
-		t, err := c.cat.Table(tn)
-		if err != nil {
-			return err
-		}
-		needRows := len(c.cat.GlobalIndexesFor(tn)) > 0
-		pi := t.Schema.MustColIndex(t.PartitionCol)
-		if needRows {
-			for _, src := range m.srcNodes() {
-				resp, err := c.migCall(m, src, node.ScanWithRows{Frag: tn})
-				if err != nil {
-					return err
-				}
-				rr := resp.(node.RowsResult)
-				mv := movedRows{at: src}
-				for i, tup := range rr.Tuples {
-					if _, ok := m.migMoved(tup[pi], src); ok {
-						mv.rows = append(mv.rows, rr.Rows[i])
-						mv.tuples = append(mv.tuples, tup)
+	groups := c.fragGroups()
+	for _, group := range groups {
+		for _, spec := range group {
+			needRows := spec.isTable() && len(giSpecs(group)) > 0
+			if needRows {
+				for _, src := range m.srcNodes() {
+					resp, err := c.migCall(m, src, node.ScanWithRows{Frag: spec.Name})
+					if err != nil {
+						return err
+					}
+					rr := resp.(node.RowsResult)
+					mv := movedRows{at: src}
+					for i, tup := range rr.Tuples {
+						if _, ok := m.migMoved(tup[spec.PartIdx], src); ok {
+							mv.rows = append(mv.rows, rr.Rows[i])
+							mv.tuples = append(mv.tuples, tup)
+						}
+					}
+					if len(mv.rows) > 0 {
+						fixDel[spec.Name] = append(fixDel[spec.Name], mv)
 					}
 				}
-				if len(mv.rows) > 0 {
-					fixDel[tn] = append(fixDel[tn], mv)
-				}
 			}
-		}
-		appendFrag := func(frag string) error {
 			for _, d := range m.dsts {
-				resp, err := c.migCall(m, d, node.ScanWithRows{Frag: m.stagingName(frag)})
-				if err != nil {
+				merge := slotSink{
+					route: func(_ types.Value, out []int) []int { return append(out, d) },
+					name:  func(string) string { return spec.Name },
+					deliver: func(_ int, req any, elems int) error {
+						resp, err := c.migCall(m, d, req)
+						if err != nil {
+							return err
+						}
+						if needRows {
+							fixIns[spec.Name] = append(fixIns[spec.Name], movedRows{
+								at: d, rows: resp.(node.InsertResult).Rows, tuples: req.(node.Insert).Tuples,
+							})
+						}
+						m.mu.Lock()
+						m.stats.PagesCopied += 2 * c.pageCount(elems)
+						m.mu.Unlock()
+						return nil
+					},
+				}
+				if err := copySlots(spec, m.stagingName(spec.Name), []int{d}, c.migCaller(m), merge); err != nil {
 					return err
 				}
-				rr := resp.(node.RowsResult)
-				if len(rr.Tuples) == 0 {
-					continue
-				}
-				iresp, err := c.migCall(m, d, node.Insert{Frag: frag, Tuples: rr.Tuples, Unmetered: true})
-				if err != nil {
-					return err
-				}
-				if needRows && frag == tn {
-					fixIns[tn] = append(fixIns[tn], movedRows{
-						at: d, rows: iresp.(node.InsertResult).Rows, tuples: rr.Tuples,
-					})
-				}
-				m.mu.Lock()
-				m.stats.PagesCopied += 2 * c.pageCount(len(rr.Tuples))
-				m.mu.Unlock()
 			}
-			return nil
-		}
-		if err := appendFrag(tn); err != nil {
-			return err
-		}
-		for _, ar := range c.cat.AuxRelsFor(tn) {
-			if err := appendFrag(ar.Name); err != nil {
-				return err
-			}
-		}
-		for _, gi := range c.cat.GlobalIndexesFor(tn) {
-			for _, d := range m.dsts {
-				resp, err := c.migCall(m, d, node.GIScan{GI: m.stagingName(gi.Name)})
-				if err != nil {
-					return err
-				}
-				sc := resp.(node.GIScanResult)
-				if len(sc.Vals) == 0 {
-					continue
-				}
-				if _, err := c.migCall(m, d, node.GIInsertBatch{GI: gi.Name, Vals: sc.Vals, Gs: sc.Gs}); err != nil {
-					return err
-				}
-				m.mu.Lock()
-				m.stats.PagesCopied += 2 * c.pageCount(len(sc.Vals))
-				m.mu.Unlock()
-			}
-		}
-	}
-	for _, vn := range c.cat.Views() {
-		for _, d := range m.dsts {
-			resp, err := c.migCall(m, d, node.ScanWithRows{Frag: m.stagingName(vn)})
-			if err != nil {
-				return err
-			}
-			rr := resp.(node.RowsResult)
-			if len(rr.Tuples) == 0 {
-				continue
-			}
-			if _, err := c.migCall(m, d, node.Insert{Frag: vn, Tuples: rr.Tuples, Unmetered: true}); err != nil {
-				return err
-			}
-			m.mu.Lock()
-			m.stats.PagesCopied += 2 * c.pageCount(len(rr.Tuples))
-			m.mu.Unlock()
 		}
 	}
 
@@ -1261,22 +865,15 @@ func (c *Cluster) cutover(m *migration) error {
 	// old source rows are replaced at each value's target-map home. (The
 	// merge above already placed migrating-value entries at their new
 	// homes; the stale source-side copies fall to the post-commit scrub.)
-	for _, tn := range c.cat.Tables() {
-		gis := c.cat.GlobalIndexesFor(tn)
-		if len(gis) == 0 {
-			continue
-		}
-		t, err := c.cat.Table(tn)
-		if err != nil {
-			return err
-		}
+	for _, group := range groups {
+		gis, tn := giSpecs(group), group[0].Owner
 		for _, mv := range fixDel[tn] {
-			if err := c.giFixup(m, gis, t, mv.at, mv.rows, mv.tuples, false); err != nil {
+			if err := c.giFixup(m, gis, mv.at, mv.rows, mv.tuples, false); err != nil {
 				return err
 			}
 		}
 		for _, mv := range fixIns[tn] {
-			if err := c.giFixup(m, gis, t, mv.at, mv.rows, mv.tuples, true); err != nil {
+			if err := c.giFixup(m, gis, mv.at, mv.rows, mv.tuples, true); err != nil {
 				return err
 			}
 		}
@@ -1302,7 +899,7 @@ func (c *Cluster) cutover(m *migration) error {
 	if err := c.scrubMisplaced(m); err != nil {
 		return err
 	}
-	c.dropStaging(m.staging)
+	_ = c.dropStaging(m.staging)
 	c.migLog(migCleanupRec{ID: m.id}, true)
 
 	m.mu.Lock()
@@ -1319,115 +916,79 @@ func (c *Cluster) cutover(m *migration) error {
 // hold either the cutover claims or the global lock. A nil m scrubs
 // without cost accounting.
 func (c *Cluster) scrubMisplaced(m *migration) error {
-	call := func(to int, req any) (any, error) {
-		if m != nil {
-			return c.migCall(m, to, req)
-		}
-		return c.rawCall(to, req)
+	call := c.rawCall
+	if m != nil {
+		call = c.migCaller(m)
 	}
-	scrubFrag := func(frag string, partIdx int) error {
+	for _, spec := range c.fragSpecs() {
 		for n := 0; n < c.NumNodes(); n++ {
-			resp, err := call(n, node.ScanWithRows{Frag: frag})
-			if err != nil {
+			misplaced := func(v types.Value) bool { return c.part.NodeFor(v) != n }
+			if err := scrubWhere(call, spec, n, misplaced); err != nil {
 				return err
 			}
-			rr := resp.(node.RowsResult)
-			var rows []storage.RowID
-			for i, tup := range rr.Tuples {
-				if c.part.NodeFor(tup[partIdx]) != n {
-					rows = append(rows, rr.Rows[i])
-				}
-			}
-			if len(rows) == 0 {
-				continue
-			}
-			if _, err := call(n, node.DeleteRows{Frag: frag, Rows: rows}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, tn := range c.cat.Tables() {
-		t, err := c.cat.Table(tn)
-		if err != nil {
-			return err
-		}
-		if err := scrubFrag(tn, t.Schema.MustColIndex(t.PartitionCol)); err != nil {
-			return err
-		}
-		for _, ar := range c.cat.AuxRelsFor(tn) {
-			if err := scrubFrag(ar.Name, ar.Schema.MustColIndex(ar.PartitionCol)); err != nil {
-				return err
-			}
-		}
-		for _, gi := range c.cat.GlobalIndexesFor(tn) {
-			for n := 0; n < c.NumNodes(); n++ {
-				resp, err := call(n, node.GIScan{GI: gi.Name})
-				if err != nil {
-					return err
-				}
-				sc := resp.(node.GIScanResult)
-				var vals []types.Value
-				var gs []storage.GlobalRowID
-				for i, v := range sc.Vals {
-					if c.part.NodeFor(v) != n {
-						vals = append(vals, v)
-						gs = append(gs, sc.Gs[i])
-					}
-				}
-				if len(vals) == 0 {
-					continue
-				}
-				if _, err := call(n, node.GIDeleteBatch{GI: gi.Name, Vals: vals, Gs: gs}); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	for _, vn := range c.cat.Views() {
-		v, err := c.cat.View(vn)
-		if err != nil {
-			return err
-		}
-		if err := scrubFrag(vn, v.Schema.MustColIndex(v.PartitionQualified())); err != nil {
-			return err
 		}
 	}
 	return nil
 }
 
+// scrubWhere deletes from node n's copy of one structure every element
+// whose partition value is doomed.
+func scrubWhere(call func(to int, req any) (any, error), spec fragSpec, n int, doomed func(types.Value) bool) error {
+	resp, err := call(n, spec.scanReq(spec.Name))
+	if err != nil {
+		return err
+	}
+	var del any
+	if spec.GI {
+		sc, d := resp.(node.GIScanResult), node.GIDeleteBatch{GI: spec.Name}
+		for i, v := range sc.Vals {
+			if doomed(v) {
+				d.Vals, d.Gs = append(d.Vals, v), append(d.Gs, sc.Gs[i])
+			}
+		}
+		if len(d.Vals) > 0 {
+			del = d
+		}
+	} else {
+		rr, d := resp.(node.RowsResult), node.DeleteRows{Frag: spec.Name}
+		for i, tup := range rr.Tuples {
+			if doomed(tup[spec.PartIdx]) {
+				d.Rows = append(d.Rows, rr.Rows[i])
+			}
+		}
+		if len(d.Rows) > 0 {
+			del = d
+		}
+	}
+	if del == nil {
+		return nil
+	}
+	_, err = call(n, del)
+	return err
+}
+
 // giFixup deletes (insert=false) or inserts (insert=true) the
 // global-index entries for the given base rows at each value's target-map
 // home.
-func (c *Cluster) giFixup(m *migration, gis []*catalog.GlobalIndex, t *catalog.Table, at int, rows []storage.RowID, tuples []types.Tuple, insert bool) error {
+func (c *Cluster) giFixup(m *migration, gis []fragSpec, at int, rows []storage.RowID, tuples []types.Tuple, insert bool) error {
+	home := slotSink{
+		route:   func(v types.Value, out []int) []int { return append(out, m.target.NodeFor(v)) },
+		name:    func(gi string) string { return gi },
+		deliver: func(dst int, req any, _ int) error { _, err := c.migCall(m, dst, req); return err },
+	}
 	for _, gi := range gis {
-		ci := t.Schema.MustColIndex(gi.Col)
-		type batch struct {
-			vals []types.Value
-			gs   []storage.GlobalRowID
-		}
-		byHome := map[int]*batch{}
+		ci := gi.Table.Schema.MustColIndex(gi.GICol)
+		vals := make([]types.Value, len(tuples))
+		gs := make([]storage.GlobalRowID, len(tuples))
 		for i, tup := range tuples {
-			v := tup[ci]
-			home := m.target.NodeFor(v)
-			b := byHome[home]
-			if b == nil {
-				b = &batch{}
-				byHome[home] = b
-			}
-			b.vals = append(b.vals, v)
-			b.gs = append(b.gs, storage.GlobalRowID{Node: int32(at), Row: rows[i]})
+			vals[i], gs[i] = tup[ci], storage.GlobalRowID{Node: int32(at), Row: rows[i]}
 		}
-		for home, b := range byHome {
-			var req any
-			if insert {
-				req = node.GIInsertBatch{GI: gi.Name, Vals: b.vals, Gs: b.gs}
-			} else {
-				req = node.GIDeleteBatch{GI: gi.Name, Vals: b.vals, Gs: b.gs}
-			}
-			if _, err := c.migCall(m, home, req); err != nil {
-				return err
-			}
+		var req any = node.GIDeleteBatch{GI: gi.Name, Vals: vals, Gs: gs}
+		if insert {
+			req = node.GIInsertBatch{GI: gi.Name, Vals: vals, Gs: gs}
+		}
+		if err := splitTo(node.SplitMutation(req, nil), gi, home); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -1471,84 +1032,38 @@ func (c *Cluster) rollbackLocked(moves map[int]migMove, staging []migStaging, cu
 		for _, mv := range moves {
 			dsts[mv.Dst] = true
 		}
-		scrubFrag := func(frag string, partIdx int) error {
-			for d := range dsts {
-				resp, err := c.rawCall(d, node.ScanWithRows{Frag: frag})
-				if err != nil {
-					return err
-				}
-				rr := resp.(node.RowsResult)
-				var rows []storage.RowID
-				for i, tup := range rr.Tuples {
-					if _, mig := moves[routing.Slot(tup[partIdx])]; mig {
-						rows = append(rows, rr.Rows[i])
-					}
-				}
-				if len(rows) == 0 {
-					continue
-				}
-				if _, err := c.rawCall(d, node.DeleteRows{Frag: frag, Rows: rows}); err != nil {
-					return err
-				}
+		migrating := func(v types.Value) bool { _, mig := moves[routing.Slot(v)]; return mig }
+		specs := c.fragSpecs()
+		for _, spec := range specs {
+			if spec.GI {
+				continue
 			}
-			return nil
-		}
-		for _, tn := range c.cat.Tables() {
-			t, err := c.cat.Table(tn)
-			if err != nil {
-				return err
-			}
-			if err := scrubFrag(tn, t.Schema.MustColIndex(t.PartitionCol)); err != nil {
-				return err
-			}
-			for _, ar := range c.cat.AuxRelsFor(tn) {
-				if err := scrubFrag(ar.Name, ar.Schema.MustColIndex(ar.PartitionCol)); err != nil {
+			for _, d := range sortedKeys(dsts) {
+				if err := scrubWhere(c.rawCall, spec, d, migrating); err != nil {
 					return err
 				}
 			}
 		}
-		for _, vn := range c.cat.Views() {
-			v, err := c.cat.View(vn)
-			if err != nil {
-				return err
+		for _, gi := range specs {
+			if !gi.GI {
+				continue
 			}
-			if err := scrubFrag(vn, v.Schema.MustColIndex(v.PartitionQualified())); err != nil {
-				return err
-			}
-		}
-		for _, tn := range c.cat.Tables() {
-			t, err := c.cat.Table(tn)
-			if err != nil {
-				return err
-			}
-			for _, gi := range c.cat.GlobalIndexesFor(tn) {
-				for n := 0; n < c.NumNodes(); n++ {
-					if _, err := c.rebuildGIFrag(gi.Name, gi.Col, gi.DistClustered, t, n); err != nil {
-						return err
-					}
+			for n := 0; n < c.NumNodes(); n++ {
+				if _, err := c.rebuildGIFrag(gi, n); err != nil {
+					return err
 				}
 			}
 		}
 	}
-	return c.dropStagingStrict(staging)
+	return c.dropStaging(staging)
 }
 
-// dropStaging removes staging fragments, tolerating unreachable nodes and
-// fragments that were never created (cleanup is idempotent).
-func (c *Cluster) dropStaging(staging []migStaging) {
-	for _, st := range staging {
-		var req any = node.DropFragment{Name: st.Name}
-		if st.GI {
-			req = node.DropGlobalIndexFrag{Name: st.Name}
-		}
-		_, _ = c.rawCall(st.Node, req)
-	}
-}
-
-// dropStagingStrict removes staging fragments, reporting unreachable
-// nodes (so an abort with a dead destination stays undecided for
-// ResumeMigrations) while tolerating never-created fragments.
-func (c *Cluster) dropStagingStrict(staging []migStaging) error {
+// dropStaging removes staging fragments, tolerating never-created ones
+// (cleanup is idempotent) and reporting the first unreachable node: an
+// abort with a dead destination stays undecided for ResumeMigrations,
+// while the post-commit cleanup ignores the error and lets the roll-forward
+// retry.
+func (c *Cluster) dropStaging(staging []migStaging) error {
 	var firstErr error
 	for _, st := range staging {
 		var req any = node.DropFragment{Name: st.Name}
@@ -1631,7 +1146,7 @@ func (c *Cluster) resumeMigrationsLocked() error {
 			if err := c.scrubMisplaced(nil); err != nil {
 				return fmt.Errorf("%w %d: roll-forward cleanup: %w", ErrMigration, start.ID, err)
 			}
-			if err := c.dropStagingStrict(start.Staging); err != nil {
+			if err := c.dropStaging(start.Staging); err != nil {
 				return fmt.Errorf("%w %d: roll-forward cleanup: %w", ErrMigration, start.ID, err)
 			}
 			c.migLog(migCleanupRec{ID: start.ID}, true)

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"joinview/internal/catalog"
 	"joinview/internal/fault"
-	"joinview/internal/hashpart"
 	"joinview/internal/lockmgr"
 	"joinview/internal/maintain"
 	"joinview/internal/netsim"
@@ -30,10 +30,10 @@ import (
 // probes, global-index lookups — is unchanged and duplicate-free; the
 // RF=1 and RF>=2 healthy paths are byte-identical.
 //
-// Write path. The resilient delivery layer mirrors every applied mutating
-// sub-request (mirrorMutation, called next to the migration tap): tuples
-// and index entries are bucketed by slot and re-delivered to each
-// follower's shadow, inside the same statement scope — under Durability
+// Write path. The resilient delivery layer taps every applied mutating
+// sub-request (tapMutation, slotcopy.go): tuples and index entries are
+// split by slot and re-delivered to each follower's shadow (followerSink),
+// inside the same statement scope — under Durability
 // the mirrors carry the statement's TID, so followers participate in the
 // presumed-abort two-phase commit. A mirror failure never fails the
 // statement: a dead follower is already in the degraded set (the next
@@ -54,10 +54,10 @@ import (
 // online: down nodes restart and are wiped back to empty cataloged
 // fragments, stale followers' shadows are wiped, a deficit plan picks new
 // followers for under-replicated slots, and each object is copied
-// primary→shadow under that object's exclusive claim while DML on every
-// other object proceeds; copied objects are "armed" so concurrent writers
-// mirror to the new followers too, and a final map install makes them
-// real.
+// primary→shadow (copySlots) under that object's exclusive claim while
+// DML on every other object proceeds; copied objects are "armed" so
+// concurrent writers mirror to the new followers too, and a final map
+// install makes them real.
 
 // replOn reports whether K-way replication is configured.
 func (c *Cluster) replOn() bool { return c.cfg.ReplicationFactor > 1 }
@@ -87,51 +87,48 @@ func replSkip(name string) bool {
 	return strings.Contains(name, "~") || strings.HasPrefix(name, "__q")
 }
 
-// replFragInfo resolves a cataloged fragment to its partition-column index
-// and name (the DeleteMatch hint column for shadow deletes). ok is false
-// for fragments replication does not track (temps, unknown names).
-func (c *Cluster) replFragInfo(frag string) (partIdx int, hintCol string, ok bool) {
-	if t, err := c.cat.Table(frag); err == nil {
-		return t.Schema.MustColIndex(t.PartitionCol), t.PartitionCol, true
+// followerSink is replication's slot sink for one structure: an element
+// goes to the follower nodes of its slot — the installed replica set minus
+// down and evicted followers, plus the in-flight repair round's targets
+// once the structure's copy is armed — into the shadow there, metered like
+// the primary write, through deliverMirror. The down/stale sets and the
+// repair session are resolved once, when the sink is built.
+func (c *Cluster) followerSink(frag string) slotSink {
+	pm := c.part.Map()
+	skip, down := map[int]bool{}, map[int]bool{} // skip: down or evicted
+	c.dmu.Lock()
+	for n := range c.downNodes {
+		skip[n], down[n] = true, true
 	}
-	if ar, err := c.cat.AuxRel(frag); err == nil {
-		return ar.Schema.MustColIndex(ar.PartitionCol), ar.PartitionCol, true
+	c.dmu.Unlock()
+	c.rmu.Lock()
+	for n := range c.staleRepl {
+		skip[n] = true
 	}
-	if v, err := c.cat.View(frag); err == nil {
-		q := v.PartitionQualified()
-		return v.Schema.MustColIndex(q), q, true
-	}
-	return 0, "", false
-}
-
-// replGIKnown reports whether a global index is cataloged (mirrors skip
-// unknown index names).
-func (c *Cluster) replGIKnown(gi string) bool {
-	_, err := c.cat.GlobalIndex(gi)
-	return err == nil
-}
-
-// mirrorTargets returns the follower nodes that must receive the slot's
-// write for the named fragment: the installed replica set minus down and
-// evicted followers, plus the in-flight repair round's targets once the
-// fragment's copy is armed.
-func (c *Cluster) mirrorTargets(m *replMirrorCtx, frag string, slot int) []int {
-	var out []int
-	for _, f := range m.pm.Followers(slot) {
-		if m.skip[f] {
-			continue
-		}
-		out = append(out, f)
-	}
-	if m.sess != nil && m.sess.isArmed(frag) {
-		for _, f := range m.sess.targets[slot] {
-			if m.down[f] || containsInt(out, f) {
-				continue
+	sess := c.repairSess
+	c.rmu.Unlock()
+	armed := sess != nil && sess.isArmed(frag)
+	return slotSink{
+		route: func(v types.Value, out []int) []int {
+			slot := pm.Slot(v)
+			for _, f := range pm.Followers(slot) {
+				if !skip[f] {
+					out = append(out, f)
+				}
 			}
-			out = append(out, f)
-		}
+			if armed {
+				for _, f := range sess.targets[slot] {
+					if !down[f] && !containsInt(out, f) {
+						out = append(out, f)
+					}
+				}
+			}
+			return out
+		},
+		name:    shadowName,
+		deliver: func(dst int, req any, elems int) error { c.deliverMirror(dst, req, elems); return nil },
+		metered: true,
 	}
-	return out
 }
 
 func containsInt(xs []int, v int) bool {
@@ -141,256 +138,6 @@ func containsInt(xs []int, v int) bool {
 		}
 	}
 	return false
-}
-
-// replMirrorCtx snapshots the routing state one mirror fan-out uses.
-type replMirrorCtx struct {
-	pm   hashpart.Map
-	skip map[int]bool // down or evicted: no Repl-based mirrors
-	down map[int]bool
-	sess *replRepair
-}
-
-func (c *Cluster) mirrorCtx() *replMirrorCtx {
-	m := &replMirrorCtx{pm: c.part.Map(), skip: map[int]bool{}, down: map[int]bool{}}
-	c.dmu.Lock()
-	for n := range c.downNodes {
-		m.skip[n] = true
-		m.down[n] = true
-	}
-	c.dmu.Unlock()
-	c.rmu.Lock()
-	for n := range c.staleRepl {
-		m.skip[n] = true
-	}
-	m.sess = c.repairSess
-	c.rmu.Unlock()
-	return m
-}
-
-// mirrorMutation fans one successfully applied mutating request out to the
-// follower shadows of the slots it touched. Called from the resilient
-// delivery layer next to the migration tap, on the normal path, the
-// broadcast path and in-doubt resolution — so shadows see exactly the
-// physical history the primaries see, compensations included. Recovery
-// and repair traffic (rawCall/rawDeliver) is not mirrored.
-func (c *Cluster) mirrorMutation(to int, wreq, resp any) {
-	if !c.replOn() {
-		return
-	}
-	if s, ok := wreq.(node.Seq); ok {
-		wreq = s.Req
-	}
-	switch req := wreq.(type) {
-	case node.Insert:
-		if replSkip(req.Frag) {
-			return
-		}
-		pi, _, ok := c.replFragInfo(req.Frag)
-		if !ok {
-			return
-		}
-		c.mirrorTuples(req.Frag, pi, req.Tuples, func(frag string, tuples []types.Tuple) any {
-			return node.Insert{Frag: frag, Tuples: tuples, Unmetered: req.Unmetered}
-		})
-	case node.RestoreRows:
-		if replSkip(req.Frag) {
-			return
-		}
-		pi, _, ok := c.replFragInfo(req.Frag)
-		if !ok {
-			return
-		}
-		c.mirrorTuples(req.Frag, pi, req.Tuples, func(frag string, tuples []types.Tuple) any {
-			return node.Insert{Frag: frag, Tuples: tuples, Unmetered: true}
-		})
-	case node.DeleteRows:
-		if replSkip(req.Frag) {
-			return
-		}
-		pi, hint, ok := c.replFragInfo(req.Frag)
-		if !ok {
-			return
-		}
-		dr, ok := resp.(node.DeleteResult)
-		if !ok {
-			return
-		}
-		c.mirrorTuples(req.Frag, pi, dr.Tuples, func(frag string, tuples []types.Tuple) any {
-			return node.DeleteMatch{Frag: frag, HintCol: hint, Tuples: tuples}
-		})
-	case node.DeleteMatch:
-		if replSkip(req.Frag) {
-			return
-		}
-		pi, hint, ok := c.replFragInfo(req.Frag)
-		if !ok {
-			return
-		}
-		dr, ok := resp.(node.DeleteResult)
-		if !ok {
-			return
-		}
-		c.mirrorTuples(req.Frag, pi, dr.Tuples, func(frag string, tuples []types.Tuple) any {
-			return node.DeleteMatch{Frag: frag, HintCol: hint, Tuples: tuples}
-		})
-	case node.AggApply:
-		if replSkip(req.Frag) {
-			return
-		}
-		pi, _, ok := c.replFragInfo(req.Frag)
-		if !ok {
-			return
-		}
-		m := c.mirrorCtx()
-		byDst := map[int][]int{}
-		for i, key := range req.Keys {
-			if pi >= len(key) {
-				continue
-			}
-			slot := m.pm.Slot(key[pi])
-			for _, f := range c.mirrorTargets(m, req.Frag, slot) {
-				byDst[f] = append(byDst[f], i)
-			}
-		}
-		for _, f := range sortedKeys(byDst) {
-			mirror := node.AggApply{
-				Frag: shadowName(req.Frag), HintCol: req.HintCol,
-				GroupLen: req.GroupLen, CountPos: req.CountPos,
-			}
-			for _, i := range byDst[f] {
-				mirror.Keys = append(mirror.Keys, req.Keys[i])
-				mirror.Deltas = append(mirror.Deltas, req.Deltas[i])
-			}
-			c.deliverMirror(f, mirror, len(mirror.Keys))
-		}
-	case node.GIInsert:
-		if replSkip(req.GI) || !c.replGIKnown(req.GI) {
-			return
-		}
-		c.mirrorGI(req.GI, []types.Value{req.Val}, []storage.GlobalRowID{req.G}, true,
-			func(gi string, vals []types.Value, gs []storage.GlobalRowID) any {
-				return node.GIInsertBatch{GI: gi, Vals: vals, Gs: gs, Metered: true}
-			})
-	case node.GIDelete:
-		if replSkip(req.GI) || !c.replGIKnown(req.GI) {
-			return
-		}
-		c.mirrorGI(req.GI, []types.Value{req.Val}, []storage.GlobalRowID{req.G}, true,
-			func(gi string, vals []types.Value, gs []storage.GlobalRowID) any {
-				return node.GIDeleteBatch{GI: gi, Vals: vals, Gs: gs}
-			})
-	case node.GIInsertBatch:
-		if replSkip(req.GI) || !c.replGIKnown(req.GI) {
-			return
-		}
-		c.mirrorGI(req.GI, req.Vals, req.Gs, req.Metered,
-			func(gi string, vals []types.Value, gs []storage.GlobalRowID) any {
-				return node.GIInsertBatch{GI: gi, Vals: vals, Gs: gs, Metered: req.Metered}
-			})
-	case node.GIDeleteBatch:
-		if replSkip(req.GI) || !c.replGIKnown(req.GI) {
-			return
-		}
-		c.mirrorGI(req.GI, req.Vals, req.Gs, true,
-			func(gi string, vals []types.Value, gs []storage.GlobalRowID) any {
-				return node.GIDeleteBatch{GI: gi, Vals: vals, Gs: gs}
-			})
-	case node.CreateFragment:
-		if replSkip(req.Name) {
-			return
-		}
-		c.deliverMirror(to, node.CreateFragment{
-			Name: shadowName(req.Name), Schema: req.Schema,
-			ClusterCol: req.ClusterCol, PageRows: req.PageRows,
-		}, 0)
-	case node.CreateGlobalIndex:
-		if replSkip(req.Name) {
-			return
-		}
-		c.deliverMirror(to, node.CreateGlobalIndex{
-			Name: shadowName(req.Name), DistClustered: req.DistClustered,
-		}, 0)
-	case node.DropFragment:
-		if replSkip(req.Name) {
-			return
-		}
-		// The catalog entry is already gone when the drop broadcast runs,
-		// so the mirror drops by name unconditionally: at RF >= 2 every
-		// cataloged fragment has a shadow on every node.
-		c.deliverMirror(to, node.DropFragment{Name: shadowName(req.Name)}, 0)
-	case node.DropGlobalIndexFrag:
-		if replSkip(req.Name) {
-			return
-		}
-		c.deliverMirror(to, node.DropGlobalIndexFrag{Name: shadowName(req.Name)}, 0)
-	}
-}
-
-// mirrorTuples buckets tuples by follower of their slot and delivers one
-// shadow write per follower.
-func (c *Cluster) mirrorTuples(frag string, partIdx int, tuples []types.Tuple, build func(frag string, tuples []types.Tuple) any) {
-	if len(tuples) == 0 {
-		return
-	}
-	m := c.mirrorCtx()
-	byDst := map[int][]types.Tuple{}
-	for _, t := range tuples {
-		if partIdx >= len(t) {
-			continue
-		}
-		slot := m.pm.Slot(t[partIdx])
-		for _, f := range c.mirrorTargets(m, frag, slot) {
-			byDst[f] = append(byDst[f], t)
-		}
-	}
-	for _, f := range sortedKeys(byDst) {
-		c.deliverMirror(f, build(shadowName(frag), byDst[f]), len(byDst[f]))
-	}
-}
-
-// mirrorGI buckets global-index entries by follower of their value's slot
-// and delivers one shadow write per follower.
-func (c *Cluster) mirrorGI(gi string, vals []types.Value, gs []storage.GlobalRowID, _ bool, build func(gi string, vals []types.Value, gs []storage.GlobalRowID) any) {
-	if len(vals) == 0 || len(vals) != len(gs) {
-		return
-	}
-	m := c.mirrorCtx()
-	type pair struct {
-		vals []types.Value
-		gs   []storage.GlobalRowID
-	}
-	byDst := map[int]*pair{}
-	for i, v := range vals {
-		slot := m.pm.Slot(v)
-		for _, f := range c.mirrorTargets(m, gi, slot) {
-			p := byDst[f]
-			if p == nil {
-				p = &pair{}
-				byDst[f] = p
-			}
-			p.vals = append(p.vals, v)
-			p.gs = append(p.gs, gs[i])
-		}
-	}
-	dsts := make([]int, 0, len(byDst))
-	for f := range byDst {
-		dsts = append(dsts, f)
-	}
-	sort.Ints(dsts)
-	for _, f := range dsts {
-		p := byDst[f]
-		c.deliverMirror(f, build(shadowName(gi), p.vals, p.gs), len(p.vals))
-	}
-}
-
-func sortedKeys[V any](m map[int]V) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // mirrorAsIfApplied mirrors a compensation that could not be delivered to
@@ -642,114 +389,71 @@ func (c *Cluster) failoverLocked() error {
 	// global indexes as the base rows change identity.
 	mod := len(m.Owner)
 	owners := sortedKeys(promoted)
-	for _, tn := range c.cat.Tables() {
-		t, err := c.cat.Table(tn)
-		if err != nil {
-			return err
+	var tuples []types.Tuple // the current table's promoted rows and their new ids
+	var gs []storage.GlobalRowID
+	for _, spec := range c.fragSpecs() {
+		if spec.isTable() {
+			tuples, gs = nil, nil
 		}
-		pi := t.Schema.MustColIndex(t.PartitionCol)
-		type promo struct {
-			node   int
-			tuples []types.Tuple
-			rows   []storage.RowID
-		}
-		var promos []promo
 		for _, f := range owners {
-			resp, err := c.rawCall(f, node.PromoteSlots{
-				Src: shadowName(tn), Dst: tn, PartIdx: pi, Mod: mod, Slots: promoted[f],
-			})
+			var req any = node.PromoteSlots{Src: shadowName(spec.Name), Dst: spec.Name, PartIdx: spec.PartIdx, Mod: mod, Slots: promoted[f]}
+			if spec.GI {
+				// Re-home the victim-owned index slots from follower shadows.
+				req = node.GIPromoteSlots{Src: shadowName(spec.Name), Dst: spec.Name, Mod: mod, Slots: promoted[f]}
+			}
+			resp, err := c.rawCall(f, req)
 			if err != nil {
-				return fmt.Errorf("cluster: promoting %q slots at node %d: %w", tn, f, err)
+				return fmt.Errorf("cluster: promoting %q slots at node %d: %w", spec.Name, f, err)
 			}
-			pr := resp.(node.PromoteResult)
-			promos = append(promos, promo{node: f, tuples: pr.Tuples, rows: pr.Rows})
-		}
-		for _, ar := range c.cat.AuxRelsFor(tn) {
-			api := ar.Schema.MustColIndex(ar.PartitionCol)
-			for _, f := range owners {
-				if _, err := c.rawCall(f, node.PromoteSlots{
-					Src: shadowName(ar.Name), Dst: ar.Name, PartIdx: api, Mod: mod, Slots: promoted[f],
-				}); err != nil {
-					return fmt.Errorf("cluster: promoting %q slots at node %d: %w", ar.Name, f, err)
+			if spec.isTable() {
+				pr := resp.(node.PromoteResult)
+				tuples = append(tuples, pr.Tuples...)
+				for _, row := range pr.Rows {
+					gs = append(gs, storage.GlobalRowID{Node: int32(f), Row: row})
 				}
 			}
 		}
-		for _, gi := range c.cat.GlobalIndexesFor(tn) {
-			// Re-home the victim-owned index slots from follower shadows.
-			for _, f := range owners {
-				if _, err := c.rawCall(f, node.GIPromoteSlots{
-					Src: shadowName(gi.Name), Dst: gi.Name, Mod: mod, Slots: promoted[f],
-				}); err != nil {
-					return fmt.Errorf("cluster: promoting %q slots at node %d: %w", gi.Name, f, err)
-				}
+		if !spec.GI {
+			continue
+		}
+		// Drop every entry still pointing at a victim's rows, then
+		// re-register the promoted copies. Index entries only ever
+		// reference primary copies, so scrub + reinsert is complete.
+		for n := 0; n < c.NumNodes(); n++ {
+			if c.isDown(n) {
+				continue
 			}
-			// Drop every entry still pointing at a victim's rows, then
-			// re-register the promoted copies. Index entries only ever
-			// reference primary copies, so scrub + reinsert is complete.
-			for n := 0; n < c.NumNodes(); n++ {
-				if c.isDown(n) {
-					continue
-				}
-				for _, v := range victims {
-					if _, err := c.rawCall(n, node.GIScrubNode{GI: gi.Name, Node: v}); err != nil {
-						return fmt.Errorf("cluster: scrubbing %q at node %d: %w", gi.Name, n, err)
+			for _, v := range victims {
+				for _, name := range []string{spec.Name, shadowName(spec.Name)} {
+					if _, err := c.rawCall(n, node.GIScrubNode{GI: name, Node: v}); err != nil {
+						return fmt.Errorf("cluster: scrubbing %q at node %d: %w", name, n, err)
 					}
-					if _, err := c.rawCall(n, node.GIScrubNode{GI: shadowName(gi.Name), Node: v}); err != nil {
-						return fmt.Errorf("cluster: scrubbing %q at node %d: %w", shadowName(gi.Name), n, err)
-					}
-				}
-			}
-			ci := t.Schema.MustColIndex(gi.Col)
-			type ent struct {
-				vals []types.Value
-				gs   []storage.GlobalRowID
-			}
-			main := map[int]*ent{}
-			shadow := map[int]*ent{}
-			add := func(set map[int]*ent, n int, v types.Value, g storage.GlobalRowID) {
-				e := set[n]
-				if e == nil {
-					e = &ent{}
-					set[n] = e
-				}
-				e.vals = append(e.vals, v)
-				e.gs = append(e.gs, g)
-			}
-			for _, p := range promos {
-				for i, tup := range p.tuples {
-					v := tup[ci]
-					g := storage.GlobalRowID{Node: int32(p.node), Row: p.rows[i]}
-					slot := nm.Slot(v)
-					add(main, nm.Owner[slot], v, g)
-					for _, fol := range nm.Repl[slot] {
-						add(shadow, fol, v, g)
-					}
-				}
-			}
-			for _, n := range sortedKeys(main) {
-				if _, err := c.rawCall(n, node.GIInsertBatch{GI: gi.Name, Vals: main[n].vals, Gs: main[n].gs}); err != nil {
-					return fmt.Errorf("cluster: re-registering %q at node %d: %w", gi.Name, n, err)
-				}
-			}
-			for _, n := range sortedKeys(shadow) {
-				if _, err := c.rawCall(n, node.GIInsertBatch{GI: shadowName(gi.Name), Vals: shadow[n].vals, Gs: shadow[n].gs}); err != nil {
-					return fmt.Errorf("cluster: re-registering %q at node %d: %w", shadowName(gi.Name), n, err)
 				}
 			}
 		}
-	}
-	for _, vn := range c.cat.Views() {
-		v, err := c.cat.View(vn)
-		if err != nil {
+		ci := spec.Table.Schema.MustColIndex(spec.GICol)
+		vals := make([]types.Value, len(tuples))
+		for i, tup := range tuples {
+			vals[i] = tup[ci]
+		}
+		entries := node.SplitMutation(node.GIInsertBatch{GI: spec.Name, Vals: vals, Gs: gs}, nil)
+		register := func(name func(string) string, holders func(slot int) []int) error {
+			return splitTo(entries, spec, slotSink{
+				route: func(v types.Value, out []int) []int { return append(out, holders(nm.Slot(v))...) },
+				name:  name,
+				deliver: func(n int, req any, _ int) error {
+					if _, err := c.rawCall(n, req); err != nil {
+						return fmt.Errorf("cluster: re-registering %q at node %d: %w", name(spec.Name), n, err)
+					}
+					return nil
+				},
+			})
+		}
+		if err := register(func(gi string) string { return gi }, func(s int) []int { return nm.Owner[s : s+1] }); err != nil {
 			return err
 		}
-		vpi := v.Schema.MustColIndex(v.PartitionQualified())
-		for _, f := range owners {
-			if _, err := c.rawCall(f, node.PromoteSlots{
-				Src: shadowName(vn), Dst: vn, PartIdx: vpi, Mod: mod, Slots: promoted[f],
-			}); err != nil {
-				return fmt.Errorf("cluster: promoting %q slots at node %d: %w", vn, f, err)
-			}
+		if err := register(shadowName, func(s int) []int { return nm.Repl[s] }); err != nil {
+			return err
 		}
 	}
 
@@ -781,33 +485,28 @@ func (c *Cluster) failoverLocked() error {
 type replRepair struct {
 	targets map[int][]int // slot -> followers being (re)copied
 	phase   string
-	total   int // objects to copy
-	done    int
-	armedMu chan struct{} // 1-token mutex usable from mirror hot path
-	armed   map[string]bool
+	total   int // groups to copy
+
+	mu    sync.Mutex // guards done and armed
+	done  int
+	armed map[string]bool
 }
 
-func newReplRepair(targets map[int][]int, total int) *replRepair {
-	r := &replRepair{targets: targets, phase: "copy", total: total,
-		armedMu: make(chan struct{}, 1), armed: map[string]bool{}}
-	r.armedMu <- struct{}{}
-	return r
-}
-
+// arm marks one copied group's structures: from now on their writers
+// mirror to the round's targets too.
 func (r *replRepair) arm(names ...string) {
-	<-r.armedMu
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	for _, n := range names {
 		r.armed[n] = true
 	}
 	r.done++
-	r.armedMu <- struct{}{}
 }
 
 func (r *replRepair) isArmed(name string) bool {
-	<-r.armedMu
-	ok := r.armed[name]
-	r.armedMu <- struct{}{}
-	return ok
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.armed[name]
 }
 
 // ReplRepairStatus describes an in-flight ReplicateRepair round.
@@ -913,14 +612,13 @@ func (c *Cluster) ReplicateRepair() error {
 		if revived[n] {
 			continue
 		}
-		if err := c.wipeShadowsLocked(n); err != nil {
+		if err := c.wipeNodeLocked(n, false); err != nil {
 			h.Release()
 			return err
 		}
 	}
-	tables := c.cat.Tables()
-	views := c.cat.Views()
-	sess := newReplRepair(targets, len(tables)+len(views))
+	groups := c.fragGroups()
+	sess := &replRepair{targets: targets, phase: "copy", total: len(groups), armed: map[string]bool{}}
 	c.rmu.Lock()
 	c.repairSess = sess
 	c.rmu.Unlock()
@@ -936,13 +634,8 @@ func (c *Cluster) ReplicateRepair() error {
 	// Phase B (online): copy each object's rows to its dirty followers
 	// under the object's exclusive claim, arming it before release so
 	// subsequent writers mirror to the new followers too.
-	for _, tn := range tables {
-		if err := c.repairCopyTable(sess, tn); err != nil {
-			return fail(err)
-		}
-	}
-	for _, vn := range views {
-		if err := c.repairCopyView(sess, vn); err != nil {
+	for _, group := range groups {
+		if err := c.repairCopyGroup(sess, group); err != nil {
 			return fail(err)
 		}
 	}
@@ -1006,67 +699,32 @@ func (c *Cluster) reviveNodeLocked(n int) error {
 		c.dmu.Unlock()
 	}
 	c.breakerReset(n)
-	return c.wipeNodeLocked(n)
+	return c.wipeNodeLocked(n, true)
 }
 
-// wipeNodeLocked drops and recreates every cataloged fragment, index and
-// global index (main and shadow) on one node, leaving it empty.
-func (c *Cluster) wipeNodeLocked(n int) error {
-	drop := func(name string, gi bool) {
-		// Tolerant: the node may have crashed before some shadow existed.
-		if gi {
-			_, _ = c.rawCall(n, node.DropGlobalIndexFrag{Name: name})
-		} else {
-			_, _ = c.rawCall(n, node.DropFragment{Name: name})
+// wipeNodeLocked drops and recreates the shadow of every cataloged
+// structure on one node, leaving it empty — and with mains, the main
+// fragments, secondary indexes and global-index fragments too (a revived
+// node owns nothing; an evicted-stale follower's mains hold current
+// primary copies and stay).
+func (c *Cluster) wipeNodeLocked(n int, mains bool) error {
+	for _, spec := range c.fragSpecs() {
+		names := []string{spec.Name, shadowName(spec.Name)}
+		if !mains {
+			names = names[1:]
 		}
-	}
-	mk := func(name string, schema *types.Schema, clusterCol string) error {
-		_, err := c.rawCall(n, node.CreateFragment{
-			Name: name, Schema: schema, ClusterCol: clusterCol, PageRows: c.cfg.PageRows,
-		})
-		return err
-	}
-	for _, tn := range c.cat.Tables() {
-		t, err := c.cat.Table(tn)
-		if err != nil {
-			return err
-		}
-		for _, name := range []string{tn, shadowName(tn)} {
-			drop(name, false)
-			if err := mk(name, t.Schema, t.ClusterCol); err != nil {
+		for _, name := range names {
+			// Tolerant: the node may have crashed before some shadow existed.
+			_, _ = c.rawCall(n, spec.dropReq(name))
+			if _, err := c.rawCall(n, spec.createReq(name, c.cfg.PageRows)); err != nil {
 				return err
 			}
 		}
-		for _, ix := range t.Indexes {
-			if _, err := c.rawCall(n, node.CreateIndex{Frag: tn, Name: ix.Name, Col: ix.Col}); err != nil {
-				return err
-			}
+		if !mains {
+			continue
 		}
-		for _, ar := range c.cat.AuxRelsFor(tn) {
-			for _, name := range []string{ar.Name, shadowName(ar.Name)} {
-				drop(name, false)
-				if err := mk(name, ar.Schema, ar.PartitionCol); err != nil {
-					return err
-				}
-			}
-		}
-		for _, gi := range c.cat.GlobalIndexesFor(tn) {
-			for _, name := range []string{gi.Name, shadowName(gi.Name)} {
-				drop(name, true)
-				if _, err := c.rawCall(n, node.CreateGlobalIndex{Name: name, DistClustered: gi.DistClustered}); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	for _, vn := range c.cat.Views() {
-		v, err := c.cat.View(vn)
-		if err != nil {
-			return err
-		}
-		for _, name := range []string{vn, shadowName(vn)} {
-			drop(name, false)
-			if err := mk(name, v.Schema, v.PartitionQualified()); err != nil {
+		for _, req := range spec.indexReqs() {
+			if _, err := c.rawCall(n, req); err != nil {
 				return err
 			}
 		}
@@ -1074,189 +732,40 @@ func (c *Cluster) wipeNodeLocked(n int) error {
 	return nil
 }
 
-// wipeShadowsLocked drops and recreates only the shadow fragments of one
-// (live) node: its main fragments hold current primary copies and are
-// untouched. Used for evicted-stale followers before recopy.
-func (c *Cluster) wipeShadowsLocked(n int) error {
-	for _, tn := range c.cat.Tables() {
-		t, err := c.cat.Table(tn)
-		if err != nil {
-			return err
-		}
-		_, _ = c.rawCall(n, node.DropFragment{Name: shadowName(tn)})
-		if _, err := c.rawCall(n, node.CreateFragment{
-			Name: shadowName(tn), Schema: t.Schema, ClusterCol: t.ClusterCol, PageRows: c.cfg.PageRows,
-		}); err != nil {
-			return err
-		}
-		for _, ar := range c.cat.AuxRelsFor(tn) {
-			_, _ = c.rawCall(n, node.DropFragment{Name: shadowName(ar.Name)})
-			if _, err := c.rawCall(n, node.CreateFragment{
-				Name: shadowName(ar.Name), Schema: ar.Schema, ClusterCol: ar.PartitionCol, PageRows: c.cfg.PageRows,
-			}); err != nil {
-				return err
-			}
-		}
-		for _, gi := range c.cat.GlobalIndexesFor(tn) {
-			_, _ = c.rawCall(n, node.DropGlobalIndexFrag{Name: shadowName(gi.Name)})
-			if _, err := c.rawCall(n, node.CreateGlobalIndex{Name: shadowName(gi.Name), DistClustered: gi.DistClustered}); err != nil {
-				return err
-			}
-		}
-	}
-	for _, vn := range c.cat.Views() {
-		v, err := c.cat.View(vn)
-		if err != nil {
-			return err
-		}
-		_, _ = c.rawCall(n, node.DropFragment{Name: shadowName(vn)})
-		if _, err := c.rawCall(n, node.CreateFragment{
-			Name: shadowName(vn), Schema: v.Schema, ClusterCol: v.PartitionQualified(), PageRows: c.cfg.PageRows,
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// repairSlotSets inverts the session's slot→targets table into per-node
-// slot membership sets.
-func repairSlotSets(targets map[int][]int) map[int]map[int]bool {
-	out := map[int]map[int]bool{}
-	for s, fs := range targets {
-		for _, f := range fs {
-			if out[f] == nil {
-				out[f] = map[int]bool{}
-			}
-			out[f][s] = true
-		}
-	}
-	return out
-}
-
-// repairCopyFrag copies the slot shares of one fragment from the
-// primaries into the dirty followers' shadows. Caller holds the object's
-// exclusive claim.
-func (c *Cluster) repairCopyFrag(sess *replRepair, frag string, partIdx int) error {
-	slotsOf := repairSlotSets(sess.targets)
-	if len(slotsOf) == 0 {
-		return nil
-	}
-	m := c.part.Map()
-	byDst := map[int][]types.Tuple{}
-	for src := 0; src < c.NumNodes(); src++ {
-		resp, err := c.rawDeliver(src, node.AllRows{Frag: frag})
-		if err != nil {
-			return fmt.Errorf("cluster: repair copy of %q from node %d: %w", frag, src, err)
-		}
-		for _, t := range resp.(node.RowsResult).Tuples {
-			if partIdx >= len(t) {
-				continue
-			}
-			s := m.Slot(t[partIdx])
-			for f, set := range slotsOf {
-				if set[s] {
-					byDst[f] = append(byDst[f], t)
-				}
-			}
-		}
-	}
-	for _, f := range sortedKeys(byDst) {
-		if _, err := c.rawCall(f, node.Insert{Frag: shadowName(frag), Tuples: byDst[f], Unmetered: true}); err != nil {
-			return fmt.Errorf("cluster: repair copy into %q at node %d: %w", shadowName(frag), f, err)
-		}
-	}
-	return nil
-}
-
-// repairCopyGI copies the slot shares of one global index from the
-// primaries into the dirty followers' shadow index fragments.
-func (c *Cluster) repairCopyGI(sess *replRepair, gi string) error {
-	slotsOf := repairSlotSets(sess.targets)
-	if len(slotsOf) == 0 {
-		return nil
-	}
-	m := c.part.Map()
-	type ent struct {
-		vals []types.Value
-		gs   []storage.GlobalRowID
-	}
-	byDst := map[int]*ent{}
-	for src := 0; src < c.NumNodes(); src++ {
-		resp, err := c.rawDeliver(src, node.GIScan{GI: gi})
-		if err != nil {
-			return fmt.Errorf("cluster: repair copy of %q from node %d: %w", gi, src, err)
-		}
-		gr := resp.(node.GIScanResult)
-		for i, v := range gr.Vals {
-			s := m.Slot(v)
-			for f, set := range slotsOf {
-				if set[s] {
-					e := byDst[f]
-					if e == nil {
-						e = &ent{}
-						byDst[f] = e
-					}
-					e.vals = append(e.vals, v)
-					e.gs = append(e.gs, gr.Gs[i])
-				}
-			}
-		}
-	}
-	for _, f := range sortedKeys(byDst) {
-		e := byDst[f]
-		if _, err := c.rawCall(f, node.GIInsertBatch{GI: shadowName(gi), Vals: e.vals, Gs: e.gs}); err != nil {
-			return fmt.Errorf("cluster: repair copy into %q at node %d: %w", shadowName(gi), f, err)
-		}
-	}
-	return nil
-}
-
-// repairCopyTable copies one base table plus its auxiliary relations and
-// global indexes under an exclusive claim on the table (every writer of
-// those structures holds it too).
-func (c *Cluster) repairCopyTable(sess *replRepair, tn string) error {
+// repairCopyGroup copies one base table with its auxiliary relations and
+// global indexes, or one view, from the primaries into the round's target
+// shadows, under an exclusive claim on the owner (every writer of those
+// structures holds it too), arming the group before the claim is released.
+func (c *Cluster) repairCopyGroup(sess *replRepair, group []fragSpec) error {
 	h := c.lm.AcquireShared()
-	h.Lock(lockmgr.X(tn))
+	h.Lock(lockmgr.X(group[0].Owner))
 	defer h.Release()
-	t, err := c.cat.Table(tn)
-	if err != nil {
-		return err
+	pm := c.part.Map()
+	shadows := slotSink{
+		route: func(v types.Value, out []int) []int { return append(out, sess.targets[pm.Slot(v)]...) },
+		name:  shadowName,
+		deliver: func(f int, req any, _ int) error {
+			if _, err := c.rawCall(f, req); err != nil {
+				return fmt.Errorf("cluster: repair copy at node %d: %w", f, err)
+			}
+			return nil
+		},
 	}
-	if err := c.repairCopyFrag(sess, tn, t.Schema.MustColIndex(t.PartitionCol)); err != nil {
-		return err
+	srcs := make([]int, c.NumNodes())
+	for n := range srcs {
+		srcs[n] = n
 	}
-	armed := []string{tn}
-	for _, ar := range c.cat.AuxRelsFor(tn) {
-		if err := c.repairCopyFrag(sess, ar.Name, ar.Schema.MustColIndex(ar.PartitionCol)); err != nil {
+	names := make([]string, len(group))
+	for i, spec := range group {
+		names[i] = spec.Name
+		if len(sess.targets) == 0 {
+			continue
+		}
+		if err := copySlots(spec, spec.Name, srcs, c.rawDeliver, shadows); err != nil {
 			return err
 		}
-		armed = append(armed, ar.Name)
 	}
-	for _, gi := range c.cat.GlobalIndexesFor(tn) {
-		if err := c.repairCopyGI(sess, gi.Name); err != nil {
-			return err
-		}
-		armed = append(armed, gi.Name)
-	}
-	sess.arm(armed...)
-	return nil
-}
-
-// repairCopyView copies one view fragment under an exclusive claim on the
-// view (every writer of any of its base tables holds it too).
-func (c *Cluster) repairCopyView(sess *replRepair, vn string) error {
-	h := c.lm.AcquireShared()
-	h.Lock(lockmgr.X(vn))
-	defer h.Release()
-	v, err := c.cat.View(vn)
-	if err != nil {
-		return err
-	}
-	if err := c.repairCopyFrag(sess, vn, v.Schema.MustColIndex(v.PartitionQualified())); err != nil {
-		return err
-	}
-	sess.arm(vn)
+	sess.arm(names...)
 	return nil
 }
 
@@ -1278,10 +787,9 @@ func (c *Cluster) replStatus() (failedOver, stale []int, repair *ReplRepairStatu
 		for _, fs := range s.targets {
 			slots += len(fs)
 		}
-		<-s.armedMu
-		st := &ReplRepairStatus{Phase: s.phase, ObjectsDone: s.done, ObjectsTotal: s.total, Slots: slots}
-		s.armedMu <- struct{}{}
-		repair = st
+		s.mu.Lock()
+		repair = &ReplRepairStatus{Phase: s.phase, ObjectsDone: s.done, ObjectsTotal: s.total, Slots: slots}
+		s.mu.Unlock()
 	}
 	return failedOver, stale, repair
 }

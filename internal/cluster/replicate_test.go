@@ -588,3 +588,55 @@ func TestTopologyReplicationFields(t *testing.T) {
 		t.Fatalf("Repl metrics = %+v, want one repair with repaired slots", ms)
 	}
 }
+
+// TestRecoverWithReportReplicated: at RF=2 a crashed node's slots are
+// promoted away by the first statement that notices, so bringing the node
+// back must be a re-replication round whichever entry point the caller
+// uses. RecoverWithReport used to replay the node's own log instead,
+// resurrecting primaries that had moved on and leaving the auxiliary
+// relations out of step with their base tables.
+func TestRecoverWithReportReplicated(t *testing.T) {
+	for _, strat := range allStrategies {
+		strat := strat
+		t.Run(strat.String(), func(t *testing.T) {
+			c := newReplicatedTPCR(t, Config{Nodes: 4, ReplicationFactor: 2, Durability: true, RetryAttempts: 3}, 6, 2, 0)
+			if err := c.CreateView(jv1Def("jv1", strat)); err != nil {
+				t.Fatal(err)
+			}
+			for i := int64(0); i < 8; i++ {
+				if err := c.Insert("orders", []types.Tuple{ord(600+i, i%6, 1.0)}); err != nil {
+					t.Fatalf("insert %d: %v", i, err)
+				}
+			}
+			if err := c.CrashNode(1); err != nil {
+				t.Fatal(err)
+			}
+			// Failover: the survivors commit DML on the promoted slots.
+			for i := int64(0); i < 8; i++ {
+				if err := c.Insert("orders", []types.Tuple{ord(700+i, i%6, 2.0)}); err != nil {
+					t.Fatalf("insert %d after crash: %v", i, err)
+				}
+			}
+			if _, err := c.Delete("orders", eqOrderKey(601)); err != nil {
+				t.Fatalf("delete after crash: %v", err)
+			}
+			rep, err := c.RecoverWithReport(1)
+			if err != nil {
+				t.Fatalf("RecoverWithReport: %v", err)
+			}
+			if rep.Node != 1 || rep.Mode != "rereplicate" || rep.Messages <= 0 {
+				t.Fatalf("report = %+v, want node 1 restored by re-replication with its traffic counted", rep)
+			}
+			if d := c.Degraded(); len(d) != 0 {
+				t.Fatalf("still degraded after recovery: %v", d)
+			}
+			if err := c.CheckAllStructures(); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.CheckViewConsistency("jv1"); err != nil {
+				t.Fatal(err)
+			}
+			checkReplicaConsistency(t, c)
+		})
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"joinview/internal/catalog"
 	"joinview/internal/fault"
 	"joinview/internal/netsim"
 	"joinview/internal/node"
@@ -559,10 +558,15 @@ func (c *Cluster) MarkNodeDown(n int) error {
 
 // Recover repairs a restarted node and returns the cluster to service.
 //
-// In Durability mode it is per-node log replay: restart the node from its
-// checkpoint + log tail and resolve its in-doubt transactions against the
-// coordinator's decision log (commit if a decision was forced, local
-// inverse replay otherwise — presumed abort). No other node is touched.
+// With ReplicationFactor > 1 it is a re-replication round
+// (ReplicateRepair), whatever the durability setting: the node's slots
+// were promoted away at failover, so its own state is obsolete.
+//
+// Otherwise, in Durability mode it is per-node log replay: restart the
+// node from its checkpoint + log tail and resolve its in-doubt
+// transactions against the coordinator's decision log (commit if a
+// decision was forced, local inverse replay otherwise — presumed abort).
+// No other node is touched.
 //
 // Without durability, the legacy fail-stop-with-durable-storage model:
 //
@@ -578,11 +582,6 @@ func (c *Cluster) MarkNodeDown(n int) error {
 //     from the base relations, using the same gather/backfill machinery
 //     DDL uses.
 func (c *Cluster) Recover(n int) error {
-	if c.replOn() {
-		// Under replication the node's slots were (or will be) promoted
-		// away; bringing it back is a re-replication round, not a replay.
-		return c.ReplicateRepair()
-	}
 	_, err := c.RecoverWithReport(n)
 	return err
 }
@@ -591,11 +590,22 @@ func (c *Cluster) Recover(n int) error {
 // what mode ran, pages read and replayed, repairs drained, in-doubt
 // transactions resolved, and the I/O and message cost.
 func (c *Cluster) RecoverWithReport(n int) (RecoveryReport, error) {
-	h := c.lockGlobal()
-	defer h.Release()
 	if n < 0 || n >= c.NumNodes() {
 		return RecoveryReport{}, fmt.Errorf("cluster: node %d out of range [0,%d)", n, c.NumNodes())
 	}
+	if c.replOn() {
+		// Under replication the node's slots were (or will be) promoted
+		// away; bringing it back is a re-replication round, not a replay —
+		// replaying its log would resurrect primaries that now live on the
+		// promoted followers.
+		rep := RecoveryReport{Node: n, Mode: "rereplicate"}
+		netBefore := c.tr.Stats()
+		err := c.ReplicateRepair()
+		rep.Messages = c.tr.Stats().Messages - netBefore.Messages
+		return rep, err
+	}
+	h := c.lockGlobal()
+	defer h.Release()
 	c.breakerReset(n)
 	if c.cfg.Durability {
 		return c.recoverDurable(n)
@@ -709,78 +719,66 @@ func (c *Cluster) pageCount(rows int) int64 {
 // durability layer's log replay is measured against.
 func (c *Cluster) rebuildDerived(n int) (int64, error) {
 	var pages int64
-	replace := func(name string, schema *types.Schema, clusterCol string, mine []types.Tuple) error {
-		if _, err := c.rawCall(n, node.DropFragment{Name: name}); err != nil {
+	// replace refills node n's fragment with its share of the content.
+	replace := func(spec fragSpec, content []types.Tuple) error {
+		buckets, err := c.part.Spread(spec.Schema, spec.PartCol, content)
+		if err != nil {
 			return err
 		}
-		if _, err := c.rawCall(n, node.CreateFragment{
-			Name: name, Schema: schema, ClusterCol: clusterCol, PageRows: c.cfg.PageRows,
-		}); err != nil {
+		if _, err := c.rawCall(n, spec.dropReq(spec.Name)); err != nil {
 			return err
 		}
+		if _, err := c.rawCall(n, spec.createReq(spec.Name, c.cfg.PageRows)); err != nil {
+			return err
+		}
+		mine := buckets[n]
 		pages += c.pageCount(len(mine))
 		if len(mine) == 0 {
 			return nil
 		}
-		_, err := c.rawCall(n, node.Insert{Frag: name, Tuples: mine, Unmetered: true})
+		_, err = c.rawCall(n, node.Insert{Frag: spec.Name, Tuples: mine, Unmetered: true})
 		return err
 	}
-	for _, table := range c.cat.Tables() {
-		base, err := c.cat.Table(table)
-		if err != nil {
-			return pages, err
-		}
-		ars := c.cat.AuxRelsFor(table)
-		gis := c.cat.GlobalIndexesFor(table)
-		if len(ars) == 0 && len(gis) == 0 {
+	for _, group := range c.fragGroups() {
+		if v := group[0].View; v != nil {
+			for _, table := range v.Tables {
+				if ts, ok := c.st.Get(table); ok {
+					pages += c.pageCount(int(ts.Rows))
+				}
+			}
+			content, err := c.computeJoin(v)
+			if err != nil {
+				return pages, err
+			}
+			if err := replace(group[0], content); err != nil {
+				return pages, err
+			}
 			continue
 		}
-		rows, err := c.gather(table)
+		if len(group) == 1 {
+			continue // a base table without derived structures
+		}
+		rows, err := c.gather(group[0].Name)
 		if err != nil {
 			return pages, err
 		}
 		pages += c.pageCount(len(rows))
-		for _, ar := range ars {
-			projected, err := projectForAuxRel(base, ar, rows)
+		for _, spec := range group[1:] {
+			if spec.GI {
+				giPages, err := c.rebuildGIFrag(spec, n)
+				pages += giPages
+				if err != nil {
+					return pages, err
+				}
+				continue
+			}
+			projected, err := projectForAuxRel(spec.Table, spec.AR, rows)
 			if err != nil {
 				return pages, err
 			}
-			buckets, err := c.part.Spread(ar.Schema, ar.PartitionCol, projected)
-			if err != nil {
+			if err := replace(spec, projected); err != nil {
 				return pages, err
 			}
-			if err := replace(ar.Name, ar.Schema, ar.PartitionCol, buckets[n]); err != nil {
-				return pages, err
-			}
-		}
-		for _, gi := range gis {
-			giPages, err := c.rebuildGIFrag(gi.Name, gi.Col, gi.DistClustered, base, n)
-			pages += giPages
-			if err != nil {
-				return pages, err
-			}
-		}
-	}
-	for _, vn := range c.cat.Views() {
-		v, err := c.cat.View(vn)
-		if err != nil {
-			return pages, err
-		}
-		for _, table := range v.Tables {
-			if ts, ok := c.st.Get(table); ok {
-				pages += c.pageCount(int(ts.Rows))
-			}
-		}
-		content, err := c.computeJoin(v)
-		if err != nil {
-			return pages, err
-		}
-		buckets, err := c.part.Spread(v.Schema, v.PartitionQualified(), content)
-		if err != nil {
-			return pages, err
-		}
-		if err := replace(v.Name, v.Schema, v.PartitionQualified(), buckets[n]); err != nil {
-			return pages, err
 		}
 	}
 	return pages, nil
@@ -789,15 +787,16 @@ func (c *Cluster) rebuildDerived(n int) (int64, error) {
 // rebuildGIFrag reconstructs node n's fragment of one global index by
 // scanning every base fragment for entries homed at n, returning the page
 // tally (scans read + entries written).
-func (c *Cluster) rebuildGIFrag(name, col string, distClustered bool, base *catalog.Table, n int) (int64, error) {
+func (c *Cluster) rebuildGIFrag(gi fragSpec, n int) (int64, error) {
 	var pages int64
-	if _, err := c.rawCall(n, node.DropGlobalIndexFrag{Name: name}); err != nil {
+	name, base := gi.Name, gi.Table
+	if _, err := c.rawCall(n, gi.dropReq(name)); err != nil {
 		return pages, err
 	}
-	if _, err := c.rawCall(n, node.CreateGlobalIndex{Name: name, DistClustered: distClustered}); err != nil {
+	if _, err := c.rawCall(n, gi.createReq(name, c.cfg.PageRows)); err != nil {
 		return pages, err
 	}
-	ci := base.Schema.MustColIndex(col)
+	ci := base.Schema.MustColIndex(gi.GICol)
 	for src := 0; src < c.NumNodes(); src++ {
 		resp, err := c.rawDeliver(src, node.ScanWithRows{Frag: base.Name})
 		if err != nil {

@@ -98,6 +98,186 @@ func InverseOf(req, resp any) any {
 	return nil
 }
 
+// MirrorClass says how the layers that keep a second copy of a hash slot in
+// step with its primary — follower shadows under replication, staging
+// fragments under migration — treat an applied request.
+type MirrorClass uint8
+
+const (
+	// MirrorNone: not a mutation (reads and control requests).
+	MirrorNone MirrorClass = iota
+	// MirrorSplit: a fragment or global-index mutation. Its elements are
+	// split by hash slot and re-applied to each slot's copies.
+	MirrorSplit
+	// MirrorDDL: a fragment or index-fragment create/drop, forwarded under
+	// the copy's name.
+	MirrorDDL
+	// MirrorNever: mutating, but deliberately not propagated. LocalJoin
+	// writes a partition-local query temporary; secondary indexes
+	// (CreateIndex) exist on primary fragments only; PromoteSlots,
+	// GIPromoteSlots and GIScrubNode are failover's own edits of the copies.
+	MirrorNever
+)
+
+// mutOp is what a split mutation does to its target, independent of the
+// request type that carried it.
+type mutOp uint8
+
+const (
+	opInsert mutOp = iota
+	opDelete
+	opAgg
+	opGIInsert
+	opGIDelete
+)
+
+// Mutation is an applied request in the form every slot-copy consumer
+// needs: the structure it addressed, one partition value per element, and
+// a way to rebuild the same effect for a subset of the elements under
+// another fragment name. All fragment-mutating request types normalize to
+// five operations; the original type is not needed past SplitMutation.
+type Mutation struct {
+	Class MirrorClass
+	// Target is the fragment or global index the request addressed. GI
+	// marks a global index, whose entries partition on their value (a
+	// fragment's rows partition on one attribute of the tuple).
+	Target string
+	GI     bool
+
+	op      mutOp
+	metered bool          // the original charged insert I/O
+	tuples  []types.Tuple // rows written or removed; AggApply group keys
+	deltas  []types.Tuple // AggApply deltas, parallel to tuples
+	agg     AggApply      // AggApply's scalar fields
+	vals    []types.Value // global-index entries, parallel to gs
+	gs      []storage.GlobalRowID
+	rename  func(name string) any // MirrorDDL: the same DDL under another name
+}
+
+// SplitMutation normalizes one applied request and the response the node
+// gave. Deletes carry their rows in the response (what was actually
+// removed), so a missing or foreign response yields zero elements. It is
+// the only place that knows which request types mutate which structure:
+// a new mutating request type is classified here or fails the
+// exhaustiveness test.
+func SplitMutation(req, resp any) Mutation {
+	switch r := req.(type) {
+	case Insert:
+		return Mutation{Class: MirrorSplit, Target: r.Frag, op: opInsert, metered: !r.Unmetered, tuples: r.Tuples}
+	case RestoreRows:
+		return Mutation{Class: MirrorSplit, Target: r.Frag, op: opInsert, tuples: r.Tuples}
+	case DeleteRows:
+		dr, _ := resp.(DeleteResult)
+		return Mutation{Class: MirrorSplit, Target: r.Frag, op: opDelete, tuples: dr.Tuples}
+	case DeleteMatch:
+		dr, _ := resp.(DeleteResult)
+		return Mutation{Class: MirrorSplit, Target: r.Frag, op: opDelete, tuples: dr.Tuples}
+	case AggApply:
+		m := Mutation{Class: MirrorSplit, Target: r.Frag, op: opAgg, tuples: r.Keys, deltas: r.Deltas}
+		m.agg = AggApply{HintCol: r.HintCol, GroupLen: r.GroupLen, CountPos: r.CountPos}
+		return m
+	case GIInsert:
+		return giMutation(r.GI, opGIInsert, true, []types.Value{r.Val}, []storage.GlobalRowID{r.G})
+	case GIDelete:
+		return giMutation(r.GI, opGIDelete, true, []types.Value{r.Val}, []storage.GlobalRowID{r.G})
+	case GIInsertBatch:
+		return giMutation(r.GI, opGIInsert, r.Metered, r.Vals, r.Gs)
+	case GIDeleteBatch:
+		return giMutation(r.GI, opGIDelete, true, r.Vals, r.Gs)
+	case CreateFragment:
+		return Mutation{Class: MirrorDDL, Target: r.Name, rename: func(n string) any { r.Name = n; return r }}
+	case CreateGlobalIndex:
+		return Mutation{Class: MirrorDDL, Target: r.Name, GI: true, rename: func(n string) any { r.Name = n; return r }}
+	case DropFragment:
+		return Mutation{Class: MirrorDDL, Target: r.Name, rename: func(n string) any { return DropFragment{Name: n} }}
+	case DropGlobalIndexFrag:
+		return Mutation{Class: MirrorDDL, Target: r.Name, GI: true, rename: func(n string) any { return DropGlobalIndexFrag{Name: n} }}
+	case LocalJoin, CreateIndex, PromoteSlots, GIPromoteSlots, GIScrubNode:
+		return Mutation{Class: MirrorNever}
+	}
+	return Mutation{}
+}
+
+func giMutation(gi string, op mutOp, metered bool, vals []types.Value, gs []storage.GlobalRowID) Mutation {
+	if len(vals) != len(gs) {
+		vals, gs = nil, nil
+	}
+	return Mutation{Class: MirrorSplit, Target: gi, GI: true, op: op, metered: metered, vals: vals, gs: gs}
+}
+
+// Len is the number of elements (rows, aggregate groups or index entries).
+func (m Mutation) Len() int {
+	if m.GI {
+		return len(m.vals)
+	}
+	return len(m.tuples)
+}
+
+// Split buckets the elements by destination. partIdx locates the
+// partitioning attribute within a fragment's tuples (ignored for a global
+// index); route appends the destinations of the slot holding one partition
+// value to out and returns it. The result maps each destination to the
+// indexes of its elements, in input order. Rows too short to hold the
+// partitioning attribute go nowhere.
+func (m Mutation) Split(partIdx int, route func(v types.Value, out []int) []int) map[int][]int {
+	byDst := map[int][]int{}
+	var dsts []int
+	for i, n := 0, m.Len(); i < n; i++ {
+		var v types.Value
+		switch {
+		case m.GI:
+			v = m.vals[i]
+		case partIdx >= 0 && partIdx < len(m.tuples[i]):
+			v = m.tuples[i][partIdx]
+		default:
+			continue
+		}
+		dsts = route(v, dsts[:0])
+		for _, d := range dsts {
+			byDst[d] = append(byDst[d], i)
+		}
+	}
+	return byDst
+}
+
+// Rebuild returns the request that has the mutation's effect for the
+// elements idxs on the fragment or index called name. Inserts charge I/O
+// only when both the original did and the copy is metered (shadows are,
+// staging and bulk copies are not); deletes are value-addressed through
+// hintCol, because row ids do not carry over to a copy.
+func (m Mutation) Rebuild(name, hintCol string, idxs []int, metered bool) any {
+	switch m.op {
+	case opInsert:
+		return Insert{Frag: name, Tuples: pick(m.tuples, idxs), Unmetered: !(metered && m.metered)}
+	case opDelete:
+		return DeleteMatch{Frag: name, HintCol: hintCol, Tuples: pick(m.tuples, idxs)}
+	case opAgg:
+		a := m.agg
+		a.Frag, a.Keys, a.Deltas = name, pick(m.tuples, idxs), pick(m.deltas, idxs)
+		return a
+	case opGIInsert:
+		return GIInsertBatch{GI: name, Vals: pick(m.vals, idxs), Gs: pick(m.gs, idxs), Metered: metered && m.metered}
+	default:
+		return GIDeleteBatch{GI: name, Vals: pick(m.vals, idxs), Gs: pick(m.gs, idxs)}
+	}
+}
+
+// Rename returns a MirrorDDL request re-addressed to name.
+func (m Mutation) Rename(name string) any { return m.rename(name) }
+
+// pick selects xs[idxs...]. idxs is ascending without repeats, so a
+// full-length selection is xs itself.
+func pick[T any](xs []T, idxs []int) []T {
+	if len(idxs) == len(xs) {
+		return xs
+	}
+	out := make([]T, len(idxs))
+	for j, i := range idxs {
+		out[j] = xs[i]
+	}
+	return out
+}
+
 // AllRequests returns a zero value of every request type the node handles,
 // one per type. It is the registry backing exhaustiveness tests: adding a
 // case to Handle without listing it here (or vice versa) is a test failure,
