@@ -102,54 +102,7 @@ func adaptiveTuples(d AdaptiveDelta, nextID *int64, rng *rand.Rand, zipf *rand.Z
 // adaptiveJoinValues × adaptiveFanout rows, and jv = a ⋈ b under the given
 // strategy.
 func loadAdaptive(c *cluster.Cluster, strategy catalog.Strategy) error {
-	if err := c.CreateTable(&catalog.Table{
-		Name: "a",
-		Schema: types.NewSchema(
-			types.Column{Name: "id", Kind: types.KindInt},
-			types.Column{Name: "c", Kind: types.KindInt},
-			types.Column{Name: "payload", Kind: types.KindInt},
-		),
-		PartitionCol: "c",
-	}); err != nil {
-		return err
-	}
-	if err := c.CreateTable(&catalog.Table{
-		Name: "b",
-		Schema: types.NewSchema(
-			types.Column{Name: "id", Kind: types.KindInt},
-			types.Column{Name: "d", Kind: types.KindInt},
-			types.Column{Name: "payload", Kind: types.KindInt},
-		),
-		PartitionCol: "id",
-		Indexes:      []catalog.Index{{Name: "ix_b_d", Col: "d"}},
-	}); err != nil {
-		return err
-	}
-	rows := make([]types.Tuple, 0, adaptiveJoinValues*adaptiveFanout)
-	id := int64(0)
-	for v := int64(0); v < adaptiveJoinValues; v++ {
-		for f := 0; f < adaptiveFanout; f++ {
-			id++
-			rows = append(rows, types.Tuple{types.Int(id), types.Int(v), types.Int(id % 97)})
-		}
-	}
-	if err := c.Insert("b", rows); err != nil {
-		return err
-	}
-	if err := c.RefreshStats("b"); err != nil {
-		return err
-	}
-	if err := c.CreateView(&catalog.View{
-		Name:   "jv",
-		Tables: []string{"a", "b"},
-		Joins:  []catalog.JoinPred{{Left: "a", LeftCol: "c", Right: "b", RightCol: "d"}},
-		Out: []catalog.OutCol{
-			{Table: "a", Col: "id"}, {Table: "a", Col: "c"},
-			{Table: "b", Col: "id"}, {Table: "b", Col: "payload"},
-		},
-		PartitionTable: "a", PartitionCol: "id",
-		Strategy: strategy,
-	}); err != nil {
+	if err := loadPair(c, "", "c", adaptiveJoinValues, adaptiveFanout, strategy); err != nil {
 		return err
 	}
 	c.ResetMetrics()
@@ -285,4 +238,62 @@ func formatPicks(picks map[string]int) string {
 		s += fmt.Sprintf("%s:%d", k, picks[k])
 	}
 	return s
+}
+
+// AdaptiveCost runs the mixed stream once per method on an l-node cluster
+// and reports each method's total workload, summed per-statement
+// busiest-node I/Os and messages; for the adaptive run the last column
+// counts how many statements the advisor resolved to each fixed method.
+func AdaptiveCost(l, statements int) (Grid, error) {
+	g := Grid{
+		Title:  "Adaptive strategy (extension): fixed methods vs the cost advisor over a mixed delta stream",
+		Header: []string{"L", "method", "stmts", "tuples", "tw-ios", "maxnode-ios", "msgs", "picks naive/AR/GI"},
+	}
+	fixed := []catalog.Strategy{catalog.StrategyNaive, catalog.StrategyAuxRel, catalog.StrategyGlobalIndex}
+	for _, st := range AdaptiveStrategies() {
+		c, err := newCluster(cluster.Config{Nodes: l, Algo: node.AlgoIndex})
+		if err != nil {
+			return Grid{}, err
+		}
+		defer c.Close()
+		if err := loadAdaptive(c, st.Strategy); err != nil {
+			return Grid{}, err
+		}
+		view, err := c.Catalog().View("jv")
+		if err != nil {
+			return Grid{}, err
+		}
+		rng := rand.New(rand.NewSource(7))
+		zipf := rand.NewZipf(rand.New(rand.NewSource(11)), 1.5, 1, uint64(adaptiveJoinValues-1))
+		nextID := int64(2_000_000)
+		var tuples int
+		var maxNode int64
+		picks := map[catalog.Strategy]int{}
+		for _, d := range AdaptiveDeltas(statements) {
+			batch := adaptiveTuples(d, &nextID, rng, zipf)
+			tuples += len(batch)
+			if st.Strategy == catalog.StrategyAuto {
+				s, err := c.ResolveStrategy(view, "a", len(batch))
+				if err != nil {
+					return Grid{}, err
+				}
+				picks[s]++
+			}
+			before := c.Metrics()
+			if err := c.Insert("a", batch); err != nil {
+				return Grid{}, fmt.Errorf("L=%d %s: %w", l, st.Label, err)
+			}
+			maxNode += c.Metrics().Sub(before).MaxNodeIOs()
+		}
+		m := c.Metrics()
+		pickCell := "-"
+		if st.Strategy == catalog.StrategyAuto {
+			pickCell = fmt.Sprintf("%d/%d/%d", picks[fixed[0]], picks[fixed[1]], picks[fixed[2]])
+		}
+		g.Rows = append(g.Rows, []string{
+			fmt.Sprint(l), st.Label, fmt.Sprint(statements), fmt.Sprint(tuples),
+			fmt.Sprint(m.TotalIOs()), fmt.Sprint(maxNode), fmt.Sprint(m.Net.Messages), pickCell,
+		})
+	}
+	return g, nil
 }

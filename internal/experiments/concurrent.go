@@ -165,59 +165,57 @@ const (
 // concurrent sessions hold disjoint lock claims.
 func LoadSessionSchemas(c *cluster.Cluster, sessions int, strategy catalog.Strategy) error {
 	for i := 0; i < sessions; i++ {
-		an, bn, vn := fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i), fmt.Sprintf("jv%d", i)
-		if err := c.CreateTable(&catalog.Table{
-			Name: an,
-			Schema: types.NewSchema(
-				types.Column{Name: "id", Kind: types.KindInt},
-				types.Column{Name: "c", Kind: types.KindInt},
-				types.Column{Name: "payload", Kind: types.KindInt},
-			),
-			PartitionCol: "id",
-		}); err != nil {
-			return err
-		}
-		if err := c.CreateTable(&catalog.Table{
-			Name: bn,
-			Schema: types.NewSchema(
-				types.Column{Name: "id", Kind: types.KindInt},
-				types.Column{Name: "d", Kind: types.KindInt},
-				types.Column{Name: "payload", Kind: types.KindInt},
-			),
-			PartitionCol: "id",
-			Indexes:      []catalog.Index{{Name: "ix_" + bn + "_d", Col: "d"}},
-		}); err != nil {
-			return err
-		}
-		rows := make([]types.Tuple, 0, sessionJoinValues*sessionFanout)
-		id := int64(0)
-		for v := int64(0); v < sessionJoinValues; v++ {
-			for f := 0; f < sessionFanout; f++ {
-				id++
-				rows = append(rows, types.Tuple{types.Int(id), types.Int(v), types.Int(id % 97)})
-			}
-		}
-		if err := c.Insert(bn, rows); err != nil {
-			return err
-		}
-		if err := c.RefreshStats(bn); err != nil {
-			return err
-		}
-		if err := c.CreateView(&catalog.View{
-			Name:   vn,
-			Tables: []string{an, bn},
-			Joins:  []catalog.JoinPred{{Left: an, LeftCol: "c", Right: bn, RightCol: "d"}},
-			Out: []catalog.OutCol{
-				{Table: an, Col: "id"}, {Table: an, Col: "c"},
-				{Table: bn, Col: "id"}, {Table: bn, Col: "payload"},
-			},
-			PartitionTable: an, PartitionCol: "id",
-			Strategy: strategy,
-		}); err != nil {
+		if err := loadPair(c, fmt.Sprint(i), "id", sessionJoinValues, sessionFanout, strategy); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// loadPair creates the two-relation schema the extension experiments
+// share: a<sfx>(id, c, payload) partitioned on aPart, b<sfx>(id, d,
+// payload) partitioned on id with a secondary index on d and pre-loaded
+// with fanout rows per join value, and jv<sfx> = a ⋈ b on c = d under the
+// given strategy, partitioned on a.id.
+func loadPair(c *cluster.Cluster, sfx, aPart string, joinValues, fanout int, strategy catalog.Strategy) error {
+	an, bn := "a"+sfx, "b"+sfx
+	cols := func(join string) *types.Schema {
+		return types.NewSchema(
+			types.Column{Name: "id", Kind: types.KindInt},
+			types.Column{Name: join, Kind: types.KindInt},
+			types.Column{Name: "payload", Kind: types.KindInt},
+		)
+	}
+	if err := c.CreateTable(&catalog.Table{Name: an, Schema: cols("c"), PartitionCol: aPart}); err != nil {
+		return err
+	}
+	if err := c.CreateTable(&catalog.Table{
+		Name: bn, Schema: cols("d"), PartitionCol: "id",
+		Indexes: []catalog.Index{{Name: "ix_" + bn + "_d", Col: "d"}},
+	}); err != nil {
+		return err
+	}
+	rows := make([]types.Tuple, 0, joinValues*fanout)
+	for id := int64(1); id <= int64(joinValues*fanout); id++ {
+		rows = append(rows, types.Tuple{types.Int(id), types.Int((id - 1) / int64(fanout)), types.Int(id % 97)})
+	}
+	if err := c.Insert(bn, rows); err != nil {
+		return err
+	}
+	if err := c.RefreshStats(bn); err != nil {
+		return err
+	}
+	return c.CreateView(&catalog.View{
+		Name:   "jv" + sfx,
+		Tables: []string{an, bn},
+		Joins:  []catalog.JoinPred{{Left: an, LeftCol: "c", Right: bn, RightCol: "d"}},
+		Out: []catalog.OutCol{
+			{Table: an, Col: "id"}, {Table: an, Col: "c"},
+			{Table: bn, Col: "id"}, {Table: bn, Col: "payload"},
+		},
+		PartitionTable: an, PartitionCol: "id",
+		Strategy: strategy,
+	})
 }
 
 // SessionInserts builds the rows statement j of session s inserts:
@@ -256,4 +254,52 @@ func ConcurrentSessionsGrid(rs []ConcurrentResult) Grid {
 		})
 	}
 	return g
+}
+
+// SessionCost prices the concurrent-sessions workload in the paper's
+// currency: per node count and method, one coordinator goroutine issues
+// the statements of `sessions` sessions round-robin (stmts inserts of rows
+// tuples each, every session into its own a_i ⋈ b_i schema) and the grid
+// reports total workload, busiest-node I/Os and messages. Statement order
+// across disjoint schemas does not move a logical meter, so these are the
+// numbers any interleaving of real sessions must reproduce — which is what
+// the channel render of the golden, under parallel dispatch, checks.
+// Statement throughput under real concurrency is the benchmark's
+// cluster.session_scaling (bench/, workload bulk-scan-chan).
+func SessionCost(ls []int, sessions, stmts, rows int) (Grid, error) {
+	g := Grid{
+		Title:  fmt.Sprintf("Concurrent sessions (extension): logical cost of %d sessions x %d statements x %d rows", sessions, stmts, rows),
+		Header: []string{"L", "method", "stmts", "tw-ios", "ios/stmt", "maxnode-ios", "msgs", "msgs/stmt"},
+	}
+	for _, l := range ls {
+		for _, st := range ConcurrentStrategies() {
+			c, err := newCluster(cluster.Config{Nodes: l, Algo: node.AlgoIndex})
+			if err != nil {
+				return Grid{}, err
+			}
+			if err := LoadSessionSchemas(c, sessions, st.Strategy); err != nil {
+				c.Close()
+				return Grid{}, err
+			}
+			c.ResetMetrics()
+			for j := 0; j < stmts; j++ {
+				for s := 0; s < sessions; s++ {
+					if err := c.Insert(fmt.Sprintf("a%d", s), SessionInserts(s, j, rows)); err != nil {
+						c.Close()
+						return Grid{}, fmt.Errorf("L=%d %s: %w", l, st.Label, err)
+					}
+				}
+			}
+			m := c.Metrics()
+			c.Close()
+			total := float64(sessions * stmts)
+			g.Rows = append(g.Rows, []string{
+				fmt.Sprint(l), st.Label, fmt.Sprint(sessions * stmts),
+				fmt.Sprint(m.TotalIOs()), fmt.Sprintf("%.1f", float64(m.TotalIOs())/total),
+				fmt.Sprint(m.MaxNodeIOs()),
+				fmt.Sprint(m.Net.Messages), fmt.Sprintf("%.1f", float64(m.Net.Messages)/total),
+			})
+		}
+	}
+	return g, nil
 }

@@ -215,3 +215,69 @@ func ElasticGrid(rs []ElasticResult) Grid {
 	}
 	return g
 }
+
+// ElasticCopy prices a 4 -> 5 node expansion per maintenance method on a
+// quiesced cluster: sessions session schemas take stmts inserts of rows
+// tuples each from one goroutine, a fifth node is added with no statement
+// in flight, and the same stream runs again on five nodes. The copy
+// columns are the migration's own bill (MigrationStats) — deterministic
+// only because nothing commits during the copy; the before/after columns
+// show the maintenance cost per statement the expansion leaves behind.
+// Any failed statement fails the run. Zero statement errors *under*
+// concurrent sessions is TestMigrationWithConcurrentDML's claim
+// (internal/cluster); the throughput dip during the copy has no benchmark
+// workload yet (ROADMAP).
+func ElasticCopy(sessions, stmts, rows int) (Grid, error) {
+	g := Grid{
+		Title: fmt.Sprintf("Online elasticity (extension): quiesced 4 -> 5 node expansion, %d statements x %d rows per window", sessions*stmts, rows),
+		Header: []string{"method", "tw-ios before", "ios/stmt before", "rows copied", "pages copied", "envelopes",
+			"tw-ios after", "ios/stmt after", "nodes"},
+	}
+	for _, st := range ConcurrentStrategies() {
+		c, err := newCluster(cluster.Config{Nodes: 4, Algo: node.AlgoIndex})
+		if err != nil {
+			return Grid{}, err
+		}
+		defer c.Close()
+		if err := LoadSessionSchemas(c, sessions, st.Strategy); err != nil {
+			return Grid{}, err
+		}
+		seq := 0
+		window := func() (int64, error) {
+			c.ResetMetrics()
+			for j := 0; j < stmts; j++ {
+				for s := 0; s < sessions; s++ {
+					if err := c.Insert(fmt.Sprintf("a%d", s), SessionInserts(s, seq+j, rows)); err != nil {
+						return 0, err
+					}
+				}
+			}
+			seq += stmts
+			return c.Metrics().TotalIOs(), nil
+		}
+		before, err := window()
+		if err != nil {
+			return Grid{}, fmt.Errorf("elastic %s: %w", st.Label, err)
+		}
+		if _, err := c.AddNode(); err != nil {
+			return Grid{}, fmt.Errorf("elastic %s: AddNode: %w", st.Label, err)
+		}
+		mig, _ := c.LastMigration()
+		after, err := window()
+		if err != nil {
+			return Grid{}, fmt.Errorf("elastic %s: %w", st.Label, err)
+		}
+		if err := c.CheckAllStructures(); err != nil {
+			return Grid{}, fmt.Errorf("elastic %s: post-expansion consistency: %w", st.Label, err)
+		}
+		total := float64(sessions * stmts)
+		g.Rows = append(g.Rows, []string{
+			st.Label,
+			fmt.Sprint(before), fmt.Sprintf("%.1f", float64(before)/total),
+			fmt.Sprint(mig.RowsCopied), fmt.Sprint(mig.PagesCopied), fmt.Sprint(mig.Envelopes),
+			fmt.Sprint(after), fmt.Sprintf("%.1f", float64(after)/total),
+			fmt.Sprint(c.NumNodes()),
+		})
+	}
+	return g, nil
+}

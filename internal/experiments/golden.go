@@ -8,6 +8,9 @@ package experiments
 type GoldenCase struct {
 	Name string
 	Run  func() (Grid, error)
+	// DirectOnly, when non-empty, says why the case cannot render
+	// identically on the channel transport; it is pinned on Direct alone.
+	DirectOnly string
 }
 
 // GoldenCases lists every measured experiment grid (the paper's fig7–fig14
@@ -15,25 +18,33 @@ type GoldenCase struct {
 // captured with. NetworkSensitivity is excluded: it reports wall-clock µs.
 func GoldenCases() []GoldenCase {
 	return []GoldenCase{
-		{"table1", func() (Grid, error) { return Table1(400), nil }},
-		{"fig7", func() (Grid, error) { return Fig7Measured([]int{1, 2, 8}) }},
-		{"fig8", func() (Grid, error) { return Fig8Measured(8, []int{1, 8}) }},
-		{"fig9", func() (Grid, error) { return Fig9Measured([]int{2, 8}) }},
-		{"fig10", func() (Grid, error) { return Fig10Measured([]int{2, 4}) }},
-		{"fig11", func() (Grid, error) { return Fig11Measured(8, []int{1, 100}) }},
-		{"fig12", func() (Grid, error) { return Fig12Model(), nil }},
-		{"fig13", func() (Grid, error) { return Fig13Predicted([]int{2, 4, 8}), nil }},
-		{"fig14", func() (Grid, error) {
+		{Name: "table1", Run: func() (Grid, error) { return Table1(400), nil }},
+		{Name: "fig7", Run: func() (Grid, error) { return Fig7Measured([]int{1, 2, 8}) }},
+		{Name: "fig8", Run: func() (Grid, error) { return Fig8Measured(8, []int{1, 8}) }},
+		{Name: "fig9", Run: func() (Grid, error) { return Fig9Measured([]int{2, 8}) }},
+		{Name: "fig10", Run: func() (Grid, error) { return Fig10Measured([]int{2, 4}) }},
+		{Name: "fig11", Run: func() (Grid, error) { return Fig11Measured(8, []int{1, 100}) }},
+		{Name: "fig12", Run: func() (Grid, error) { return Fig12Model(), nil }},
+		{Name: "fig13", Run: func() (Grid, error) { return Fig13Predicted([]int{2, 4, 8}), nil }},
+		{Name: "fig14", Run: func() (Grid, error) {
 			rs, err := Fig14Measured([]int{2}, 400, 16)
 			if err != nil {
 				return Grid{}, err
 			}
 			return Fig14Grid(rs), nil
 		}},
-		{"storage", func() (Grid, error) { return StorageTradeoff(4, PaperN) }},
-		{"buffering", func() (Grid, error) { return BufferingEffect(4, 500, 200) }},
-		{"skew", func() (Grid, error) { return SkewSensitivity(4, 128, 1.5) }},
-		{"durability", func() (Grid, error) { return Durability(4, 50, 64) }},
-		{"faults", func() (Grid, error) { return FaultOverhead(4, 50, 0.02, 1) }},
+		{Name: "storage", Run: func() (Grid, error) { return StorageTradeoff(4, PaperN) }},
+		{Name: "buffering", Run: func() (Grid, error) { return BufferingEffect(4, 500, 200) }},
+		{Name: "skew", Run: func() (Grid, error) { return SkewSensitivity(4, 128, 1.5) }},
+		{Name: "durability", Run: func() (Grid, error) { return Durability(4, 50, 64) }},
+		{Name: "faults", Run: func() (Grid, error) { return FaultOverhead(4, 50, 0.02, 1) }},
+		{Name: "parallel", Run: func() (Grid, error) { return SessionCost([]int{2, 8}, 4, 120, 8) }},
+		{Name: "adaptive", Run: func() (Grid, error) { return AdaptiveCost(8, 200) }},
+		{Name: "elastic", Run: func() (Grid, error) { return ElasticCopy(4, 300, 8) }},
+		{Name: "async", Run: func() (Grid, error) { return AsyncCost(8, 256, []int{0, 8, 32, 128}) }},
+		{Name: "replica", Run: func() (Grid, error) { return ReplicationCost(8, 64, []int{1, 2, 3}) }},
+		{Name: "manyviews", Run: func() (Grid, error) { return ManyViewsCost(8, 16, []int{1, 10}) },
+			DirectOnly: "per-stage page attribution (Metrics.Pipeline.Stages) needs exclusive ownership of the global meters, which only serial dispatch gives"},
+		{Name: "hotpath", Run: func() (Grid, error) { return ReadModeCost(8, 40, 8) }},
 	}
 }

@@ -5,6 +5,8 @@ import (
 
 	"joinview/internal/catalog"
 	"joinview/internal/cluster"
+	"joinview/internal/maintain"
+	"joinview/internal/mplan"
 	"joinview/internal/node"
 	"joinview/internal/types"
 )
@@ -225,4 +227,66 @@ func pctSaved(base, shared int64) float64 {
 		return 0
 	}
 	return 100 * (1 - float64(shared)/float64(base))
+}
+
+// ManyViewsCost sweeps the view population on an l-node cluster: each V in
+// counts runs the single-customer insert stream through the shared
+// maintenance DAG and reports total workload, messages and the pages
+// attributed to the shared delta-join pre-pass vs the per-view stages
+// (exact under serial dispatch). The per-view columns are what V
+// independent pipelines would cost, by arithmetic from a one-view run of
+// the same stream: the non-view work once plus V times the view stage —
+// the execution model the shared DAG replaced, whose seed goldens are the
+// reference. "model tw" is Plan.SharedTW's prediction for the stream's
+// delta-join chains.
+func ManyViewsCost(l, statements int, counts []int) (Grid, error) {
+	g := Grid{
+		Title: "Shared maintenance DAG (extension): V views over customer ⋈ orders, shared execution vs V independent pipelines",
+		Header: []string{"L", "views", "stmts", "tw-ios", "tw-ios per-view", "tw saved%",
+			"msgs", "msgs per-view", "msg saved%", "sharedjoin-pages", "view-pages", "model tw"},
+	}
+	one, _, err := manyViewsRun(l, 1, statements)
+	if err != nil {
+		return Grid{}, err
+	}
+	oneView := one.Pipeline.Stages["view"]
+	for _, nv := range counts {
+		m, model, err := manyViewsRun(l, nv, statements)
+		if err != nil {
+			return Grid{}, fmt.Errorf("views=%d: %w", nv, err)
+		}
+		perViewTW := one.TotalIOs() + int64(nv-1)*oneView.Pages
+		perViewMsgs := one.Net.Messages + int64(nv-1)*oneView.Messages
+		g.Rows = append(g.Rows, []string{
+			fmt.Sprint(l), fmt.Sprint(nv), fmt.Sprint(statements),
+			fmt.Sprint(m.TotalIOs()), fmt.Sprint(perViewTW), fmt.Sprintf("%.1f", pctSaved(perViewTW, m.TotalIOs())),
+			fmt.Sprint(m.Net.Messages), fmt.Sprint(perViewMsgs), fmt.Sprintf("%.1f", pctSaved(perViewMsgs, m.Net.Messages)),
+			fmt.Sprint(m.Pipeline.Stages["sharedjoin"].Pages), fmt.Sprint(m.Pipeline.Stages["view"].Pages),
+			fmtF(model),
+		})
+	}
+	return g, nil
+}
+
+// manyViewsRun loads nviews views, runs the stream and returns the
+// stream's metrics with the modeled shared total workload of its
+// delta-join chains.
+func manyViewsRun(l, nviews, statements int) (cluster.Metrics, float64, error) {
+	c, err := newCluster(cluster.Config{Nodes: l, Algo: node.AlgoIndex})
+	if err != nil {
+		return cluster.Metrics{}, 0, err
+	}
+	defer c.Close()
+	if err := LoadManyViewsSchema(c, nviews); err != nil {
+		return cluster.Metrics{}, 0, err
+	}
+	mp, err := mplan.Compile(c.Catalog(), c.Stats(), "customer", maintain.OpInsert)
+	if err != nil {
+		return cluster.Metrics{}, 0, err
+	}
+	perStmt, _ := mp.SharedTW(l, 1)
+	if err := manyViewsStream(c, statements); err != nil {
+		return cluster.Metrics{}, 0, err
+	}
+	return c.Metrics(), perStmt * float64(statements), nil
 }

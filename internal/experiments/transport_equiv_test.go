@@ -38,6 +38,10 @@ func TestTransportEquivalence(t *testing.T) {
 			if got := direct.Render(); got != string(want) {
 				t.Errorf("direct transport diverges from seed trace\nseed:\n%s\ngot:\n%s", want, got)
 			}
+			if tc.DirectOnly != "" {
+				t.Logf("pinned on Direct only: %s", tc.DirectOnly)
+				return
+			}
 			ConfigHook = func(cfg *cluster.Config) { cfg.UseChannels = true }
 			defer func() { ConfigHook = nil }()
 			chann, err := tc.Run()
