@@ -1,261 +1,24 @@
 package joinview
 
-// Benchmarks regenerating the paper's evaluation, one per table and
-// figure, plus the ablations DESIGN.md calls out. Wall-clock numbers come
-// from testing.B; the paper's own metrics (total workload and busiest-node
-// I/Os in §3.1 cost units, interconnect messages) are attached via
-// b.ReportMetric as "tw-ios/op", "maxnode-ios/op" and "msgs/op".
+// Ablation benchmarks DESIGN.md calls out and no golden grid pins: the
+// paper's own metric (total workload in §3.1 cost units) is attached via
+// b.ReportMetric as "tw-ios/op" next to testing.B's wall-clock. The
+// paper's tables and figures are golden grids (internal/experiments,
+// cmd/jvbench); end-to-end wall-clock is the benchmark harness (bench/).
 //
-// Run everything with:
+// Run with:
 //
 //	go test -bench=. -benchmem
-//
-// cmd/jvbench prints the same experiments as the paper's row/series
-// layout.
 
 import (
-	"fmt"
 	"testing"
 
 	"joinview/internal/catalog"
 	"joinview/internal/cluster"
-	"joinview/internal/cost"
-	"joinview/internal/experiments"
-	"joinview/internal/node"
 	"joinview/internal/plan"
 	"joinview/internal/types"
 	"joinview/internal/workload"
 )
-
-// benchLs keeps the node sweep affordable inside testing.B; jvbench -maxl
-// 128 runs the full axis.
-var benchLs = []int{2, 8, 32}
-
-// BenchmarkTable1DataSet loads the scaled Table 1 data set (customer,
-// orders, lineitem at the paper's 1:10:40 ratios), reporting load
-// throughput.
-func BenchmarkTable1DataSet(b *testing.B) {
-	spec := workload.TPCR{Customers: 1500}.Defaulted()
-	rows := spec.Customers + spec.Orders() + spec.Lineitems()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c, err := cluster.New(cluster.Config{Nodes: 8})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := spec.Load(c); err != nil {
-			b.Fatal(err)
-		}
-		c.Close()
-	}
-	b.ReportMetric(float64(rows), "rows/op")
-}
-
-// twBench measures maintenance-only total workload per single-tuple insert
-// (Figure 7/8 cells) for one variant.
-func twBench(b *testing.B, l, fanout int, v experiments.Variant) {
-	b.Helper()
-	tw, err := experiments.MeasuredTW(l, fanout, v)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Wall-clock: repeat distinct single-tuple inserts on a warm cluster.
-	c, err := cluster.New(cluster.Config{Nodes: l, Algo: node.AlgoIndex})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	spec := workload.TwoRel{JoinValues: 640, Fanout: fanout, ClusterBOnJoin: v.ClusterB}
-	if err := spec.Load(c, v.Strategy); err != nil {
-		b.Fatal(err)
-	}
-	delta := spec.AInserts(b.N, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.Insert("a", delta[i:i+1]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(tw), "tw-ios/op")
-}
-
-// BenchmarkFig7TotalWorkload is Figure 7: TW per single-tuple insert vs L.
-func BenchmarkFig7TotalWorkload(b *testing.B) {
-	for _, v := range experiments.Variants() {
-		for _, l := range benchLs {
-			b.Run(fmt.Sprintf("%s/L=%d", v.Label, l), func(b *testing.B) {
-				twBench(b, l, experiments.PaperN, v)
-			})
-		}
-	}
-}
-
-// BenchmarkFig8TWvsFanout is Figure 8: TW per single-tuple insert vs the
-// join fan-out N, at L=32.
-func BenchmarkFig8TWvsFanout(b *testing.B) {
-	for _, v := range experiments.Variants() {
-		for _, n := range []int{1, 8, 64} {
-			b.Run(fmt.Sprintf("%s/N=%d", v.Label, n), func(b *testing.B) {
-				twBench(b, 32, n, v)
-			})
-		}
-	}
-}
-
-// respBench measures one multi-tuple transaction under a pinned algorithm
-// (Figures 9–11 cells).
-func respBench(b *testing.B, l, a int, v experiments.Variant, algo node.Algo) {
-	b.Helper()
-	mx, total, err := experiments.MeasuredResponse(l, experiments.PaperN, a, v, algo)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := experiments.MeasuredResponse(l, experiments.PaperN, a, v, algo); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(mx), "maxnode-ios/op")
-	b.ReportMetric(float64(total), "tw-ios/op")
-}
-
-// BenchmarkFig9IndexJoinTxn is Figure 9: one 400-tuple transaction under
-// index joins.
-func BenchmarkFig9IndexJoinTxn(b *testing.B) {
-	for _, v := range experiments.Variants() {
-		for _, l := range benchLs {
-			b.Run(fmt.Sprintf("%s/L=%d", v.Label, l), func(b *testing.B) {
-				respBench(b, l, 400, v, node.AlgoIndex)
-			})
-		}
-	}
-}
-
-// BenchmarkFig10SortMergeTxn is Figure 10: one 6,500-tuple transaction
-// under sort-merge joins (the regime where the naive method with a
-// clustered index wins).
-func BenchmarkFig10SortMergeTxn(b *testing.B) {
-	for _, v := range experiments.Variants() {
-		b.Run(fmt.Sprintf("%s/L=8", v.Label), func(b *testing.B) {
-			respBench(b, 8, 6500, v, node.AlgoSortMerge)
-		})
-	}
-}
-
-// BenchmarkFig11ScaleUpdates is Figure 11: response vs transaction size
-// with the automatic index/sort-merge crossover, at L=32.
-func BenchmarkFig11ScaleUpdates(b *testing.B) {
-	for _, v := range experiments.Variants() {
-		for _, a := range []int{10, 400, 2000} {
-			b.Run(fmt.Sprintf("%s/A=%d", v.Label, a), func(b *testing.B) {
-				respBench(b, 32, a, v, node.AlgoAuto)
-			})
-		}
-	}
-}
-
-// BenchmarkFig12StepDetail is Figure 12: the model's step-wise ceil(A/L)
-// behaviour over small transactions; the reported metric is the number of
-// distinct cost plateaus the AR curve shows for A in 1..300 at L=128
-// (the paper's point is that the curve is a staircase).
-func BenchmarkFig12StepDetail(b *testing.B) {
-	var plateaus int
-	for i := 0; i < b.N; i++ {
-		m := cost.Model{L: 128, N: experiments.PaperN, BPages: experiments.PaperBPages, MemPages: experiments.PaperMemPages}
-		plateaus = 0
-		prev := -1.0
-		for a := 1; a <= 300; a++ {
-			y := m.RespAuxRel(a, cost.AlgoIndex)
-			if y != prev {
-				plateaus++
-				prev = y
-			}
-		}
-	}
-	b.ReportMetric(float64(plateaus), "plateaus")
-}
-
-// BenchmarkFig13Predicted regenerates the Figure 13 predictions and
-// reports the JV2 AR-over-naive speedup at L=8.
-func BenchmarkFig13Predicted(b *testing.B) {
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		naive := cost.PredictNaive(8, 128, []cost.ChainStep{{Fanout: 1}, {Fanout: 4}})
-		ar := cost.PredictAuxRel(8, 128, []cost.ChainStep{{Fanout: 1, Clustered: true}, {Fanout: 4, Clustered: true}}, 0)
-		speedup = naive / ar
-	}
-	b.ReportMetric(speedup, "jv2-speedup-L8")
-}
-
-// BenchmarkFig14Measured is Figure 14: the measured "compute the changes"
-// step for a 128-tuple customer insert against JV1 and JV2, naive vs AR vs
-// the global-index method Teradata could not run.
-func BenchmarkFig14Measured(b *testing.B) {
-	spec := workload.TPCR{Customers: 1500}.Defaulted()
-	for _, l := range []int{2, 4, 8} {
-		for _, method := range []catalog.Strategy{catalog.StrategyAuxRel, catalog.StrategyNaive, catalog.StrategyGlobalIndex} {
-			for _, view := range []string{"jv1", "jv2"} {
-				b.Run(fmt.Sprintf("L=%d/%s/%s", l, view, method), func(b *testing.B) {
-					c, err := cluster.New(cluster.Config{Nodes: l})
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer c.Close()
-					if err := spec.Load(c); err != nil {
-						b.Fatal(err)
-					}
-					if err := createPaperView(c, view, method); err != nil {
-						b.Fatal(err)
-					}
-					delta, err := spec.NewCustomers(128)
-					if err != nil {
-						b.Fatal(err)
-					}
-					var mx, tw, msgs int64
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						n, m, err := c.ComputeViewDeltaOnly(view, "customer", delta, method)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if n == 0 {
-							b.Fatal("delta produced no join tuples")
-						}
-						mx, tw, msgs = m.MaxNodeIOs(), m.TotalIOs(), m.Net.Messages
-					}
-					b.ReportMetric(float64(mx), "maxnode-ios/op")
-					b.ReportMetric(float64(tw), "tw-ios/op")
-					b.ReportMetric(float64(msgs), "msgs/op")
-				})
-			}
-		}
-	}
-}
-
-func createPaperView(c *cluster.Cluster, name string, method catalog.Strategy) error {
-	v := &catalog.View{
-		Name:   name,
-		Tables: []string{"customer", "orders"},
-		Joins: []catalog.JoinPred{
-			{Left: "customer", LeftCol: "custkey", Right: "orders", RightCol: "custkey"},
-		},
-		Out: []catalog.OutCol{
-			{Table: "customer", Col: "custkey"}, {Table: "customer", Col: "acctbal"},
-			{Table: "orders", Col: "orderkey"}, {Table: "orders", Col: "totalprice"},
-		},
-		PartitionTable: "customer", PartitionCol: "custkey",
-		Strategy: method,
-	}
-	if name == "jv2" {
-		v.Tables = append(v.Tables, "lineitem")
-		v.Joins = append(v.Joins, catalog.JoinPred{Left: "orders", LeftCol: "orderkey", Right: "lineitem", RightCol: "orderkey"})
-		v.Out = append(v.Out,
-			catalog.OutCol{Table: "lineitem", Col: "discount"},
-			catalog.OutCol{Table: "lineitem", Col: "extendedprice"})
-	}
-	return c.CreateView(v)
-}
 
 // BenchmarkAggregateView compares maintaining an aggregate join view
 // (count/sum per group — the authors' companion work) against a plain
@@ -315,42 +78,16 @@ func BenchmarkAggregateView(b *testing.B) {
 	b.Run("aggregate-view", func(b *testing.B) { run(b, true) })
 }
 
-// BenchmarkBufferingEffect reruns the §3.3 buffering observation: the
-// logical (model) I/O of the naive vs AR delta join, next to the physical
-// I/O a buffer-pool-equipped node actually pays.
-func BenchmarkBufferingEffect(b *testing.B) {
-	var logicalNaive, physicalNaive int64
-	for i := 0; i < b.N; i++ {
-		g, err := experiments.BufferingEffect(8, 2000, 200)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fmt.Sscanf(g.Rows[0][1], "%d", &logicalNaive)
-		fmt.Sscanf(g.Rows[0][2], "%d", &physicalNaive)
-	}
-	b.ReportMetric(float64(logicalNaive), "naive-logical-ios")
-	b.ReportMetric(float64(physicalNaive), "naive-physical-ios")
-}
-
-// BenchmarkSkewSensitivity reruns the skew extension, reporting the AR
-// method's hotspot penalty under a Zipf(1.5) insert stream.
-func BenchmarkSkewSensitivity(b *testing.B) {
-	var uniform, skewed int64
-	for i := 0; i < b.N; i++ {
-		g, err := experiments.SkewSensitivity(16, 512, 1.5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fmt.Sscanf(g.Rows[0][1], "%d", &uniform)
-		fmt.Sscanf(g.Rows[0][2], "%d", &skewed)
-	}
-	b.ReportMetric(float64(skewed)/float64(uniform), "ar-skew-penalty")
-}
-
 // BenchmarkViewVsJoinQuery quantifies why warehouses materialize: reading
 // the maintained view vs recomputing the join with a distributed query
 // (shuffles + co-partitioned local joins), same result set.
 func BenchmarkViewVsJoinQuery(b *testing.B) {
+	querySpec := cluster.QuerySpec{
+		Tables: []string{"customer", "orders"},
+		Joins: []catalog.JoinPred{
+			{Left: "customer", LeftCol: "custkey", Right: "orders", RightCol: "custkey"},
+		},
+	}
 	setup := func(b *testing.B) *cluster.Cluster {
 		b.Helper()
 		c, err := cluster.New(cluster.Config{Nodes: 8})
@@ -361,17 +98,21 @@ func BenchmarkViewVsJoinQuery(b *testing.B) {
 		if err := spec.Load(c); err != nil {
 			b.Fatal(err)
 		}
-		if err := createPaperView(c, "jv1", catalog.StrategyAuxRel); err != nil {
+		if err := c.CreateView(&catalog.View{
+			Name:   "jv1",
+			Tables: querySpec.Tables,
+			Joins:  querySpec.Joins,
+			Out: []catalog.OutCol{
+				{Table: "customer", Col: "custkey"}, {Table: "customer", Col: "acctbal"},
+				{Table: "orders", Col: "orderkey"}, {Table: "orders", Col: "totalprice"},
+			},
+			PartitionTable: "customer", PartitionCol: "custkey",
+			Strategy: catalog.StrategyAuxRel,
+		}); err != nil {
 			b.Fatal(err)
 		}
 		c.ResetMetrics()
 		return c
-	}
-	querySpec := cluster.QuerySpec{
-		Tables: []string{"customer", "orders"},
-		Joins: []catalog.JoinPred{
-			{Left: "customer", LeftCol: "custkey", Right: "orders", RightCol: "custkey"},
-		},
 	}
 	b.Run("scan-view", func(b *testing.B) {
 		c := setup(b)
@@ -430,48 +171,6 @@ func BenchmarkTransports(b *testing.B) {
 			b.ReportMetric(float64(c.Metrics().TotalIOs())/float64(b.N), "tw-ios/op")
 		})
 	}
-}
-
-// BenchmarkARStorageMinimization compares a full-copy auxiliary relation
-// against the §2.1.2 minimized π(σ(R)) form: identical maintenance I/O,
-// different storage footprint (reported as stored values per base row).
-func BenchmarkARStorageMinimization(b *testing.B) {
-	run := func(b *testing.B, cols []string) {
-		c, err := cluster.New(cluster.Config{Nodes: 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer c.Close()
-		if err := c.CreateTable(workload.OrdersTable()); err != nil {
-			b.Fatal(err)
-		}
-		var orders []types.Tuple
-		for i := int64(0); i < 2000; i++ {
-			orders = append(orders, workload.Order(i, i%200))
-		}
-		if err := c.Insert("orders", orders); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ar := &catalog.AuxRel{
-				Name:         fmt.Sprintf("ar_%d", i),
-				Table:        "orders",
-				PartitionCol: "custkey",
-				Cols:         cols,
-			}
-			if err := c.CreateAuxRel(ar); err != nil {
-				b.Fatal(err)
-			}
-		}
-		width := len(cols)
-		if width == 0 {
-			width = workload.OrdersTable().Schema.Len()
-		}
-		b.ReportMetric(float64(width), "cols/row")
-	}
-	b.Run("full-copy", func(b *testing.B) { run(b, nil) })
-	b.Run("minimized", func(b *testing.B) { run(b, []string{"custkey", "orderkey"}) })
 }
 
 // BenchmarkMultiwayPlanChoice compares the statistics-driven maintenance

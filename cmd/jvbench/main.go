@@ -1,488 +1,154 @@
-// Command jvbench regenerates the paper's evaluation: every figure from
+// Command jvbench regenerates the paper's evaluation — every figure from
 // the analytical model, the measured counterparts on the cluster
-// simulator, and the Table 1 data-set summary.
+// simulator, the Table 1 data-set summary — and the repo's extension
+// experiments, all in logical cost (page I/Os, messages). The experiments
+// are the entries of experiments.Registry; wall-clock performance is
+// measured by the benchmark harness (bash bench/run.sh), not here.
 //
 // Usage:
 //
-//	jvbench [-exp all|table1|fig7..fig14|storage|buffering|skew|network|faults|durability|adaptive]
-//	        [-measured] [-maxl 128] [-scale 100] [-a 128] [-faults 0.02] [-csv dir]
+//	jvbench [-exp all|<name>] [-measured] [-maxl 128] [-scale 100] [-a N]
+//	        [-faults 0.02] [-csv dir] [-cpuprofile f] [-memprofile f]
 //
-// -measured additionally runs the simulator for figures that have a
-// measured counterpart (7, 8, 9, 10, 11); figure 14 and the extension
-// experiments are always measured. -maxl caps the node-count axis (larger
-// sweeps take longer); -scale is the divisor applied to Table 1's row
-// counts for figure 14; -csv also writes every result table as CSV for
-// plotting. -exp adaptive runs the fixed-vs-adaptive strategy comparison
-// and writes BENCH_adaptive.json (or the -json path).
+// -measured additionally runs the simulator for figures that also have an
+// analytical grid (7–11); every other experiment always runs. -maxl caps
+// the node-count axis (larger sweeps take longer); -scale is the divisor
+// applied to Table 1's row counts (table1, fig14); -a overrides the
+// transaction size or stream length of experiments that have one (fig14's
+// default is the paper's 128 tuples); -csv also writes every result table
+// as CSV for plotting.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"joinview/internal/experiments"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: all, table1, fig7..fig14, storage, buffering, skew, network, faults, durability, parallel, adaptive, elastic, async, replica, manyviews")
-	measured := flag.Bool("measured", false, "also run the measured (simulator) variants of figs 7-11")
-	maxL := flag.Int("maxl", 128, "largest node count to sweep")
-	scale := flag.Int("scale", 100, "Table 1 scale divisor for fig14 (100 = 1,500 customers)")
-	deltaA := flag.Int("a", 128, "tuples inserted into customer for fig14")
-	faultRate := flag.Float64("faults", 0.02, "per-kind fault probability for -exp faults")
-	csvDir := flag.String("csv", "", "also write each result table as CSV into this directory")
-	parallel := flag.Bool("parallel", false, "run the concurrent-sessions experiment (serial vs parallel dispatch)")
-	jsonOut := flag.String("json", "", "write the concurrent-sessions results as JSON to this file (implies -parallel)")
-	sessions := flag.Int("sessions", 4, "concurrent sessions for -parallel")
-	views := flag.Int("views", 0, "cap the view-count axis for -exp manyviews (0: full sweep to 100 views)")
-	baseline := flag.String("baseline", "BENCH_parallel.json", "concurrent-sessions JSON whose L=8 allocs/stmt anchor -exp hotpath's reduction column")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run is main with its process boundary injected, so tests can drive it.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("jvbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	names := strings.Join(experiments.Names(), ", ")
+	exp := fs.String("exp", "all", "experiment to run: all, "+names)
+	measured := fs.Bool("measured", false, "also run the measured (simulator) variants of figs 7-11")
+	maxL := fs.Int("maxl", 128, "largest node count to sweep")
+	scale := fs.Int("scale", 100, "Table 1 scale divisor for table1 and fig14 (100 = 1,500 customers)")
+	deltaA := fs.Int("a", 0, "transaction size / stream length (0 = each experiment's own; fig14 inserts 128 tuples into customer)")
+	faultRate := fs.Float64("faults", 0.02, "per-kind fault probability for -exp faults")
+	csvDir := fs.String("csv", "", "also write each result table as CSV into this directory")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "jvbench:", err)
+		return 1
+	}
+
+	selected := experiments.Registry
+	if *exp != "all" {
+		e, ok := experiments.Lookup(*exp)
+		if !ok {
+			return fail(fmt.Errorf("unknown experiment %q (want all, %s)", *exp, names))
+		}
+		selected = []experiments.Experiment{e}
+	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "jvbench:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "jvbench:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer pprof.StopCPUProfile()
 	}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "jvbench:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 	}
-	csvOut = *csvDir
-	exitCode := 0
-	if *exp == "adaptive" {
-		if err := runAdaptive(*maxL, *jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "jvbench:", err)
-			exitCode = 1
+	show := func(g experiments.Grid) {
+		fmt.Fprintln(stdout, g.Render())
+		if *csvDir == "" {
+			return
 		}
-	} else if *exp == "async" {
-		if err := runAsync(*maxL, *jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "jvbench:", err)
-			exitCode = 1
+		f, err := os.Create(filepath.Join(*csvDir, g.Slug()+".csv"))
+		if err != nil {
+			fmt.Fprintln(stderr, "jvbench: csv:", err)
+			return
 		}
-	} else if *exp == "replica" {
-		if err := runReplica(*maxL, *jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "jvbench:", err)
-			exitCode = 1
+		if err := g.WriteCSV(f); err != nil {
+			fmt.Fprintln(stderr, "jvbench: csv:", err)
 		}
-	} else if *exp == "manyviews" {
-		if err := runManyViews(*maxL, *views, *jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "jvbench:", err)
-			exitCode = 1
+		f.Close()
+	}
+
+	code := 0
+	for _, e := range selected {
+		if e.Model != nil {
+			show(e.Model())
 		}
-	} else if *exp == "hotpath" {
-		if err := runHotpath(*maxL, *sessions, *jsonOut, *baseline); err != nil {
-			fmt.Fprintln(os.Stderr, "jvbench:", err)
-			exitCode = 1
+		if e.Run == nil || (e.Model != nil && !*measured) {
+			continue
 		}
-	} else if *exp == "elastic" {
-		if err := runElastic(*sessions, *jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "jvbench:", err)
-			exitCode = 1
+		ax := e.Full
+		ax.Ls = clampLs(ax.Ls, *maxL)
+		if ax.Scale != 0 {
+			ax.Scale = *scale
 		}
-	} else if *parallel || *jsonOut != "" || *exp == "parallel" {
-		if err := runParallel(*maxL, *sessions, *jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "jvbench:", err)
-			exitCode = 1
+		if ax.N != 0 && *deltaA > 0 {
+			ax.N = *deltaA
 		}
-	} else if err := run(*exp, *measured, *maxL, *scale, *deltaA, *faultRate); err != nil {
-		fmt.Fprintln(os.Stderr, "jvbench:", err)
-		exitCode = 1
+		if ax.Rate != 0 {
+			ax.Rate = *faultRate
+		}
+		start := time.Now()
+		g, err := e.Run(ax)
+		if err != nil {
+			code = fail(fmt.Errorf("%s: %w", e.Name, err))
+			break
+		}
+		show(g)
+		fmt.Fprintf(stdout, "(%s computed in %v)\n\n", e.Name, time.Since(start).Round(time.Millisecond))
 	}
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "jvbench:", err)
-			exitCode = 1
-		} else {
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "jvbench:", err)
-				exitCode = 1
-			}
-			f.Close()
+			return fail(err)
+		}
+		defer f.Close()
+		runtime.GC()
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			return fail(err)
 		}
 	}
-	if exitCode != 0 {
-		os.Exit(exitCode)
-	}
+	return code
 }
 
-// runParallel runs the concurrent-sessions experiment at L=2/8/32 (capped
-// by maxL) and optionally writes the results as JSON. 120 statements per
-// session keep the plan-cache steady state visible: one compile per
-// session table, then hits.
-func runParallel(maxL, sessions int, jsonPath string) error {
-	ls := capLs([]int{2, 8, 32}, maxL)
-	start := time.Now()
-	results, err := experiments.ConcurrentSessions(ls, sessions, 120, 8, experiments.DefaultNetLatency)
-	if err != nil {
-		return err
-	}
-	fmt.Println(experiments.ConcurrentSessionsGrid(results).Render())
-	fmt.Printf("(measured in %v; %d sessions, simulated %v/message interconnect)\n\n",
-		time.Since(start).Round(time.Millisecond), sessions, experiments.DefaultNetLatency)
-	return writeJSON(jsonPath, results)
-}
-
-// runAdaptive runs the adaptive-strategy experiment at L=8 (capped by
-// maxL) and writes the results to BENCH_adaptive.json or the -json path.
-func runAdaptive(maxL int, jsonPath string) error {
-	l := 8
-	if maxL < l {
-		l = maxL
-	}
-	start := time.Now()
-	results, err := experiments.AdaptiveStrategy(l, 200)
-	if err != nil {
-		return err
-	}
-	fmt.Println(experiments.AdaptiveGrid(results).Render())
-	fmt.Printf("(measured in %v)\n\n", time.Since(start).Round(time.Millisecond))
-	if jsonPath == "" {
-		jsonPath = "BENCH_adaptive.json"
-	}
-	return writeJSON(jsonPath, results)
-}
-
-// runAsync runs the async-maintenance experiment at L=8 (capped by maxL)
-// and writes the results to BENCH_async.json or the -json path.
-func runAsync(maxL int, jsonPath string) error {
-	l := 8
-	if maxL < l {
-		l = maxL
-	}
-	start := time.Now()
-	results, err := experiments.AsyncMaintenance(l, 256)
-	if err != nil {
-		return err
-	}
-	fmt.Println(experiments.AsyncGrid(results).Render())
-	fmt.Printf("(measured in %v; simulated %v/message interconnect)\n\n",
-		time.Since(start).Round(time.Millisecond), experiments.DefaultNetLatency)
-	if jsonPath == "" {
-		jsonPath = "BENCH_async.json"
-	}
-	return writeJSON(jsonPath, results)
-}
-
-// runElastic measures a live 4 -> 5 node expansion under concurrent
-// sessions for every maintenance strategy and writes the results to
-// BENCH_elastic.json or the -json path.
-func runElastic(sessions int, jsonPath string) error {
-	start := time.Now()
-	results, err := experiments.Elastic(sessions, 300, 8)
-	if err != nil {
-		return err
-	}
-	fmt.Println(experiments.ElasticGrid(results).Render())
-	fmt.Printf("(measured in %v; %d sessions, simulated %v/message interconnect)\n\n",
-		time.Since(start).Round(time.Millisecond), sessions, experiments.DefaultNetLatency)
-	if jsonPath == "" {
-		jsonPath = "BENCH_elastic.json"
-	}
-	return writeJSON(jsonPath, results)
-}
-
-// runHotpath runs the hot-path experiment at L=8 (capped by maxL):
-// snapshot-read throughput under a concurrent write load (locked vs MVCC
-// reads, channel vs TCP transport) plus per-statement allocations of the
-// parallel maintenance path, compared against the checked-in
-// concurrent-sessions baseline when available. Results go to
-// BENCH_hotpath.json or the -json path.
-func runHotpath(maxL, sessions int, jsonPath, baselinePath string) error {
-	l := 8
-	if maxL < l {
-		l = maxL
-	}
-	start := time.Now()
-	results, err := experiments.Hotpath(l, sessions, 40, 8, sessions, 120, 8)
-	if err != nil {
-		return err
-	}
-	if baselinePath != "" {
-		if err := fillHotpathBaselines(results.Allocs, baselinePath, l); err != nil {
-			fmt.Fprintf(os.Stderr, "jvbench: no allocation baseline (%v); reduction column omitted\n", err)
-		}
-	}
-	fmt.Println(experiments.HotpathReadGrid(results.Reads).Render())
-	fmt.Println(experiments.HotpathAllocGrid(results.Allocs).Render())
-	fmt.Printf("(measured in %v; %d write sessions, chan transport simulates %v/message)\n\n",
-		time.Since(start).Round(time.Millisecond), sessions, experiments.DefaultNetLatency)
-	if jsonPath == "" {
-		jsonPath = "BENCH_hotpath.json"
-	}
-	return writeJSON(jsonPath, results)
-}
-
-// fillHotpathBaselines joins the hotpath allocation rows with a prior
-// concurrent-sessions JSON (the "before" numbers) by (L, strategy).
-func fillHotpathBaselines(allocs []experiments.HotpathAllocResult, path string, l int) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var prior []experiments.ConcurrentResult
-	if err := json.Unmarshal(data, &prior); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	for i := range allocs {
-		for _, p := range prior {
-			if p.L == l && p.Strategy == allocs[i].Strategy {
-				allocs[i].BaselineAllocsPerStmt = p.AllocsPerStmt
-				allocs[i].ReductionPct = 100 * (1 - allocs[i].AllocsPerStmt/p.AllocsPerStmt)
-			}
-		}
-	}
-	return nil
-}
-
-// runManyViews runs the shared-maintenance-DAG experiment at L=8 (capped
-// by maxL): per-view baseline vs shared execution over a growing view
-// population, writing BENCH_manyviews.json or the -json path. maxViews,
-// when non-zero, caps the view-count axis (the CI smoke uses a small cap).
-func runManyViews(maxL, maxViews int, jsonPath string) error {
-	l := 8
-	if maxL < l {
-		l = maxL
-	}
-	counts := experiments.ManyViewsCounts
-	if maxViews > 0 {
-		var capped []int
-		for _, c := range counts {
-			if c <= maxViews {
-				capped = append(capped, c)
-			}
-		}
-		if len(capped) == 0 {
-			capped = []int{maxViews}
-		}
-		counts = capped
-	}
-	start := time.Now()
-	results, err := experiments.ManyViews(l, 16, counts)
-	if err != nil {
-		return err
-	}
-	fmt.Println(experiments.ManyViewsGrid(results).Render())
-	fmt.Printf("(measured in %v; identical streams, only plan sharing differs)\n\n",
-		time.Since(start).Round(time.Millisecond))
-	if jsonPath == "" {
-		jsonPath = "BENCH_manyviews.json"
-	}
-	return writeJSON(jsonPath, results)
-}
-
-// runReplica measures write amplification vs crash transparency at
-// replication factors 1, 2, 3 on L=8 (capped by maxL) and writes the
-// results to BENCH_replica.json or the -json path.
-func runReplica(maxL int, jsonPath string) error {
-	l := 8
-	if maxL < l {
-		l = maxL
-	}
-	start := time.Now()
-	results, err := experiments.Replication(l, 64)
-	if err != nil {
-		return err
-	}
-	fmt.Println(experiments.ReplicationGrid(results).Render())
-	fmt.Printf("(measured in %v; simulated %v/message interconnect)\n\n",
-		time.Since(start).Round(time.Millisecond), experiments.DefaultNetLatency)
-	if jsonPath == "" {
-		jsonPath = "BENCH_replica.json"
-	}
-	return writeJSON(jsonPath, results)
-}
-
-// writeJSON writes results as indented JSON; an empty path writes nothing.
-func writeJSON(path string, results any) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(results)
-}
-
-// csvOut, when set, receives one CSV file per result grid.
-var csvOut string
-
-func run(exp string, measured bool, maxL, scale, deltaA int, faultRate float64) error {
-	ls := capLs(experiments.DefaultLs, maxL)
-	smallLs := capLs([]int{2, 4, 8}, maxL)
-	show := func(g experiments.Grid) {
-		fmt.Println(g.Render())
-		if csvOut == "" {
-			return
-		}
-		path := filepath.Join(csvOut, g.Slug()+".csv")
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "jvbench: csv:", err)
-			return
-		}
-		if err := g.WriteCSV(f); err != nil {
-			fmt.Fprintln(os.Stderr, "jvbench: csv:", err)
-		}
-		f.Close()
-	}
-	showMeasured := func(f func() (experiments.Grid, error)) error {
-		start := time.Now()
-		g, err := f()
-		if err != nil {
-			return err
-		}
-		show(g)
-		fmt.Printf("(measured in %v)\n\n", time.Since(start).Round(time.Millisecond))
-		return nil
-	}
-
-	want := func(name string) bool { return exp == "all" || exp == name }
-
-	if want("table1") {
-		show(experiments.Table1(scale))
-	}
-	if want("fig7") {
-		show(experiments.Fig7Model())
-		if measured {
-			if err := showMeasured(func() (experiments.Grid, error) { return experiments.Fig7Measured(ls) }); err != nil {
-				return err
-			}
-		}
-	}
-	if want("fig8") {
-		show(experiments.Fig8Model())
-		if measured {
-			ns := []int{1, 2, 4, 8, 16, 32, 64}
-			if err := showMeasured(func() (experiments.Grid, error) { return experiments.Fig8Measured(min(32, maxL), ns) }); err != nil {
-				return err
-			}
-		}
-	}
-	if want("fig9") {
-		show(experiments.Fig9Model())
-		if measured {
-			if err := showMeasured(func() (experiments.Grid, error) { return experiments.Fig9Measured(ls) }); err != nil {
-				return err
-			}
-		}
-	}
-	if want("fig10") {
-		show(experiments.Fig10Model())
-		if measured {
-			if err := showMeasured(func() (experiments.Grid, error) { return experiments.Fig10Measured(smallLs) }); err != nil {
-				return err
-			}
-		}
-	}
-	if want("fig11") {
-		show(experiments.Fig11Model())
-		if measured {
-			as := []int{1, 10, 100, 400, 1000, 2000}
-			if err := showMeasured(func() (experiments.Grid, error) {
-				return experiments.Fig11Measured(min(128, maxL), as)
-			}); err != nil {
-				return err
-			}
-		}
-	}
-	if want("fig12") {
-		show(experiments.Fig12Model())
-	}
-	if want("fig13") {
-		show(experiments.Fig13Predicted(smallLs))
-	}
-	if want("storage") {
-		if err := showMeasured(func() (experiments.Grid, error) {
-			return experiments.StorageTradeoff(min(8, maxL), experiments.PaperN)
-		}); err != nil {
-			return err
-		}
-	}
-	if want("buffering") {
-		if err := showMeasured(func() (experiments.Grid, error) {
-			return experiments.BufferingEffect(min(8, maxL), 2000, 200)
-		}); err != nil {
-			return err
-		}
-	}
-	if want("network") {
-		if err := showMeasured(func() (experiments.Grid, error) {
-			return experiments.NetworkSensitivity(min(8, maxL), 200, 100*time.Microsecond)
-		}); err != nil {
-			return err
-		}
-	}
-	if want("skew") {
-		if err := showMeasured(func() (experiments.Grid, error) {
-			return experiments.SkewSensitivity(min(16, maxL), 512, 1.5)
-		}); err != nil {
-			return err
-		}
-	}
-	if want("faults") {
-		if err := showMeasured(func() (experiments.Grid, error) {
-			return experiments.FaultOverhead(min(8, maxL), 200, faultRate, 1)
-		}); err != nil {
-			return err
-		}
-	}
-	if want("durability") {
-		if err := showMeasured(func() (experiments.Grid, error) {
-			return experiments.Durability(min(8, maxL), 200, 64)
-		}); err != nil {
-			return err
-		}
-	}
-	if want("fig14") {
-		start := time.Now()
-		results, err := experiments.Fig14Measured(smallLs, scale, deltaA)
-		if err != nil {
-			return err
-		}
-		show(experiments.Fig14Grid(results))
-		fmt.Printf("(measured in %v; includes the global-index method Teradata could not run)\n\n",
-			time.Since(start).Round(time.Millisecond))
-	}
-	switch exp {
-	case "all", "table1", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "storage", "skew", "buffering", "network", "faults", "durability":
-		return nil
-	default:
-		return fmt.Errorf("unknown experiment %q", exp)
-	}
-}
-
-func capLs(ls []int, maxL int) []int {
+// clampLs caps a node-count axis at maxL: larger entries become maxL, and
+// the duplicates that produces are dropped.
+func clampLs(ls []int, maxL int) []int {
 	var out []int
 	for _, l := range ls {
-		if l <= maxL {
+		l = min(l, maxL)
+		if len(out) == 0 || out[len(out)-1] != l {
 			out = append(out, l)
 		}
-	}
-	if len(out) == 0 {
-		out = []int{1}
 	}
 	return out
 }

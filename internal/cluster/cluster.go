@@ -48,9 +48,11 @@ type Config struct {
 	// reports physical I/O (misses), reproducing the §3.3 buffering
 	// effect the paper observed on Teradata.
 	BufferPages int
-	// NetLatency delays every inter-node message by this wall-clock
-	// duration (channel transport only): the SEND cost the analytical
-	// model deliberately neglects, made tunable.
+	// NetLatency delays every inter-node message by at least this
+	// wall-clock duration (channel transport only): the SEND cost the
+	// analytical model deliberately neglects, made tunable. The delay is a
+	// time.Sleep, so it cannot be shorter than the OS timer granularity —
+	// about 1 ms on Linux: 50µs and 100µs both measure ≈1.1 ms per message.
 	NetLatency time.Duration
 	// CallTimeout bounds every transport call (channel transport only):
 	// a stuck node yields netsim.ErrTimeout instead of hanging the
@@ -89,12 +91,6 @@ type Config struct {
 	// destination node). Ignored by the Direct transport, which always
 	// dispatches serially.
 	ScatterWorkers int
-	// SerialDML restores the seed's execution model on the channel
-	// transport: one global statement lock and serial per-node dispatch.
-	// The concurrent-session benchmarks use it as the baseline the
-	// scatter-gather dispatcher and the table-level lock manager are
-	// measured against.
-	SerialDML bool
 	// BreakerThreshold enables the per-node circuit breaker: after that
 	// many consecutive failed delivery attempts (exhausted retry budgets
 	// or timeouts) against one node, the node is marked suspect and every
@@ -103,18 +99,6 @@ type Config struct {
 	// RestartNode) closes the breaker. Zero disables the breaker (the
 	// deterministic chaos schedules assume every delivery is attempted).
 	BreakerThreshold int
-	// DisablePlanCache makes every DML statement compile its maintenance
-	// plan from scratch instead of reusing the (table, op)-keyed plan
-	// cache — the per-statement planning model the pipeline replaced, kept
-	// as an escape hatch and for cache-effect measurements. Every lookup
-	// then counts as a miss.
-	DisablePlanCache bool
-	// DisablePlanSharing makes every view stage execute its full delta-join
-	// chain independently even when the compiled plan found common chain
-	// prefixes across views — the per-view execution model the shared
-	// maintenance DAG replaced, kept as an escape hatch and as the baseline
-	// for sharing measurements. Identical view contents, more I/O.
-	DisablePlanSharing bool
 	// AsyncMaintenance defers DML maintenance into the group-commit queue
 	// (asyncq.go): a statement validates, resolves its victims against the
 	// effective state and enqueues its logical delta; a flush epoch later
@@ -141,8 +125,8 @@ type Config struct {
 	// LockedReads disables MVCC snapshot reads: queries and scans fall
 	// back to taking shared lockmgr claims on the relations they read,
 	// queueing behind concurrent writers (the pre-MVCC behavior). Kept as
-	// the measured baseline for the hotpath benchmark and as an escape
-	// hatch.
+	// the baseline the benchmark's traced pass swaps in to price MVCC
+	// (cluster.mvcc_write_tax) and as an escape hatch.
 	LockedReads bool
 	// UseTCP runs the interconnect over real loopback TCP sockets with
 	// gob-encoded envelopes (internal/netsim/tcp) instead of channels or
@@ -212,9 +196,10 @@ type Cluster struct {
 	// lm is the coordinator's table-level lock manager, standing in for
 	// the paper's transaction-level locking. Statements lock the tables
 	// and derived structures they touch, so non-conflicting statements
-	// from concurrent sessions run in parallel on the channel transport;
-	// DDL, recovery and every serial execution mode take the manager's
-	// global exclusive lock instead (see locks.go).
+	// from concurrent sessions run in parallel on the channel and TCP
+	// transports; DDL, recovery and every statement without parallel
+	// dispatch (Direct transport, durability, fault injection) take the
+	// manager's global exclusive lock instead (see locks.go).
 	lm *lockmgr.Manager
 
 	// tempSeq names temporary query fragments uniquely across concurrent
@@ -277,7 +262,7 @@ type Cluster struct {
 	rstats     *stats.ReplCounters
 
 	// mvcc is the snapshot-read epoch tracker (mvcc.go), nil when MVCC is
-	// off (serial modes, LockedReads). readFence is the one writer-side
+	// off (no parallel dispatch, or LockedReads). readFence is the one writer-side
 	// barrier snapshot readers observe besides the global lock: the
 	// migration cutover holds it exclusively while it rewires live
 	// fragments outside any epoch's version log.

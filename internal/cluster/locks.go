@@ -25,17 +25,15 @@ import (
 // and needs no claims.
 
 // parallelDispatch reports whether per-node fan-outs inside one statement
-// may run concurrently: only on the channel transport (Direct handlers
+// may run concurrently: on the channel and TCP transports (Direct handlers
 // execute on the caller's goroutine and the experiments depend on its
-// deterministic traces), and not when SerialDML pins the seed's serial
-// execution model. Durability forces serial dispatch — the write-ahead
-// sequence numbers and two-phase-commit state (current TID, participant
-// set, decision log) are one coordinator-wide scope — and so does fault
-// injection, whose deterministic chaos schedules assume one delivery at a
-// time.
+// deterministic traces). Durability forces serial dispatch — the
+// write-ahead sequence numbers and two-phase-commit state (current TID,
+// participant set, decision log) are one coordinator-wide scope — and so
+// does fault injection, whose deterministic chaos schedules assume one
+// delivery at a time.
 func (c *Cluster) parallelDispatch() bool {
-	return (c.cfg.UseChannels || c.cfg.UseTCP) && !c.cfg.SerialDML &&
-		!c.cfg.Durability && c.cfg.Faults == nil
+	return (c.cfg.UseChannels || c.cfg.UseTCP) && !c.cfg.Durability && c.cfg.Faults == nil
 }
 
 // serialStmts reports whether DML statements must serialize cluster-wide

@@ -24,15 +24,10 @@ import (
 // meters. The per-strategy step sequencing that used to be hand-rolled
 // per entry point lives only here.
 
-// planFor returns the compiled maintenance plan for (table, op),
-// consulting the plan cache unless the configuration disables it. Callers
-// hold at least the shared global lock, so the catalog cannot move
-// underneath the lookup.
+// planFor returns the compiled maintenance plan for (table, op) from the
+// plan cache. Callers hold at least the shared global lock, so the catalog
+// cannot move underneath the lookup.
 func (c *Cluster) planFor(table string, op maintain.Op) (*mplan.Plan, error) {
-	if c.cfg.DisablePlanCache {
-		c.pstats.RecordLookup(false)
-		return mplan.Compile(c.cat, c.st, table, op)
-	}
 	mp, hit, err := c.mcache.Get(c.cat, c.st, table, op)
 	if err != nil {
 		c.pstats.RecordLookup(false)
@@ -55,8 +50,7 @@ func (c *Cluster) planFor(table string, op maintain.Op) (*mplan.Plan, error) {
 // chain prefix exactly once, memoized by structural key. The view stages
 // then consume the memoized intermediates and only perform their per-view
 // tail (residual filter, projection, apply). Plans without shared
-// potential — and all plans when the configuration disables sharing —
-// take the per-view path unchanged.
+// potential take the per-view path unchanged.
 func (c *Cluster) execPlan(tx *txn.Txn, mp *mplan.Plan, delta []types.Tuple, locs []located) error {
 	// Per-stage page/message attribution needs exclusive ownership of the
 	// global meters; only serial execution modes guarantee it. Under
@@ -67,26 +61,24 @@ func (c *Cluster) execPlan(tx *txn.Txn, mp *mplan.Plan, delta []types.Tuple, loc
 	sharedDone := false
 	for i := range mp.Stages {
 		s := &mp.Stages[i]
-		if s.Kind == mplan.StageView && !sharedDone {
+		if s.Kind == mplan.StageView && mp.SharedPotential && !sharedDone {
 			sharedDone = true
-			if !c.cfg.DisablePlanSharing && mp.SharedPotential {
-				// The pre-pass gets its own metrics window so its probes are
-				// attributed to "sharedjoin", not folded into the first view
-				// stage — keeping per-stage attribution exact in serial mode.
-				if attribute {
-					before = c.Metrics()
-				}
-				var err error
-				sx, err = c.execSharedJoins(mp, delta)
-				if attribute {
-					d := c.Metrics().Sub(before)
-					c.pstats.RecordStage(sharedStageName, d.Total().IOs(), d.Net.Messages)
-				} else {
-					c.pstats.RecordStage(sharedStageName, 0, 0)
-				}
-				if err != nil {
-					return err
-				}
+			// The pre-pass gets its own metrics window so its probes are
+			// attributed to "sharedjoin", not folded into the first view
+			// stage — keeping per-stage attribution exact in serial mode.
+			if attribute {
+				before = c.Metrics()
+			}
+			var err error
+			sx, err = c.execSharedJoins(mp, delta)
+			if attribute {
+				d := c.Metrics().Sub(before)
+				c.pstats.RecordStage(sharedStageName, d.Total().IOs(), d.Net.Messages)
+			} else {
+				c.pstats.RecordStage(sharedStageName, 0, 0)
+			}
+			if err != nil {
+				return err
 			}
 		}
 		if attribute {
@@ -510,7 +502,7 @@ func (c *Cluster) ExplainPipeline(table, op string) (string, error) {
 		return "", err
 	}
 	out := mp.Describe()
-	if mp.SharedPotential && !c.cfg.DisablePlanSharing {
+	if mp.SharedPotential {
 		// Render the concrete DAG for a representative single-tuple delta —
 		// the same resolution the executor performs per statement.
 		out += mp.DescribeDAG(c.NumNodes(), 1)

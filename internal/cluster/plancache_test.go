@@ -158,32 +158,6 @@ func TestPlanCacheStatsInvalidation(t *testing.T) {
 	}
 }
 
-// TestPlanCacheDisabled checks the escape hatch: with DisablePlanCache
-// every statement compiles fresh and every lookup counts as a miss, while
-// results stay identical.
-func TestPlanCacheDisabled(t *testing.T) {
-	c, err := New(Config{Nodes: 4, DisablePlanCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	if err := c.CreateTable(customerTable()); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := c.Insert("customer", []types.Tuple{cust(int64(i), 1)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p := c.Metrics().Pipeline
-	if p.PlanCacheHits != 0 || p.PlanCacheMisses != 5 {
-		t.Errorf("disabled cache: want 0 hits / 5 misses, got %d / %d", p.PlanCacheHits, p.PlanCacheMisses)
-	}
-	if c.PlanCacheLen() != 0 {
-		t.Errorf("disabled cache stored %d plans", c.PlanCacheLen())
-	}
-}
-
 // TestPlanCacheConcurrentSessionsAndDDL races concurrent writer sessions
 // (hitting their cached plans) against repeated CREATE/DROP VIEW DDL
 // (bumping the catalog version) and verifies no stale plan ever executes:

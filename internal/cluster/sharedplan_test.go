@@ -22,11 +22,11 @@ func eqInt(col string, v int64) expr.Cmp {
 // the group, statistics drift on the shared probe table, concurrent DDL),
 // and the reference-counted lifecycle of deduplicated auxiliary relations.
 
-// newSharedTPCR is newTPCR with control over plan sharing: the customer /
-// orders / lineitem schema, loaded and stats-refreshed.
-func newSharedTPCR(t *testing.T, nodes int, disableSharing bool) *Cluster {
+// newSharedTPCR builds the customer / orders / lineitem schema, loaded and
+// stats-refreshed.
+func newSharedTPCR(t *testing.T, nodes int) *Cluster {
 	t.Helper()
-	c, err := New(Config{Nodes: nodes, DisablePlanSharing: disableSharing})
+	c, err := New(Config{Nodes: nodes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func checkSharedGroup(t *testing.T, c *Cluster, n int) {
 // pipeline already guarantees.
 func TestSharedGroupConsistencyAndAttribution(t *testing.T) {
 	const nviews = 6
-	c := newSharedTPCR(t, 4, false)
+	c := newSharedTPCR(t, 4)
 	createSharedGroup(t, c, nviews)
 	c.ResetMetrics()
 
@@ -131,32 +131,39 @@ func TestSharedGroupConsistencyAndAttribution(t *testing.T) {
 	checkSharedGroup(t, c, nviews)
 }
 
-// TestSharedGroupBeatsPerViewExecution runs the identical schema and
-// statement stream with and without plan sharing: both end exactly
-// consistent, and the shared executor does strictly less I/O and
-// messaging — the tentpole's whole point.
+// TestSharedGroupBeatsPerViewExecution runs the identical statement stream
+// against one view and against a shared group of eight: both end exactly
+// consistent, and the shared executor does strictly less I/O and messaging
+// than eight independent pipelines would — the non-view work once plus
+// eight times the one-view run's view stage, which serial dispatch
+// attributes exactly.
 func TestSharedGroupBeatsPerViewExecution(t *testing.T) {
 	const nviews, stmts = 8, 6
-	run := func(disable bool) (int64, int64) {
-		c := newSharedTPCR(t, 4, disable)
-		createSharedGroup(t, c, nviews)
+	run := func(n int) Metrics {
+		c := newSharedTPCR(t, 4)
+		createSharedGroup(t, c, n)
 		c.ResetMetrics()
 		for i := 0; i < stmts; i++ {
 			if err := c.Insert("customer", []types.Tuple{cust(int64(200+i), 3)}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		checkSharedGroup(t, c, nviews)
-		m := c.Metrics()
-		return m.TotalIOs(), m.Net.Messages
+		m := c.Metrics() // before the consistency checks add their reads
+		checkSharedGroup(t, c, n)
+		return m
 	}
-	baseIOs, baseMsgs := run(true)
-	sharedIOs, sharedMsgs := run(false)
-	if sharedIOs >= baseIOs {
-		t.Errorf("shared execution did not reduce I/O: %d vs %d per-view", sharedIOs, baseIOs)
+	one, shared := run(1), run(nviews)
+	view := one.Pipeline.Stages["view"]
+	if view.Pages == 0 || view.Messages == 0 {
+		t.Fatalf("one-view run attributed nothing to its view stage: %+v", one.Pipeline.Stages)
 	}
-	if sharedMsgs >= baseMsgs {
-		t.Errorf("shared execution did not reduce messages: %d vs %d per-view", sharedMsgs, baseMsgs)
+	baseIOs := one.TotalIOs() + (nviews-1)*view.Pages
+	baseMsgs := one.Net.Messages + (nviews-1)*view.Messages
+	if shared.TotalIOs() >= baseIOs {
+		t.Errorf("shared execution did not reduce I/O: %d vs %d per-view", shared.TotalIOs(), baseIOs)
+	}
+	if shared.Net.Messages >= baseMsgs {
+		t.Errorf("shared execution did not reduce messages: %d vs %d per-view", shared.Net.Messages, baseMsgs)
 	}
 }
 
@@ -166,7 +173,7 @@ func TestSharedGroupBeatsPerViewExecution(t *testing.T) {
 // view — the plan loses shared potential entirely and the classic per-view
 // path takes over.
 func TestSharedGroupDropViewInvalidation(t *testing.T) {
-	c := newSharedTPCR(t, 4, false)
+	c := newSharedTPCR(t, 4)
 	createSharedGroup(t, c, 3)
 
 	// Warm the shared plan and confirm steady-state reuse.
@@ -241,7 +248,7 @@ func TestSharedGroupDropViewInvalidation(t *testing.T) {
 // nodes probe drift, the cached shared plan recompiles, exactly like the
 // per-view pipeline's guarantee.
 func TestSharedGroupStatsDriftInvalidation(t *testing.T) {
-	c := newSharedTPCR(t, 4, false)
+	c := newSharedTPCR(t, 4)
 	createSharedGroup(t, c, 3)
 
 	if err := c.Insert("customer", []types.Tuple{cust(400, 1)}); err != nil {
@@ -279,7 +286,7 @@ func TestSharedGroupStatsDriftInvalidation(t *testing.T) {
 // executor's memoization.
 func TestSharedGroupConcurrentDDLDML(t *testing.T) {
 	const nviews, writers, stmts, ddlRounds = 20, 3, 8, 6
-	c := newSharedTPCR(t, 4, false)
+	c := newSharedTPCR(t, 4)
 	createSharedGroup(t, c, nviews)
 
 	errs := make([]error, writers+2)
@@ -344,7 +351,7 @@ func TestSharedGroupConcurrentDDLDML(t *testing.T) {
 // materializing a twin, the AR survives as long as any referencing view
 // does, and the last DROP VIEW garbage-collects it.
 func TestAutoAuxRelDedupAndRefcount(t *testing.T) {
-	c := newSharedTPCR(t, 4, false)
+	c := newSharedTPCR(t, 4)
 
 	if err := c.CreateView(jv1Def("jv_a", catalog.StrategyAuto)); err != nil {
 		t.Fatal(err)
@@ -400,7 +407,7 @@ func TestAutoAuxRelDedupAndRefcount(t *testing.T) {
 // an AR the user materialized explicitly is reused by views but outlives
 // them all — only an explicit DropAuxRel removes it.
 func TestUserAuxRelNeverAutoDropped(t *testing.T) {
-	c := newSharedTPCR(t, 4, false)
+	c := newSharedTPCR(t, 4)
 	if err := c.CreateAuxRel(&catalog.AuxRel{
 		Name: "ar_mine", Table: "orders", PartitionCol: "custkey",
 	}); err != nil {

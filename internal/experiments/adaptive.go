@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"joinview/internal/catalog"
 	"joinview/internal/cluster"
@@ -22,30 +21,6 @@ import (
 // keeping every option open: StrategyAuto re-chooses per statement from
 // the cached plan's precompiled options and must match the best fixed
 // method's total workload while the mispinned methods fall behind.
-
-// AdaptiveResult is one strategy's totals over the mixed stream.
-type AdaptiveResult struct {
-	L          int
-	Strategy   string
-	Statements int
-	Tuples     int
-	// TWIOs and MaxNodeIOs are the summed total workload and the summed
-	// per-statement response proxy; Messages counts interconnect traffic.
-	TWIOs      int64
-	MaxNodeIOs int64
-	Messages   int64
-	// Plan-cache effectiveness over the stream: with DDL quiescent, every
-	// statement after the first should reuse the compiled pipeline.
-	PlanCacheHits    int64
-	PlanCacheMisses  int64
-	PlanCacheHitRate float64
-	// StagePages breaks the I/Os down by pipeline stage kind (serial
-	// dispatch attributes exactly).
-	StagePages map[string]int64
-	// Picks counts, for the adaptive run only, how many statements the
-	// advisor resolved to each method; fixed runs leave it nil.
-	Picks map[string]int
-}
 
 // AdaptiveDelta is one statement of the mixed stream.
 type AdaptiveDelta struct {
@@ -95,12 +70,11 @@ func adaptiveTuples(d AdaptiveDelta, nextID *int64, rng *rand.Rand, zipf *rand.Z
 	return out
 }
 
-// loadAdaptive creates the experiment schema: a(id, c, payload)
-// partitioned on the join attribute c (so inserts into a maintain no
-// auxiliary structures, whatever the strategy), b(id, d, payload)
-// partitioned on id with a secondary index on d, pre-loaded with
-// adaptiveJoinValues × adaptiveFanout rows, and jv = a ⋈ b under the given
-// strategy.
+// loadAdaptive creates the schema the adaptive, async and replica grids
+// share: a(id, c, payload) partitioned on the join attribute c (so inserts
+// into a maintain no auxiliary structures, whatever the strategy),
+// b(id, d, payload) pre-loaded with adaptiveJoinValues × adaptiveFanout
+// rows, and jv = a ⋈ b under the given strategy.
 func loadAdaptive(c *cluster.Cluster, strategy catalog.Strategy) error {
 	if err := loadPair(c, "", "c", adaptiveJoinValues, adaptiveFanout, strategy); err != nil {
 		return err
@@ -109,159 +83,37 @@ func loadAdaptive(c *cluster.Cluster, strategy catalog.Strategy) error {
 	return nil
 }
 
-// AdaptiveStrategies lists the compared methods; the adaptive entry is
+// adaptiveMethods are the compared runs: each pinned method, then
 // StrategyAuto, the cost-advisor-driven chooser.
-func AdaptiveStrategies() []struct {
-	Label    string
-	Strategy catalog.Strategy
-} {
-	return []struct {
-		Label    string
-		Strategy catalog.Strategy
-	}{
-		{"naive", catalog.StrategyNaive},
-		{"auxiliary relation", catalog.StrategyAuxRel},
-		{"global index", catalog.StrategyGlobalIndex},
-		{"adaptive", catalog.StrategyAuto},
-	}
+var adaptiveMethods = []Variant{
+	{Label: "naive", Strategy: catalog.StrategyNaive},
+	{Label: "auxiliary relation", Strategy: catalog.StrategyAuxRel},
+	{Label: "global index", Strategy: catalog.StrategyGlobalIndex},
+	{Label: "adaptive", Strategy: catalog.StrategyAuto},
 }
 
-// AdaptiveStrategy runs the mixed stream once per method on an l-node
-// cluster and reports each method's totals.
-func AdaptiveStrategy(l, statements int) ([]AdaptiveResult, error) {
-	deltas := AdaptiveDeltas(statements)
-	var out []AdaptiveResult
-	for _, st := range AdaptiveStrategies() {
-		r, err := runAdaptive(l, st.Label, st.Strategy, deltas)
-		if err != nil {
-			return nil, fmt.Errorf("L=%d %s: %w", l, st.Label, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-func runAdaptive(l int, label string, strategy catalog.Strategy, deltas []AdaptiveDelta) (AdaptiveResult, error) {
-	c, err := newCluster(cluster.Config{Nodes: l, Algo: node.AlgoIndex})
-	if err != nil {
-		return AdaptiveResult{}, err
-	}
-	defer c.Close()
-	if err := loadAdaptive(c, strategy); err != nil {
-		return AdaptiveResult{}, err
-	}
-
-	adaptive := strategy == catalog.StrategyAuto
-	var picks map[string]int
-	var view *catalog.View
-	if adaptive {
-		picks = map[string]int{}
-		view, err = c.Catalog().View("jv")
-		if err != nil {
-			return AdaptiveResult{}, err
-		}
-	}
-	rng := rand.New(rand.NewSource(7))
-	zipf := rand.NewZipf(rand.New(rand.NewSource(11)), 1.5, 1, uint64(adaptiveJoinValues-1))
-	nextID := int64(2_000_000)
-	tuples := 0
-	res := AdaptiveResult{L: l, Strategy: label, Statements: len(deltas)}
-	for _, d := range deltas {
-		batch := adaptiveTuples(d, &nextID, rng, zipf)
-		tuples += len(batch)
-		if adaptive {
-			s, err := c.ResolveStrategy(view, "a", len(batch))
-			if err != nil {
-				return AdaptiveResult{}, err
-			}
-			picks[s.String()]++
-		}
-		before := c.Metrics()
-		if err := c.Insert("a", batch); err != nil {
-			return AdaptiveResult{}, err
-		}
-		d := c.Metrics().Sub(before)
-		res.TWIOs += d.TotalIOs()
-		res.MaxNodeIOs += d.MaxNodeIOs()
-	}
-	m := c.Metrics()
-	res.Tuples = tuples
-	res.Messages = m.Net.Messages
-	res.PlanCacheHits = m.Pipeline.PlanCacheHits
-	res.PlanCacheMisses = m.Pipeline.PlanCacheMisses
-	res.PlanCacheHitRate = m.Pipeline.HitRate()
-	res.StagePages = map[string]int64{}
-	for kind, sc := range m.Pipeline.Stages {
-		res.StagePages[kind] = sc.Pages
-	}
-	res.Picks = picks
-	return res, nil
-}
-
-// AdaptiveGrid formats the results.
-func AdaptiveGrid(rs []AdaptiveResult) Grid {
-	g := Grid{
-		Title: "Adaptive strategy (extension): fixed methods vs the cost advisor over a mixed delta stream",
-		Header: []string{"L", "method", "stmts", "tuples", "tw-ios", "maxnode-ios", "msgs",
-			"cache hit%", "picks"},
-	}
-	for _, r := range rs {
-		g.Rows = append(g.Rows, []string{
-			fmt.Sprintf("%d", r.L),
-			r.Strategy,
-			fmt.Sprintf("%d", r.Statements),
-			fmt.Sprintf("%d", r.Tuples),
-			fmt.Sprintf("%d", r.TWIOs),
-			fmt.Sprintf("%d", r.MaxNodeIOs),
-			fmt.Sprintf("%d", r.Messages),
-			fmt.Sprintf("%.1f", 100*r.PlanCacheHitRate),
-			formatPicks(r.Picks),
-		})
-	}
-	return g
-}
-
-func formatPicks(picks map[string]int) string {
-	if len(picks) == 0 {
-		return "-"
-	}
-	keys := make([]string, 0, len(picks))
-	for k := range picks {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	s := ""
-	for i, k := range keys {
-		if i > 0 {
-			s += " "
-		}
-		s += fmt.Sprintf("%s:%d", k, picks[k])
-	}
-	return s
-}
-
-// AdaptiveCost runs the mixed stream once per method on an l-node cluster
-// and reports each method's total workload, summed per-statement
-// busiest-node I/Os and messages; for the adaptive run the last column
-// counts how many statements the advisor resolved to each fixed method.
-func AdaptiveCost(l, statements int) (Grid, error) {
+// AdaptiveStrategy runs the mixed stream once per fixed method and once
+// under StrategyAuto on an l-node cluster and reports each run's total
+// workload, summed per-statement busiest-node I/Os and messages; for the
+// adaptive run the last column counts how many statements the advisor
+// resolved to each fixed method.
+func AdaptiveStrategy(l, statements int) (Grid, error) {
 	g := Grid{
 		Title:  "Adaptive strategy (extension): fixed methods vs the cost advisor over a mixed delta stream",
 		Header: []string{"L", "method", "stmts", "tuples", "tw-ios", "maxnode-ios", "msgs", "picks naive/AR/GI"},
 	}
-	fixed := []catalog.Strategy{catalog.StrategyNaive, catalog.StrategyAuxRel, catalog.StrategyGlobalIndex}
-	for _, st := range AdaptiveStrategies() {
+	cell := func(v Variant) error {
 		c, err := newCluster(cluster.Config{Nodes: l, Algo: node.AlgoIndex})
 		if err != nil {
-			return Grid{}, err
+			return err
 		}
 		defer c.Close()
-		if err := loadAdaptive(c, st.Strategy); err != nil {
-			return Grid{}, err
+		if err := loadAdaptive(c, v.Strategy); err != nil {
+			return err
 		}
 		view, err := c.Catalog().View("jv")
 		if err != nil {
-			return Grid{}, err
+			return err
 		}
 		rng := rand.New(rand.NewSource(7))
 		zipf := rand.NewZipf(rand.New(rand.NewSource(11)), 1.5, 1, uint64(adaptiveJoinValues-1))
@@ -272,28 +124,33 @@ func AdaptiveCost(l, statements int) (Grid, error) {
 		for _, d := range AdaptiveDeltas(statements) {
 			batch := adaptiveTuples(d, &nextID, rng, zipf)
 			tuples += len(batch)
-			if st.Strategy == catalog.StrategyAuto {
-				s, err := c.ResolveStrategy(view, "a", len(batch))
-				if err != nil {
-					return Grid{}, err
-				}
-				picks[s]++
+			s, err := c.ResolveStrategy(view, "a", len(batch))
+			if err != nil {
+				return err
 			}
+			picks[s]++
 			before := c.Metrics()
 			if err := c.Insert("a", batch); err != nil {
-				return Grid{}, fmt.Errorf("L=%d %s: %w", l, st.Label, err)
+				return err
 			}
 			maxNode += c.Metrics().Sub(before).MaxNodeIOs()
 		}
-		m := c.Metrics()
 		pickCell := "-"
-		if st.Strategy == catalog.StrategyAuto {
-			pickCell = fmt.Sprintf("%d/%d/%d", picks[fixed[0]], picks[fixed[1]], picks[fixed[2]])
+		if v.Strategy == catalog.StrategyAuto {
+			pickCell = fmt.Sprintf("%d/%d/%d", picks[catalog.StrategyNaive],
+				picks[catalog.StrategyAuxRel], picks[catalog.StrategyGlobalIndex])
 		}
+		m := c.Metrics()
 		g.Rows = append(g.Rows, []string{
-			fmt.Sprint(l), st.Label, fmt.Sprint(statements), fmt.Sprint(tuples),
+			fmt.Sprint(l), v.Label, fmt.Sprint(statements), fmt.Sprint(tuples),
 			fmt.Sprint(m.TotalIOs()), fmt.Sprint(maxNode), fmt.Sprint(m.Net.Messages), pickCell,
 		})
+		return nil
+	}
+	for _, v := range adaptiveMethods {
+		if err := cell(v); err != nil {
+			return Grid{}, fmt.Errorf("L=%d %s: %w", l, v.Label, err)
+		}
 	}
 	return g, nil
 }

@@ -1,9 +1,11 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation: the analytical-model curves of Figures 7–12, the Figure 13
+// evaluation — the analytical-model curves of Figures 7–12, the Figure 13
 // predictions, and the measured counterparts run on the cluster simulator
 // (including Figure 14's measured maintenance cost and Table 1's data
-// set). cmd/jvbench prints these as the rows/series the paper plots, and
-// the root benchmarks wrap them in testing.B.
+// set) — plus the repo's extension experiments, all in logical cost (page
+// I/Os, messages). Registry (registry.go) lists them; cmd/jvbench prints
+// them as the rows/series the paper plots and TestTransportEquivalence
+// pins each one to a golden file on both transports.
 package experiments
 
 import (
@@ -115,11 +117,7 @@ func (g Grid) Slug() string {
 			sb.WriteRune(r)
 		case r == ' ' || r == '-' || r == '_':
 			sb.WriteByte('-')
-		case r == ':' || r == '(' || r == ')':
-			// drop
-		default:
-			// drop anything else
-		}
+		} // anything else is dropped
 		if sb.Len() > 48 {
 			break
 		}
@@ -227,12 +225,20 @@ func Variants() []Variant {
 	}
 }
 
+// extensionVariants are the three methods the extension experiments
+// compare: the routed ones and the naive method at its best (clustered).
+var extensionVariants = []Variant{
+	{Label: "auxiliary relation", Strategy: catalog.StrategyAuxRel},
+	{Label: "global index", Strategy: catalog.StrategyGlobalIndex},
+	{Label: "naive (clustered index)", Strategy: catalog.StrategyNaive, ClusterB: true},
+}
+
 // MeasuredTW runs one single-tuple insert on a fresh cluster and returns
 // the maintenance-only total workload: all I/Os except the base-relation
 // insert and the view writes, which §3.1 excludes ("the same updates must
 // be performed ... in our model we omit the cost of these updates").
 func MeasuredTW(l, fanout int, v Variant) (int64, error) {
-	c, spec, err := loadTwoRel(l, fanout, v)
+	c, spec, err := loadTwoRel(cluster.Config{Nodes: l, Algo: node.AlgoIndex}, workload.TwoRel{Fanout: fanout}, v)
 	if err != nil {
 		return 0, err
 	}
@@ -256,7 +262,7 @@ func MeasuredTW(l, fanout int, v Variant) (int64, error) {
 // maximum per-node I/O count (the response-time proxy) and the total
 // workload. algo pins the join algorithm as the paper's figures do.
 func MeasuredResponse(l, fanout, a int, v Variant, algo node.Algo) (maxNode, total int64, err error) {
-	c, spec, err := loadTwoRelAlgo(l, fanout, v, algo)
+	c, spec, err := loadTwoRel(cluster.Config{Nodes: l, Algo: algo}, workload.TwoRel{Fanout: fanout}, v)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -270,69 +276,54 @@ func MeasuredResponse(l, fanout, a int, v Variant, algo node.Algo) (maxNode, tot
 	return d.MaxNodeIOs(), d.TotalIOs(), nil
 }
 
-func loadTwoRel(l, fanout int, v Variant) (*cluster.Cluster, workload.TwoRel, error) {
-	return loadTwoRelAlgo(l, fanout, v, node.AlgoIndex)
-}
-
-func loadTwoRelAlgo(l, fanout int, v Variant, algo node.Algo) (*cluster.Cluster, workload.TwoRel, error) {
-	c, err := newCluster(cluster.Config{Nodes: l, Algo: algo})
+// loadTwoRel builds a cluster from cfg and loads the paper's two-relation
+// workload (640 join values) for one variant; the caller closes it.
+func loadTwoRel(cfg cluster.Config, spec workload.TwoRel, v Variant) (*cluster.Cluster, workload.TwoRel, error) {
+	c, err := newCluster(cfg)
 	if err != nil {
-		return nil, workload.TwoRel{}, err
+		return nil, spec, err
 	}
-	spec := workload.TwoRel{JoinValues: 640, Fanout: fanout, ClusterBOnJoin: v.ClusterB}
+	spec.JoinValues, spec.ClusterBOnJoin = 640, v.ClusterB
 	if err := spec.Load(c, v.Strategy); err != nil {
 		c.Close()
-		return nil, workload.TwoRel{}, err
+		return nil, spec, err
 	}
 	return c, spec.Defaulted(), nil
+}
+
+// variantGrid measures one cell per (axis value, method variant): the
+// layout of Figures 7–11, one row per axis value, one column per variant.
+func variantGrid(title, axis string, xs []int, cell func(x int, v Variant) (int64, error)) (Grid, error) {
+	g := Grid{Title: title, Header: []string{axis}}
+	for _, v := range Variants() {
+		g.Header = append(g.Header, v.Label)
+	}
+	for _, x := range xs {
+		row := []string{fmt.Sprintf("%d", x)}
+		for _, v := range Variants() {
+			y, err := cell(x, v)
+			if err != nil {
+				return Grid{}, fmt.Errorf("%s=%d %s: %w", axis, x, v.Label, err)
+			}
+			row = append(row, fmt.Sprintf("%d", y))
+		}
+		g.Rows = append(g.Rows, row)
+	}
+	return g, nil
 }
 
 // Fig7Measured reruns Figure 7 on the simulator: measured maintenance TW
 // per single-tuple insert vs L, for all five variants.
 func Fig7Measured(ls []int) (Grid, error) {
-	g := Grid{
-		Title:  "Fig 7 (measured): maintenance TW per single-tuple insert vs L",
-		Header: []string{"L"},
-	}
-	for _, v := range Variants() {
-		g.Header = append(g.Header, v.Label)
-	}
-	for _, l := range ls {
-		row := []string{fmt.Sprintf("%d", l)}
-		for _, v := range Variants() {
-			tw, err := MeasuredTW(l, PaperN, v)
-			if err != nil {
-				return Grid{}, fmt.Errorf("L=%d %s: %w", l, v.Label, err)
-			}
-			row = append(row, fmt.Sprintf("%d", tw))
-		}
-		g.Rows = append(g.Rows, row)
-	}
-	return g, nil
+	return variantGrid("Fig 7 (measured): maintenance TW per single-tuple insert vs L", "L", ls,
+		func(l int, v Variant) (int64, error) { return MeasuredTW(l, PaperN, v) })
 }
 
 // Fig8Measured reruns Figure 8: measured maintenance TW per single-tuple
 // insert vs the join fan-out N, at fixed L.
 func Fig8Measured(l int, ns []int) (Grid, error) {
-	g := Grid{
-		Title:  fmt.Sprintf("Fig 8 (measured): maintenance TW per single-tuple insert vs N (L=%d)", l),
-		Header: []string{"N"},
-	}
-	for _, v := range Variants() {
-		g.Header = append(g.Header, v.Label)
-	}
-	for _, n := range ns {
-		row := []string{fmt.Sprintf("%d", n)}
-		for _, v := range Variants() {
-			tw, err := MeasuredTW(l, n, v)
-			if err != nil {
-				return Grid{}, fmt.Errorf("N=%d %s: %w", n, v.Label, err)
-			}
-			row = append(row, fmt.Sprintf("%d", tw))
-		}
-		g.Rows = append(g.Rows, row)
-	}
-	return g, nil
+	return variantGrid(fmt.Sprintf("Fig 8 (measured): maintenance TW per single-tuple insert vs N (L=%d)", l), "N", ns,
+		func(n int, v Variant) (int64, error) { return MeasuredTW(l, n, v) })
 }
 
 // Fig9Measured reruns Figure 9: response time (max per-node I/Os) of one
@@ -352,44 +343,18 @@ func Fig10Measured(ls []int) (Grid, error) {
 // Fig11Measured reruns Figure 11 at fixed L with the per-node automatic
 // algorithm choice.
 func Fig11Measured(l int, as []int) (Grid, error) {
-	g := Grid{
-		Title:  fmt.Sprintf("Fig 11 (measured): response (max per-node I/Os) vs tuples inserted (L=%d)", l),
-		Header: []string{"A"},
-	}
-	for _, v := range Variants() {
-		g.Header = append(g.Header, v.Label)
-	}
-	for _, a := range as {
-		row := []string{fmt.Sprintf("%d", a)}
-		for _, v := range Variants() {
+	return variantGrid(fmt.Sprintf("Fig 11 (measured): response (max per-node I/Os) vs tuples inserted (L=%d)", l), "A", as,
+		func(a int, v Variant) (int64, error) {
 			mx, _, err := MeasuredResponse(l, PaperN, a, v, node.AlgoAuto)
-			if err != nil {
-				return Grid{}, err
-			}
-			row = append(row, fmt.Sprintf("%d", mx))
-		}
-		g.Rows = append(g.Rows, row)
-	}
-	return g, nil
+			return mx, err
+		})
 }
 
 func measuredResponseGrid(title string, ls []int, a int, algo node.Algo) (Grid, error) {
-	g := Grid{Title: title, Header: []string{"L"}}
-	for _, v := range Variants() {
-		g.Header = append(g.Header, v.Label)
-	}
-	for _, l := range ls {
-		row := []string{fmt.Sprintf("%d", l)}
-		for _, v := range Variants() {
-			mx, _, err := MeasuredResponse(l, PaperN, a, v, algo)
-			if err != nil {
-				return Grid{}, fmt.Errorf("L=%d %s: %w", l, v.Label, err)
-			}
-			row = append(row, fmt.Sprintf("%d", mx))
-		}
-		g.Rows = append(g.Rows, row)
-	}
-	return g, nil
+	return variantGrid(title, "L", ls, func(l int, v Variant) (int64, error) {
+		mx, _, err := MeasuredResponse(l, PaperN, a, v, algo)
+		return mx, err
+	})
 }
 
 // Fig13Predicted reproduces Figure 13: the model's predicted maintenance
@@ -446,40 +411,42 @@ func Fig14Measured(ls []int, custScaleDiv int, a int) ([]Fig14Result, error) {
 	}
 	spec := workload.TPCR{Customers: 150000 / custScaleDiv}.Defaulted()
 	var out []Fig14Result
+	cell := func(l int, method catalog.Strategy) error {
+		c, err := newCluster(cluster.Config{Nodes: l})
+		if err != nil {
+			return err
+		}
+		defer c.Close()
+		if err := spec.Load(c); err != nil {
+			return err
+		}
+		for _, vd := range []*catalog.View{paperJV1(method), paperJV2(method)} {
+			if err := c.CreateView(vd); err != nil {
+				return err
+			}
+			delta, err := spec.NewCustomers(a)
+			if err != nil {
+				return err
+			}
+			nTuples, m, err := c.ComputeViewDeltaOnly(vd.Name, "customer", delta, method)
+			if err != nil {
+				return err
+			}
+			out = append(out, Fig14Result{
+				L: l, View: vd.Name, Method: method,
+				JoinTuples: nTuples,
+				MaxNodeIOs: m.MaxNodeIOs(),
+				TotalIOs:   m.TotalIOs(),
+				Messages:   m.Net.Messages,
+			})
+		}
+		return nil
+	}
 	for _, l := range ls {
 		for _, method := range []catalog.Strategy{catalog.StrategyAuxRel, catalog.StrategyNaive, catalog.StrategyGlobalIndex} {
-			c, err := newCluster(cluster.Config{Nodes: l})
-			if err != nil {
+			if err := cell(l, method); err != nil {
 				return nil, err
 			}
-			if err := spec.Load(c); err != nil {
-				c.Close()
-				return nil, err
-			}
-			for _, vd := range []*catalog.View{paperJV1(method), paperJV2(method)} {
-				if err := c.CreateView(vd); err != nil {
-					c.Close()
-					return nil, err
-				}
-				delta, err := spec.NewCustomers(a)
-				if err != nil {
-					c.Close()
-					return nil, err
-				}
-				nTuples, m, err := c.ComputeViewDeltaOnly(vd.Name, "customer", delta, method)
-				if err != nil {
-					c.Close()
-					return nil, err
-				}
-				out = append(out, Fig14Result{
-					L: l, View: vd.Name, Method: method,
-					JoinTuples: nTuples,
-					MaxNodeIOs: m.MaxNodeIOs(),
-					TotalIOs:   m.TotalIOs(),
-					Messages:   m.Net.Messages,
-				})
-			}
-			c.Close()
 		}
 	}
 	return out, nil
@@ -539,17 +506,10 @@ func BufferingEffect(l, a, bufferPages int) (Grid, error) {
 		Title:  fmt.Sprintf("Buffering effect (§3.3): delta join of a %d-tuple transaction, L=%d, %d-page pools", a, l, bufferPages),
 		Header: []string{"method", "logical I/Os (model)", "physical I/Os (cached)"},
 	}
-	for _, v := range []Variant{
-		{Label: "naive (clustered index)", Strategy: catalog.StrategyNaive, ClusterB: true},
-		{Label: "auxiliary relation", Strategy: catalog.StrategyAuxRel},
-	} {
-		c, err := newCluster(cluster.Config{Nodes: l, Algo: node.AlgoIndex, BufferPages: bufferPages})
+	for _, v := range []Variant{extensionVariants[2], extensionVariants[0]} {
+		c, spec, err := loadTwoRel(cluster.Config{Nodes: l, Algo: node.AlgoIndex, BufferPages: bufferPages},
+			workload.TwoRel{Fanout: PaperN}, v)
 		if err != nil {
-			return Grid{}, err
-		}
-		spec := workload.TwoRel{JoinValues: 640, Fanout: PaperN, ClusterBOnJoin: v.ClusterB}
-		if err := spec.Load(c, v.Strategy); err != nil {
-			c.Close()
 			return Grid{}, err
 		}
 		// The load leaves the relations resident, as a production system
@@ -581,45 +541,48 @@ func NetworkSensitivity(l, streamLen int, latency time.Duration) (Grid, error) {
 			streamLen, l, latency),
 		Header: []string{"method", "messages", "µs/update (free net)", "µs/update (slow net)"},
 	}
-	for _, v := range []Variant{
-		{Label: "auxiliary relation", Strategy: catalog.StrategyAuxRel},
-		{Label: "global index", Strategy: catalog.StrategyGlobalIndex},
-		{Label: "naive (clustered index)", Strategy: catalog.StrategyNaive, ClusterB: true},
-	} {
-		var msgs int64
-		var micros [2]float64
-		for i, lat := range []time.Duration{0, latency} {
-			c, err := newCluster(cluster.Config{
-				Nodes: l, Algo: node.AlgoIndex, UseChannels: true, NetLatency: lat,
-			})
-			if err != nil {
-				return Grid{}, err
-			}
-			spec := workload.TwoRel{JoinValues: 640, Fanout: PaperN, ClusterBOnJoin: v.ClusterB}
-			if err := spec.Load(c, v.Strategy); err != nil {
-				c.Close()
-				return Grid{}, err
-			}
-			delta := spec.AInserts(streamLen, 1)
-			start := time.Now()
-			for _, tup := range delta {
-				if err := c.Insert("a", []types.Tuple{tup}); err != nil {
-					c.Close()
-					return Grid{}, err
-				}
-			}
-			micros[i] = float64(time.Since(start).Microseconds()) / float64(streamLen)
-			msgs = c.Metrics().Net.Messages
-			c.Close()
+	// run replays the stream at one latency: messages sent, µs per update.
+	run := func(v Variant, lat time.Duration) (int64, float64, error) {
+		c, spec, err := loadTwoRel(cluster.Config{Nodes: l, Algo: node.AlgoIndex, UseChannels: true, NetLatency: lat},
+			workload.TwoRel{Fanout: PaperN}, v)
+		if err != nil {
+			return 0, 0, err
+		}
+		defer c.Close()
+		start := time.Now()
+		if err := insertEach(c, spec.AInserts(streamLen, 1)); err != nil {
+			return 0, 0, err
+		}
+		micros := float64(time.Since(start).Microseconds()) / float64(streamLen)
+		return c.Metrics().Net.Messages, micros, nil
+	}
+	for _, v := range extensionVariants {
+		_, free, err := run(v, 0)
+		if err != nil {
+			return Grid{}, err
+		}
+		msgs, slow, err := run(v, latency)
+		if err != nil {
+			return Grid{}, err
 		}
 		g.Rows = append(g.Rows, []string{
 			v.Label,
 			fmt.Sprintf("%d", msgs),
-			fmt.Sprintf("%.0f", micros[0]),
-			fmt.Sprintf("%.0f", micros[1]),
+			fmt.Sprintf("%.0f", free),
+			fmt.Sprintf("%.0f", slow),
 		})
 	}
 	return g, nil
+}
+
+// insertEach inserts delta into "a" one single-row statement at a time.
+func insertEach(c *cluster.Cluster, delta []types.Tuple) error {
+	for _, tup := range delta {
+		if err := c.Insert("a", []types.Tuple{tup}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // SkewSensitivity extends the paper's uniform-distribution assumption 9:
@@ -632,21 +595,13 @@ func SkewSensitivity(l, a int, zipfS float64) (Grid, error) {
 		Title:  fmt.Sprintf("Skew sensitivity (extension): response of a %d-tuple transaction, L=%d, Zipf s=%.1f", a, l, zipfS),
 		Header: []string{"method", "uniform maxnode I/Os", "skewed maxnode I/Os", "skew penalty"},
 	}
-	for _, v := range []Variant{
-		{Label: "auxiliary relation", Strategy: catalog.StrategyAuxRel},
-		{Label: "global index", Strategy: catalog.StrategyGlobalIndex},
-		{Label: "naive (clustered index)", Strategy: catalog.StrategyNaive, ClusterB: true},
-	} {
+	for _, v := range extensionVariants {
 		measure := func(zs float64) (int64, error) {
-			c, err := newCluster(cluster.Config{Nodes: l, Algo: node.AlgoIndex})
+			c, spec, err := loadTwoRel(cluster.Config{Nodes: l, Algo: node.AlgoIndex}, workload.TwoRel{Fanout: 1, ZipfS: zs}, v)
 			if err != nil {
 				return 0, err
 			}
 			defer c.Close()
-			spec := workload.TwoRel{JoinValues: 640, Fanout: 1, ClusterBOnJoin: v.ClusterB, ZipfS: zs}
-			if err := spec.Load(c, v.Strategy); err != nil {
-				return 0, err
-			}
 			before := c.Metrics()
 			if err := c.Insert("a", spec.AInserts(a, 1)); err != nil {
 				return 0, err
@@ -685,33 +640,22 @@ func StorageTradeoff(l, fanout int) (Grid, error) {
 		{Label: "auxiliary relation", Strategy: catalog.StrategyAuxRel, ClusterB: false},
 		{Label: "global index", Strategy: catalog.StrategyGlobalIndex, ClusterB: false},
 	} {
-		c, spec, err := loadTwoRel(l, fanout, v)
+		c, _, err := loadTwoRel(cluster.Config{Nodes: l, Algo: node.AlgoIndex}, workload.TwoRel{Fanout: fanout}, v)
 		if err != nil {
 			return Grid{}, err
 		}
 		rep, err := c.StorageReport()
-		if err != nil {
-			c.Close()
-			return Grid{}, err
-		}
-		overhead := rep.Overhead()
-		delta := spec.AInserts(1, 1)
-		before := c.Metrics()
-		if err := c.Insert("a", delta); err != nil {
-			c.Close()
-			return Grid{}, err
-		}
-		d := c.Metrics().Sub(before)
-		vrows, err := c.ViewRows("jv")
-		if err != nil {
-			c.Close()
-			return Grid{}, err
-		}
 		c.Close()
-		tw := d.TotalIOs() - 2 - 2*int64(len(vrows))
+		if err != nil {
+			return Grid{}, err
+		}
+		tw, err := MeasuredTW(l, fanout, v)
+		if err != nil {
+			return Grid{}, err
+		}
 		g.Rows = append(g.Rows, []string{
 			v.Label,
-			fmt.Sprintf("%d", overhead),
+			fmt.Sprintf("%d", rep.Overhead()),
 			fmt.Sprintf("%d", rep.OverheadValues()),
 			fmt.Sprintf("%d", tw),
 		})
@@ -737,75 +681,60 @@ func Durability(l, streamLen, ckptEvery int) (Grid, error) {
 		Header: []string{"method", "I/Os plain", "I/Os durable", "msgs plain", "msgs durable",
 			"replay pages", "rebuild pages"},
 	}
-	for _, v := range []Variant{
-		{Label: "auxiliary relation", Strategy: catalog.StrategyAuxRel},
-		{Label: "global index", Strategy: catalog.StrategyGlobalIndex},
-		{Label: "naive (clustered index)", Strategy: catalog.StrategyNaive, ClusterB: true},
-	} {
-		var ios, msgs [2]int64
-		var replayPages, rebuildPages int64
-		for i, durable := range []bool{false, true} {
-			c, err := newCluster(cluster.Config{
-				Nodes: l, Algo: node.AlgoIndex,
-				Durability: durable, CheckpointEvery: ckptEvery,
-			})
-			if err != nil {
-				return Grid{}, err
+	// run streams the inserts plain or durable, then fails node 0 and
+	// recovers it: stream I/Os, stream messages, recovery page I/Os.
+	run := func(v Variant, durable bool) (ios, msgs, recoveryPages int64, err error) {
+		c, spec, err := loadTwoRel(cluster.Config{
+			Nodes: l, Algo: node.AlgoIndex, Durability: durable, CheckpointEvery: ckptEvery,
+		}, workload.TwoRel{Fanout: PaperN}, v)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		defer c.Close()
+		if durable {
+			// Checkpoint after the bulk load (standard practice), so
+			// recovery replays from the image rather than from genesis;
+			// further checkpoints auto-trigger every ckptEvery records
+			// and count as stream overhead.
+			if _, err := c.Checkpoint(); err != nil {
+				return 0, 0, 0, err
 			}
-			spec := workload.TwoRel{JoinValues: 640, Fanout: PaperN, ClusterBOnJoin: v.ClusterB}
-			if err := spec.Load(c, v.Strategy); err != nil {
-				c.Close()
-				return Grid{}, err
+		}
+		delta := spec.AInserts(streamLen, 1)
+		c.ResetMetrics()
+		if err := insertEach(c, delta); err != nil {
+			return 0, 0, 0, err
+		}
+		m := c.Metrics()
+		if durable {
+			if err := c.CrashNode(0); err != nil {
+				return 0, 0, 0, err
 			}
-			if durable {
-				// Checkpoint after the bulk load (standard practice), so
-				// recovery replays from the image rather than from genesis;
-				// further checkpoints auto-trigger every ckptEvery records
-				// and count as stream overhead.
-				if _, err := c.Checkpoint(); err != nil {
-					c.Close()
-					return Grid{}, err
-				}
-			}
-			delta := spec.AInserts(streamLen, 1)
-			c.ResetMetrics()
-			for _, tup := range delta {
-				if err := c.Insert("a", []types.Tuple{tup}); err != nil {
-					c.Close()
-					return Grid{}, err
-				}
-			}
-			m := c.Metrics()
-			ios[i] = m.TotalIOs() + m.Coord.IOs()
-			msgs[i] = m.Net.Messages
-			if durable {
-				if err := c.CrashNode(0); err != nil {
-					c.Close()
-					return Grid{}, err
-				}
-			}
-			rep, err := c.RecoverWithReport(0)
-			if err != nil {
-				c.Close()
-				return Grid{}, err
-			}
-			if durable {
-				replayPages = rep.PageIOs
-			} else {
-				rebuildPages = rep.PageIOs
-			}
-			if err := c.CheckViewConsistency("jv"); err != nil {
-				c.Close()
-				return Grid{}, fmt.Errorf("%s after %s recovery: %w", v.Label, rep.Mode, err)
-			}
-			c.Close()
+		}
+		rep, err := c.RecoverWithReport(0)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		if err := c.CheckViewConsistency("jv"); err != nil {
+			return 0, 0, 0, fmt.Errorf("%s after %s recovery: %w", v.Label, rep.Mode, err)
+		}
+		return m.TotalIOs() + m.Coord.IOs(), m.Net.Messages, rep.PageIOs, nil
+	}
+	for _, v := range extensionVariants {
+		iosPlain, msgsPlain, rebuildPages, err := run(v, false)
+		if err != nil {
+			return Grid{}, err
+		}
+		iosDurable, msgsDurable, replayPages, err := run(v, true)
+		if err != nil {
+			return Grid{}, err
 		}
 		g.Rows = append(g.Rows, []string{
 			v.Label,
-			fmt.Sprintf("%d", ios[0]),
-			fmt.Sprintf("%d", ios[1]),
-			fmt.Sprintf("%d", msgs[0]),
-			fmt.Sprintf("%d", msgs[1]),
+			fmt.Sprintf("%d", iosPlain),
+			fmt.Sprintf("%d", iosDurable),
+			fmt.Sprintf("%d", msgsPlain),
+			fmt.Sprintf("%d", msgsDurable),
 			fmt.Sprintf("%d", replayPages),
 			fmt.Sprintf("%d", rebuildPages),
 		})
@@ -864,83 +793,64 @@ func FaultOverhead(l, streamLen int, rate float64, seed int64) (Grid, error) {
 			streamLen, l, rate*100),
 		Header: []string{"method", "I/Os clean", "I/Os faulty", "msgs clean", "msgs faulty", "retries", "faults injected", "repairs replayed", "recovery pages"},
 	}
-	for _, v := range []Variant{
-		{Label: "auxiliary relation", Strategy: catalog.StrategyAuxRel},
-		{Label: "global index", Strategy: catalog.StrategyGlobalIndex},
-		{Label: "naive (clustered index)", Strategy: catalog.StrategyNaive, ClusterB: true},
-	} {
-		var ios, msgs [2]int64
-		var retries, injected, repairsReplayed, recoveryPages int64
-		for i, faulty := range []bool{false, true} {
-			var inj *fault.Injector
-			if faulty {
-				inj = fault.New(fault.Config{
-					Seed:        seed,
-					DropRequest: rate,
-					DropReply:   rate,
-					Duplicate:   rate,
-					HandlerErr:  rate,
-				})
+	// run streams the inserts through the (optionally nil) injector and
+	// returns the stream's metrics plus what repairing fenced nodes cost.
+	run := func(v Variant, inj *fault.Injector) (m cluster.Metrics, repairsReplayed, recoveryPages int64, err error) {
+		c, spec, err := loadTwoRel(cluster.Config{Nodes: l, Algo: node.AlgoIndex, Faults: inj, RetryAttempts: 8},
+			workload.TwoRel{Fanout: PaperN}, v)
+		if err != nil {
+			return m, 0, 0, err
+		}
+		defer c.Close()
+		delta := spec.AInserts(streamLen, 1)
+		c.ResetMetrics()
+		if inj != nil {
+			inj.Arm()
+		}
+		for _, tup := range delta {
+			// A fault burst can outlast the per-call retry budget; the
+			// statement rolls back cleanly, so rerun it like an
+			// operator would (repairing any node the coordinator
+			// fenced first). Statement retries are part of the
+			// overhead being measured.
+			var err error
+			for attempt := 0; attempt < 20; attempt++ {
+				for _, n := range c.Degraded() {
+					rep, rerr := c.RecoverWithReport(n)
+					if rerr != nil {
+						return m, 0, 0, rerr
+					}
+					repairsReplayed += int64(rep.RepairsReplayed)
+					recoveryPages += rep.PageIOs
+				}
+				if err = c.Insert("a", []types.Tuple{tup}); err == nil {
+					break
+				}
 			}
-			c, err := newCluster(cluster.Config{
-				Nodes: l, Algo: node.AlgoIndex, Faults: inj, RetryAttempts: 8,
-			})
 			if err != nil {
-				return Grid{}, err
+				return m, 0, 0, err
 			}
-			spec := workload.TwoRel{JoinValues: 640, Fanout: PaperN, ClusterBOnJoin: v.ClusterB}
-			if err := spec.Load(c, v.Strategy); err != nil {
-				c.Close()
-				return Grid{}, err
-			}
-			delta := spec.AInserts(streamLen, 1)
-			c.ResetMetrics()
-			if inj != nil {
-				inj.Arm()
-			}
-			for _, tup := range delta {
-				// A fault burst can outlast the per-call retry budget; the
-				// statement rolls back cleanly, so rerun it like an
-				// operator would (repairing any node the coordinator
-				// fenced first). Statement retries are part of the
-				// overhead being measured.
-				var err error
-				for attempt := 0; attempt < 20; attempt++ {
-					for _, n := range c.Degraded() {
-						rep, rerr := c.RecoverWithReport(n)
-						if rerr != nil {
-							c.Close()
-							return Grid{}, rerr
-						}
-						repairsReplayed += int64(rep.RepairsReplayed)
-						recoveryPages += rep.PageIOs
-					}
-					if err = c.Insert("a", []types.Tuple{tup}); err == nil {
-						break
-					}
-				}
-				if err != nil {
-					c.Close()
-					return Grid{}, err
-				}
-			}
-			m := c.Metrics()
-			ios[i] = m.TotalIOs()
-			msgs[i] = m.Net.Messages
-			if faulty {
-				retries = m.Retries
-				injected = int64(inj.Stats().Total())
-			}
-			c.Close()
+		}
+		return c.Metrics(), repairsReplayed, recoveryPages, nil
+	}
+	for _, v := range extensionVariants {
+		clean, _, _, err := run(v, nil)
+		if err != nil {
+			return Grid{}, err
+		}
+		inj := fault.New(fault.Config{Seed: seed, DropRequest: rate, DropReply: rate, Duplicate: rate, HandlerErr: rate})
+		faulty, repairsReplayed, recoveryPages, err := run(v, inj)
+		if err != nil {
+			return Grid{}, err
 		}
 		g.Rows = append(g.Rows, []string{
 			v.Label,
-			fmt.Sprintf("%d", ios[0]),
-			fmt.Sprintf("%d", ios[1]),
-			fmt.Sprintf("%d", msgs[0]),
-			fmt.Sprintf("%d", msgs[1]),
-			fmt.Sprintf("%d", retries),
-			fmt.Sprintf("%d", injected),
+			fmt.Sprintf("%d", clean.TotalIOs()),
+			fmt.Sprintf("%d", faulty.TotalIOs()),
+			fmt.Sprintf("%d", clean.Net.Messages),
+			fmt.Sprintf("%d", faulty.Net.Messages),
+			fmt.Sprintf("%d", faulty.Retries),
+			fmt.Sprintf("%d", inj.Stats().Total()),
 			fmt.Sprintf("%d", repairsReplayed),
 			fmt.Sprintf("%d", recoveryPages),
 		})

@@ -1,12 +1,17 @@
 package experiments
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
 	"joinview/internal/catalog"
+	"joinview/internal/cluster"
 	"joinview/internal/cost"
+	"joinview/internal/expr"
 	"joinview/internal/node"
+	"joinview/internal/types"
 )
 
 func TestGridRender(t *testing.T) {
@@ -38,18 +43,12 @@ func TestFromSeries(t *testing.T) {
 }
 
 func TestModelGridsNonEmpty(t *testing.T) {
-	for name, g := range map[string]Grid{
-		"table1": Table1(100),
-		"fig7":   Fig7Model(),
-		"fig8":   Fig8Model(),
-		"fig9":   Fig9Model(),
-		"fig10":  Fig10Model(),
-		"fig11":  Fig11Model(),
-		"fig12":  Fig12Model(),
-		"fig13":  Fig13Predicted([]int{2, 4, 8}),
-	} {
-		if len(g.Rows) == 0 || len(g.Header) < 2 || g.Title == "" {
-			t.Errorf("%s: empty grid", name)
+	for _, e := range Registry {
+		if e.Model == nil {
+			continue
+		}
+		if g := e.Model(); len(g.Rows) == 0 || len(g.Header) < 2 || g.Title == "" {
+			t.Errorf("%s: empty model grid", e.Name)
 		}
 	}
 }
@@ -272,14 +271,11 @@ func TestMeasuredResponseAlgos(t *testing.T) {
 
 func atoi(t *testing.T, s string) int64 {
 	t.Helper()
-	var v int64
-	for _, ch := range s {
-		if ch < '0' || ch > '9' {
-			t.Fatalf("not a number: %q", s)
-		}
-		v = v*10 + int64(ch-'0')
+	v, err := strconv.ParseUint(s, 10, 63)
+	if err != nil {
+		t.Fatalf("not a number: %q", s)
 	}
-	return v
+	return int64(v)
 }
 
 func TestFaultOverhead(t *testing.T) {
@@ -336,5 +332,72 @@ func TestDurabilityOverheadAndReplayWins(t *testing.T) {
 		if replay >= rebuild {
 			t.Errorf("%s: replay pages %d not below rebuild pages %d", row[0], replay, rebuild)
 		}
+	}
+}
+
+// TestReplicationWriteAmplification pins the replica grid's claim: K
+// synchronous copies cost just under K times the I/O (the mirrored
+// fragments are written K times; the delta-join probes only once), and
+// from K=2 up a crashed slot owner costs zero statement errors and no
+// partial read.
+func TestReplicationWriteAmplification(t *testing.T) {
+	g, err := Replication(8, 64, []int{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Columns: L K stmts tw-ios msgs amp-ios amp-msgs mirrors
+	// mirrored-tuples crash-ok crash-err complete-read promoted repaired.
+	for _, row := range g.Rows {
+		k := float64(atoi(t, row[1]))
+		var amp float64
+		if _, err := fmt.Sscanf(row[5], "%g", &amp); err != nil {
+			t.Fatalf("K=%s: amp-ios %q: %v", row[1], row[5], err)
+		}
+		if amp <= k-0.15 || amp > k {
+			t.Errorf("K=%s: I/O amplification %.3f outside (K-0.15, K]", row[1], amp)
+		}
+		transparent := row[10] == "0" && row[11] == "true"
+		if transparent != (k > 1) {
+			t.Errorf("K=%s: crash window saw %s errors, complete read %s", row[1], row[10], row[11])
+		}
+	}
+}
+
+// TestAsyncCancelledPairsCostNothing pins the mixed mix's claim: an insert
+// and the delete of the same row inside one epoch cancel during
+// compaction, so flushing an epoch made only of such pairs does no
+// maintenance I/O at all and sends nothing.
+func TestAsyncCancelledPairsCostNothing(t *testing.T) {
+	c, err := newCluster(cluster.Config{Nodes: 8, Algo: node.AlgoIndex, AsyncMaintenance: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := loadAdaptive(c, catalog.StrategyAuto); err != nil {
+		t.Fatal(err)
+	}
+	const pairs = 16
+	for i := int64(0); i < pairs; i++ {
+		id := 4_000_000 + i
+		if err := c.Insert("a", []types.Tuple{{types.Int(id), types.Int(i), types.Int(0)}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Delete("a", expr.Cmp{Op: expr.EQ, L: expr.Col{Name: "id"}, R: expr.Const{V: types.Int(id)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := c.Metrics()
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	d := c.Metrics().Sub(before)
+	if d.TotalIOs() != 0 || d.Net.Messages != 0 {
+		t.Errorf("flushing %d cancelled pairs cost %d I/Os and %d messages, want none", pairs, d.TotalIOs(), d.Net.Messages)
+	}
+	if got := c.Metrics().Queue.DeltasCancelled; got != 2*pairs {
+		t.Errorf("compaction cancelled %d delta tuples, want %d", got, 2*pairs)
+	}
+	if err := c.CheckViewConsistency("jv"); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,6 +1,6 @@
 // Command goldengen regenerates the seed trace files the equivalence tests
-// compare against: every measured experiment grid at the pinned golden
-// axes, rendered to <dir>/<name>.golden. Only rerun it when a change is
+// compare against: every registry experiment at its pinned golden axes,
+// rendered to <dir>/<name>.golden. Only rerun it when a change is
 // *supposed* to alter the traces — the whole point of the files is to catch
 // changes that alter them by accident.
 //
@@ -21,8 +21,11 @@ func main() {
 		os.Exit(2)
 	}
 	dir := os.Args[1]
-	for _, tc := range experiments.GoldenCases() {
-		g, err := tc.Run()
+	for _, tc := range experiments.Registry {
+		if tc.NoGolden != "" {
+			continue
+		}
+		g, err := tc.GoldenGrid()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", tc.Name, err)
 			os.Exit(1)

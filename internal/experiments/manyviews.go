@@ -21,11 +21,8 @@ import (
 // customer ⋈ orders on custkey, differing in their customer-side group
 // columns but sharing the orders-side delta join. Every insert into
 // customer therefore drives V maintenance plans whose chains are
-// structurally identical: the per-view baseline probes orders' auxiliary
-// relation V times, the shared DAG exactly once.
-//
-// Both runs use identical clusters, data and statement streams; only
-// DisablePlanSharing differs, so any delta is the executor's sharing.
+// structurally identical: V independent pipelines would probe orders'
+// auxiliary relation V times, the shared DAG probes it exactly once.
 
 // Workload shape.
 const (
@@ -37,50 +34,17 @@ const (
 	manyViewsFanout   = 64
 )
 
-// ManyViewsResult is one (view count, execution mode) measurement.
-type ManyViewsResult struct {
-	L          int
-	Views      int
-	Shared     bool
-	Statements int
-	// TWIOs is the paper's total workload over the stream; Messages the
-	// interconnect traffic.
-	TWIOs    int64
-	Messages int64
-	// SharedJoinPages / ViewStagePages attribute the I/Os to the shared
-	// delta-join pre-pass vs the per-view stages (serial dispatch is
-	// exact).
-	SharedJoinPages int64
-	ViewStagePages  int64
-}
-
-// ManyViewsCounts is the default view-population axis.
-var ManyViewsCounts = []int{1, 10, 25, 50, 100}
-
-// LoadManyViewsSchema loads the TPC-R pair and nviews aggregate views over
-// it — the shared-group population the many-views experiment and the
-// shared-DAG CI benchmarks both drive.
-func LoadManyViewsSchema(c *cluster.Cluster, nviews int) error {
+// loadManyViewsSchema loads the TPC-R pair and nviews aggregate views over
+// it.
+func loadManyViewsSchema(c *cluster.Cluster, nviews int) error {
 	if err := c.CreateTable(&catalog.Table{
-		Name: "customer",
-		Schema: types.NewSchema(
-			types.Column{Name: "custkey", Kind: types.KindInt},
-			types.Column{Name: "nation", Kind: types.KindInt},
-			types.Column{Name: "acctbal", Kind: types.KindInt},
-		),
-		PartitionCol: "custkey",
+		Name: "customer", Schema: intSchema("custkey", "nation", "acctbal"), PartitionCol: "custkey",
 	}); err != nil {
 		return err
 	}
 	if err := c.CreateTable(&catalog.Table{
-		Name: "orders",
-		Schema: types.NewSchema(
-			types.Column{Name: "orderkey", Kind: types.KindInt},
-			types.Column{Name: "custkey", Kind: types.KindInt},
-			types.Column{Name: "totalprice", Kind: types.KindInt},
-		),
-		PartitionCol: "orderkey",
-		Indexes:      []catalog.Index{{Name: "ix_orders_custkey", Col: "custkey"}},
+		Name: "orders", Schema: intSchema("orderkey", "custkey", "totalprice"), PartitionCol: "orderkey",
+		Indexes: []catalog.Index{{Name: "ix_orders_custkey", Col: "custkey"}},
 	}); err != nil {
 		return err
 	}
@@ -139,89 +103,6 @@ func manyViewsStream(c *cluster.Cluster, statements int) error {
 	return nil
 }
 
-func runManyViews(l, nviews, statements int, shared bool) (ManyViewsResult, error) {
-	c, err := newCluster(cluster.Config{Nodes: l, Algo: node.AlgoIndex, DisablePlanSharing: !shared})
-	if err != nil {
-		return ManyViewsResult{}, err
-	}
-	defer c.Close()
-	if err := LoadManyViewsSchema(c, nviews); err != nil {
-		return ManyViewsResult{}, err
-	}
-	if err := manyViewsStream(c, statements); err != nil {
-		return ManyViewsResult{}, err
-	}
-	m := c.Metrics()
-	res := ManyViewsResult{
-		L: l, Views: nviews, Shared: shared, Statements: statements,
-		TWIOs:    m.TotalIOs(),
-		Messages: m.Net.Messages,
-	}
-	if sc, ok := m.Pipeline.Stages["sharedjoin"]; ok {
-		res.SharedJoinPages = sc.Pages
-	}
-	if vc, ok := m.Pipeline.Stages["view"]; ok {
-		res.ViewStagePages = vc.Pages
-	}
-	return res, nil
-}
-
-// ManyViews sweeps the view-count axis on an l-node cluster, running each
-// population once with the shared maintenance DAG and once with per-view
-// execution (DisablePlanSharing), over an identical statement stream.
-func ManyViews(l, statements int, counts []int) ([]ManyViewsResult, error) {
-	var out []ManyViewsResult
-	for _, nv := range counts {
-		for _, shared := range []bool{false, true} {
-			r, err := runManyViews(l, nv, statements, shared)
-			if err != nil {
-				return nil, fmt.Errorf("views=%d shared=%v: %w", nv, shared, err)
-			}
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}
-
-// ManyViewsGrid pairs each view count's baseline and shared runs and
-// reports the sharing win.
-func ManyViewsGrid(rs []ManyViewsResult) Grid {
-	g := Grid{
-		Title: "Shared maintenance DAG (extension): V views over customer ⋈ orders, per-view baseline vs shared execution",
-		Header: []string{"L", "views", "stmts", "tw-ios base", "tw-ios shared", "tw saved%",
-			"msgs base", "msgs shared", "msg saved%", "sharedjoin-pages", "view-pages shared"},
-	}
-	base := map[int]ManyViewsResult{}
-	for _, r := range rs {
-		if !r.Shared {
-			base[r.Views] = r
-		}
-	}
-	for _, r := range rs {
-		if !r.Shared {
-			continue
-		}
-		b, ok := base[r.Views]
-		if !ok {
-			continue
-		}
-		g.Rows = append(g.Rows, []string{
-			fmt.Sprintf("%d", r.L),
-			fmt.Sprintf("%d", r.Views),
-			fmt.Sprintf("%d", r.Statements),
-			fmt.Sprintf("%d", b.TWIOs),
-			fmt.Sprintf("%d", r.TWIOs),
-			fmt.Sprintf("%.1f", pctSaved(b.TWIOs, r.TWIOs)),
-			fmt.Sprintf("%d", b.Messages),
-			fmt.Sprintf("%d", r.Messages),
-			fmt.Sprintf("%.1f", pctSaved(b.Messages, r.Messages)),
-			fmt.Sprintf("%d", r.SharedJoinPages),
-			fmt.Sprintf("%d", r.ViewStagePages),
-		})
-	}
-	return g
-}
-
 func pctSaved(base, shared int64) float64 {
 	if base == 0 {
 		return 0
@@ -229,7 +110,7 @@ func pctSaved(base, shared int64) float64 {
 	return 100 * (1 - float64(shared)/float64(base))
 }
 
-// ManyViewsCost sweeps the view population on an l-node cluster: each V in
+// ManyViews sweeps the view population on an l-node cluster: each V in
 // counts runs the single-customer insert stream through the shared
 // maintenance DAG and reports total workload, messages and the pages
 // attributed to the shared delta-join pre-pass vs the per-view stages
@@ -239,7 +120,7 @@ func pctSaved(base, shared int64) float64 {
 // the execution model the shared DAG replaced, whose seed goldens are the
 // reference. "model tw" is Plan.SharedTW's prediction for the stream's
 // delta-join chains.
-func ManyViewsCost(l, statements int, counts []int) (Grid, error) {
+func ManyViews(l, statements int, counts []int) (Grid, error) {
 	g := Grid{
 		Title: "Shared maintenance DAG (extension): V views over customer ⋈ orders, shared execution vs V independent pipelines",
 		Header: []string{"L", "views", "stmts", "tw-ios", "tw-ios per-view", "tw saved%",
@@ -277,7 +158,7 @@ func manyViewsRun(l, nviews, statements int) (cluster.Metrics, float64, error) {
 		return cluster.Metrics{}, 0, err
 	}
 	defer c.Close()
-	if err := LoadManyViewsSchema(c, nviews); err != nil {
+	if err := loadManyViewsSchema(c, nviews); err != nil {
 		return cluster.Metrics{}, 0, err
 	}
 	mp, err := mplan.Compile(c.Catalog(), c.Stats(), "customer", maintain.OpInsert)

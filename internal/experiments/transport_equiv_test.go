@@ -8,11 +8,12 @@ import (
 	"joinview/internal/cluster"
 )
 
-// TestTransportEquivalence runs every measured experiment grid on both
-// transports and asserts each render — every tw-ios, maxnode-ios and msgs
-// cell — is byte-identical to the checked-in seed trace
-// (testdata/seed/*.golden, captured from the original hand-rolled
-// executor before the compiled-plan pipeline replaced it).
+// TestTransportEquivalence runs every registry experiment at its golden
+// axes on both transports and asserts each render — every tw-ios,
+// maxnode-ios and msgs cell — is byte-identical to the checked-in seed
+// trace (testdata/seed/*.golden; the paper grids were captured from the
+// original hand-rolled executor before the compiled-plan pipeline replaced
+// it).
 //
 // Two properties at once: the compiled pipeline reproduces the seed's
 // traces exactly, and the logical meters do not notice whether per-node
@@ -20,18 +21,21 @@ import (
 // worker pool, nor whether global-index traffic traveled as per-entry
 // messages or batched envelopes.
 //
-// NetworkSensitivity is excluded: it reports wall-clock µs and already
-// requires the channel transport. Axes are kept small; jvbench runs the
-// full sweeps.
+// An entry with NoGolden (NetworkSensitivity: wall-clock µs) is skipped;
+// one with DirectOnly is checked on the Direct transport alone. Axes are
+// kept small; jvbench runs the full sweeps.
 func TestTransportEquivalence(t *testing.T) {
-	for _, tc := range GoldenCases() {
+	for _, tc := range Registry {
 		t.Run(tc.Name, func(t *testing.T) {
+			if tc.NoGolden != "" {
+				t.Skipf("not pinned: %s", tc.NoGolden)
+			}
 			want, err := os.ReadFile(filepath.Join("testdata", "seed", tc.Name+".golden"))
 			if err != nil {
 				t.Fatalf("seed trace: %v", err)
 			}
 			ConfigHook = nil
-			direct, err := tc.Run()
+			direct, err := tc.GoldenGrid()
 			if err != nil {
 				t.Fatalf("direct: %v", err)
 			}
@@ -44,7 +48,7 @@ func TestTransportEquivalence(t *testing.T) {
 			}
 			ConfigHook = func(cfg *cluster.Config) { cfg.UseChannels = true }
 			defer func() { ConfigHook = nil }()
-			chann, err := tc.Run()
+			chann, err := tc.GoldenGrid()
 			if err != nil {
 				t.Fatalf("channels: %v", err)
 			}
@@ -52,25 +56,5 @@ func TestTransportEquivalence(t *testing.T) {
 				t.Errorf("channel transport diverges from seed trace\nseed:\n%s\ngot:\n%s", want, got)
 			}
 		})
-	}
-}
-
-// TestPlanCacheUnderGoldenWorkload pins the cache-effectiveness claim the
-// traces alone cannot show: rerunning a measured grid with the plan cache
-// disabled (per-statement compilation, the seed's planning model) must
-// still reproduce the same bytes — caching is a pure optimization.
-func TestPlanCacheUnderGoldenWorkload(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "seed", "fig7.golden"))
-	if err != nil {
-		t.Fatalf("seed trace: %v", err)
-	}
-	ConfigHook = func(cfg *cluster.Config) { cfg.DisablePlanCache = true }
-	defer func() { ConfigHook = nil }()
-	g, err := Fig7Measured([]int{1, 2, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := g.Render(); got != string(want) {
-		t.Errorf("uncached pipeline diverges from seed trace\nseed:\n%s\ngot:\n%s", want, got)
 	}
 }

@@ -166,8 +166,8 @@ type Options struct {
 	// LockedReads disables MVCC snapshot reads, forcing queries and view
 	// reads back onto shared lock claims even on a concurrent transport.
 	// Snapshot reads are on by default whenever statements run
-	// concurrently (UseChannels or UseTCP, without SerialDML, durability
-	// or fault injection).
+	// concurrently (UseChannels or UseTCP, without durability or fault
+	// injection).
 	LockedReads bool
 	// ForceIndexJoin / ForceSortMerge pin the maintenance join algorithm;
 	// by default each node applies the paper's §3.2 cost crossover.
@@ -177,9 +177,11 @@ type Options struct {
 	// (0 disables caching simulation). With a pool, Metrics additionally
 	// reports physical I/O — the §3.3 buffering effect.
 	BufferPages int
-	// NetLatency delays every inter-node message by this duration
+	// NetLatency delays every inter-node message by at least this duration
 	// (requires UseChannels): makes the SEND cost the analytical model
-	// neglects visible in wall-clock.
+	// neglects visible in wall-clock. Implemented as a sleep, so values
+	// below the OS timer granularity (about 1 ms on Linux) still cost about
+	// 1 ms per message.
 	NetLatency time.Duration
 	// CallTimeout bounds each coordinator-to-node call (requires
 	// UseChannels); a stuck node surfaces as a retryable timeout instead
@@ -208,16 +210,6 @@ type Options struct {
 	// CheckpointEvery takes an automatic per-node checkpoint after that
 	// many redo records (0: only explicit Checkpoint calls).
 	CheckpointEvery int
-	// DisablePlanCache makes every DML statement compile its maintenance
-	// pipeline from scratch instead of reusing the catalog-versioned plan
-	// cache. Identical results, only slower — a debugging aid for
-	// isolating caching effects (Metrics.Pipeline reports only misses).
-	DisablePlanCache bool
-	// DisablePlanSharing turns off the shared maintenance DAG: each view's
-	// delta-join chain executes independently even when several views over
-	// the same table share common prefixes. Identical view contents, more
-	// I/O — the baseline for sharing measurements (jvbench -exp manyviews).
-	DisablePlanSharing bool
 	// BreakerThreshold enables the per-node circuit breaker: after that
 	// many consecutive exhausted delivery attempts to one node, further
 	// calls to it fail fast with ErrSuspect instead of burning the retry
@@ -335,33 +327,31 @@ func Open(opts Options) (*DB, error) {
 		algo = node.AlgoSortMerge
 	}
 	c, err := cluster.New(cluster.Config{
-		Nodes:              opts.Nodes,
-		PageRows:           opts.PageRows,
-		MemPages:           opts.MemPages,
-		UseChannels:        opts.UseChannels,
-		UseTCP:             opts.UseTCP,
-		LockedReads:        opts.LockedReads,
-		Algo:               algo,
-		BufferPages:        opts.BufferPages,
-		NetLatency:         opts.NetLatency,
-		CallTimeout:        opts.CallTimeout,
-		RetryAttempts:      opts.RetryAttempts,
-		RetryBackoff:       opts.RetryBackoff,
-		RetryBackoffMax:    opts.RetryBackoffMax,
-		RetrySeed:          opts.RetrySeed,
-		Faults:             opts.Faults,
-		Durability:         opts.Durability,
-		CheckpointEvery:    opts.CheckpointEvery,
-		DisablePlanCache:   opts.DisablePlanCache,
-		DisablePlanSharing: opts.DisablePlanSharing,
-		BreakerThreshold:   opts.BreakerThreshold,
-		AsyncMaintenance:   opts.AsyncMaintenance,
-		EpochSize:          opts.EpochSize,
-		FlushInterval:      opts.FlushInterval,
-		MaxQueueDepth:      opts.MaxQueueDepth,
-		MaxStaleness:       opts.MaxStaleness,
-		OverloadBlock:      opts.OverloadBlock,
-		ReplicationFactor:  opts.ReplicationFactor,
+		Nodes:             opts.Nodes,
+		PageRows:          opts.PageRows,
+		MemPages:          opts.MemPages,
+		UseChannels:       opts.UseChannels,
+		UseTCP:            opts.UseTCP,
+		LockedReads:       opts.LockedReads,
+		Algo:              algo,
+		BufferPages:       opts.BufferPages,
+		NetLatency:        opts.NetLatency,
+		CallTimeout:       opts.CallTimeout,
+		RetryAttempts:     opts.RetryAttempts,
+		RetryBackoff:      opts.RetryBackoff,
+		RetryBackoffMax:   opts.RetryBackoffMax,
+		RetrySeed:         opts.RetrySeed,
+		Faults:            opts.Faults,
+		Durability:        opts.Durability,
+		CheckpointEvery:   opts.CheckpointEvery,
+		BreakerThreshold:  opts.BreakerThreshold,
+		AsyncMaintenance:  opts.AsyncMaintenance,
+		EpochSize:         opts.EpochSize,
+		FlushInterval:     opts.FlushInterval,
+		MaxQueueDepth:     opts.MaxQueueDepth,
+		MaxStaleness:      opts.MaxStaleness,
+		OverloadBlock:     opts.OverloadBlock,
+		ReplicationFactor: opts.ReplicationFactor,
 	})
 	if err != nil {
 		return nil, err
