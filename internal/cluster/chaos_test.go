@@ -21,6 +21,13 @@ func newChaosCluster(t *testing.T, inj *fault.Injector, strat catalog.Strategy, 
 	if err != nil {
 		t.Fatal(err)
 	}
+	return loadChaosCluster(t, c, strat, nCust, ordersPer)
+}
+
+// loadChaosCluster loads the chaos schema, rows and jv1 view into c and
+// closes c with the test.
+func loadChaosCluster(t *testing.T, c *Cluster, strat catalog.Strategy, nCust, ordersPer int) *Cluster {
+	t.Helper()
 	t.Cleanup(c.Close)
 	for _, tab := range []*catalog.Table{customerTable(), ordersTable(), lineitemTable()} {
 		if err := c.CreateTable(tab); err != nil {
@@ -109,13 +116,18 @@ func TestChaosStormAllStrategies(t *testing.T) {
 		for _, seed := range seeds {
 			strat, seed := strat, seed
 			t.Run(fmt.Sprintf("%s/seed=%d", strat, seed), func(t *testing.T) {
-				runChaosStorm(t, strat, seed)
+				runChaosStorm(t, strat, seed, false)
 			})
 		}
+		// The same storm over real sockets: with an injector installed
+		// dispatch is serial, so the fault draws land as on Direct.
+		t.Run(fmt.Sprintf("%s/tcp/seed=1", strat), func(t *testing.T) {
+			runChaosStorm(t, strat, 1, true)
+		})
 	}
 }
 
-func runChaosStorm(t *testing.T, strat catalog.Strategy, seed int64) {
+func runChaosStorm(t *testing.T, strat catalog.Strategy, seed int64, useTCP bool) {
 	inj := fault.New(fault.Config{
 		Seed:        seed,
 		DropRequest: 0.05,
@@ -124,7 +136,11 @@ func runChaosStorm(t *testing.T, strat catalog.Strategy, seed int64) {
 		HandlerErr:  0.05,
 	})
 	const nCust, ordersPer = 6, 2
-	c := newChaosCluster(t, inj, strat, nCust, ordersPer)
+	cl, err := New(Config{Nodes: 4, Faults: inj, RetryAttempts: 4, UseTCP: useTCP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := loadChaosCluster(t, cl, strat, nCust, ordersPer)
 
 	// Mirror of the orders table: what a committed-statement log says the
 	// table must contain. Customers are insert-only in this storm.

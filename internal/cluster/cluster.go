@@ -49,14 +49,14 @@ type Config struct {
 	// effect the paper observed on Teradata.
 	BufferPages int
 	// NetLatency delays every inter-node message by at least this
-	// wall-clock duration (channel transport only): the SEND cost the
+	// wall-clock duration, on any transport: the SEND cost the
 	// analytical model deliberately neglects, made tunable. The delay is a
 	// time.Sleep, so it cannot be shorter than the OS timer granularity —
 	// about 1 ms on Linux: 50µs and 100µs both measure ≈1.1 ms per message.
 	NetLatency time.Duration
-	// CallTimeout bounds every transport call (channel transport only):
-	// a stuck node yields netsim.ErrTimeout instead of hanging the
-	// coordinator. Zero means unbounded.
+	// CallTimeout bounds every transport call, on any transport: a stuck
+	// node yields netsim.ErrTimeout instead of hanging the coordinator.
+	// Zero means unbounded.
 	CallTimeout time.Duration
 	// RetryAttempts is the maximum delivery attempts per call for
 	// transient failures (injected faults, timeouts). Default 3; with no
@@ -86,11 +86,6 @@ type Config struct {
 	// CheckpointEvery makes each durable node take an automatic checkpoint
 	// after that many logged redo records (0 = manual checkpoints only).
 	CheckpointEvery int
-	// ScatterWorkers bounds how many per-node calls one maintenance
-	// fan-out keeps in flight on the channel transport (0 = one per
-	// destination node). Ignored by the Direct transport, which always
-	// dispatches serially.
-	ScatterWorkers int
 	// BreakerThreshold enables the per-node circuit breaker: after that
 	// many consecutive failed delivery attempts (exhausted retry budgets
 	// or timeouts) against one node, the node is marked suspect and every
@@ -130,10 +125,8 @@ type Config struct {
 	LockedReads bool
 	// UseTCP runs the interconnect over real loopback TCP sockets with
 	// gob-encoded envelopes (internal/netsim/tcp) instead of channels or
-	// direct calls — the same Transport contract, so every cluster code
-	// path is unchanged. Mutually exclusive with UseChannels, NetLatency,
-	// CallTimeout and fault injection (errors are flattened to strings on
-	// the wire, which the fault machinery cannot round-trip).
+	// direct calls — a third link under the same transport, so every
+	// cluster code path is unchanged. Mutually exclusive with UseChannels.
 	UseTCP bool
 	// ReplicationFactor keeps K synchronous copies of every hash slot's
 	// rows: the primary copy in the owner's fragments plus K-1 follower
@@ -153,15 +146,13 @@ type Cluster struct {
 	st    *stats.Stats
 	part  *hashpart.Partitioner
 	nodes []*node.DataNode
-	// inner is the raw delivery layer (Direct/Chan, optionally wrapped by
-	// the fault injector); base is the same layer before fault wrapping
-	// (crash/restart control must reach a node the fault layer refuses to
-	// talk to); tr is the resilient transport over inner that all cluster
-	// and maintenance code uses.
-	inner netsim.Transport
-	base  netsim.Transport
-	tr    netsim.Transport
-	env   maintain.Env
+	// net is the raw delivery stack (direct, channel or TCP link under
+	// latency, timeout and fault-injection middleware; its Bypass reaches a
+	// node the fault schedule refuses to talk to); tr is the resilient
+	// transport over net that all cluster and maintenance code uses.
+	net *netsim.Stack
+	tr  netsim.Transport
+	env maintain.Env
 
 	// seq numbers mutating sub-requests for idempotent retry; retries
 	// counts re-deliveries for Metrics.
@@ -278,7 +269,11 @@ type Cluster struct {
 }
 
 // New builds a cluster. It returns an error for a non-positive node count.
-func New(cfg Config) (*Cluster, error) {
+func New(cfg Config) (*Cluster, error) { return newCluster(cfg, nil) }
+
+// newCluster is New with an optional wrapper around each node's handler,
+// through which tests make a node hang or fail below every transport.
+func newCluster(cfg Config, wrap func(id int, h netsim.Handler) netsim.Handler) (*Cluster, error) {
 	if cfg.Nodes < 1 {
 		return nil, fmt.Errorf("cluster: need at least 1 node, got %d", cfg.Nodes)
 	}
@@ -350,38 +345,30 @@ func New(cfg Config) (*Cluster, error) {
 			n.EnableDurability(cfg.PageRows, cfg.CheckpointEvery)
 		}
 		c.nodes = append(c.nodes, n)
-		handlers[i] = n.Handler()
+		if handlers[i] = n.Handler(); wrap != nil {
+			handlers[i] = wrap(i, handlers[i])
+		}
 	}
+	var link netsim.Link
 	switch {
+	case cfg.UseTCP && cfg.UseChannels:
+		return nil, fmt.Errorf("cluster: UseTCP and UseChannels are mutually exclusive")
 	case cfg.UseTCP:
-		if cfg.UseChannels {
-			return nil, fmt.Errorf("cluster: UseTCP and UseChannels are mutually exclusive")
-		}
-		if cfg.NetLatency > 0 || cfg.CallTimeout > 0 {
-			return nil, fmt.Errorf("cluster: NetLatency/CallTimeout require the channel transport (UseChannels)")
-		}
-		if cfg.Faults != nil {
-			return nil, fmt.Errorf("cluster: fault injection requires the channel or direct transport (TCP flattens errors to strings)")
-		}
-		tt, err := netsimtcp.New(handlers)
-		if err != nil {
-			return nil, err
-		}
-		c.inner = tt
+		link = netsimtcp.NewLink()
 	case cfg.UseChannels:
-		c.inner = netsim.NewChanTimeout(handlers, cfg.NetLatency, cfg.CallTimeout)
-	case cfg.NetLatency > 0:
-		return nil, fmt.Errorf("cluster: NetLatency requires the channel transport (UseChannels)")
-	case cfg.CallTimeout > 0:
-		return nil, fmt.Errorf("cluster: CallTimeout requires the channel transport (UseChannels)")
+		link = netsim.NewChanLink()
 	default:
-		c.inner = netsim.NewDirect(handlers)
+		link = netsim.NewDirectLink()
 	}
-	c.base = c.inner
+	mw := netsim.Config{Latency: cfg.NetLatency, Timeout: cfg.CallTimeout}
 	if cfg.Faults != nil {
-		c.inner = fault.Wrap(c.inner, cfg.Faults)
+		mw.Inject = cfg.Faults.Deliver
 	}
-	c.tr = &resilientTransport{c: c}
+	var err error
+	if c.net, err = netsim.New(link, mw, handlers); err != nil {
+		return nil, err
+	}
+	c.tr = &resilientTransport{Stack: c.net, c: c}
 	c.lean = cfg.Faults == nil && !cfg.Durability && cfg.CallTimeout == 0 &&
 		cfg.BreakerThreshold <= 0
 	if c.parallelDispatch() && !cfg.LockedReads {
@@ -392,7 +379,6 @@ func New(cfg Config) (*Cluster, error) {
 		Part:     c.part,
 		Cat:      c.cat,
 		Parallel: c.parallelDispatch(),
-		Workers:  cfg.ScatterWorkers,
 	}
 	if c.mvccOn() {
 		c.env.WriteEpoch = c.writeEpoch

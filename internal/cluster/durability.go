@@ -230,7 +230,7 @@ func (c *Cluster) CrashNode(n int) error {
 		c.cfg.Faults.Crash(n)
 	}
 	c.noteDown(n)
-	if _, err := c.base.Call(netsim.Coordinator, n, node.CrashReq{}); err != nil {
+	if _, err := c.net.Bypass(netsim.Coordinator, n, node.CrashReq{}); err != nil {
 		return fmt.Errorf("cluster: crashing node %d: %w", n, err)
 	}
 	return nil

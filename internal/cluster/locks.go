@@ -45,7 +45,7 @@ func (c *Cluster) serialStmts() bool {
 // scatter dispatches per-node calls through the cluster's transport under
 // its dispatch policy, gathering responses in input order.
 func (c *Cluster) scatter(calls []netsim.Call) ([]any, error) {
-	return netsim.ScatterCalls(c.tr, c.parallelDispatch(), c.cfg.ScatterWorkers, calls)
+	return netsim.ScatterCalls(c.tr, c.parallelDispatch(), calls)
 }
 
 // stmtClaims computes the lock set of one DML statement on table: the

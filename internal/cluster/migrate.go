@@ -42,14 +42,12 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"joinview/internal/fault"
 	"joinview/internal/hashpart"
 	"joinview/internal/lockmgr"
-	"joinview/internal/netsim"
 	"joinview/internal/node"
 	"joinview/internal/storage"
 	"joinview/internal/types"
@@ -327,10 +325,6 @@ func (c *Cluster) provisionNode() (int, error) {
 	if err := c.failIfMigrating(); err != nil {
 		return -1, err
 	}
-	adder, ok := c.base.(netsim.NodeAdder)
-	if !ok {
-		return -1, fmt.Errorf("cluster: transport %T does not support adding nodes", c.base)
-	}
 	dst := c.NumNodes()
 	dn := node.New(dst, c.cfg.MemPages)
 	if c.cfg.BufferPages > 0 {
@@ -339,7 +333,7 @@ func (c *Cluster) provisionNode() (int, error) {
 	if c.cfg.Durability {
 		dn.EnableDurability(c.cfg.PageRows, c.cfg.CheckpointEvery)
 	}
-	if _, err := adder.AddNode(dn.Handler()); err != nil {
+	if _, err := c.net.AddNode(dn.Handler()); err != nil {
 		return -1, err
 	}
 	c.nmu.Lock()
@@ -1079,12 +1073,7 @@ func (c *Cluster) dropStaging(staging []migStaging) error {
 
 // isUnknownFrag reports whether an error is a drop of a fragment that was
 // never created (an expected case when cleaning up an early abort).
-func isUnknownFrag(err error) bool {
-	s := err.Error()
-	return strings.Contains(s, "unknown fragment") || strings.Contains(s, "unknown global index") ||
-		strings.Contains(s, "no fragment") || strings.Contains(s, "no global index") ||
-		strings.Contains(s, "not found")
-}
+func isUnknownFrag(err error) bool { return errors.Is(err, node.ErrNoFragment) }
 
 // ResumeMigrations recovers the elasticity state after a coordinator
 // failure: every migration in the WAL is driven to a decision.

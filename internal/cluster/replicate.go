@@ -828,36 +828,3 @@ func emptyRespFor(req any) any {
 		return node.Ack{}
 	}
 }
-
-// broadcastSkipDown fans a request out to the live nodes only,
-// synthesizing typed empty responses for failed-over nodes. Only valid
-// once every down node's slots are promoted (replServesComplete).
-func (c *Cluster) broadcastSkipDown(from int, req any) ([]any, error) {
-	mut := isMutating(req)
-	var wreq any = req
-	var id uint64
-	tid := uint64(0)
-	if mut {
-		id = c.seq.Add(1)
-		tid = c.curTID.Load()
-		wreq = node.Seq{ID: id, TID: tid, Req: req}
-	}
-	out := make([]any, c.NumNodes())
-	var errs []error
-	for to := 0; to < c.NumNodes(); to++ {
-		if c.isDown(to) {
-			out[to] = emptyRespFor(req)
-			continue
-		}
-		if mut && tid != 0 {
-			c.addParticipant(to)
-		}
-		resp, err := c.deliver(from, to, wreq, id, mut, false)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("netsim: broadcast to node %d: %w", to, err))
-			continue
-		}
-		out[to] = resp
-	}
-	return out, errors.Join(errs...)
-}

@@ -97,14 +97,16 @@ func (c *Cluster) Suspect() []int {
 }
 
 // resilientTransport is the coordinator's delivery layer: every call to the
-// underlying transport (possibly fault-injecting) gets bounded retries with
+// underlying stack (possibly fault-injecting) gets bounded retries with
 // exponential backoff for transient failures, sequence-number wrapping of
 // mutating requests so retries are idempotent, in-doubt resolution via
 // SeqQuery when the retry budget runs out, and node-down bookkeeping that
-// moves the cluster into degraded mode. It implements netsim.Transport, so
-// installing it as maintain.Env's transport upgrades every maintenance path
-// without touching the call sites.
+// moves the cluster into degraded mode. It overrides the stack's Call and
+// Broadcast and is otherwise the stack, so installing it as maintain.Env's
+// transport upgrades every maintenance path without touching the call
+// sites.
 type resilientTransport struct {
+	*netsim.Stack
 	c *Cluster
 }
 
@@ -162,62 +164,61 @@ func (t *resilientTransport) Call(from, to int, req any) (any, error) {
 }
 
 // Broadcast implements netsim.Transport. The fan-out runs once through the
-// inner transport (preserving its message accounting and, for the channel
-// transport, its parallel delivery); slots that failed are then retried
-// individually under the same sequence number, so a node that executed the
-// request but lost the reply answers the retry from its dedup cache.
+// stack (preserving its message accounting and, on a concurrent link, its
+// parallel delivery); slots that failed are then retried individually under
+// the same sequence number, so a node that executed the request but lost
+// the reply answers the retry from its dedup cache.
+//
+// Once every down node's slots are promoted to followers the broadcast
+// proceeds on the survivors, one delivery at a time: the dead nodes hold no
+// data, so typed empty responses stand in for them.
 func (t *resilientTransport) Broadcast(from int, req any) ([]any, error) {
 	c := t.c
-	if n, degraded := c.firstDown(); degraded {
-		// Once every down node's slots are promoted to followers, the
-		// broadcast proceeds on the survivors: the dead nodes hold no data,
-		// so typed empty responses stand in for them.
-		if c.replServesComplete() {
-			return c.broadcastSkipDown(from, req)
-		}
-		return nil, fault.NodeDownError{Node: n}
+	down, degraded := c.firstDown()
+	if degraded && !c.replServesComplete() {
+		return nil, fault.NodeDownError{Node: down}
 	}
-	wreq, id, mut := req, uint64(0), isMutating(req)
-	if mut && !c.lean {
-		id = c.seq.Add(1)
-		tid := c.curTID.Load()
-		wreq = node.Seq{ID: id, TID: tid, Req: req}
-		if tid != 0 {
-			for n := 0; n < c.inner.NumNodes(); n++ {
-				c.addParticipant(n)
+	n := c.net.NumNodes()
+	mut := isMutating(req)
+	wreq, id := req, uint64(0)
+	if !c.lean {
+		live := make([]int, 0, n)
+		for to := 0; to < n; to++ {
+			if !degraded || !c.isDown(to) {
+				live = append(live, to)
 			}
 		}
+		wreq, id = c.seal(req, true, live...)
 	}
-	out, err := c.inner.Broadcast(from, wreq)
-	if err == nil {
-		if mut {
-			for to, resp := range out {
+	var out []any
+	if degraded {
+		out = make([]any, n)
+		for to := range out {
+			if c.isDown(to) {
+				out[to] = emptyRespFor(req)
+			}
+		}
+	} else {
+		var err error
+		out, err = c.net.Broadcast(from, wreq)
+		for to, resp := range out {
+			if mut && resp != nil {
 				c.tapMutation(to, wreq, resp)
 			}
 		}
-		return out, nil
+		if err == nil {
+			return out, nil
+		}
 	}
-	if out == nil {
-		out = make([]any, c.inner.NumNodes())
-	}
+	// Every slot still empty is owed an individual delivery.
 	var errs []error
 	for to := range out {
 		if out[to] != nil {
 			continue
 		}
-		var resp any
-		var cerr error
-		if c.lean {
-			// Unwrapped single re-attempt; see resilientCall's fast path.
-			resp, cerr = c.inner.Call(from, to, wreq)
-			if cerr == nil && mut {
-				c.tapMutation(to, wreq, resp)
-			}
-		} else {
-			resp, cerr = c.deliver(from, to, wreq, id, mut, false)
-		}
-		if cerr != nil {
-			errs = append(errs, fmt.Errorf("netsim: broadcast to node %d: %w", to, cerr))
+		resp, err := c.deliver(from, to, wreq, id, mut, false)
+		if err != nil {
+			errs = append(errs, fmt.Errorf("netsim: broadcast to node %d: %w", to, err))
 			continue
 		}
 		out[to] = resp
@@ -225,17 +226,25 @@ func (t *resilientTransport) Broadcast(from int, req any) ([]any, error) {
 	return out, errors.Join(errs...)
 }
 
-// NumNodes implements netsim.Transport.
-func (t *resilientTransport) NumNodes() int { return t.c.inner.NumNodes() }
-
-// Stats implements netsim.Transport.
-func (t *resilientTransport) Stats() netsim.Stats { return t.c.inner.Stats() }
-
-// ResetStats implements netsim.Transport.
-func (t *resilientTransport) ResetStats() { t.c.inner.ResetStats() }
-
-// Close implements netsim.Transport.
-func (t *resilientTransport) Close() { t.c.inner.Close() }
+// seal wraps a mutating request in a fresh sequence envelope, so a retried
+// delivery cannot double-apply; reads are naturally idempotent and go
+// unwrapped (id 0). Statement traffic (stmt) is also stamped with the
+// transaction in progress and registers dests as its 2PC participants;
+// recovery traffic runs outside any transaction.
+func (c *Cluster) seal(req any, stmt bool, dests ...int) (any, uint64) {
+	if !isMutating(req) {
+		return req, 0
+	}
+	s := node.Seq{ID: c.seq.Add(1), Req: req}
+	if stmt {
+		if s.TID = c.curTID.Load(); s.TID != 0 {
+			for _, n := range dests {
+				c.addParticipant(n)
+			}
+		}
+	}
+	return s, s.ID
+}
 
 // resilientCall delivers one request with the full retry/dedup/in-doubt
 // protocol. undo marks compensating actions: when the destination is (or
@@ -244,28 +253,6 @@ func (t *resilientTransport) Close() { t.c.inner.Close() }
 // it can rather than abandon the surviving nodes.
 func (c *Cluster) resilientCall(from, to int, req any, undo bool) (any, error) {
 	mut := isMutating(req)
-	if c.lean {
-		// Fast path: without faults, timeouts, durability or a breaker a
-		// delivery cannot spuriously fail, so the sequence envelope (whose
-		// sole job is retry dedup) and the retry/in-doubt loop are pure
-		// overhead. Node-down bookkeeping stays: MarkNodeDown and broken
-		// real-socket connections still surface here.
-		if c.isDown(to) {
-			if undo && mut {
-				c.queueRepair(to, repair{kind: repairRedo, id: c.seq.Add(1), req: req})
-				return nil, nil
-			}
-			return nil, fault.NodeDownError{Node: to}
-		}
-		resp, err := c.inner.Call(from, to, req)
-		if err != nil {
-			return nil, err
-		}
-		if mut {
-			c.tapMutation(to, req, resp)
-		}
-		return resp, nil
-	}
 	if c.isDown(to) {
 		if undo && mut {
 			// In durable mode the compensation is simply absorbed: the
@@ -277,74 +264,74 @@ func (c *Cluster) resilientCall(from, to int, req any, undo bool) (any, error) {
 		}
 		return nil, fault.NodeDownError{Node: to}
 	}
-	var wreq any = req
-	var id uint64
-	if mut {
-		id = c.seq.Add(1)
-		tid := c.curTID.Load()
-		wreq = node.Seq{ID: id, TID: tid, Req: req}
-		if tid != 0 {
-			c.addParticipant(to)
-		}
+	wreq, id := req, uint64(0)
+	if !c.lean {
+		wreq, id = c.seal(req, true, to)
 	}
 	return c.deliver(from, to, wreq, id, mut, undo)
 }
 
-// deliver runs the bounded retry loop for an already-wrapped request, then
+// deliver sends an already-sealed request through the retry loop, then
 // resolves in-doubt outcomes.
 func (c *Cluster) deliver(from, to int, wreq any, id uint64, mut, undo bool) (any, error) {
-	raw := wreq
-	if s, ok := wreq.(node.Seq); ok {
-		raw = s.Req
+	if c.lean {
+		// Fast path: without faults, timeouts, durability or a breaker a
+		// delivery cannot spuriously fail, so the sequence envelope (whose
+		// sole job is retry dedup) and the retry/in-doubt machinery are pure
+		// overhead: one unwrapped attempt. Node-down bookkeeping stays with
+		// the callers: MarkNodeDown and broken real-socket connections
+		// still surface.
+		resp, err := c.net.Call(from, to, wreq)
+		if err == nil && mut {
+			c.tapMutation(to, wreq, resp)
+		}
+		return resp, err
 	}
 	if c.breakerOpen(to) {
 		return nil, fmt.Errorf("%w: node %d", ErrSuspect, to)
 	}
-	var lastErr error
-	for attempt := 0; attempt < c.cfg.RetryAttempts; attempt++ {
-		if attempt > 0 {
-			c.sleepBackoff(attempt)
+	resp, err := c.retry(from, to, wreq)
+	if err == nil {
+		c.breakerOK(to)
+		if mut {
+			c.tapMutation(to, wreq, resp)
 		}
-		resp, err := c.inner.Call(from, to, wreq)
-		if err == nil {
-			c.breakerOK(to)
-			if mut {
-				c.tapMutation(to, wreq, resp)
-			}
-			return resp, nil
+		return resp, nil
+	}
+	raw := wreq
+	if s, ok := wreq.(node.Seq); ok {
+		raw = s.Req
+	}
+	if n, down := fault.IsNodeDown(err); down {
+		// The fault layer refuses deliveries to a crashed node before
+		// they reach it, so the request was not applied.
+		c.noteDown(n)
+		if undo && mut {
+			c.queueRepair(to, repair{kind: repairRedo, id: id, req: raw})
+			return nil, nil
 		}
-		lastErr = err
-		if n, down := fault.IsNodeDown(err); down {
-			// The fault layer refuses deliveries to a crashed node before
-			// they reach it, so the request was not applied.
-			c.noteDown(n)
-			if undo && mut {
-				c.queueRepair(to, repair{kind: repairRedo, id: id, req: raw})
-				return nil, nil
-			}
-			// Tag with ErrDegraded so the statement that discovers the
-			// crash fails the same way every later statement will.
-			return nil, fmt.Errorf("%w: %w", ErrDegraded, err)
-		}
-		if !fault.IsTransient(err) {
-			return nil, err
-		}
+		// Tag with ErrDegraded so the statement that discovers the
+		// crash fails the same way every later statement will.
+		return nil, fmt.Errorf("%w: %w", ErrDegraded, err)
+	}
+	if !fault.IsTransient(err) {
+		return nil, err
 	}
 	if !mut {
 		c.breakerFail(to)
-		return nil, lastErr
+		return nil, err
 	}
 	// Retry budget exhausted on a transient failure: the node may or may
 	// not have applied the request (a lost reply looks identical to a lost
-	// request). Ask it.
-	resp, applied, qerr := c.resolveInDoubt(from, to, id)
-	if qerr == nil {
+	// request). Ask it, retrying the (idempotent) query itself through the
+	// fault storm.
+	if q, qerr := c.retry(from, to, node.SeqQuery{ID: id}); qerr == nil {
 		c.breakerOK(to)
-		if applied {
-			c.tapMutation(to, wreq, resp)
-			return resp, nil
+		if r := q.(node.SeqQueryResult); r.Applied {
+			c.tapMutation(to, wreq, r.Resp)
+			return r.Resp, nil
 		}
-		return nil, lastErr
+		return nil, err
 	}
 	c.breakerFail(to)
 	// The node cannot even answer the outcome query: treat it as down and
@@ -355,52 +342,20 @@ func (c *Cluster) deliver(from, to int, wreq any, id uint64, mut, undo bool) (an
 		return nil, nil
 	}
 	c.queueRepair(to, repair{kind: repairInDoubt, id: id, req: raw})
-	return nil, fmt.Errorf("cluster: call to node %d in doubt: %w", to, lastErr)
+	return nil, fmt.Errorf("cluster: call to node %d in doubt: %w", to, err)
 }
 
-// resolveInDoubt asks the node whether it applied the sequence number,
-// retrying the (idempotent) query itself through the fault storm.
-func (c *Cluster) resolveInDoubt(from, to int, id uint64) (any, bool, error) {
+// retry is the one bounded retry loop: it re-sends wreq while the failure
+// is transient (an injected fault or a timeout), sleeping the jittered
+// backoff between attempts, and returns the last error once the budget is
+// spent. The caller owns idempotence (seal).
+func (c *Cluster) retry(from, to int, wreq any) (any, error) {
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.RetryAttempts; attempt++ {
 		if attempt > 0 {
 			c.sleepBackoff(attempt)
 		}
-		resp, err := c.inner.Call(from, to, node.SeqQuery{ID: id})
-		if err == nil {
-			r := resp.(node.SeqQueryResult)
-			return r.Resp, r.Applied, nil
-		}
-		lastErr = err
-		if !fault.IsTransient(err) {
-			return nil, false, err
-		}
-	}
-	return nil, false, lastErr
-}
-
-// rawCall delivers recovery traffic over the raw transport with transient
-// retries. Mutating requests get a fresh sequence envelope so a retried
-// delivery cannot double-apply — repair crosses the same faulty network as
-// maintenance. Unlike resilientCall it ignores the degraded set (Recover
-// talks to nodes still marked down) and surfaces in-doubt outcomes as
-// plain errors: Recover's work is idempotent, so the operator reruns it.
-func (c *Cluster) rawCall(to int, req any) (any, error) {
-	var wreq any = req
-	if isMutating(req) {
-		wreq = node.Seq{ID: c.seq.Add(1), Req: req}
-	}
-	return c.rawDeliver(to, wreq)
-}
-
-// rawDeliver is rawCall's retry loop for an already-wrapped request.
-func (c *Cluster) rawDeliver(to int, wreq any) (any, error) {
-	var lastErr error
-	for attempt := 0; attempt < c.cfg.RetryAttempts; attempt++ {
-		if attempt > 0 {
-			c.sleepBackoff(attempt)
-		}
-		resp, err := c.inner.Call(netsim.Coordinator, to, wreq)
+		resp, err := c.net.Call(from, to, wreq)
 		if err == nil {
 			return resp, nil
 		}
@@ -410,6 +365,23 @@ func (c *Cluster) rawDeliver(to int, wreq any) (any, error) {
 		}
 	}
 	return nil, lastErr
+}
+
+// rawCall delivers recovery traffic over the raw stack with transient
+// retries. Mutating requests get a fresh sequence envelope — repair crosses
+// the same faulty network as maintenance. Unlike resilientCall it ignores
+// the degraded set (Recover talks to nodes still marked down) and surfaces
+// in-doubt outcomes as plain errors: Recover's work is idempotent, so the
+// operator reruns it.
+func (c *Cluster) rawCall(to int, req any) (any, error) {
+	wreq, _ := c.seal(req, false)
+	return c.rawDeliver(to, wreq)
+}
+
+// rawDeliver is rawCall for a request that needs no envelope or already
+// carries one.
+func (c *Cluster) rawDeliver(to int, wreq any) (any, error) {
+	return c.retry(netsim.Coordinator, to, wreq)
 }
 
 // undoCall delivers a compensating action. Unreachable destinations are

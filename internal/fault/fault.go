@@ -8,8 +8,8 @@
 //
 // An Injector is a deterministic, seeded fault source. A schedule arms it
 // with per-delivery probabilities (plus one-shot and crash-after triggers
-// for targeted tests); Transport wraps any netsim.Transport and consults
-// the injector on every delivery. Everything the injector decides flows
+// for targeted tests); its Deliver method is the netsim stack's injection
+// middleware, consulted on every delivery over any link. Everything the injector decides flows
 // from its seed, so a chaos run that fails reproduces exactly from the
 // same seed.
 package fault

@@ -21,11 +21,17 @@ func countingHandlers(n int) ([]netsim.Handler, []int) {
 	return hs, counts
 }
 
+// inject builds the direct transport with inj installed.
+func inject(hs []netsim.Handler, inj *Injector) *netsim.Stack {
+	tr, _ := netsim.New(netsim.NewDirectLink(), netsim.Config{Inject: inj.Deliver}, hs)
+	return tr
+}
+
 func TestDeterministicStorm(t *testing.T) {
 	storm := func() Stats {
 		hs, _ := countingHandlers(4)
 		inj := New(Config{Seed: 7, DropRequest: 0.2, DropReply: 0.2, Duplicate: 0.2, HandlerErr: 0.2})
-		tr := Wrap(netsim.NewDirect(hs), inj)
+		tr := inject(hs, inj)
 		inj.Arm()
 		for i := 0; i < 200; i++ {
 			_, _ = tr.Call(netsim.Coordinator, i%4, i)
@@ -44,7 +50,7 @@ func TestDeterministicStorm(t *testing.T) {
 func TestDisarmedInjectsNothing(t *testing.T) {
 	hs, counts := countingHandlers(2)
 	inj := New(Config{Seed: 1, DropRequest: 1})
-	tr := Wrap(netsim.NewDirect(hs), inj)
+	tr := inject(hs, inj)
 	if _, err := tr.Call(netsim.Coordinator, 0, "x"); err != nil {
 		t.Fatalf("disarmed injector must pass calls through: %v", err)
 	}
@@ -56,7 +62,7 @@ func TestDisarmedInjectsNothing(t *testing.T) {
 func TestFaultKinds(t *testing.T) {
 	hs, counts := countingHandlers(2)
 	inj := New(Config{Seed: 1})
-	tr := Wrap(netsim.NewDirect(hs), inj)
+	tr := inject(hs, inj)
 
 	inj.FailNext(KindDropRequest, 1)
 	if _, err := tr.Call(netsim.Coordinator, 0, "x"); !IsTransient(err) {
@@ -95,7 +101,7 @@ func TestFaultKinds(t *testing.T) {
 func TestCrashRestart(t *testing.T) {
 	hs, _ := countingHandlers(3)
 	inj := New(Config{Seed: 1})
-	tr := Wrap(netsim.NewDirect(hs), inj)
+	tr := inject(hs, inj)
 	inj.Crash(1)
 	_, err := tr.Call(netsim.Coordinator, 1, "x")
 	n, down := IsNodeDown(err)
@@ -122,7 +128,7 @@ func TestCrashRestart(t *testing.T) {
 func TestCrashAfterSchedule(t *testing.T) {
 	hs, _ := countingHandlers(2)
 	inj := New(Config{Seed: 1})
-	tr := Wrap(netsim.NewDirect(hs), inj)
+	tr := inject(hs, inj)
 	inj.CrashAfter(1, 2)
 	for i := 0; i < 2; i++ {
 		if _, err := tr.Call(netsim.Coordinator, 1, i); err != nil {
@@ -137,7 +143,7 @@ func TestCrashAfterSchedule(t *testing.T) {
 func TestMaxFaultsBudget(t *testing.T) {
 	hs, _ := countingHandlers(1)
 	inj := New(Config{Seed: 1, DropRequest: 1, MaxFaults: 3})
-	tr := Wrap(netsim.NewDirect(hs), inj)
+	tr := inject(hs, inj)
 	inj.Arm()
 	failures := 0
 	for i := 0; i < 10; i++ {
@@ -162,7 +168,7 @@ func TestIsTransientCoversTimeout(t *testing.T) {
 func TestDelayFault(t *testing.T) {
 	hs, _ := countingHandlers(1)
 	inj := New(Config{Seed: 1, DelayDuration: 10 * time.Millisecond})
-	tr := Wrap(netsim.NewDirect(hs), inj)
+	tr := inject(hs, inj)
 	inj.FailNext(KindDelay, 1)
 	start := time.Now()
 	if _, err := tr.Call(netsim.Coordinator, 0, "x"); err != nil {

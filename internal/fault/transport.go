@@ -1,45 +1,24 @@
 package fault
 
 import (
-	"errors"
 	"fmt"
 	"time"
-
-	"joinview/internal/netsim"
 )
 
-// Transport applies an Injector's schedule to an underlying transport. It
-// implements netsim.Transport, so a cluster built over it sees the same
-// interface with faults woven into every delivery.
-//
-// Broadcast degrades to per-node sequential delivery so each destination
-// gets an independent fault draw; the complete-and-report contract of
-// netsim.Transport.Broadcast is preserved. (Fault runs measure
-// correctness and message counts, not wall-clock fan-out.)
-type Transport struct {
-	inner netsim.Transport
-	inj   *Injector
-}
-
-// Wrap builds a fault-injecting transport over inner.
-func Wrap(inner netsim.Transport, inj *Injector) *Transport {
-	return &Transport{inner: inner, inj: inj}
-}
-
-// Injector returns the wrapped injector (chaos harnesses arm and crash
-// through it).
-func (t *Transport) Injector() *Injector { return t.inj }
-
-// Call implements netsim.Transport.
-func (t *Transport) Call(from, to int, req any) (any, error) {
-	t.inj.tick()
-	if t.inj.Down(to) {
-		t.inj.deniedDown()
+// Deliver applies the injector's schedule to one delivery to node `to`:
+// it is the netsim.Config.Inject middleware, so the same faults are woven
+// into every link. deliver crosses the wire once per call; a fault runs it
+// zero times (the request is lost or refused), once, or twice (a
+// retransmission racing the original).
+func (i *Injector) Deliver(to int, req any, deliver func() (any, error)) (any, error) {
+	i.tick()
+	if i.Down(to) {
+		i.deniedDown()
 		return nil, NodeDownError{Node: to}
 	}
-	k, ok := t.inj.decide()
+	k, ok := i.decide()
 	if !ok {
-		return t.inner.Call(from, to, req)
+		return deliver()
 	}
 	switch k {
 	case KindDropRequest:
@@ -49,53 +28,23 @@ func (t *Transport) Call(from, to int, req any) (any, error) {
 	case KindDropReply:
 		// Deliver and execute, then lose the answer. If the handler
 		// itself failed, surface the real error (nothing was applied).
-		if _, err := t.inner.Call(from, to, req); err != nil {
+		if _, err := deliver(); err != nil {
 			return nil, err
 		}
 		return nil, fmt.Errorf("fault: reply from node %d for %T dropped: %w", to, req, ErrTransient)
 	case KindDuplicate:
-		// Retransmission racing the original: the request reaches the
-		// node twice. Sequence-number dedup must make the second
-		// delivery a no-op.
-		if _, err := t.inner.Call(from, to, req); err != nil {
+		// The request reaches the node twice. Sequence-number dedup must
+		// make the second delivery a no-op.
+		if _, err := deliver(); err != nil {
 			return nil, err
 		}
-		return t.inner.Call(from, to, req)
+		return deliver()
 	case KindDelay:
-		if d := t.inj.cfg.DelayDuration; d > 0 {
+		if d := i.cfg.DelayDuration; d > 0 {
 			time.Sleep(d)
 		}
-		return t.inner.Call(from, to, req)
+		return deliver()
 	default:
-		return t.inner.Call(from, to, req)
+		return deliver()
 	}
 }
-
-// Broadcast implements netsim.Transport: per-node delivery with
-// independent fault draws, completing every node and joining failures.
-func (t *Transport) Broadcast(from int, req any) ([]any, error) {
-	out := make([]any, t.inner.NumNodes())
-	var errs []error
-	for to := range out {
-		resp, err := t.Call(from, to, req)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("netsim: broadcast to node %d: %w", to, err))
-			continue
-		}
-		out[to] = resp
-	}
-	return out, errors.Join(errs...)
-}
-
-// NumNodes implements netsim.Transport.
-func (t *Transport) NumNodes() int { return t.inner.NumNodes() }
-
-// Stats implements netsim.Transport (messages the inner transport
-// actually carried; dropped requests never count).
-func (t *Transport) Stats() netsim.Stats { return t.inner.Stats() }
-
-// ResetStats implements netsim.Transport.
-func (t *Transport) ResetStats() { t.inner.ResetStats() }
-
-// Close implements netsim.Transport.
-func (t *Transport) Close() { t.inner.Close() }

@@ -34,8 +34,6 @@ type Env struct {
 	// metric traces are unchanged). Must stay false on the Direct
 	// transport, whose handlers are not goroutine-safe.
 	Parallel bool
-	// Workers bounds in-flight calls per fan-out (0 = one per node).
-	Workers int
 	// WriteEpoch and GCFloor, when set, stamp view mutations for MVCC
 	// snapshot reads: WriteEpoch(frag) is the epoch the current statement
 	// writes at, GCFloor(frag) the version-log truncation floor piggybacked
@@ -59,7 +57,7 @@ func (env Env) stamps(frag string) (uint64, uint64) {
 
 // scatter runs the calls through the env's transport and dispatch policy.
 func (env Env) scatter(calls []netsim.Call) ([]any, error) {
-	return netsim.ScatterCalls(env.T, env.Parallel, env.Workers, calls)
+	return netsim.ScatterCalls(env.T, env.Parallel, calls)
 }
 
 // Op distinguishes delta directions.
@@ -315,7 +313,7 @@ func globalIndexStep(env Env, step plan.Step, cur []types.Tuple, keyIdx int) ([]
 	// identical to the serial loop's.
 	outs := make([][]types.Tuple, len(cur))
 	probed := make([][]int, len(cur))
-	err := netsim.ScatterFunc(env.Parallel, env.Workers, len(cur), func(i int) error {
+	err := netsim.ScatterFunc(env.Parallel, len(cur), func(i int) error {
 		d := cur[i]
 		home := env.Part.NodeFor(d[keyIdx])
 		resp, err := env.T.Call(netsim.Coordinator, home, node.GILookup{GI: step.GI, Val: d[keyIdx]})

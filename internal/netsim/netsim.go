@@ -2,19 +2,23 @@
 // RDBMS. Nodes are addressed 0..L-1; the coordinator (the query dispatcher,
 // Teradata's "parsing engine") uses the reserved id Coordinator.
 //
-// Two transports are provided:
+// The package has two layers:
 //
-//   - Direct: synchronous in-process dispatch. Fully deterministic — the
-//     experiments use it so I/O counter traces are exactly reproducible.
-//   - Chan: one goroutine per node with a buffered inbox, requests carry
-//     reply channels. Broadcasts fan out concurrently, so node-level
-//     parallelism is real. Used by the throughput-oriented examples and
-//     the transport-ablation benchmark.
+//   - A Link is the per-node wire: hand a request to node `to`, return its
+//     reply. There are three — a direct call on the caller's goroutine
+//     (deterministic; the experiments use it so I/O counter traces are
+//     exactly reproducible), an inbox goroutine per node (node-level
+//     parallelism is real), and loopback sockets (internal/netsim/tcp).
+//   - The Stack is the one transport over any link. Everything that is not
+//     the wire lives here exactly once: SEND/envelope accounting,
+//     handler-panic recovery, the complete-and-report broadcast, and
+//     latency, per-call timeout and fault injection as middleware that
+//     composes with every link.
 //
-// Both transports count messages. Following the paper's Figure 2 ("the
-// dashed lines represent cases in which the network communication is
-// conceptual and no real network communication happens"), a call whose
-// source and destination coincide is not counted as a message.
+// Following the paper's Figure 2 ("the dashed lines represent cases in
+// which the network communication is conceptual and no real network
+// communication happens"), a call whose source and destination coincide
+// is not counted as a message.
 package netsim
 
 import (
@@ -60,7 +64,7 @@ type Transport interface {
 	Stats() Stats
 	// ResetStats zeroes message counters.
 	ResetStats()
-	// Close releases transport resources (goroutines for Chan).
+	// Close releases transport resources (node goroutines, sockets).
 	Close()
 }
 
@@ -81,169 +85,285 @@ type Stats struct {
 	Envelopes int64
 }
 
-// NodeAdder is implemented by transports that support growing the cluster
-// online: AddNode registers one more data-server handler and returns its
-// node id. The elasticity machinery asserts for it on the base transport
-// (wrappers — fault injection, resilience — delegate NumNodes to the inner
-// transport, so the new size propagates without their cooperation).
-type NodeAdder interface {
-	AddNode(h Handler) (int, error)
-}
-
 // Envelope is implemented by batched requests that pack several logical
 // messages into one physical delivery. LogicalCounts returns how many
 // logical SENDs (source != destination) and free self-deliveries the
-// envelope represents when delivered from `from` to `to`; the transports
-// use it in place of the default one-message-per-call accounting, so the
+// envelope represents when delivered from `from` to `to`; the stack uses
+// it in place of the default one-message-per-call accounting, so the
 // paper's per-entry SEND counters are preserved under batching.
 type Envelope interface {
 	LogicalCounts(from, to int) (messages, local int64)
 }
 
-type counters struct {
+// Link is the wire under the Stack: one request to one node, one reply.
+// Implementations serialize the requests of one node (the data nodes rely
+// on it) and know nothing of counting, broadcasts, timeouts or faults.
+type Link interface {
+	// Send hands req to node `to` and returns its reply. sent reports
+	// whether the node can have seen the request: false means the link
+	// refused it (closed, dial or encode failure) and err says why; true
+	// with a non-nil err is the handler's own error or a lost reply.
+	Send(to int, req any) (resp any, sent bool, err error)
+	// AddNode registers one more node and returns its id (ids are dense,
+	// starting at 0).
+	AddNode(h Handler) (int, error)
+	// Concurrent reports whether nodes execute off the caller's goroutine,
+	// so that Sends to different nodes overlap.
+	Concurrent() bool
+	// Close releases the link's goroutines and sockets; later Sends fail
+	// with ErrClosed.
+	Close()
+}
+
+// Config is the Stack's middleware. The zero value is a bare transport.
+type Config struct {
+	// Latency delays every inter-node delivery by that wall-clock duration
+	// (self-deliveries stay free, as in the paper's Figure 2). It models
+	// the SEND cost the paper treats as "much smaller than the time spent
+	// on SEARCH, FETCH, and INSERT", for experiments that test what
+	// happens when it is not. The deliveries of a concurrent broadcast
+	// overlap, so it pays one latency, not L.
+	Latency time.Duration
+	// Timeout bounds every delivery: a node that does not answer in time
+	// yields ErrTimeout instead of blocking the caller forever (zero means
+	// unbounded). A timed-out request may still be executed by the node
+	// later — exactly the ambiguity a real interconnect has — so retrying
+	// callers must deduplicate (see internal/node's sequence numbers).
+	Timeout time.Duration
+	// Inject, when set, decides the fate of every delivery: it runs
+	// deliver zero, one or two times (drop, pass, duplicate) and returns
+	// what the caller sees (fault.Injector.Deliver). Broadcasts then go one
+	// destination at a time, so each destination gets its own draw in a
+	// fixed order. Bypass skips it.
+	Inject func(to int, req any, deliver func() (any, error)) (any, error)
+}
+
+// Stack is the transport: a Link plus everything above the wire.
+type Stack struct {
+	link   Link
+	cfg    Config
+	n      atomic.Int32
+	closed atomic.Bool
+
 	messages  atomic.Int64
 	local     atomic.Int64
 	envelopes atomic.Int64
 }
 
-func (c *counters) record(from, to int, req any) {
-	c.envelopes.Add(1)
-	if env, ok := req.(Envelope); ok {
-		msgs, local := env.LogicalCounts(from, to)
-		c.messages.Add(msgs)
-		c.local.Add(local)
-		return
+// New builds the transport over link with one node per handler.
+func New(link Link, cfg Config, handlers []Handler) (*Stack, error) {
+	s := &Stack{link: link, cfg: cfg}
+	for _, h := range handlers {
+		if _, err := s.AddNode(h); err != nil {
+			s.Close()
+			return nil, err
+		}
 	}
-	if from == to {
-		c.local.Add(1)
-	} else {
-		c.messages.Add(1)
-	}
+	return s, nil
 }
 
-func (c *counters) stats() Stats {
-	return Stats{
-		Messages:   c.messages.Load(),
-		LocalCalls: c.local.Load(),
-		Envelopes:  c.envelopes.Load(),
+// NewDirect builds a bare transport over the direct link.
+func NewDirect(handlers []Handler) *Stack {
+	s, _ := New(NewDirectLink(), Config{}, handlers) // a fresh in-process link accepts every node
+	return s
+}
+
+// NewChan builds a bare transport over the inbox-goroutine link.
+func NewChan(handlers []Handler) *Stack {
+	s, _ := New(NewChanLink(), Config{}, handlers) // a fresh in-process link accepts every node
+	return s
+}
+
+// AddNode grows the cluster online by one node and returns its id. A
+// panic in h surfaces as that call's error instead of taking the process
+// (or the node's goroutine) down.
+func (s *Stack) AddNode(h Handler) (int, error) {
+	id, err := s.link.AddNode(func(req any) (resp any, err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				resp, err = nil, fmt.Errorf("netsim: handler panic: %v", r)
+			}
+		}()
+		return h(req)
+	})
+	if err != nil {
+		return 0, err
 	}
+	s.n.Store(int32(id + 1))
+	return id, nil
 }
 
-func (c *counters) reset() {
-	c.messages.Store(0)
-	c.local.Store(0)
-	c.envelopes.Store(0)
+// Call implements Transport.
+func (s *Stack) Call(from, to int, req any) (any, error) {
+	if err := s.checkDest(to); err != nil {
+		return nil, err
+	}
+	if s.cfg.Inject == nil {
+		return s.send(from, to, req)
+	}
+	return s.cfg.Inject(to, req, func() (any, error) { return s.send(from, to, req) })
 }
 
-func checkDest(to, n int) error {
-	if to < 0 || to >= n {
+// Bypass is Call without the injector: crash/restart control traffic must
+// reach a node the fault schedule refuses to talk to.
+func (s *Stack) Bypass(from, to int, req any) (any, error) {
+	if err := s.checkDest(to); err != nil {
+		return nil, err
+	}
+	return s.send(from, to, req)
+}
+
+func (s *Stack) checkDest(to int) error {
+	if s.closed.Load() {
+		return ErrClosed
+	}
+	if n := s.NumNodes(); to < 0 || to >= n {
 		return fmt.Errorf("netsim: destination %d out of range [0,%d)", to, n)
 	}
 	return nil
 }
 
-// Direct is the deterministic transport: Call invokes the destination
-// handler on the caller's goroutine. It must only be used by one goroutine
-// at a time (the experiments drive the cluster single-threaded).
-type Direct struct {
-	handlers []Handler
-	ctr      counters
+// send is one delivery below the injector: latency, then the timeout
+// around the link.
+func (s *Stack) send(from, to int, req any) (any, error) {
+	if s.cfg.Latency > 0 && from != to {
+		time.Sleep(s.cfg.Latency)
+	}
+	if s.cfg.Timeout <= 0 {
+		return s.deliver(from, to, req)
+	}
+	// The abandoned goroutine of a timed-out call ends when the link
+	// answers it (the node's handler returns, or Close fails the send).
+	done := make(chan result, 1)
+	go func() {
+		resp, err := s.deliver(from, to, req)
+		done <- result{resp, err}
+	}()
+	timer := time.NewTimer(s.cfg.Timeout)
+	defer timer.Stop()
+	select {
+	case r := <-done:
+		return r.resp, r.err
+	case <-timer.C:
+		return nil, fmt.Errorf("netsim: node %d did not answer: %w", to, ErrTimeout)
+	}
 }
 
-// NewDirect builds a Direct transport over the given per-node handlers.
-func NewDirect(handlers []Handler) *Direct {
-	return &Direct{handlers: handlers}
-}
-
-// Call implements Transport.
-func (d *Direct) Call(from, to int, req any) (any, error) {
-	if err := checkDest(to, len(d.handlers)); err != nil {
+// deliver crosses the link and counts the envelope iff the link accepted
+// the request.
+func (s *Stack) deliver(from, to int, req any) (any, error) {
+	resp, sent, err := s.link.Send(to, req)
+	if !sent {
 		return nil, err
 	}
-	d.ctr.record(from, to, req)
-	return d.handlers[to](req)
+	s.envelopes.Add(1)
+	if env, ok := req.(Envelope); ok {
+		msgs, local := env.LogicalCounts(from, to)
+		s.messages.Add(msgs)
+		s.local.Add(local)
+	} else if from == to {
+		s.local.Add(1)
+	} else {
+		s.messages.Add(1)
+	}
+	return resp, err
 }
 
-// Broadcast implements Transport: every node is attempted, failures are
-// joined into the returned error.
-func (d *Direct) Broadcast(from int, req any) ([]any, error) {
-	out := make([]any, len(d.handlers))
-	var errs []error
-	for to := range d.handlers {
-		resp, err := d.Call(from, to, req)
+// Broadcast implements Transport. Deliveries overlap when the link is
+// concurrent and no injector is installed.
+func (s *Stack) Broadcast(from int, req any) ([]any, error) {
+	n := s.NumNodes()
+	out, errs := make([]any, n), make([]error, n)
+	_ = ScatterFunc(s.link.Concurrent() && s.cfg.Inject == nil, n, func(to int) error {
+		resp, err := s.Call(from, to, req)
 		if err != nil {
-			errs = append(errs, fmt.Errorf("netsim: broadcast to node %d: %w", to, err))
-			continue
+			errs[to] = fmt.Errorf("netsim: broadcast to node %d: %w", to, err)
+			return nil // complete and report: the failure must not stop the fan-out
 		}
 		out[to] = resp
-	}
+		return nil
+	})
 	return out, errors.Join(errs...)
 }
 
 // NumNodes implements Transport.
-func (d *Direct) NumNodes() int { return len(d.handlers) }
-
-// AddNode implements NodeAdder. Like every Direct method it must not race
-// other use of the transport (the cluster grows topology under its global
-// exclusive lock).
-func (d *Direct) AddNode(h Handler) (int, error) {
-	d.handlers = append(d.handlers, h)
-	return len(d.handlers) - 1, nil
-}
+func (s *Stack) NumNodes() int { return int(s.n.Load()) }
 
 // Stats implements Transport.
-func (d *Direct) Stats() Stats { return d.ctr.stats() }
+func (s *Stack) Stats() Stats {
+	return Stats{
+		Messages:   s.messages.Load(),
+		LocalCalls: s.local.Load(),
+		Envelopes:  s.envelopes.Load(),
+	}
+}
 
 // ResetStats implements Transport.
-func (d *Direct) ResetStats() { d.ctr.reset() }
+func (s *Stack) ResetStats() {
+	s.messages.Store(0)
+	s.local.Store(0)
+	s.envelopes.Store(0)
+}
 
-// Close implements Transport (no-op for Direct).
-func (d *Direct) Close() {}
+// Close implements Transport. Calls after Close fail with ErrClosed on
+// every link; a Call concurrent with Close either completes or observes
+// ErrClosed.
+func (s *Stack) Close() {
+	s.closed.Store(true)
+	s.link.Close()
+}
 
-// Chan runs each node as a goroutine draining a buffered inbox; requests
-// carry reply channels. Handlers therefore execute serially per node but
-// concurrently across nodes, which models the parallel DBMS's per-node
-// work queues. An optional per-message latency models the interconnect's
-// SEND cost in wall-clock terms (the paper treats SEND as "much smaller
-// than the time spent on SEARCH, FETCH, and INSERT" — the latency knob
-// lets experiments test what happens when it is not).
-type Chan struct {
+// directLink invokes the destination handler on the caller's goroutine.
+// The per-node mutex keeps a node's requests serial even when a timed-out
+// call's handler is still running behind its caller.
+type directLink struct {
+	nodes []*directNode
+}
+
+type directNode struct {
+	mu sync.Mutex
+	h  Handler
+}
+
+// NewDirectLink returns the deterministic in-process link. AddNode must
+// not race other use of the link (the cluster grows topology under its
+// global exclusive lock).
+func NewDirectLink() Link { return &directLink{} }
+
+func (d *directLink) Send(to int, req any) (any, bool, error) {
+	n := d.nodes[to]
+	n.mu.Lock()
+	resp, err := n.h(req)
+	n.mu.Unlock()
+	return resp, true, err
+}
+
+func (d *directLink) AddNode(h Handler) (int, error) {
+	d.nodes = append(d.nodes, &directNode{h: h})
+	return len(d.nodes) - 1, nil
+}
+
+func (d *directLink) Concurrent() bool { return false }
+
+func (d *directLink) Close() {}
+
+// chanLink runs each node as a goroutine draining a buffered inbox;
+// requests carry reply channels. Handlers therefore execute serially per
+// node but concurrently across nodes, which models the parallel DBMS's
+// per-node work queues.
+type chanLink struct {
+	// mu guards closed, the inbox slice and every send on an inbox:
+	// senders hold the read lock, AddNode and Close the write lock, so a
+	// Send racing a Close sees `closed` instead of panicking with a send
+	// on a closed channel.
+	mu      sync.RWMutex
+	closed  bool
 	inboxes []chan envelope
-	latency time.Duration
-	timeout time.Duration
-	ctr     counters
 	wg      sync.WaitGroup
 
-	// mu guards closed and every send on the inboxes: senders hold the
-	// read lock, Close takes the write lock before closing the channels,
-	// so a Call racing a Close sees `closed` instead of panicking with a
-	// send on a closed channel.
-	mu     sync.RWMutex
-	closed bool
-
-	// replyPool recycles reply channels, but only when no timeout is
-	// configured: an unbounded recv always drains the single buffered
-	// reply before the channel is pooled, whereas a timed-out recv could
-	// leave a late handler write behind for the next checkout to read.
-	replyPool sync.Pool
-}
-
-// getReply checks a drained reply channel out of the pool (unbounded mode)
-// or allocates a fresh one.
-func (c *Chan) getReply() chan result {
-	if c.timeout == 0 {
-		if v := c.replyPool.Get(); v != nil {
-			return v.(chan result)
-		}
-	}
-	return make(chan result, 1)
-}
-
-// putReply returns a drained (or never-written) reply channel to the pool.
-func (c *Chan) putReply(ch chan result) {
-	if c.timeout == 0 {
-		c.replyPool.Put(ch)
-	}
+	// replies recycles reply channels: Send always drains the single
+	// buffered reply before pooling the channel.
+	replies sync.Pool
 }
 
 type envelope struct {
@@ -256,191 +376,53 @@ type result struct {
 	err  error
 }
 
-// NewChan builds a Chan transport over the given per-node handlers.
-func NewChan(handlers []Handler) *Chan { return NewChanLatency(handlers, 0) }
+// NewChanLink returns the goroutine-per-node link.
+func NewChanLink() Link { return &chanLink{} }
 
-// NewChanLatency builds a Chan transport that delays every inter-node
-// message by the given wall-clock latency (self-deliveries stay free, as
-// in the paper's Figure 2).
-func NewChanLatency(handlers []Handler, latency time.Duration) *Chan {
-	return NewChanTimeout(handlers, latency, 0)
-}
-
-// NewChanTimeout additionally bounds every Call: if the destination's inbox
-// stays full or its handler does not answer within timeout, Call returns
-// ErrTimeout instead of blocking forever (a zero timeout means unbounded,
-// the historical behavior). A timed-out request may still be executed by
-// the node later — exactly the ambiguity a real interconnect has — so
-// retrying callers must deduplicate (see internal/node's sequence numbers).
-func NewChanTimeout(handlers []Handler, latency, timeout time.Duration) *Chan {
-	c := &Chan{
-		inboxes: make([]chan envelope, len(handlers)),
-		latency: latency,
-		timeout: timeout,
+func (c *chanLink) Send(to int, req any) (any, bool, error) {
+	reply, _ := c.replies.Get().(chan result)
+	if reply == nil {
+		reply = make(chan result, 1)
 	}
-	for i, h := range handlers {
-		inbox := make(chan envelope, 128)
-		c.inboxes[i] = inbox
-		c.wg.Add(1)
-		go func(h Handler, inbox chan envelope) {
-			defer c.wg.Done()
-			for env := range inbox {
-				env.reply <- safeHandle(h, env.req)
-			}
-		}(h, inbox)
-	}
-	return c
-}
-
-func safeHandle(h Handler, req any) (res result) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = result{err: fmt.Errorf("netsim: handler panic: %v", r)}
-		}
-	}()
-	resp, err := h(req)
-	return result{resp: resp, err: err}
-}
-
-// send enqueues one envelope under the read lock, so it cannot race Close.
-// With a timeout configured, a full inbox (stuck handler) yields ErrTimeout
-// instead of blocking indefinitely. The message counter records only
-// deliveries that actually entered an inbox.
-func (c *Chan) send(from, to int, env envelope) error {
 	c.mu.RLock()
-	defer c.mu.RUnlock()
 	if c.closed {
-		return ErrClosed
+		c.mu.RUnlock()
+		c.replies.Put(reply) // never entered an inbox, so never written
+		return nil, false, ErrClosed
 	}
-	if c.timeout > 0 {
-		timer := time.NewTimer(c.timeout)
-		defer timer.Stop()
-		select {
-		case c.inboxes[to] <- env:
-		case <-timer.C:
-			return fmt.Errorf("netsim: node %d inbox full: %w", to, ErrTimeout)
-		}
-	} else {
-		c.inboxes[to] <- env
-	}
-	c.ctr.record(from, to, env.req)
-	return nil
-}
-
-// recv waits for the reply, bounded by the configured timeout.
-func (c *Chan) recv(to int, reply chan result) (any, error) {
-	if c.timeout > 0 {
-		timer := time.NewTimer(c.timeout)
-		defer timer.Stop()
-		select {
-		case r := <-reply:
-			return r.resp, r.err
-		case <-timer.C:
-			return nil, fmt.Errorf("netsim: node %d did not answer: %w", to, ErrTimeout)
-		}
-	}
+	c.inboxes[to] <- envelope{req: req, reply: reply}
+	c.mu.RUnlock()
 	r := <-reply
-	return r.resp, r.err
+	c.replies.Put(reply)
+	return r.resp, true, r.err
 }
 
-// Call implements Transport.
-func (c *Chan) Call(from, to int, req any) (any, error) {
-	if err := checkDest(to, c.NumNodes()); err != nil {
-		return nil, err
-	}
-	if c.latency > 0 && from != to {
-		time.Sleep(c.latency)
-	}
-	reply := c.getReply()
-	if err := c.send(from, to, envelope{req: req, reply: reply}); err != nil {
-		c.putReply(reply) // never entered an inbox, so never written
-		return nil, err
-	}
-	resp, err := c.recv(to, reply)
-	if c.timeout == 0 {
-		c.putReply(reply) // recv drained the single buffered result
-	}
-	return resp, err
-}
-
-// Broadcast implements Transport. Deliveries run concurrently; the
-// response slice is indexed by node. Every delivery is attempted; the
-// returned error joins all per-node failures.
-func (c *Chan) Broadcast(from int, req any) ([]any, error) {
-	n := c.NumNodes()
-	// Fan-out wires run in parallel: one latency covers the whole
-	// broadcast.
-	if c.latency > 0 {
-		time.Sleep(c.latency)
-	}
-	replies := make([]chan result, n)
-	var errs []error
-	for to := 0; to < n; to++ {
-		reply := c.getReply()
-		if err := c.send(from, to, envelope{req: req, reply: reply}); err != nil {
-			c.putReply(reply)
-			errs = append(errs, fmt.Errorf("netsim: broadcast to node %d: %w", to, err))
-			continue
-		}
-		replies[to] = reply
-	}
-	out := make([]any, n)
-	for to := 0; to < n; to++ {
-		if replies[to] == nil {
-			continue
-		}
-		resp, err := c.recv(to, replies[to])
-		if c.timeout == 0 {
-			c.putReply(replies[to])
-		}
-		if err != nil {
-			errs = append(errs, fmt.Errorf("netsim: broadcast to node %d: %w", to, err))
-			continue
-		}
-		out[to] = resp
-	}
-	return out, errors.Join(errs...)
-}
-
-// NumNodes implements Transport.
-func (c *Chan) NumNodes() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.inboxes)
-}
-
-// AddNode implements NodeAdder: it registers one more inbox and node
-// goroutine under the write lock, so concurrent Calls to existing nodes
-// (which hold the read lock around every inbox access) never race the
-// slice growth.
-func (c *Chan) AddNode(h Handler) (int, error) {
+func (c *chanLink) AddNode(h Handler) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return 0, ErrClosed
 	}
+	// 128 in-flight requests per node before senders block: deep enough
+	// that concurrent sessions and broadcasts never stall on enqueue.
 	inbox := make(chan envelope, 128)
 	c.inboxes = append(c.inboxes, inbox)
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
 		for env := range inbox {
-			env.reply <- safeHandle(h, env.req)
+			resp, err := h(env.req)
+			env.reply <- result{resp: resp, err: err}
 		}
 	}()
 	return len(c.inboxes) - 1, nil
 }
 
-// Stats implements Transport.
-func (c *Chan) Stats() Stats { return c.ctr.stats() }
+func (c *chanLink) Concurrent() bool { return true }
 
-// ResetStats implements Transport.
-func (c *Chan) ResetStats() { c.ctr.reset() }
-
-// Close stops the node goroutines. Calls after Close fail with ErrClosed;
-// a Call concurrent with Close either completes or observes ErrClosed —
-// never a send on a closed channel.
-func (c *Chan) Close() {
+// Close stops the node goroutines once they have answered every request
+// already in an inbox.
+func (c *chanLink) Close() {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()

@@ -1,4 +1,4 @@
-package netsim
+package netsim_test
 
 import (
 	"errors"
@@ -6,101 +6,15 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"joinview/internal/netsim"
 )
 
-func echoHandlers(n int) []Handler {
-	hs := make([]Handler, n)
-	for i := range hs {
-		node := i
-		hs[i] = func(req any) (any, error) {
-			if req == "boom" {
-				return nil, errors.New("boom")
-			}
-			if req == "panic" {
-				panic("kaboom")
-			}
-			return fmt.Sprintf("node%d:%v", node, req), nil
-		}
-	}
-	return hs
-}
-
-func transports(n int) map[string]Transport {
-	return map[string]Transport{
-		"direct": NewDirect(echoHandlers(n)),
-		"chan":   NewChan(echoHandlers(n)),
-	}
-}
-
-func TestCall(t *testing.T) {
-	for name, tr := range transports(4) {
-		t.Run(name, func(t *testing.T) {
-			defer tr.Close()
-			resp, err := tr.Call(Coordinator, 2, "hi")
-			if err != nil || resp != "node2:hi" {
-				t.Fatalf("Call = %v, %v", resp, err)
-			}
-			if _, err := tr.Call(0, 99, "hi"); err == nil {
-				t.Error("out-of-range destination should fail")
-			}
-			if _, err := tr.Call(0, -1, "hi"); err == nil {
-				t.Error("negative destination should fail")
-			}
-			if _, err := tr.Call(0, 1, "boom"); err == nil {
-				t.Error("handler error must propagate")
-			}
-			if tr.NumNodes() != 4 {
-				t.Error("NumNodes wrong")
-			}
-		})
-	}
-}
-
-func TestBroadcast(t *testing.T) {
-	for name, tr := range transports(5) {
-		t.Run(name, func(t *testing.T) {
-			defer tr.Close()
-			resps, err := tr.Broadcast(1, "x")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(resps) != 5 {
-				t.Fatalf("got %d responses", len(resps))
-			}
-			for i, r := range resps {
-				if r != fmt.Sprintf("node%d:x", i) {
-					t.Errorf("response %d = %v", i, r)
-				}
-			}
-		})
-	}
-}
-
-func TestMessageAccounting(t *testing.T) {
-	for name, tr := range transports(4) {
-		t.Run(name, func(t *testing.T) {
-			defer tr.Close()
-			tr.Call(0, 0, "local")      // self-delivery: free
-			tr.Call(0, 1, "remote")     // 1 message
-			tr.Call(Coordinator, 2, "") // 1 message
-			tr.Broadcast(1, "b")        // 3 messages (node 1 to itself is free)
-			s := tr.Stats()
-			if s.Messages != 5 {
-				t.Errorf("Messages = %d, want 5", s.Messages)
-			}
-			if s.LocalCalls != 2 {
-				t.Errorf("LocalCalls = %d, want 2", s.LocalCalls)
-			}
-			tr.ResetStats()
-			if s := tr.Stats(); s.Messages != 0 || s.LocalCalls != 0 {
-				t.Error("ResetStats did not zero counters")
-			}
-		})
-	}
-}
+// The channel link's own tests: what only an inbox goroutine per node can
+// get wrong. The contract every link shares is in conformance_test.go.
 
 func TestChanPanicRecovery(t *testing.T) {
-	tr := NewChan(echoHandlers(2))
+	tr := netsim.NewChan(echo(2)())
 	defer tr.Close()
 	if _, err := tr.Call(0, 1, "panic"); err == nil {
 		t.Error("panic in handler must surface as error")
@@ -112,7 +26,7 @@ func TestChanPanicRecovery(t *testing.T) {
 }
 
 func TestChanConcurrentCalls(t *testing.T) {
-	tr := NewChan(echoHandlers(8))
+	tr := netsim.NewChan(echo(8)())
 	defer tr.Close()
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
@@ -122,7 +36,7 @@ func TestChanConcurrentCalls(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				to := (g + i) % 8
-				resp, err := tr.Call(Coordinator, to, i)
+				resp, err := tr.Call(netsim.Coordinator, to, i)
 				if err != nil {
 					errs <- err
 					return
@@ -145,7 +59,7 @@ func TestChanConcurrentCalls(t *testing.T) {
 }
 
 func TestChanLatency(t *testing.T) {
-	tr := NewChanLatency(echoHandlers(4), 2*time.Millisecond)
+	tr, _ := netsim.New(netsim.NewChanLink(), netsim.Config{Latency: 2 * time.Millisecond}, echo(4)())
 	defer tr.Close()
 	start := time.Now()
 	if _, err := tr.Call(0, 1, "x"); err != nil {
@@ -164,7 +78,7 @@ func TestChanLatency(t *testing.T) {
 	}
 	// Broadcast pays one latency, not L.
 	start = time.Now()
-	if _, err := tr.Broadcast(Coordinator, "x"); err != nil {
+	if _, err := tr.Broadcast(netsim.Coordinator, "x"); err != nil {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d > 8*time.Millisecond {
@@ -173,7 +87,7 @@ func TestChanLatency(t *testing.T) {
 }
 
 func TestChanClose(t *testing.T) {
-	tr := NewChan(echoHandlers(2))
+	tr := netsim.NewChan(echo(2)())
 	tr.Close()
 	tr.Close() // idempotent
 	if _, err := tr.Call(0, 1, "x"); err == nil {
@@ -184,73 +98,30 @@ func TestChanClose(t *testing.T) {
 	}
 }
 
-func TestBroadcastErrorReportsNode(t *testing.T) {
-	hs := echoHandlers(3)
-	hs[1] = func(any) (any, error) { return nil, errors.New("bad node") }
-	for name, tr := range map[string]Transport{"direct": NewDirect(hs), "chan": NewChan(hs)} {
-		t.Run(name, func(t *testing.T) {
-			defer tr.Close()
-			_, err := tr.Broadcast(Coordinator, "x")
-			if err == nil {
-				t.Fatal("broadcast should report handler error")
-			}
-		})
-	}
-}
-
-// TestBroadcastCompletesPastErrors pins the unified contract: both
-// transports attempt every delivery, fill the surviving slots, and join
-// the per-node failures — a half-failed broadcast must not silently skip
-// the remaining nodes.
-func TestBroadcastCompletesPastErrors(t *testing.T) {
-	mk := func() []Handler {
-		hs := echoHandlers(4)
-		hs[1] = func(any) (any, error) { return nil, errors.New("bad node 1") }
-		return hs
-	}
-	for name, tr := range map[string]Transport{"direct": NewDirect(mk()), "chan": NewChan(mk())} {
-		t.Run(name, func(t *testing.T) {
-			defer tr.Close()
-			resps, err := tr.Broadcast(Coordinator, "x")
-			if err == nil {
-				t.Fatal("broadcast must report the failure")
-			}
-			for _, want := range []int{0, 2, 3} {
-				if resps[want] != fmt.Sprintf("node%d:x", want) {
-					t.Errorf("node %d response = %v: delivery must complete despite node 1's error", want, resps[want])
-				}
-			}
-			if resps[1] != nil {
-				t.Errorf("failed node's slot = %v, want nil", resps[1])
-			}
-		})
-	}
-}
-
 // TestChanCallTimeout demonstrates the per-call timeout firing on a stuck
 // handler instead of hanging the coordinator forever.
 func TestChanCallTimeout(t *testing.T) {
 	stuck := make(chan struct{})
-	hs := echoHandlers(2)
+	hs := echo(2)()
 	hs[1] = func(req any) (any, error) {
 		<-stuck // never answers until released
 		return "late", nil
 	}
-	tr := NewChanTimeout(hs, 0, 20*time.Millisecond)
+	tr, _ := netsim.New(netsim.NewChanLink(), netsim.Config{Timeout: 20 * time.Millisecond}, hs)
 	defer func() {
 		close(stuck)
 		tr.Close()
 	}()
 	start := time.Now()
-	_, err := tr.Call(Coordinator, 1, "x")
-	if !errors.Is(err, ErrTimeout) {
+	_, err := tr.Call(netsim.Coordinator, 1, "x")
+	if !errors.Is(err, netsim.ErrTimeout) {
 		t.Fatalf("Call to stuck handler = %v, want ErrTimeout", err)
 	}
 	if d := time.Since(start); d > 2*time.Second {
 		t.Fatalf("timeout took %v, should fire promptly", d)
 	}
 	// The healthy node still answers.
-	if resp, err := tr.Call(Coordinator, 0, "ok"); err != nil || resp != "node0:ok" {
+	if resp, err := tr.Call(netsim.Coordinator, 0, "ok"); err != nil || resp != "node0:ok" {
 		t.Fatalf("healthy node after timeout: %v, %v", resp, err)
 	}
 }
@@ -260,7 +131,7 @@ func TestChanCallTimeout(t *testing.T) {
 // Close runs concurrently. Run with -race; any panic fails the test.
 func TestChanCloseCallRace(t *testing.T) {
 	for iter := 0; iter < 20; iter++ {
-		tr := NewChan(echoHandlers(4))
+		tr := netsim.NewChan(echo(4)())
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
 			wg.Add(1)
@@ -269,9 +140,9 @@ func TestChanCloseCallRace(t *testing.T) {
 				for i := 0; i < 50; i++ {
 					// Errors (ErrClosed) are expected once Close lands;
 					// only a panic is a failure.
-					_, _ = tr.Call(Coordinator, (g+i)%4, i)
+					_, _ = tr.Call(netsim.Coordinator, (g+i)%4, i)
 					if i%10 == 0 {
-						_, _ = tr.Broadcast(Coordinator, i)
+						_, _ = tr.Broadcast(netsim.Coordinator, i)
 					}
 				}
 			}(g)

@@ -1,11 +1,8 @@
 package netsim
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
-// This file is the coordinator's scatter-gather dispatcher: a bounded
+// This file is the coordinator's scatter-gather dispatcher: a
 // parallel-for over per-node work with deterministic gather semantics.
 // Every per-node fan-out in the cluster and maintenance layers goes
 // through it, so the choice between serial and concurrent dispatch is a
@@ -25,18 +22,15 @@ type Call struct {
 	Req      any
 }
 
-// ScatterFunc runs fn(0..n-1). Serial mode (parallel=false, or n<2, or
-// workers=1) executes in order and stops at the first error, exactly like
-// the loop it replaces. Parallel mode dispatches every index across a
-// bounded worker pool, waits for all of them, and returns the
-// lowest-index error (later indexes still ran — callers that register
-// per-index compensations must therefore do so for every success, not
-// only the prefix). workers <= 0 means one worker per index.
-func ScatterFunc(parallel bool, workers, n int, fn func(i int) error) error {
-	if n == 0 {
-		return nil
-	}
-	if !parallel || n == 1 || workers == 1 {
+// ScatterFunc runs fn(0..n-1). Serial mode (parallel=false, or n<2)
+// executes in order and stops at the first error, exactly like the loop
+// it replaces. Parallel mode runs every index on its own goroutine (n is
+// a node count or a delta's row count per statement), waits for all of
+// them, and returns the lowest-index error (later indexes still ran —
+// callers that register per-index compensations must therefore do so for
+// every success, not only the prefix).
+func ScatterFunc(parallel bool, n int, fn func(i int) error) error {
+	if !parallel || n < 2 {
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {
 				return err
@@ -44,25 +38,14 @@ func ScatterFunc(parallel bool, workers, n int, fn func(i int) error) error {
 		}
 		return nil
 	}
-	if workers <= 0 || workers > n {
-		workers = n
-	}
 	errs := make([]error, n)
-	var next atomic.Int64
-	next.Store(-1)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				errs[i] = fn(i)
-			}
-		}()
+			errs[i] = fn(i)
+		}(i)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -78,9 +61,9 @@ func ScatterFunc(parallel bool, workers, n int, fn func(i int) error) error {
 // calls that did succeed are still returned (nil slots mark failures), so
 // the caller can compensate applied work; the error is the lowest-index
 // failure.
-func ScatterCalls(t Transport, parallel bool, workers int, calls []Call) ([]any, error) {
+func ScatterCalls(t Transport, parallel bool, calls []Call) ([]any, error) {
 	out := make([]any, len(calls))
-	err := ScatterFunc(parallel, workers, len(calls), func(i int) error {
+	err := ScatterFunc(parallel, len(calls), func(i int) error {
 		resp, err := t.Call(calls[i].From, calls[i].To, calls[i].Req)
 		if err != nil {
 			return err

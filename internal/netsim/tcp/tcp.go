@@ -1,18 +1,14 @@
-// Package tcp is a real-socket implementation of the netsim.Transport
-// contract: every node listens on a loopback TCP port, requests and
-// responses travel as gob-encoded envelopes, and the coordinator keeps a
-// small per-destination connection pool. It exists to prove the engine's
-// envelope encoding works off in-process channels — the cluster code is
-// byte-for-byte the same over Direct, Chan and TCP.
+// Package tcp is the real-socket netsim.Link: every node listens on a
+// loopback TCP port, requests and responses travel as gob-encoded
+// envelopes, and the coordinator keeps a small per-destination connection
+// pool. It exists to prove the engine's envelope encoding works off
+// in-process channels — the cluster code is byte-for-byte the same over
+// the direct, channel and TCP links, and everything above the wire
+// (accounting, broadcast, latency, timeout, fault injection) is the one
+// netsim.Stack.
 //
-// Contract deviations, both documented at the Config surface:
-//
-//   - Errors are flattened to strings on the wire, so errors.Is matching
-//     of node-side sentinel errors does not survive the hop. Fault
-//     injection (whose machinery classifies wrapped error values) is
-//     therefore rejected with this transport.
-//   - There is no latency or timeout knob; calls block until the peer
-//     answers or the connection breaks.
+// A handler's error crosses the wire as its message plus a small code for
+// the sentinels callers match with errors.Is (node.ErrNoFragment).
 package tcp
 
 import (
@@ -21,7 +17,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 
 	"joinview/internal/expr"
 	"joinview/internal/netsim"
@@ -49,15 +44,47 @@ type wireReq struct {
 	Req any
 }
 
-// wireResp frames one response; Err is the flattened handler error ("" =
-// success).
+// wireResp frames one response; Err is the handler error's message ("" =
+// success) and Code an index into sentinels (0 = none).
 type wireResp struct {
 	Resp any
 	Err  string
+	Code uint8
+}
+
+// sentinels are the node-raised errors that keep their identity across
+// the wire; a wire code is the position here plus one.
+var sentinels = []error{node.ErrNoFragment}
+
+// wireError is a handler error rebuilt on the client side.
+type wireError struct {
+	msg      string
+	sentinel error // nil when the error carried no code
+}
+
+func (e *wireError) Error() string { return e.msg }
+func (e *wireError) Unwrap() error { return e.sentinel }
+
+func encodeErr(err error) wireResp {
+	w := wireResp{Err: err.Error()}
+	for i, s := range sentinels {
+		if errors.Is(err, s) {
+			w.Code = uint8(i + 1)
+		}
+	}
+	return w
+}
+
+func decodeErr(w wireResp) error {
+	e := &wireError{msg: w.Err}
+	if c := int(w.Code); c >= 1 && c <= len(sentinels) {
+		e.sentinel = sentinels[c-1]
+	}
+	return e
 }
 
 // server is one node's listening side. The handler mutex serializes
-// request execution per node — the same discipline the Chan transport's
+// request execution per node — the same discipline the channel link's
 // per-node goroutine provides — while different nodes execute
 // concurrently.
 type server struct {
@@ -84,10 +111,12 @@ func (s *server) serve() {
 				if err := dec.Decode(&req); err != nil {
 					return // peer closed or stream broken
 				}
-				resp, err := s.handle(req.Req)
+				s.mu.Lock()
+				resp, err := s.h(req.Req)
+				s.mu.Unlock()
 				w := wireResp{Resp: resp}
 				if err != nil {
-					w = wireResp{Err: err.Error()}
+					w = encodeErr(err)
 				}
 				if err := enc.Encode(w); err != nil {
 					return
@@ -95,17 +124,6 @@ func (s *server) serve() {
 			}
 		}()
 	}
-}
-
-func (s *server) handle(req any) (resp any, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer func() {
-		if r := recover(); r != nil {
-			resp, err = nil, fmt.Errorf("tcp: handler panic: %v", r)
-		}
-	}()
-	return s.h(req)
 }
 
 // conn is one pooled client connection with its sticky codec pair (gob
@@ -157,56 +175,19 @@ func (p *pool) close() {
 	p.mu.Unlock()
 }
 
-// counters mirrors the in-package netsim accounting (that type is
-// unexported): one envelope per physical delivery, logical SEND counts for
-// batched requests implementing netsim.Envelope, self-deliveries free.
-type counters struct {
-	messages  atomic.Int64
-	local     atomic.Int64
-	envelopes atomic.Int64
-}
-
-func (c *counters) record(from, to int, req any) {
-	c.envelopes.Add(1)
-	if env, ok := req.(netsim.Envelope); ok {
-		msgs, local := env.LogicalCounts(from, to)
-		c.messages.Add(msgs)
-		c.local.Add(local)
-		return
-	}
-	if from == to {
-		c.local.Add(1)
-	} else {
-		c.messages.Add(1)
-	}
-}
-
-// Transport is the TCP implementation of netsim.Transport (plus
-// netsim.NodeAdder).
-type Transport struct {
+// link is the TCP implementation of netsim.Link.
+type link struct {
 	mu      sync.RWMutex // guards servers/pools growth and closed
 	servers []*server
 	pools   []*pool
 	closed  bool
-	ctr     counters
 }
 
-// New starts one loopback listener per handler and returns the connected
-// transport.
-func New(handlers []netsim.Handler) (*Transport, error) {
-	t := &Transport{}
-	for _, h := range handlers {
-		if _, err := t.AddNode(h); err != nil {
-			t.Close()
-			return nil, err
-		}
-	}
-	return t, nil
-}
+// NewLink returns an empty loopback-TCP link; each AddNode starts one
+// listener.
+func NewLink() netsim.Link { return &link{} }
 
-// AddNode implements netsim.NodeAdder: it starts a listener for one more
-// node and returns its id.
-func (t *Transport) AddNode(h netsim.Handler) (int, error) {
+func (t *link) AddNode(h netsim.Handler) (int, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return 0, fmt.Errorf("tcp: listen: %w", err)
@@ -224,92 +205,42 @@ func (t *Transport) AddNode(h netsim.Handler) (int, error) {
 	return len(t.servers) - 1, nil
 }
 
-// Call implements netsim.Transport.
-func (t *Transport) Call(from, to int, req any) (any, error) {
+// Send reports a request as sent once it is fully encoded onto a
+// connection; a reply that fails to come back is a lost reply.
+func (t *link) Send(to int, req any) (any, bool, error) {
 	t.mu.RLock()
-	n := len(t.pools)
 	if t.closed {
 		t.mu.RUnlock()
-		return nil, netsim.ErrClosed
-	}
-	if to < 0 || to >= n {
-		t.mu.RUnlock()
-		return nil, fmt.Errorf("netsim: destination %d out of range [0,%d)", to, n)
+		return nil, false, netsim.ErrClosed
 	}
 	p := t.pools[to]
 	t.mu.RUnlock()
 
 	c, err := p.get()
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	t.ctr.record(from, to, req)
 	if err := c.enc.Encode(wireReq{Req: req}); err != nil {
 		c.c.Close()
-		return nil, fmt.Errorf("tcp: send to node %d: %w", to, err)
+		return nil, false, fmt.Errorf("tcp: send to node %d: %w", to, err)
 	}
 	var w wireResp
 	if err := c.dec.Decode(&w); err != nil {
 		c.c.Close()
-		return nil, fmt.Errorf("tcp: receive from node %d: %w", to, err)
+		return nil, true, fmt.Errorf("tcp: receive from node %d: %w", to, err)
 	}
 	p.put(c)
 	if w.Err != "" {
-		return nil, errors.New(w.Err)
+		return nil, true, decodeErr(w)
 	}
-	return w.Resp, nil
+	return w.Resp, true, nil
 }
 
-// Broadcast implements netsim.Transport: concurrent fan-out, every node
-// attempted, failures joined with their node ids (the Direct/Chan error
-// shape).
-func (t *Transport) Broadcast(from int, req any) ([]any, error) {
-	n := t.NumNodes()
-	out := make([]any, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for to := 0; to < n; to++ {
-		wg.Add(1)
-		go func(to int) {
-			defer wg.Done()
-			resp, err := t.Call(from, to, req)
-			if err != nil {
-				errs[to] = fmt.Errorf("netsim: broadcast to node %d: %w", to, err)
-				return
-			}
-			out[to] = resp
-		}(to)
-	}
-	wg.Wait()
-	return out, errors.Join(errs...)
-}
+func (t *link) Concurrent() bool { return true }
 
-// NumNodes implements netsim.Transport.
-func (t *Transport) NumNodes() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.servers)
-}
-
-// Stats implements netsim.Transport.
-func (t *Transport) Stats() netsim.Stats {
-	return netsim.Stats{
-		Messages:   t.ctr.messages.Load(),
-		LocalCalls: t.ctr.local.Load(),
-		Envelopes:  t.ctr.envelopes.Load(),
-	}
-}
-
-// ResetStats implements netsim.Transport.
-func (t *Transport) ResetStats() {
-	t.ctr.messages.Store(0)
-	t.ctr.local.Store(0)
-	t.ctr.envelopes.Store(0)
-}
-
-// Close implements netsim.Transport: closes listeners, in-flight server
-// goroutines and pooled client connections.
-func (t *Transport) Close() {
+// Close closes listeners, in-flight server goroutines and pooled client
+// connections.
+func (t *link) Close() {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()

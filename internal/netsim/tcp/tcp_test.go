@@ -38,9 +38,9 @@ func echoHandlers(n, failAt int) []netsim.Handler {
 	return hs
 }
 
-func newT(t *testing.T, n, failAt int) *Transport {
+func newT(t *testing.T, n, failAt int) *netsim.Stack {
 	t.Helper()
-	tr, err := New(echoHandlers(n, failAt))
+	tr, err := netsim.New(NewLink(), netsim.Config{}, echoHandlers(n, failAt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,32 +76,24 @@ func TestHandlerErrorsFlattenToStrings(t *testing.T) {
 	}
 }
 
-func TestBroadcastJoinsPerNodeFailures(t *testing.T) {
-	tr := newT(t, 3, 1)
-	out, err := tr.Broadcast(netsim.Coordinator, node.Ping{})
-	if err == nil || !strings.Contains(err.Error(), "netsim: broadcast to node 1") {
-		t.Fatalf("got %v, want Direct/Chan broadcast error shape", err)
+// TestSentinelSurvivesWire: a node-raised sentinel keeps its identity
+// (errors.Is) and its message across the socket; other errors carry none.
+func TestSentinelSurvivesWire(t *testing.T) {
+	hs := echoHandlers(2, -1)
+	hs[1] = func(any) (any, error) {
+		return nil, fmt.Errorf("node 1: dropping fragment %q: %w", "f", node.ErrNoFragment)
 	}
-	if out[0] == nil || out[1] != nil || out[2] == nil {
-		t.Fatalf("out = %#v: surviving slots must answer, failed slot must be nil", out)
-	}
-}
-
-func TestStatsMatchNetsimAccounting(t *testing.T) {
-	tr := newT(t, 3, -1)
-	if _, err := tr.Call(netsim.Coordinator, 0, node.Ping{}); err != nil {
+	tr, err := netsim.New(NewLink(), netsim.Config{}, hs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.Call(1, 1, node.Ping{}); err != nil { // self-delivery
-		t.Fatal(err)
+	defer tr.Close()
+	_, err = tr.Call(netsim.Coordinator, 1, node.Ping{})
+	if !errors.Is(err, node.ErrNoFragment) || !strings.Contains(err.Error(), `dropping fragment "f"`) {
+		t.Fatalf("got %v, want the message and errors.Is(node.ErrNoFragment)", err)
 	}
-	s := tr.Stats()
-	if s.Envelopes != 2 || s.Messages != 1 || s.LocalCalls != 1 {
-		t.Fatalf("stats = %+v, want 2 envelopes, 1 message, 1 local", s)
-	}
-	tr.ResetStats()
-	if s := tr.Stats(); s != (netsim.Stats{}) {
-		t.Fatalf("reset left %+v", s)
+	if _, err := tr.Call(netsim.Coordinator, 0, "unhandled"); err == nil || errors.Is(err, node.ErrNoFragment) {
+		t.Fatalf("got %v, want a plain error", err)
 	}
 }
 
@@ -140,7 +132,7 @@ func TestConcurrentCallsSerializePerNode(t *testing.T) {
 			return node.Ack{}, nil
 		}
 	}
-	tr, err := New(hs)
+	tr, err := netsim.New(NewLink(), netsim.Config{}, hs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,13 +151,5 @@ func TestConcurrentCallsSerializePerNode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-func TestCallAfterCloseFails(t *testing.T) {
-	tr := newT(t, 2, -1)
-	tr.Close()
-	if _, err := tr.Call(0, 1, node.Ping{}); !errors.Is(err, netsim.ErrClosed) {
-		t.Fatalf("got %v, want ErrClosed", err)
 	}
 }

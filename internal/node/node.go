@@ -7,6 +7,7 @@
 package node
 
 import (
+	"errors"
 	"fmt"
 
 	"joinview/internal/buffer"
@@ -19,9 +20,8 @@ import (
 	"joinview/internal/wal"
 )
 
-// DataNode is one data server. Access is serialized by the transport (the
-// Direct transport is single-threaded; the Chan transport gives each node
-// one goroutine).
+// DataNode is one data server. Access is serialized by the transport's
+// link (every netsim.Link runs one request per node at a time).
 type DataNode struct {
 	id        int
 	meter     *storage.Meter
@@ -99,10 +99,16 @@ func (n *DataNode) Handler() netsim.Handler {
 	return func(req any) (any, error) { return n.Handle(req) }
 }
 
+// ErrNoFragment marks a request that names a fragment or global-index
+// fragment the node does not hold. It survives every link (the TCP link
+// carries it as an error code), so idempotent cleanup can tell "already
+// gone" from a real failure with errors.Is.
+var ErrNoFragment = errors.New("no such fragment")
+
 func (n *DataNode) frag(name string) (*storage.Fragment, error) {
 	f, ok := n.frags[name]
 	if !ok {
-		return nil, fmt.Errorf("node %d: no fragment %q", n.id, name)
+		return nil, fmt.Errorf("node %d: fragment %q: %w", n.id, name, ErrNoFragment)
 	}
 	return f, nil
 }
@@ -110,7 +116,7 @@ func (n *DataNode) frag(name string) (*storage.Fragment, error) {
 func (n *DataNode) gi(name string) (*gindex.Fragment, error) {
 	g, ok := n.gidx[name]
 	if !ok {
-		return nil, fmt.Errorf("node %d: no global index %q", n.id, name)
+		return nil, fmt.Errorf("node %d: global index %q: %w", n.id, name, ErrNoFragment)
 	}
 	return g, nil
 }
@@ -439,7 +445,7 @@ func (n *DataNode) Handle(req any) (any, error) {
 
 	case DropFragment:
 		if _, ok := n.frags[r.Name]; !ok {
-			return nil, fmt.Errorf("node %d: no fragment %q to drop", n.id, r.Name)
+			return nil, fmt.Errorf("node %d: dropping fragment %q: %w", n.id, r.Name, ErrNoFragment)
 		}
 		delete(n.frags, r.Name)
 		n.pool.Invalidate(r.Name)
@@ -447,7 +453,7 @@ func (n *DataNode) Handle(req any) (any, error) {
 
 	case DropGlobalIndexFrag:
 		if _, ok := n.gidx[r.Name]; !ok {
-			return nil, fmt.Errorf("node %d: no global index %q to drop", n.id, r.Name)
+			return nil, fmt.Errorf("node %d: dropping global index %q: %w", n.id, r.Name, ErrNoFragment)
 		}
 		delete(n.gidx, r.Name)
 		return Ack{}, nil

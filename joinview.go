@@ -159,9 +159,7 @@ type Options struct {
 	// transport.
 	UseChannels bool
 	// UseTCP runs each node behind a real loopback TCP listener with
-	// gob-encoded messages (mutually exclusive with UseChannels;
-	// incompatible with NetLatency, CallTimeout and Faults — errors are
-	// flattened to strings on the wire).
+	// gob-encoded messages (mutually exclusive with UseChannels).
 	UseTCP bool
 	// LockedReads disables MVCC snapshot reads, forcing queries and view
 	// reads back onto shared lock claims even on a concurrent transport.
@@ -177,15 +175,15 @@ type Options struct {
 	// (0 disables caching simulation). With a pool, Metrics additionally
 	// reports physical I/O — the §3.3 buffering effect.
 	BufferPages int
-	// NetLatency delays every inter-node message by at least this duration
-	// (requires UseChannels): makes the SEND cost the analytical model
+	// NetLatency delays every inter-node message by at least this duration,
+	// on any transport: makes the SEND cost the analytical model
 	// neglects visible in wall-clock. Implemented as a sleep, so values
 	// below the OS timer granularity (about 1 ms on Linux) still cost about
 	// 1 ms per message.
 	NetLatency time.Duration
-	// CallTimeout bounds each coordinator-to-node call (requires
-	// UseChannels); a stuck node surfaces as a retryable timeout instead
-	// of hanging the statement.
+	// CallTimeout bounds each coordinator-to-node call, on any transport; a
+	// stuck node surfaces as a retryable timeout instead of hanging the
+	// statement.
 	CallTimeout time.Duration
 	// RetryAttempts is the number of delivery attempts per call before
 	// the coordinator gives up and rolls the statement back (default 3).
