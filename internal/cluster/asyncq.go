@@ -11,24 +11,21 @@ import (
 	"joinview/internal/expr"
 	"joinview/internal/lockmgr"
 	"joinview/internal/maintain"
-	"joinview/internal/mplan"
-	"joinview/internal/node"
-	"joinview/internal/txn"
 	"joinview/internal/types"
 	"joinview/internal/wal"
 )
 
 // This file is the durable group-commit maintenance queue (Config
-// .AsyncMaintenance). A deferring DML statement validates, resolves its
-// victims against the effective table state (flushed base plus the
-// pending queue, in order) and enqueues its logical delta instead of
-// running the maintenance pipeline; in Durability mode the enqueue is a
-// forced coordinator-log record — the statement's group-commit durability
-// point. A flush epoch snapshots the queue, compacts it per table
-// (insert/delete pairs cancel, repeated keys collapse to their net
-// count), and drives one batched run of the compiled mplan pipeline per
-// table group, each group a presumed-abort 2PC statement whose commit
-// record carries a FlushCommit tag. The protocol is replay-idempotent:
+// .AsyncMaintenance). A deferring DML statement is resolved like any
+// other (dml.go) — against the effective table state: flushed base plus
+// the pending queue, in order — and enqueues its logical delta instead of
+// being applied; in Durability mode the enqueue is a forced
+// coordinator-log record — the statement's group-commit durability point.
+// A flush epoch snapshots the queue, compacts it per table (insert/delete
+// pairs cancel, repeated keys collapse to their net count), and applies
+// each table group as one statement — a presumed-abort 2PC scope whose
+// commit record carries a FlushCommit tag. The protocol is
+// replay-idempotent:
 //
 //	ENQUEUE (forced)            the DML statement's commit point
 //	EPOCH-PLAN (forced)         epoch rolls forward from here
@@ -115,9 +112,6 @@ type epochRun struct {
 	groups     []flushGroup
 	done       []bool
 	rawTuples  int
-	// eplan is the compiled batched pipeline (lazy; recompiled after a
-	// coordinator restart).
-	eplan *mplan.EpochPlan
 }
 
 // tableDone reports whether every group of the run touching table has
@@ -252,11 +246,28 @@ func (c *Cluster) admitDelta() error {
 	}
 }
 
-// enqueueEntries appends the statement's deltas to the queue atomically
-// (one statement may carry a delete and an insert entry — an update). In
+// enqueue defers a resolved statement: its deltas — the delete of its
+// victims, then the insert of its adds; an update carries both — join the
+// queue atomically instead of running the maintenance pipeline. In
 // Durability mode every entry is logged and one Force makes the batch
-// durable: the statement's group-commit point.
-func (c *Cluster) enqueueEntries(entries []queuedDelta) {
+// durable: the statement's group-commit point. The queue keeps its own
+// copies: the caller's tuples are its to reuse once the statement returns.
+func (c *Cluster) enqueue(st *stmt) {
+	var entries []queuedDelta
+	if len(st.victims) > 0 {
+		entries = append(entries, queuedDelta{table: st.table, op: maintain.OpDelete,
+			tuples: append([]types.Tuple(nil), st.victims...)})
+	}
+	if len(st.add) > 0 {
+		cloned := make([]types.Tuple, len(st.add))
+		for i, tup := range st.add {
+			cloned[i] = tup.Clone()
+		}
+		entries = append(entries, queuedDelta{table: st.table, op: maintain.OpInsert, tuples: cloned})
+	}
+	if len(entries) == 0 {
+		return
+	}
 	aq := c.aq
 	aq.mu.Lock()
 	for i := range entries {
@@ -282,6 +293,7 @@ func (c *Cluster) enqueueEntries(entries []queuedDelta) {
 	for _, e := range entries {
 		c.qstats.RecordEnqueue(len(e.tuples))
 	}
+	c.bumpRows(st.table, int64(len(st.add)-len(st.victims)))
 	if c.cfg.EpochSize > 0 && depth >= c.cfg.EpochSize {
 		select {
 		case aq.wake <- struct{}{}:
@@ -290,131 +302,12 @@ func (c *Cluster) enqueueEntries(entries []queuedDelta) {
 	}
 }
 
-// insertAsync defers one insert statement: validate now, maintain later.
-func (c *Cluster) insertAsync(table string, tuples []types.Tuple) error {
-	if err := c.ddlGate(); err != nil {
-		return err
-	}
-	if err := c.admitDelta(); err != nil {
-		return err
-	}
-	h := c.lockStmt(table)
-	defer h.Release()
-	if err := c.cfg.Faults.Phase("enqueue"); err != nil {
-		return err
-	}
-	if err := c.failIfDegraded(); err != nil {
-		return err
-	}
-	t, err := c.cat.Table(table)
-	if err != nil {
-		return err
-	}
-	cloned := make([]types.Tuple, len(tuples))
-	for i, tup := range tuples {
-		if err := t.Schema.Validate(tup); err != nil {
-			return fmt.Errorf("cluster: insert into %q: %w", table, err)
-		}
-		cloned[i] = tup.Clone()
-	}
-	c.enqueueEntries([]queuedDelta{{table: table, op: maintain.OpInsert, tuples: cloned}})
-	c.bumpRows(table, int64(len(tuples)))
-	return nil
-}
-
-// deleteAsync defers one delete statement. Victims are resolved NOW
-// against the effective table state — the flushed base overlaid with the
-// pending queue — so the returned tuples and the deferred delta match
-// what a synchronous delete would have removed.
-func (c *Cluster) deleteAsync(table string, pred expr.Expr) ([]types.Tuple, error) {
-	if err := c.ddlGate(); err != nil {
-		return nil, err
-	}
-	if err := c.admitDelta(); err != nil {
-		return nil, err
-	}
-	h := c.lockStmt(table)
-	defer h.Release()
-	if err := c.cfg.Faults.Phase("enqueue"); err != nil {
-		return nil, err
-	}
-	if err := c.failIfDegraded(); err != nil {
-		return nil, err
-	}
-	t, err := c.cat.Table(table)
-	if err != nil {
-		return nil, err
-	}
-	victims, err := c.overlayVictims(t, pred)
-	if err != nil {
-		return nil, err
-	}
-	if len(victims) == 0 {
-		return nil, nil
-	}
-	c.enqueueEntries([]queuedDelta{{table: table, op: maintain.OpDelete, tuples: victims}})
-	c.bumpRows(table, -int64(len(victims)))
-	return append([]types.Tuple(nil), victims...), nil
-}
-
-// updateAsync defers one update statement: the delete of the current
-// victims and the insert of their replacements enqueue atomically.
-func (c *Cluster) updateAsync(table string, set map[string]types.Value, pred expr.Expr) (int, error) {
-	if err := c.ddlGate(); err != nil {
-		return 0, err
-	}
-	if err := c.admitDelta(); err != nil {
-		return 0, err
-	}
-	h := c.lockStmt(table)
-	defer h.Release()
-	if err := c.cfg.Faults.Phase("enqueue"); err != nil {
-		return 0, err
-	}
-	if err := c.failIfDegraded(); err != nil {
-		return 0, err
-	}
-	t, err := c.cat.Table(table)
-	if err != nil {
-		return 0, err
-	}
-	for col := range set {
-		if t.Schema.ColIndex(col) < 0 {
-			return 0, fmt.Errorf("cluster: update %q: unknown column %q", table, col)
-		}
-	}
-	victims, err := c.overlayVictims(t, pred)
-	if err != nil {
-		return 0, err
-	}
-	if len(victims) == 0 {
-		return 0, nil
-	}
-	replacement := make([]types.Tuple, len(victims))
-	for i, v := range victims {
-		nt := v.Clone()
-		for col, val := range set {
-			nt[t.Schema.MustColIndex(col)] = val
-		}
-		replacement[i] = nt
-	}
-	c.enqueueEntries([]queuedDelta{
-		{table: table, op: maintain.OpDelete, tuples: victims},
-		{table: table, op: maintain.OpInsert, tuples: replacement},
-	})
-	return len(victims), nil
-}
-
 // overlayVictims computes the tuples pred matches in the table's
-// effective state: the stored base (metered scan, like the synchronous
-// victim scan) overlaid with every unapplied queue entry in order, bag
-// semantics. Called with the table's X claim held, so neither a flush
-// nor another writer can move the state underneath.
-func (c *Cluster) overlayVictims(t *catalog.Table, pred expr.Expr) ([]types.Tuple, error) {
-	base, _, err := c.findVictims(t.Name, pred)
-	if err != nil {
-		return nil, err
-	}
+// effective state: base — the stored tuples matching pred, from the same
+// scan a synchronous statement runs — overlaid with every unapplied queue
+// entry in order, bag semantics. Called with the table's X claim held, so
+// neither a flush nor another writer can move the state underneath.
+func (c *Cluster) overlayVictims(t *catalog.Table, pred expr.Expr, base []types.Tuple) ([]types.Tuple, error) {
 	// Gather the unapplied entries for this table: the in-flight epoch's
 	// (unless its table groups already committed, in which case the base
 	// scan saw their effect) followed by the pending queue. Entries with
@@ -641,49 +534,20 @@ func compactEntries(entries []queuedDelta) (groups []flushGroup, raw int) {
 }
 
 // applyEpoch drives a run to its done record: every unapplied group runs
-// as one atomic batched-pipeline statement, then the epoch completes. An
+// as one atomic statement, then the epoch completes. An
 // error (a crashed node, an injected coordinator failure) leaves the run
 // in flight — a later Flush or ResumeMaintenance retries exactly the
 // groups still undone.
 func (c *Cluster) applyEpoch(run *epochRun) error {
-	if run.eplan == nil && len(run.groups) > 0 {
-		specs := make([]mplan.GroupSpec, 0, 2*len(run.groups))
-		for _, g := range run.groups {
-			if len(g.deletes) > 0 {
-				specs = append(specs, mplan.GroupSpec{Table: g.table, Op: maintain.OpDelete, DeltaSize: len(g.deletes)})
-			}
-			if len(g.inserts) > 0 {
-				specs = append(specs, mplan.GroupSpec{Table: g.table, Op: maintain.OpInsert, DeltaSize: len(g.inserts)})
-			}
-		}
-		ep, err := mplan.CompileEpoch(c.cat, c.st, specs, func(table string, op maintain.Op) (*mplan.Plan, error) {
-			return c.planFor(table, op)
-		})
-		if err != nil {
-			return err
-		}
-		run.eplan = ep
-	}
-	step := 0
 	for gi := range run.groups {
-		g := &run.groups[gi]
-		delStep, insStep := -1, -1
-		if len(g.deletes) > 0 {
-			delStep = step
-			step++
-		}
-		if len(g.inserts) > 0 {
-			insStep = step
-			step++
-		}
 		if run.done[gi] {
 			continue
 		}
 		if err := c.cfg.Faults.Phase("flush"); err != nil {
 			return err
 		}
-		if err := c.applyGroup(run, gi, delStep, insStep); err != nil {
-			return fmt.Errorf("cluster: epoch %d group %q: %w", run.epoch, g.table, err)
+		if err := c.applyGroup(run, gi); err != nil {
+			return fmt.Errorf("cluster: epoch %d group %q: %w", run.epoch, run.groups[gi].table, err)
 		}
 	}
 	if err := c.cfg.Faults.Phase("ack"); err != nil {
@@ -697,58 +561,26 @@ func (c *Cluster) applyEpoch(run *epochRun) error {
 	return c.completeEpoch(run)
 }
 
-// applyGroup runs one table's net delta — deletes then inserts — as one
-// atomic statement. The 2PC commit record carries the FlushCommit tag,
-// so "committed" and "done" are a single forced write; the done flag is
-// set before the table claim releases, keeping the overlay readers'
-// view of (stored state, done flags) consistent.
-func (c *Cluster) applyGroup(run *epochRun, gi, delStep, insStep int) error {
+// applyGroup runs one table's net delta as one statement: its deletes,
+// located by value, then its inserts. The 2PC commit record carries the
+// FlushCommit tag, so "committed" and "done" are a single forced write;
+// the done flag is set before the table claim releases, keeping the
+// overlay readers' view of (stored state, done flags) consistent.
+func (c *Cluster) applyGroup(run *epochRun, gi int) error {
 	g := &run.groups[gi]
 	h := c.lockStmt(g.table)
 	defer h.Release()
 	if err := c.failIfDegraded(); err != nil {
 		return err
 	}
-	tab, err := c.cat.Table(g.table)
-	if err != nil {
+	st := stmt{table: g.table, remove: g.deletes, add: g.inserts,
+		tag: &wal.FlushCommit{Epoch: run.epoch, Group: gi}}
+	if err := c.resolve(&st, false); err != nil {
 		return err
 	}
-	var delPlan, insPlan *mplan.Plan
-	if delStep >= 0 {
-		delPlan = run.eplan.Steps[delStep].Plan
-		if !delPlan.Valid(c.cat, c.st) {
-			if delPlan, err = c.planFor(g.table, maintain.OpDelete); err != nil {
-				return err
-			}
-		}
-	}
-	if insStep >= 0 {
-		insPlan = run.eplan.Steps[insStep].Plan
-		if !insPlan.Valid(c.cat, c.st) {
-			if insPlan, err = c.planFor(g.table, maintain.OpInsert); err != nil {
-				return err
-			}
-		}
-	}
-	err = c.runStmtTagged(wal.FlushCommit{Epoch: run.epoch, Group: gi}, func(tx *txn.Txn) error {
-		if delPlan != nil {
-			victims, locs, err := c.locateTuples(tab, g.deletes)
-			if err != nil {
-				return err
-			}
-			if err := c.execPlan(tx, delPlan, victims, locs); err != nil {
-				return err
-			}
-		}
-		if insPlan != nil {
-			return c.execPlan(tx, insPlan, g.inserts, nil)
-		}
-		return nil
-	})
-	if err != nil {
+	if err := c.apply(&st); err != nil {
 		return err
 	}
-	c.publishStmt(g.table)
 	c.aq.mu.Lock()
 	run.done[gi] = true
 	c.aq.mu.Unlock()
@@ -782,37 +614,6 @@ func (c *Cluster) completeEpoch(run *epochRun) error {
 	return nil
 }
 
-// locateTuples finds one stored instance per tuple (value-addressed, via
-// each tuple's home node), returning victims and their locations for the
-// delete pipeline.
-func (c *Cluster) locateTuples(tab *catalog.Table, tuples []types.Tuple) ([]types.Tuple, []located, error) {
-	buckets, err := c.part.Spread(tab.Schema, tab.PartitionCol, tuples)
-	if err != nil {
-		return nil, nil, err
-	}
-	var victims []types.Tuple
-	var locs []located
-	for n, bucket := range buckets {
-		if len(bucket) == 0 {
-			continue
-		}
-		resp, err := c.call(n, node.LocateMatch{Frag: tab.Name, HintCol: tab.PartitionCol, Tuples: bucket})
-		if err != nil {
-			return nil, nil, err
-		}
-		rr := resp.(node.RowsResult)
-		if len(rr.Rows) != len(bucket) {
-			return nil, nil, fmt.Errorf("cluster: located %d of %d tuples in %q at node %d",
-				len(rr.Rows), len(bucket), tab.Name, n)
-		}
-		for i := range rr.Rows {
-			victims = append(victims, rr.Tuples[i])
-			locs = append(locs, located{node: n, row: rr.Rows[i], tuple: rr.Tuples[i]})
-		}
-	}
-	return victims, locs, nil
-}
-
 // ResumeMaintenance settles the queue after a failure: in Durability
 // mode the authoritative queue state is rebuilt from the coordinator's
 // log (the in-memory picture may be stale after a simulated coordinator
@@ -835,10 +636,7 @@ func (c *Cluster) ResumeMaintenance() error {
 	if run == nil {
 		return nil
 	}
-	if err := c.applyEpoch(run); err != nil {
-		return err
-	}
-	return nil
+	return c.applyEpoch(run)
 }
 
 // rebuildQueueFromLog reconstructs the queue from the coordinator's

@@ -229,15 +229,11 @@ type Cluster struct {
 
 	// Async-maintenance state (asyncq.go): aq is the deferred-delta queue,
 	// qstats its counters, flushMu serializes flush epochs (manual Flush
-	// vs the background flusher), flusherWG tracks the flusher goroutine,
-	// flushCommitTag carries the current flush group's identity into
-	// logDecision (written only in Durability mode, where statements are
-	// serial).
-	aq             *asyncQueue
-	qstats         *stats.QueueCounters
-	flushMu        sync.Mutex
-	flusherWG      sync.WaitGroup
-	flushCommitTag *wal.FlushCommit
+	// vs the background flusher), flusherWG tracks the flusher goroutine.
+	aq        *asyncQueue
+	qstats    *stats.QueueCounters
+	flushMu   sync.Mutex
+	flusherWG sync.WaitGroup
 
 	// Replication state (Config.ReplicationFactor > 1): failedOver marks
 	// down nodes whose slots were already promoted to surviving followers

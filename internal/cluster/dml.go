@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 
 	"joinview/internal/catalog"
@@ -14,6 +13,7 @@ import (
 	"joinview/internal/storage"
 	"joinview/internal/txn"
 	"joinview/internal/types"
+	"joinview/internal/wal"
 )
 
 // located ties a base tuple to its storage position, for global-index
@@ -24,12 +24,37 @@ type located struct {
 	tuple types.Tuple
 }
 
-// errNoVictims aborts a delete/update statement that matched nothing. The
-// statement scope still opened (the victim scan runs inside it, so a
-// concurrent writer cannot invalidate located row ids between scan and
-// apply), but under presumed abort an empty statement costs nothing: no
-// participants, no decision record.
-var errNoVictims = errors.New("cluster: statement matched no tuples")
+// stmt is the one write statement: the paper's "begin transaction; update
+// base relation; update auxiliary relation; update join view; end
+// transaction", with an UPDATE treated as delete-then-insert. Autocommit
+// DML, a statement inside a Txn, a transaction's compensation, a deferred
+// statement and a flush-epoch group are all one of these; resolve and
+// apply are the only code that knows how it runs (DESIGN.md "Write
+// statements").
+type stmt struct {
+	table string
+	// Victim source: the tuples matching where (scan; a nil predicate
+	// matches every tuple), else one stored instance per tuple of remove
+	// (value-addressed), else none.
+	scan   bool
+	where  expr.Expr
+	remove []types.Tuple
+	// set, when non-nil, re-adds every victim with these columns replaced
+	// (column -> new value). A statement carries set or add, not both.
+	set map[string]types.Value
+	// add holds the tuples to insert: the caller's, or the replacements
+	// resolve builds from set.
+	add []types.Tuple
+	// tag marks a flush-epoch group: it rides on the 2PC commit record.
+	tag *wal.FlushCommit
+
+	// victims and locs are what resolve found: the stored tuples the
+	// statement removes and where they live.
+	victims []types.Tuple
+	locs    []located
+}
+
+func (st *stmt) empty() bool { return len(st.victims) == 0 && len(st.add) == 0 }
 
 // Insert runs one insert transaction against a base table: route and store
 // the tuples, update every auxiliary relation and global index of the
@@ -40,93 +65,180 @@ func (c *Cluster) Insert(table string, tuples []types.Tuple) error {
 	if len(tuples) == 0 {
 		return nil
 	}
-	return c.withFailover(func() error { return c.insertOnce(table, tuples) })
-}
-
-func (c *Cluster) insertOnce(table string, tuples []types.Tuple) error {
-	if c.asyncOn() {
-		return c.insertAsync(table, tuples)
-	}
-	h := c.lockStmt(table)
-	defer h.Release()
-	if err := c.failIfDegraded(); err != nil {
-		return err
-	}
-	mp, err := c.planFor(table, maintain.OpInsert)
-	if err != nil {
-		return err
-	}
-	if err := c.runStmt(func(tx *txn.Txn) error {
-		return c.execPlan(tx, mp, tuples, nil)
-	}); err != nil {
-		return err
-	}
-	c.publishStmt(table)
-	c.bumpRows(table, int64(len(tuples)))
-	return nil
+	_, err := c.write(stmt{table: table, add: tuples}, c.asyncOn())
+	return err
 }
 
 // Delete removes every tuple of the table matching pred, maintaining all
 // auxiliary structures and views, and returns the deleted tuples.
 func (c *Cluster) Delete(table string, pred expr.Expr) ([]types.Tuple, error) {
-	var out []types.Tuple
+	st, err := c.write(stmt{table: table, scan: true, where: pred}, c.asyncOn())
+	if err != nil {
+		return nil, err
+	}
+	return st.victims, nil
+}
+
+// Update modifies every tuple matching pred by applying the set map
+// (column -> new value), implemented as the paper treats updates: the
+// compiled delete pipeline for the old tuples followed by the compiled
+// insert pipeline for the new ones, all inside one transaction scope. It
+// returns the number of tuples updated.
+func (c *Cluster) Update(table string, set map[string]types.Value, pred expr.Expr) (int, error) {
+	st, err := c.write(updateStmt(table, set, pred), c.asyncOn())
+	if err != nil {
+		return 0, err
+	}
+	return len(st.victims), nil
+}
+
+func updateStmt(table string, set map[string]types.Value, pred expr.Expr) stmt {
+	if set == nil {
+		set = map[string]types.Value{} // still an update: victims are re-added unchanged
+	}
+	return stmt{table: table, scan: true, where: pred, set: set}
+}
+
+// write runs one statement end to end — gate, claims, resolve, then apply
+// or (deferred) enqueue — under failover retry, and returns it resolved:
+// victims are what it removed, add what it inserted. Every attempt starts
+// from the unresolved statement.
+func (c *Cluster) write(st stmt, deferred bool) (stmt, error) {
+	var out stmt
 	err := c.withFailover(func() error {
-		var err error
-		out, err = c.deleteOnce(table, pred)
-		return err
+		out = st
+		return c.writeOnce(&out, deferred)
 	})
 	return out, err
 }
 
-func (c *Cluster) deleteOnce(table string, pred expr.Expr) ([]types.Tuple, error) {
-	if c.asyncOn() {
-		return c.deleteAsync(table, pred)
-	}
-	h := c.lockStmt(table)
-	defer h.Release()
-	deleted, err := c.deleteLocked(table, pred)
-	if err != nil {
-		return nil, err
-	}
-	c.bumpRows(table, -int64(len(deleted)))
-	return deleted, nil
-}
-
-func (c *Cluster) deleteLocked(table string, pred expr.Expr) ([]types.Tuple, error) {
-	if err := c.failIfDegraded(); err != nil {
-		return nil, err
-	}
-	mp, err := c.planFor(table, maintain.OpDelete)
-	if err != nil {
-		return nil, err
-	}
-	// The victim scan runs inside the statement scope: the located row ids
-	// stay valid until the statement's own deletes consume them, because
-	// the statement holds its table locks the whole time.
-	var victims []types.Tuple
-	err = c.runStmt(func(tx *txn.Txn) error {
-		var locs []located
-		var err error
-		victims, locs, err = c.findVictims(table, pred)
-		if err != nil {
+func (c *Cluster) writeOnce(st *stmt, deferred bool) error {
+	if deferred {
+		// Both gates run before the statement's table locks are taken: a
+		// stalled writer must hold nothing the flusher or a DDL drain needs.
+		if err := c.ddlGate(); err != nil {
 			return err
 		}
-		if len(victims) == 0 {
-			return errNoVictims
+		if err := c.admitDelta(); err != nil {
+			return err
 		}
-		return c.execPlan(tx, mp, victims, locs)
-	})
-	if errors.Is(err, errNoVictims) {
-		return nil, nil
+	}
+	h := c.lockStmt(st.table)
+	defer h.Release()
+	if deferred {
+		if err := c.cfg.Faults.Phase("enqueue"); err != nil {
+			return err
+		}
+	}
+	if err := c.failIfDegraded(); err != nil {
+		return err
+	}
+	if err := c.resolve(st, deferred); err != nil {
+		return err
+	}
+	if deferred {
+		c.enqueue(st)
+		return nil
+	}
+	return c.apply(st)
+}
+
+// resolve turns the statement into concrete work, under the caller's
+// claims: victims/locs are the stored tuples it removes, add everything it
+// inserts (one replacement per victim when set is present), each checked
+// against the schema — a statement that cannot apply is refused here,
+// before anything is stored or enqueued. The located row ids stay valid
+// until apply consumes them because the caller holds the table's claims
+// throughout. deferred resolves a predicate against the effective table
+// state — the stored base overlaid with the maintenance queue — so the
+// victims match what a synchronous statement would have removed; they
+// carry no locations (the flush relocates them by value).
+func (c *Cluster) resolve(st *stmt, deferred bool) error {
+	t, err := c.cat.Table(st.table)
+	if err != nil {
+		return err
+	}
+	for col := range st.set {
+		if t.Schema.ColIndex(col) < 0 {
+			return fmt.Errorf("cluster: update %q: unknown column %q", st.table, col)
+		}
+	}
+	switch {
+	case st.scan:
+		st.victims, st.locs, err = c.findVictims(st.table, st.where)
+		if err == nil && deferred {
+			st.locs = nil
+			st.victims, err = c.overlayVictims(t, st.where, st.victims)
+		}
+	case len(st.remove) > 0:
+		st.victims, st.locs, err = c.locateTuples(t, st.remove)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	// Publish before the caller releases the statement's claims: the
-	// epoch bump makes this statement's version records part of the
-	// committed state for future snapshots.
-	c.publishStmt(table)
-	return victims, nil
+	if st.set != nil {
+		st.add = make([]types.Tuple, len(st.victims))
+		for i, v := range st.victims {
+			nt := v.Clone()
+			for col, val := range st.set {
+				nt[t.Schema.MustColIndex(col)] = val
+			}
+			st.add[i] = nt
+		}
+	}
+	for _, tup := range st.add {
+		if err := t.Schema.Validate(tup); err != nil {
+			return fmt.Errorf("cluster: insert into %q: %w", st.table, err)
+		}
+	}
+	return nil
+}
+
+// apply runs a resolved statement: the compiled delete pipeline over its
+// victims, then the compiled insert pipeline over its adds, inside one
+// atomically-committed statement scope — a failure anywhere leaves neither
+// half applied. The caller holds the claims; the publish happens before it
+// releases them, so the statement's version records become part of the
+// committed state for future snapshots. A tagged statement (a flush-epoch
+// group) leaves the row-count statistic alone: its statements charged it
+// when they were acknowledged.
+func (c *Cluster) apply(st *stmt) error {
+	if st.empty() {
+		// Matched nothing, adds nothing: under presumed abort an empty
+		// statement costs nothing — no participants, no decision record.
+		return nil
+	}
+	var del, ins *mplan.Plan
+	var err error
+	if len(st.victims) > 0 {
+		if del, err = c.planFor(st.table, maintain.OpDelete); err != nil {
+			return err
+		}
+	}
+	if len(st.add) > 0 {
+		if ins, err = c.planFor(st.table, maintain.OpInsert); err != nil {
+			return err
+		}
+	}
+	err = c.runStmt(st.tag, func(tx *txn.Txn) error {
+		if del != nil {
+			if err := c.execPlan(tx, del, st.victims, st.locs); err != nil {
+				return err
+			}
+		}
+		if ins != nil {
+			return c.execPlan(tx, ins, st.add, nil)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	c.publishStmt(st.table)
+	if st.tag == nil {
+		c.bumpRows(st.table, int64(len(st.add)-len(st.victims)))
+	}
+	return nil
 }
 
 // findVictims locates the tuples matching pred at every node (a scan; the
@@ -149,82 +261,35 @@ func (c *Cluster) findVictims(table string, pred expr.Expr) ([]types.Tuple, []lo
 	return victims, locs, nil
 }
 
-// Update modifies every tuple matching pred by applying the set map
-// (column -> new value), implemented as the paper treats updates: the
-// compiled delete pipeline for the old tuples followed by the compiled
-// insert pipeline for the new ones, all inside one transaction scope. It
-// returns the number of tuples updated.
-func (c *Cluster) Update(table string, set map[string]types.Value, pred expr.Expr) (int, error) {
-	var n int
-	err := c.withFailover(func() error {
-		var err error
-		n, err = c.updateOnce(table, set, pred)
-		return err
-	})
-	return n, err
-}
-
-func (c *Cluster) updateOnce(table string, set map[string]types.Value, pred expr.Expr) (int, error) {
-	if c.asyncOn() {
-		return c.updateAsync(table, set, pred)
-	}
-	h := c.lockStmt(table)
-	defer h.Release()
-	t, err := c.cat.Table(table)
+// locateTuples finds one stored instance per tuple (value-addressed, via
+// each tuple's home node), returning victims and their locations for the
+// delete pipeline.
+func (c *Cluster) locateTuples(tab *catalog.Table, tuples []types.Tuple) ([]types.Tuple, []located, error) {
+	buckets, err := c.part.Spread(tab.Schema, tab.PartitionCol, tuples)
 	if err != nil {
-		return 0, err
+		return nil, nil, err
 	}
-	for col := range set {
-		if t.Schema.ColIndex(col) < 0 {
-			return 0, fmt.Errorf("cluster: update %q: unknown column %q", table, col)
+	var victims []types.Tuple
+	var locs []located
+	for n, bucket := range buckets {
+		if len(bucket) == 0 {
+			continue
 		}
-	}
-	if err := c.failIfDegraded(); err != nil {
-		return 0, err
-	}
-	mpDel, err := c.planFor(table, maintain.OpDelete)
-	if err != nil {
-		return 0, err
-	}
-	mpIns, err := c.planFor(table, maintain.OpInsert)
-	if err != nil {
-		return 0, err
-	}
-	// The victim scan, the delete half and the insert half all run inside
-	// one statement scope: a failure anywhere leaves neither half applied,
-	// and the located row ids cannot be invalidated between scan and apply
-	// because the statement holds its table locks throughout.
-	count := 0
-	err = c.runStmt(func(tx *txn.Txn) error {
-		victims, locs, err := c.findVictims(table, pred)
+		resp, err := c.call(n, node.LocateMatch{Frag: tab.Name, HintCol: tab.PartitionCol, Tuples: bucket})
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
-		if len(victims) == 0 {
-			return errNoVictims
+		rr := resp.(node.RowsResult)
+		if len(rr.Rows) != len(bucket) {
+			return nil, nil, fmt.Errorf("cluster: located %d of %d tuples in %q at node %d",
+				len(rr.Rows), len(bucket), tab.Name, n)
 		}
-		count = len(victims)
-		replacement := make([]types.Tuple, len(victims))
-		for i, v := range victims {
-			nt := v.Clone()
-			for col, val := range set {
-				nt[t.Schema.MustColIndex(col)] = val
-			}
-			replacement[i] = nt
+		for i := range rr.Rows {
+			victims = append(victims, rr.Tuples[i])
+			locs = append(locs, located{node: n, row: rr.Rows[i], tuple: rr.Tuples[i]})
 		}
-		if err := c.execPlan(tx, mpDel, victims, locs); err != nil {
-			return err
-		}
-		return c.execPlan(tx, mpIns, replacement, nil)
-	})
-	if errors.Is(err, errNoVictims) {
-		return 0, nil
 	}
-	if err != nil {
-		return 0, err
-	}
-	c.publishStmt(table)
-	return count, nil
+	return victims, locs, nil
 }
 
 // chooseForView compiles the advisory stage for one view (uncached — the
@@ -300,7 +365,7 @@ func (c *Cluster) ComputeViewDeltaOnly(viewName, table string, tuples []types.Tu
 // RefreshStats calls.
 func (c *Cluster) bumpRows(table string, delta int64) {
 	ts, ok := c.st.Get(table)
-	if !ok {
+	if !ok || delta == 0 {
 		return
 	}
 	ts.Rows += delta

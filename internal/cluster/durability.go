@@ -76,29 +76,16 @@ func (c *Cluster) takeParticipants() []int {
 // coordinator's log — the commit point of two-phase commit. A flush-epoch
 // group's statement carries its FlushCommit tag on the record (Req), so
 // the group's commit point doubles as its durable done marker.
-func (c *Cluster) logDecision(tid uint64) {
+func (c *Cluster) logDecision(tid uint64, tag *wal.FlushCommit) {
 	rec := wal.Record{Kind: wal.KindCommit, TID: tid}
-	if c.flushCommitTag != nil {
-		rec.Req = *c.flushCommitTag
+	if tag != nil {
+		rec.Req = *tag
 	}
 	c.coordLog.Append(rec)
 	c.coordLog.Force()
 	c.pmu.Lock()
 	c.decided[tid] = true
 	c.pmu.Unlock()
-}
-
-// runStmtTagged runs one statement whose commit record carries the given
-// FlushCommit tag. The tag travels through a plain cluster field: it is
-// only set in Durability mode, where statements execute serially under
-// the global lock, so there is never a concurrent untagged statement to
-// race with.
-func (c *Cluster) runStmtTagged(tag wal.FlushCommit, body func(tx *txn.Txn) error) error {
-	if c.cfg.Durability {
-		c.flushCommitTag = &tag
-		defer func() { c.flushCommitTag = nil }()
-	}
-	return c.runStmt(body)
 }
 
 // committedTID reports whether the coordinator decided commit for the
@@ -124,8 +111,9 @@ func (c *Cluster) Decisions() []uint64 {
 
 // runStmt executes body as one atomically-committed statement: an undo
 // scope for coordinator-side compensation, wrapped — when durability is on
-// — in presumed-abort two-phase commit.
-func (c *Cluster) runStmt(body func(tx *txn.Txn) error) error {
+// — in presumed-abort two-phase commit, whose commit record carries tag
+// (nil for everything but a flush-epoch group).
+func (c *Cluster) runStmt(tag *wal.FlushCommit, body func(tx *txn.Txn) error) error {
 	tid := c.beginStmt()
 	var tx txn.Txn
 	if err := body(&tx); err != nil {
@@ -134,13 +122,13 @@ func (c *Cluster) runStmt(body func(tx *txn.Txn) error) error {
 		}
 		return err
 	}
-	return c.commitStmt(tid, &tx)
+	return c.commitStmt(tid, &tx, tag)
 }
 
 // commitStmt drives phase one (Prepare at every participant) and, on
 // unanimous yes, the commit point and lazy decision fan-out. A failed
 // prepare vetoes: the statement rolls back and aborts.
-func (c *Cluster) commitStmt(tid uint64, tx *txn.Txn) error {
+func (c *Cluster) commitStmt(tid uint64, tx *txn.Txn, tag *wal.FlushCommit) error {
 	if tid == 0 {
 		tx.Commit()
 		return nil
@@ -159,7 +147,7 @@ func (c *Cluster) commitStmt(tid uint64, tx *txn.Txn) error {
 			return fmt.Errorf("cluster: prepare failed at node %d: %w", p, err)
 		}
 	}
-	c.logDecision(tid)
+	c.logDecision(tid, tag)
 	c.curTID.Store(0)
 	for _, p := range parts {
 		// Lazy and best-effort: a participant that misses the decision

@@ -388,7 +388,7 @@ func TestCoordinatorDecisionLoss(t *testing.T) {
 			if commit {
 				// The commit point: the decision reached the coordinator's
 				// log, but the participant crashes before hearing it.
-				c.logDecision(tid)
+				c.logDecision(tid, nil)
 			}
 			if err := c.CrashNode(target); err != nil {
 				t.Fatal(err)

@@ -182,7 +182,8 @@ func (c *Cluster) execSharedJoins(mp *mplan.Plan, tuples []types.Tuple) (*shared
 }
 
 // stageBaseInsert routes tuples by the partition attribute and stores
-// them, returning each tuple's storage location.
+// them, returning each tuple's storage location. The tuples are
+// schema-checked already (resolve).
 func (c *Cluster) stageBaseInsert(tx *txn.Txn, t *catalog.Table, tuples []types.Tuple) ([]located, error) {
 	pi := t.Schema.MustColIndex(t.PartitionCol)
 	// Two counting passes carve the per-node buckets (tuples and original
@@ -191,9 +192,6 @@ func (c *Cluster) stageBaseInsert(tx *txn.Txn, t *catalog.Table, tuples []types.
 	homes := make([]int, len(tuples))
 	counts := make([]int, c.NumNodes())
 	for i, tup := range tuples {
-		if err := t.Schema.Validate(tup); err != nil {
-			return nil, fmt.Errorf("cluster: insert into %q: %w", t.Name, err)
-		}
 		n := c.part.NodeFor(tup[pi])
 		homes[i] = n
 		counts[n]++

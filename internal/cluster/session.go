@@ -3,10 +3,7 @@ package cluster
 import (
 	"fmt"
 
-	"joinview/internal/catalog"
 	"joinview/internal/expr"
-	"joinview/internal/maintain"
-	"joinview/internal/node"
 	"joinview/internal/txn"
 	"joinview/internal/types"
 )
@@ -53,137 +50,54 @@ func (t *Txn) check() error {
 
 // Insert runs one insert statement inside the transaction.
 func (t *Txn) Insert(table string, tuples []types.Tuple) error {
-	if err := t.check(); err != nil {
-		return err
-	}
-	if len(tuples) == 0 {
-		return nil
-	}
-	h := t.c.lockStmt(table)
-	defer h.Release()
-	if err := t.c.failIfDegraded(); err != nil {
-		return err
-	}
-	tab, err := t.c.cat.Table(table)
-	if err != nil {
-		return err
-	}
-	return t.insertLockedStmt(tab, tuples)
+	_, err := t.write(stmt{table: table, add: tuples})
+	return err
 }
 
 // Delete runs one delete statement inside the transaction, returning the
 // deleted tuples.
 func (t *Txn) Delete(table string, pred expr.Expr) ([]types.Tuple, error) {
-	if err := t.check(); err != nil {
-		return nil, err
-	}
-	h := t.c.lockStmt(table)
-	defer h.Release()
-	return t.deleteLockedStmt(table, pred)
-}
-
-func (t *Txn) deleteLockedStmt(table string, pred expr.Expr) ([]types.Tuple, error) {
-	deleted, err := t.c.deleteLocked(table, pred)
+	st, err := t.write(stmt{table: table, scan: true, where: pred})
 	if err != nil {
 		return nil, err
 	}
-	if len(deleted) == 0 {
-		return nil, nil
-	}
-	t.c.bumpRows(table, -int64(len(deleted)))
-	tab, err := t.c.cat.Table(table)
-	if err != nil {
-		return nil, err
-	}
-	victims := append([]types.Tuple(nil), deleted...)
-	t.u.OnRollback(func() error {
-		// Logical inverse: re-insert the victims through the compiled
-		// insert pipeline, as an atomic statement of its own.
-		mp, err := t.c.planFor(tab.Name, maintain.OpInsert)
-		if err != nil {
-			return err
-		}
-		if err := t.c.runStmt(func(undo *txn.Txn) error {
-			return t.c.execPlan(undo, mp, victims, nil)
-		}); err != nil {
-			return err
-		}
-		t.c.publishStmt(tab.Name)
-		t.c.bumpRows(table, int64(len(victims)))
-		return nil
-	})
-	return deleted, nil
+	return st.victims, nil
 }
 
 // Update runs one update statement inside the transaction (delete + insert
-// of the modified tuples), returning the affected count.
+// of the modified tuples, one atomic statement), returning the affected
+// count.
 func (t *Txn) Update(table string, set map[string]types.Value, pred expr.Expr) (int, error) {
-	if err := t.check(); err != nil {
-		return 0, err
-	}
-	h := t.c.lockStmt(table)
-	defer h.Release()
-	if err := t.c.failIfDegraded(); err != nil {
-		return 0, err
-	}
-	tab, err := t.c.cat.Table(table)
+	st, err := t.write(updateStmt(table, set, pred))
 	if err != nil {
 		return 0, err
 	}
-	for col := range set {
-		if tab.Schema.ColIndex(col) < 0 {
-			return 0, fmt.Errorf("cluster: update %q: unknown column %q", table, col)
-		}
-	}
-	mark := t.u.Mark()
-	victims, err := t.deleteLockedStmt(table, pred)
-	if err != nil {
-		return 0, err
-	}
-	if len(victims) == 0 {
-		return 0, nil
-	}
-	replacement := make([]types.Tuple, len(victims))
-	for i, v := range victims {
-		nt := v.Clone()
-		for col, val := range set {
-			nt[tab.Schema.MustColIndex(col)] = val
-		}
-		replacement[i] = nt
-	}
-	if err := t.insertLockedStmt(tab, replacement); err != nil {
-		// Undo the delete half so the statement is atomic.
-		if rbErr := t.u.RollbackTo(mark); rbErr != nil {
-			return 0, fmt.Errorf("%w (statement rollback also failed: %v)", err, rbErr)
-		}
-		return 0, err
-	}
-	return len(victims), nil
+	return len(st.victims), nil
 }
 
-// insertLockedStmt is the insert body shared by Insert and Update (mu
-// already held).
-func (t *Txn) insertLockedStmt(tab *catalog.Table, tuples []types.Tuple) error {
-	mp, err := t.c.planFor(tab.Name, maintain.OpInsert)
-	if err != nil {
-		return err
+// write runs the statement exactly as an autocommit one, then registers its
+// logical inverse — remove what it added, add back what it removed — as
+// one statement of its own for Rollback.
+func (t *Txn) write(st stmt) (stmt, error) {
+	if err := t.check(); err != nil {
+		return stmt{}, err
 	}
-	if err := t.c.runStmt(func(stmt *txn.Txn) error {
-		return t.c.execPlan(stmt, mp, tuples, nil)
-	}); err != nil {
-		return err
+	st, err := t.c.write(st, false)
+	if err != nil || st.empty() {
+		return st, err
 	}
-	t.c.publishStmt(tab.Name)
-	t.c.bumpRows(tab.Name, int64(len(tuples)))
-	inserted := append([]types.Tuple(nil), tuples...)
+	inverse := stmt{
+		table:  st.table,
+		remove: append([]types.Tuple(nil), st.add...),
+		add:    append([]types.Tuple(nil), st.victims...),
+	}
 	t.u.OnRollback(func() error {
-		if err := t.c.deleteTuplesLocked(tab, inserted); err != nil {
+		if err := t.c.resolve(&inverse, false); err != nil {
 			return err
 		}
-		t.c.bumpRows(tab.Name, -int64(len(inserted)))
-		return nil
+		return t.c.apply(&inverse)
 	})
-	return nil
+	return st, nil
 }
 
 // Commit finalizes the transaction; its effects stay.
@@ -212,44 +126,3 @@ func (t *Txn) Rollback() error {
 
 // Active reports whether the transaction can still accept statements.
 func (t *Txn) Active() bool { return !t.done }
-
-// deleteTuplesLocked removes one stored instance per given tuple through
-// the compiled delete pipeline (value-addressed delete; mu already held).
-func (c *Cluster) deleteTuplesLocked(tab *catalog.Table, tuples []types.Tuple) error {
-	mp, err := c.planFor(tab.Name, maintain.OpDelete)
-	if err != nil {
-		return err
-	}
-	// Route each tuple to its home node and locate one instance there.
-	buckets, err := c.part.Spread(tab.Schema, tab.PartitionCol, tuples)
-	if err != nil {
-		return err
-	}
-	var victims []types.Tuple
-	var locs []located
-	for n, bucket := range buckets {
-		if len(bucket) == 0 {
-			continue
-		}
-		resp, err := c.call(n, node.LocateMatch{Frag: tab.Name, HintCol: tab.PartitionCol, Tuples: bucket})
-		if err != nil {
-			return err
-		}
-		rr := resp.(node.RowsResult)
-		if len(rr.Rows) != len(bucket) {
-			return fmt.Errorf("cluster: compensation found %d of %d tuples in %q at node %d",
-				len(rr.Rows), len(bucket), tab.Name, n)
-		}
-		for i := range rr.Rows {
-			victims = append(victims, rr.Tuples[i])
-			locs = append(locs, located{node: n, row: rr.Rows[i], tuple: rr.Tuples[i]})
-		}
-	}
-	if err := c.runStmt(func(undo *txn.Txn) error {
-		return c.execPlan(undo, mp, victims, locs)
-	}); err != nil {
-		return err
-	}
-	c.publishStmt(tab.Name)
-	return nil
-}

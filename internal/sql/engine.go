@@ -119,53 +119,8 @@ func ExecStmt(c *cluster.Cluster, st Stmt) (*Result, error) {
 		}
 		return &Result{Message: fmt.Sprintf("view %s created (%s)", v.Name, v.Strategy)}, nil
 
-	case Insert:
-		t, err := c.Catalog().Table(s.Table)
-		if err != nil {
-			return nil, err
-		}
-		tuples := make([]types.Tuple, len(s.Rows))
-		for i, row := range s.Rows {
-			if len(row) != t.Schema.Len() {
-				return nil, fmt.Errorf("sql: insert row %d has %d values, table %q has %d columns",
-					i, len(row), s.Table, t.Schema.Len())
-			}
-			tuples[i] = types.Tuple(row)
-		}
-		if err := c.Insert(s.Table, tuples); err != nil {
-			return nil, err
-		}
-		return &Result{Count: len(tuples)}, nil
-
-	case Delete:
-		t, err := c.Catalog().Table(s.Table)
-		if err != nil {
-			return nil, err
-		}
-		pred, err := condsExpr(s.Where, t.Schema, s.Table)
-		if err != nil {
-			return nil, err
-		}
-		deleted, err := c.Delete(s.Table, pred)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Count: len(deleted)}, nil
-
-	case Update:
-		t, err := c.Catalog().Table(s.Table)
-		if err != nil {
-			return nil, err
-		}
-		pred, err := condsExpr(s.Where, t.Schema, s.Table)
-		if err != nil {
-			return nil, err
-		}
-		n, err := c.Update(s.Table, s.Set, pred)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Count: n}, nil
+	case Insert, Delete, Update:
+		return execDML(c, c, st)
 
 	case Drop:
 		var err error
@@ -195,6 +150,70 @@ func ExecStmt(c *cluster.Cluster, st Stmt) (*Result, error) {
 	default:
 		return nil, fmt.Errorf("sql: unsupported statement %T", st)
 	}
+}
+
+// writer is the DML surface an autocommit statement (*cluster.Cluster)
+// and a statement inside BEGIN (*cluster.Txn) share.
+type writer interface {
+	Insert(table string, tuples []types.Tuple) error
+	Delete(table string, pred expr.Expr) ([]types.Tuple, error)
+	Update(table string, set map[string]types.Value, pred expr.Expr) (int, error)
+}
+
+// execDML binds a parsed INSERT, DELETE or UPDATE against the catalog and
+// runs it on w.
+func execDML(c *cluster.Cluster, w writer, st Stmt) (*Result, error) {
+	switch s := st.(type) {
+	case Insert:
+		t, err := c.Catalog().Table(s.Table)
+		if err != nil {
+			return nil, err
+		}
+		tuples := make([]types.Tuple, len(s.Rows))
+		for i, row := range s.Rows {
+			if len(row) != t.Schema.Len() {
+				return nil, fmt.Errorf("sql: insert row %d has %d values, table %q has %d columns",
+					i, len(row), s.Table, t.Schema.Len())
+			}
+			tuples[i] = types.Tuple(row)
+		}
+		if err := w.Insert(s.Table, tuples); err != nil {
+			return nil, err
+		}
+		return &Result{Count: len(tuples)}, nil
+
+	case Delete:
+		pred, err := bindPred(c, s.Table, s.Where)
+		if err != nil {
+			return nil, err
+		}
+		deleted, err := w.Delete(s.Table, pred)
+		if err != nil {
+			return nil, err
+		}
+		return &Result{Count: len(deleted)}, nil
+
+	case Update:
+		pred, err := bindPred(c, s.Table, s.Where)
+		if err != nil {
+			return nil, err
+		}
+		n, err := w.Update(s.Table, s.Set, pred)
+		if err != nil {
+			return nil, err
+		}
+		return &Result{Count: n}, nil
+	}
+	return nil, fmt.Errorf("sql: %T is not a DML statement", st)
+}
+
+// bindPred converts parsed conditions into a predicate over the table.
+func bindPred(c *cluster.Cluster, table string, conds []Condition) (expr.Expr, error) {
+	t, err := c.Catalog().Table(table)
+	if err != nil {
+		return nil, err
+	}
+	return condsExpr(conds, t.Schema, table)
 }
 
 // bindView turns a parsed CREATE VIEW into a catalog view: aliases resolve

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"joinview/internal/cluster"
-	"joinview/internal/expr"
-	"joinview/internal/types"
 )
 
 // Session executes statements with transaction state: BEGIN opens a
@@ -58,7 +56,7 @@ func (s *Session) ExecScript(input string) ([]*Result, error) {
 
 // ExecStmt executes one parsed statement.
 func (s *Session) ExecStmt(st Stmt) (*Result, error) {
-	switch sm := st.(type) {
+	switch st.(type) {
 	case Begin:
 		if s.InTransaction() {
 			return nil, fmt.Errorf("sql: transaction already open")
@@ -88,46 +86,11 @@ func (s *Session) ExecStmt(st Stmt) (*Result, error) {
 		}
 		return &Result{Message: "rolled back"}, nil
 
-	case Insert:
-		if !s.InTransaction() {
-			return ExecStmt(s.c, st)
+	case Insert, Delete, Update:
+		if s.InTransaction() {
+			return execDML(s.c, s.tx, st)
 		}
-		tuples, err := bindInsert(s.c, sm)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.tx.Insert(sm.Table, tuples); err != nil {
-			return nil, err
-		}
-		return &Result{Count: len(tuples)}, nil
-
-	case Delete:
-		if !s.InTransaction() {
-			return ExecStmt(s.c, st)
-		}
-		pred, err := bindPred(s.c, sm.Table, sm.Where)
-		if err != nil {
-			return nil, err
-		}
-		deleted, err := s.tx.Delete(sm.Table, pred)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Count: len(deleted)}, nil
-
-	case Update:
-		if !s.InTransaction() {
-			return ExecStmt(s.c, st)
-		}
-		pred, err := bindPred(s.c, sm.Table, sm.Where)
-		if err != nil {
-			return nil, err
-		}
-		n, err := s.tx.Update(sm.Table, sm.Set, pred)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Count: n}, nil
+		return execDML(s.c, s.c, st)
 
 	default:
 		// DDL and SELECT run outside transaction scope (DDL is not
@@ -139,30 +102,4 @@ func (s *Session) ExecStmt(st Stmt) (*Result, error) {
 		}
 		return ExecStmt(s.c, st)
 	}
-}
-
-// bindInsert converts parsed rows into validated tuples.
-func bindInsert(c *cluster.Cluster, s Insert) ([]types.Tuple, error) {
-	t, err := c.Catalog().Table(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	tuples := make([]types.Tuple, len(s.Rows))
-	for i, row := range s.Rows {
-		if len(row) != t.Schema.Len() {
-			return nil, fmt.Errorf("sql: insert row %d has %d values, table %q has %d columns",
-				i, len(row), s.Table, t.Schema.Len())
-		}
-		tuples[i] = types.Tuple(row)
-	}
-	return tuples, nil
-}
-
-// bindPred converts parsed conditions into a predicate over the table.
-func bindPred(c *cluster.Cluster, table string, conds []Condition) (expr.Expr, error) {
-	t, err := c.Catalog().Table(table)
-	if err != nil {
-		return nil, err
-	}
-	return condsExpr(conds, t.Schema, table)
 }

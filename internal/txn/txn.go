@@ -37,35 +37,12 @@ func (t *Txn) Rollback() error {
 		return nil
 	}
 	t.done = true
-	err := t.unwindTo(0)
-	t.undo = nil
-	return err
-}
-
-// Mark returns a savepoint: the current undo depth. Use with RollbackTo to
-// get statement-level atomicity inside a multi-statement transaction.
-func (t *Txn) Mark() int { return len(t.undo) }
-
-// RollbackTo undoes everything registered after the savepoint, leaving the
-// transaction open. Rolling back to a stale (too-deep) mark is a no-op.
-func (t *Txn) RollbackTo(mark int) error {
-	if t.done || mark >= len(t.undo) {
-		return nil
-	}
-	if mark < 0 {
-		mark = 0
-	}
-	err := t.unwindTo(mark)
-	t.undo = t.undo[:mark]
-	return err
-}
-
-func (t *Txn) unwindTo(mark int) error {
 	var errs []error
-	for i := len(t.undo) - 1; i >= mark; i-- {
+	for i := len(t.undo) - 1; i >= 0; i-- {
 		if err := t.undo[i](); err != nil {
 			errs = append(errs, fmt.Errorf("txn: undo step %d: %w", i, err))
 		}
 	}
+	t.undo = nil
 	return errors.Join(errs...)
 }

@@ -38,45 +38,6 @@ func TestCommitDisablesRollback(t *testing.T) {
 	}
 }
 
-func TestSavepoints(t *testing.T) {
-	var tx Txn
-	var got []int
-	reg := func(i int) {
-		tx.OnRollback(func() error { got = append(got, i); return nil })
-	}
-	reg(0)
-	mark := tx.Mark()
-	if mark != 1 {
-		t.Fatalf("Mark = %d", mark)
-	}
-	reg(1)
-	reg(2)
-	if err := tx.RollbackTo(mark); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != 2 || got[1] != 1 {
-		t.Errorf("partial rollback order = %v", got)
-	}
-	// Stale mark is a no-op.
-	if err := tx.RollbackTo(99); err != nil {
-		t.Fatal(err)
-	}
-	// The rest still rolls back on full Rollback.
-	if err := tx.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[2] != 0 {
-		t.Errorf("final rollback = %v", got)
-	}
-	// Negative mark clamps.
-	var tx2 Txn
-	ran := false
-	tx2.OnRollback(func() error { ran = true; return nil })
-	if err := tx2.RollbackTo(-5); err != nil || !ran {
-		t.Error("negative mark should unwind everything")
-	}
-}
-
 func TestRollbackCollectsErrors(t *testing.T) {
 	var tx Txn
 	e1 := errors.New("one")
@@ -105,50 +66,5 @@ func TestRollbackJoinsMultipleErrors(t *testing.T) {
 	}
 	if len(order) != 3 || order[0] != "c" || order[1] != "b" || order[2] != "a" {
 		t.Errorf("undo order with errors = %v", order)
-	}
-}
-
-func TestRollbackToAfterFinishIsNoOp(t *testing.T) {
-	var tx Txn
-	ran := false
-	tx.OnRollback(func() error { ran = true; return nil })
-	tx.Commit()
-	if err := tx.RollbackTo(0); err != nil {
-		t.Fatal(err)
-	}
-	if ran {
-		t.Error("RollbackTo after Commit must not run undo actions")
-	}
-
-	var tx2 Txn
-	runs := 0
-	tx2.OnRollback(func() error { runs++; return nil })
-	if err := tx2.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx2.RollbackTo(0); err != nil {
-		t.Fatal(err)
-	}
-	if runs != 1 {
-		t.Errorf("undo ran %d times, want 1", runs)
-	}
-}
-
-func TestRollbackToErrorStillTruncates(t *testing.T) {
-	var tx Txn
-	e1 := errors.New("boom")
-	runs := 0
-	tx.OnRollback(func() error { return nil }) // below the mark, stays
-	mark := tx.Mark()
-	tx.OnRollback(func() error { runs++; return e1 })
-	if err := tx.RollbackTo(mark); !errors.Is(err, e1) {
-		t.Fatalf("RollbackTo = %v, want e1", err)
-	}
-	// The failed step is off the log: a full Rollback must not retry it.
-	if err := tx.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-	if runs != 1 {
-		t.Errorf("erroring undo ran %d times, want 1", runs)
 	}
 }
