@@ -26,7 +26,7 @@ func newChaosCluster(t *testing.T, inj *fault.Injector, strat catalog.Strategy, 
 
 // loadChaosCluster loads the chaos schema, rows and jv1 view into c and
 // closes c with the test.
-func loadChaosCluster(t *testing.T, c *Cluster, strat catalog.Strategy, nCust, ordersPer int) *Cluster {
+func loadChaosCluster(t testing.TB, c *Cluster, strat catalog.Strategy, nCust, ordersPer int) *Cluster {
 	t.Helper()
 	t.Cleanup(c.Close)
 	for _, tab := range []*catalog.Table{customerTable(), ordersTable(), lineitemTable()} {
@@ -63,7 +63,7 @@ func loadChaosCluster(t *testing.T, c *Cluster, strat catalog.Strategy, nCust, o
 // recoverAll ends a fault episode: stop injecting, bring every crashed
 // node back at the transport layer, defuse any pending scheduled crash,
 // then run coordinator recovery for every node the cluster saw fail.
-func recoverAll(t *testing.T, c *Cluster, inj *fault.Injector) {
+func recoverAll(t testing.TB, c *Cluster, inj *fault.Injector) {
 	t.Helper()
 	inj.Disarm()
 	inj.CrashAfter(0, -1)

@@ -77,8 +77,8 @@ type Config struct {
 	// nodes: every delivery consults its schedule. Nil disables injection.
 	Faults *fault.Injector
 	// Durability attaches a write-ahead log and checkpoint store to every
-	// node and switches cross-node statement atomicity from coordinator
-	// compensation alone to presumed-abort two-phase commit. A node can
+	// node and adds presumed-abort two-phase commit to the statement's
+	// rollback-by-compensation (both live in the statement's scope). A node can
 	// then fail-stop (CrashNode), losing all volatile state, and recover
 	// from its own checkpoint + log tail (RestartNode/Recover) instead of
 	// a full derived-fragment rebuild.
@@ -149,9 +149,11 @@ type Cluster struct {
 	// net is the raw delivery stack (direct, channel or TCP link under
 	// latency, timeout and fault-injection middleware; its Bypass reaches a
 	// node the fault schedule refuses to talk to); tr is the resilient
-	// transport over net that all cluster and maintenance code uses.
+	// transport over net that all cluster and maintenance code uses; env is
+	// the maintenance executor's view of it. A write statement works through
+	// its own stmtScope, a per-statement tr + env (durability.go).
 	net *netsim.Stack
-	tr  netsim.Transport
+	tr  *resilientTransport
 	env maintain.Env
 
 	// seq numbers mutating sub-requests for idempotent retry; retries
@@ -163,16 +165,14 @@ type Cluster struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	// Two-phase commit state (Durability mode): tids numbers transactions,
-	// curTID is the statement in progress (0 between statements; mutating
-	// sub-requests are stamped with it), parts collects the nodes the
-	// current statement touched, coordLog is the coordinator's forced
-	// decision log and decided its logical content, coordMeter the
-	// coordinator's own I/O meter.
+	// Two-phase commit state (Durability mode) that outlives a statement:
+	// tids numbers transactions, coordLog is the coordinator's forced
+	// decision log and decided (guarded by pmu) its logical content,
+	// coordMeter the coordinator's own I/O meter. The transaction in
+	// progress — its id, participants and undo log — is the statement's
+	// stmtScope, not cluster state.
 	tids       atomic.Uint64
-	curTID     atomic.Uint64
 	pmu        sync.Mutex
-	parts      map[int]bool
 	coordMeter *storage.Meter
 	coordLog   *wal.Log
 	decided    map[uint64]bool
@@ -303,7 +303,6 @@ func newCluster(cfg Config, wrap func(id int, h netsim.Handler) netsim.Handler) 
 		downNodes:   map[int]bool{},
 		repairs:     map[int][]repair{},
 		needRebuild: map[int]bool{},
-		parts:       map[int]bool{},
 		coordMeter:  &storage.Meter{},
 		decided:     map[uint64]bool{},
 		lm:          lockmgr.New(),

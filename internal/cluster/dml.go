@@ -11,7 +11,6 @@ import (
 	"joinview/internal/node"
 	"joinview/internal/plan"
 	"joinview/internal/storage"
-	"joinview/internal/txn"
 	"joinview/internal/types"
 	"joinview/internal/wal"
 )
@@ -220,14 +219,14 @@ func (c *Cluster) apply(st *stmt) error {
 			return err
 		}
 	}
-	err = c.runStmt(st.tag, func(tx *txn.Txn) error {
+	err = c.runStmt(st.tag, func(sc *stmtScope) error {
 		if del != nil {
-			if err := c.execPlan(tx, del, st.victims, st.locs); err != nil {
+			if err := c.execPlan(sc, del, st.victims, st.locs); err != nil {
 				return err
 			}
 		}
 		if ins != nil {
-			return c.execPlan(tx, ins, st.add, nil)
+			return c.execPlan(sc, ins, st.add, nil)
 		}
 		return nil
 	})

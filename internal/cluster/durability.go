@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
+	"joinview/internal/maintain"
 	"joinview/internal/netsim"
 	"joinview/internal/node"
-	"joinview/internal/txn"
 	"joinview/internal/wal"
 )
 
@@ -16,60 +18,110 @@ import (
 //
 // Protocol per statement (Durability mode):
 //
-//  1. beginStmt assigns a transaction id; every mutating sub-request the
-//     statement sends is stamped with it (Seq.TID) and redo-logged at the
-//     receiving node, which becomes a participant.
+//  1. runStmt opens the statement's scope, which carries its transaction
+//     id; every mutating sub-request sent through the scope is stamped with
+//     it (Seq.TID) and redo-logged at the receiving node, which joins the
+//     scope's participant set.
 //  2. On success, commitStmt sends Prepare to every participant (each
 //     forces its log — its yes vote), then forces a COMMIT record to the
 //     coordinator's own log: the commit point. Decide{Commit:true} then
 //     fans out lazily; a lost decision only costs the restarted node a
 //     query against the coordinator's log.
-//  3. On failure, the coordinator's compensations run first (stamped with
-//     the same TID, so they are redo-logged too and the log algebra nets
-//     to zero), then Decide{Commit:false} tells live participants to
-//     forget the transaction. Nothing is logged at the coordinator:
-//     absence of a decision IS the abort decision (presumed abort).
+//  3. On failure, rollback walks the scope's undo log (stamped with the
+//     same TID, so the compensations are redo-logged too and the log
+//     algebra nets to zero), then Decide{Commit:false} tells live
+//     participants to forget the transaction. Nothing is logged at the
+//     coordinator: absence of a decision IS the abort decision (presumed
+//     abort).
 //
 // A participant that crashes mid-protocol restarts from its checkpoint +
 // log tail and reports its undecided transactions; Recover resolves each
 // against the coordinator's decision log — Decide{Commit:true} if a COMMIT
 // record exists, ResolveAbort (node-local inverse replay) otherwise.
 
-// beginStmt opens a two-phase-commit scope for one statement, returning
-// its transaction id (0 when durability is off: the legacy
-// compensation-only protocol).
-func (c *Cluster) beginStmt() uint64 {
-	if !c.cfg.Durability {
+// applied is one undo-log entry: a mutating sub-request the delivery layer
+// saw applied at node to, with the response the node gave.
+type applied struct {
+	to        int
+	req, resp any
+}
+
+// stmtScope is one write statement's transaction scope and the transport
+// its work goes through: the stage functions scatter over it and env is the
+// cluster's maintain.Env with T = the scope. Being on the delivery path is
+// what lets it own the three things a statement needs to be atomic: the
+// transaction id stamped on its mutating sub-requests (0 when durability is
+// off: compensation only), the nodes that joined its two-phase commit, and
+// the undo log — every forward mutation the delivery layer saw applied
+// (tapMutation), in order. A request is undone iff it is in that log; its
+// inverse is node.InverseOf (DESIGN.md "Fault model and recovery").
+type stmtScope struct {
+	*resilientTransport
+	env maintain.Env
+	tid uint64
+
+	// mu: parallel dispatch delivers one stage's calls concurrently.
+	mu    sync.Mutex
+	parts map[int]bool
+	log   []applied
+}
+
+// beginStmt opens the scope of one statement, assigning its transaction id
+// when durability is on.
+func (c *Cluster) beginStmt() *stmtScope {
+	sc := &stmtScope{resilientTransport: c.tr, env: c.env}
+	sc.env.T = sc
+	if c.cfg.Durability {
+		sc.tid = c.tids.Add(1)
+		sc.parts = map[int]bool{}
+	}
+	return sc
+}
+
+// Call implements netsim.Transport.
+func (sc *stmtScope) Call(from, to int, req any) (any, error) {
+	return sc.c.resilientCall(sc, forward, from, to, req)
+}
+
+// Broadcast implements netsim.Transport.
+func (sc *stmtScope) Broadcast(from int, req any) ([]any, error) {
+	return sc.broadcast(sc, from, req)
+}
+
+// scatter dispatches per-node calls through the scope under the cluster's
+// dispatch policy, gathering responses in input order.
+func (sc *stmtScope) scatter(calls []netsim.Call) ([]any, error) {
+	return netsim.ScatterCalls(sc, sc.c.parallelDispatch(), calls)
+}
+
+// stamp returns the transaction id for a mutating sub-request bound for
+// dests and joins them to the commit protocol. Conservative: they join
+// before delivery, so even an uncertain outcome keeps a node in it. A nil
+// scope (DDL, recovery, reads) stamps nothing.
+func (sc *stmtScope) stamp(dests []int) uint64 {
+	if sc == nil || sc.tid == 0 {
 		return 0
 	}
-	tid := c.tids.Add(1)
-	c.pmu.Lock()
-	c.parts = map[int]bool{}
-	c.pmu.Unlock()
-	c.curTID.Store(tid)
-	return tid
-}
-
-// addParticipant records that the current transaction sent mutating work
-// to a node. Conservative: registered before delivery, so even an
-// uncertain outcome keeps the node in the commit protocol.
-func (c *Cluster) addParticipant(n int) {
-	c.pmu.Lock()
-	c.parts[n] = true
-	c.pmu.Unlock()
-}
-
-// takeParticipants returns and clears the current participant set, sorted.
-func (c *Cluster) takeParticipants() []int {
-	c.pmu.Lock()
-	defer c.pmu.Unlock()
-	out := make([]int, 0, len(c.parts))
-	for n := range c.parts {
-		out = append(out, n)
+	sc.mu.Lock()
+	for _, n := range dests {
+		sc.parts[n] = true
 	}
-	c.parts = map[int]bool{}
-	sort.Ints(out)
-	return out
+	sc.mu.Unlock()
+	return sc.tid
+}
+
+// participants lists the nodes that joined the transaction, sorted.
+func (sc *stmtScope) participants() []int {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	return sortedKeys(sc.parts)
+}
+
+// record appends one applied forward mutation to the undo log.
+func (sc *stmtScope) record(to int, req, resp any) {
+	sc.mu.Lock()
+	sc.log = append(sc.log, applied{to: to, req: req, resp: resp})
+	sc.mu.Unlock()
 }
 
 // logDecision forces a COMMIT record for the transaction to the
@@ -109,72 +161,79 @@ func (c *Cluster) Decisions() []uint64 {
 	return out
 }
 
-// runStmt executes body as one atomically-committed statement: an undo
-// scope for coordinator-side compensation, wrapped — when durability is on
-// — in presumed-abort two-phase commit, whose commit record carries tag
-// (nil for everything but a flush-epoch group).
-func (c *Cluster) runStmt(tag *wal.FlushCommit, body func(tx *txn.Txn) error) error {
-	tid := c.beginStmt()
-	var tx txn.Txn
-	if err := body(&tx); err != nil {
-		if rbErr := c.abortStmt(tid, &tx); rbErr != nil {
-			return fmt.Errorf("%w (rollback also failed: %v)", err, rbErr)
-		}
-		return err
+// runStmt executes body as one atomically-committed statement: its work
+// goes through a fresh scope, a failure rolls the scope's undo log back,
+// and — when durability is on — success commits by presumed-abort
+// two-phase commit, whose commit record carries tag (nil for everything
+// but a flush-epoch group).
+func (c *Cluster) runStmt(tag *wal.FlushCommit, body func(sc *stmtScope) error) error {
+	sc := c.beginStmt()
+	err := body(sc)
+	if err == nil {
+		err = c.commitStmt(sc, tag)
 	}
-	return c.commitStmt(tid, &tx, tag)
+	if err == nil {
+		return nil
+	}
+	if rbErr := c.abortStmt(sc); rbErr != nil {
+		return fmt.Errorf("%w (rollback also failed: %v)", err, rbErr)
+	}
+	return err
 }
 
 // commitStmt drives phase one (Prepare at every participant) and, on
 // unanimous yes, the commit point and lazy decision fan-out. A failed
-// prepare vetoes: the statement rolls back and aborts.
-func (c *Cluster) commitStmt(tid uint64, tx *txn.Txn, tag *wal.FlushCommit) error {
-	if tid == 0 {
-		tx.Commit()
+// prepare vetoes: the caller rolls the statement back and aborts.
+func (c *Cluster) commitStmt(sc *stmtScope, tag *wal.FlushCommit) error {
+	if sc.tid == 0 {
 		return nil
 	}
-	parts := c.takeParticipants()
+	parts := sc.participants()
 	for _, p := range parts {
-		if _, err := c.rawDeliver(p, node.Prepare{TID: tid}); err != nil {
-			// Re-register the participants so the abort path can still
-			// reach them, and keep the TID stamped for the compensations.
-			for _, q := range parts {
-				c.addParticipant(q)
-			}
-			if rbErr := c.abortStmt(tid, tx); rbErr != nil {
-				return fmt.Errorf("cluster: prepare failed at node %d: %w (rollback also failed: %v)", p, err, rbErr)
-			}
+		if _, err := c.rawDeliver(p, node.Prepare{TID: sc.tid}); err != nil {
 			return fmt.Errorf("cluster: prepare failed at node %d: %w", p, err)
 		}
 	}
-	c.logDecision(tid, tag)
-	c.curTID.Store(0)
+	c.logDecision(sc.tid, tag)
 	for _, p := range parts {
 		// Lazy and best-effort: a participant that misses the decision
 		// resolves it from the coordinator's log at recovery.
-		_, _ = c.rawDeliver(p, node.Decide{TID: tid, Commit: true})
+		_, _ = c.rawDeliver(p, node.Decide{TID: sc.tid, Commit: true})
 	}
-	tx.Commit()
 	return nil
 }
 
-// abortStmt rolls the statement back (compensations run under the same
-// TID, so they are redo-logged at the nodes) and tells live participants
-// to forget the transaction. Per presumed abort, the coordinator logs
-// nothing: a restarted participant that finds no decision aborts locally.
-func (c *Cluster) abortStmt(tid uint64, tx *txn.Txn) error {
-	rbErr := tx.Rollback()
-	if tid == 0 {
-		return rbErr
-	}
-	c.curTID.Store(0)
-	for _, p := range c.takeParticipants() {
-		if c.isDown(p) {
-			continue // resolved by presumption at the node's recovery
+// abortStmt rolls the statement back and tells live participants to forget
+// the transaction. Per presumed abort, the coordinator logs nothing: a
+// restarted participant that finds no decision aborts locally.
+//
+// The rollback is the undo log in reverse, each entry's node.InverseOf
+// delivered as a compensation on its own (under the statement's TID, so it
+// is redo-logged at the node): an unreachable destination is absorbed by
+// undoCall and never stops the entries after it. Mirror deliveries are not
+// in the log; the mirror of the primary's inverse undoes them.
+func (c *Cluster) abortStmt(sc *stmtScope) error {
+	var errs []error
+	for i := len(sc.log) - 1; i >= 0; i-- {
+		e := sc.log[i]
+		inv := node.InverseOf(e.req, e.resp)
+		if inv == nil {
+			continue // nothing was changed (e.g. a delete that matched no entry)
 		}
-		_, _ = c.rawDeliver(p, node.Decide{TID: tid, Commit: false})
+		if err := c.undoCall(sc, e.to, inv, e.req); err != nil {
+			errs = append(errs, fmt.Errorf("cluster: undoing %T at node %d: %w", e.req, e.to, err))
+		}
 	}
-	return rbErr
+	sc.log = nil
+	if sc.tid != 0 {
+		for _, p := range sc.participants() {
+			if c.isDown(p) {
+				continue // resolved by presumption at the node's recovery
+			}
+			_, _ = c.rawDeliver(p, node.Decide{TID: sc.tid, Commit: false})
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // Checkpoint takes a checkpoint on every live node (fragments, global

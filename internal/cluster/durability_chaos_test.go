@@ -74,7 +74,7 @@ func assertNoInDoubt(t *testing.T, c *Cluster) {
 // scheduled crashes, then for every node that went down, wipe its volatile
 // state (the fail-stop the fault layer only simulated at the transport)
 // and recover it from its own log.
-func recoverAllDurable(t *testing.T, c *Cluster, inj *fault.Injector) {
+func recoverAllDurable(t testing.TB, c *Cluster, inj *fault.Injector) {
 	t.Helper()
 	inj.Disarm()
 	inj.CrashAfter(0, -1)

@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"joinview/internal/lockmgr"
-	"joinview/internal/netsim"
-)
+import "joinview/internal/lockmgr"
 
 // This file decides what each coordinator entry point locks. The claim
 // model is by base table:
@@ -27,11 +24,12 @@ import (
 // parallelDispatch reports whether per-node fan-outs inside one statement
 // may run concurrently: on the channel and TCP transports (Direct handlers
 // execute on the caller's goroutine and the experiments depend on its
-// deterministic traces). Durability forces serial dispatch — the
-// write-ahead sequence numbers and two-phase-commit state (current TID,
-// participant set, decision log) are one coordinator-wide scope — and so
-// does fault injection, whose deterministic chaos schedules assume one
-// delivery at a time.
+// deterministic traces). Durability forces serial dispatch: the
+// transaction itself is per statement (stmtScope carries its id,
+// participant set and undo log), but the nodes' write-ahead sequence order
+// and the coordinator's decision log have not been exercised or measured
+// under concurrent statements. Fault injection forces it too: its
+// deterministic chaos schedules assume one delivery at a time.
 func (c *Cluster) parallelDispatch() bool {
 	return (c.cfg.UseChannels || c.cfg.UseTCP) && !c.cfg.Durability && c.cfg.Faults == nil
 }
@@ -40,12 +38,6 @@ func (c *Cluster) parallelDispatch() bool {
 // (the seed's one-big-lock execution model).
 func (c *Cluster) serialStmts() bool {
 	return !c.parallelDispatch()
-}
-
-// scatter dispatches per-node calls through the cluster's transport under
-// its dispatch policy, gathering responses in input order.
-func (c *Cluster) scatter(calls []netsim.Call) ([]any, error) {
-	return netsim.ScatterCalls(c.tr, c.parallelDispatch(), calls)
 }
 
 // stmtClaims computes the lock set of one DML statement on table: the

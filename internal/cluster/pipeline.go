@@ -4,13 +4,11 @@ import (
 	"fmt"
 
 	"joinview/internal/catalog"
-	"joinview/internal/fault"
 	"joinview/internal/maintain"
 	"joinview/internal/mplan"
 	"joinview/internal/netsim"
 	"joinview/internal/node"
 	"joinview/internal/storage"
-	"joinview/internal/txn"
 	"joinview/internal/types"
 )
 
@@ -37,10 +35,11 @@ func (c *Cluster) planFor(table string, op maintain.Op) (*mplan.Plan, error) {
 	return mp, nil
 }
 
-// execPlan executes one compiled maintenance plan for a delta of tuples.
-// For an insert plan, locs must be nil (the base stage produces them); for
-// a delete plan, locs are the victims' storage locations from the caller's
-// scan. Every stage registers its compensations on tx, so a failing stage
+// execPlan executes one compiled maintenance plan for a delta of tuples
+// through the statement's scope. For an insert plan, locs must be nil (the
+// base stage produces them); for a delete plan, locs are the victims'
+// storage locations from the caller's scan. The stages only do forward
+// work: what they applied is in the scope's undo log, so a failing stage
 // leaves runStmt to undo the applied prefix.
 //
 // When the plan marks shared potential (two or more dependent views whose
@@ -51,64 +50,57 @@ func (c *Cluster) planFor(table string, op maintain.Op) (*mplan.Plan, error) {
 // then consume the memoized intermediates and only perform their per-view
 // tail (residual filter, projection, apply). Plans without shared
 // potential take the per-view path unchanged.
-func (c *Cluster) execPlan(tx *txn.Txn, mp *mplan.Plan, delta []types.Tuple, locs []located) error {
+func (c *Cluster) execPlan(sc *stmtScope, mp *mplan.Plan, delta []types.Tuple, locs []located) error {
 	// Per-stage page/message attribution needs exclusive ownership of the
 	// global meters; only serial execution modes guarantee it. Under
 	// parallel dispatch only stage executions are counted.
 	attribute := c.serialStmts()
-	var before Metrics
+	// metered runs one stage inside its own metrics window.
+	metered := func(name string, stage func() error) error {
+		if !attribute {
+			c.pstats.RecordStage(name, 0, 0)
+			return stage()
+		}
+		before := c.Metrics()
+		err := stage()
+		d := c.Metrics().Sub(before)
+		c.pstats.RecordStage(name, d.Total().IOs(), d.Net.Messages)
+		return err
+	}
 	var sx *sharedExec
-	sharedDone := false
 	for i := range mp.Stages {
 		s := &mp.Stages[i]
-		if s.Kind == mplan.StageView && mp.SharedPotential && !sharedDone {
-			sharedDone = true
+		if s.Kind == mplan.StageView && mp.SharedPotential && sx == nil {
 			// The pre-pass gets its own metrics window so its probes are
 			// attributed to "sharedjoin", not folded into the first view
 			// stage — keeping per-stage attribution exact in serial mode.
-			if attribute {
-				before = c.Metrics()
-			}
-			var err error
-			sx, err = c.execSharedJoins(mp, delta)
-			if attribute {
-				d := c.Metrics().Sub(before)
-				c.pstats.RecordStage(sharedStageName, d.Total().IOs(), d.Net.Messages)
-			} else {
-				c.pstats.RecordStage(sharedStageName, 0, 0)
-			}
+			err := metered(sharedStageName, func() (err error) {
+				sx, err = c.execSharedJoins(sc, mp, delta)
+				return err
+			})
 			if err != nil {
 				return err
 			}
 		}
-		if attribute {
-			before = c.Metrics()
-		}
-		var err error
-		switch s.Kind {
-		case mplan.StageBase:
-			if mp.Op == maintain.OpInsert {
-				locs, err = c.stageBaseInsert(tx, mp.Table, delta)
-			} else {
-				err = c.stageBaseDelete(tx, mp.Table, locs)
+		err := metered(s.Kind.String(), func() (err error) {
+			switch s.Kind {
+			case mplan.StageBase:
+				if mp.Op == maintain.OpDelete {
+					return c.stageBaseDelete(sc, mp.Table, locs)
+				}
+				locs, err = c.stageBaseInsert(sc, mp.Table, delta)
+				return err
+			case mplan.StageAuxRel:
+				return c.stageAuxRel(sc, mp.Table, s.AR, delta, mp.Op)
+			case mplan.StageGlobalIndex:
+				return c.stageGlobalIndex(sc, mp.Table, s.GI, locs, mp.Op)
+			case mplan.StageView:
+				return c.stageView(sc, s.View, mp, delta, sx)
 			}
-		case mplan.StageAuxRel:
-			err = c.stageAuxRel(tx, mp.Table, s.AR, delta, mp.Op)
-		case mplan.StageGlobalIndex:
-			err = c.stageGlobalIndex(tx, mp.Table, s.GI, locs, mp.Op)
-		case mplan.StageView:
-			err = c.stageView(tx, s.View, mp, delta, sx)
-		default:
-			err = fmt.Errorf("cluster: unknown pipeline stage %v", s.Kind)
-		}
+			return fmt.Errorf("cluster: unknown pipeline stage %v", s.Kind)
+		})
 		if err != nil {
 			return err
-		}
-		if attribute {
-			d := c.Metrics().Sub(before)
-			c.pstats.RecordStage(s.Kind.String(), d.Total().IOs(), d.Net.Messages)
-		} else {
-			c.pstats.RecordStage(s.Kind.String(), 0, 0)
 		}
 	}
 	return nil
@@ -137,13 +129,13 @@ type sharedExec struct {
 // stage's chosen plan and executes each distinct chain prefix once. Chain
 // keys are structural (plan.Step.ChainKey), so two plans whose prefixes
 // share a key produce identical intermediates and the second ride is free.
-// The probes are pure reads — nothing here registers compensations; all
-// mutation (and rollback registration) stays in the per-view apply.
+// The probes are pure reads — nothing here enters the undo log; all
+// mutation stays in the per-view apply.
 //
 // An empty intermediate short-circuits like the per-view path: the
 // remaining prefixes are memoized as empty without probing, so the shared
 // path performs exactly the probes the unshared path would.
-func (c *Cluster) execSharedJoins(mp *mplan.Plan, tuples []types.Tuple) (*sharedExec, error) {
+func (c *Cluster) execSharedJoins(sc *stmtScope, mp *mplan.Plan, tuples []types.Tuple) (*sharedExec, error) {
 	sx := &sharedExec{
 		choice: make(map[*mplan.ViewStage]*mplan.StrategyOption),
 		memo:   make(map[string]sharedResult),
@@ -169,7 +161,7 @@ func (c *Cluster) execSharedJoins(mp *mplan.Plan, tuples []types.Tuple) (*shared
 				sx.memo[step.ChainKey] = sharedResult{schema: curSchema}
 				continue
 			}
-			next, _, err := maintain.ExecStep(c.env, step, cur, curSchema, c.cfg.Algo)
+			next, _, err := maintain.ExecStep(sc.env, step, cur, curSchema, c.cfg.Algo)
 			if err != nil {
 				return nil, err
 			}
@@ -184,7 +176,7 @@ func (c *Cluster) execSharedJoins(mp *mplan.Plan, tuples []types.Tuple) (*shared
 // stageBaseInsert routes tuples by the partition attribute and stores
 // them, returning each tuple's storage location. The tuples are
 // schema-checked already (resolve).
-func (c *Cluster) stageBaseInsert(tx *txn.Txn, t *catalog.Table, tuples []types.Tuple) ([]located, error) {
+func (c *Cluster) stageBaseInsert(sc *stmtScope, t *catalog.Table, tuples []types.Tuple) ([]located, error) {
 	pi := t.Schema.MustColIndex(t.PartitionCol)
 	// Two counting passes carve the per-node buckets (tuples and original
 	// indexes) out of two exactly-sized backing arrays — no append growth
@@ -213,39 +205,22 @@ func (c *Cluster) stageBaseInsert(tx *txn.Txn, t *catalog.Table, tuples []types.
 	}
 	ep, fl := c.writeEpoch(t.Name), c.gcFloorFor(t.Name)
 	var calls []netsim.Call
-	var dests []int
 	for n, bucket := range bucketTuples {
 		if len(bucket) == 0 {
 			continue
 		}
 		calls = append(calls, netsim.Call{From: netsim.Coordinator, To: n, Req: node.Insert{Frag: t.Name, Tuples: bucket, Epoch: ep, GCFloor: fl}})
-		dests = append(dests, n)
 	}
-	resps, scErr := c.scatter(calls)
-	// Register a compensation for every call that succeeded before
-	// reporting any failure: under parallel dispatch, calls after the
-	// failed index still ran and their work must roll back too.
+	resps, err := sc.scatter(calls)
+	if err != nil {
+		return nil, err
+	}
 	locs := make([]located, len(tuples))
 	for ci, resp := range resps {
-		if resp == nil {
-			continue
-		}
-		n := dests[ci]
-		rows := resp.(node.InsertResult).Rows
-		rowsCopy := append([]storage.RowID(nil), rows...)
-		tuplesCopy := append([]types.Tuple(nil), bucketTuples[n]...)
-		tx.OnRollback(func() error {
-			// The undo shares the forward stamp: the statement failed, so
-			// the epoch is never published and forward + undo records
-			// cancel in every snapshot.
-			return c.undoCallRows(n, node.DeleteRows{Frag: t.Name, Rows: rowsCopy, Epoch: ep}, tuplesCopy)
-		})
-		for bi, row := range rows {
+		n := calls[ci].To
+		for bi, row := range resp.(node.InsertResult).Rows {
 			locs[bucketIdx[n][bi]] = located{node: n, row: row, tuple: bucketTuples[n][bi]}
 		}
-	}
-	if scErr != nil {
-		return nil, scErr
 	}
 	return locs, nil
 }
@@ -254,41 +229,26 @@ func (c *Cluster) stageBaseInsert(tx *txn.Txn, t *catalog.Table, tuples []types.
 // scatter call per node holding victims, in node order (the victim scan
 // emits locs node-by-node, so the grouping below is already sorted and the
 // dispatch is deterministic).
-func (c *Cluster) stageBaseDelete(tx *txn.Txn, t *catalog.Table, locs []located) error {
+func (c *Cluster) stageBaseDelete(sc *stmtScope, t *catalog.Table, locs []located) error {
 	byNode := make([][]storage.RowID, c.NumNodes())
 	for _, loc := range locs {
 		byNode[loc.node] = append(byNode[loc.node], loc.row)
 	}
 	ep, fl := c.writeEpoch(t.Name), c.gcFloorFor(t.Name)
 	var calls []netsim.Call
-	var dests []int
 	for n, rows := range byNode {
 		if len(rows) == 0 {
 			continue
 		}
 		calls = append(calls, netsim.Call{From: netsim.Coordinator, To: n, Req: node.DeleteRows{Frag: t.Name, Rows: rows, Epoch: ep, GCFloor: fl}})
-		dests = append(dests, n)
 	}
-	resps, scErr := c.scatter(calls)
-	for ci, resp := range resps {
-		if resp == nil {
-			continue
-		}
-		dr := resp.(node.DeleteResult)
-		n := dests[ci]
-		// Restore at the original row ids: global-index entries reference
-		// (node, row) pairs, so a plain re-insert (which allocates fresh
-		// ids) would leave every GI entry for these tuples dangling.
-		tx.OnRollback(func() error {
-			return c.undoCall(n, node.RestoreRows{Frag: t.Name, Rows: dr.Rows, Tuples: dr.Tuples, Epoch: ep})
-		})
-	}
-	return scErr
+	_, err := sc.scatter(calls)
+	return err
 }
 
 // stageAuxRel propagates the base delta into one auxiliary relation of the
 // table. For deletes, victims are matched by value (bag semantics).
-func (c *Cluster) stageAuxRel(tx *txn.Txn, t *catalog.Table, ar *catalog.AuxRel, tuples []types.Tuple, op maintain.Op) error {
+func (c *Cluster) stageAuxRel(sc *stmtScope, t *catalog.Table, ar *catalog.AuxRel, tuples []types.Tuple, op maintain.Op) error {
 	projected, err := projectForAuxRel(t, ar, tuples)
 	if err != nil {
 		return err
@@ -297,44 +257,22 @@ func (c *Cluster) stageAuxRel(tx *txn.Txn, t *catalog.Table, ar *catalog.AuxRel,
 	if err != nil {
 		return err
 	}
-	arName := ar.Name
-	partCol := ar.PartitionCol
-	ep, fl := c.writeEpoch(arName), c.gcFloorFor(arName)
+	ep, fl := c.writeEpoch(ar.Name), c.gcFloorFor(ar.Name)
 	var calls []netsim.Call
-	var dests []int
 	for n, bucket := range buckets {
 		if len(bucket) == 0 {
 			continue
 		}
 		var req any
 		if op == maintain.OpInsert {
-			req = node.Insert{Frag: arName, Tuples: bucket, Epoch: ep, GCFloor: fl}
+			req = node.Insert{Frag: ar.Name, Tuples: bucket, Epoch: ep, GCFloor: fl}
 		} else {
-			req = node.DeleteMatch{Frag: arName, HintCol: partCol, Tuples: bucket, Epoch: ep, GCFloor: fl}
+			req = node.DeleteMatch{Frag: ar.Name, HintCol: ar.PartitionCol, Tuples: bucket, Epoch: ep, GCFloor: fl}
 		}
 		calls = append(calls, netsim.Call{From: netsim.Coordinator, To: n, Req: req})
-		dests = append(dests, n)
 	}
-	resps, scErr := c.scatter(calls)
-	for ci, resp := range resps {
-		if resp == nil {
-			continue
-		}
-		n := dests[ci]
-		if op == maintain.OpInsert {
-			rows := append([]storage.RowID(nil), resp.(node.InsertResult).Rows...)
-			projCopy := append([]types.Tuple(nil), buckets[n]...)
-			tx.OnRollback(func() error {
-				return c.undoCallRows(n, node.DeleteRows{Frag: arName, Rows: rows, Epoch: ep}, projCopy)
-			})
-		} else {
-			dr := resp.(node.DeleteResult)
-			tx.OnRollback(func() error {
-				return c.undoCall(n, node.RestoreRows{Frag: arName, Rows: dr.Rows, Tuples: dr.Tuples, Epoch: ep})
-			})
-		}
-	}
-	return scErr
+	_, err = sc.scatter(calls)
+	return err
 }
 
 // stageGlobalIndex maintains one global index of the updated table. The
@@ -345,7 +283,7 @@ func (c *Cluster) stageAuxRel(tx *txn.Txn, t *catalog.Table, ar *catalog.AuxRel,
 // tuple's home node to the index home (free when they coincide), and the
 // node meters charge per entry, so the paper's cost figures are unchanged
 // by batching.
-func (c *Cluster) stageGlobalIndex(tx *txn.Txn, t *catalog.Table, gi *catalog.GlobalIndex, locs []located, op maintain.Op) error {
+func (c *Cluster) stageGlobalIndex(sc *stmtScope, t *catalog.Table, gi *catalog.GlobalIndex, locs []located, op maintain.Op) error {
 	type giBatch struct {
 		vals []types.Value
 		gs   []storage.GlobalRowID
@@ -363,7 +301,6 @@ func (c *Cluster) stageGlobalIndex(tx *txn.Txn, t *catalog.Table, gi *catalog.Gl
 		b.srcs = append(b.srcs, int32(loc.node))
 	}
 	var calls []netsim.Call
-	var dests []int
 	for home := range batches {
 		b := &batches[home]
 		if len(b.vals) == 0 {
@@ -376,60 +313,19 @@ func (c *Cluster) stageGlobalIndex(tx *txn.Txn, t *catalog.Table, gi *catalog.Gl
 			req = node.GIDeleteBatch{GI: giName, Vals: b.vals, Gs: b.gs, Sources: b.srcs}
 		}
 		calls = append(calls, netsim.Call{From: netsim.Coordinator, To: home, Req: req})
-		dests = append(dests, home)
 	}
-	resps, scErr := c.scatter(calls)
-	var outOfSync error
-	for ci2, resp := range resps {
-		if resp == nil {
-			continue
-		}
-		home := dests[ci2]
-		b := batches[home]
-		if op == maintain.OpInsert {
-			// Compensations originate at the coordinator, like every
-			// undoCall: each undone entry is one coordinator SEND.
-			srcs := coordinatorSources(len(b.vals))
-			tx.OnRollback(func() error {
-				return c.undoCall(home, node.GIDeleteBatch{GI: giName, Vals: b.vals, Gs: b.gs, Sources: srcs})
-			})
-		} else {
-			ok := resp.(node.GIDeletedBatch).OK
-			restored := giBatch{}
-			for i, existed := range ok {
-				if !existed {
-					if outOfSync == nil {
-						outOfSync = fmt.Errorf("cluster: global index %q missing entry for %v (out of sync)", giName, b.vals[i])
-					}
-					continue
-				}
-				restored.vals = append(restored.vals, b.vals[i])
-				restored.gs = append(restored.gs, b.gs[i])
+	resps, err := sc.scatter(calls)
+	if err != nil || op == maintain.OpInsert {
+		return err
+	}
+	for i, resp := range resps {
+		for j, existed := range resp.(node.GIDeletedBatch).OK {
+			if !existed {
+				return fmt.Errorf("cluster: global index %q missing entry for %v (out of sync)", giName, batches[calls[i].To].vals[j])
 			}
-			if len(restored.vals) == 0 {
-				continue
-			}
-			srcs := coordinatorSources(len(restored.vals))
-			tx.OnRollback(func() error {
-				return c.undoCall(home, node.GIInsertBatch{GI: giName, Vals: restored.vals, Gs: restored.gs, Metered: true, Sources: srcs})
-			})
 		}
 	}
-	if scErr != nil {
-		return scErr
-	}
-	return outOfSync
-}
-
-// coordinatorSources builds a Sources slice attributing every entry of a
-// compensation batch to the coordinator, matching the per-entry undoCall
-// accounting the batch replaces.
-func coordinatorSources(n int) []int32 {
-	srcs := make([]int32, n)
-	for i := range srcs {
-		srcs[i] = int32(netsim.Coordinator)
-	}
-	return srcs
+	return nil
 }
 
 // stageView computes and applies one view's delta. The strategy comes from
@@ -437,7 +333,7 @@ func coordinatorSources(n int) []int32 {
 // option for this statement's actual delta size. With a shared pre-pass
 // (sx non-nil) the delta-join chain has already run — the stage reads the
 // memoized final intermediate and performs only the per-view tail.
-func (c *Cluster) stageView(tx *txn.Txn, vs *mplan.ViewStage, mp *mplan.Plan, tuples []types.Tuple, sx *sharedExec) error {
+func (c *Cluster) stageView(sc *stmtScope, vs *mplan.ViewStage, mp *mplan.Plan, tuples []types.Tuple, sx *sharedExec) error {
 	var delta []types.Tuple
 	var err error
 	if sx != nil {
@@ -450,34 +346,12 @@ func (c *Cluster) stageView(tx *txn.Txn, vs *mplan.ViewStage, mp *mplan.Plan, tu
 		delta, err = maintain.FinishDelta(p, cur, curSchema)
 	} else {
 		opt := vs.Choose(c.NumNodes(), len(tuples), mp.ARCount, mp.GICount)
-		delta, _, err = maintain.ComputeViewDelta(c.env, opt.Plan, tuples, c.cfg.Algo)
+		delta, _, err = maintain.ComputeViewDelta(sc.env, opt.Plan, tuples, c.cfg.Algo)
 	}
 	if err != nil {
 		return err
 	}
-	v := vs.View
-	if err := maintain.ApplyToView(c.env, v, delta, mp.Op); err != nil {
-		return err
-	}
-	undoOp := maintain.OpDelete
-	if mp.Op == maintain.OpDelete {
-		undoOp = maintain.OpInsert
-	}
-	tx.OnRollback(func() error {
-		// Node-down failures are absorbed: a crashed node's view fragments
-		// are rebuilt from base relations during Recover, which subsumes
-		// the unapplied part of this undo. Under replication the down
-		// owners' followers still hold the forward delta's mirrored rows,
-		// so the unapplied portion is mirrored to them before absorbing.
-		err := maintain.ApplyToView(c.env, v, delta, undoOp)
-		if err != nil {
-			if _, down := fault.IsNodeDown(err); down {
-				c.mirrorViewUndoForDown(v, delta, undoOp)
-			}
-		}
-		return absorbNodeDown(err)
-	})
-	return nil
+	return maintain.ApplyToView(sc.env, vs.View, delta, mp.Op)
 }
 
 // ExplainPipeline renders the compiled maintenance pipeline for one

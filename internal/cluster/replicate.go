@@ -7,10 +7,8 @@ import (
 	"strings"
 	"sync"
 
-	"joinview/internal/catalog"
 	"joinview/internal/fault"
 	"joinview/internal/lockmgr"
-	"joinview/internal/maintain"
 	"joinview/internal/netsim"
 	"joinview/internal/node"
 	"joinview/internal/storage"
@@ -91,9 +89,10 @@ func replSkip(name string) bool {
 // goes to the follower nodes of its slot — the installed replica set minus
 // down and evicted followers, plus the in-flight repair round's targets
 // once the structure's copy is armed — into the shadow there, metered like
-// the primary write, through deliverMirror. The down/stale sets and the
-// repair session are resolved once, when the sink is built.
-func (c *Cluster) followerSink(frag string) slotSink {
+// the primary write, through deliverMirror on behalf of statement sc (nil:
+// none). The down/stale sets and the repair session are resolved once, when
+// the sink is built.
+func (c *Cluster) followerSink(sc *stmtScope, frag string) slotSink {
 	pm := c.part.Map()
 	skip, down := map[int]bool{}, map[int]bool{} // skip: down or evicted
 	c.dmu.Lock()
@@ -126,7 +125,7 @@ func (c *Cluster) followerSink(frag string) slotSink {
 			return out
 		},
 		name:    shadowName,
-		deliver: func(dst int, req any, elems int) error { c.deliverMirror(dst, req, elems); return nil },
+		deliver: func(dst int, req any, elems int) error { c.deliverMirror(sc, dst, req, elems); return nil },
 		metered: true,
 	}
 }
@@ -140,99 +139,34 @@ func containsInt(xs []int, v int) bool {
 	return false
 }
 
-// mirrorAsIfApplied mirrors a compensation that could not be delivered to
-// its (down) destination. The node itself is recovered by wipe or local
-// log replay, but its followers already hold the aborted statement's
-// forward writes in their shadows: without the mirrored undo a later
-// failover would promote rows of a rolled-back statement. The request is
-// treated as if the destination had applied it in full — exactly what the
-// destination's recovery converges to.
-func (c *Cluster) mirrorAsIfApplied(to int, req any) {
-	if !c.replOn() {
-		return
+// mirrorAsIfApplied mirrors inv, the compensation of the applied request
+// fwd, that could not be delivered to its (down) destination. The node
+// itself is recovered by wipe or local log replay, but its followers
+// already hold the aborted statement's forward writes in their shadows:
+// without the mirrored undo a later failover would promote rows of a
+// rolled-back statement. The compensation is treated as if the destination
+// had applied it in full — exactly what the destination's recovery
+// converges to.
+func (c *Cluster) mirrorAsIfApplied(sc *stmtScope, to int, inv, fwd any) {
+	var resp any
+	if ins, ok := fwd.(node.Insert); ok {
+		// A delete mirrors by value and carries its rows in the response; the
+		// rows the inverse of an insert removes are the ones it wrote.
+		resp = node.DeleteResult{Tuples: ins.Tuples}
 	}
-	switch r := req.(type) {
-	case node.DeleteMatch:
-		// Synthesize the response the mirror transform reads: the tuples
-		// were written by this statement, so every one of them matches.
-		c.mirrorMutation(to, req, node.DeleteResult{Tuples: r.Tuples})
-	case node.DeleteRows:
-		// Row ids alone cannot locate the shadow copies; callers with the
-		// rows' contents use undoCallRows instead.
-	default:
-		c.mirrorMutation(to, req, nil)
-	}
-}
-
-// mirrorViewUndoForDown mirrors the portion of a view-delta undo that was
-// addressed to down nodes. ApplyToView's scatter applies (and mirrors) the
-// undo at every live owner but fails against crashed ones; this re-derives
-// those buckets and sends the as-if-applied compensation to the down
-// owners' followers, keeping their view shadows at the aborted-statement
-// state the failover promotes from.
-func (c *Cluster) mirrorViewUndoForDown(v *catalog.View, delta []types.Tuple, op maintain.Op) {
-	if !c.replOn() || len(delta) == 0 {
-		return
-	}
-	m := c.part.Map()
-	partCol := v.PartitionQualified()
-	idx := v.Schema.ColIndex(partCol)
-	if idx < 0 {
-		return
-	}
-	if v.IsAggregate() {
-		groups, err := maintain.FoldAggDeltas(v, delta, op)
-		if err != nil {
-			return
-		}
-		byDst := map[int][]maintain.AggGroup{}
-		for _, g := range groups {
-			n := m.Owner[m.Slot(g.Key[idx])]
-			if c.isDown(n) {
-				byDst[n] = append(byDst[n], g)
-			}
-		}
-		for _, n := range sortedKeys(byDst) {
-			req := node.AggApply{
-				Frag: v.Name, HintCol: partCol,
-				GroupLen: len(v.Out), CountPos: v.CountIndex() - len(v.Out),
-			}
-			for _, g := range byDst[n] {
-				req.Keys = append(req.Keys, g.Key)
-				req.Deltas = append(req.Deltas, g.Deltas)
-			}
-			c.mirrorAsIfApplied(n, req)
-		}
-		return
-	}
-	byDst := map[int][]types.Tuple{}
-	for _, t := range delta {
-		n := m.Owner[m.Slot(t[idx])]
-		if c.isDown(n) {
-			byDst[n] = append(byDst[n], t)
-		}
-	}
-	for _, n := range sortedKeys(byDst) {
-		var req any
-		if op == maintain.OpInsert {
-			req = node.Insert{Frag: v.Name, Tuples: byDst[n]}
-		} else {
-			req = node.DeleteMatch{Frag: v.Name, HintCol: partCol, Tuples: byDst[n]}
-		}
-		c.mirrorAsIfApplied(n, req)
-	}
+	c.mirror(sc, to, inv, resp, nil)
 }
 
 // deliverMirror sends one shadow write to a follower through the full
-// resilient path (sequence envelope, TID stamping, retries), absorbing
-// every failure: the statement's outcome never depends on a mirror. A
-// dead follower is already noted down (failover covers it); any other
-// failure evicts the follower until re-replication.
-func (c *Cluster) deliverMirror(dst int, req any, tuples int) {
+// resilient path (sequence envelope, the TID of statement sc, retries),
+// absorbing every failure: the statement's outcome never depends on a
+// mirror. A dead follower is already noted down (failover covers it); any
+// other failure evicts the follower until re-replication.
+func (c *Cluster) deliverMirror(sc *stmtScope, dst int, req any, tuples int) {
 	if c.isDown(dst) {
 		return
 	}
-	if _, err := c.resilientCall(netsim.Coordinator, dst, req, false); err != nil {
+	if _, err := c.resilientCall(sc, mirrored, netsim.Coordinator, dst, req); err != nil {
 		if _, down := fault.IsNodeDown(err); down || errors.Is(err, ErrDegraded) {
 			// noteDown already happened inside deliver; the next statement
 			// (or read) fails over around the node.
@@ -599,6 +533,11 @@ func (c *Cluster) ReplicateRepair() error {
 			dirty[cand] = true
 		}
 		nm.Repl[s] = keep
+	}
+	// Every dirty node is wiped and recopied whole, so the targets are
+	// planned once the dirty set is final: a live follower drafted for one
+	// more slot above is dirty for the slots planned before it too.
+	for s, keep := range nm.Repl {
 		for _, f := range keep {
 			if dirty[f] {
 				targets[s] = append(targets[s], f)

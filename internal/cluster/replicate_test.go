@@ -17,7 +17,7 @@ import (
 
 // newReplicatedTPCR builds a replicated cluster with the three test tables
 // loaded (same data as newTPCR).
-func newReplicatedTPCR(t *testing.T, cfg Config, nCust, ordersPer, linesPer int) *Cluster {
+func newReplicatedTPCR(t testing.TB, cfg Config, nCust, ordersPer, linesPer int) *Cluster {
 	t.Helper()
 	c, err := New(cfg)
 	if err != nil {
@@ -64,7 +64,7 @@ func newReplicatedTPCR(t *testing.T, cfg Config, nCust, ordersPer, linesPer int)
 
 // replFrags lists every cataloged fragment with its partition-column
 // index: base tables, auxiliary relations and views.
-func replFrags(t *testing.T, c *Cluster) map[string]int {
+func replFrags(t testing.TB, c *Cluster) map[string]int {
 	t.Helper()
 	out := map[string]int{}
 	for _, tn := range c.cat.Tables() {
@@ -107,7 +107,7 @@ func tuplesEqual(a, b []types.Tuple) bool {
 // node: a node's shadow fragments hold exactly (byte-identical to the
 // primaries) the rows of the hash slots it follows, and its shadow
 // global-index fragments the entries of the values it follows.
-func checkReplicaConsistency(t *testing.T, c *Cluster) {
+func checkReplicaConsistency(t testing.TB, c *Cluster) {
 	t.Helper()
 	m := c.part.Map()
 	if !m.Replicated() {

@@ -104,7 +104,9 @@ func (c *Cluster) Suspect() []int {
 // moves the cluster into degraded mode. It overrides the stack's Call and
 // Broadcast and is otherwise the stack, so installing it as maintain.Env's
 // transport upgrades every maintenance path without touching the call
-// sites.
+// sites. Used directly it carries traffic outside any statement (reads,
+// DDL); a write statement sends through its stmtScope, which is this
+// transport plus the statement's TID, participants and undo log.
 type resilientTransport struct {
 	*netsim.Stack
 	c *Cluster
@@ -158,12 +160,35 @@ func (c *Cluster) sleepBackoff(attempt int) {
 	}
 }
 
-// Call implements netsim.Transport.
+// delivery says what a request is to the statement it belongs to.
+type delivery uint8
+
+const (
+	// forward is the statement's own work (and all traffic outside any
+	// statement): once applied it enters the scope's undo log.
+	forward delivery = iota
+	// mirrored is a follower's copy of an applied request. It joins the
+	// statement's commit protocol but not its undo log: the mirror of the
+	// primary's inverse undoes it.
+	mirrored
+	// undo is a compensation. When the destination is (or becomes)
+	// unreachable the request is queued for replay during Recover and the
+	// failure is absorbed, because a rollback must make as much progress as
+	// it can rather than abandon the surviving nodes.
+	undo
+)
+
+// Call implements netsim.Transport for traffic outside any statement.
 func (t *resilientTransport) Call(from, to int, req any) (any, error) {
-	return t.c.resilientCall(from, to, req, false)
+	return t.c.resilientCall(nil, forward, from, to, req)
 }
 
-// Broadcast implements netsim.Transport. The fan-out runs once through the
+// Broadcast implements netsim.Transport for traffic outside any statement.
+func (t *resilientTransport) Broadcast(from int, req any) ([]any, error) {
+	return t.broadcast(nil, from, req)
+}
+
+// broadcast is Broadcast for statement sc (nil: none). The fan-out runs once through the
 // stack (preserving its message accounting and, on a concurrent link, its
 // parallel delivery); slots that failed are then retried individually under
 // the same sequence number, so a node that executed the request but lost
@@ -172,7 +197,7 @@ func (t *resilientTransport) Call(from, to int, req any) (any, error) {
 // Once every down node's slots are promoted to followers the broadcast
 // proceeds on the survivors, one delivery at a time: the dead nodes hold no
 // data, so typed empty responses stand in for them.
-func (t *resilientTransport) Broadcast(from int, req any) ([]any, error) {
+func (t *resilientTransport) broadcast(sc *stmtScope, from int, req any) ([]any, error) {
 	c := t.c
 	down, degraded := c.firstDown()
 	if degraded && !c.replServesComplete() {
@@ -188,7 +213,7 @@ func (t *resilientTransport) Broadcast(from int, req any) ([]any, error) {
 				live = append(live, to)
 			}
 		}
-		wreq, id = c.seal(req, true, live...)
+		wreq, id = c.seal(sc, req, live...)
 	}
 	var out []any
 	if degraded {
@@ -203,7 +228,7 @@ func (t *resilientTransport) Broadcast(from int, req any) ([]any, error) {
 		out, err = c.net.Broadcast(from, wreq)
 		for to, resp := range out {
 			if mut && resp != nil {
-				c.tapMutation(to, wreq, resp)
+				c.tapMutation(sc, forward, to, wreq, resp)
 			}
 		}
 		if err == nil {
@@ -216,7 +241,7 @@ func (t *resilientTransport) Broadcast(from int, req any) ([]any, error) {
 		if out[to] != nil {
 			continue
 		}
-		resp, err := c.deliver(from, to, wreq, id, mut, false)
+		resp, err := c.deliver(sc, forward, from, to, wreq, id, mut)
 		if err != nil {
 			errs = append(errs, fmt.Errorf("netsim: broadcast to node %d: %w", to, err))
 			continue
@@ -228,33 +253,23 @@ func (t *resilientTransport) Broadcast(from int, req any) ([]any, error) {
 
 // seal wraps a mutating request in a fresh sequence envelope, so a retried
 // delivery cannot double-apply; reads are naturally idempotent and go
-// unwrapped (id 0). Statement traffic (stmt) is also stamped with the
-// transaction in progress and registers dests as its 2PC participants;
-// recovery traffic runs outside any transaction.
-func (c *Cluster) seal(req any, stmt bool, dests ...int) (any, uint64) {
+// unwrapped (id 0). Traffic of a statement is stamped with the scope's
+// transaction id and joins dests to its 2PC; everything else (sc nil) runs
+// outside any transaction.
+func (c *Cluster) seal(sc *stmtScope, req any, dests ...int) (any, uint64) {
 	if !isMutating(req) {
 		return req, 0
 	}
-	s := node.Seq{ID: c.seq.Add(1), Req: req}
-	if stmt {
-		if s.TID = c.curTID.Load(); s.TID != 0 {
-			for _, n := range dests {
-				c.addParticipant(n)
-			}
-		}
-	}
+	s := node.Seq{ID: c.seq.Add(1), Req: req, TID: sc.stamp(dests)}
 	return s, s.ID
 }
 
-// resilientCall delivers one request with the full retry/dedup/in-doubt
-// protocol. undo marks compensating actions: when the destination is (or
-// becomes) unreachable, the request is queued for replay during Recover and
-// the failure is absorbed, because a rollback must make as much progress as
-// it can rather than abandon the surviving nodes.
-func (c *Cluster) resilientCall(from, to int, req any, undo bool) (any, error) {
+// resilientCall delivers one request of statement sc (nil: none) with the
+// full retry/dedup/in-doubt protocol.
+func (c *Cluster) resilientCall(sc *stmtScope, how delivery, from, to int, req any) (any, error) {
 	mut := isMutating(req)
 	if c.isDown(to) {
-		if undo && mut {
+		if how == undo && mut {
 			// In durable mode the compensation is simply absorbed: the
 			// crashed node undoes the transaction itself at recovery, from
 			// its own log (presumed abort), so queueing the undo here would
@@ -266,14 +281,15 @@ func (c *Cluster) resilientCall(from, to int, req any, undo bool) (any, error) {
 	}
 	wreq, id := req, uint64(0)
 	if !c.lean {
-		wreq, id = c.seal(req, true, to)
+		wreq, id = c.seal(sc, req, to)
 	}
-	return c.deliver(from, to, wreq, id, mut, undo)
+	return c.deliver(sc, how, from, to, wreq, id, mut)
 }
 
 // deliver sends an already-sealed request through the retry loop, then
-// resolves in-doubt outcomes.
-func (c *Cluster) deliver(from, to int, wreq any, id uint64, mut, undo bool) (any, error) {
+// resolves in-doubt outcomes. Every exit that saw a mutation applied
+// reports it to tapMutation.
+func (c *Cluster) deliver(sc *stmtScope, how delivery, from, to int, wreq any, id uint64, mut bool) (any, error) {
 	if c.lean {
 		// Fast path: without faults, timeouts, durability or a breaker a
 		// delivery cannot spuriously fail, so the sequence envelope (whose
@@ -283,7 +299,7 @@ func (c *Cluster) deliver(from, to int, wreq any, id uint64, mut, undo bool) (an
 		// still surface.
 		resp, err := c.net.Call(from, to, wreq)
 		if err == nil && mut {
-			c.tapMutation(to, wreq, resp)
+			c.tapMutation(sc, how, to, wreq, resp)
 		}
 		return resp, err
 	}
@@ -294,7 +310,7 @@ func (c *Cluster) deliver(from, to int, wreq any, id uint64, mut, undo bool) (an
 	if err == nil {
 		c.breakerOK(to)
 		if mut {
-			c.tapMutation(to, wreq, resp)
+			c.tapMutation(sc, how, to, wreq, resp)
 		}
 		return resp, nil
 	}
@@ -306,7 +322,7 @@ func (c *Cluster) deliver(from, to int, wreq any, id uint64, mut, undo bool) (an
 		// The fault layer refuses deliveries to a crashed node before
 		// they reach it, so the request was not applied.
 		c.noteDown(n)
-		if undo && mut {
+		if how == undo && mut {
 			c.queueRepair(to, repair{kind: repairRedo, id: id, req: raw})
 			return nil, nil
 		}
@@ -328,7 +344,7 @@ func (c *Cluster) deliver(from, to int, wreq any, id uint64, mut, undo bool) (an
 	if q, qerr := c.retry(from, to, node.SeqQuery{ID: id}); qerr == nil {
 		c.breakerOK(to)
 		if r := q.(node.SeqQueryResult); r.Applied {
-			c.tapMutation(to, wreq, r.Resp)
+			c.tapMutation(sc, how, to, wreq, r.Resp)
 			return r.Resp, nil
 		}
 		return nil, err
@@ -337,7 +353,7 @@ func (c *Cluster) deliver(from, to int, wreq any, id uint64, mut, undo bool) (an
 	// The node cannot even answer the outcome query: treat it as down and
 	// leave a repair record for Recover.
 	c.noteDown(to)
-	if undo {
+	if how == undo {
 		c.queueRepair(to, repair{kind: repairRedo, id: id, req: raw})
 		return nil, nil
 	}
@@ -374,7 +390,7 @@ func (c *Cluster) retry(from, to int, wreq any) (any, error) {
 // in-doubt outcomes as plain errors: Recover's work is idempotent, so the
 // operator reruns it.
 func (c *Cluster) rawCall(to int, req any) (any, error) {
-	wreq, _ := c.seal(req, false)
+	wreq, _ := c.seal(nil, req)
 	return c.rawDeliver(to, wreq)
 }
 
@@ -384,41 +400,17 @@ func (c *Cluster) rawDeliver(to int, wreq any) (any, error) {
 	return c.retry(netsim.Coordinator, to, wreq)
 }
 
-// undoCall delivers a compensating action. Unreachable destinations are
-// absorbed: the request is queued and replayed during Recover against the
-// node's preserved (durable) state. Under replication an absorbed undo is
-// additionally mirrored to the destination's followers, whose shadows
-// already hold the statement's forward writes (an absorbed call returns
-// resp == nil with a nil error).
-func (c *Cluster) undoCall(to int, req any) error {
-	resp, err := c.resilientCall(netsim.Coordinator, to, req, true)
+// undoCall delivers inv, the inverse of the applied request fwd, as a
+// compensation of statement sc. An unreachable destination is absorbed (an
+// absorbed call returns resp == nil with a nil error): the request is
+// queued and replayed during Recover against the node's preserved state,
+// or — durable — left to the node's own presumed abort. Under replication
+// an absorbed undo is additionally mirrored to the destination's
+// followers, whose shadows already hold the statement's forward writes.
+func (c *Cluster) undoCall(sc *stmtScope, to int, inv, fwd any) error {
+	resp, err := c.resilientCall(sc, undo, netsim.Coordinator, to, inv)
 	if err == nil && resp == nil {
-		c.mirrorAsIfApplied(to, req)
-	}
-	return err
-}
-
-// undoCallRows is undoCall for delete-by-rowid compensations, whose
-// request alone cannot drive the shadow mirror: tuples carries the doomed
-// rows' contents so an absorbed undo still deletes the mirrored copies.
-func (c *Cluster) undoCallRows(to int, req node.DeleteRows, tuples []types.Tuple) error {
-	resp, err := c.resilientCall(netsim.Coordinator, to, req, true)
-	if err == nil && resp == nil && len(tuples) > 0 {
-		c.mirrorMutation(to, req, node.DeleteResult{Tuples: tuples})
-	}
-	return err
-}
-
-// absorbNodeDown drops node-down failures from a derived-structure undo
-// (auxiliary relation, global index or view compensation): Recover rebuilds
-// the crashed node's derived fragments from the base relations, which
-// subsumes the unapplied undo. Other failures keep propagating.
-func absorbNodeDown(err error) error {
-	if err == nil {
-		return nil
-	}
-	if _, down := fault.IsNodeDown(err); down {
-		return nil
+		c.mirrorAsIfApplied(sc, to, inv, fwd)
 	}
 	return err
 }
@@ -605,7 +597,7 @@ func (c *Cluster) RecoverWithReport(n int) (RecoveryReport, error) {
 			if !sq.Applied {
 				return nil
 			}
-			inv := inverseOf(r.req, sq.Resp)
+			inv := node.InverseOf(r.req, sq.Resp)
 			if inv == nil {
 				return nil // derived structure: the rebuild below repairs it
 			}
@@ -667,13 +659,6 @@ func (c *Cluster) RecoverWithReport(n int) (RecoveryReport, error) {
 	rep.Messages = c.tr.Stats().Messages - netBefore.Messages
 	return rep, nil
 }
-
-// inverseOf builds the request that undoes an applied request, given the
-// response the node cached for it. Nil means no exact inverse exists (the
-// caller falls back to rebuilding). The construction lives in the node
-// package (node.InverseOf): local abort resolution uses the same algebra
-// against the node's own log records.
-func inverseOf(req, resp any) any { return node.InverseOf(req, resp) }
 
 // pageCount converts a row count to pages under the cluster's geometry.
 func (c *Cluster) pageCount(rows int) int64 {

@@ -14,13 +14,13 @@ import (
 // TestInverseCoversAllMutatingRequests is the exhaustiveness check tying
 // the two halves of the undo machinery together: every request type
 // isMutating recognizes must either produce an exact inverse from
-// inverseOf (given the response shape the node returns for it) or appear
+// node.InverseOf (given the response shape the node returns for it) or appear
 // on the explicit rebuild-covered list — mutations whose undo is a
 // derived-structure rebuild (legacy mode) or a node-local log unwind
 // (durable mode), never a coordinator compensation. A new mutating request
 // type fails here until it is given an inverse or deliberately listed.
 func TestInverseCoversAllMutatingRequests(t *testing.T) {
-	// Responses with the fields inverseOf reads, keyed by request type.
+	// Responses with the fields InverseOf reads, keyed by request type.
 	responses := map[reflect.Type]any{
 		reflect.TypeOf(node.Insert{}):        node.InsertResult{Rows: []storage.RowID{1}},
 		reflect.TypeOf(node.DeleteRows{}):    node.DeleteResult{Rows: []storage.RowID{1}, Tuples: []types.Tuple{{types.Int(1)}}},
@@ -36,9 +36,9 @@ func TestInverseCoversAllMutatingRequests(t *testing.T) {
 		},
 	}
 	// Mutations with no exact inverse: DDL and bulk backfill requests are
-	// re-issued by rebuildDerived, and LocalJoin's view-side effects are
-	// compensated through ApplyToView, so none of them flows through
-	// inverseOf during rollback.
+	// re-issued by rebuildDerived, and LocalJoin only writes a query's
+	// partition-local temporary outside any statement scope, so none of
+	// them is ever in a statement's undo log.
 	rebuildCovered := map[reflect.Type]bool{
 		reflect.TypeOf(node.CreateFragment{}):      true,
 		reflect.TypeOf(node.CreateIndex{}):         true,
@@ -64,7 +64,7 @@ func TestInverseCoversAllMutatingRequests(t *testing.T) {
 			}
 			continue
 		}
-		inv := inverseOf(req, responses[rt])
+		inv := node.InverseOf(req, responses[rt])
 		if rebuildCovered[rt] {
 			if inv != nil {
 				t.Errorf("%v gained an inverse (%T): remove it from the rebuild-covered list", rt, inv)

@@ -216,35 +216,37 @@ func splitTo(mut node.Mutation, spec fragSpec, s slotSink) error {
 
 // tapMutation is called by the resilient delivery layer on every
 // successfully applied mutating sub-request — normal path, broadcast path
-// and in-doubt resolution, compensations included — so every copy of a slot
-// sees exactly the physical history its primary sees. Recovery, repair and
+// and in-doubt resolution, compensations included. It is the one place
+// "applied" is observed, and both consumers hang off it: a statement's
+// forward work enters its scope's undo log, and every copy of a slot sees
+// exactly the physical history its primary sees. Recovery, repair and
 // migration traffic (rawCall/rawDeliver) is deliberately not tapped: it
 // regenerates or moves state wholesale and would double-apply.
-func (c *Cluster) tapMutation(to int, wreq, resp any) {
+func (c *Cluster) tapMutation(sc *stmtScope, how delivery, to int, wreq, resp any) {
+	if s, ok := wreq.(node.Seq); ok {
+		wreq = s.Req
+	}
+	if sc != nil && how == forward {
+		sc.record(to, wreq, resp)
+	}
 	c.migMu.RLock()
 	m := c.mig
 	c.migMu.RUnlock()
-	c.mirror(to, wreq, resp, m)
+	c.mirror(sc, to, wreq, resp, m)
 }
 
-// mirrorMutation is the tap for replication alone: callers synthesize the
-// request (and response) a down node would have applied.
-func (c *Cluster) mirrorMutation(to int, req, resp any) { c.mirror(to, req, resp, nil) }
-
 // mirror re-applies one mutation applied at node `to` to the other copies
-// of the slots it touched: the follower shadows when replication is on,
-// and the staging fragments of the in-flight migration m once the
-// structure's snapshot copy is armed. Under replication fragment DDL is
-// also forwarded, to the same node's shadow.
-func (c *Cluster) mirror(to int, wreq, resp any, m *migration) {
+// of the slots it touched: the follower shadows when replication is on
+// (deliveries of statement sc, when there is one), and the staging
+// fragments of the in-flight migration m once the structure's snapshot copy
+// is armed. Under replication fragment DDL is also forwarded, to the same
+// node's shadow.
+func (c *Cluster) mirror(sc *stmtScope, to int, req, resp any, m *migration) {
 	repl := c.replOn()
 	if !repl && m == nil {
 		return
 	}
-	if s, ok := wreq.(node.Seq); ok {
-		wreq = s.Req
-	}
-	mut := node.SplitMutation(wreq, resp)
+	mut := node.SplitMutation(req, resp)
 	if replSkip(mut.Target) {
 		return
 	}
@@ -254,7 +256,7 @@ func (c *Cluster) mirror(to int, wreq, resp any, m *migration) {
 		// DDL is forwarded by name: at RF >= 2 every cataloged structure has
 		// a shadow on every node.
 		if repl {
-			c.deliverMirror(to, mut.Rename(shadowName(mut.Target)), 0)
+			c.deliverMirror(sc, to, mut.Rename(shadowName(mut.Target)), 0)
 		}
 	case node.MirrorSplit:
 		staging := m != nil && m.isArmed(mut.Target)
@@ -267,7 +269,7 @@ func (c *Cluster) mirror(to int, wreq, resp any, m *migration) {
 		}
 		// Neither sink can fail: a mirror never decides a statement's outcome.
 		if repl {
-			_ = splitTo(mut, spec, c.followerSink(spec.Name))
+			_ = splitTo(mut, spec, c.followerSink(sc, spec.Name))
 		}
 		if staging {
 			_ = splitTo(mut, spec, m.sink(to, m.enqueue))

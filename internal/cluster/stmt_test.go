@@ -1,9 +1,13 @@
 package cluster
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"joinview/internal/catalog"
+	"joinview/internal/expr"
+	"joinview/internal/fault"
 	"joinview/internal/types"
 )
 
@@ -147,5 +151,216 @@ func TestTxnUpdateCostsLikeAutocommit(t *testing.T) {
 	}
 	if autoDec != 1 {
 		t.Errorf("autocommit UPDATE logged %d decisions, want 1", autoDec)
+	}
+}
+
+// cellTB lets one sweep cell reuse the fail-fast chaos helpers: a failure
+// is recorded and unwinds the cell, not the test, so a sweep reports how
+// many crash points are broken instead of stopping at the first.
+type cellTB struct {
+	testing.TB
+	errs     []string
+	cleanups []func()
+}
+
+type cellAbort struct{}
+
+func (c *cellTB) Helper()          {}
+func (c *cellTB) Cleanup(f func()) { c.cleanups = append(c.cleanups, f) }
+func (c *cellTB) Errorf(format string, args ...any) {
+	c.errs = append(c.errs, fmt.Sprintf(format, args...))
+}
+func (c *cellTB) Fatalf(format string, args ...any) {
+	c.Errorf(format, args...)
+	panic(cellAbort{})
+}
+func (c *cellTB) Fatal(args ...any) { c.Fatalf("%s", fmt.Sprint(args...)) }
+
+// runCell runs one cell and returns what it reported ("" = consistent).
+func runCell(t *testing.T, cell func(tb testing.TB)) (bad string) {
+	tb := &cellTB{TB: t}
+	defer func() {
+		for i := len(tb.cleanups) - 1; i >= 0; i-- {
+			tb.cleanups[i]()
+		}
+		if r := recover(); r != nil {
+			if _, ok := r.(cellAbort); !ok {
+				panic(r)
+			}
+		}
+		bad = strings.Join(tb.errs, "; ")
+	}()
+	cell(tb)
+	return ""
+}
+
+// TestStmtAtomicAtEveryCrashPoint lands a node crash after every delivery
+// count of a multi-row statement — every strategy, every crash node, with
+// a join view and an aggregate view on the table — and requires the
+// statement to be atomic at each one. At RF=1 the statement may fail; after
+// recovery (rebuild without durability, log replay with it) the base table
+// is the before-bag if it failed and the after-bag if it succeeded, and
+// every derived structure equals its recompute. At RF=2 the statement must
+// fail over and succeed, the views must be right on the survivors at once,
+// and the replicas must agree after re-replication. Each block reports its
+// count of inconsistent crash points.
+func TestStmtAtomicAtEveryCrashPoint(t *testing.T) {
+	batch := make([]types.Tuple, 8)
+	for i := range batch {
+		batch[i] = ord(int64(900+i), int64(i), float64(i+1))
+	}
+	lowCust := expr.Cmp{Op: expr.LT, L: expr.Col{Name: "custkey"}, R: expr.Const{V: types.Int(4)}}
+	price := map[string]types.Value{"totalprice": types.Float(77)}
+	// A statement and the orders bag it leaves when it succeeds.
+	type sweepStmt struct {
+		name  string
+		run   func(c *Cluster) error
+		after func(before []types.Tuple) []types.Tuple
+	}
+	insert := sweepStmt{"insert",
+		func(c *Cluster) error { return c.Insert("orders", batch) },
+		func(before []types.Tuple) []types.Tuple { return append(before[:len(before):len(before)], batch...) },
+	}
+	stmts := []sweepStmt{
+		insert,
+		{"delete",
+			func(c *Cluster) error { _, err := c.Delete("orders", lowCust); return err },
+			func(before []types.Tuple) (out []types.Tuple) {
+				for _, o := range before {
+					if o[1].I >= 4 {
+						out = append(out, o)
+					}
+				}
+				return out
+			},
+		},
+		{"update",
+			func(c *Cluster) error { _, err := c.Update("orders", price, lowCust); return err },
+			func(before []types.Tuple) (out []types.Tuple) {
+				for _, o := range before {
+					if o[1].I < 4 {
+						o = ord(o[0].I, o[1].I, 77)
+					}
+					out = append(out, o)
+				}
+				return out
+			},
+		},
+	}
+	views := []string{"jv1", "agg1"}
+	consistent := func(tb testing.TB, c *Cluster, stage string, want []types.Tuple) {
+		got, err := c.TableRows("orders")
+		if err != nil {
+			tb.Fatalf("%s: reading orders: %v", stage, err)
+		}
+		if err := bagEqual(got, want); err != nil {
+			tb.Errorf("%s: orders: %v", stage, err)
+		}
+		for _, v := range views {
+			if err := c.CheckViewConsistency(v); err != nil {
+				tb.Errorf("%s: %v", stage, err)
+			}
+		}
+	}
+	// sweep runs cell at every crash point and fails the block with the
+	// count of inconsistent ones.
+	sweep := func(t *testing.T, maxK int, cell func(tb testing.TB, crash, k int)) {
+		bad, first := 0, ""
+		for crash := 0; crash < 4; crash++ {
+			for k := 1; k <= maxK; k++ {
+				crash, k := crash, k
+				if msg := runCell(t, func(tb testing.TB) { cell(tb, crash, k) }); msg != "" {
+					if bad++; first == "" {
+						first = fmt.Sprintf("crash node %d after %d deliveries: %s", crash, k, msg)
+					}
+				}
+			}
+		}
+		if bad > 0 {
+			t.Errorf("%d of %d crash points inconsistent; first: %s", bad, 4*maxK, first)
+		}
+	}
+	for _, st := range stmts {
+		for _, strat := range allStrategies {
+			for _, durable := range []bool{false, true} {
+				st, strat, durable := st, strat, durable
+				t.Run(fmt.Sprintf("rf1/%s/%s/durable=%v", st.name, strat, durable), func(t *testing.T) {
+					sweep(t, 30, func(tb testing.TB, crash, k int) {
+						inj := fault.New(fault.Config{Seed: 1})
+						c, err := New(Config{Nodes: 4, Faults: inj, RetryAttempts: 4, Durability: durable})
+						if err != nil {
+							tb.Fatal(err)
+						}
+						loadChaosCluster(tb, c, strat, 8, 2)
+						if err := c.CreateView(aggViewDef("agg1", strat)); err != nil {
+							tb.Fatal(err)
+						}
+						before, err := c.TableRows("orders")
+						if err != nil {
+							tb.Fatal(err)
+						}
+						inj.CrashAfter(crash, k)
+						want := before
+						if st.run(c) == nil {
+							want = st.after(before)
+						}
+						if durable {
+							recoverAllDurable(tb, c, inj)
+						} else {
+							recoverAll(tb, c, inj)
+						}
+						consistent(tb, c, "after recovery", want)
+						if err := c.CheckAllStructures(); err != nil {
+							tb.Errorf("after recovery: %v", err)
+						}
+					})
+				})
+			}
+		}
+	}
+	for _, strat := range allStrategies {
+		for _, durable := range []bool{false, true} {
+			strat, durable := strat, durable
+			t.Run(fmt.Sprintf("rf2/insert/%s/durable=%v", strat, durable), func(t *testing.T) {
+				sweep(t, 40, func(tb testing.TB, crash, k int) {
+					inj := fault.New(fault.Config{Seed: 1})
+					c := newReplicatedTPCR(tb, Config{
+						Nodes: 4, ReplicationFactor: 2, Faults: inj, RetryAttempts: 3, Durability: durable,
+					}, 8, 2, 0)
+					for _, v := range []*catalog.View{jv1Def("jv1", strat), aggViewDef("agg1", strat)} {
+						if err := c.CreateView(v); err != nil {
+							tb.Fatal(err)
+						}
+					}
+					before, err := c.TableRows("orders")
+					if err != nil {
+						tb.Fatal(err)
+					}
+					inj.CrashAfter(crash, k)
+					err = insert.run(c)
+					inj.CrashAfter(0, -1)
+					if err != nil {
+						tb.Fatalf("insert did not fail over: %v", err)
+					}
+					// The healing read: a crash that only hit a decision or a
+					// mirror is discovered by the first read, which fails;
+					// every later one is served complete by the followers.
+					_, _ = c.TableRows("orders")
+					want := insert.after(before)
+					consistent(tb, c, "on the survivors", want)
+					for _, n := range inj.DownNodes() {
+						inj.Restart(n)
+					}
+					if err := c.ReplicateRepair(); err != nil {
+						tb.Fatalf("ReplicateRepair: %v", err)
+					}
+					checkReplicaConsistency(tb, c)
+					consistent(tb, c, "after repair", want)
+					if err := c.CheckAllStructures(); err != nil {
+						tb.Errorf("after repair: %v", err)
+					}
+				})
+			})
+		}
 	}
 }

@@ -27,8 +27,9 @@ type Call struct {
 // it replaces. Parallel mode runs every index on its own goroutine (n is
 // a node count or a delta's row count per statement), waits for all of
 // them, and returns the lowest-index error (later indexes still ran —
-// callers that register per-index compensations must therefore do so for
-// every success, not only the prefix).
+// whatever tracks applied work for rollback must therefore see every
+// success, not only the prefix; the cluster's statement scope records at
+// the delivery layer, under each call).
 func ScatterFunc(parallel bool, n int, fn func(i int) error) error {
 	if !parallel || n < 2 {
 		for i := 0; i < n; i++ {

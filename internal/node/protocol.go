@@ -25,7 +25,14 @@ func IsMutating(req any) bool {
 
 // InverseOf builds the request that undoes an applied request, given the
 // response the node produced for it. Nil means no exact inverse exists (the
-// caller falls back to rebuilding the affected derived structure).
+// caller falls back to rebuilding the affected derived structure) or the
+// request changed nothing. It is the only inverse algebra: the
+// coordinator's statement rollback, a node's local ResolveAbort and
+// Recover's in-doubt inversion all walk their logs through it.
+//
+// The inverse carries the forward request's Epoch: the statement failed, so
+// the epoch is never published, and forward + undo version records cancel
+// in every snapshot.
 func InverseOf(req, resp any) any {
 	switch r := req.(type) {
 	case Insert:
@@ -33,21 +40,21 @@ func InverseOf(req, resp any) any {
 		if !ok {
 			return nil
 		}
-		return DeleteRows{Frag: r.Frag, Rows: ir.Rows}
+		return DeleteRows{Frag: r.Frag, Rows: ir.Rows, Epoch: r.Epoch}
 	case RestoreRows:
-		return DeleteRows{Frag: r.Frag, Rows: r.Rows}
+		return DeleteRows{Frag: r.Frag, Rows: r.Rows, Epoch: r.Epoch}
 	case DeleteRows:
 		dr, ok := resp.(DeleteResult)
 		if !ok {
 			return nil
 		}
-		return RestoreRows{Frag: r.Frag, Rows: dr.Rows, Tuples: dr.Tuples}
+		return RestoreRows{Frag: r.Frag, Rows: dr.Rows, Tuples: dr.Tuples, Epoch: r.Epoch}
 	case DeleteMatch:
 		dr, ok := resp.(DeleteResult)
 		if !ok {
 			return nil
 		}
-		return RestoreRows{Frag: r.Frag, Rows: dr.Rows, Tuples: dr.Tuples}
+		return RestoreRows{Frag: r.Frag, Rows: dr.Rows, Tuples: dr.Tuples, Epoch: r.Epoch}
 	case GIInsert:
 		return GIDelete{GI: r.GI, Val: r.Val, G: r.G}
 	case GIDelete:

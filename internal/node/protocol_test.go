@@ -232,3 +232,167 @@ func TestSplitMutationMetering(t *testing.T) {
 		}
 	}
 }
+
+// TestInverseRoundTrip is the property every walker of the one inverse
+// algebra relies on (coordinator rollback, ResolveAbort, Recover's in-doubt
+// inversion): for every invertible request type, applying the request to a
+// node with random content and then applying InverseOf(request, response)
+// restores rows, row ids, global-index postings and aggregate groups
+// exactly — and the inverse writes at the forward request's epoch. A
+// mutating request type without a generator here must be listed as having
+// no inverse.
+func TestInverseRoundTrip(t *testing.T) {
+	aggSchema := types.NewSchema(
+		types.Column{Name: "v.g", Kind: types.KindInt},
+		types.Column{Name: "count", Kind: types.KindInt},
+		types.Column{Name: "sum", Kind: types.KindFloat},
+	)
+	// world is a fresh node with random content: an orders fragment with
+	// holes in its row-id space, a global index over it, an aggregate
+	// fragment — plus what the generators need to aim at live state.
+	type world struct {
+		n      *DataNode
+		rows   []storage.RowID // live orders rows, parallel to tuples
+		tuples []types.Tuple
+		holes  []storage.RowID // freed row ids
+		gone   []types.Tuple   // the tuples that occupied them
+		groups int64           // aggregate groups 0..groups-1, each count >= 2
+	}
+	build := func(t *testing.T, rng *rand.Rand) *world {
+		w := &world{n: New(0, 16)}
+		mustHandle(t, w.n, CreateFragment{Name: "orders", Schema: ordersSchema, PageRows: 8})
+		mustHandle(t, w.n, CreateGlobalIndex{Name: "gi"})
+		mustHandle(t, w.n, CreateFragment{Name: "agg", Schema: aggSchema, ClusterCol: "v.g", PageRows: 8})
+		var all []types.Tuple
+		for k := int64(1); k <= int64(12+rng.Intn(12)); k++ {
+			all = append(all, order(k, int64(rng.Intn(5))))
+		}
+		ids := mustHandle(t, w.n, Insert{Frag: "orders", Tuples: all}).(InsertResult).Rows
+		for i, id := range ids {
+			if i == 0 || (i > 1 && rng.Intn(4) == 0) {
+				w.holes, w.gone = append(w.holes, id), append(w.gone, all[i])
+				continue
+			}
+			w.rows, w.tuples = append(w.rows, id), append(w.tuples, all[i])
+			mustHandle(t, w.n, GIInsert{GI: "gi", Val: all[i][1], G: storage.GlobalRowID{Node: 0, Row: id}})
+		}
+		mustHandle(t, w.n, DeleteRows{Frag: "orders", Rows: w.holes})
+		w.groups = int64(3 + rng.Intn(4))
+		agg := AggApply{Frag: "agg", HintCol: "v.g", GroupLen: 1}
+		for g := int64(0); g < w.groups; g++ {
+			agg.Keys = append(agg.Keys, types.Tuple{types.Int(g)})
+			agg.Deltas = append(agg.Deltas, types.Tuple{types.Int(int64(2 + rng.Intn(3))), types.Float(float64(rng.Intn(100)))})
+		}
+		mustHandle(t, w.n, agg)
+		return w
+	}
+	// some picks a non-empty random subset of 0..n-1, ascending.
+	some := func(rng *rand.Rand, n int) []int {
+		var out []int
+		for i := 0; i < n; i++ {
+			if rng.Intn(3) == 0 {
+				out = append(out, i)
+			}
+		}
+		if len(out) == 0 {
+			out = append(out, rng.Intn(n))
+		}
+		return out
+	}
+	const epoch = 7
+	posting := func(w *world, i int) (types.Value, storage.GlobalRowID) {
+		return w.tuples[i][1], storage.GlobalRowID{Node: 0, Row: w.rows[i]}
+	}
+	gens := map[string]func(w *world, rng *rand.Rand) any{
+		"node.Insert": func(w *world, rng *rand.Rand) any {
+			return Insert{Frag: "orders", Epoch: epoch, Tuples: []types.Tuple{order(900, 1), order(901, 2), order(902, 1)}}
+		},
+		"node.RestoreRows": func(w *world, rng *rand.Rand) any {
+			idxs := some(rng, len(w.holes))
+			return RestoreRows{Frag: "orders", Epoch: epoch, Rows: pick(w.holes, idxs), Tuples: pick(w.gone, idxs)}
+		},
+		"node.DeleteRows": func(w *world, rng *rand.Rand) any {
+			return DeleteRows{Frag: "orders", Epoch: epoch, Rows: pick(w.rows, some(rng, len(w.rows)))}
+		},
+		"node.DeleteMatch": func(w *world, rng *rand.Rand) any {
+			// One tuple that is not stored rides along: it matches nothing.
+			victims := append(pick(w.tuples, some(rng, len(w.tuples))), order(999, 9))
+			return DeleteMatch{Frag: "orders", HintCol: "orderkey", Epoch: epoch, Tuples: victims}
+		},
+		"node.GIInsert": func(w *world, rng *rand.Rand) any {
+			return GIInsert{GI: "gi", Val: types.Int(3), G: storage.GlobalRowID{Node: 2, Row: 77}}
+		},
+		"node.GIDelete": func(w *world, rng *rand.Rand) any {
+			val, g := posting(w, rng.Intn(len(w.rows)))
+			return GIDelete{GI: "gi", Val: val, G: g}
+		},
+		"node.GIInsertBatch": func(w *world, rng *rand.Rand) any {
+			return GIInsertBatch{GI: "gi", Metered: true,
+				Vals: []types.Value{types.Int(1), types.Int(8)},
+				Gs:   []storage.GlobalRowID{{Node: 1, Row: 5}, {Node: 3, Row: 6}}}
+		},
+		"node.GIDeleteBatch": func(w *world, rng *rand.Rand) any {
+			// One posting that does not exist rides along: the inverse must
+			// not invent it.
+			b := GIDeleteBatch{GI: "gi", Vals: []types.Value{types.Int(4)}, Gs: []storage.GlobalRowID{{Node: 9, Row: 9}}}
+			for _, i := range some(rng, len(w.rows)) {
+				val, g := posting(w, i)
+				b.Vals, b.Gs = append(b.Vals, val), append(b.Gs, g)
+			}
+			return b
+		},
+		"node.AggApply": func(w *world, rng *rand.Rand) any {
+			// Fold into one group, drain another to count 0 (the group row
+			// disappears) and create a new one.
+			drained := mustHandle(t, w.n, AllRows{Frag: "agg"}).(RowsResult).Tuples[0]
+			grow := (drained[0].I + 1) % w.groups
+			return AggApply{Frag: "agg", HintCol: "v.g", GroupLen: 1, Epoch: epoch,
+				Keys: []types.Tuple{{types.Int(grow)}, {drained[0]}, {types.Int(w.groups)}},
+				Deltas: []types.Tuple{
+					{types.Int(1), types.Float(12)},
+					{types.Int(-drained[1].I), types.Float(-drained[2].F)},
+					{types.Int(2), types.Float(40)},
+				}}
+		},
+	}
+	noInverse := map[string]bool{
+		"node.CreateFragment": true, "node.CreateIndex": true, "node.CreateGlobalIndex": true,
+		"node.DropFragment": true, "node.DropGlobalIndexFrag": true, "node.LocalJoin": true,
+		"node.PromoteSlots": true, "node.GIPromoteSlots": true, "node.GIScrubNode": true,
+	}
+	for _, req := range AllRequests() {
+		name := fmt.Sprintf("%T", req)
+		gen := gens[name]
+		if gen == nil {
+			if IsMutating(req) && !noInverse[name] {
+				t.Errorf("mutating request %s has neither a round-trip generator nor a no-inverse entry", name)
+			}
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			for trial := 0; trial < 25; trial++ {
+				rng := rand.New(rand.NewSource(int64(trial)))
+				w := build(t, rng)
+				before := stateFingerprint(t, w.n, "agg")
+				req := gen(w, rng)
+				resp := mustHandle(t, w.n, req)
+				if stateFingerprint(t, w.n, "agg") == before {
+					t.Fatalf("trial %d: %+v changed nothing", trial, req)
+				}
+				inv := InverseOf(req, resp)
+				if inv == nil {
+					t.Fatalf("trial %d: no inverse for %+v", trial, req)
+				}
+				if ep := reflect.ValueOf(req).FieldByName("Epoch"); ep.IsValid() {
+					if got := reflect.ValueOf(inv).FieldByName("Epoch"); !got.IsValid() || got.Uint() != ep.Uint() {
+						t.Fatalf("trial %d: inverse %T does not carry the forward epoch %d", trial, inv, ep.Uint())
+					}
+				}
+				mustHandle(t, w.n, inv)
+				if after := stateFingerprint(t, w.n, "agg"); after != before {
+					t.Fatalf("trial %d: %T then %T did not round-trip:\n--- before ---\n%s\n--- after ---\n%s", trial, req, inv, before, after)
+				}
+			}
+		})
+	}
+}

@@ -14,8 +14,10 @@ import (
 // stateFingerprint serializes the node's visible state — every fragment's
 // (row id, tuple) set and every global-index fragment's (value, global
 // row id) set, canonically ordered — so two states compare byte-identical
-// exactly when they are equal.
-func stateFingerprint(t *testing.T, n *DataNode) string {
+// exactly when they are equal. Fragments named in byValue are compared as
+// tuple bags, without row ids (an aggregate group is rewritten in place, so
+// its row id is not part of its identity).
+func stateFingerprint(t *testing.T, n *DataNode, byValue ...string) string {
 	t.Helper()
 	var sb strings.Builder
 	var frags []string
@@ -33,7 +35,18 @@ func stateFingerprint(t *testing.T, n *DataNode) string {
 		for i := range rr.Rows {
 			rows[i] = row{rr.Rows[i], rr.Tuples[i]}
 		}
-		sort.Slice(rows, func(i, j int) bool { return rows[i].id < rows[j].id })
+		bag := false
+		for _, b := range byValue {
+			bag = bag || b == name
+		}
+		if bag {
+			for i := range rows {
+				rows[i].id = 0
+			}
+			sort.Slice(rows, func(i, j int) bool { return rows[i].tup.Compare(rows[j].tup) < 0 })
+		} else {
+			sort.Slice(rows, func(i, j int) bool { return rows[i].id < rows[j].id })
+		}
 		fmt.Fprintf(&sb, "frag %s\n", name)
 		for _, r := range rows {
 			fmt.Fprintf(&sb, "  %v %v\n", r.id, r.tup)

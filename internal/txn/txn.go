@@ -1,10 +1,10 @@
-// Package txn provides the coordinator-side transaction scope the paper's
-// maintenance flows run inside ("begin transaction; update base relation;
-// update auxiliary relation / global index; update join view; end
-// transaction"). A Txn collects compensating actions as a statement makes
-// progress; on error everything applied so far is undone in reverse order,
-// so base relations, auxiliary structures and views stay mutually
-// consistent.
+// Package txn is a reverse-order hook list. cluster.Txn (a multi-statement
+// BEGIN … ROLLBACK) registers one logical inverse statement per applied
+// statement and runs them newest-first on Rollback. The scope of a single
+// statement — the paper's "begin transaction; update base relation; update
+// auxiliary relation / global index; update join view; end transaction" —
+// is not here: it is cluster.stmtScope, whose undo log the delivery layer
+// fills and node.InverseOf inverts.
 package txn
 
 import (
@@ -12,7 +12,7 @@ import (
 	"fmt"
 )
 
-// Txn is an undo log. The zero value is ready to use.
+// Txn is a list of rollback hooks. The zero value is ready to use.
 type Txn struct {
 	undo []func() error
 	done bool

@@ -200,7 +200,9 @@ type Options struct {
 	// and use Crash/Restart plus DB.Recover to exercise node failures.
 	Faults *FaultInjector
 	// Durability gives every node a write-ahead log and checkpoint area and
-	// runs each DML statement under presumed-abort two-phase commit. A
+	// runs each DML statement under presumed-abort two-phase commit; the
+	// transaction (id, participants, undo log) belongs to the statement,
+	// the coordinator keeps only the id counter and the decision log. A
 	// crashed node (CrashNode) loses its volatile state and recovers from
 	// its checkpoint plus log tail (RestartNode / Recover) instead of a
 	// full derived-fragment rebuild.
