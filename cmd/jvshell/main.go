@@ -241,8 +241,8 @@ func handleMeta(db *joinview.DB, cmd string) bool {
 				r.Phase, r.ObjectsDone, r.ObjectsTotal, r.Slots)
 		}
 		if m := top.InFlight; m != nil {
-			fmt.Printf("migration %d in flight: phase %s, slots %v -> nodes %v, catch-up queue depth %d\n",
-				m.ID, m.Phase, m.Slots, m.Dsts, m.QueueDepth)
+			fmt.Printf("migration %d in flight: phase %s, slots %v -> nodes %v\n",
+				m.ID, m.Phase, m.Slots, m.Dsts)
 		} else if stats, ok := db.LastMigration(); ok {
 			outcome := "aborted"
 			if stats.Committed {

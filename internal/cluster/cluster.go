@@ -239,14 +239,17 @@ type Cluster struct {
 	// down nodes whose slots were already promoted to surviving followers
 	// (the cluster serves complete reads and commits DML around them),
 	// staleRepl marks followers evicted from the write fan-out after a
-	// failed mirror delivery (skipped until re-replicated), repairSess is
-	// the in-flight ReplicateRepair round (nil when idle), rstats counts
-	// mirror/failover/repair activity. All guarded by rmu.
+	// failed mirror delivery (skipped until re-replicated), rstats counts
+	// mirror/failover/repair activity. The maps are guarded by rmu.
 	rmu        sync.Mutex
 	failedOver map[int]bool
 	staleRepl  map[int]bool
-	repairSess *replRepair
 	rstats     *stats.ReplCounters
+
+	// sess is the one online slot copy in flight — a re-replication round
+	// or a migration (slotcopy.go) — nil when idle; the live mirror
+	// consults it on every applied mutation.
+	sess atomic.Pointer[copySession]
 
 	// mvcc is the snapshot-read epoch tracker (mvcc.go), nil when MVCC is
 	// off (no parallel dispatch, or LockedReads). readFence is the one writer-side

@@ -6,34 +6,35 @@ package cluster
 // table; changing topology means reassigning hash slots and moving each
 // reassigned slot's data — base-fragment rows, auxiliary-relation rows,
 // view rows and global-index entries — from its source to its destination
-// while DML keeps committing. Each migration runs in three phases:
+// while DML keeps committing. A slot move is "add the destination as a
+// follower, promote it, drop the source's copy", on the replication data
+// plane (slotcopy.go, replicate.go):
 //
 //	copy     Per base table (then per view), under a brief shared claim
 //	         that blocks only that object's writers: snapshot the
-//	         migrating slots' rows out of the source fragments into
-//	         staging fragments at the destination, and arm a "tap" on the
-//	         fragment before releasing the claim. From then on every
-//	         mutation the coordinator delivers against migrating data is
-//	         mirrored — value-filtered, rewritten to the staging names —
-//	         into the delta catch-up queue.
-//	catchup  Replay the queue against the staging fragments in batches
-//	         while DML continues to run (and continues to enqueue).
+//	         migrating slots' rows out of the source fragments into the
+//	         destination's follower shadows, and arm the object in the
+//	         copy session before releasing the claim. From then on the
+//	         live mirror (followerSink) re-applies every mutation of a
+//	         moving slot at its destination inside the writing statement,
+//	         exactly as it does for an installed follower.
 //	cutover  Under an exclusive claim on every migrating hash range (plus
 //	         the tables and views, so readers cannot observe the move):
-//	         drain the queue, merge staging into the real fragments at
-//	         the destinations, delete the moved rows at the sources, fix
-//	         up global-index entries that referenced moved base rows, and
-//	         atomically install the new partition map with an epoch bump
-//	         (which invalidates every compiled maintenance plan).
+//	         promote the moving slots shadow → primary at the
+//	         destinations (node-local) and atomically install the new
+//	         partition map with an epoch bump (which invalidates every
+//	         compiled maintenance plan).
+//	cleanup  Still under the claims: demote or delete the sources' copies,
+//	         and re-register the moved base rows' global-index entries
+//	         under their new row ids.
 //
-// The data movement itself — the catalog walk, the snapshot copy and the
-// live mirror — is shared with replication (slotcopy.go); this file is the
-// phase protocol around it.
+// This file is what is migration's own: planning the moves, the phase
+// protocol, its WAL records and its recovery.
 //
 // Every transition is logged to the coordinator's WAL. The commit point
 // is the cutover's map install: a start record without a commit record
 // means the migration never happened (presumed abort), and
-// ResumeMigrations drops whatever staging fragments it left behind. The
+// ResumeMigrations scrubs whatever the destinations' shadows received. The
 // fault injector's migration-phase triggers (fault.CrashAtPhase,
 // fault.FailAtPhase) land node crashes and coordinator failures exactly
 // at these boundaries.
@@ -75,16 +76,14 @@ type MigrationStats struct {
 	Dsts  []int
 	// RowsCopied counts tuples and global-index entries shipped during
 	// the snapshot phase; PagesCopied their page-grained I/O equivalent
-	// (snapshot reads + staging writes + cutover moves).
+	// (snapshot reads at the sources + shadow writes at the destinations;
+	// the cutover's promotion is node-local and ships nothing).
 	RowsCopied  int64
 	PagesCopied int64
 	// Envelopes counts the transport deliveries the migration itself
-	// issued (snapshot, replay, cutover and cleanup traffic).
+	// issued (snapshot, cutover and cleanup traffic). Writes mirrored to
+	// the destinations while it ran are part of their statements' cost.
 	Envelopes int64
-	// CatchupPeak is the delta queue's high-water mark; CatchupReplayed
-	// the total mirrored operations replayed into staging.
-	CatchupPeak     int
-	CatchupReplayed int
 	// CutoverStall is how long the exclusive cutover window lasted — the
 	// only time concurrent DML is blocked cluster-wide.
 	CutoverStall time.Duration
@@ -96,11 +95,10 @@ type MigrationStats struct {
 
 // MigrationStatus describes an in-flight migration for Topology.
 type MigrationStatus struct {
-	ID         uint64
-	Phase      string
-	Slots      []int
-	Dsts       []int
-	QueueDepth int
+	ID    uint64
+	Phase string
+	Slots []int
+	Dsts  []int
 }
 
 // Topology reports the cluster's partition map and elasticity state.
@@ -128,17 +126,12 @@ type Topology struct {
 	Repair *ReplRepairStatus
 }
 
-// migStaging names one staging fragment for the WAL record and cleanup.
-type migStaging struct {
-	Node int
+// migShadow names one structure whose follower shadow exists at the
+// destinations only for the migration's duration (replication off), for
+// the WAL record and cleanup.
+type migShadow struct {
 	Name string
 	GI   bool
-}
-
-// migQueued is one mirrored operation awaiting replay at a destination.
-type migQueued struct {
-	dst int
-	req any
 }
 
 // migration is the coordinator-side state of one in-flight migration.
@@ -151,13 +144,13 @@ type migration struct {
 	target  hashpart.Map
 	moves   map[int]migMove
 	dsts    []int
-	staging []migStaging
+	// sess is the copy session keeping the destinations' shadows current;
+	// shadows lists the ones to drop afterwards.
+	sess    *copySession
+	shadows []migShadow
 
-	mu      sync.Mutex
-	phase   string
-	armed   map[string]bool // structures whose copy finished: mirror their mutations
-	queue   []migQueued
-	stopped bool // cutover reached or migration aborted: stop mirroring
+	mu    sync.Mutex
+	phase string
 
 	stats MigrationStats
 	start time.Time
@@ -168,7 +161,7 @@ type migStartRec struct {
 	ID      uint64
 	Moves   map[int]migMove
 	Target  hashpart.Map
-	Staging []migStaging
+	Shadows []migShadow
 }
 type migPhaseRec struct {
 	ID    uint64
@@ -178,7 +171,7 @@ type migCommitRec struct{ ID uint64 }
 type migAbortRec struct{ ID uint64 }
 
 // migCleanupRec records that the post-commit cleanup (source-copy scrub,
-// staging drops) completed; a commit record without one means
+// index re-registration, shadow drops) completed; a commit record without one means
 // ResumeMigrations must roll the cleanup forward.
 type migCleanupRec struct{ ID uint64 }
 
@@ -255,11 +248,10 @@ func (c *Cluster) Topology() Topology {
 	if mig := c.mig; mig != nil {
 		mig.mu.Lock()
 		t.InFlight = &MigrationStatus{
-			ID:         mig.id,
-			Phase:      mig.phase,
-			Slots:      sortedKeys(mig.moves),
-			Dsts:       append([]int(nil), mig.dsts...),
-			QueueDepth: len(mig.queue),
+			ID:    mig.id,
+			Phase: mig.phase,
+			Slots: sortedKeys(mig.moves),
+			Dsts:  append([]int(nil), mig.dsts...),
 		}
 		mig.mu.Unlock()
 	}
@@ -268,7 +260,7 @@ func (c *Cluster) Topology() Topology {
 }
 
 // failIfMigrating refuses catalog-shape changes while data is in flight:
-// a fragment created mid-migration would have no staging copy and no tap.
+// a fragment created mid-migration would miss its snapshot copy.
 func (c *Cluster) failIfMigrating() error {
 	if c.MigrationActive() {
 		return fmt.Errorf("%w in flight: retry after it completes", ErrMigration)
@@ -304,9 +296,6 @@ func migRangeRes(slot int) string { return fmt.Sprintf("mig:slot:%d", slot) }
 // node exists but owns no slots — RebalanceNode(id) retries the data
 // movement.
 func (c *Cluster) AddNode() (int, error) {
-	if err := c.failIfReplicated("AddNode"); err != nil {
-		return -1, err
-	}
 	dst, err := c.provisionNode()
 	if err != nil {
 		return -1, err
@@ -341,10 +330,15 @@ func (c *Cluster) provisionNode() (int, error) {
 	c.nmu.Unlock()
 	c.nNodes.Store(int32(dst + 1))
 
-	// Empty fragments of every cataloged object, so broadcasts, gathers
-	// and checkpoints uniformly include the new node from here on.
+	// Empty fragments of every cataloged object (and, under replication,
+	// their shadows), so broadcasts, gathers and checkpoints uniformly
+	// include the new node from here on.
 	for _, spec := range c.fragSpecs() {
-		for _, req := range append([]any{spec.createReq(spec.Name, c.cfg.PageRows)}, spec.indexReqs()...) {
+		reqs := append([]any{spec.createReq(spec.Name, c.cfg.PageRows)}, spec.indexReqs()...)
+		if c.replOn() {
+			reqs = append(reqs, spec.createReq(shadowName(spec.Name), c.cfg.PageRows))
+		}
+		for _, req := range reqs {
 			if _, err := c.rawCall(dst, req); err != nil {
 				return dst, err
 			}
@@ -356,7 +350,11 @@ func (c *Cluster) provisionNode() (int, error) {
 	// epoch moves (compiled plans recompile against identical routing).
 	m := c.part.Map()
 	for len(m.Owner) < 2*(dst+1) {
+		repl := m.Clone().Repl
 		m = m.Doubled()
+		if repl != nil {
+			m.Repl = append(m.Repl, repl...) // slot s+len shares s's followers too
+		}
 	}
 	m.Nodes = dst + 1
 	m.Epoch++
@@ -369,15 +367,16 @@ func (c *Cluster) provisionNode() (int, error) {
 
 // RebalanceNode live-migrates a proportional share of hash slots to the
 // given (typically just-added, slot-less) node. Shares are stolen from
-// the most-loaded owners.
+// the most-loaded owners. Rebalancing onto a decommissioned node returns
+// it to service.
 func (c *Cluster) RebalanceNode(dst int) error {
-	if err := c.failIfReplicated("RebalanceNode"); err != nil {
-		return err
-	}
 	cur := c.part.Map()
 	if dst < 0 || dst >= c.NumNodes() {
 		return fmt.Errorf("cluster: node %d out of range [0,%d)", dst, c.NumNodes())
 	}
+	c.migMu.Lock()
+	delete(c.retired, dst)
+	c.migMu.Unlock()
 	active := c.NumNodes() - c.numRetired()
 	want := (len(cur.Owner) + active/2) / active
 	if want < 1 {
@@ -400,7 +399,7 @@ func (c *Cluster) RebalanceNode(dst int) error {
 		}
 		s := target.SlotsOwnedBy(heavy)[0]
 		moves[s] = migMove{Src: heavy, Dst: dst}
-		target.Owner[s] = dst
+		reassign(target, s, dst, true)
 	}
 	if len(moves) == 0 {
 		return nil
@@ -409,21 +408,56 @@ func (c *Cluster) RebalanceNode(dst int) error {
 	return c.migrate(cur, target, moves)
 }
 
+// reassign makes dst the owner of slot s in the map being planned. The
+// slot's followers stay; a destination that already follows the slot swaps
+// roles with the owner (its shadow is promoted, nothing is copied) —
+// unless the owner is leaving (demote false), which leaves the slot one
+// follower short for the re-replication deficit plan.
+func reassign(target hashpart.Map, s, dst int, demote bool) {
+	src := target.Owner[s]
+	target.Owner[s] = dst
+	if !containsInt(target.Followers(s), dst) {
+		return
+	}
+	target.Repl[s] = without(target.Repl[s], dst)
+	if demote {
+		target.Repl[s] = append(target.Repl[s], src)
+	}
+}
+
+// without returns xs minus v, as a fresh slice.
+func without(xs []int, v int) []int {
+	var out []int
+	for _, x := range xs {
+		if x != v {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
 // DecommissionNode drains a node: every hash slot it owns is
 // live-migrated to the least-loaded surviving nodes, after which the node
 // is marked retired — still addressable (its empty fragments keep
 // broadcasts uniform) but owning no data. The node can then be taken
-// down without degrading the cluster.
+// down without degrading the cluster. Under replication the node also
+// leaves every replica set it was in, and a re-replication round
+// (ReplicateRepair's deficit plan) copies replacements onto the survivors.
 func (c *Cluster) DecommissionNode(n int) error {
-	if err := c.failIfReplicated("DecommissionNode"); err != nil {
-		return err
-	}
 	cur := c.part.Map()
 	if n < 0 || n >= c.NumNodes() {
 		return fmt.Errorf("cluster: node %d out of range [0,%d)", n, c.NumNodes())
 	}
-	if c.numRetired() >= c.NumNodes()-1 && len(cur.SlotsOwnedBy(n)) > 0 {
+	survivors := c.NumNodes() - c.numRetired()
+	if !c.isRetired(n) {
+		survivors--
+	}
+	if survivors < 1 && len(cur.SlotsOwnedBy(n)) > 0 {
 		return fmt.Errorf("cluster: cannot decommission the last active node")
+	}
+	if c.replOn() && survivors < c.cfg.ReplicationFactor {
+		return fmt.Errorf("cluster: decommissioning node %d would leave %d active nodes for ReplicationFactor %d",
+			n, survivors, c.cfg.ReplicationFactor)
 	}
 	target := cur.Clone()
 	moves := map[int]migMove{}
@@ -441,9 +475,16 @@ func (c *Cluster) DecommissionNode(n int) error {
 			return fmt.Errorf("cluster: no surviving node to drain node %d to", n)
 		}
 		moves[s] = migMove{Src: n, Dst: light}
-		target.Owner[s] = light
+		reassign(target, s, light, false)
 	}
-	if len(moves) > 0 {
+	changed := len(moves) > 0
+	for s, fs := range target.Repl {
+		if containsInt(fs, n) {
+			target.Repl[s] = without(fs, n)
+			changed = true
+		}
+	}
+	if changed {
 		target.Epoch = cur.Epoch + 1
 		if err := c.migrate(cur, target, moves); err != nil {
 			return err
@@ -452,6 +493,9 @@ func (c *Cluster) DecommissionNode(n int) error {
 	c.migMu.Lock()
 	c.retired[n] = true
 	c.migMu.Unlock()
+	if changed && c.replOn() {
+		return c.ReplicateRepair()
+	}
 	return nil
 }
 
@@ -467,28 +511,39 @@ func (c *Cluster) isRetired(n int) bool {
 	return c.retired[n]
 }
 
-// migrate runs the three-phase live migration of the given slot moves.
+// migrate runs the live migration from the routing map to the target map:
+// the given slot moves plus, under replication, whatever follower changes
+// the target carries.
 func (c *Cluster) migrate(routing, target hashpart.Map, moves map[int]migMove) error {
+	if down := c.Degraded(); len(down) > 0 {
+		return fmt.Errorf("%w: nodes %v unavailable: recover them before changing topology", ErrDegraded, down)
+	}
 	m := &migration{
 		id:      c.migSeq.Add(1),
 		routing: routing,
 		target:  target,
 		moves:   moves,
-		armed:   map[string]bool{},
 		start:   time.Now(),
 	}
-	dstSet := map[int]bool{}
-	for _, mv := range moves {
-		dstSet[mv.Dst] = true
+	// A destination that does not follow its slot yet needs a copy; one
+	// that does is in sync already — unless it was evicted.
+	targets := map[int][]int{}
+	for s, mv := range moves {
+		if !containsInt(routing.Followers(s), mv.Dst) {
+			targets[s] = []int{mv.Dst}
+		}
 	}
-	m.dsts = sortedKeys(dstSet)
+	m.dsts = moveDsts(moves)
 	m.stats = MigrationStats{ID: m.id, Slots: sortedKeys(moves), Dsts: m.dsts}
-
-	// Plan every staging fragment up front so the WAL start record is a
+	if err := c.failIfStale(m.dsts); err != nil {
+		return err
+	}
+	// Without replication the destinations' shadows live only as long as
+	// the migration; naming them all up front makes the WAL start record a
 	// complete cleanup manifest even if the coordinator dies mid-copy.
-	for _, spec := range c.fragSpecs() {
-		for _, d := range m.dsts {
-			m.staging = append(m.staging, migStaging{Node: d, Name: m.stagingName(spec.Name), GI: spec.GI})
+	if !c.replOn() {
+		for _, spec := range c.fragSpecs() {
+			m.shadows = append(m.shadows, migShadow{Name: spec.Name, GI: spec.GI})
 		}
 	}
 
@@ -499,46 +554,49 @@ func (c *Cluster) migrate(routing, target hashpart.Map, moves map[int]migMove) e
 		c.migMu.Unlock()
 		return fmt.Errorf("%w already in flight", ErrMigration)
 	}
+	var err error
+	if m.sess, err = c.beginCopy(targets); err != nil {
+		c.migMu.Unlock()
+		return err
+	}
 	c.mig = m
 	c.migMu.Unlock()
 
-	c.migLog(migStartRec{ID: m.id, Moves: moves, Target: target, Staging: m.staging}, true)
-	err := c.runMigration(m)
-	if err != nil {
-		if m.committed() {
-			// The target map is installed — the migration happened; only
-			// the post-commit cleanup is unfinished. Roll forward, never
-			// back: ResumeMigrations scrubs the leftover source copies.
-			c.finishMigration(m)
-			return fmt.Errorf("%w %d committed but cleanup pending (%v): run ResumeMigrations", ErrMigration, m.id, err)
-		}
-		c.abortMigration(m, err)
-		return fmt.Errorf("%w %d aborted: %w", ErrMigration, m.id, err)
-	}
+	c.migLog(migStartRec{ID: m.id, Moves: moves, Target: target, Shadows: m.shadows}, true)
+	err = c.runMigration(m)
 	c.finishMigration(m)
+	switch {
+	case err == nil:
+		return nil
+	case m.stats.Committed:
+		// The target map is installed — the migration happened; only the
+		// post-commit cleanup is unfinished. Roll forward, never back.
+		return fmt.Errorf("%w %d committed but cleanup pending (%v): run ResumeMigrations", ErrMigration, m.id, err)
+	}
+	if rerr := c.abortMigration(m, err); rerr != nil {
+		return fmt.Errorf("%w %d failed (%w) but rollback pending (%v): run ResumeMigrations", ErrMigration, m.id, err, rerr)
+	}
+	return fmt.Errorf("%w %d aborted: %w", ErrMigration, m.id, err)
+}
+
+// failIfStale refuses to promote an evicted follower: its shadow may have
+// missed writes.
+func (c *Cluster) failIfStale(dsts []int) error {
+	c.rmu.Lock()
+	defer c.rmu.Unlock()
+	for _, d := range dsts {
+		if c.staleRepl[d] {
+			return fmt.Errorf("%w: destination node %d is an evicted follower: run ReplicateRepair first", ErrMigration, d)
+		}
+	}
 	return nil
 }
 
-// committed reports whether the migration passed its commit point (target
-// map installed).
-func (m *migration) committed() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats.Committed
-}
-
-// reachedCutover reports whether the cutover phase began (destination
-// state may hold merged data; an abort must scrub it and rebuild GIs).
-func (m *migration) reachedCutover() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.phase == "cutover" || m.phase == "cleanup"
-}
-
-// finishMigration deregisters the migration and publishes its stats.
+// finishMigration stops the mirror, deregisters the migration and
+// publishes its stats.
 func (c *Cluster) finishMigration(m *migration) {
+	c.sess.CompareAndSwap(m.sess, nil)
 	m.mu.Lock()
-	m.stopped = true
 	m.stats.Elapsed = time.Since(m.start)
 	stats := m.stats
 	m.mu.Unlock()
@@ -546,10 +604,6 @@ func (c *Cluster) finishMigration(m *migration) {
 	c.mig = nil
 	c.lastMig = &stats
 	c.migMu.Unlock()
-}
-
-func (m *migration) stagingName(frag string) string {
-	return fmt.Sprintf("%s~mig%d", frag, m.id)
 }
 
 // setPhase records the phase and announces it to the fault injector,
@@ -579,188 +633,59 @@ func (c *Cluster) migLog(rec any, force bool) {
 	}
 }
 
-// migCall issues one migration delivery (counted in the stats).
-func (c *Cluster) migCall(m *migration, to int, req any) (any, error) {
-	m.mu.Lock()
-	m.stats.Envelopes++
-	m.mu.Unlock()
-	return c.rawCall(to, req)
-}
-
-// migCaller is migCall bound to one migration.
+// migCaller returns the migration's delivery function: rawCall, counted
+// in the stats.
 func (c *Cluster) migCaller(m *migration) func(to int, req any) (any, error) {
-	return func(to int, req any) (any, error) { return c.migCall(m, to, req) }
+	return func(to int, req any) (any, error) {
+		m.mu.Lock()
+		m.stats.Envelopes++
+		m.mu.Unlock()
+		return c.rawCall(to, req)
+	}
 }
 
-// runMigration executes the three phases.
+// runMigration executes the phases.
 func (c *Cluster) runMigration(m *migration) error {
-	// Phase 1: snapshot copy, object by object, arming taps.
-	for _, group := range c.fragGroups() {
-		if err := c.copyGroup(m, group); err != nil {
-			return err
-		}
-	}
-	// Phase 2: replay the delta queue while DML keeps running; the
-	// remainder drains under the cutover claim.
-	if err := c.setPhase(m, "catchup"); err != nil {
-		return err
-	}
-	for i := 0; i < 8; i++ {
-		n, err := c.replayQueue(m)
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			break
-		}
-	}
-	// Phase 3: cutover.
-	return c.cutover(m)
-}
-
-// migMoved reports whether a value's slot is migrating and currently
-// homed at node `at`.
-func (m *migration) migMoved(v types.Value, at int) (migMove, bool) {
-	s := m.routing.Slot(v)
-	mv, ok := m.moves[s]
-	if !ok || mv.Src != at {
-		return migMove{}, false
-	}
-	return mv, true
-}
-
-// sink is the migration's slot sink for data homed at node `at`: an
-// element of a migrating slot goes to the slot's destination, into the
-// staging copy there, unmetered.
-func (m *migration) sink(at int, deliver func(dst int, req any, elems int) error) slotSink {
-	return slotSink{
-		route: func(v types.Value, out []int) []int {
-			if mv, ok := m.migMoved(v, at); ok {
-				out = append(out, mv.Dst)
-			}
-			return out
-		},
-		name:    m.stagingName,
-		deliver: deliver,
-	}
-}
-
-// arm starts mirroring one structure's mutations into the catch-up queue.
-// Must be called while the copy claim is still held, so no mutation lands
-// between snapshot and tap.
-func (m *migration) arm(name string) {
-	m.mu.Lock()
-	m.armed[name] = true
-	m.mu.Unlock()
-}
-
-func (m *migration) isArmed(name string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return !m.stopped && m.armed[name]
-}
-
-// copyGroup snapshots the migrating slots of one base table — its rows,
-// its auxiliary relations' rows and its global-index entries — or of one
-// view into staging at the destinations, under a shared claim on the
-// owner (blocking exactly its writers; global in serial modes), arming
-// each structure before the claim is released.
-func (c *Cluster) copyGroup(m *migration, group []fragSpec) error {
-	owner := group[0].Owner
-	if err := c.setPhase(m, "copy:"+owner); err != nil {
-		return err
-	}
-	h := c.lockRead(owner)
-	defer h.Release()
-
-	// Staging fragments exist at every destination regardless of content,
-	// so cleanup and cutover are uniform.
-	for _, d := range m.dsts {
-		for _, spec := range group {
-			if _, err := c.migCall(m, d, spec.createReq(m.stagingName(spec.Name), c.cfg.PageRows)); err != nil {
-				return err
-			}
-		}
-	}
-	ship := func(dst int, req any, elems int) error {
-		if _, err := c.migCall(m, dst, req); err != nil {
-			return err
-		}
+	call := c.migCaller(m)
+	shipped := func(elems int) {
 		m.mu.Lock()
 		m.stats.RowsCopied += int64(elems)
 		m.stats.PagesCopied += 2 * c.pageCount(elems) // read at src + write at dst
 		m.mu.Unlock()
-		return nil
 	}
-	for _, spec := range group {
-		// One batch per source: PagesCopied rounds each to whole pages.
-		for _, src := range m.srcNodes() {
-			if err := copySlots(spec, spec.Name, []int{src}, c.migCaller(m), m.sink(src, ship)); err != nil {
-				return err
+	// Snapshot copy, object by object, arming the live mirror.
+	for _, group := range c.fragGroups() {
+		if err := c.setPhase(m, "copy:"+group[0].Owner); err != nil {
+			return err
+		}
+		if !c.replOn() {
+			for _, d := range m.dsts {
+				for _, spec := range group {
+					if _, err := call(d, spec.createReq(shadowName(spec.Name), c.cfg.PageRows)); err != nil {
+						return err
+					}
+				}
 			}
 		}
-		m.arm(spec.Name)
-	}
-	return nil
-}
-
-// srcNodes lists the distinct source nodes of the migration's moves.
-func (m *migration) srcNodes() []int {
-	set := map[int]bool{}
-	for _, mv := range m.moves {
-		set[mv.Src] = true
-	}
-	return sortedKeys(set)
-}
-
-// enqueue appends one mirrored operation to the catch-up queue.
-func (m *migration) enqueue(dst int, req any, _ int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.stopped {
-		return nil
-	}
-	m.queue = append(m.queue, migQueued{dst: dst, req: req})
-	if len(m.queue) > m.stats.CatchupPeak {
-		m.stats.CatchupPeak = len(m.queue)
-	}
-	return nil
-}
-
-// replayQueue drains the current queue snapshot against the staging
-// fragments, returning how many operations it replayed. New mutations
-// keep arriving behind the snapshot; the cutover's final drain runs under
-// the exclusive claims, when nothing can arrive anymore.
-func (c *Cluster) replayQueue(m *migration) (int, error) {
-	m.mu.Lock()
-	batch := m.queue
-	m.queue = nil
-	m.mu.Unlock()
-	for _, q := range batch {
-		if _, err := c.migCall(m, q.dst, q.req); err != nil {
-			return 0, err
+		if err := c.copyGroup(m.sess, group, call, shipped); err != nil {
+			return err
 		}
 	}
-	m.mu.Lock()
-	m.stats.CatchupReplayed += len(batch)
-	m.mu.Unlock()
-	return len(batch), nil
+	return c.cutover(m, call)
 }
 
 // cutover is the migration's commit: under exclusive claims on every
 // moving hash range plus every table and view (so no statement or locked
-// read can observe the move), it drains the queue, merges staging into
-// the real fragments, fixes up global-index entries referencing moved
-// base rows, installs the target map and scrubs the source copies.
+// read can observe the move), it promotes the moving slots at their
+// destinations, installs the target map, and cleans up behind it.
 //
 // Crash-safety shape: everything BEFORE the map install is additive —
 // destinations gain redundant copies while the sources stay authoritative
-// and intact, so an abort scrubs destination residue (and rebuilds GIs,
-// whose fixups are the one pre-commit mutation that is not purely
-// additive). Everything AFTER the install only removes the now-stale
-// source copies, is idempotent, and rolls forward: a commit record
-// without a cleanup record makes ResumeMigrations re-run the scrub.
-func (c *Cluster) cutover(m *migration) error {
+// and intact, so an abort only re-homes the destinations' residue.
+// Everything AFTER the install removes or demotes the now-stale source
+// copies and re-registers global-index entries, and rolls forward: a
+// commit record without a cleanup record makes ResumeMigrations redo it.
+func (c *Cluster) cutover(m *migration, call func(to int, req any) (any, error)) error {
 	if err := c.setPhase(m, "cutover"); err != nil {
 		return err
 	}
@@ -785,91 +710,70 @@ func (c *Cluster) cutover(m *migration) error {
 	defer h.Release()
 	stallStart := time.Now()
 
-	// Final drain, then stop the mirror: nothing else can arrive while
-	// the claims are held.
-	if _, err := c.replayQueue(m); err != nil {
+	// Nothing else can arrive while the claims are held: the destinations
+	// are as current as they will get. They must be complete, and the map
+	// the moves were planned on must still be the installed one (a failover
+	// replaces it). Then stop the mirror.
+	if err := c.intact(m.sess); err != nil {
 		return err
 	}
-	m.mu.Lock()
-	m.stopped = true
-	m.mu.Unlock()
-
-	// Additive apply: staging → real fragments at every destination. For
-	// tables with global indexes, also record the moved rows' old (source)
-	// and new (destination) row ids for the entry fixups.
-	type movedRows struct {
-		at     int
-		rows   []storage.RowID
-		tuples []types.Tuple
+	if err := c.failIfStale(m.dsts); err != nil {
+		return err
 	}
-	fixDel := map[string][]movedRows{} // table → per-src old rows
-	fixIns := map[string][]movedRows{} // table → per-dst new rows
-	groups := c.fragGroups()
-	for _, group := range groups {
+	if e := c.part.Epoch(); e != m.routing.Epoch {
+		return fmt.Errorf("cluster: partition map moved to epoch %d under the migration", e)
+	}
+	c.sess.CompareAndSwap(m.sess, nil)
+
+	// Promote shadow → primary at every destination. For tables with
+	// global indexes, also note the moved rows' old (source) and new
+	// (destination) row ids for the entry re-registration.
+	type movedRows struct {
+		gis            []fragSpec
+		oldT, newT     []types.Tuple
+		oldIDs, newIDs []storage.GlobalRowID
+	}
+	var fixups []movedRows
+	mod := len(m.routing.Owner)
+	arriving := map[int][]int{}
+	for _, s := range sortedKeys(m.moves) {
+		arriving[m.moves[s].Dst] = append(arriving[m.moves[s].Dst], s)
+	}
+	for _, group := range c.fragGroups() {
+		fix := movedRows{gis: giSpecs(group)}
 		for _, spec := range group {
-			needRows := spec.isTable() && len(giSpecs(group)) > 0
+			needRows := spec.isTable() && len(fix.gis) > 0
 			if needRows {
 				for _, src := range m.srcNodes() {
-					resp, err := c.migCall(m, src, node.ScanWithRows{Frag: spec.Name})
+					resp, err := call(src, spec.scanReq(spec.Name))
 					if err != nil {
 						return err
 					}
 					rr := resp.(node.RowsResult)
-					mv := movedRows{at: src}
 					for i, tup := range rr.Tuples {
-						if _, ok := m.migMoved(tup[spec.PartIdx], src); ok {
-							mv.rows = append(mv.rows, rr.Rows[i])
-							mv.tuples = append(mv.tuples, tup)
+						if mv, ok := m.moves[m.routing.Slot(tup[spec.PartIdx])]; ok && mv.Src == src {
+							fix.oldT = append(fix.oldT, tup)
+							fix.oldIDs = append(fix.oldIDs, storage.GlobalRowID{Node: int32(src), Row: rr.Rows[i]})
 						}
-					}
-					if len(mv.rows) > 0 {
-						fixDel[spec.Name] = append(fixDel[spec.Name], mv)
 					}
 				}
 			}
 			for _, d := range m.dsts {
-				merge := slotSink{
-					route: func(_ types.Value, out []int) []int { return append(out, d) },
-					name:  func(string) string { return spec.Name },
-					deliver: func(_ int, req any, elems int) error {
-						resp, err := c.migCall(m, d, req)
-						if err != nil {
-							return err
-						}
-						if needRows {
-							fixIns[spec.Name] = append(fixIns[spec.Name], movedRows{
-								at: d, rows: resp.(node.InsertResult).Rows, tuples: req.(node.Insert).Tuples,
-							})
-						}
-						m.mu.Lock()
-						m.stats.PagesCopied += 2 * c.pageCount(elems)
-						m.mu.Unlock()
-						return nil
-					},
-				}
-				if err := copySlots(spec, m.stagingName(spec.Name), []int{d}, c.migCaller(m), merge); err != nil {
+				resp, err := call(d, spec.moveReq(shadowName(spec.Name), spec.Name, mod, arriving[d]))
+				if err != nil {
 					return err
 				}
+				if needRows {
+					pr := resp.(node.PromoteResult)
+					fix.newT = append(fix.newT, pr.Tuples...)
+					for _, row := range pr.Rows {
+						fix.newIDs = append(fix.newIDs, storage.GlobalRowID{Node: int32(d), Row: row})
+					}
+				}
 			}
 		}
-	}
-
-	// Global-index fixups: every moved base row got a fresh row id at its
-	// destination, so the (value, global-row-id) entries referencing the
-	// old source rows are replaced at each value's target-map home. (The
-	// merge above already placed migrating-value entries at their new
-	// homes; the stale source-side copies fall to the post-commit scrub.)
-	for _, group := range groups {
-		gis, tn := giSpecs(group), group[0].Owner
-		for _, mv := range fixDel[tn] {
-			if err := c.giFixup(m, gis, mv.at, mv.rows, mv.tuples, false); err != nil {
-				return err
-			}
-		}
-		for _, mv := range fixIns[tn] {
-			if err := c.giFixup(m, gis, mv.at, mv.rows, mv.tuples, true); err != nil {
-				return err
-			}
+		if len(fix.oldT)+len(fix.newT) > 0 {
+			fixups = append(fixups, fix)
 		}
 	}
 
@@ -885,15 +789,30 @@ func (c *Cluster) cutover(m *migration) error {
 	m.stats.Committed = true
 	m.mu.Unlock()
 
-	// Post-commit cleanup (roll-forward on failure): every row or entry
-	// now misplaced under the installed map is a stale source copy.
+	// Post-commit cleanup (roll-forward on failure): the sources' copies of
+	// the moved slots are demoted or deleted, then every moved base row —
+	// which got a fresh row id at its destination — has its (value,
+	// global-row-id) index entries replaced wherever the target map keeps
+	// a copy of the value's slot.
 	if err := c.setPhase(m, "cleanup"); err != nil {
 		return err
 	}
-	if err := c.scrubMisplaced(m); err != nil {
+	if err := c.rehome(call, c.nodeIDs()); err != nil {
 		return err
 	}
-	_ = c.dropStaging(m.staging)
+	for _, fix := range fixups {
+		for _, gi := range fix.gis {
+			del := node.GIDeleteBatch{GI: gi.Name, Vals: giVals(gi, fix.oldT), Gs: fix.oldIDs}
+			if err := giRegister(gi, del, m.target, call); err != nil {
+				return err
+			}
+			ins := node.GIInsertBatch{GI: gi.Name, Vals: giVals(gi, fix.newT), Gs: fix.newIDs}
+			if err := giRegister(gi, ins, m.target, call); err != nil {
+				return err
+			}
+		}
+	}
+	_ = c.dropShadows(m.dsts, m.shadows)
 	c.migLog(migCleanupRec{ID: m.id}, true)
 
 	m.mu.Lock()
@@ -902,22 +821,62 @@ func (c *Cluster) cutover(m *migration) error {
 	return c.cfg.Faults.Phase("done")
 }
 
-// scrubMisplaced deletes every fragment row and global-index entry that
-// does not sit at its home under the currently installed partition map.
-// In a healthy cluster nothing is misplaced; after a cutover's map
-// install, exactly the moved rows' stale source copies are. Idempotent,
-// so ResumeMigrations can roll a half-finished cleanup forward. Callers
-// hold either the cutover claims or the global lock. A nil m scrubs
-// without cost accounting.
-func (c *Cluster) scrubMisplaced(m *migration) error {
-	call := c.rawCall
-	if m != nil {
-		call = c.migCaller(m)
+// nodeIDs lists every node, ascending.
+func (c *Cluster) nodeIDs() []int {
+	nodes := make([]int, c.NumNodes())
+	for n := range nodes {
+		nodes[n] = n
 	}
-	for _, spec := range c.fragSpecs() {
-		for n := 0; n < c.NumNodes(); n++ {
-			misplaced := func(v types.Value) bool { return c.part.NodeFor(v) != n }
-			if err := scrubWhere(call, spec, n, misplaced); err != nil {
+	return nodes
+}
+
+// moveDsts lists the distinct destination nodes of a set of moves.
+func moveDsts(moves map[int]migMove) []int {
+	set := map[int]bool{}
+	for _, mv := range moves {
+		set[mv.Dst] = true
+	}
+	return sortedKeys(set)
+}
+
+// srcNodes lists the distinct source nodes of the migration's moves.
+func (m *migration) srcNodes() []int {
+	set := map[int]bool{}
+	for _, mv := range m.moves {
+		set[mv.Src] = true
+	}
+	return sortedKeys(set)
+}
+
+// rehome makes the listed nodes' copies agree with the installed partition
+// map: an element in a primary fragment whose slot the node now only
+// follows moves to the shadow, one it neither owns nor follows is deleted,
+// and so is a shadow element of a slot the node does not follow. In a
+// healthy cluster nothing is misplaced; after a cutover's map install
+// exactly the moved slots' source copies are, and before it exactly what
+// the destinations received. Idempotent, so ResumeMigrations can redo it.
+// Callers hold either the cutover claims or the global lock.
+func (c *Cluster) rehome(call func(to int, req any) (any, error), nodes []int) error {
+	pm, specs := c.part.Map(), c.fragSpecs()
+	for _, n := range nodes {
+		var follows []int
+		for s, fs := range pm.Repl {
+			if containsInt(fs, n) {
+				follows = append(follows, s)
+			}
+		}
+		for _, spec := range specs {
+			if c.replOn() {
+				if _, err := call(n, spec.moveReq(spec.Name, shadowName(spec.Name), len(pm.Owner), follows)); err != nil {
+					return err
+				}
+				notFollowed := func(v types.Value) bool { return !containsInt(pm.Followers(pm.Slot(v)), n) }
+				if err := scrubWhere(call, spec, shadowName(spec.Name), n, notFollowed); err != nil {
+					return err
+				}
+			}
+			notOwned := func(v types.Value) bool { return pm.NodeFor(v) != n }
+			if err := scrubWhere(call, spec, spec.Name, n, notOwned); err != nil {
 				return err
 			}
 		}
@@ -925,16 +884,16 @@ func (c *Cluster) scrubMisplaced(m *migration) error {
 	return nil
 }
 
-// scrubWhere deletes from node n's copy of one structure every element
-// whose partition value is doomed.
-func scrubWhere(call func(to int, req any) (any, error), spec fragSpec, n int, doomed func(types.Value) bool) error {
-	resp, err := call(n, spec.scanReq(spec.Name))
+// scrubWhere deletes from node n's copy of one structure called name every
+// element whose partition value is doomed.
+func scrubWhere(call func(to int, req any) (any, error), spec fragSpec, name string, n int, doomed func(types.Value) bool) error {
+	resp, err := call(n, spec.scanReq(name))
 	if err != nil {
 		return err
 	}
 	var del any
 	if spec.GI {
-		sc, d := resp.(node.GIScanResult), node.GIDeleteBatch{GI: spec.Name}
+		sc, d := resp.(node.GIScanResult), node.GIDeleteBatch{GI: name}
 		for i, v := range sc.Vals {
 			if doomed(v) {
 				d.Vals, d.Gs = append(d.Vals, v), append(d.Gs, sc.Gs[i])
@@ -944,7 +903,7 @@ func scrubWhere(call func(to int, req any) (any, error), spec fragSpec, n int, d
 			del = d
 		}
 	} else {
-		rr, d := resp.(node.RowsResult), node.DeleteRows{Frag: spec.Name}
+		rr, d := resp.(node.RowsResult), node.DeleteRows{Frag: name}
 		for i, tup := range rr.Tuples {
 			if doomed(tup[spec.PartIdx]) {
 				d.Rows = append(d.Rows, rr.Rows[i])
@@ -961,130 +920,109 @@ func scrubWhere(call func(to int, req any) (any, error), spec fragSpec, n int, d
 	return err
 }
 
-// giFixup deletes (insert=false) or inserts (insert=true) the
-// global-index entries for the given base rows at each value's target-map
-// home.
-func (c *Cluster) giFixup(m *migration, gis []fragSpec, at int, rows []storage.RowID, tuples []types.Tuple, insert bool) error {
-	home := slotSink{
-		route:   func(v types.Value, out []int) []int { return append(out, m.target.NodeFor(v)) },
-		name:    func(gi string) string { return gi },
-		deliver: func(dst int, req any, _ int) error { _, err := c.migCall(m, dst, req); return err },
+// abortMigration rolls a failed migration back presumed-abort style:
+// before the commit point the sources stay authoritative, so aborting
+// re-homes the destinations' residue (what their shadows received and,
+// if the cutover got that far, what it promoted). A coordinator failure
+// injected at a phase boundary (fault.ErrPhaseFail) skips the rollback —
+// exactly what a dead coordinator would leave behind — and
+// ResumeMigrations performs it from the WAL manifest instead. The same
+// happens if the rollback itself fails (a node is down): the migration
+// stays undecided in the log until ResumeMigrations succeeds, and the
+// error says so.
+func (c *Cluster) abortMigration(m *migration, cause error) error {
+	if errors.Is(cause, fault.ErrPhaseFail) {
+		return nil
 	}
-	for _, gi := range gis {
-		ci := gi.Table.Schema.MustColIndex(gi.GICol)
-		vals := make([]types.Value, len(tuples))
-		gs := make([]storage.GlobalRowID, len(tuples))
-		for i, tup := range tuples {
-			vals[i], gs[i] = tup[ci], storage.GlobalRowID{Node: int32(at), Row: rows[i]}
+	h := c.lockGlobal()
+	defer h.Release()
+	if err := c.rollbackLocked(m.dsts, m.shadows); err != nil {
+		return err
+	}
+	c.migLog(migAbortRec{ID: m.id}, true)
+	return nil
+}
+
+// rollbackLocked undoes an uncommitted migration's destination-side work:
+// under the still-installed routing map everything the destinations
+// received is misplaced (and what the cutover promoted out of an installed
+// follower's shadow belongs back in it), so re-homing them is the whole
+// rollback; then the temporary shadows go. Caller holds the global lock.
+func (c *Cluster) rollbackLocked(dsts []int, shadows []migShadow) error {
+	if err := c.rehome(c.rawCall, dsts); err != nil {
+		return err
+	}
+	return c.dropShadows(dsts, shadows)
+}
+
+// dropShadows removes the migration-only shadows at the destinations,
+// tolerating never-created ones (cleanup is idempotent) and reporting the
+// first unreachable node: an abort with a dead destination stays undecided
+// for ResumeMigrations, while the post-commit cleanup ignores the error
+// and lets the roll-forward retry.
+func (c *Cluster) dropShadows(dsts []int, shadows []migShadow) error {
+	var firstErr error
+	for _, d := range dsts {
+		for _, sh := range shadows {
+			req := fragSpec{GI: sh.GI}.dropReq(shadowName(sh.Name))
+			if _, err := c.rawCall(d, req); err != nil && !errors.Is(err, node.ErrNoFragment) && firstErr == nil {
+				firstErr = err
+			}
 		}
-		var req any = node.GIDeleteBatch{GI: gi.Name, Vals: vals, Gs: gs}
-		if insert {
-			req = node.GIInsertBatch{GI: gi.Name, Vals: vals, Gs: gs}
+	}
+	return firstErr
+}
+
+// rebuildGIs reconstructs every global-index fragment, and under
+// replication its follower shadows, from the base tables: the roll-forward
+// of a cleanup that may have stopped halfway through re-registering moved
+// rows. Caller holds the global lock.
+func (c *Cluster) rebuildGIs() error {
+	pm, nodes := c.part.Map(), c.nodeIDs()
+	followers := slotSink{
+		route: func(v types.Value, out []int) []int { return append(out, pm.Followers(pm.Slot(v))...) },
+		name:  shadowName,
+		deliver: func(f int, req any, _ int) error {
+			_, err := c.rawCall(f, req)
+			return err
+		},
+	}
+	for _, gi := range c.fragSpecs() {
+		if !gi.GI {
+			continue
 		}
-		if err := splitTo(node.SplitMutation(req, nil), gi, home); err != nil {
+		for _, n := range nodes {
+			if _, err := c.rebuildGIFrag(gi, n); err != nil {
+				return err
+			}
+		}
+		if !c.replOn() {
+			continue
+		}
+		for _, n := range nodes {
+			for _, req := range []any{gi.dropReq(shadowName(gi.Name)), gi.createReq(shadowName(gi.Name), c.cfg.PageRows)} {
+				if _, err := c.rawCall(n, req); err != nil {
+					return err
+				}
+			}
+		}
+		if err := copySlots(gi, nodes, c.rawCall, followers); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// abortMigration rolls a failed migration back presumed-abort style:
-// before the commit point the sources stay authoritative, so aborting
-// scrubs the destination-side residue (staging fragments, plus — if the
-// cutover's additive apply began — rows merged into real fragments and
-// global indexes, repaired by rebuild). A coordinator failure injected at
-// a phase boundary (fault.ErrPhaseFail) skips the rollback — exactly what
-// a dead coordinator would leave behind — and ResumeMigrations performs
-// it from the WAL manifest instead. The same happens if the rollback
-// itself fails (a node is down): the migration stays undecided in the log
-// until ResumeMigrations succeeds.
-func (c *Cluster) abortMigration(m *migration, cause error) {
-	c.finishMigration(m)
-	if errors.Is(cause, fault.ErrPhaseFail) {
-		return
-	}
-	h := c.lockGlobal()
-	defer h.Release()
-	if err := c.rollbackLocked(m.moves, m.staging, m.reachedCutover()); err != nil {
-		return
-	}
-	c.migLog(migAbortRec{ID: m.id}, true)
-}
-
-// rollbackLocked undoes an uncommitted migration's destination-side work:
-// drop staging, delete any rows the cutover's additive apply merged into
-// real destination fragments (identified by their migrating hash slot —
-// under the still-installed routing map those rows belong at the source,
-// which still has them), and, when the cutover began, rebuild every
-// global-index fragment from the base tables (entry fixups are the one
-// pre-commit mutation with no cheap inverse). Caller holds the global
-// lock.
-func (c *Cluster) rollbackLocked(moves map[int]migMove, staging []migStaging, cutoverBegan bool) error {
-	if cutoverBegan {
-		routing := c.part.Map()
-		dsts := map[int]bool{}
-		for _, mv := range moves {
-			dsts[mv.Dst] = true
-		}
-		migrating := func(v types.Value) bool { _, mig := moves[routing.Slot(v)]; return mig }
-		specs := c.fragSpecs()
-		for _, spec := range specs {
-			if spec.GI {
-				continue
-			}
-			for _, d := range sortedKeys(dsts) {
-				if err := scrubWhere(c.rawCall, spec, d, migrating); err != nil {
-					return err
-				}
-			}
-		}
-		for _, gi := range specs {
-			if !gi.GI {
-				continue
-			}
-			for n := 0; n < c.NumNodes(); n++ {
-				if _, err := c.rebuildGIFrag(gi, n); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return c.dropStaging(staging)
-}
-
-// dropStaging removes staging fragments, tolerating never-created ones
-// (cleanup is idempotent) and reporting the first unreachable node: an
-// abort with a dead destination stays undecided for ResumeMigrations,
-// while the post-commit cleanup ignores the error and lets the roll-forward
-// retry.
-func (c *Cluster) dropStaging(staging []migStaging) error {
-	var firstErr error
-	for _, st := range staging {
-		var req any = node.DropFragment{Name: st.Name}
-		if st.GI {
-			req = node.DropGlobalIndexFrag{Name: st.Name}
-		}
-		if _, err := c.rawCall(st.Node, req); err != nil && !isUnknownFrag(err) && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// isUnknownFrag reports whether an error is a drop of a fragment that was
-// never created (an expected case when cleaning up an early abort).
-func isUnknownFrag(err error) bool { return errors.Is(err, node.ErrNoFragment) }
-
 // ResumeMigrations recovers the elasticity state after a coordinator
 // failure: every migration in the WAL is driven to a decision.
 //
 //   - commit + cleanup records: finished, nothing to do.
 //   - commit without cleanup: the target map is installed but stale source
-//     copies may remain — roll forward by re-running the (idempotent)
-//     misplaced-row scrub and dropping staging.
-//   - start without commit: presumed abort — roll back destination-side
-//     residue and drop the staging fragments named in the start record's
-//     manifest.
+//     copies and index entries may remain — roll forward by re-running the
+//     (idempotent) re-homing, rebuilding the global indexes and dropping
+//     the migration's shadows.
+//   - start without commit: presumed abort — roll back the destinations'
+//     residue and drop the shadows named in the start record's manifest.
 //
 // Call it after recovering crashed nodes; it needs every node reachable.
 func (c *Cluster) ResumeMigrations() error {
@@ -1101,9 +1039,7 @@ func (c *Cluster) resumeMigrationsLocked() error {
 	// Whatever in-memory migration state survived the failure is stale.
 	c.migMu.Lock()
 	if c.mig != nil {
-		c.mig.mu.Lock()
-		c.mig.stopped = true
-		c.mig.mu.Unlock()
+		c.sess.CompareAndSwap(c.mig.sess, nil)
 		c.mig = nil
 	}
 	c.migMu.Unlock()
@@ -1111,7 +1047,6 @@ func (c *Cluster) resumeMigrationsLocked() error {
 	committed := map[uint64]bool{}
 	cleaned := map[uint64]bool{}
 	aborted := map[uint64]bool{}
-	lastPhase := map[uint64]string{}
 	var starts []migStartRec
 	for _, rec := range c.coordLog.All() {
 		switch r := rec.Req.(type) {
@@ -1121,28 +1056,29 @@ func (c *Cluster) resumeMigrationsLocked() error {
 			cleaned[r.ID] = true
 		case migAbortRec:
 			aborted[r.ID] = true
-		case migPhaseRec:
-			lastPhase[r.ID] = r.Phase
 		case migStartRec:
 			starts = append(starts, r)
 		}
 	}
 	for _, start := range starts {
+		dsts := moveDsts(start.Moves)
 		switch {
 		case aborted[start.ID] || (committed[start.ID] && cleaned[start.ID]):
 			continue
 		case committed[start.ID]:
-			if err := c.scrubMisplaced(nil); err != nil {
-				return fmt.Errorf("%w %d: roll-forward cleanup: %w", ErrMigration, start.ID, err)
+			err := c.rehome(c.rawCall, c.nodeIDs())
+			if err == nil {
+				err = c.rebuildGIs()
 			}
-			if err := c.dropStaging(start.Staging); err != nil {
+			if err == nil {
+				err = c.dropShadows(dsts, start.Shadows)
+			}
+			if err != nil {
 				return fmt.Errorf("%w %d: roll-forward cleanup: %w", ErrMigration, start.ID, err)
 			}
 			c.migLog(migCleanupRec{ID: start.ID}, true)
 		default:
-			phase := lastPhase[start.ID]
-			cutoverBegan := phase == "cutover" || phase == "cleanup"
-			if err := c.rollbackLocked(start.Moves, start.Staging, cutoverBegan); err != nil {
+			if err := c.rollbackLocked(dsts, start.Shadows); err != nil {
 				return fmt.Errorf("%w %d: rollback: %w", ErrMigration, start.ID, err)
 			}
 			c.migLog(migAbortRec{ID: start.ID}, true)

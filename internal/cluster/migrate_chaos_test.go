@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -13,10 +14,10 @@ import (
 
 // newMigrationChaosCluster builds a loaded 4-node cluster on the chosen
 // transport, wrapped in the (disarmed) injector, with a jv1 view under
-// the given strategy.
-func newMigrationChaosCluster(t *testing.T, inj *fault.Injector, strat catalog.Strategy, useChan bool) *Cluster {
+// the given strategy, at replication factor rf.
+func newMigrationChaosCluster(t *testing.T, inj *fault.Injector, strat catalog.Strategy, useChan bool, rf int) *Cluster {
 	t.Helper()
-	c, err := New(Config{Nodes: 4, Faults: inj, RetryAttempts: 3, UseChannels: useChan})
+	c, err := New(Config{Nodes: 4, Faults: inj, RetryAttempts: 3, UseChannels: useChan, ReplicationFactor: rf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,9 +77,12 @@ func healMigration(t *testing.T, c *Cluster, inj *fault.Injector) {
 // outcome of the interrupted expansion (clean abort, deferred abort, or
 // committed-with-cleanup-pending), healing plus a retried rebalance must
 // converge to a consistent 5-node cluster: view == recomputed join and
-// every auxiliary structure placed correctly.
+// every auxiliary structure placed correctly. One more row runs the
+// pre-commit node-crash cells at ReplicationFactor 2, where the crashed
+// node additionally fails over and is re-replicated and the follower
+// shadows must come out byte-identical to the primaries.
 func TestMigrationChaosMatrix(t *testing.T) {
-	phases := []string{"copy", "catchup", "cutover", "cleanup"}
+	phases := []string{"copy", "cutover", "cleanup"}
 	victims := []string{"coordinator", "source", "destination"}
 	for _, strat := range allStrategies {
 		for _, useChan := range []bool{false, true} {
@@ -91,17 +95,25 @@ func TestMigrationChaosMatrix(t *testing.T) {
 					strat, useChan, phase, victim := strat, useChan, phase, victim
 					name := fmt.Sprintf("%s/%s/%s/%s", strat, transport, phase, victim)
 					t.Run(name, func(t *testing.T) {
-						runMigrationChaos(t, strat, useChan, phase, victim)
+						runMigrationChaos(t, strat, useChan, phase, victim, 1)
 					})
 				}
 			}
 		}
 	}
+	for _, phase := range []string{"copy", "cutover"} {
+		for _, victim := range []string{"source", "destination"} {
+			phase, victim := phase, victim
+			t.Run(fmt.Sprintf("rf2/%s/direct/%s/%s", catalog.StrategyGlobalIndex, phase, victim), func(t *testing.T) {
+				runMigrationChaos(t, catalog.StrategyGlobalIndex, false, phase, victim, 2)
+			})
+		}
+	}
 }
 
-func runMigrationChaos(t *testing.T, strat catalog.Strategy, useChan bool, phase, victim string) {
+func runMigrationChaos(t *testing.T, strat catalog.Strategy, useChan bool, phase, victim string, rf int) {
 	inj := fault.New(fault.Config{Seed: 97})
-	c := newMigrationChaosCluster(t, inj, strat, useChan)
+	c := newMigrationChaosCluster(t, inj, strat, useChan, rf)
 	wantOrders, err := c.TableRows("orders")
 	if err != nil {
 		t.Fatal(err)
@@ -121,11 +133,35 @@ func runMigrationChaos(t *testing.T, strat catalog.Strategy, useChan bool, phase
 		t.Logf("interrupted expansion: %v", addErr)
 	}
 
+	// A destination that dies before the commit point leaves residue the
+	// rollback cannot reach: the migration stays undecided, and the error
+	// must say so rather than claim a clean abort.
+	if victim == "destination" && phase != "cleanup" {
+		if addErr == nil || !strings.Contains(addErr.Error(), "rollback pending") ||
+			!strings.Contains(addErr.Error(), "run ResumeMigrations") {
+			t.Fatalf("expansion with a dead destination = %v, want rollback pending: run ResumeMigrations", addErr)
+		}
+	}
+
 	// While the crashed node is still down, reads must degrade to partial
-	// results instead of failing outright or blocking.
+	// results instead of failing outright or blocking — or, replicated,
+	// fail over and stay complete.
 	if victim != "coordinator" && len(inj.DownNodes()) > 0 {
-		if _, rerr := c.TableRows("orders"); rerr == nil {
+		if rf > 1 {
+			// The statement that discovers the crash fails over and commits.
+			if err := c.Insert("orders", []types.Tuple{ord(4000, 1, 1)}); err != nil {
+				t.Fatalf("replicated insert with a crashed node: %v", err)
+			}
+			if _, err := c.Delete("orders", eqOrderKey(4000)); err != nil {
+				t.Fatalf("replicated delete with a crashed node: %v", err)
+			}
+		}
+		_, rerr := c.TableRows("orders")
+		if rf == 1 && rerr == nil {
 			t.Fatal("read with a crashed node should report a partial result")
+		}
+		if rf > 1 && rerr != nil {
+			t.Fatalf("replicated read with a crashed node: %v, want a complete result", rerr)
 		}
 	}
 
@@ -157,19 +193,25 @@ func runMigrationChaos(t *testing.T, strat catalog.Strategy, useChan bool, phase
 	}
 	assertBagEqual(t, "orders after chaos", got, wantOrders)
 	assertElasticConsistent(t, c, "after chaos")
+	if rf > 1 {
+		checkReplicaConsistency(t, c)
+	}
 
 	// The cluster is fully operational: DML routes under the final map.
 	if err := c.Insert("orders", []types.Tuple{ord(5000, 3, 7)}); err != nil {
 		t.Fatalf("insert after chaos: %v", err)
 	}
 	assertElasticConsistent(t, c, "after post-chaos DML")
+	if rf > 1 {
+		checkReplicaConsistency(t, c)
+	}
 }
 
 // TestMigrationWithConcurrentDML expands the cluster while worker
 // sessions keep inserting and deleting on the parallel (channel,
-// fault-free) execution path: no statement may fail, the catch-up
-// mirror must absorb the concurrent writes, and the final state must be
-// consistent with the committed-statement mirror.
+// fault-free) execution path: no statement may fail, the live mirror
+// must carry the concurrent writes to the destination, and the final
+// state must be consistent with the committed-statement mirror.
 func TestMigrationWithConcurrentDML(t *testing.T) {
 	for _, strat := range allStrategies {
 		strat := strat

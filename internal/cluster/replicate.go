@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"joinview/internal/fault"
-	"joinview/internal/lockmgr"
 	"joinview/internal/netsim"
 	"joinview/internal/node"
 	"joinview/internal/storage"
@@ -51,27 +49,17 @@ import (
 // Repair. ReplicateRepair brings the cluster back to full strength
 // online: down nodes restart and are wiped back to empty cataloged
 // fragments, stale followers' shadows are wiped, a deficit plan picks new
-// followers for under-replicated slots, and each object is copied
-// primary→shadow (copySlots) under that object's exclusive claim while
+// followers for under-replicated slots, and one copy session (slotcopy.go)
+// snapshots each object primary→shadow under that object's claim while
 // DML on every other object proceeds; copied objects are "armed" so
 // concurrent writers mirror to the new followers too, and a final map
-// install makes them real.
+// install makes them real. A slot migration (migrate.go) is the same
+// session ending in a promotion instead.
 
 // replOn reports whether K-way replication is configured.
 func (c *Cluster) replOn() bool { return c.cfg.ReplicationFactor > 1 }
 
-// failIfReplicated refuses elasticity operations under replication: slot
-// migration and the replica chains are not yet integrated (a migrated
-// slot's followers would keep the old placement).
-func (c *Cluster) failIfReplicated(op string) error {
-	if c.replOn() {
-		return fmt.Errorf("cluster: %s is not supported with ReplicationFactor > 1", op)
-	}
-	return nil
-}
-
-// replShadowSuffix marks follower shadow fragments. Migration staging
-// fragments use "~mig", so skipping every name containing '~' covers both.
+// replShadowSuffix marks follower shadow fragments.
 const replShadowSuffix = "~r"
 
 // shadowName returns the follower-shadow fragment name of a cataloged
@@ -79,18 +67,18 @@ const replShadowSuffix = "~r"
 func shadowName(name string) string { return name + replShadowSuffix }
 
 // replSkip reports whether a fragment name is outside replication: shadow
-// and staging fragments (mirroring them would recurse) and temporary query
-// fragments (partition-local scratch, gone at statement end).
+// fragments (mirroring them would recurse) and temporary query fragments
+// (partition-local scratch, gone at statement end).
 func replSkip(name string) bool {
 	return strings.Contains(name, "~") || strings.HasPrefix(name, "__q")
 }
 
-// followerSink is replication's slot sink for one structure: an element
+// followerSink is the live mirror's slot sink for one structure: an element
 // goes to the follower nodes of its slot — the installed replica set minus
-// down and evicted followers, plus the in-flight repair round's targets
+// down and evicted followers, plus the in-flight copy session's targets
 // once the structure's copy is armed — into the shadow there, metered like
 // the primary write, through deliverMirror on behalf of statement sc (nil:
-// none). The down/stale sets and the repair session are resolved once, when
+// none). The down/stale sets and the copy session are resolved once, when
 // the sink is built.
 func (c *Cluster) followerSink(sc *stmtScope, frag string) slotSink {
 	pm := c.part.Map()
@@ -104,8 +92,8 @@ func (c *Cluster) followerSink(sc *stmtScope, frag string) slotSink {
 	for n := range c.staleRepl {
 		skip[n] = true
 	}
-	sess := c.repairSess
 	c.rmu.Unlock()
+	sess := c.sess.Load()
 	armed := sess != nil && sess.isArmed(frag)
 	return slotSink{
 		route: func(v types.Value, out []int) []int {
@@ -154,25 +142,30 @@ func (c *Cluster) mirrorAsIfApplied(sc *stmtScope, to int, inv, fwd any) {
 		// rows the inverse of an insert removes are the ones it wrote.
 		resp = node.DeleteResult{Tuples: ins.Tuples}
 	}
-	c.mirror(sc, to, inv, resp, nil)
+	c.mirror(sc, to, inv, resp)
 }
 
 // deliverMirror sends one shadow write to a follower through the full
 // resilient path (sequence envelope, the TID of statement sc, retries),
 // absorbing every failure: the statement's outcome never depends on a
-// mirror. A dead follower is already noted down (failover covers it); any
-// other failure evicts the follower until re-replication.
+// mirror. A lost mirror to a target of the in-flight copy session breaks
+// the session instead (the migration aborts, the repair round reruns). A
+// dead follower is already noted down (failover covers it); any other
+// failure evicts the follower until re-replication.
 func (c *Cluster) deliverMirror(sc *stmtScope, dst int, req any, tuples int) {
 	if c.isDown(dst) {
 		return
 	}
 	if _, err := c.resilientCall(sc, mirrored, netsim.Coordinator, dst, req); err != nil {
+		c.sess.Load().mirrorFailed(dst)
 		if _, down := fault.IsNodeDown(err); down || errors.Is(err, ErrDegraded) {
 			// noteDown already happened inside deliver; the next statement
 			// (or read) fails over around the node.
 			return
 		}
-		c.evictFollower(dst)
+		if c.replOn() {
+			c.evictFollower(dst)
+		}
 		return
 	}
 	c.rstats.RecordMirror(tuples)
@@ -330,12 +323,8 @@ func (c *Cluster) failoverLocked() error {
 			tuples, gs = nil, nil
 		}
 		for _, f := range owners {
-			var req any = node.PromoteSlots{Src: shadowName(spec.Name), Dst: spec.Name, PartIdx: spec.PartIdx, Mod: mod, Slots: promoted[f]}
-			if spec.GI {
-				// Re-home the victim-owned index slots from follower shadows.
-				req = node.GIPromoteSlots{Src: shadowName(spec.Name), Dst: spec.Name, Mod: mod, Slots: promoted[f]}
-			}
-			resp, err := c.rawCall(f, req)
+			// Rows, and the victim-owned index slots, leave the follower shadow.
+			resp, err := c.rawCall(f, spec.moveReq(shadowName(spec.Name), spec.Name, mod, promoted[f]))
 			if err != nil {
 				return fmt.Errorf("cluster: promoting %q slots at node %d: %w", spec.Name, f, err)
 			}
@@ -365,28 +354,8 @@ func (c *Cluster) failoverLocked() error {
 				}
 			}
 		}
-		ci := spec.Table.Schema.MustColIndex(spec.GICol)
-		vals := make([]types.Value, len(tuples))
-		for i, tup := range tuples {
-			vals[i] = tup[ci]
-		}
-		entries := node.SplitMutation(node.GIInsertBatch{GI: spec.Name, Vals: vals, Gs: gs}, nil)
-		register := func(name func(string) string, holders func(slot int) []int) error {
-			return splitTo(entries, spec, slotSink{
-				route: func(v types.Value, out []int) []int { return append(out, holders(nm.Slot(v))...) },
-				name:  name,
-				deliver: func(n int, req any, _ int) error {
-					if _, err := c.rawCall(n, req); err != nil {
-						return fmt.Errorf("cluster: re-registering %q at node %d: %w", name(spec.Name), n, err)
-					}
-					return nil
-				},
-			})
-		}
-		if err := register(func(gi string) string { return gi }, func(s int) []int { return nm.Owner[s : s+1] }); err != nil {
-			return err
-		}
-		if err := register(shadowName, func(s int) []int { return nm.Repl[s] }); err != nil {
+		entries := node.GIInsertBatch{GI: spec.Name, Vals: giVals(spec, tuples), Gs: gs}
+		if err := giRegister(spec, entries, nm, c.rawCall); err != nil {
 			return err
 		}
 	}
@@ -414,35 +383,6 @@ func (c *Cluster) failoverLocked() error {
 	return nil
 }
 
-// replRepair is the coordinator-side state of one in-flight
-// re-replication round.
-type replRepair struct {
-	targets map[int][]int // slot -> followers being (re)copied
-	phase   string
-	total   int // groups to copy
-
-	mu    sync.Mutex // guards done and armed
-	done  int
-	armed map[string]bool
-}
-
-// arm marks one copied group's structures: from now on their writers
-// mirror to the round's targets too.
-func (r *replRepair) arm(names ...string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, n := range names {
-		r.armed[n] = true
-	}
-	r.done++
-}
-
-func (r *replRepair) isArmed(name string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.armed[name]
-}
-
 // ReplRepairStatus describes an in-flight ReplicateRepair round.
 type ReplRepairStatus struct {
 	Phase string
@@ -456,10 +396,10 @@ type ReplRepairStatus struct {
 // every down node is restarted and wiped back to empty cataloged
 // fragments, evicted (stale) followers' shadows are wiped, a deficit plan
 // assigns new followers to under-replicated slots, and each cataloged
-// object's rows are copied primary→shadow under that object's exclusive
-// claim — DML on other objects keeps running, and writers to a copied
-// object mirror to the new followers from the moment its copy completes.
-// The new replica map installs at the end.
+// object's rows are copied primary→shadow under that object's claim — DML
+// on other objects keeps running, and writers to a copied object mirror to
+// the new followers from the moment its copy completes. The new replica
+// map installs at the end.
 func (c *Cluster) ReplicateRepair() error {
 	if !c.replOn() {
 		return fmt.Errorf("cluster: ReplicateRepair requires ReplicationFactor > 1")
@@ -525,7 +465,7 @@ func (c *Cluster) ReplicateRepair() error {
 		}
 		for j := 1; len(keep) < k-1 && j < nm.Nodes; j++ {
 			cand := (o + j) % nm.Nodes
-			if have[cand] {
+			if have[cand] || c.isRetired(cand) {
 				continue
 			}
 			keep = append(keep, cand)
@@ -546,7 +486,16 @@ func (c *Cluster) ReplicateRepair() error {
 		}
 	}
 	// Wipe the shadows of every dirty node that was not already wiped by
-	// the revive, so the copy lands on empty fragments.
+	// the revive, so the copy lands on empty fragments. A dirty node is
+	// stale until the round ends: writers reach it only through the session,
+	// structure by structure as each copy is armed (a mirror landing between
+	// the wipe and the copy would be copied a second time), and a failover
+	// meanwhile must not promote its half-filled shadows.
+	c.rmu.Lock()
+	for n := range dirty {
+		c.staleRepl[n] = true
+	}
+	c.rmu.Unlock()
 	for _, n := range sortedKeys(dirty) {
 		if revived[n] {
 			continue
@@ -556,26 +505,19 @@ func (c *Cluster) ReplicateRepair() error {
 			return err
 		}
 	}
-	groups := c.fragGroups()
-	sess := &replRepair{targets: targets, phase: "copy", total: len(groups), armed: map[string]bool{}}
-	c.rmu.Lock()
-	c.repairSess = sess
-	c.rmu.Unlock()
+	sess, err := c.beginCopy(targets)
 	h.Release()
-
-	fail := func(err error) error {
-		c.rmu.Lock()
-		c.repairSess = nil
-		c.rmu.Unlock()
+	if err != nil {
 		return err
 	}
+	defer c.sess.CompareAndSwap(sess, nil)
 
 	// Phase B (online): copy each object's rows to its dirty followers
-	// under the object's exclusive claim, arming it before release so
-	// subsequent writers mirror to the new followers too.
-	for _, group := range groups {
-		if err := c.repairCopyGroup(sess, group); err != nil {
-			return fail(err)
+	// under the object's claim, arming it before release so subsequent
+	// writers mirror to the new followers too.
+	for _, group := range c.fragGroups() {
+		if err := c.copyGroup(sess, group, c.rawCall, func(int) {}); err != nil {
+			return err
 		}
 	}
 
@@ -583,15 +525,18 @@ func (c *Cluster) ReplicateRepair() error {
 	h2 := c.lockGlobal()
 	defer h2.Release()
 	if d := c.Degraded(); len(d) > 0 {
-		return fail(fmt.Errorf("%w: nodes %v failed during re-replication; run ReplicateRepair again", ErrDegraded, d))
+		return fmt.Errorf("%w: nodes %v failed during re-replication; run ReplicateRepair again", ErrDegraded, d)
+	}
+	if err := c.intact(sess); err != nil {
+		return fmt.Errorf("%w during re-replication; run ReplicateRepair again", err)
 	}
 	nm.Epoch = c.part.Map().Epoch + 1
 	if err := c.part.Install(nm); err != nil {
-		return fail(err)
+		return err
 	}
 	c.cat.SetPartitionMap(nm)
+	c.sess.Store(nil)
 	c.rmu.Lock()
-	c.repairSess = nil
 	for n := range dirty {
 		delete(c.staleRepl, n)
 	}
@@ -671,43 +616,6 @@ func (c *Cluster) wipeNodeLocked(n int, mains bool) error {
 	return nil
 }
 
-// repairCopyGroup copies one base table with its auxiliary relations and
-// global indexes, or one view, from the primaries into the round's target
-// shadows, under an exclusive claim on the owner (every writer of those
-// structures holds it too), arming the group before the claim is released.
-func (c *Cluster) repairCopyGroup(sess *replRepair, group []fragSpec) error {
-	h := c.lm.AcquireShared()
-	h.Lock(lockmgr.X(group[0].Owner))
-	defer h.Release()
-	pm := c.part.Map()
-	shadows := slotSink{
-		route: func(v types.Value, out []int) []int { return append(out, sess.targets[pm.Slot(v)]...) },
-		name:  shadowName,
-		deliver: func(f int, req any, _ int) error {
-			if _, err := c.rawCall(f, req); err != nil {
-				return fmt.Errorf("cluster: repair copy at node %d: %w", f, err)
-			}
-			return nil
-		},
-	}
-	srcs := make([]int, c.NumNodes())
-	for n := range srcs {
-		srcs[n] = n
-	}
-	names := make([]string, len(group))
-	for i, spec := range group {
-		names[i] = spec.Name
-		if len(sess.targets) == 0 {
-			continue
-		}
-		if err := copySlots(spec, spec.Name, srcs, c.rawDeliver, shadows); err != nil {
-			return err
-		}
-	}
-	sess.arm(names...)
-	return nil
-}
-
 // ReplStatus summarizes replication for Topology: whether each node is
 // failed over or evicted, and repair progress.
 func (c *Cluster) replStatus() (failedOver, stale []int, repair *ReplRepairStatus) {
@@ -721,13 +629,13 @@ func (c *Cluster) replStatus() (failedOver, stale []int, repair *ReplRepairStatu
 	}
 	sort.Ints(failedOver)
 	sort.Ints(stale)
-	if s := c.repairSess; s != nil {
+	if s := c.sess.Load(); s != nil && !c.MigrationActive() {
 		slots := 0
 		for _, fs := range s.targets {
 			slots += len(fs)
 		}
 		s.mu.Lock()
-		repair = &ReplRepairStatus{Phase: s.phase, ObjectsDone: s.done, ObjectsTotal: s.total, Slots: slots}
+		repair = &ReplRepairStatus{Phase: "copy", ObjectsDone: s.done, ObjectsTotal: s.total, Slots: slots}
 		s.mu.Unlock()
 	}
 	return failedOver, stale, repair

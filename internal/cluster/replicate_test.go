@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"joinview/internal/catalog"
@@ -250,22 +251,234 @@ func TestReplicationConfigValidation(t *testing.T) {
 	}
 }
 
-// TestReplicationElasticityRefused checks AddNode/RebalanceNode/
-// DecommissionNode are gated at RF > 1.
-func TestReplicationElasticityRefused(t *testing.T) {
-	c, err := New(Config{Nodes: 3, ReplicationFactor: 2})
-	if err != nil {
-		t.Fatal(err)
+// TestReplicationElasticity changes the topology of an RF=2 cluster under
+// each strategy — AddNode, DecommissionNode, RebalanceNode back onto the
+// drained node — with DML before and after every step, and requires the
+// replication invariant (shadows byte-identical to the primaries' slots),
+// every structure and the view to hold throughout. It then crashes the new
+// owner of a moved slot: the cluster must serve exactly as
+// TestFailoverServesCompleteAfterCrash demands, which it can only do if the
+// moved slots' followers moved with their owners.
+func TestReplicationElasticity(t *testing.T) {
+	for _, strat := range allStrategies {
+		strat := strat
+		t.Run(strat.String(), func(t *testing.T) {
+			inj := fault.New(fault.Config{Seed: 7})
+			c := newReplicatedTPCR(t, Config{Nodes: 4, ReplicationFactor: 2, Faults: inj, RetryAttempts: 3}, 6, 2, 0)
+			if err := c.CreateView(jv1Def("jv1", strat)); err != nil {
+				t.Fatal(err)
+			}
+			next, orders := int64(600), 6*2
+			dml := func(label string) {
+				t.Helper()
+				for i := 0; i < 6; i++ {
+					next++
+					if err := c.Insert("orders", []types.Tuple{ord(next, next%6, 1.0)}); err != nil {
+						t.Fatalf("%s: insert %d: %v", label, next, err)
+					}
+				}
+				if _, err := c.Delete("orders", eqOrderKey(next-2)); err != nil {
+					t.Fatalf("%s: delete: %v", label, err)
+				}
+				orders += 5
+			}
+			check := func(label string) {
+				t.Helper()
+				checkReplicaConsistency(t, c)
+				if err := c.CheckAllStructures(); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if err := c.CheckViewConsistency("jv1"); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				rows, err := c.TableRows("orders")
+				if err != nil || len(rows) != orders {
+					t.Fatalf("%s: TableRows = %d rows (%v), want %d", label, len(rows), err, orders)
+				}
+				if t.Failed() {
+					t.FailNow()
+				}
+			}
+			owns := func(n int) (slots int) {
+				for _, o := range c.Topology().SlotOwner {
+					if o == n {
+						slots++
+					}
+				}
+				return slots
+			}
+
+			dml("before expansion")
+			// A destination that already follows the slot: promoted without a
+			// copy, the source demoted to follower in its place.
+			cur := c.part.Map()
+			swap := cur.Clone()
+			src, flw := cur.Owner[0], cur.Repl[0][0]
+			reassign(swap, 0, flw, true)
+			swap.Epoch++
+			if err := c.migrate(cur, swap, map[int]migMove{0: {Src: src, Dst: flw}}); err != nil {
+				t.Fatalf("owner/follower swap: %v", err)
+			}
+			if top := c.Topology(); top.SlotOwner[0] != flw || len(top.Replicas[0]) != 1 || top.Replicas[0][0] != src {
+				t.Fatalf("slot 0 after swap: owner %d followers %v, want %d and [%d]", top.SlotOwner[0], top.Replicas[0], flw, src)
+			}
+			if st, _ := c.LastMigration(); !st.Committed || st.RowsCopied != 0 {
+				t.Fatalf("swap migration = %+v, want committed with nothing copied", st)
+			}
+			check("after owner/follower swap")
+			dml("after owner/follower swap")
+			check("after post-swap DML")
+
+			dst, err := c.AddNode()
+			if err != nil {
+				t.Fatalf("AddNode at RF=2: %v", err)
+			}
+			if dst != 4 || owns(4) == 0 {
+				t.Fatalf("AddNode = node %d owning %d slots, want node 4 with a share", dst, owns(4))
+			}
+			if st, ok := c.LastMigration(); !ok || !st.Committed || st.RowsCopied == 0 {
+				t.Fatalf("LastMigration = %+v, want a committed copy", st)
+			}
+			check("after AddNode")
+			dml("after AddNode")
+			check("after post-expansion DML")
+
+			if err := c.DecommissionNode(1); err != nil {
+				t.Fatalf("DecommissionNode at RF=2: %v", err)
+			}
+			top := c.Topology()
+			for s, o := range top.SlotOwner {
+				if o == 1 || containsInt(top.Replicas[s], 1) {
+					t.Fatalf("slot %d still held by decommissioned node 1 (owner %d, followers %v)", s, o, top.Replicas[s])
+				}
+				if len(top.Replicas[s]) != 1 {
+					t.Fatalf("slot %d has followers %v after the drain, want full strength", s, top.Replicas[s])
+				}
+			}
+			check("after DecommissionNode")
+			dml("after DecommissionNode")
+			check("after post-drain DML")
+
+			if err := c.RebalanceNode(1); err != nil {
+				t.Fatalf("RebalanceNode at RF=2: %v", err)
+			}
+			if owns(1) == 0 || len(c.Topology().Retired) != 0 {
+				t.Fatalf("node 1 owns %d slots, retired %v after rebalancing onto it", owns(1), c.Topology().Retired)
+			}
+			check("after RebalanceNode")
+			dml("after RebalanceNode")
+			check("after post-rebalance DML")
+
+			// Crash the new owner of the moved slots.
+			before, err := c.ViewRows("jv1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			inj.Crash(4)
+			for i := int64(0); i < 10; i++ {
+				if err := c.Insert("orders", []types.Tuple{ord(900+i, i%6, 1.0)}); err != nil {
+					t.Fatalf("insert %d after crash: %v", i, err)
+				}
+			}
+			if _, err := c.Delete("orders", eqOrderKey(901)); err != nil {
+				t.Fatalf("delete after crash: %v", err)
+			}
+			orders += 9
+			rows, err := c.TableRows("orders")
+			if err != nil || len(rows) != orders {
+				t.Fatalf("TableRows after crash = %d rows (%v), want %d complete", len(rows), err, orders)
+			}
+			got, err := c.ViewRows("jv1")
+			if err != nil || len(got) != len(before)+9 {
+				t.Fatalf("ViewRows after crash = %d rows (%v), want %d", len(got), err, len(before)+9)
+			}
+			if err := c.CheckViewConsistency("jv1"); err != nil {
+				t.Fatal(err)
+			}
+			if ms := c.Metrics().Repl; ms.Failovers != 1 || ms.PromotedSlots == 0 {
+				t.Fatalf("Repl metrics = %+v, want 1 failover with promoted slots", ms)
+			}
+			inj.Restart(4)
+			if err := c.ReplicateRepair(); err != nil {
+				t.Fatalf("ReplicateRepair: %v", err)
+			}
+			if d := c.Degraded(); len(d) != 0 {
+				t.Fatalf("still degraded after repair: %v", d)
+			}
+			check("after repair")
+			dml("after repair")
+			check("after post-repair DML")
+		})
 	}
-	defer c.Close()
-	if _, err := c.AddNode(); err == nil {
-		t.Fatal("AddNode at RF=2 should be refused")
-	}
-	if err := c.RebalanceNode(0); err == nil {
-		t.Fatal("RebalanceNode at RF=2 should be refused")
-	}
-	if err := c.DecommissionNode(0); err == nil {
-		t.Fatal("DecommissionNode at RF=2 should be refused")
+}
+
+// TestReplicationElasticityConcurrentDML runs AddNode, DecommissionNode
+// (with its re-replication round) and RebalanceNode at RF=2 on the parallel
+// execution path while four sessions keep inserting and deleting: no
+// statement may fail, and afterwards every shadow must be byte-identical to
+// its primaries' slots — the live mirror reached the moving slots'
+// destinations and the drafted followers exactly once.
+func TestReplicationElasticityConcurrentDML(t *testing.T) {
+	for _, strat := range allStrategies {
+		strat := strat
+		t.Run(strat.String(), func(t *testing.T) {
+			c := newReplicatedTPCR(t, Config{Nodes: 4, ReplicationFactor: 2, UseChannels: true}, 10, 2, 0)
+			if err := c.CreateView(jv1Def("jv1", strat)); err != nil {
+				t.Fatal(err)
+			}
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			workerErr := make(chan error, 4)
+			for w := 0; w < 4; w++ {
+				w := w
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					next := int64(10000 + w*10000)
+					var mine []int64
+					for i := 0; ; i++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						if i%3 == 2 && len(mine) > 0 {
+							if _, err := c.Delete("orders", eqOrderKey(mine[0])); err != nil {
+								workerErr <- fmt.Errorf("worker %d delete %d: %w", w, mine[0], err)
+								return
+							}
+							mine = mine[1:]
+							continue
+						}
+						next++
+						if err := c.Insert("orders", []types.Tuple{ord(next, next%10, 1)}); err != nil {
+							workerErr <- fmt.Errorf("worker %d insert %d: %w", w, next, err)
+							return
+						}
+						mine = append(mine, next)
+					}
+				}()
+			}
+			_, err := c.AddNode()
+			if err == nil {
+				err = c.DecommissionNode(1)
+			}
+			if err == nil {
+				err = c.RebalanceNode(1)
+			}
+			close(stop)
+			wg.Wait()
+			if err != nil {
+				t.Fatalf("topology change under concurrent DML: %v", err)
+			}
+			select {
+			case werr := <-workerErr:
+				t.Fatalf("statement failed during a topology change: %v", werr)
+			default:
+			}
+			checkReplicaConsistency(t, c)
+			assertElasticConsistent(t, c, "after concurrent RF=2 topology changes")
+		})
 	}
 }
 

@@ -1,18 +1,25 @@
 package cluster
 
-// The three pieces migration (migrate.go) and replication (replicate.go)
-// share. Everything the maintenance methods touch — base fragment,
-// auxiliary relation, global index, view fragment — is "elements
-// hash-partitioned on one attribute", so describing a structure (fragSpec),
-// re-applying a mutation to another copy of its slots (splitTo) and
-// bulk-copying slots to another node (copySlots) each exist once; a
-// consumer supplies only where the copies live (slotSink).
+// The pieces migration (migrate.go) and replication (replicate.go) share.
+// Everything the maintenance methods touch — base fragment, auxiliary
+// relation, global index, view fragment — is "elements hash-partitioned on
+// one attribute", so describing a structure (fragSpec), re-applying a
+// mutation to another copy of its slots (splitTo) and bulk-copying slots to
+// another node (copySlots) each exist once, and so does the online copy
+// protocol around them: a copySession names the nodes being brought in sync
+// as new holders of a slot, copyGroup snapshots one owner's structures into
+// their follower shadows and arms the live mirror, and followerSink — the
+// only live tap — keeps them current until a map install makes them
+// official (re-replication) or PromoteSlots turns them into primary data
+// (migration).
 
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"joinview/internal/catalog"
+	"joinview/internal/hashpart"
 	"joinview/internal/node"
 	"joinview/internal/types"
 )
@@ -188,6 +195,16 @@ func (s fragSpec) scanReq(name string) any {
 	return node.ScanWithRows{Frag: name}
 }
 
+// moveReq moves the elements of the given hash slots from the node-local
+// copy called from into the one called to (shadow → primary promotes them,
+// primary → shadow demotes them).
+func (s fragSpec) moveReq(from, to string, mod int, slots []int) any {
+	if s.GI {
+		return node.GIPromoteSlots{Src: from, Dst: to, Mod: mod, Slots: slots}
+	}
+	return node.PromoteSlots{Src: from, Dst: to, PartIdx: s.PartIdx, Mod: mod, Slots: slots}
+}
+
 // slotSink is what one keeper of slot copies supplies; the splitting,
 // bucketing and rebuilding are shared.
 type slotSink struct {
@@ -229,21 +246,18 @@ func (c *Cluster) tapMutation(sc *stmtScope, how delivery, to int, wreq, resp an
 	if sc != nil && how == forward {
 		sc.record(to, wreq, resp)
 	}
-	c.migMu.RLock()
-	m := c.mig
-	c.migMu.RUnlock()
-	c.mirror(sc, to, wreq, resp, m)
+	c.mirror(sc, to, wreq, resp)
 }
 
 // mirror re-applies one mutation applied at node `to` to the other copies
-// of the slots it touched: the follower shadows when replication is on
-// (deliveries of statement sc, when there is one), and the staging
-// fragments of the in-flight migration m once the structure's snapshot copy
-// is armed. Under replication fragment DDL is also forwarded, to the same
-// node's shadow.
-func (c *Cluster) mirror(sc *stmtScope, to int, req, resp any, m *migration) {
+// of the slots it touched — the follower shadows (followerSink), as
+// deliveries of statement sc when there is one. Without replication and
+// with no copy in flight there are none, and the check is one pointer load.
+// Under replication fragment DDL is also forwarded, to the same node's
+// shadow.
+func (c *Cluster) mirror(sc *stmtScope, to int, req, resp any) {
 	repl := c.replOn()
-	if !repl && m == nil {
+	if !repl && c.sess.Load() == nil {
 		return
 	}
 	mut := node.SplitMutation(req, resp)
@@ -259,35 +273,173 @@ func (c *Cluster) mirror(sc *stmtScope, to int, req, resp any, m *migration) {
 			c.deliverMirror(sc, to, mut.Rename(shadowName(mut.Target)), 0)
 		}
 	case node.MirrorSplit:
-		staging := m != nil && m.isArmed(mut.Target)
-		if mut.Len() == 0 || !(repl || staging) {
+		if mut.Len() == 0 {
 			return
 		}
-		spec, ok := c.fragSpecOf(mut.Target, mut.GI)
-		if !ok {
-			return
-		}
-		// Neither sink can fail: a mirror never decides a statement's outcome.
-		if repl {
+		if spec, ok := c.fragSpecOf(mut.Target, mut.GI); ok {
+			// The sink cannot fail: a mirror never decides a statement's outcome.
 			_ = splitTo(mut, spec, c.followerSink(sc, spec.Name))
-		}
-		if staging {
-			_ = splitTo(mut, spec, m.sink(to, m.enqueue))
 		}
 	}
 }
 
-// copySlots bulk-copies slots of one structure: scan the copy called from
-// at every source, bucket the elements by the sink's route and insert each
+// copySession is the one online slot copy in flight: the nodes being
+// brought in sync as holders of slots they do not hold under the installed
+// map — the followers a re-replication round restores, or the destinations
+// of a migration's moving slots. A structure whose snapshot finished is
+// armed: from then on followerSink mirrors its writers to the targets too.
+type copySession struct {
+	targets map[int][]int // slot -> nodes receiving a copy of it
+	total   int           // owner groups to copy
+
+	mu     sync.Mutex
+	armed  map[string]bool
+	done   int
+	broken bool // a live mirror to a target failed: its copy is incomplete
+}
+
+// beginCopy registers the cluster's copy session; only one runs at a time.
+func (c *Cluster) beginCopy(targets map[int][]int) (*copySession, error) {
+	sess := &copySession{targets: targets, total: len(c.fragGroups()), armed: map[string]bool{}}
+	if !c.sess.CompareAndSwap(nil, sess) {
+		return nil, fmt.Errorf("cluster: another slot copy (migration or re-replication) is in flight")
+	}
+	return sess, nil
+}
+
+// arm marks one copied group's structures. Must be called while the copy
+// claim is still held, so no mutation lands between snapshot and tap.
+func (s *copySession) arm(names ...string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, n := range names {
+		s.armed[n] = true
+	}
+	s.done++
+}
+
+func (s *copySession) isArmed(name string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.armed[name]
+}
+
+// mirrorFailed records that a live mirror to dst was lost; if dst is one of
+// the session's targets its copy can no longer be trusted.
+func (s *copySession) mirrorFailed(dst int) {
+	if s == nil {
+		return
+	}
+	for _, fs := range s.targets {
+		if containsInt(fs, dst) {
+			s.mu.Lock()
+			s.broken = true
+			s.mu.Unlock()
+			return
+		}
+	}
+}
+
+// intact reports whether every target still holds a complete copy: no live
+// mirror was lost and no target node is down (mirrors skip a down node).
+func (c *Cluster) intact(s *copySession) error {
+	s.mu.Lock()
+	broken := s.broken
+	s.mu.Unlock()
+	if broken {
+		return fmt.Errorf("cluster: a live mirror to a copy target failed")
+	}
+	for _, fs := range s.targets {
+		for _, f := range fs {
+			if c.isDown(f) {
+				return fmt.Errorf("%w: copy target node %d went down", ErrDegraded, f)
+			}
+		}
+	}
+	return nil
+}
+
+// copyGroup snapshots one base table with its auxiliary relations and
+// global indexes, or one view, from the primaries into the session
+// targets' shadows, under a shared claim on the owner (blocking exactly its
+// writers; global in serial modes), and arms the group before the claim is
+// released. shipped is told how many elements each delivered batch held.
+func (c *Cluster) copyGroup(sess *copySession, group []fragSpec, call func(to int, req any) (any, error), shipped func(elems int)) error {
+	h := c.lockRead(group[0].Owner)
+	defer h.Release()
+	pm := c.part.Map()
+	srcSet := map[int]bool{}
+	for s := range sess.targets {
+		srcSet[pm.Owner[s]] = true
+	}
+	srcs := sortedKeys(srcSet)
+	shadows := slotSink{
+		route: func(v types.Value, out []int) []int { return append(out, sess.targets[pm.Slot(v)]...) },
+		name:  shadowName,
+		deliver: func(dst int, req any, elems int) error {
+			if _, err := call(dst, req); err != nil {
+				return fmt.Errorf("cluster: slot copy at node %d: %w", dst, err)
+			}
+			shipped(elems)
+			return nil
+		},
+	}
+	names := make([]string, len(group))
+	for i, spec := range group {
+		names[i] = spec.Name
+		if err := copySlots(spec, srcs, call, shadows); err != nil {
+			return err
+		}
+	}
+	sess.arm(names...)
+	return nil
+}
+
+// giRegister applies a batch of global-index entry insertions or deletions
+// to every copy of each entry's slot under map pm: the owner's index
+// fragment and the followers' shadows. Failover and migration both
+// re-register base rows that changed identity this way.
+func giRegister(gi fragSpec, entries any, pm hashpart.Map, call func(to int, req any) (any, error)) error {
+	mut := node.SplitMutation(entries, nil)
+	register := func(name func(string) string, holders func(slot int) []int) error {
+		return splitTo(mut, gi, slotSink{
+			route: func(v types.Value, out []int) []int { return append(out, holders(pm.Slot(v))...) },
+			name:  name,
+			deliver: func(n int, req any, _ int) error {
+				if _, err := call(n, req); err != nil {
+					return fmt.Errorf("cluster: re-registering %q at node %d: %w", name(gi.Name), n, err)
+				}
+				return nil
+			},
+		})
+	}
+	if err := register(func(g string) string { return g }, func(s int) []int { return pm.Owner[s : s+1] }); err != nil {
+		return err
+	}
+	return register(shadowName, pm.Followers)
+}
+
+// giVals projects base tuples onto the column a global index covers.
+func giVals(gi fragSpec, tuples []types.Tuple) []types.Value {
+	ci := gi.Table.Schema.MustColIndex(gi.GICol)
+	vals := make([]types.Value, len(tuples))
+	for i, tup := range tuples {
+		vals[i] = tup[ci]
+	}
+	return vals
+}
+
+// copySlots bulk-copies slots of one structure: scan its primary copy at
+// every source, bucket the elements by the sink's route and insert each
 // destination's share, unmetered, in one request under the sink's name.
 // The caller holds a claim that keeps the structure's writers out.
-func copySlots(spec fragSpec, from string, srcs []int, scan func(src int, req any) (any, error), s slotSink) error {
+func copySlots(spec fragSpec, srcs []int, scan func(src int, req any) (any, error), s slotSink) error {
 	ins := node.Insert{Frag: spec.Name, Unmetered: true}
 	ents := node.GIInsertBatch{GI: spec.Name}
 	for _, src := range srcs {
-		resp, err := scan(src, spec.scanReq(from))
+		resp, err := scan(src, spec.scanReq(spec.Name))
 		if err != nil {
-			return fmt.Errorf("cluster: copying %q from node %d: %w", from, src, err)
+			return fmt.Errorf("cluster: copying %q from node %d: %w", spec.Name, src, err)
 		}
 		if spec.GI {
 			sc := resp.(node.GIScanResult)

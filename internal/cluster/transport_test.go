@@ -166,8 +166,8 @@ func TestNetLatencyLeavesLogicalCostsAlone(t *testing.T) {
 	}
 }
 
-// TestDropStagingAbsorbsOnlyMissingFragments: cleanup of a fragment that
-// was never created is absorbed on every transport (the node's typed
+// TestDropStagingAbsorbsOnlyMissingFragments: cleanup of a migration
+// shadow that was never created is absorbed on every transport (the node's typed
 // sentinel survives the wire); an unrelated node error whose text happens
 // to say "not found" is not.
 func TestDropStagingAbsorbsOnlyMissingFragments(t *testing.T) {
@@ -183,16 +183,16 @@ func TestDropStagingAbsorbsOnlyMissingFragments(t *testing.T) {
 			if err := c.CreateTable(customerTable()); err != nil {
 				t.Fatal(err)
 			}
-			err = c.dropStaging([]migStaging{{Node: 1, Name: "never"}, {Node: 0, Name: "never_gi", GI: true}})
+			err = c.dropShadows([]int{0, 1}, []migShadow{{Name: "never"}, {Name: "never_gi", GI: true}})
 			if err != nil {
-				t.Fatalf("dropping never-created staging fragments = %v, want absorbed", err)
+				t.Fatalf("dropping never-created migration shadows = %v, want absorbed", err)
 			}
 			_, err = c.rawCall(0, node.DropFragment{Name: "never"})
 			if !errors.Is(err, node.ErrNoFragment) {
 				t.Fatalf("drop of a missing fragment = %v, want node.ErrNoFragment", err)
 			}
 			_, err = c.rawCall(0, node.LocalJoin{Left: "customer", Right: "customer", Out: "customer", LeftCol: "nope", RightCol: "nope"})
-			if err == nil || isUnknownFrag(err) {
+			if err == nil || errors.Is(err, node.ErrNoFragment) {
 				t.Fatalf("local join over unknown columns = %v (unknown fragment: %v), want a real failure", err, err != nil)
 			}
 		})

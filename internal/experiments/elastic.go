@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"joinview/internal/cluster"
 	"joinview/internal/node"
@@ -14,7 +15,10 @@ import (
 // nodes. The copy columns are the migration's own bill (MigrationStats) —
 // deterministic only because nothing commits during the copy; the
 // before/after columns show the maintenance cost per statement the
-// expansion leaves behind. Any failed statement fails the run. Zero
+// expansion leaves behind. A second block repeats the expansion at
+// ReplicationFactor 2: the same slot copy and promotion with every write
+// also mirrored to the slot's follower, which stays where it was. Any
+// failed statement fails the run. Zero
 // statement errors *under* concurrent sessions is
 // TestMigrationWithConcurrentDML's claim (internal/cluster); the
 // throughput dip during the copy has no benchmark workload yet (ROADMAP).
@@ -24,8 +28,8 @@ func Elastic(sessions, stmts, rows int) (Grid, error) {
 		Header: []string{"method", "tw-ios before", "ios/stmt before", "rows copied", "pages copied", "envelopes",
 			"tw-ios after", "ios/stmt after", "nodes"},
 	}
-	cell := func(v Variant) error {
-		c, err := newCluster(cluster.Config{Nodes: 4, Algo: node.AlgoIndex})
+	cell := func(v Variant, rf int) error {
+		c, err := newCluster(cluster.Config{Nodes: 4, Algo: node.AlgoIndex, ReplicationFactor: rf})
 		if err != nil {
 			return err
 		}
@@ -59,8 +63,13 @@ func Elastic(sessions, stmts, rows int) (Grid, error) {
 			return fmt.Errorf("post-expansion consistency: %w", err)
 		}
 		total := float64(sessions * stmts)
+		label := v.Label
+		if rf > 1 {
+			// Kept no wider than the longest unreplicated label.
+			label = fmt.Sprintf("%s RF=%d", strings.Replace(label, "auxiliary", "aux", 1), rf)
+		}
 		g.Rows = append(g.Rows, []string{
-			v.Label,
+			label,
 			fmt.Sprint(before), fmt.Sprintf("%.1f", float64(before)/total),
 			fmt.Sprint(mig.RowsCopied), fmt.Sprint(mig.PagesCopied), fmt.Sprint(mig.Envelopes),
 			fmt.Sprint(after), fmt.Sprintf("%.1f", float64(after)/total),
@@ -68,9 +77,11 @@ func Elastic(sessions, stmts, rows int) (Grid, error) {
 		})
 		return nil
 	}
-	for _, v := range ConcurrentStrategies() {
-		if err := cell(v); err != nil {
-			return Grid{}, fmt.Errorf("elastic %s: %w", v.Label, err)
+	for _, rf := range []int{1, 2} {
+		for _, v := range ConcurrentStrategies() {
+			if err := cell(v, rf); err != nil {
+				return Grid{}, fmt.Errorf("elastic %s RF=%d: %w", v.Label, rf, err)
+			}
 		}
 	}
 	return g, nil

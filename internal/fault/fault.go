@@ -163,7 +163,7 @@ type Injector struct {
 	// Migration-phase trigger points. The migration coordinator announces
 	// every phase transition through Phase; chaos tests arm one-shot
 	// triggers on phase names, so a crash lands exactly at "copy",
-	// "catchup" or "cutover" of a live rebalance instead of at a counted
+	// "cutover" or "cleanup" of a live rebalance instead of at a counted
 	// delivery. phaseCrash maps phase → node to crash; phaseFail holds
 	// phases whose announcement itself fails (the coordinator dying at
 	// the boundary); phaseLog records every announcement for diagnostics.

@@ -247,8 +247,9 @@ type Options struct {
 	// partial results and no lost statements; ReplicateRepair restores
 	// full strength online. 0 or 1 (the default) disables replication and
 	// leaves every code path byte-identical to the unreplicated engine.
-	// Requires ReplicationFactor <= Nodes; elasticity (AddNode,
-	// RebalanceNode, DecommissionNode) is not yet supported at K > 1.
+	// Requires ReplicationFactor <= Nodes. Elasticity (AddNode,
+	// RebalanceNode, DecommissionNode) moves a slot's owner and keeps its
+	// followers.
 	ReplicationFactor int
 }
 
@@ -602,8 +603,8 @@ type (
 	// count, per-slot owners, retired nodes and any in-flight migration.
 	Topology = cluster.Topology
 	// MigrationStats is the cost accounting of one completed (or aborted)
-	// rebalance: rows and pages copied, envelopes sent, catch-up queue
-	// depth, cutover stall time.
+	// rebalance: rows and pages copied, envelopes sent, cutover stall
+	// time.
 	MigrationStats = cluster.MigrationStats
 	// MigrationStatus describes an in-flight migration.
 	MigrationStatus = cluster.MigrationStatus
@@ -613,20 +614,24 @@ type (
 // the node is provisioned with every fragment, the partition map doubles
 // its slot count for a finer rebalance grain, and a live migration moves
 // a proportional share of each hash range — base fragments, auxiliary
-// relations, global indexes and view fragments — to the new node with a
-// snapshot copy, delta catch-up and a brief exclusive cutover. Returns
-// the new node's id.
+// relations, global indexes and view fragments — to the new node: a
+// snapshot copy into follower shadows there, every concurrent write
+// mirrored to them synchronously, and a brief exclusive cutover that
+// promotes them. Works at any ReplicationFactor. Returns the new node's
+// id.
 func (db *DB) AddNode() (int, error) { return db.c.AddNode() }
 
 // DecommissionNode migrates every hash slot a node owns to the surviving
 // nodes and retires it from the partition map. The node stays addressable
-// (retired, empty) so historical node ids remain stable.
+// (retired, empty) so historical node ids remain stable. Under replication
+// it also leaves every replica set, and a re-replication round restores
+// full strength on the survivors before the call returns.
 func (db *DB) DecommissionNode(n int) error { return db.c.DecommissionNode(n) }
 
 // RebalanceNode moves hash slots to the given node until it owns its fair
 // share — AddNode's migration step, reusable to retry after a failure or
-// to rebalance an existing node. A no-op when the node is already
-// balanced.
+// to rebalance an existing node (a decommissioned one returns to
+// service). A no-op when the node is already balanced.
 func (db *DB) RebalanceNode(n int) error { return db.c.RebalanceNode(n) }
 
 // Topology snapshots the versioned partition map and migration status.
@@ -640,8 +645,8 @@ func (db *DB) LastMigration() (MigrationStats, bool) { return db.c.LastMigration
 
 // ResumeMigrations drives every undecided migration in the coordinator's
 // write-ahead log to a decision after a failure: committed migrations
-// roll forward (scrub stale source copies), uncommitted ones roll back
-// presumed-abort style. Call it after recovering crashed nodes.
+// roll forward (re-home stale source copies, rebuild global indexes),
+// uncommitted ones roll back presumed-abort style. Call it after recovering crashed nodes.
 func (db *DB) ResumeMigrations() error { return db.c.ResumeMigrations() }
 
 // Suspect lists nodes whose circuit breakers are open.
