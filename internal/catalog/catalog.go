@@ -166,6 +166,25 @@ func (j JoinPred) Other(t string) string {
 	return ""
 }
 
+// NextJoin picks the next step of a left-deep join over preds: the first
+// predicate with exactly one side in covered. It returns that predicate, the
+// table it brings in and preds without it (the backing array is reused); ok
+// is false when no predicate extends the covered set — the join graph is
+// disconnected.
+func NextJoin(preds []JoinPred, covered map[string]bool) (j JoinPred, next string, rest []JoinPred, ok bool) {
+	for i, p := range preds {
+		if covered[p.Left] == covered[p.Right] {
+			continue
+		}
+		next = p.Left
+		if covered[p.Left] {
+			next = p.Right
+		}
+		return p, next, append(preds[:i], preds[i+1:]...), true
+	}
+	return JoinPred{}, "", preds, false
+}
+
 // OutCol names one output column of a view.
 type OutCol struct {
 	Table, Col string

@@ -81,7 +81,8 @@ type Config struct {
 	// rollback-by-compensation (both live in the statement's scope). A node can
 	// then fail-stop (CrashNode), losing all volatile state, and recover
 	// from its own checkpoint + log tail (RestartNode/Recover) instead of
-	// a full derived-fragment rebuild.
+	// a full derived-fragment rebuild. It has no say in whether statements
+	// overlap (locks.go).
 	Durability bool
 	// CheckpointEvery makes each durable node take an automatic checkpoint
 	// after that many logged redo records (0 = manual checkpoints only).
@@ -117,11 +118,11 @@ type Config struct {
 	// OverloadBlock makes overloaded writers wait for the flusher instead
 	// of failing with ErrOverload.
 	OverloadBlock bool
-	// LockedReads disables MVCC snapshot reads: queries and scans fall
-	// back to taking shared lockmgr claims on the relations they read,
-	// queueing behind concurrent writers (the pre-MVCC behavior). Kept as
-	// the baseline the benchmark's traced pass swaps in to price MVCC
-	// (cluster.mvcc_write_tax) and as an escape hatch.
+	// LockedReads disables MVCC snapshot reads: every read scope holds
+	// shared lockmgr claims on the relations it reads instead of a
+	// snapshot, queueing behind concurrent writers (the pre-MVCC behavior).
+	// Kept as the baseline the benchmark's traced pass swaps in to price
+	// MVCC (cluster.mvcc_write_tax) and as an escape hatch.
 	LockedReads bool
 	// UseTCP runs the interconnect over real loopback TCP sockets with
 	// gob-encoded envelopes (internal/netsim/tcp) instead of channels or
@@ -185,12 +186,8 @@ type Cluster struct {
 	needRebuild map[int]bool
 
 	// lm is the coordinator's table-level lock manager, standing in for
-	// the paper's transaction-level locking. Statements lock the tables
-	// and derived structures they touch, so non-conflicting statements
-	// from concurrent sessions run in parallel on the channel and TCP
-	// transports; DDL, recovery and every statement without parallel
-	// dispatch (Direct transport, durability, fault injection) take the
-	// manager's global exclusive lock instead (see locks.go).
+	// the paper's transaction-level locking: what each entry point takes
+	// from it, and when statements overlap, is locks.go.
 	lm *lockmgr.Manager
 
 	// tempSeq names temporary query fragments uniquely across concurrent
@@ -252,10 +249,10 @@ type Cluster struct {
 	sess atomic.Pointer[copySession]
 
 	// mvcc is the snapshot-read epoch tracker (mvcc.go), nil when MVCC is
-	// off (no parallel dispatch, or LockedReads). readFence is the one writer-side
-	// barrier snapshot readers observe besides the global lock: the
-	// migration cutover holds it exclusively while it rewires live
-	// fragments outside any epoch's version log.
+	// off (statements do not overlap — locks.go — or LockedReads).
+	// readFence is the one writer-side barrier snapshot readers observe
+	// besides the global lock: the migration cutover holds it exclusively
+	// while it rewires live fragments outside any epoch's version log.
 	mvcc      *epochTracker
 	readFence sync.RWMutex
 
@@ -369,14 +366,14 @@ func newCluster(cfg Config, wrap func(id int, h netsim.Handler) netsim.Handler) 
 	c.tr = &resilientTransport{Stack: c.net, c: c}
 	c.lean = cfg.Faults == nil && !cfg.Durability && cfg.CallTimeout == 0 &&
 		cfg.BreakerThreshold <= 0
-	if c.parallelDispatch() && !cfg.LockedReads {
+	if c.net.Concurrent() && !cfg.LockedReads {
 		c.mvcc = newEpochTracker()
 	}
 	c.env = maintain.Env{
 		T:        c.tr,
 		Part:     c.part,
 		Cat:      c.cat,
-		Parallel: c.parallelDispatch(),
+		Parallel: c.net.Concurrent(),
 	}
 	if c.mvccOn() {
 		c.env.WriteEpoch = c.writeEpoch
@@ -596,7 +593,9 @@ func (c *Cluster) RefreshStats(table string) error {
 	if err != nil {
 		return err
 	}
-	rows, err := c.gather(table)
+	rs := c.beginRead(table)
+	rows, err := rs.unmetered(table)
+	rs.end()
 	if err != nil {
 		return err
 	}
@@ -608,127 +607,16 @@ func (c *Cluster) RefreshStats(table string) error {
 	return nil
 }
 
-// gather collects every tuple of a fragment across all nodes, unmetered
-// (verification, statistics, backfill input). It requires every node: a
-// degraded cluster fails with a node-down error, so derived computations
-// never silently run over partial inputs (degraded reads go through
-// gatherPartial instead).
+// gather collects every tuple of a fragment across all nodes, unmetered and
+// unlocked: the raw read for callers that already hold the global exclusive
+// lock (DDL backfill, derived-fragment rebuilds, recovery). Everyone else
+// reads through a readScope (read.go). It requires every node: a degraded
+// cluster fails with a node-down error, so derived computations never
+// silently run over partial inputs.
 func (c *Cluster) gather(frag string) ([]types.Tuple, error) {
 	resps, err := c.tr.Broadcast(netsim.Coordinator, node.AllRows{Frag: frag})
 	if err != nil {
 		return nil, err
 	}
-	var out []types.Tuple
-	for _, r := range resps {
-		out = append(out, r.(node.RowsResult).Tuples...)
-	}
-	return out, nil
-}
-
-// PartialError wraps ErrPartial with which nodes were skipped and how many
-// hash slots their absence makes unreachable. errors.Is(err, ErrPartial)
-// keeps matching it.
-type PartialError struct {
-	// Frag is the fragment the partial read was answered for.
-	Frag string
-	// Down lists the node ids skipped as unreachable (sorted).
-	Down []int
-	// Slots counts the hash slots owned by the down nodes: the share of
-	// the key space the result is missing.
-	Slots int
-}
-
-func (e *PartialError) Error() string {
-	return fmt.Sprintf("%v: fragment %q: nodes %v down (%d slots unreachable)",
-		ErrPartial, e.Frag, e.Down, e.Slots)
-}
-
-// Unwrap makes errors.Is(err, ErrPartial) hold.
-func (e *PartialError) Unwrap() error { return ErrPartial }
-
-// gatherPartial collects a fragment's tuples from the surviving nodes,
-// returning a *PartialError (wrapping ErrPartial) alongside the rows when
-// any node was skipped or unreachable. The rows are valid but incomplete.
-func (c *Cluster) gatherPartial(frag string, req func() any) ([]types.Tuple, error) {
-	var out []types.Tuple
-	var skipped []int
-	for n := 0; n < c.NumNodes(); n++ {
-		resp, err := c.tr.Call(netsim.Coordinator, n, req())
-		if err != nil {
-			if _, down := fault.IsNodeDown(err); down {
-				skipped = append(skipped, n)
-				continue
-			}
-			return nil, err
-		}
-		out = append(out, resp.(node.RowsResult).Tuples...)
-	}
-	if len(skipped) > 0 {
-		m := c.part.Map()
-		slots := 0
-		for _, n := range skipped {
-			slots += len(m.SlotsOwnedBy(n))
-		}
-		return out, &PartialError{Frag: frag, Down: skipped, Slots: slots}
-	}
-	return out, nil
-}
-
-// readRows answers TableRows/ViewRows: a full broadcast when healthy, the
-// explicit partial path when degraded. Under replication a degraded read
-// first heals (promotes the down nodes' slots to surviving followers);
-// once every down node is failed over the read is complete, not partial —
-// the broadcast layer answers for the dead nodes with empty results, since
-// their data now lives at the promoted followers.
-func (c *Cluster) readRows(frag string) ([]types.Tuple, error) {
-	// MVCC path: read the pinned committed snapshot — concurrent writers
-	// never block this read and never leak a partial statement into it.
-	if snap, sh, ok := c.beginSnapshotRead(frag); ok {
-		defer c.endSnapshotRead(snap, sh)
-		resps, err := c.tr.Broadcast(netsim.Coordinator, node.AllRows{Frag: frag, Epoch: snap.epoch(frag)})
-		if err != nil {
-			return nil, err
-		}
-		var out []types.Tuple
-		for _, r := range resps {
-			out = append(out, r.(node.RowsResult).Tuples...)
-		}
-		return out, nil
-	}
-	if len(c.Degraded()) > 0 {
-		if c.replOn() {
-			_ = c.heal()
-		}
-		if c.replServesComplete() {
-			c.rstats.RecordFailoverRead()
-			return c.gather(frag)
-		}
-		return c.gatherPartial(frag, func() any { return node.AllRows{Frag: frag} })
-	}
-	if !c.serialStmts() {
-		// LockedReads on a concurrent transport: the pre-MVCC consistent
-		// read, a shared claim queueing behind every in-flight writer of the
-		// fragment. (Serial modes are single-statement by construction and
-		// keep the seed's unlocked gather.)
-		h := c.lockRead(frag)
-		defer h.Release()
-	}
-	return c.gather(frag)
-}
-
-// TableRows returns every stored tuple of a base relation or auxiliary
-// relation, unmetered. When the cluster is degraded the surviving nodes'
-// rows are returned together with ErrPartial.
-func (c *Cluster) TableRows(name string) ([]types.Tuple, error) {
-	return c.readRows(name)
-}
-
-// ViewRows returns the materialized content of a view, unmetered. When the
-// cluster is degraded the surviving nodes' rows are returned together with
-// ErrPartial.
-func (c *Cluster) ViewRows(name string) ([]types.Tuple, error) {
-	if _, err := c.cat.View(name); err != nil {
-		return nil, err
-	}
-	return c.readRows(name)
+	return tuplesOf(resps), nil
 }

@@ -3,19 +3,29 @@ package cluster
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"joinview/internal/catalog"
 	"joinview/internal/expr"
 	"joinview/internal/types"
+	"joinview/internal/wal"
 )
 
-// newSessionSchemas builds a parallel-dispatch cluster with k independent
-// two-relation schemas a<i> ⋈ b<i> = jv<i>, each b<i> pre-loaded, so k
-// sessions can run statements with disjoint lock claims.
+// newSessionSchemas builds a channel-link cluster with k independent
+// schemas for k sessions.
 func newSessionSchemas(t *testing.T, nodes, k int, strategy catalog.Strategy) *Cluster {
 	t.Helper()
-	c, err := New(Config{Nodes: nodes, UseChannels: true})
+	return newSessionSchemasOn(t, Config{Nodes: nodes, UseChannels: true}, k, strategy)
+}
+
+// newSessionSchemasOn builds a cluster with k independent two-relation
+// schemas a<i> ⋈ b<i> = jv<i>, each b<i> pre-loaded (3 rows per join value
+// 0..15), so k sessions can run statements with disjoint lock claims.
+func newSessionSchemasOn(t *testing.T, cfg Config, k int, strategy catalog.Strategy) *Cluster {
+	t.Helper()
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,5 +224,219 @@ func TestConcurrentQueriesAndDML(t *testing.T) {
 	}
 	if err := c.CheckAllStructures(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEverythingOn is the one configuration with every feature on at once:
+// loopback TCP, durability with automatic checkpoints, two-way replication
+// and — in the async cell — deferred maintenance with a background flusher,
+// under two sessions writing disjoint tables and a reader, through three
+// CrashNode/Recover rounds (each a failover, a log replay with in-doubt
+// resolution and a re-replication beside the running sessions). Statements
+// overlap here exactly as they do without durability. Afterwards every
+// structure, view and replica must check out, the acknowledged statements
+// — and only those — must be present, whole, and the logs must be sound:
+// each node's retained LSNs strictly increasing, at most one decision per
+// transaction per node, and one coordinator commit record per decision (in
+// the sync cell, per acknowledged statement). Run with -race.
+func TestEverythingOn(t *testing.T) {
+	const group = 4
+	for _, async := range []bool{true, false} {
+		name := "sync"
+		if async {
+			name = "async"
+		}
+		t.Run(name, func(t *testing.T) {
+			c := newSessionSchemasOn(t, Config{
+				Nodes: 4, UseTCP: true, Durability: true, CheckpointEvery: 64, ReplicationFactor: 2,
+				AsyncMaintenance: async, EpochSize: 4, RetryAttempts: 3,
+			}, 2, catalog.StrategyAuxRel)
+			noErr(t, c.Flush())
+			setupDecisions := len(c.Decisions())
+
+			// wholeStmts checks ids — laid out (session*100_000+stmt)*16+seq —
+			// show every statement entirely (per rows each) or not at all.
+			wholeStmts := func(rows []types.Tuple, per int) (map[int64]bool, error) {
+				seen := map[int64]int{}
+				for _, r := range rows {
+					seen[r[0].I/16]++
+				}
+				stmts := map[int64]bool{}
+				for s, n := range seen {
+					if n != per {
+						return nil, fmt.Errorf("statement %d: %d of %d rows visible (torn statement)", s, n, per)
+					}
+					stmts[s] = true
+				}
+				return stmts, nil
+			}
+
+			// The sessions run one statement per work token, so the test — not
+			// the machine's speed — decides how much data the rounds move.
+			var crashed atomic.Bool // a node is between CrashNode and Recover
+			stop := make(chan struct{})
+			work := make(chan struct{})
+			done := make(chan struct{}, 2) // one slot per session: reporting never blocks, even after a failed round
+			acked := make([]map[int64]bool, 2)
+			errs := make([]error, 3)
+			var wg sync.WaitGroup
+			quiesce := sync.OnceFunc(func() { close(stop); close(work); wg.Wait() })
+			defer quiesce() // also on a failed round: the goroutines must not outlive the test
+			for s := range acked {
+				acked[s] = map[int64]bool{}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					table := fmt.Sprintf("a%d", s)
+					j := int64(0)
+					for range work {
+						stmt := int64(s)*100_000 + j
+						batch := make([]types.Tuple, group)
+						for g := range batch {
+							batch[g] = types.Tuple{types.Int(stmt*16 + int64(g)), types.Int((j + int64(g)) % 16)}
+						}
+						j++
+						during := crashed.Load()
+						if err := c.Insert(table, batch); err == nil {
+							acked[s][stmt] = true
+						} else if !during && !crashed.Load() {
+							// Refused with every node up. (Refused while one was
+							// down is fine — and must stay invisible.)
+							errs[s] = fmt.Errorf("session %d statement %d: %w", s, j, err)
+						}
+						done <- struct{}{}
+					}
+				}()
+			}
+			reads := 0
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					during := crashed.Load()
+					rows, err := c.ViewRows("jv0")
+					if err == nil {
+						_, err = wholeStmts(rows, group*3)
+					} else if during || crashed.Load() {
+						continue
+					}
+					if err != nil {
+						errs[2] = fmt.Errorf("reader: %w", err)
+						return
+					}
+					reads++
+				}
+			}()
+			// issue hands out n statements and waits for them.
+			issue := func(n int) {
+				t.Helper()
+				timeout := time.After(30 * time.Second)
+				for sent, finished := 0, 0; finished < n; {
+					tokens := work
+					if sent == n {
+						tokens = nil
+					}
+					select {
+					case tokens <- struct{}{}:
+						sent++
+					case <-done:
+						finished++
+					case <-timeout:
+						t.Fatalf("sessions stalled: %v", errs)
+					}
+				}
+			}
+			for round, victim := range []int{1, 2, 3} {
+				issue(12)
+				crashed.Store(true)
+				if err := c.CrashNode(victim); err != nil {
+					t.Fatalf("round %d: crash node %d: %v", round, victim, err)
+				}
+				issue(12) // the sessions keep committing around the dead node
+				recovered := make(chan error, 1)
+				go func() { recovered <- c.Recover(victim) }()
+				issue(12) // and beside its replay and re-replication
+				if err := <-recovered; err != nil {
+					t.Fatalf("round %d: recover node %d: %v", round, victim, err)
+				}
+				crashed.Store(false)
+			}
+			issue(12)
+			quiesce()
+			for _, err := range errs {
+				noErr(t, err)
+			}
+			if reads == 0 {
+				t.Fatal("the reader never completed a read")
+			}
+			noErr(t, c.Flush())
+			if d := c.Degraded(); len(d) != 0 {
+				t.Fatalf("still degraded: %v", d)
+			}
+
+			noErr(t, c.CheckAllStructures())
+			checkReplicaConsistency(t, c)
+			assertNoInDoubt(t, c)
+			ackedTotal := 0
+			for s := range acked {
+				noErr(t, c.CheckViewConsistency(fmt.Sprintf("jv%d", s)))
+				rows, err := c.TableRows(fmt.Sprintf("a%d", s))
+				noErr(t, err)
+				present, err := wholeStmts(rows, group)
+				noErr(t, err)
+				for stmt := range acked[s] {
+					if !present[stmt] {
+						t.Errorf("session %d: acknowledged statement %d lost", s, stmt)
+					}
+				}
+				for stmt := range present {
+					if !acked[s][stmt] {
+						t.Errorf("session %d: refused statement %d is visible", s, stmt)
+					}
+				}
+				ackedTotal += len(acked[s])
+			}
+
+			for n, dn := range c.allNodes() {
+				var last uint64
+				decisions := map[uint64]int{}
+				for _, rec := range dn.RetainedLog() {
+					if rec.LSN <= last {
+						t.Fatalf("node %d: LSN %d follows %d", n, rec.LSN, last)
+					}
+					last = rec.LSN
+					if rec.Kind == wal.KindCommit || rec.Kind == wal.KindAbort {
+						decisions[rec.TID]++
+					}
+				}
+				for tid, k := range decisions {
+					if k > 1 {
+						t.Errorf("node %d: transaction %d has %d decision records", n, tid, k)
+					}
+				}
+			}
+			commits := map[uint64]bool{}
+			for _, rec := range c.coordLog.All() {
+				if rec.Kind == wal.KindCommit {
+					if commits[rec.TID] {
+						t.Errorf("coordinator committed transaction %d twice", rec.TID)
+					}
+					commits[rec.TID] = true
+				}
+			}
+			if got := len(c.Decisions()); got != len(commits) {
+				t.Errorf("%d decisions for %d coordinator commit records", got, len(commits))
+			}
+			if !async {
+				if got := len(c.Decisions()) - setupDecisions; got != ackedTotal {
+					t.Errorf("%d decisions for %d acknowledged statements", got, ackedTotal)
+				}
+			}
+		})
 	}
 }

@@ -300,7 +300,7 @@ func (c *Cluster) CreateView(v *catalog.View) error {
 	}); err != nil {
 		return err
 	}
-	content, err := c.computeJoin(v)
+	content, err := c.computeJoin(v, c.gather)
 	if err != nil {
 		return err
 	}
@@ -453,14 +453,16 @@ func (c *Cluster) DropTable(name string) error {
 }
 
 // computeJoin evaluates the view's full join at the coordinator with
-// in-memory hash joins, returning view-schema tuples. Used for initial
-// materialization and for the recompute reference in verification.
-func (c *Cluster) computeJoin(v *catalog.View) ([]types.Tuple, error) {
+// in-memory hash joins over the base rows that rows supplies, returning
+// view-schema tuples: c.gather for initial materialization and rebuilds
+// (under the global exclusive lock), a read scope for the recompute
+// reference in verification.
+func (c *Cluster) computeJoin(v *catalog.View, rows func(frag string) ([]types.Tuple, error)) ([]types.Tuple, error) {
 	first, err := c.cat.Table(v.Tables[0])
 	if err != nil {
 		return nil, err
 	}
-	cur, err := c.gather(v.Tables[0])
+	cur, err := rows(v.Tables[0])
 	if err != nil {
 		return nil, err
 	}
@@ -469,27 +471,16 @@ func (c *Cluster) computeJoin(v *catalog.View) ([]types.Tuple, error) {
 	remaining := append([]catalog.JoinPred(nil), v.Joins...)
 
 	for len(covered) < len(v.Tables) {
-		picked := -1
-		for i, j := range remaining {
-			if covered[j.Left] != covered[j.Right] {
-				picked = i
-				break
-			}
-		}
-		if picked < 0 {
+		j, next, rest, ok := catalog.NextJoin(remaining, covered)
+		if !ok {
 			return nil, fmt.Errorf("cluster: view %q join graph disconnected", v.Name)
 		}
-		j := remaining[picked]
-		remaining = append(remaining[:picked], remaining[picked+1:]...)
-		next := j.Left
-		if covered[j.Left] {
-			next = j.Right
-		}
+		remaining = rest
 		nextTable, err := c.cat.Table(next)
 		if err != nil {
 			return nil, err
 		}
-		nextRows, err := c.gather(next)
+		nextRows, err := rows(next)
 		if err != nil {
 			return nil, err
 		}
@@ -529,26 +520,34 @@ func (c *Cluster) computeJoin(v *catalog.View) ([]types.Tuple, error) {
 }
 
 // RecomputeView evaluates the view's definition from the current base
-// relations (ignoring the materialized fragments). Tests and the
-// consistency checker compare this against ViewRows.
+// relations (ignoring the materialized fragments), all read in one scope.
 func (c *Cluster) RecomputeView(name string) ([]types.Tuple, error) {
 	v, err := c.cat.View(name)
 	if err != nil {
 		return nil, err
 	}
-	return c.computeJoin(v)
+	rs := c.beginRead(v.Tables...)
+	defer rs.end()
+	return c.computeJoin(v, rs.unmetered)
 }
 
 // CheckViewConsistency verifies that the materialized content of the view
 // equals a from-scratch recomputation of its definition (bag equality).
 // This is the paper's core correctness obligation for every maintenance
-// method.
+// method. The view and its base tables are read in one scope, so the check
+// holds beside concurrent writers.
 func (c *Cluster) CheckViewConsistency(name string) error {
-	stored, err := c.ViewRows(name)
+	v, err := c.cat.View(name)
 	if err != nil {
 		return err
 	}
-	want, err := c.RecomputeView(name)
+	rs := c.beginRead(append([]string{name}, v.Tables...)...)
+	defer rs.end()
+	stored, err := rs.unmetered(name)
+	if err != nil {
+		return err
+	}
+	want, err := c.computeJoin(v, rs.unmetered)
 	if err != nil {
 		return err
 	}

@@ -88,10 +88,10 @@ func (sc *stmtScope) Broadcast(from int, req any) ([]any, error) {
 	return sc.broadcast(sc, from, req)
 }
 
-// scatter dispatches per-node calls through the scope under the cluster's
-// dispatch policy, gathering responses in input order.
+// scatter dispatches per-node calls through the scope — concurrently where
+// the stack is — gathering responses in input order.
 func (sc *stmtScope) scatter(calls []netsim.Call) ([]any, error) {
-	return netsim.ScatterCalls(sc, sc.c.parallelDispatch(), calls)
+	return netsim.ScatterCalls(sc, sc.Concurrent(), calls)
 }
 
 // stamp returns the transaction id for a mutating sub-request bound for

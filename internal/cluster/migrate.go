@@ -690,7 +690,7 @@ func (c *Cluster) cutover(m *migration, call func(to int, req any) (any, error))
 		return err
 	}
 	var h *lockmgr.Held
-	if c.serialStmts() {
+	if !c.net.Concurrent() {
 		h = c.lockGlobal()
 	} else {
 		h = c.lm.AcquireShared()

@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"sync"
-
-	"joinview/internal/lockmgr"
-)
+import "sync"
 
 // MVCC snapshot reads: the coordinator tracks one commit epoch per
 // fragment name. A writer statement stamps every mutating request for a
@@ -15,7 +11,7 @@ import (
 // fragment it will touch in one atomic step, pins them against garbage
 // collection, and reads each fragment at its pinned epoch; storage inverts
 // the version-log suffix newer than the pin (storage/mvcc.go). Readers
-// hold only the global shared lock (lockmgr.AcquireRead), so they never
+// hold only the global shared lock (readScope, read.go), so they never
 // queue behind a writer and never block one; DDL, recovery and failover
 // promotion still fence them via the global exclusive lock, and the
 // migration cutover via the cluster's readFence.
@@ -141,7 +137,7 @@ func (s *epochSnap) release() {
 }
 
 // mvccOn reports whether snapshot reads and epoch stamping are active:
-// parallel dispatch without the LockedReads escape hatch.
+// statements overlap (locks.go) and LockedReads is not set.
 func (c *Cluster) mvccOn() bool { return c.mvcc != nil }
 
 // writeEpoch returns the version stamp for mutating frag under the current
@@ -199,34 +195,18 @@ func (c *Cluster) publishSet(table string) []string {
 	return s
 }
 
-// beginSnapshotRead opens an MVCC read over the named relations or views:
-// global shared lock only (no table claims), the cutover read fence
-// shared, and the committed epochs of every named relation plus its
-// auxiliary relations and views pinned (the publish sets — computed under
-// the shared lock, so DDL cannot move the catalog mid-expansion). Returns
-// ok=false when the snapshot path is unavailable — MVCC off, or the
-// cluster degraded (the failover read path recombines primaries and
-// promoted followers under its own rules) — and the caller falls back to
-// the locked read path.
-func (c *Cluster) beginSnapshotRead(names ...string) (*epochSnap, *lockmgr.Held, bool) {
-	if c.mvcc == nil || len(names) == 0 || len(c.Degraded()) > 0 {
-		return nil, nil, false
+// publishSets concatenates the publish sets of the named relations or
+// views: what a read scope over them pins, so a reader sees each relation
+// together with the auxiliary relations and views its writers publish with
+// it. Must be called under the global shared lock (DDL cannot move the
+// catalog mid-expansion).
+func (c *Cluster) publishSets(names []string) []string {
+	if len(names) == 1 {
+		return c.publishSet(names[0])
 	}
-	h := c.lm.AcquireRead()
-	c.readFence.RLock()
-	frags := c.publishSet(names[0])
-	if len(names) > 1 {
-		frags = append([]string(nil), frags...)
-		for _, n := range names[1:] {
-			frags = append(frags, c.publishSet(n)...)
-		}
+	var frags []string
+	for _, n := range names {
+		frags = append(frags, c.publishSet(n)...)
 	}
-	return c.mvcc.snapshot(frags), h, true
-}
-
-// endSnapshotRead closes a read opened by beginSnapshotRead.
-func (c *Cluster) endSnapshotRead(s *epochSnap, h *lockmgr.Held) {
-	s.release()
-	c.readFence.RUnlock()
-	h.Release()
+	return frags
 }

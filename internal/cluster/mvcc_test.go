@@ -8,11 +8,11 @@ import (
 	"time"
 
 	"joinview/internal/catalog"
+	"joinview/internal/fault"
 	"joinview/internal/types"
 )
 
-// newMVCCCluster builds one shared schema a ⋈ b = jv on a concurrent
-// transport: b pre-loaded with 3 rows per join value 0..15, so every
+// newMVCCCluster builds one shared schema a ⋈ b = jv: b pre-loaded with 3 rows per join value 0..15, so every
 // inserted a-row yields exactly 3 view rows.
 func newMVCCCluster(t *testing.T, cfg Config, strategy catalog.Strategy) *Cluster {
 	t.Helper()
@@ -66,22 +66,28 @@ func newMVCCCluster(t *testing.T, cfg Config, strategy catalog.Strategy) *Cluste
 	return c
 }
 
-// mvccTransports enumerates the two concurrent transports snapshot reads
-// run on.
-func mvccTransports() map[string]Config {
-	return map[string]Config{
-		"chan": {Nodes: 4, UseChannels: true},
-		"tcp":  {Nodes: 4, UseTCP: true},
-	}
+// readLinks enumerates the three links; statements overlap on the last two.
+var readLinks = []struct {
+	name string
+	cfg  Config
+}{
+	{"direct", Config{Nodes: 4}},
+	{"chan", Config{Nodes: 4, UseChannels: true}},
+	{"tcp", Config{Nodes: 4, UseTCP: true}},
 }
 
 // TestSnapshotReadsDoNotBlockBehindWriters pins the MVCC contract
 // directly: a statement holding exclusive claims on the table and the view
 // (exactly what a mid-flight writer holds) must not delay snapshot reads
-// at all. Under LockedReads the same reads would queue behind the claims
-// until release.
+// at all — with or without durability, which has no say in which
+// concurrency control runs. Under LockedReads the same reads would queue
+// behind the claims until release.
 func TestSnapshotReadsDoNotBlockBehindWriters(t *testing.T) {
-	for name, cfg := range mvccTransports() {
+	for name, cfg := range map[string]Config{
+		"chan":         {Nodes: 4, UseChannels: true},
+		"tcp":          {Nodes: 4, UseTCP: true},
+		"chan-durable": {Nodes: 4, UseChannels: true, Durability: true},
+	} {
 		t.Run(name, func(t *testing.T) {
 			c := newMVCCCluster(t, cfg, catalog.StrategyAuxRel)
 			if err := c.Insert("a", []types.Tuple{{types.Int(1), types.Int(2)}}); err != nil {
@@ -161,21 +167,86 @@ func checkStmtGroups(rows []types.Tuple, writers, stmts, groupSize int) error {
 	return nil
 }
 
-// TestSnapshotReadersVsWriters races continuous snapshot reads against
-// concurrent writers on one shared table, across all three maintenance
-// strategies and both concurrent transports. Every observed snapshot of
-// the base table and of the view must be prefix-consistent committed
-// state: no torn statements, no out-of-order visibility, never a blocked
-// reader. Run with -race.
+// readColumn is one configuration of the read table: what it adds to the
+// link's Config, the maintenance strategy it runs, and whether it reads
+// after a failover.
+type readColumn struct {
+	name       string
+	with       func(*Config)
+	strategy   catalog.Strategy
+	failedOver bool
+}
+
+func readColumns() []readColumn {
+	plain := func(*Config) {}
+	return []readColumn{
+		{name: "naive", with: plain, strategy: catalog.StrategyNaive},
+		{name: "auxrel", with: plain, strategy: catalog.StrategyAuxRel},
+		{name: "globalindex", with: plain, strategy: catalog.StrategyGlobalIndex},
+		{name: "durable", with: func(c *Config) { c.Durability = true }, strategy: catalog.StrategyAuxRel},
+		{name: "durable-rf2", with: func(c *Config) { c.Durability, c.ReplicationFactor = true, 2 },
+			strategy: catalog.StrategyGlobalIndex},
+		{name: "rf2-failedover", with: func(c *Config) { c.ReplicationFactor = 2 },
+			strategy: catalog.StrategyAuxRel, failedOver: true},
+		{name: "lockedreads", with: func(c *Config) { c.LockedReads = true }, strategy: catalog.StrategyNaive},
+		{name: "injector", with: func(c *Config) { c.Faults = fault.New(fault.Config{Seed: 1}) },
+			strategy: catalog.StrategyGlobalIndex},
+	}
+}
+
+// TestSnapshotReadersVsWriters races continuous reads of every kind —
+// TableRows, ViewRows, ScanFragmentMetered, ReadViewRows, RelationRows — against
+// concurrent writers on one shared table, on every link, under every
+// configuration that used to pick a different read path (durability,
+// replication, a failed-over node, LockedReads, an installed but unarmed
+// injector) and all three maintenance strategies. Whatever the read holds —
+// a snapshot or a lock — every observed state of the base table and of the
+// view must be a statement prefix: no torn statements, no out-of-order
+// visibility. (The SQL SELECT kind is internal/sql's TestSelectSeesWholeStatements.)
+// Run with -race.
 func TestSnapshotReadersVsWriters(t *testing.T) {
-	const writers, stmts, group = 3, 12, 2
-	strategies := []catalog.Strategy{catalog.StrategyNaive, catalog.StrategyAuxRel, catalog.StrategyGlobalIndex}
-	for tname, cfg := range mvccTransports() {
-		for _, strategy := range strategies {
-			t.Run(fmt.Sprintf("%s/%s", tname, strategy), func(t *testing.T) {
-				c := newMVCCCluster(t, cfg, strategy)
+	const writers, stmts, group = 3, 12, 8
+	reads := []struct {
+		name  string
+		gsize int
+		read  func(c *Cluster) ([]types.Tuple, error)
+	}{
+		{"TableRows", group, func(c *Cluster) ([]types.Tuple, error) { return c.TableRows("a") }},
+		{"ViewRows", group * 3, func(c *Cluster) ([]types.Tuple, error) { return c.ViewRows("jv") }},
+		{"ScanFragmentMetered", group * 3, func(c *Cluster) ([]types.Tuple, error) { return c.ScanFragmentMetered("jv") }},
+		{"ReadViewRows", group * 3, func(c *Cluster) ([]types.Tuple, error) {
+			rows, _, err := c.ReadViewRows("jv", ReadAtWatermark)
+			return rows, err
+		}},
+		// What a SELECT over a and jv reads: both in one scope, so the view
+		// is never ahead of or behind the table.
+		{"RelationRows", group * 3, func(c *Cluster) ([]types.Tuple, error) {
+			out, err := c.RelationRows("a", "jv")
+			if err != nil {
+				return nil, err
+			}
+			if len(out[1]) != 3*len(out[0]) {
+				return nil, fmt.Errorf("a has %d rows beside %d view rows: read at different statement prefixes", len(out[0]), len(out[1]))
+			}
+			return out[1], nil
+		}},
+	}
+	for _, link := range readLinks {
+		for _, col := range readColumns() {
+			t.Run(link.name+"/"+col.name, func(t *testing.T) {
+				cfg := link.cfg
+				col.with(&cfg)
+				c := newMVCCCluster(t, cfg, col.strategy)
+				if col.failedOver {
+					noErr(t, c.MarkNodeDown(3))
+					_, err := c.TableRows("a") // the first read heals
+					noErr(t, err)
+					if !c.replServesComplete() {
+						t.Fatal("node 3 was not failed over")
+					}
+				}
 				var writersDone atomic.Bool
-				errs := make([]error, writers+2)
+				errs := make([]error, writers+len(reads))
 				var wg, wwg sync.WaitGroup
 				for w := 0; w < writers; w++ {
 					wg.Add(1)
@@ -200,33 +271,22 @@ func TestSnapshotReadersVsWriters(t *testing.T) {
 					wwg.Wait()
 					writersDone.Store(true)
 				}()
-				// Reader 1: base-table snapshots. Reader 2: view snapshots
-				// (each a-row joins exactly 3 b-rows).
-				for r := 0; r < 2; r++ {
+				// One reader per read kind (each a-row joins exactly 3 b-rows).
+				for r, rd := range reads {
 					wg.Add(1)
-					go func(r int) {
+					go func() {
 						defer wg.Done()
-						reads := 0
-						for !writersDone.Load() || reads < 3 {
-							var rows []types.Tuple
-							var err error
-							gsize := group
-							if r == 0 {
-								rows, err = c.TableRows("a")
-							} else {
-								rows, err = c.ViewRows("jv")
-								gsize = group * 3
-							}
+						for n := 0; !writersDone.Load() || n < 3; n++ {
+							rows, err := rd.read(c)
 							if err == nil {
-								err = checkStmtGroups(rows, writers, stmts, gsize)
+								err = checkStmtGroups(rows, writers, stmts, rd.gsize)
 							}
 							if err != nil {
-								errs[writers+r] = err
+								errs[writers+r] = fmt.Errorf("%s: %w", rd.name, err)
 								return
 							}
-							reads++
 						}
-					}(r)
+					}()
 				}
 				wg.Wait()
 				for i, err := range errs {
@@ -234,11 +294,13 @@ func TestSnapshotReadersVsWriters(t *testing.T) {
 						t.Fatalf("goroutine %d: %v", i, err)
 					}
 				}
-				if err := c.CheckAllStructures(); err != nil {
-					t.Fatal(err)
+				noErr(t, c.CheckViewConsistency("jv"))
+				if col.failedOver {
+					noErr(t, c.ReplicateRepair())
 				}
-				if err := c.CheckViewConsistency("jv"); err != nil {
-					t.Fatal(err)
+				noErr(t, c.CheckAllStructures())
+				if c.replOn() {
+					checkReplicaConsistency(t, c)
 				}
 			})
 		}

@@ -52,9 +52,9 @@ func (c *Cluster) planFor(table string, op maintain.Op) (*mplan.Plan, error) {
 // potential take the per-view path unchanged.
 func (c *Cluster) execPlan(sc *stmtScope, mp *mplan.Plan, delta []types.Tuple, locs []located) error {
 	// Per-stage page/message attribution needs exclusive ownership of the
-	// global meters; only serial execution modes guarantee it. Under
-	// parallel dispatch only stage executions are counted.
-	attribute := c.serialStmts()
+	// global meters, which a statement has only where statements do not
+	// overlap. Where they do, only stage executions are counted.
+	attribute := !c.net.Concurrent()
 	// metered runs one stage inside its own metrics window.
 	metered := func(name string, stage func() error) error {
 		if !attribute {
@@ -73,7 +73,7 @@ func (c *Cluster) execPlan(sc *stmtScope, mp *mplan.Plan, delta []types.Tuple, l
 		if s.Kind == mplan.StageView && mp.SharedPotential && sx == nil {
 			// The pre-pass gets its own metrics window so its probes are
 			// attributed to "sharedjoin", not folded into the first view
-			// stage — keeping per-stage attribution exact in serial mode.
+			// stage — keeping per-stage attribution exact.
 			err := metered(sharedStageName, func() (err error) {
 				sx, err = c.execSharedJoins(sc, mp, delta)
 				return err

@@ -41,24 +41,11 @@ func (c *Cluster) QueryJoin(spec QuerySpec) ([]types.Tuple, *types.Schema, error
 }
 
 func (c *Cluster) queryJoinOnce(spec QuerySpec) ([]types.Tuple, *types.Schema, error) {
-	// Snapshot read when MVCC is on: pin the committed epochs of the query's
-	// tables (plus their auxiliary relations, any of which may serve as a
-	// pre-partitioned copy below) and read without table claims — concurrent
-	// writers neither block this query nor leak partial statements into it.
-	// Otherwise the classic locked read.
-	snap, sh, snapOK := c.beginSnapshotRead(spec.Tables...)
-	if snapOK {
-		defer c.endSnapshotRead(snap, sh)
-	} else {
-		h := c.lockRead(spec.Tables...)
-		defer h.Release()
-	}
-	epochOf := func(frag string) uint64 {
-		if snap == nil {
-			return 0
-		}
-		return snap.epoch(frag)
-	}
+	// One read scope over the query's tables: their auxiliary relations, any
+	// of which may serve as a pre-partitioned copy below, are pinned or
+	// claimed with them.
+	rs := c.beginRead(spec.Tables...)
+	defer rs.end()
 	// Distributed joins shuffle data across every node, so a partial
 	// answer cannot be assembled; fail fast (simple scans degrade to
 	// partial results instead — see ScanFragmentMetered).
@@ -103,22 +90,11 @@ func (c *Cluster) queryJoinOnce(spec QuerySpec) ([]types.Tuple, *types.Schema, e
 	remaining := append([]catalog.JoinPred(nil), spec.Joins...)
 
 	for len(covered) < len(spec.Tables) {
-		picked := -1
-		for i, j := range remaining {
-			if covered[j.Left] != covered[j.Right] {
-				picked = i
-				break
-			}
-		}
-		if picked < 0 {
+		j, next, rest, ok := catalog.NextJoin(remaining, covered)
+		if !ok {
 			return nil, nil, fmt.Errorf("cluster: query join graph disconnected (cartesian products unsupported)")
 		}
-		j := remaining[picked]
-		remaining = append(remaining[:picked], remaining[picked+1:]...)
-		next := j.Left
-		if covered[j.Left] {
-			next = j.Right
-		}
+		remaining = rest
 		nextTable, err := c.cat.Table(next)
 		if err != nil {
 			return nil, nil, err
@@ -146,7 +122,7 @@ func (c *Cluster) queryJoinOnce(spec QuerySpec) ([]types.Tuple, *types.Schema, e
 		}():
 			// full-width AR reused as the pre-partitioned copy
 		default:
-			tmp, err := c.shuffle(next, nextTable.Schema, nextCol, epochOf(next), newTemp)
+			tmp, err := c.shuffle(next, nextTable.Schema, nextCol, rs.epoch(next), newTemp)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -155,7 +131,7 @@ func (c *Cluster) queryJoinOnce(spec QuerySpec) ([]types.Tuple, *types.Schema, e
 
 		// Left side: reshuffle unless already partitioned on the join key.
 		if curPartCol != curCol {
-			tmp, err := c.shuffle(curFrag, curSchema, curCol, epochOf(curFrag), newTemp)
+			tmp, err := c.shuffle(curFrag, curSchema, curCol, rs.epoch(curFrag), newTemp)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -184,7 +160,7 @@ func (c *Cluster) queryJoinOnce(spec QuerySpec) ([]types.Tuple, *types.Schema, e
 			Left: curFrag, Right: rightFrag,
 			LeftCol: leftColPhys, RightCol: rightCol,
 			Out:       outFrag,
-			LeftEpoch: epochOf(curFrag), RightEpoch: epochOf(rightFrag),
+			LeftEpoch: rs.epoch(curFrag), RightEpoch: rs.epoch(rightFrag),
 		}); err != nil {
 			return nil, nil, err
 		}
@@ -194,13 +170,9 @@ func (c *Cluster) queryJoinOnce(spec QuerySpec) ([]types.Tuple, *types.Schema, e
 
 	// Gather the final fragments (metered scan), apply residual cyclic
 	// predicates, project.
-	resps, err := c.tr.Broadcast(netsim.Coordinator, node.Scan{Frag: curFrag, Epoch: epochOf(curFrag)})
+	rows, err := rs.rows(curFrag, true)
 	if err != nil {
 		return nil, nil, err
-	}
-	var rows []types.Tuple
-	for _, r := range resps {
-		rows = append(rows, r.(node.RowsResult).Tuples...)
 	}
 	rows, err = maintain.FilterResidual(rows, curSchema, remaining)
 	if err != nil {
@@ -265,53 +237,6 @@ func (c *Cluster) shuffle(frag string, schema *types.Schema, col string, epoch u
 		}
 	}
 	return tmp, nil
-}
-
-// ScanFragmentMetered reads a whole relation or view with scan I/O charged
-// (the query-side counterpart of ViewRows, which is an unmetered
-// verification helper). Use it to compare "query the materialized view"
-// against QueryJoin's recompute cost. When the cluster is degraded the
-// surviving nodes' rows are returned together with ErrPartial.
-func (c *Cluster) ScanFragmentMetered(name string) ([]types.Tuple, error) {
-	// MVCC path: scan a pinned committed snapshot, no table claims.
-	if snap, sh, ok := c.beginSnapshotRead(name); ok {
-		defer c.endSnapshotRead(snap, sh)
-		resps, err := c.tr.Broadcast(netsim.Coordinator, node.Scan{Frag: name, Epoch: snap.epoch(name)})
-		if err != nil {
-			return nil, err
-		}
-		var rows []types.Tuple
-		for _, r := range resps {
-			rows = append(rows, r.(node.RowsResult).Tuples...)
-		}
-		return rows, nil
-	}
-	if len(c.Degraded()) > 0 {
-		if c.replOn() {
-			_ = c.heal()
-		}
-		if c.replServesComplete() {
-			// The broadcast below answers for the dead nodes with typed
-			// empty responses — the read is complete, not partial.
-			c.rstats.RecordFailoverRead()
-		} else {
-			return c.gatherPartial(name, func() any { return node.Scan{Frag: name} })
-		}
-	} else if !c.serialStmts() {
-		// LockedReads on a concurrent transport: shared claim, queueing
-		// behind in-flight writers (the pre-MVCC consistent read).
-		h := c.lockRead(name)
-		defer h.Release()
-	}
-	resps, err := c.tr.Broadcast(netsim.Coordinator, node.Scan{Frag: name})
-	if err != nil {
-		return nil, err
-	}
-	var rows []types.Tuple
-	for _, r := range resps {
-		rows = append(rows, r.(node.RowsResult).Tuples...)
-	}
-	return rows, nil
 }
 
 // sortQualified is a helper for deterministic test output.

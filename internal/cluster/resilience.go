@@ -703,7 +703,7 @@ func (c *Cluster) rebuildDerived(n int) (int64, error) {
 					pages += c.pageCount(int(ts.Rows))
 				}
 			}
-			content, err := c.computeJoin(v)
+			content, err := c.computeJoin(v, c.gather)
 			if err != nil {
 				return pages, err
 			}

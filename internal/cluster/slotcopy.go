@@ -361,9 +361,8 @@ func (c *Cluster) intact(s *copySession) error {
 
 // copyGroup snapshots one base table with its auxiliary relations and
 // global indexes, or one view, from the primaries into the session
-// targets' shadows, under a shared claim on the owner (blocking exactly its
-// writers; global in serial modes), and arms the group before the claim is
-// released. shipped is told how many elements each delivered batch held.
+// targets' shadows, under lockRead on the owner (blocking exactly its
+// writers), and arms the group before the lock is released. shipped is told how many elements each delivered batch held.
 func (c *Cluster) copyGroup(sess *copySession, group []fragSpec, call func(to int, req any) (any, error), shipped func(elems int)) error {
 	h := c.lockRead(group[0].Owner)
 	defer h.Release()

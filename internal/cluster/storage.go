@@ -116,7 +116,8 @@ func (c *Cluster) StorageReport() (StorageReport, error) {
 }
 
 // CheckAuxRelConsistency verifies the named auxiliary relation equals
-// π(σ(base)) re-computed from the current base relation (bag equality).
+// π(σ(base)) re-computed from the current base relation (bag equality),
+// both read in one scope.
 func (c *Cluster) CheckAuxRelConsistency(name string) error {
 	ar, err := c.cat.AuxRel(name)
 	if err != nil {
@@ -126,7 +127,9 @@ func (c *Cluster) CheckAuxRelConsistency(name string) error {
 	if err != nil {
 		return err
 	}
-	baseRows, err := c.gather(ar.Table)
+	rs := c.beginRead(ar.Table)
+	defer rs.end()
+	baseRows, err := rs.unmetered(ar.Table)
 	if err != nil {
 		return err
 	}
@@ -134,7 +137,7 @@ func (c *Cluster) CheckAuxRelConsistency(name string) error {
 	if err != nil {
 		return err
 	}
-	got, err := c.gather(name)
+	got, err := rs.unmetered(name)
 	if err != nil {
 		return err
 	}
@@ -145,7 +148,7 @@ func (c *Cluster) CheckAuxRelConsistency(name string) error {
 	// its partition column.
 	pi := ar.Schema.MustColIndex(ar.PartitionCol)
 	for n := 0; n < c.NumNodes(); n++ {
-		resp, err := c.call(n, node.AllRows{Frag: name})
+		resp, err := c.call(n, node.AllRows{Frag: name, Epoch: rs.epoch(name)})
 		if err != nil {
 			return err
 		}
@@ -160,7 +163,9 @@ func (c *Cluster) CheckAuxRelConsistency(name string) error {
 
 // CheckGlobalIndexConsistency verifies the named global index agrees with
 // the base relation: every entry's global row id resolves to a live tuple
-// with the indexed value, and every base tuple has exactly one entry.
+// with the indexed value, and every base tuple has exactly one entry. Index
+// entries and row ids carry no versions, so the check reads the live state
+// with the table's writers excluded.
 func (c *Cluster) CheckGlobalIndexConsistency(name string) error {
 	gi, err := c.cat.GlobalIndex(name)
 	if err != nil {
@@ -170,6 +175,8 @@ func (c *Cluster) CheckGlobalIndexConsistency(name string) error {
 	if err != nil {
 		return err
 	}
+	h := c.lockRead(gi.Table)
+	defer h.Release()
 	ci := t.Schema.MustColIndex(gi.Col)
 
 	// Base side: (node, row) -> value.

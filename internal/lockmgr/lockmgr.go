@@ -7,10 +7,10 @@
 // The locking protocol is two-level and deadlock-free by construction:
 //
 //  1. Every acquirer first takes the global lock — shared for ordinary
-//     statements, exclusive for operations that must see (and leave) the
-//     whole cluster quiescent: DDL, recovery, checkpoints, and any mode
-//     where concurrent statements are unsound (the Direct transport, 2PC
-//     durability, fault injection).
+//     statements and reads, exclusive for operations that must see (and
+//     leave) the whole cluster quiescent: DDL, recovery, checkpoints, and
+//     every statement where the cluster's delivery stack does not let
+//     statements overlap (internal/cluster/locks.go).
 //  2. Holders of the global shared lock then take their resource locks in
 //     sorted name order, strongest mode first on duplicates. Uniform
 //     ordering means no cycle of waiters can form.
@@ -79,7 +79,7 @@ type Held struct {
 
 // AcquireGlobal takes the global lock exclusively: the caller is the only
 // statement running in the cluster until Release. Used for DDL, recovery
-// and every serial execution mode.
+// and statements that may not overlap.
 func (m *Manager) AcquireGlobal() *Held {
 	m.global.Lock()
 	return &Held{m: m, global: Exclusive}
@@ -88,18 +88,11 @@ func (m *Manager) AcquireGlobal() *Held {
 // AcquireShared takes the global lock in shared mode and returns a handle
 // with no resource locks yet. Between AcquireShared and Lock the caller
 // may safely read cluster metadata (the catalog) to compute its claim
-// set — global-exclusive holders (DDL) are excluded the whole time.
+// set — global-exclusive holders (DDL) are excluded the whole time. A
+// holder that never calls Lock (an MVCC snapshot reader) fences DDL and
+// recovery only: it never queues behind — and never blocks — any writer
+// statement's table claims.
 func (m *Manager) AcquireShared() *Held {
-	m.global.RLock()
-	return &Held{m: m, global: Shared}
-}
-
-// AcquireRead takes the global lock in shared mode with no resource claims
-// at all: the MVCC snapshot-read entry point. A snapshot reader needs the
-// global shared lock only to fence DDL and recovery (which mutate the
-// catalog under AcquireGlobal); it takes no named S locks, so it never
-// queues behind — and never blocks — any writer statement's table claims.
-func (m *Manager) AcquireRead() *Held {
 	m.global.RLock()
 	return &Held{m: m, global: Shared}
 }

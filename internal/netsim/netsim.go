@@ -269,12 +269,20 @@ func (s *Stack) deliver(from, to int, req any) (any, error) {
 	return resp, err
 }
 
-// Broadcast implements Transport. Deliveries overlap when the link is
-// concurrent and no injector is installed.
+// Concurrent reports whether deliveries to different nodes may overlap: the
+// link runs nodes off the caller's goroutine and no injector is installed
+// (fault draws are consumed in arrival order, so a schedule is reproducible
+// only one delivery at a time). It is the stack's one answer to "which
+// concurrency control runs": its own Broadcast fans out concurrently iff it
+// holds, and the cluster lets statements overlap iff it holds.
+func (s *Stack) Concurrent() bool { return s.link.Concurrent() && s.cfg.Inject == nil }
+
+// Broadcast implements Transport. Deliveries overlap when the stack is
+// Concurrent.
 func (s *Stack) Broadcast(from int, req any) ([]any, error) {
 	n := s.NumNodes()
 	out, errs := make([]any, n), make([]error, n)
-	_ = ScatterFunc(s.link.Concurrent() && s.cfg.Inject == nil, n, func(to int) error {
+	_ = ScatterFunc(s.Concurrent(), n, func(to int) error {
 		resp, err := s.Call(from, to, req)
 		if err != nil {
 			errs[to] = fmt.Errorf("netsim: broadcast to node %d: %w", to, err)

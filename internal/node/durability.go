@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"joinview/internal/buffer"
@@ -26,6 +27,15 @@ func (n *DataNode) EnableDurability(recsPerPage, ckptEvery int) {
 
 // Durable reports whether the node has a durable store attached.
 func (n *DataNode) Durable() bool { return n.store != nil }
+
+// RetainedLog returns the records the node's write-ahead log still holds,
+// in log order (inspection and tests; nil without a durable store).
+func (n *DataNode) RetainedLog() []wal.Record {
+	if n.store == nil {
+		return nil
+	}
+	return n.store.Log.All()
+}
 
 // logRedo appends a redo record for an applied Seq request and drives the
 // automatic checkpoint. Called only from the Seq path, so replay (which
@@ -175,8 +185,23 @@ func (n *DataNode) restart() (RestartResult, error) {
 		}
 		res.RecordsReplayed++
 	}
+	n.dropVersions()
 	res.InDoubt = n.inDoubt()
 	return res, nil
+}
+
+// dropVersions empties every fragment's version log. Recovery re-applies
+// logged requests in forms that keep some epochs and drop others (replayForm
+// turns an Insert into an epoch-less RestoreRows while deletes and
+// InverseOf's compensations keep theirs), so the log it leaves is unmatched:
+// a snapshot below a surviving delete record would resurrect an aborted
+// statement's rows on this node alone. Recovery runs under the coordinator's
+// global exclusive lock with no snapshot pinned, so no reader needs the
+// versions; the live state is the committed one.
+func (n *DataNode) dropVersions() {
+	for _, f := range n.frags {
+		f.TruncateVersions(math.MaxUint64)
+	}
 }
 
 // replayForm converts a logged request into its deterministic replay form.
@@ -267,5 +292,6 @@ func (n *DataNode) resolveAbort(tid uint64) error {
 	n.store.Log.Append(wal.Record{Kind: wal.KindAbort, TID: tid})
 	n.store.Log.Force()
 	delete(n.pending, tid)
+	n.dropVersions()
 	return nil
 }

@@ -3,6 +3,7 @@ package node
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -153,4 +154,50 @@ func TestPropertyReplayIdempotent(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRecoveryLeavesNoVersions: replay re-applies a logged Insert as an
+// epoch-less RestoreRows while logged deletes and InverseOf's compensations
+// keep their Epoch, so the version log a restart would leave is unmatched —
+// delete records with no insert beside them, which resurrect an aborted
+// statement's rows in any snapshot below them. A log holding one committed
+// transaction and one the coordinator was rolling back when the node died
+// (one of its two inserts compensated, no decision) must come out of
+// restart, and out of the abort's resolution, with every fragment's version
+// log empty: a snapshot at any epoch the log mentions is the live state.
+func TestRecoveryLeavesNoVersions(t *testing.T) {
+	n := newDurableNodeWithOrders(t)
+	mustHandle(t, n, Seq{ID: 2, TID: 5, Req: Insert{Frag: "orders", Tuples: []types.Tuple{order(1, 5)}, Epoch: 2}})
+	mustHandle(t, n, Prepare{TID: 5})
+	mustHandle(t, n, Decide{TID: 5, Commit: true})
+
+	mustHandle(t, n, Seq{ID: 3, TID: 6, Req: Insert{Frag: "orders", Tuples: []types.Tuple{order(2, 6)}, Epoch: 3}})
+	fwd := Insert{Frag: "orders", Tuples: []types.Tuple{order(3, 7)}, Epoch: 3}
+	resp := mustHandle(t, n, Seq{ID: 4, TID: 6, Req: fwd})
+	mustHandle(t, n, Seq{ID: 5, TID: 6, Req: InverseOf(fwd, resp)})
+
+	check := func(when string, want int) {
+		t.Helper()
+		for name, f := range n.frags {
+			if l := f.VersionLen(); l != 0 {
+				t.Errorf("%s: fragment %q keeps %d version records", when, name, l)
+			}
+			for e := uint64(1); e <= 3; e++ {
+				if got := f.SnapshotAll(e); len(got) != len(f.All()) {
+					t.Errorf("%s: fragment %q at epoch %d shows %d rows, live state has %d", when, name, e, len(got), len(f.All()))
+				}
+			}
+		}
+		if got := ordersContent(t, n); len(got) != want {
+			t.Errorf("%s: %d orders, want %d: %v", when, len(got), want, got)
+		}
+	}
+	mustHandle(t, n, CrashReq{})
+	res := mustHandle(t, n, RestartReq{}).(RestartResult)
+	if !reflect.DeepEqual(res.InDoubt, []uint64{6}) {
+		t.Fatalf("InDoubt = %v, want [6]", res.InDoubt)
+	}
+	check("after restart", 2)
+	mustHandle(t, n, ResolveAbort{TID: 6})
+	check("after resolve", 1)
 }

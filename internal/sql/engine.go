@@ -452,10 +452,12 @@ func cmpOp(op string) (expr.CmpOp, error) {
 	}
 }
 
-// execSelect evaluates a SELECT at the coordinator: gather each relation,
-// chain hash joins over the equijoin conditions, filter the residual
-// predicates, project. It reads base tables, auxiliary relations and
-// materialized views (convenience path — not part of the metered study).
+// execSelect evaluates a SELECT at the coordinator: gather every FROM
+// relation in one read scope (so a join of a table with its view sees both
+// at the same statement prefix), chain hash joins over the equijoin
+// conditions, filter the residual predicates, project. It reads base
+// tables, auxiliary relations and materialized views (convenience path —
+// not part of the metered study).
 func execSelect(c *cluster.Cluster, s Select) (*Result, error) {
 	if len(s.Tables) == 0 {
 		return nil, fmt.Errorf("sql: select needs a FROM clause")
@@ -465,17 +467,22 @@ func execSelect(c *cluster.Cluster, s Select) (*Result, error) {
 		schema  *types.Schema
 		rows    []types.Tuple
 	}
-	rels := make([]rel, 0, len(s.Tables))
-	for _, ref := range s.Tables {
+	rels := make([]rel, len(s.Tables))
+	from := make([]string, len(s.Tables))
+	for i, ref := range s.Tables {
 		schema, err := relationSchema(c, ref.Name)
 		if err != nil {
 			return nil, err
 		}
-		rows, err := c.TableRows(ref.Name)
-		if err != nil {
-			return nil, err
-		}
-		rels = append(rels, rel{binding: ref.Binding(), schema: schema.Prefixed(ref.Binding()), rows: rows})
+		rels[i] = rel{binding: ref.Binding(), schema: schema.Prefixed(ref.Binding())}
+		from[i] = ref.Name
+	}
+	rows, err := c.RelationRows(from...)
+	if err != nil {
+		return nil, err
+	}
+	for i := range rels {
+		rels[i].rows = rows[i]
 	}
 
 	cur := rels[0].rows

@@ -10,9 +10,9 @@ import (
 // versioned statement carries a commit epoch; the fragment keeps a short
 // version log of (epoch, mutation) records so a reader can reconstruct the
 // state as of any epoch that is still pinned. Epoch 0 means "not versioned":
-// legacy paths (serial mode, recovery, DDL backfill, migration, failover
-// promotion) never record, which keeps their behaviour and allocation
-// profile byte-identical to the pre-MVCC engine.
+// the paths no snapshot reads across (MVCC off, recovery, DDL backfill,
+// migration, failover promotion) never record, which keeps their behaviour
+// and allocation profile byte-identical to the pre-MVCC engine.
 //
 // Stamps arriving at one fragment are nondecreasing: every mutation of a
 // fragment runs under the owning statement's exclusive lockmgr claim, and

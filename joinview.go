@@ -161,11 +161,11 @@ type Options struct {
 	// UseTCP runs each node behind a real loopback TCP listener with
 	// gob-encoded messages (mutually exclusive with UseChannels).
 	UseTCP bool
-	// LockedReads disables MVCC snapshot reads, forcing queries and view
-	// reads back onto shared lock claims even on a concurrent transport.
-	// Snapshot reads are on by default whenever statements run
-	// concurrently (UseChannels or UseTCP, without durability or fault
-	// injection).
+	// LockedReads disables MVCC snapshot reads: every read holds shared
+	// lock claims on what it reads, queueing behind concurrent writers.
+	// Snapshot reads are on by default wherever statements overlap — iff
+	// the delivery stack is concurrent: UseChannels or UseTCP with no fault
+	// injector installed (DESIGN.md "Parallel execution").
 	LockedReads bool
 	// ForceIndexJoin / ForceSortMerge pin the maintenance join algorithm;
 	// by default each node applies the paper's §3.2 cost crossover.
@@ -205,7 +205,8 @@ type Options struct {
 	// the coordinator keeps only the id counter and the decision log. A
 	// crashed node (CrashNode) loses its volatile state and recovers from
 	// its checkpoint plus log tail (RestartNode / Recover) instead of a
-	// full derived-fragment rebuild.
+	// full derived-fragment rebuild. Durable statements overlap, and serve
+	// snapshot reads, exactly as non-durable ones on the same link.
 	Durability bool
 	// CheckpointEvery takes an automatic per-node checkpoint after that
 	// many redo records (0: only explicit Checkpoint calls).
