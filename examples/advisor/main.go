@@ -76,9 +76,9 @@ func main() {
 		advice := m.Advise(size, true, true)
 		fmt.Printf("%10d  %-12s  %12.0f %12.0f %12.0f\n",
 			size, advice,
-			m.RespNaive(size, true, cost.AlgoBest),
-			m.RespAuxRel(size, cost.AlgoBest),
-			m.RespGlobalIndex(size, true, cost.AlgoBest))
+			m.Resp(cost.MethodNaiveClustered, size, cost.AlgoBest),
+			m.Resp(cost.MethodAuxRel, size, cost.AlgoBest),
+			m.Resp(cost.MethodGIClustered, size, cost.AlgoBest))
 	}
 
 	// Prove the auto view actually maintains correctly.

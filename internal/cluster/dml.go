@@ -299,8 +299,7 @@ func (c *Cluster) chooseForView(v *catalog.View, table string, deltaSize int) (*
 	if err != nil {
 		return nil, err
 	}
-	return vs.Choose(c.NumNodes(), deltaSize,
-		len(c.cat.AuxRelsFor(table)), len(c.cat.GlobalIndexesFor(table))), nil
+	return vs.Choose(c.NumNodes(), deltaSize), nil
 }
 
 // ResolveStrategy returns the maintenance method for one update of

@@ -5,6 +5,8 @@ import (
 
 	"joinview/internal/catalog"
 	"joinview/internal/expr"
+	"joinview/internal/maintain"
+	"joinview/internal/mplan"
 	"joinview/internal/types"
 )
 
@@ -56,6 +58,58 @@ func TestHybridStrategyOverrides(t *testing.T) {
 	for _, vn := range []string{"jv1"} {
 		if err := c.CheckViewConsistency(vn); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// An orders insert into customer ⋈ orders probes customer on custkey, its
+// partitioning attribute: every option of an auto view compiles to the
+// same routed step (paper case 1). The chooser prices steps by Via and
+// treats the upkeep of orders' own structures as sunk (the pipeline runs
+// them whatever the view picks), so the options tie and the first one,
+// auxrel, stays — at any L, and in agreement with the DAG EXPLAIN renders.
+func TestResolveStrategyTiesOnIdenticalRoutedPlans(t *testing.T) {
+	for _, l := range []int{1, 2, 4} {
+		c, err := New(Config{Nodes: l})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		orders := ordersTable()
+		orders.Indexes = []catalog.Index{{Name: "ix_oc", Col: "custkey"}}
+		for _, tab := range []*catalog.Table{customerTable(), orders} {
+			if err := c.CreateTable(tab); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var custs, ords []types.Tuple
+		for k := int64(0); k < 8; k++ {
+			custs = append(custs, cust(k, float64(k)))
+			ords = append(ords, ord(2*k, k, 1), ord(2*k+1, (k+3)%10, 2))
+		}
+		if err := c.Insert("customer", custs); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Insert("orders", ords); err != nil {
+			t.Fatal(err)
+		}
+		v := jv1Def("jv", catalog.StrategyAuto)
+		if err := c.CreateView(v); err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.ResolveStrategy(v, "orders", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != catalog.StrategyAuxRel {
+			t.Errorf("L=%d: orders insert resolved to %v, want auxrel", l, got)
+		}
+		mp, err := mplan.Compile(c.cat, c.st, "orders", maintain.OpInsert)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, chosen := mp.DAG(l, 1); len(chosen) != 1 || chosen[0] != got {
+			t.Errorf("L=%d: DAG chose %v, ResolveStrategy %v", l, chosen, got)
 		}
 	}
 }

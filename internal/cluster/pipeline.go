@@ -147,7 +147,7 @@ func (c *Cluster) execSharedJoins(sc *stmtScope, mp *mplan.Plan, tuples []types.
 			continue
 		}
 		vs := s.View
-		opt := vs.Choose(l, len(tuples), mp.ARCount, mp.GICount)
+		opt := vs.Choose(l, len(tuples))
 		sx.choice[vs] = opt
 		p := opt.Plan
 		cur, curSchema := tuples, p.DeltaSchema
@@ -345,7 +345,7 @@ func (c *Cluster) stageView(sc *stmtScope, vs *mplan.ViewStage, mp *mplan.Plan, 
 		}
 		delta, err = maintain.FinishDelta(p, cur, curSchema)
 	} else {
-		opt := vs.Choose(c.NumNodes(), len(tuples), mp.ARCount, mp.GICount)
+		opt := vs.Choose(c.NumNodes(), len(tuples))
 		delta, _, err = maintain.ComputeViewDelta(sc.env, opt.Plan, tuples, c.cfg.Algo)
 	}
 	if err != nil {

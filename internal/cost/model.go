@@ -1,16 +1,21 @@
 // Package cost implements the paper's analytical model (§3.1–§3.2): total
 // workload and response time of the naive, auxiliary-relation and
-// global-index maintenance methods, under both the index-nested-loops and
-// sort-merge join algorithms. The figure generators in series.go reproduce
-// Figures 7–13 from these formulas, and Advise implements the cost-based
-// method chooser the paper's conclusion proposes.
+// global-index maintenance methods. One pricer (step.go) prices every
+// delta-join step by how it ships its tuples; the two-relation model of
+// Figures 7–12 is its one-step specialization, with sort-merge as the only
+// closed-form alternative. The figure generators in series.go reproduce
+// Figures 7–12, and Advise implements the cost-based method chooser the
+// paper's conclusion proposes.
 //
 // Unit costs follow §3.1: SEARCH = 1 I/O, FETCH = 1 I/O, INSERT = 2 I/Os;
 // SEND is excluded from I/O totals ("the time spent on SEND is much
 // smaller than the time spent on SEARCH, FETCH, and INSERT").
 package cost
 
-import "joinview/internal/catalog"
+import (
+	"joinview/internal/catalog"
+	"joinview/internal/plan"
+)
 
 // I/O unit costs (§3.1).
 const (
@@ -21,15 +26,13 @@ const (
 
 // Model carries the parameters of the two-relation analysis: a join view
 // JV = A ⋈ B partitioned on an attribute of A, with tuples inserted into A.
+// The matching B tuples reside at K = min(N, L) nodes (§3.2).
 type Model struct {
 	// L is the number of data server nodes.
 	L int
 	// N is the number of join tuples generated per inserted tuple (the
 	// fan-out of the join into B).
 	N int
-	// K is the number of nodes the matching B tuples reside at; zero
-	// means the paper's default min(N, L).
-	K int
 	// BPages is the size of base relation B in pages (total; each node
 	// holds BPages/L under the uniform-distribution assumption 2).
 	BPages int
@@ -37,44 +40,36 @@ type Model struct {
 	MemPages int
 }
 
-// k resolves K, defaulting to min(N, L) (§3.2 "K=min(N,L)").
-func (m Model) k() int {
-	if m.K > 0 {
-		return m.K
-	}
-	return min(m.N, m.L)
-}
-
 // BiPages is the per-node share of B in pages (assumption 2).
 func (m Model) BiPages() int { return ceilDiv(m.BPages, m.L) }
 
-// Total workload (§3.1.1): I/Os summed over all nodes per inserted tuple.
-
-// TWNaive is the naive method's total workload per inserted tuple:
-// L searches plus, for a non-clustered index J_B, N fetches.
-func (m Model) TWNaive(clusteredIdx bool) int {
-	tw := m.L * IOSearch
-	if !clusteredIdx {
-		tw += m.N * IOFetch
+// variant is the method variant as the pricer sees it: one delta-join step
+// into B, plus the count of A's own auxiliary structures it maintains (A's
+// AR or GI on the join attribute; none for naive).
+func (m Model) variant(mv Method) (Step, int) {
+	n := float64(m.N)
+	switch mv {
+	case MethodAuxRel:
+		return Step{Via: plan.ViaRoute, Fanout: n, Clustered: true}, 1
+	case MethodNaiveNonClustered:
+		return Step{Via: plan.ViaBroadcast, Fanout: n}, 0
+	case MethodNaiveClustered:
+		return Step{Via: plan.ViaBroadcast, Fanout: n, Clustered: true}, 0
+	case MethodGINonClustered:
+		return Step{Via: plan.ViaGlobalIndex, Fanout: n}, 1
+	default:
+		return Step{Via: plan.ViaGlobalIndex, Fanout: n, Clustered: true}, 1
 	}
-	return tw
 }
 
-// TWAuxRel is the auxiliary-relation method's total workload per inserted
-// tuple: one INSERT into AR_A plus one SEARCH of AR_B — the constant 3.
-func (m Model) TWAuxRel() int { return IOInsert + IOSearch }
-
-// TWGlobalIndex is the global-index method's total workload per inserted
-// tuple: INSERT into GI_A + SEARCH of GI_B + N fetches (distributed
-// non-clustered) or K page fetches (distributed clustered).
-func (m Model) TWGlobalIndex(distClustered bool) int {
-	tw := IOInsert + IOSearch
-	if distClustered {
-		tw += m.k() * IOFetch
-	} else {
-		tw += m.N * IOFetch
-	}
-	return tw
+// TW returns the model's total workload per inserted tuple for the variant
+// (§3.1.1): AR = 3, naive = L + N (non-clustered) or L, GI = 3 + N
+// (non-clustered) or 3 + K (distributed clustered).
+func (m Model) TW(mv Method) float64 {
+	s, n := m.variant(mv)
+	tw, _ := s.Price(m.L, 1)
+	up, _ := Upkeep(m.L, 1, n)
+	return tw + up
 }
 
 // Algo selects the join algorithm for the response-time model.
@@ -91,63 +86,21 @@ const (
 	AlgoBest
 )
 
-// Response time (§3.2): maximum per-node I/Os for one transaction that
-// inserts A tuples, assuming uniform distribution. The ceil terms produce
-// the step-wise behaviour Figure 12 highlights.
-
-// RespNaive is the naive method's response time for A inserted tuples.
-func (m Model) RespNaive(a int, clusteredIdx bool, algo Algo) float64 {
-	// Index nested loops: every node sees all A tuples (A searches);
-	// fetches for non-clustered J_B spread over the nodes.
-	inl := float64(a) * IOSearch
-	if !clusteredIdx {
-		inl += float64(ceilDiv(a*m.N, m.L)) * IOFetch
-	}
-	// Sort merge: scan B_i (clustered) or sort it (non-clustered).
+// Resp returns the model's response time (§3.2: maximum per-node I/Os) for
+// one transaction inserting a tuples, under the given algorithm. Index
+// nested loops is the pricer's one-step chain; sort-merge scans B_i when
+// the probed side is clustered on the join attribute and sorts it
+// otherwise. Both add the upkeep of A's own structures.
+func (m Model) Resp(mv Method, a int, algo Algo) float64 {
+	s, n := m.variant(mv)
+	_, inl := s.Price(m.L, float64(a))
+	_, up := Upkeep(m.L, a, n)
 	bi := m.BiPages()
-	var sm float64
-	if clusteredIdx {
-		sm = float64(bi)
-	} else {
+	sm := float64(bi)
+	if !s.Clustered {
 		sm = float64(bi * ceilLog(m.MemPages, bi))
 	}
-	return pick(algo, inl, sm)
-}
-
-// RespAuxRel is the auxiliary-relation method's response time for A
-// inserted tuples: each node sees ceil(A/L) tuples; each costs one SEARCH
-// of AR_B plus one INSERT into AR_A (the paper's per-node 3·ceil(A/L)).
-// Under sort-merge the AR_B side is a clustered scan of B_i plus the AR_A
-// updates.
-func (m Model) RespAuxRel(a int, algo Algo) float64 {
-	ai := float64(ceilDiv(a, m.L))
-	inl := ai * (IOSearch + IOInsert)
-	sm := float64(m.BiPages()) + ai*IOInsert
-	return pick(algo, inl, sm)
-}
-
-// RespGlobalIndex is the global-index method's response time for A
-// inserted tuples: ceil(A/L) home-node operations (GI_A INSERT + GI_B
-// SEARCH) plus the fetch work at the K owning nodes — ceil(A·K/L) page
-// fetches when distributed clustered (the paper's (3+K)·A/L), or
-// ceil(A·N/L) tuple fetches otherwise ((3+N)·A/L).
-func (m Model) RespGlobalIndex(a int, distClustered bool, algo Algo) float64 {
-	ai := float64(ceilDiv(a, m.L))
-	inl := ai * (IOSearch + IOInsert)
-	if distClustered {
-		inl += float64(ceilDiv(a*m.k(), m.L)) * IOFetch
-	} else {
-		inl += float64(ceilDiv(a*m.N, m.L)) * IOFetch
-	}
-	bi := m.BiPages()
-	var smJoin float64
-	if distClustered {
-		smJoin = float64(bi)
-	} else {
-		smJoin = float64(bi * ceilLog(m.MemPages, bi))
-	}
-	sm := smJoin + ai*IOInsert
-	return pick(algo, inl, sm)
+	return pick(algo, inl+up, sm+up)
 }
 
 // Advise picks the cheapest maintenance method for a transaction of A
@@ -158,9 +111,16 @@ func (m Model) RespGlobalIndex(a int, distClustered bool, algo Algo) float64 {
 // sketches ("our analytical model could form the basis for a cost model
 // that would enable a system to choose the best approach automatically").
 func (m Model) Advise(a int, naiveClustered, giDistClustered bool) catalog.Strategy {
-	naive := m.RespNaive(a, naiveClustered, AlgoBest)
-	aux := m.RespAuxRel(a, AlgoBest)
-	gi := m.RespGlobalIndex(a, giDistClustered, AlgoBest)
+	naiveMV, giMV := MethodNaiveNonClustered, MethodGINonClustered
+	if naiveClustered {
+		naiveMV = MethodNaiveClustered
+	}
+	if giDistClustered {
+		giMV = MethodGIClustered
+	}
+	naive := m.Resp(naiveMV, a, AlgoBest)
+	aux := m.Resp(MethodAuxRel, a, AlgoBest)
+	gi := m.Resp(giMV, a, AlgoBest)
 	// Deterministic preference on ties: AR (cheapest storage-independent
 	// work) > GI > naive matches the paper's small-update ordering.
 	best, strat := aux, catalog.StrategyAuxRel

@@ -57,39 +57,6 @@ func (mv Method) Label() string {
 	}
 }
 
-// TW returns the model's total workload per inserted tuple for the variant.
-func (m Model) TW(mv Method) float64 {
-	switch mv {
-	case MethodAuxRel:
-		return float64(m.TWAuxRel())
-	case MethodNaiveNonClustered:
-		return float64(m.TWNaive(false))
-	case MethodNaiveClustered:
-		return float64(m.TWNaive(true))
-	case MethodGINonClustered:
-		return float64(m.TWGlobalIndex(false))
-	default:
-		return float64(m.TWGlobalIndex(true))
-	}
-}
-
-// Resp returns the model's response time for A inserted tuples for the
-// variant under the given algorithm.
-func (m Model) Resp(mv Method, a int, algo Algo) float64 {
-	switch mv {
-	case MethodAuxRel:
-		return m.RespAuxRel(a, algo)
-	case MethodNaiveNonClustered:
-		return m.RespNaive(a, false, algo)
-	case MethodNaiveClustered:
-		return m.RespNaive(a, true, algo)
-	case MethodGINonClustered:
-		return m.RespGlobalIndex(a, false, algo)
-	default:
-		return m.RespGlobalIndex(a, true, algo)
-	}
-}
-
 // perMethod evaluates f for the five method variants at every x.
 func perMethod(title, xname string, xs []int, f func(x int, mv Method) float64) Series {
 	s := Series{Title: title, XName: xname, X: xs}

@@ -10,8 +10,11 @@ import (
 	"joinview/internal/cluster"
 	"joinview/internal/cost"
 	"joinview/internal/expr"
+	"joinview/internal/maintain"
+	"joinview/internal/mplan"
 	"joinview/internal/node"
 	"joinview/internal/types"
+	"joinview/internal/workload"
 )
 
 func TestGridRender(t *testing.T) {
@@ -62,35 +65,57 @@ func TestTable1Ratios(t *testing.T) {
 
 // The headline reproduction check: measured single-tuple maintenance TW
 // matches the analytical model exactly for every method variant (the
-// simulator charges the same unit costs the model assumes).
+// simulator charges the same unit costs the model assumes) — and so does
+// the variant's compiled maintenance plan, priced by the pricer the
+// per-statement chooser uses plus the upkeep of A's own structures.
 func TestMeasuredTWMatchesModel(t *testing.T) {
 	for _, l := range []int{2, 8} {
 		m := cost.Model{L: l, N: PaperN, BPages: PaperBPages, MemPages: PaperMemPages}
 		want := map[string]int64{
-			"auxiliary relation":                int64(m.TWAuxRel()),
-			"naive (non-clustered index)":       int64(m.TWNaive(false)),
-			"naive (clustered index)":           int64(m.TWNaive(true)),
-			"global index (dist non-clustered)": int64(m.TWGlobalIndex(false)),
+			"auxiliary relation":                int64(m.TW(cost.MethodAuxRel)),
+			"naive (non-clustered index)":       int64(m.TW(cost.MethodNaiveNonClustered)),
+			"naive (clustered index)":           int64(m.TW(cost.MethodNaiveClustered)),
+			"global index (dist non-clustered)": int64(m.TW(cost.MethodGINonClustered)),
 		}
 		for _, v := range Variants() {
 			got, err := MeasuredTW(l, PaperN, v)
 			if err != nil {
 				t.Fatalf("L=%d %s: %v", l, v.Label, err)
 			}
+			priced := compiledTW(t, l, v)
 			if v.Label == "global index (dist clustered)" {
 				// K is the realized owner count, <= min(N, L); the model
 				// uses its expectation.
 				lo, hi := int64(3+1), int64(3+min(PaperN, l))
-				if got < lo || got > hi {
-					t.Errorf("L=%d GI-clustered TW = %d, want in [%d, %d]", l, got, lo, hi)
+				if got < lo || got > hi || priced != float64(hi) {
+					t.Errorf("L=%d GI-clustered TW = %d, compiled plan %g, want in [%d, %d]", l, got, priced, lo, hi)
 				}
 				continue
 			}
-			if got != want[v.Label] {
-				t.Errorf("L=%d %s: measured TW = %d, model = %d", l, v.Label, got, want[v.Label])
+			if got != want[v.Label] || priced != float64(got) {
+				t.Errorf("L=%d %s: measured TW = %d, model = %d, compiled plan = %g", l, v.Label, got, want[v.Label], priced)
 			}
 		}
 	}
+}
+
+// compiledTW loads the variant's cluster and prices the compiled insert
+// plan of A as the chooser sees it: the view's chosen chain plus A's
+// auxiliary-structure upkeep.
+func compiledTW(t *testing.T, l int, v Variant) float64 {
+	t.Helper()
+	c, _, err := loadTwoRel(cluster.Config{Nodes: l, Algo: node.AlgoIndex}, workload.TwoRel{Fanout: PaperN}, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	mp, err := mplan.Compile(c.Catalog(), c.Stats(), "a", maintain.OpInsert)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := mp.Stages[len(mp.Stages)-1].View // the one view, jv
+	up, _ := cost.Upkeep(l, 1, mp.ARCount+mp.GICount)
+	return vs.Choose(l, 1).TW(l, 1) + up
 }
 
 func TestFig7MeasuredShape(t *testing.T) {

@@ -14,7 +14,7 @@ import (
 // The materialization advisor: given the current schema, view set and
 // statistics, which auxiliary relations and global indexes are worth
 // materializing? Each candidate is priced on a shadow catalog under the
-// shared-DAG cost model (cost.TotalShared via Plan.SharedTW): its benefit
+// shared-DAG cost model (cost.Shared via Plan.SharedTW): its benefit
 // is the drop in modeled maintenance workload across a uniform update
 // round — one single-tuple insert into every base table — and its cost is
 // the structure's own upkeep, which SharedTW already charges on updates of

@@ -51,7 +51,7 @@ func (p *Plan) DAG(l, a int) ([]DAGNode, []catalog.Strategy) {
 		if s.Kind != StageView {
 			continue
 		}
-		opt := s.View.Choose(l, a, p.ARCount, p.GICount)
+		opt := s.View.Choose(l, a)
 		chosen = append(chosen, opt.Strategy)
 		for depth, step := range opt.Plan.Steps {
 			if ni, ok := index[step.ChainKey]; ok {
@@ -70,50 +70,19 @@ func (p *Plan) DAG(l, a int) ([]DAGNode, []catalog.Strategy) {
 	return nodes, chosen
 }
 
-// twChainOf projects one delta-join plan onto the shared cost model: one
-// priced step per plan step, keyed by its structural chain identity.
-func twChainOf(pl *plan.Plan) []cost.TWStep {
-	steps := make([]cost.TWStep, len(pl.Steps))
-	for i, s := range pl.Steps {
-		mode := cost.TWBroadcast
-		switch s.Via {
-		case plan.ViaRoute:
-			mode = cost.TWRoute
-		case plan.ViaGlobalIndex:
-			mode = cost.TWGlobalIndex
-		}
-		steps[i] = cost.TWStep{
-			Key:       s.ChainKey,
-			Mode:      mode,
-			Fanout:    s.Fanout,
-			Clustered: s.FragClusteredOnCol,
-		}
-	}
-	return steps
-}
-
 // SharedTW returns the modeled total workload of the plan's delta-join
 // chains for a delta of a tuples — shared DAG pricing (each distinct node
 // once) and independent per-view pricing — using the strategies the
 // executor would choose. Upkeep of the updated table's own auxiliary
 // structures is included in both (it is charged once either way).
 func (p *Plan) SharedTW(l, a int) (shared, independent float64) {
-	var chains [][]cost.TWStep
+	var chains [][]cost.Step
 	for i := range p.Stages {
-		s := &p.Stages[i]
-		if s.Kind != StageView {
-			continue
+		if s := &p.Stages[i]; s.Kind == StageView {
+			chains = append(chains, s.View.Choose(l, a).Steps)
 		}
-		opt := s.View.Choose(l, a, p.ARCount, p.GICount)
-		chains = append(chains, twChainOf(opt.Plan))
 	}
-	upkeep := float64(p.ARCount + p.GICount)
-	shared = cost.TotalShared(l, a, chains, upkeep)
-	independent = upkeep * float64(a) * cost.IOInsert
-	for _, ch := range chains {
-		independent += cost.ChainTW(l, a, ch)
-	}
-	return shared, independent
+	return cost.Shared(l, a, p.ARCount+p.GICount, chains)
 }
 
 // ShortKey compresses a structural chain key into a stable 8-hex-digit tag

@@ -60,26 +60,6 @@ func CompileEpoch(cat *catalog.Catalog, st *stats.Stats, groups []GroupSpec,
 	return ep, nil
 }
 
-// TW returns the epoch's modeled total workload on an l-node cluster:
-// the sum over groups of each view stage's chosen-strategy TW for the
-// group's compacted delta size — the analytical counterpart of what the
-// executor will charge, used by EXPLAIN tooling and the experiments'
-// sanity checks.
-func (ep *EpochPlan) TW(l int) float64 {
-	var tw float64
-	for _, s := range ep.Steps {
-		for i := range s.Plan.Stages {
-			st := &s.Plan.Stages[i]
-			if st.Kind != StageView {
-				continue
-			}
-			opt := st.View.Choose(l, s.Group.DeltaSize, s.Plan.ARCount, s.Plan.GICount)
-			tw += opt.TW(l, s.Group.DeltaSize, s.Plan.ARCount, s.Plan.GICount)
-		}
-	}
-	return tw
-}
-
 // Describe renders the epoch plan for EXPLAIN-style tooling.
 func (ep *EpochPlan) Describe() string {
 	var sb strings.Builder

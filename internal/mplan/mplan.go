@@ -4,12 +4,12 @@
 // path plans once per (table, op) instead of once per statement.
 //
 // A compiled Plan is pure metadata: it pins the catalog objects and the
-// per-view maintenance options (one precompiled delta-join plan plus cost
-// chain per feasible strategy), and records which relational statistics it
-// read. The cluster's pipeline executor walks the stages; the strategy for
-// each view is chosen at execution time from the precompiled options using
-// the cost advisor with the actual delta size, so a cached plan adapts to
-// the workload without re-planning.
+// per-view maintenance options (one precompiled delta-join plan plus its
+// priced steps per feasible strategy), and records which relational
+// statistics it read. The cluster's pipeline executor walks the stages;
+// the strategy for each view is chosen at execution time from the
+// precompiled options using the cost advisor with the actual delta size,
+// so a cached plan adapts to the workload without re-planning.
 package mplan
 
 import (
@@ -62,28 +62,23 @@ type FanoutDep struct {
 }
 
 // StrategyOption is one feasible maintenance method for a view, with its
-// delta-join plan and cost-model chain precompiled.
+// delta-join plan and that plan's priced steps precompiled.
 type StrategyOption struct {
 	Strategy catalog.Strategy
 	Plan     *plan.Plan
-	Chain    []cost.ChainStep
+	// Steps is Plan projected onto the cost model, one cost.Step per plan
+	// step, keyed by its ChainKey.
+	Steps []cost.Step
 }
 
 // TW returns the option's modeled total workload (the paper's TW: I/Os
-// summed over nodes) for a delta of a tuples on an l-node cluster.
-// arUpdates/giUpdates are the counts of the updated table's own auxiliary
-// structures.
-func (o *StrategyOption) TW(l, a, arUpdates, giUpdates int) float64 {
-	switch o.Strategy {
-	case catalog.StrategyNaive:
-		return cost.TotalNaive(l, a, o.Chain)
-	case catalog.StrategyAuxRel:
-		return cost.TotalAuxRel(l, a, o.Chain, arUpdates)
-	case catalog.StrategyGlobalIndex:
-		return cost.TotalGlobalIndex(l, a, o.Chain, giUpdates)
-	default:
-		return 0
-	}
+// summed over nodes) for a delta of a tuples on an l-node cluster: its
+// delta-join chain, priced step by step by Via. The upkeep of the updated
+// table's own auxiliary structures is not included — Compile runs every one
+// of them whatever a view picks, so it is sunk and cannot tip the choice.
+func (o *StrategyOption) TW(l, a int) float64 {
+	tw, _ := cost.Chain(l, a, o.Steps)
+	return tw
 }
 
 // ViewStage is the compiled propagation work for one view.
@@ -99,17 +94,17 @@ type ViewStage struct {
 	Options []StrategyOption
 }
 
-// Choose picks the option used for a delta of deltaSize tuples: the pinned
-// option, or the minimum modeled TW among the precompiled options.
-func (vs *ViewStage) Choose(l, deltaSize, arUpdates, giUpdates int) *StrategyOption {
+// Choose picks the option used for a delta of a tuples: the pinned option,
+// or the minimum modeled TW among the precompiled options.
+func (vs *ViewStage) Choose(l, a int) *StrategyOption {
 	best := &vs.Options[0]
 	if vs.Pinned {
 		return best
 	}
-	bestTW := best.TW(l, deltaSize, arUpdates, giUpdates)
+	bestTW := best.TW(l, a)
 	for i := 1; i < len(vs.Options); i++ {
 		o := &vs.Options[i]
-		if tw := o.TW(l, deltaSize, arUpdates, giUpdates); tw < bestTW {
+		if tw := o.TW(l, a); tw < bestTW {
 			best, bestTW = o, tw
 		}
 	}
@@ -134,8 +129,8 @@ type Plan struct {
 	// views (name order) — the sequence the paper's method descriptions
 	// and the seed executor use.
 	Stages []Stage
-	// ARCount/GICount are the updated table's auxiliary-structure counts,
-	// inputs to the advisor's TW model.
+	// ARCount/GICount are the updated table's auxiliary-structure counts:
+	// the upkeep SharedTW charges.
 	ARCount, GICount int
 	// Views is the full dependent-view set the plan was compiled for, in
 	// name (= stage) order. Together with (Table, Op) it is the logical
@@ -238,7 +233,7 @@ func CompileView(cat *catalog.Catalog, st *stats.Stats, v *catalog.View, table s
 			return nil, err
 		}
 		vs.Pinned = true
-		vs.Options = []StrategyOption{{Strategy: s, Plan: p, Chain: chainOf(p)}}
+		vs.Options = []StrategyOption{{Strategy: s, Plan: p, Steps: stepsOf(p)}}
 		return vs, nil
 	}
 	for _, s := range []catalog.Strategy{catalog.StrategyAuxRel, catalog.StrategyGlobalIndex, catalog.StrategyNaive} {
@@ -246,7 +241,7 @@ func CompileView(cat *catalog.Catalog, st *stats.Stats, v *catalog.View, table s
 		if err != nil {
 			continue // structures missing: strategy unavailable
 		}
-		vs.Options = append(vs.Options, StrategyOption{Strategy: s, Plan: p, Chain: chainOf(p)})
+		vs.Options = append(vs.Options, StrategyOption{Strategy: s, Plan: p, Steps: stepsOf(p)})
 	}
 	if len(vs.Options) == 0 {
 		return nil, fmt.Errorf("mplan: view %q has no feasible maintenance strategy for table %q", v.Name, table)
@@ -254,11 +249,12 @@ func CompileView(cat *catalog.Catalog, st *stats.Stats, v *catalog.View, table s
 	return vs, nil
 }
 
-// chainOf projects a delta-join plan onto the analytical cost model.
-func chainOf(p *plan.Plan) []cost.ChainStep {
-	steps := make([]cost.ChainStep, len(p.Steps))
+// stepsOf projects a delta-join plan onto the cost model — the one
+// projection, made once per option at compile time.
+func stepsOf(p *plan.Plan) []cost.Step {
+	steps := make([]cost.Step, len(p.Steps))
 	for i, s := range p.Steps {
-		steps[i] = cost.ChainStep{Fanout: s.Fanout, Clustered: s.FragClusteredOnCol}
+		steps[i] = cost.Step{Via: s.Via, Fanout: s.Fanout, Clustered: s.FragClusteredOnCol, Key: s.ChainKey}
 	}
 	return steps
 }

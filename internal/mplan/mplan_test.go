@@ -7,6 +7,7 @@ import (
 	"joinview/internal/catalog"
 	"joinview/internal/cost"
 	"joinview/internal/maintain"
+	"joinview/internal/plan"
 	"joinview/internal/stats"
 	"joinview/internal/types"
 )
@@ -136,7 +137,7 @@ func TestCompileViewPinnedAndAuto(t *testing.T) {
 	// Pinned bypasses the advisor: Choose returns the single option for any
 	// delta size.
 	for _, a := range []int{1, 1000} {
-		if got := vs.Choose(8, a, 1, 1); got.Strategy != catalog.StrategyNaive {
+		if got := vs.Choose(8, a); got.Strategy != catalog.StrategyNaive {
 			t.Errorf("pinned Choose(a=%d) = %v", a, got.Strategy)
 		}
 	}
@@ -194,15 +195,29 @@ func TestCompileViewSkipsInfeasibleStrategies(t *testing.T) {
 }
 
 func TestChooseStrictLessKeepsEarlierOption(t *testing.T) {
-	// Two options with identical strategy and chain model the same TW; the
-	// advisor's tie rule keeps the earlier one.
-	chain := []cost.ChainStep{{Fanout: 4, Clustered: true}}
-	vs := &ViewStage{Options: []StrategyOption{
-		{Strategy: catalog.StrategyNaive, Chain: chain},
-		{Strategy: catalog.StrategyNaive, Chain: chain},
-	}}
-	if got := vs.Choose(8, 16, 0, 0); got != &vs.Options[0] {
-		t.Error("tie did not keep the earlier option")
+	// An update of s probes r on k, and r is partitioned on k: every
+	// strategy compiles to the same routed step (paper case 1), so the
+	// options price identically and the tie keeps the earlier one — auxrel.
+	cat, st := testCatalog(t, rsView("jv", catalog.StrategyAuto))
+	v, _ := cat.View("jv")
+	vs, err := CompileView(cat, st, v, "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vs.Options) != 3 {
+		t.Fatalf("options = %v, want all three strategies", optionNames(vs.Options))
+	}
+	for _, o := range vs.Options {
+		if len(o.Steps) != 1 || o.Steps[0] != vs.Options[0].Steps[0] || o.Steps[0].Via != plan.ViaRoute {
+			t.Fatalf("%s compiled to %+v, want the one routed step %+v", o.Strategy, o.Steps, vs.Options[0].Steps)
+		}
+	}
+	for _, l := range []int{1, 2, 8} {
+		for _, a := range []int{1, 16, 1000} {
+			if got := vs.Choose(l, a); got != &vs.Options[0] {
+				t.Errorf("L=%d a=%d: tie picked %s, want the earlier auxrel", l, a, got.Strategy)
+			}
+		}
 	}
 }
 
@@ -213,17 +228,28 @@ func TestChooseMatchesBruteForceMinimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range []int{1, 8, 64, 512, 4096} {
-		got := vs.Choose(8, a, 1, 1)
-		best, bestTW := &vs.Options[0], vs.Options[0].TW(8, a, 1, 1)
-		for i := 1; i < len(vs.Options); i++ {
-			if tw := vs.Options[i].TW(8, a, 1, 1); tw < bestTW {
-				best, bestTW = &vs.Options[i], tw
-			}
+	// Price each option's compiled plan step by step, by Via.
+	price := func(o *StrategyOption, l, a int) float64 {
+		steps := make([]cost.Step, len(o.Plan.Steps))
+		for i, s := range o.Plan.Steps {
+			steps[i] = cost.Step{Via: s.Via, Fanout: s.Fanout, Clustered: s.FragClusteredOnCol}
 		}
-		if got != best {
-			t.Errorf("a=%d: Choose picked %v (TW %.1f), brute force %v (TW %.1f)",
-				a, got.Strategy, got.TW(8, a, 1, 1), best.Strategy, bestTW)
+		tw, _ := cost.Chain(l, a, steps)
+		return tw
+	}
+	for _, l := range []int{1, 2, 8} {
+		for _, a := range []int{1, 8, 64, 512, 4096} {
+			got := vs.Choose(l, a)
+			best, bestTW := &vs.Options[0], price(&vs.Options[0], l, a)
+			for i := 1; i < len(vs.Options); i++ {
+				if tw := price(&vs.Options[i], l, a); tw < bestTW {
+					best, bestTW = &vs.Options[i], tw
+				}
+			}
+			if got != best || got.TW(l, a) != bestTW {
+				t.Errorf("L=%d a=%d: Choose picked %v (TW %.1f), brute force %v (TW %.1f)",
+					l, a, got.Strategy, got.TW(l, a), best.Strategy, bestTW)
+			}
 		}
 	}
 }
