@@ -8,8 +8,8 @@
 //	\flush             drain the async maintenance queue (one epoch)
 //	\reset             zero the counters
 //	\check <view>      verify view v against a recomputed join
-//	\explain <view> <table> [n]   show the maintenance plan for an
-//	                   n-tuple update of the table (default 1)
+//	\explain <view> <table>   show the maintenance method and plan the
+//	                   view's compiled stage runs for updates of the table
 //	\pipeline <table> [op]   show the compiled maintenance pipeline for
 //	                   insert (default) or delete statements on the table,
 //	                   including the shared maintenance DAG when several
@@ -143,14 +143,10 @@ func handleMeta(db *joinview.DB, cmd string) bool {
 		}
 	case "\\explain":
 		if len(fields) < 3 {
-			fmt.Println("usage: \\explain <view> <table> [delta-size]")
+			fmt.Println("usage: \\explain <view> <table>")
 			break
 		}
-		n := 1
-		if len(fields) > 3 {
-			fmt.Sscanf(fields[3], "%d", &n)
-		}
-		out, err := db.Cluster().ExplainMaintenance(fields[1], fields[2], n)
+		out, err := db.Cluster().ExplainMaintenance(fields[1], fields[2])
 		if err != nil {
 			fmt.Println("error:", err)
 			break
@@ -265,7 +261,7 @@ func handleMeta(db *joinview.DB, cmd string) bool {
 		}
 		fmt.Printf("auxiliary-structure overhead: %d rows (%d values)\n", rep.Overhead(), rep.OverheadValues())
 	default:
-		fmt.Println("commands: \\metrics \\watermark \\flush \\reset \\check <view> \\explain <view> <table> [n] \\pipeline <table> [op] \\advise \\tables \\storage \\topology \\quit")
+		fmt.Println("commands: \\metrics \\watermark \\flush \\reset \\check <view> \\explain <view> <table> \\pipeline <table> [op] \\advise \\tables \\storage \\topology \\quit")
 	}
 	return false
 }

@@ -75,9 +75,10 @@ func ExampleDB_Begin() {
 	// Output: 1
 }
 
-// ExampleDB_ResolveStrategy shows the cost-based advisor choosing the
-// auxiliary-relation method for a small update on an auto-strategy view.
-func ExampleDB_ResolveStrategy() {
+// ExampleDB_ExplainPipeline shows the compiled maintenance pipeline of an
+// auto-strategy view: the cost model picks the auxiliary-relation method
+// once, when the plan compiles, for every update of a.
+func ExampleDB_ExplainPipeline() {
 	db, err := joinview.Open(joinview.Options{Nodes: 8})
 	if err != nil {
 		log.Fatal(err)
@@ -92,10 +93,15 @@ func ExampleDB_ResolveStrategy() {
 	`); err != nil {
 		log.Fatal(err)
 	}
-	strat, err := db.ResolveStrategy("v", "a", 1)
+	out, err := db.ExplainPipeline("a", "insert")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(strat)
-	// Output: auxrel
+	fmt.Print(out)
+	// Output:
+	// pipeline for insert into a (catalog v8, 4 stages)
+	//   stage 1: base        a
+	//   stage 2: auxrel      ar_a_c (on c)
+	//   stage 3: globalindex gi_a_c (on c)
+	//   stage 4: view        v (auto: auxrel)
 }

@@ -338,13 +338,9 @@ func TestAutoStrategyResolution(t *testing.T) {
 	if _, ok := c.Catalog().GlobalIndexOn("orders", "custkey"); !ok {
 		t.Error("auto view should have created the orders GI")
 	}
-	// Small update resolves to the AR method.
-	strat, err := c.ResolveStrategy(v, "customer", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strat != catalog.StrategyAuxRel {
-		t.Errorf("auto for small update = %v, want auxrel", strat)
+	// Customer updates compile to the AR method.
+	if strat := compiledStrategy(t, c, "jv1", "customer"); strat != catalog.StrategyAuxRel {
+		t.Errorf("auto for customer updates = %v, want auxrel", strat)
 	}
 	// And the full DML path stays consistent.
 	if err := c.Insert("customer", []types.Tuple{cust(1000, 5)}); err != nil {

@@ -440,3 +440,62 @@ func TestEverythingOn(t *testing.T) {
 		})
 	}
 }
+
+// TestCatalogReadsBesideDDL runs the library reads that consult the catalog
+// — ExplainMaintenance and ViewRows' existence check — beside a CREATE VIEW
+// / DROP VIEW loop on the channel link. The catalog has no lock of its own,
+// so each read must consult it under a cluster lock; under -race a read
+// that does not is reported against AddView/DropView.
+func TestCatalogReadsBesideDDL(t *testing.T) {
+	c, err := New(Config{Nodes: 2, UseChannels: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	for _, tab := range []*catalog.Table{customerTable(), ordersTable()} {
+		noErr(t, c.CreateTable(tab))
+	}
+	noErr(t, c.Insert("customer", []types.Tuple{cust(1, 1), cust(2, 2)}))
+	noErr(t, c.Insert("orders", []types.Tuple{ord(10, 1, 5), ord(11, 2, 6)}))
+	noErr(t, c.CreateView(jv1Def("jv", catalog.StrategyAuxRel)))
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := 0; i < 40; i++ {
+			if err := c.CreateView(jv1Def("churn", catalog.StrategyAuxRel)); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := c.DropView("churn"); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for _, read := range []func() error{
+		func() error { _, err := c.ExplainMaintenance("jv", "customer"); return err },
+		func() error { _, err := c.ViewRows("jv"); return err },
+		func() error { _, _ = c.ViewRows("churn"); return nil }, // exists or not, atomically
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if err := read(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

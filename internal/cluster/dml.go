@@ -291,47 +291,6 @@ func (c *Cluster) locateTuples(tab *catalog.Table, tuples []types.Tuple) ([]type
 	return victims, locs, nil
 }
 
-// chooseForView compiles the advisory stage for one view (uncached — the
-// write path goes through the plan cache instead) and picks the option for
-// a delta of deltaSize tuples.
-func (c *Cluster) chooseForView(v *catalog.View, table string, deltaSize int) (*mplan.StrategyOption, error) {
-	vs, err := mplan.CompileView(c.cat, c.st, v, table)
-	if err != nil {
-		return nil, err
-	}
-	return vs.Choose(c.NumNodes(), deltaSize), nil
-}
-
-// ResolveStrategy returns the maintenance method for one update of
-// deltaSize tuples: the view's fixed strategy, or — for StrategyAuto — the
-// cheapest by the multiway analytical model, considering only strategies
-// whose auxiliary structures exist (the hybrid chooser from the paper's
-// conclusion). The same chooser runs inside every compiled view stage.
-func (c *Cluster) ResolveStrategy(v *catalog.View, table string, deltaSize int) (catalog.Strategy, error) {
-	if s := v.StrategyFor(table); s != catalog.StrategyAuto {
-		return s, nil
-	}
-	opt, err := c.chooseForView(v, table, deltaSize)
-	if err != nil {
-		return 0, err
-	}
-	return opt.Strategy, nil
-}
-
-// ExplainMaintenance renders the maintenance plan a view would execute for
-// an update of the named table — EXPLAIN for the maintenance path.
-func (c *Cluster) ExplainMaintenance(viewName, table string, deltaSize int) (string, error) {
-	v, err := c.cat.View(viewName)
-	if err != nil {
-		return "", err
-	}
-	opt, err := c.chooseForView(v, table, deltaSize)
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("strategy: %s\n%s", opt.Strategy, opt.Plan.Describe()), nil
-}
-
 // ComputeViewDeltaOnly runs just the "compute the changes to the view"
 // step for a hypothetical delta, without touching the base relation, the
 // auxiliary structures or the view — the exact measurement of the paper's

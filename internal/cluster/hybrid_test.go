@@ -24,15 +24,13 @@ func TestHybridStrategyOverrides(t *testing.T) {
 		t.Fatal("override should have created the orders AR")
 	}
 
-	// Customer updates resolve to the AR method...
-	got, err := c.ResolveStrategy(v, "customer", 1)
-	if err != nil || got != catalog.StrategyAuxRel {
-		t.Errorf("customer strategy = %v, %v; want auxrel", got, err)
+	// Customer updates compile to the AR method...
+	if got := compiledStrategy(t, c, "jv1", "customer"); got != catalog.StrategyAuxRel {
+		t.Errorf("customer strategy = %v, want auxrel", got)
 	}
 	// ...orders updates fall back to the view default.
-	got, err = c.ResolveStrategy(v, "orders", 1)
-	if err != nil || got != catalog.StrategyNaive {
-		t.Errorf("orders strategy = %v, %v; want naive", got, err)
+	if got := compiledStrategy(t, c, "jv1", "orders"); got != catalog.StrategyNaive {
+		t.Errorf("orders strategy = %v, want naive", got)
 	}
 
 	// Work distribution reflects the split: a customer insert probes one
@@ -62,13 +60,32 @@ func TestHybridStrategyOverrides(t *testing.T) {
 	}
 }
 
+// compiledStrategy returns the method the view's stage runs in the
+// cluster's compiled insert plan for table.
+func compiledStrategy(t *testing.T, c *Cluster, view, table string) catalog.Strategy {
+	t.Helper()
+	h := c.lm.AcquireShared()
+	defer h.Release()
+	mp, err := c.planFor(table, maintain.OpInsert)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range mp.Stages {
+		if s.Kind == mplan.StageView && s.View.View.Name == view {
+			return s.View.Strategy
+		}
+	}
+	t.Fatalf("insert plan of %s has no stage for view %s", table, view)
+	return 0
+}
+
 // An orders insert into customer ⋈ orders probes customer on custkey, its
-// partitioning attribute: every option of an auto view compiles to the
-// same routed step (paper case 1). The chooser prices steps by Via and
+// partitioning attribute: every method of an auto view compiles to the
+// same routed step (paper case 1). The pricer prices steps by Via and
 // treats the upkeep of orders' own structures as sunk (the pipeline runs
-// them whatever the view picks), so the options tie and the first one,
-// auxrel, stays — at any L, and in agreement with the DAG EXPLAIN renders.
-func TestResolveStrategyTiesOnIdenticalRoutedPlans(t *testing.T) {
+// them whatever the view picks), so the methods tie and the first one,
+// auxrel, is compiled — at any L.
+func TestCompiledStrategyTiesOnIdenticalRoutedPlans(t *testing.T) {
 	for _, l := range []int{1, 2, 4} {
 		c, err := New(Config{Nodes: l})
 		if err != nil {
@@ -93,25 +110,87 @@ func TestResolveStrategyTiesOnIdenticalRoutedPlans(t *testing.T) {
 		if err := c.Insert("orders", ords); err != nil {
 			t.Fatal(err)
 		}
-		v := jv1Def("jv", catalog.StrategyAuto)
-		if err := c.CreateView(v); err != nil {
+		if err := c.CreateView(jv1Def("jv", catalog.StrategyAuto)); err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.ResolveStrategy(v, "orders", 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != catalog.StrategyAuxRel {
-			t.Errorf("L=%d: orders insert resolved to %v, want auxrel", l, got)
-		}
-		mp, err := mplan.Compile(c.cat, c.st, "orders", maintain.OpInsert)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, chosen := mp.DAG(l, 1); len(chosen) != 1 || chosen[0] != got {
-			t.Errorf("L=%d: DAG chose %v, ResolveStrategy %v", l, chosen, got)
+		if got := compiledStrategy(t, c, "jv", "orders"); got != catalog.StrategyAuxRel {
+			t.Errorf("L=%d: orders insert compiled to %v, want auxrel", l, got)
 		}
 	}
+}
+
+// With no AR, the model still decides one real case per compile. A
+// broadcast into b, clustered on the join column d, costs L searches per
+// delta tuple; the global index costs one search plus min(f, L) page
+// fetches (b's clustering makes the index distributed clustered). So naive
+// wins once the fan-out f exceeds L − 1, and the choice follows f across
+// RefreshStats: the cached plan's fan-out dependency moves, it recompiles,
+// and the view switches method between statements.
+func TestCompiledStrategyFollowsFanout(t *testing.T) {
+	const l = 4
+	c, err := New(Config{Nodes: l})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	col := func(n string) types.Column { return types.Column{Name: n, Kind: types.KindInt} }
+	for _, tab := range []*catalog.Table{
+		{Name: "a", Schema: types.NewSchema(col("id"), col("c")), PartitionCol: "id"},
+		{Name: "b", Schema: types.NewSchema(col("id"), col("d")), PartitionCol: "id", ClusterCol: "d"},
+	} {
+		if err := c.CreateTable(tab); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bRows := func(lo, hi, distinct int64) []types.Tuple {
+		var out []types.Tuple
+		for i := lo; i < hi; i++ {
+			out = append(out, types.Tuple{types.Int(i), types.Int(i % distinct)})
+		}
+		return out
+	}
+	if err := c.Insert("b", bRows(0, 40, 8)); err != nil { // f = 40/8 = 5 > L − 1
+		t.Fatal(err)
+	}
+	noErr(t, c.RefreshStats("b"))
+	// CREATE VIEW ... USING AUTO materializes ARs as well, and any AR makes
+	// the routed probe the cheapest. Create the view under the GI method so
+	// only global indexes exist, and declare it auto before any plan
+	// compiles.
+	v := &catalog.View{
+		Name:           "jv",
+		Tables:         []string{"a", "b"},
+		Joins:          []catalog.JoinPred{{Left: "a", LeftCol: "c", Right: "b", RightCol: "d"}},
+		Out:            []catalog.OutCol{{Table: "a", Col: "id"}, {Table: "b", Col: "id"}},
+		PartitionTable: "a", PartitionCol: "id",
+		Strategy: catalog.StrategyGlobalIndex,
+	}
+	noErr(t, c.CreateView(v))
+	v.Strategy = catalog.StrategyAuto
+	if len(c.cat.AuxRelsFor("b")) != 0 {
+		t.Fatal("test needs b without auxiliary relations")
+	}
+	insertA := func(id int64) {
+		t.Helper()
+		noErr(t, c.Insert("a", []types.Tuple{{types.Int(id), types.Int(id % 8)}}))
+		noErr(t, c.CheckViewConsistency("jv"))
+	}
+	if got := compiledStrategy(t, c, "jv", "a"); got != catalog.StrategyNaive {
+		t.Fatalf("f=5 on L=%d compiled to %v, want naive", l, got)
+	}
+	insertA(1)
+
+	// 40 more rows over 40 new join values: f = 80/48 < L − 1.
+	noErr(t, c.Insert("b", bRows(1000, 1040, 1000)))
+	noErr(t, c.RefreshStats("b"))
+	stale, _ := c.mcache.Peek("a", maintain.OpInsert)
+	if got := compiledStrategy(t, c, "jv", "a"); got != catalog.StrategyGlobalIndex {
+		t.Fatalf("f=5/3 on L=%d compiled to %v, want globalindex", l, got)
+	}
+	if fresh, _ := c.mcache.Peek("a", maintain.OpInsert); fresh == stale {
+		t.Error("RefreshStats moved the probed fan-out but the cached plan was not recompiled")
+	}
+	insertA(2)
 }
 
 func TestOverrideValidation(t *testing.T) {

@@ -207,12 +207,22 @@ func TestDecommissionNode(t *testing.T) {
 // again: the cluster ends consistent with all data back on nodes 0–3.
 func TestExpandThenDrainRoundTrip(t *testing.T) {
 	c, wantView := newElasticCluster(t, catalog.StrategyAuxRel)
+	// Compiled plans price their methods at the node count of the
+	// catalog's partition map: it must track the cluster's.
+	assertMapNodes := func(when string) {
+		t.Helper()
+		if pm, _ := c.cat.PartitionMap(); pm.Nodes != c.NumNodes() {
+			t.Fatalf("%s: catalog partition map has %d nodes, cluster %d", when, pm.Nodes, c.NumNodes())
+		}
+	}
 	if _, err := c.AddNode(); err != nil {
 		t.Fatal(err)
 	}
+	assertMapNodes("after AddNode")
 	if err := c.DecommissionNode(4); err != nil {
 		t.Fatal(err)
 	}
+	assertMapNodes("after DecommissionNode")
 	view, err := c.ViewRows("jv1")
 	if err != nil {
 		t.Fatal(err)

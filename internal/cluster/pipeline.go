@@ -44,12 +44,12 @@ func (c *Cluster) planFor(table string, op maintain.Op) (*mplan.Plan, error) {
 //
 // When the plan marks shared potential (two or more dependent views whose
 // delta-join chains start with a common structural prefix), a shared
-// pre-pass runs once before the first view stage: it resolves every view's
-// strategy for this statement's delta size and executes each distinct
-// chain prefix exactly once, memoized by structural key. The view stages
-// then consume the memoized intermediates and only perform their per-view
-// tail (residual filter, projection, apply). Plans without shared
-// potential take the per-view path unchanged.
+// pre-pass runs once before the first view stage: it executes each
+// distinct chain prefix of the views' compiled plans exactly once, memoized
+// by structural key. The view stages then consume the memoized
+// intermediates and only perform their per-view tail (residual filter,
+// projection, apply). Plans without shared potential take the per-view path
+// unchanged.
 func (c *Cluster) execPlan(sc *stmtScope, mp *mplan.Plan, delta []types.Tuple, locs []located) error {
 	// Per-stage page/message attribution needs exclusive ownership of the
 	// global meters, which a statement has only where statements do not
@@ -117,16 +117,15 @@ type sharedResult struct {
 	schema *types.Schema
 }
 
-// sharedExec carries one statement's resolved shared maintenance DAG: the
-// strategy chosen for every view stage and the memoized intermediate of
-// every distinct chain prefix, keyed by structural chain key.
+// sharedExec carries one statement's shared maintenance DAG: the memoized
+// intermediate of every distinct chain prefix, keyed by structural chain
+// key.
 type sharedExec struct {
-	choice map[*mplan.ViewStage]*mplan.StrategyOption
-	memo   map[string]sharedResult
+	memo map[string]sharedResult
 }
 
 // execSharedJoins is the shared delta-join pre-pass: it walks every view
-// stage's chosen plan and executes each distinct chain prefix once. Chain
+// stage's compiled plan and executes each distinct chain prefix once. Chain
 // keys are structural (plan.Step.ChainKey), so two plans whose prefixes
 // share a key produce identical intermediates and the second ride is free.
 // The probes are pure reads — nothing here enters the undo log; all
@@ -136,20 +135,13 @@ type sharedExec struct {
 // remaining prefixes are memoized as empty without probing, so the shared
 // path performs exactly the probes the unshared path would.
 func (c *Cluster) execSharedJoins(sc *stmtScope, mp *mplan.Plan, tuples []types.Tuple) (*sharedExec, error) {
-	sx := &sharedExec{
-		choice: make(map[*mplan.ViewStage]*mplan.StrategyOption),
-		memo:   make(map[string]sharedResult),
-	}
-	l := c.NumNodes()
+	sx := &sharedExec{memo: make(map[string]sharedResult)}
 	for i := range mp.Stages {
 		s := &mp.Stages[i]
 		if s.Kind != mplan.StageView {
 			continue
 		}
-		vs := s.View
-		opt := vs.Choose(l, len(tuples))
-		sx.choice[vs] = opt
-		p := opt.Plan
+		p := s.View.Plan
 		cur, curSchema := tuples, p.DeltaSchema
 		for _, step := range p.Steps {
 			if r, ok := sx.memo[step.ChainKey]; ok {
@@ -328,16 +320,15 @@ func (c *Cluster) stageGlobalIndex(sc *stmtScope, t *catalog.Table, gi *catalog.
 	return nil
 }
 
-// stageView computes and applies one view's delta. The strategy comes from
-// the compiled stage: the pinned option, or the cost advisor's cheapest
-// option for this statement's actual delta size. With a shared pre-pass
-// (sx non-nil) the delta-join chain has already run — the stage reads the
-// memoized final intermediate and performs only the per-view tail.
+// stageView computes and applies one view's delta with the compiled
+// stage's plan. With a shared pre-pass (sx non-nil) the delta-join chain
+// has already run — the stage reads the memoized final intermediate and
+// performs only the per-view tail.
 func (c *Cluster) stageView(sc *stmtScope, vs *mplan.ViewStage, mp *mplan.Plan, tuples []types.Tuple, sx *sharedExec) error {
 	var delta []types.Tuple
 	var err error
+	p := vs.Plan
 	if sx != nil {
-		p := sx.choice[vs].Plan
 		cur, curSchema := tuples, p.DeltaSchema
 		if n := len(p.Steps); n > 0 {
 			r := sx.memo[p.Steps[n-1].ChainKey]
@@ -345,8 +336,7 @@ func (c *Cluster) stageView(sc *stmtScope, vs *mplan.ViewStage, mp *mplan.Plan, 
 		}
 		delta, err = maintain.FinishDelta(p, cur, curSchema)
 	} else {
-		opt := vs.Choose(c.NumNodes(), len(tuples))
-		delta, _, err = maintain.ComputeViewDelta(sc.env, opt.Plan, tuples, c.cfg.Algo)
+		delta, _, err = maintain.ComputeViewDelta(sc.env, p, tuples, c.cfg.Algo)
 	}
 	if err != nil {
 		return err
@@ -375,11 +365,31 @@ func (c *Cluster) ExplainPipeline(table, op string) (string, error) {
 	}
 	out := mp.Describe()
 	if mp.SharedPotential {
-		// Render the concrete DAG for a representative single-tuple delta —
-		// the same resolution the executor performs per statement.
-		out += mp.DescribeDAG(c.NumNodes(), 1)
+		// Price the DAG per delta tuple; every delta size scales it.
+		out += mp.DescribeDAG(1)
 	}
 	return out, nil
+}
+
+// ExplainMaintenance renders the delta-join plan a view runs for inserts
+// into the named table — EXPLAIN for one view stage of the compiled
+// pipeline, with the method it was compiled to.
+func (c *Cluster) ExplainMaintenance(viewName, table string) (string, error) {
+	h := c.lockGlobal()
+	defer h.Release()
+	if _, err := c.cat.View(viewName); err != nil {
+		return "", err
+	}
+	mp, err := c.planFor(table, maintain.OpInsert)
+	if err != nil {
+		return "", err
+	}
+	for _, s := range mp.Stages {
+		if s.Kind == mplan.StageView && s.View.View.Name == viewName {
+			return fmt.Sprintf("strategy: %s\n%s", s.View.Strategy, s.View.Plan.Describe()), nil
+		}
+	}
+	return "", fmt.Errorf("cluster: view %q does not join table %q", viewName, table)
 }
 
 // PlanCacheLen reports how many compiled plans the cache currently holds.
@@ -392,5 +402,5 @@ func (c *Cluster) PlanCacheLen() int { return c.mcache.Len() }
 func (c *Cluster) AdviseMaterialization() (*mplan.Advice, error) {
 	h := c.lockGlobal()
 	defer h.Release()
-	return mplan.Advise(c.cat, c.st, c.NumNodes())
+	return mplan.Advise(c.cat, c.st)
 }

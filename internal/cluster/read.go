@@ -183,10 +183,12 @@ func (c *Cluster) RelationRows(names ...string) ([][]types.Tuple, error) {
 // cluster is degraded the surviving nodes' rows are returned together with
 // ErrPartial.
 func (c *Cluster) ViewRows(name string) ([]types.Tuple, error) {
+	rs := c.beginRead(name)
+	defer rs.end()
 	if _, err := c.cat.View(name); err != nil {
 		return nil, err
 	}
-	return c.readOne(name, false)
+	return rs.rows(name, false)
 }
 
 // ScanFragmentMetered reads a whole relation or view with scan I/O charged

@@ -6,6 +6,8 @@ import (
 
 	"joinview/internal/catalog"
 	"joinview/internal/cluster"
+	"joinview/internal/maintain"
+	"joinview/internal/mplan"
 	"joinview/internal/node"
 	"joinview/internal/types"
 )
@@ -18,9 +20,11 @@ import (
 // hotspot. The updated relation is partitioned on its join attribute (as
 // customer is in the paper's Teradata experiment), so it carries no
 // auxiliary structures of its own and the adaptive run pays nothing for
-// keeping every option open: StrategyAuto re-chooses per statement from
-// the cached plan's precompiled options and must match the best fixed
-// method's total workload while the mispinned methods fall behind.
+// keeping every method available. StrategyAuto's method is priced once per
+// compiled plan — neither delta size nor skew enters the model — so the
+// picks column reads the compiled plan before each statement; the adaptive
+// run must match the best fixed method's total workload while the
+// mispinned methods fall behind.
 
 // AdaptiveDelta is one statement of the mixed stream.
 type AdaptiveDelta struct {
@@ -95,8 +99,8 @@ var adaptiveMethods = []Variant{
 // AdaptiveStrategy runs the mixed stream once per fixed method and once
 // under StrategyAuto on an l-node cluster and reports each run's total
 // workload, summed per-statement busiest-node I/Os and messages; for the
-// adaptive run the last column counts how many statements the advisor
-// resolved to each fixed method.
+// adaptive run the last column counts how many statements ran under a
+// plan compiled to each fixed method.
 func AdaptiveStrategy(l, statements int) (Grid, error) {
 	g := Grid{
 		Title:  "Adaptive strategy (extension): fixed methods vs the cost advisor over a mixed delta stream",
@@ -111,10 +115,6 @@ func AdaptiveStrategy(l, statements int) (Grid, error) {
 		if err := loadAdaptive(c, v.Strategy); err != nil {
 			return err
 		}
-		view, err := c.Catalog().View("jv")
-		if err != nil {
-			return err
-		}
 		rng := rand.New(rand.NewSource(7))
 		zipf := rand.NewZipf(rand.New(rand.NewSource(11)), 1.5, 1, uint64(adaptiveJoinValues-1))
 		nextID := int64(2_000_000)
@@ -124,11 +124,11 @@ func AdaptiveStrategy(l, statements int) (Grid, error) {
 		for _, d := range AdaptiveDeltas(statements) {
 			batch := adaptiveTuples(d, &nextID, rng, zipf)
 			tuples += len(batch)
-			s, err := c.ResolveStrategy(view, "a", len(batch))
+			mp, err := mplan.Compile(c.Catalog(), c.Stats(), "a", maintain.OpInsert)
 			if err != nil {
 				return err
 			}
-			picks[s]++
+			picks[mp.Stages[len(mp.Stages)-1].View.Strategy]++ // the one view, jv
 			before := c.Metrics()
 			if err := c.Insert("a", batch); err != nil {
 				return err

@@ -100,8 +100,7 @@ func TestMeasuredTWMatchesModel(t *testing.T) {
 }
 
 // compiledTW loads the variant's cluster and prices the compiled insert
-// plan of A as the chooser sees it: the view's chosen chain plus A's
-// auxiliary-structure upkeep.
+// plan of A: the view's compiled chain plus A's auxiliary-structure upkeep.
 func compiledTW(t *testing.T, l int, v Variant) float64 {
 	t.Helper()
 	c, _, err := loadTwoRel(cluster.Config{Nodes: l, Algo: node.AlgoIndex}, workload.TwoRel{Fanout: PaperN}, v)
@@ -113,9 +112,9 @@ func compiledTW(t *testing.T, l int, v Variant) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vs := mp.Stages[len(mp.Stages)-1].View // the one view, jv
+	chain, _ := cost.Chain(l, 1, mp.Stages[len(mp.Stages)-1].View.Steps) // the one view, jv
 	up, _ := cost.Upkeep(l, 1, mp.ARCount+mp.GICount)
-	return vs.Choose(l, 1).TW(l, 1) + up
+	return chain + up
 }
 
 func TestFig7MeasuredShape(t *testing.T) {

@@ -165,7 +165,7 @@ func manyViewsRun(l, nviews, statements int) (cluster.Metrics, float64, error) {
 	if err != nil {
 		return cluster.Metrics{}, 0, err
 	}
-	perStmt, _ := mp.SharedTW(l, 1)
+	perStmt, _ := mp.SharedTW(1)
 	if err := manyViewsStream(c, statements); err != nil {
 		return cluster.Metrics{}, 0, err
 	}

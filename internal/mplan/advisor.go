@@ -108,13 +108,13 @@ func (cd *candidate) forViews() []string {
 
 // Advise prices every missing auxiliary structure the current views could
 // use and returns the greedily chosen set that minimizes the modeled
-// shared-DAG maintenance workload on an l-node cluster.
-func Advise(cat *catalog.Catalog, st *stats.Stats, l int) (*Advice, error) {
+// shared-DAG maintenance workload on the catalog's installed partition map.
+func Advise(cat *catalog.Catalog, st *stats.Stats) (*Advice, error) {
 	shadow, err := shadowCatalog(cat)
 	if err != nil {
 		return nil, err
 	}
-	baseline, err := workloadTW(shadow, st, l)
+	baseline, err := workloadTW(shadow, st)
 	if err != nil {
 		return nil, err
 	}
@@ -134,7 +134,7 @@ func Advise(cat *catalog.Catalog, st *stats.Stats, l int) (*Advice, error) {
 			if err := addCandidate(trial, &cands[i]); err != nil {
 				continue // infeasible in this state (e.g. name taken)
 			}
-			tw, err := workloadTW(trial, st, l)
+			tw, err := workloadTW(trial, st)
 			if err != nil {
 				continue
 			}
@@ -165,14 +165,14 @@ func Advise(cat *catalog.Catalog, st *stats.Stats, l int) (*Advice, error) {
 
 // workloadTW prices one uniform update round — a single-tuple insert into
 // every base table — under the shared-DAG executor's cost model.
-func workloadTW(cat *catalog.Catalog, st *stats.Stats, l int) (float64, error) {
+func workloadTW(cat *catalog.Catalog, st *stats.Stats) (float64, error) {
 	total := 0.0
 	for _, tn := range cat.Tables() {
 		mp, err := Compile(cat, st, tn, maintain.OpInsert)
 		if err != nil {
 			return 0, err
 		}
-		shared, _ := mp.SharedTW(l, 1)
+		shared, _ := mp.SharedTW(1)
 		total += shared
 	}
 	return total, nil
@@ -286,9 +286,12 @@ func addCandidate(sc *catalog.Catalog, cd *candidate) error {
 
 // shadowCatalog clones a catalog's metadata for what-if pricing: fresh
 // structs for every object the registration paths mutate, shared immutable
-// innards (schemas, join lists).
+// innards (schemas, join lists), and the installed partition map.
 func shadowCatalog(cat *catalog.Catalog) (*catalog.Catalog, error) {
 	sc := catalog.New()
+	if pm, ok := cat.PartitionMap(); ok {
+		sc.SetPartitionMap(pm)
+	}
 	tables := cat.Tables()
 	for _, tn := range tables {
 		t, err := cat.Table(tn)

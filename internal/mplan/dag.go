@@ -15,10 +15,10 @@ import (
 // viewed not as independent chains but as a prefix-sharing tree rooted at
 // the update delta. Every delta-join step carries a structural ChainKey
 // (internal/plan); steps with equal keys are one DAG node, executed once
-// per statement and fanned out to every dependent view. Because the
-// strategy of an auto view is chosen per statement (ViewStage.Choose), the
-// concrete DAG is resolved at execution time; this file builds the same
-// resolution for EXPLAIN tooling and the cost model.
+// per statement and fanned out to every dependent view. Each view stage's
+// method is fixed at compile time, so the DAG is a property of the plan;
+// this file renders it for EXPLAIN tooling and prices it for the cost
+// model.
 
 // DAGNode is one hoisted delta-join node of the shared maintenance DAG.
 type DAGNode struct {
@@ -37,23 +37,18 @@ type DAGNode struct {
 // Shared reports whether the node feeds more than one view.
 func (n *DAGNode) Shared() bool { return len(n.Views) > 1 }
 
-// DAG resolves every view stage's strategy for a delta of a tuples on an
-// l-node cluster (exactly as the executor will) and returns the resulting
-// shared maintenance DAG: one node per distinct chain prefix, in execution
-// order (parents always precede children), plus each view's chosen
-// strategy in stage order.
-func (p *Plan) DAG(l, a int) ([]DAGNode, []catalog.Strategy) {
+// DAG returns the plan's shared maintenance DAG: one node per distinct
+// chain prefix of the view stages' compiled plans, in execution order
+// (parents always precede children).
+func (p *Plan) DAG() []DAGNode {
 	var nodes []DAGNode
 	index := map[string]int{}
-	var chosen []catalog.Strategy
 	for i := range p.Stages {
 		s := &p.Stages[i]
 		if s.Kind != StageView {
 			continue
 		}
-		opt := s.View.Choose(l, a)
-		chosen = append(chosen, opt.Strategy)
-		for depth, step := range opt.Plan.Steps {
+		for depth, step := range s.View.Plan.Steps {
 			if ni, ok := index[step.ChainKey]; ok {
 				nodes[ni].Views = append(nodes[ni].Views, s.View.View.Name)
 				continue
@@ -67,22 +62,22 @@ func (p *Plan) DAG(l, a int) ([]DAGNode, []catalog.Strategy) {
 			})
 		}
 	}
-	return nodes, chosen
+	return nodes
 }
 
 // SharedTW returns the modeled total workload of the plan's delta-join
-// chains for a delta of a tuples — shared DAG pricing (each distinct node
-// once) and independent per-view pricing — using the strategies the
-// executor would choose. Upkeep of the updated table's own auxiliary
-// structures is included in both (it is charged once either way).
-func (p *Plan) SharedTW(l, a int) (shared, independent float64) {
+// chains for a delta of a tuples on the plan's L nodes — shared DAG pricing
+// (each distinct node once) and independent per-view pricing. Upkeep of the
+// updated table's own auxiliary structures is included in both (it is
+// charged once either way).
+func (p *Plan) SharedTW(a int) (shared, independent float64) {
 	var chains [][]cost.Step
 	for i := range p.Stages {
 		if s := &p.Stages[i]; s.Kind == StageView {
-			chains = append(chains, s.View.Choose(l, a).Steps)
+			chains = append(chains, s.View.Steps)
 		}
 	}
-	return cost.Shared(l, a, p.ARCount+p.GICount, chains)
+	return cost.Shared(p.L, a, p.ARCount+p.GICount, chains)
 }
 
 // ShortKey compresses a structural chain key into a stable 8-hex-digit tag
@@ -93,18 +88,18 @@ func ShortKey(key string) string {
 	return fmt.Sprintf("%08x", h.Sum32())
 }
 
-// DescribeDAG renders the shared maintenance DAG the executor would run
-// for a delta of a tuples on l nodes, annotating each hoisted node with
-// how many views consume its result.
-func (p *Plan) DescribeDAG(l, a int) string {
+// DescribeDAG renders the shared maintenance DAG the executor runs,
+// annotating each hoisted node with how many views consume its result, and
+// prices it for a delta of a tuples.
+func (p *Plan) DescribeDAG(a int) string {
 	var sb strings.Builder
 	op := "insert"
 	if p.Op == maintain.OpDelete {
 		op = "delete"
 	}
-	nodes, chosen := p.DAG(l, a)
+	nodes := p.DAG()
 	fmt.Fprintf(&sb, "shared maintenance DAG for %s into %s (delta %d, L=%d, %d views)\n",
-		op, p.Table.Name, a, l, len(p.Views))
+		op, p.Table.Name, a, p.L, len(p.Views))
 	if len(nodes) == 0 {
 		sb.WriteString("  (no dependent views)\n")
 		return sb.String()
@@ -125,8 +120,10 @@ func (p *Plan) DescribeDAG(l, a int) string {
 		sb.WriteByte('\n')
 	}
 	byStrategy := map[catalog.Strategy]int{}
-	for _, s := range chosen {
-		byStrategy[s]++
+	for i := range p.Stages {
+		if s := &p.Stages[i]; s.Kind == StageView {
+			byStrategy[s.View.Strategy]++
+		}
 	}
 	var stratParts []string
 	for _, s := range []catalog.Strategy{catalog.StrategyAuxRel, catalog.StrategyGlobalIndex, catalog.StrategyNaive} {
@@ -134,7 +131,7 @@ func (p *Plan) DescribeDAG(l, a int) string {
 			stratParts = append(stratParts, fmt.Sprintf("%d %s", byStrategy[s], s))
 		}
 	}
-	shared, independent := p.SharedTW(l, a)
+	shared, independent := p.SharedTW(a)
 	fmt.Fprintf(&sb, "  %d DAG nodes replace %d per-view steps (%s); modeled TW %.0f vs %.0f unshared",
 		len(nodes), perView, strings.Join(stratParts, ", "), shared, independent)
 	if independent > 0 && shared < independent {

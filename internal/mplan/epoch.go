@@ -20,8 +20,8 @@ import (
 type GroupSpec struct {
 	Table string
 	Op    maintain.Op
-	// DeltaSize is the compacted group's tuple count, the advisor's input
-	// when the epoch executes.
+	// DeltaSize is the compacted group's tuple count, for display only: the
+	// plan's methods do not depend on it.
 	DeltaSize int
 }
 

@@ -3,13 +3,14 @@
 // and view-delta propagation — into a reusable stage DAG, so the hot write
 // path plans once per (table, op) instead of once per statement.
 //
-// A compiled Plan is pure metadata: it pins the catalog objects and the
-// per-view maintenance options (one precompiled delta-join plan plus its
-// priced steps per feasible strategy), and records which relational
-// statistics it read. The cluster's pipeline executor walks the stages;
-// the strategy for each view is chosen at execution time from the
-// precompiled options using the cost advisor with the actual delta size,
-// so a cached plan adapts to the workload without re-planning.
+// A compiled Plan is pure metadata: it pins the catalog objects, each
+// view's maintenance method with its delta-join plan and priced steps, and
+// records which relational statistics and partition map it read. The
+// cluster's pipeline executor walks the stages. An auto view's method is
+// priced once, here: the pricer is linear in the delta size, so the
+// cheapest method for one tuple is the cheapest for every delta, and
+// everything else the price reads (structures, fan-outs, L) invalidates
+// the plan when it moves.
 package mplan
 
 import (
@@ -61,54 +62,18 @@ type FanoutDep struct {
 	Fanout     float64
 }
 
-// StrategyOption is one feasible maintenance method for a view, with its
-// delta-join plan and that plan's priced steps precompiled.
-type StrategyOption struct {
+// ViewStage is the compiled propagation work for one view: the maintenance
+// method it runs for updates of the plan's table and that method's
+// delta-join plan. The method is fixed when the plan compiles, like the
+// join order: a pinned view runs its strategy, an auto view the cheapest
+// feasible one (compileView).
+type ViewStage struct {
+	View     *catalog.View
 	Strategy catalog.Strategy
 	Plan     *plan.Plan
 	// Steps is Plan projected onto the cost model, one cost.Step per plan
 	// step, keyed by its ChainKey.
 	Steps []cost.Step
-}
-
-// TW returns the option's modeled total workload (the paper's TW: I/Os
-// summed over nodes) for a delta of a tuples on an l-node cluster: its
-// delta-join chain, priced step by step by Via. The upkeep of the updated
-// table's own auxiliary structures is not included — Compile runs every one
-// of them whatever a view picks, so it is sunk and cannot tip the choice.
-func (o *StrategyOption) TW(l, a int) float64 {
-	tw, _ := cost.Chain(l, a, o.Steps)
-	return tw
-}
-
-// ViewStage is the compiled propagation work for one view.
-type ViewStage struct {
-	View *catalog.View
-	// Pinned reports that the view definition fixes the strategy for this
-	// table (View.Strategy or an override), in which case Options has
-	// exactly one entry and the advisor is bypassed.
-	Pinned bool
-	// Options lists the feasible maintenance methods in advisor preference
-	// order (auxrel, globalindex, naive); ties in modeled cost keep the
-	// earlier option.
-	Options []StrategyOption
-}
-
-// Choose picks the option used for a delta of a tuples: the pinned option,
-// or the minimum modeled TW among the precompiled options.
-func (vs *ViewStage) Choose(l, a int) *StrategyOption {
-	best := &vs.Options[0]
-	if vs.Pinned {
-		return best
-	}
-	bestTW := best.TW(l, a)
-	for i := 1; i < len(vs.Options); i++ {
-		o := &vs.Options[i]
-		if tw := o.TW(l, a); tw < bestTW {
-			best, bestTW = o, tw
-		}
-	}
-	return best
 }
 
 // Stage is one unit of a compiled plan. Exactly one of AR, GI, View is set
@@ -138,11 +103,10 @@ type Plan struct {
 	// changes the set — and bumps the catalog version, which is how Valid
 	// detects it without re-listing views on the hot path.
 	Views []string
-	// SharedPotential reports that at least two dependent views have
-	// maintenance options whose delta-join chains start with the same
-	// structural prefix, so the shared-DAG executor can hoist work. False
-	// means per-view execution is already optimal and the executor takes
-	// the unshared path unchanged.
+	// SharedPotential reports that at least two dependent views run
+	// delta-join chains that start with the same structural prefix, so the
+	// shared-DAG executor can hoist work. False means per-view execution is
+	// already optimal and the executor takes the unshared path unchanged.
 	SharedPotential bool
 	// Version is the catalog version the plan was compiled against.
 	Version uint64
@@ -151,19 +115,26 @@ type Plan struct {
 	// change (slot reassignment at migration cutover) must force a
 	// recompile even though the schema version is untouched.
 	PartEpoch uint64
+	// L is the node count of that partition map: the cluster size the
+	// plan's methods were priced at.
+	L int
 	// Deps are the statistics reads the plan's join orders depend on.
 	Deps []FanoutDep
 }
 
-// Compile builds the maintenance plan for one (table, op) from the catalog
-// and current statistics.
+// Compile builds the maintenance plan for one (table, op) from the catalog,
+// its installed partition map and current statistics.
 func Compile(cat *catalog.Catalog, st *stats.Stats, table string, op maintain.Op) (*Plan, error) {
 	version := cat.Version()
 	t, err := cat.Table(table)
 	if err != nil {
 		return nil, err
 	}
-	mp := &Plan{Table: t, Op: op, Version: version, PartEpoch: cat.PartitionEpoch()}
+	pm, ok := cat.PartitionMap()
+	if !ok {
+		return nil, fmt.Errorf("mplan: catalog has no partition map")
+	}
+	mp := &Plan{Table: t, Op: op, Version: version, PartEpoch: pm.Epoch, L: pm.Nodes}
 	mp.Stages = append(mp.Stages, Stage{Kind: StageBase})
 	ars := cat.AuxRelsFor(table)
 	for _, ar := range ars {
@@ -177,7 +148,7 @@ func Compile(cat *catalog.Catalog, st *stats.Stats, table string, op maintain.Op
 	mp.GICount = len(gis)
 	deps := depSet{}
 	for _, v := range cat.ViewsOn(table) {
-		vs, err := CompileView(cat, st, v, table)
+		vs, err := compileView(cat, st, v, table, mp.L)
 		if err != nil {
 			return nil, err
 		}
@@ -190,67 +161,63 @@ func Compile(cat *catalog.Catalog, st *stats.Stats, table string, op maintain.Op
 	return mp, nil
 }
 
-// sharedPotential reports whether any two view stages have options whose
-// chains begin with the same structural step. A shared prefix of any depth
+// sharedPotential reports whether any two view stages run chains that
+// begin with the same structural step. A shared prefix of any depth
 // necessarily shares its first step, so checking the chain roots is both
 // sufficient and cheap; single-view plans can never share.
 func sharedPotential(mp *Plan) bool {
-	// first ChainKey -> index of the first view stage that has it.
-	roots := map[string]int{}
-	viewIdx := -1
+	roots := map[string]bool{}
 	for i := range mp.Stages {
 		s := &mp.Stages[i]
-		if s.Kind != StageView {
+		if s.Kind != StageView || len(s.View.Plan.Steps) == 0 {
 			continue
 		}
-		viewIdx++
-		for oi := range s.View.Options {
-			steps := s.View.Options[oi].Plan.Steps
-			if len(steps) == 0 {
-				continue
-			}
-			key := steps[0].ChainKey
-			if first, ok := roots[key]; ok {
-				if first != viewIdx {
-					return true
-				}
-			} else {
-				roots[key] = viewIdx
-			}
+		key := s.View.Plan.Steps[0].ChainKey
+		if roots[key] {
+			return true
 		}
+		roots[key] = true
 	}
 	return false
 }
 
-// CompileView compiles the propagation stage for one view: the pinned
-// strategy's plan, or — for StrategyAuto — every feasible strategy's plan
-// in advisor preference order.
-func CompileView(cat *catalog.Catalog, st *stats.Stats, v *catalog.View, table string) (*ViewStage, error) {
-	vs := &ViewStage{View: v}
+// compileView compiles the propagation stage for one view on an l-node
+// cluster: the pinned strategy's plan, or — for StrategyAuto — the feasible
+// strategy whose chain has the least modeled TW (the paper's total
+// workload). Upkeep of the updated table's own structures is left out: the
+// pipeline runs every one of them whatever a view picks, so it cannot tip
+// the choice. The chain is priced for one delta tuple; Step.Price charges
+// in proportion to its input and the chain only scales that input by
+// fan-outs, so the ranking holds for every delta size. Strict minimum, ties
+// to the earlier of auxrel, globalindex, naive.
+func compileView(cat *catalog.Catalog, st *stats.Stats, v *catalog.View, table string, l int) (*ViewStage, error) {
 	if s := v.StrategyFor(table); s != catalog.StrategyAuto {
 		p, err := plan.Build(cat, st, v, table, s)
 		if err != nil {
 			return nil, err
 		}
-		vs.Pinned = true
-		vs.Options = []StrategyOption{{Strategy: s, Plan: p, Steps: stepsOf(p)}}
-		return vs, nil
+		return &ViewStage{View: v, Strategy: s, Plan: p, Steps: stepsOf(p)}, nil
 	}
+	var best *ViewStage
+	var bestTW float64
 	for _, s := range []catalog.Strategy{catalog.StrategyAuxRel, catalog.StrategyGlobalIndex, catalog.StrategyNaive} {
 		p, err := plan.Build(cat, st, v, table, s)
 		if err != nil {
 			continue // structures missing: strategy unavailable
 		}
-		vs.Options = append(vs.Options, StrategyOption{Strategy: s, Plan: p, Steps: stepsOf(p)})
+		steps := stepsOf(p)
+		if tw, _ := cost.Chain(l, 1, steps); best == nil || tw < bestTW {
+			best, bestTW = &ViewStage{View: v, Strategy: s, Plan: p, Steps: steps}, tw
+		}
 	}
-	if len(vs.Options) == 0 {
+	if best == nil {
 		return nil, fmt.Errorf("mplan: view %q has no feasible maintenance strategy for table %q", v.Name, table)
 	}
-	return vs, nil
+	return best, nil
 }
 
 // stepsOf projects a delta-join plan onto the cost model — the one
-// projection, made once per option at compile time.
+// projection, made once per view stage at compile time.
 func stepsOf(p *plan.Plan) []cost.Step {
 	steps := make([]cost.Step, len(p.Steps))
 	for i, s := range p.Steps {
@@ -294,25 +261,17 @@ func (p *Plan) Describe() string {
 		case StageGlobalIndex:
 			fmt.Fprintf(&sb, "  stage %d: %-11s %s (on %s)\n", i+1, s.Kind, s.GI.Name, s.GI.Col)
 		case StageView:
-			mode := "adaptive"
-			if s.View.Pinned {
-				mode = "pinned"
+			mode := "pinned"
+			if s.View.View.StrategyFor(p.Table.Name) == catalog.StrategyAuto {
+				mode = "auto"
 			}
-			fmt.Fprintf(&sb, "  stage %d: %-11s %s (%s: %s)\n", i+1, s.Kind, s.View.View.Name, mode, optionNames(s.View.Options))
+			fmt.Fprintf(&sb, "  stage %d: %-11s %s (%s: %s)\n", i+1, s.Kind, s.View.View.Name, mode, s.View.Strategy)
 		}
 	}
 	if p.SharedPotential {
 		fmt.Fprintf(&sb, "  shared: %d views have common delta-join prefixes; executor hoists them into shared DAG nodes\n", len(p.Views))
 	}
 	return sb.String()
-}
-
-func optionNames(opts []StrategyOption) string {
-	names := make([]string, len(opts))
-	for i, o := range opts {
-		names[i] = o.Strategy.String()
-	}
-	return strings.Join(names, "|")
 }
 
 // depSet deduplicates fan-out dependencies while compiling.

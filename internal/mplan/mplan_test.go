@@ -1,11 +1,13 @@
 package mplan
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
 	"joinview/internal/catalog"
 	"joinview/internal/cost"
+	"joinview/internal/hashpart"
 	"joinview/internal/maintain"
 	"joinview/internal/plan"
 	"joinview/internal/stats"
@@ -64,6 +66,7 @@ func testCatalog(t *testing.T, views ...*catalog.View) (*catalog.Catalog, *stats
 			t.Fatal(err)
 		}
 	}
+	cat.SetPartitionMap(hashpart.Identity(8))
 	st := stats.New()
 	st.Set("r", stats.TableStats{Rows: 100, Distinct: map[string]int64{"k": 100, "a": 10}})
 	st.Set("s", stats.TableStats{Rows: 400, Distinct: map[string]int64{"k": 100, "b": 20}})
@@ -123,41 +126,39 @@ func TestCompileStageOrder(t *testing.T) {
 	}
 }
 
+// viewStage compiles the insert plan of table on an l-node partition map
+// and returns the named view's stage.
+func viewStage(t *testing.T, cat *catalog.Catalog, st *stats.Stats, table, view string, l int) *ViewStage {
+	t.Helper()
+	cat.SetPartitionMap(hashpart.Identity(l))
+	p, err := Compile(cat, st, table, maintain.OpInsert)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.L != l {
+		t.Fatalf("plan priced at L=%d, partition map has %d nodes", p.L, l)
+	}
+	for _, s := range p.Stages {
+		if s.Kind == StageView && s.View.View.Name == view {
+			return s.View
+		}
+	}
+	t.Fatalf("plan for %s has no stage for view %s", table, view)
+	return nil
+}
+
 func TestCompileViewPinnedAndAuto(t *testing.T) {
 	cat, st := testCatalog(t, rsView("jv_pin", catalog.StrategyNaive), rsView("jv_auto", catalog.StrategyAuto))
-
-	pin, _ := cat.View("jv_pin")
-	vs, err := CompileView(cat, st, pin, "r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vs.Pinned || len(vs.Options) != 1 || vs.Options[0].Strategy != catalog.StrategyNaive {
+	vs := viewStage(t, cat, st, "r", "jv_pin", 8)
+	if vs.Strategy != catalog.StrategyNaive || vs.Plan == nil || len(vs.Steps) != len(vs.Plan.Steps) {
 		t.Errorf("pinned view compiled to %+v", vs)
 	}
-	// Pinned bypasses the advisor: Choose returns the single option for any
-	// delta size.
-	for _, a := range []int{1, 1000} {
-		if got := vs.Choose(8, a); got.Strategy != catalog.StrategyNaive {
-			t.Errorf("pinned Choose(a=%d) = %v", a, got.Strategy)
-		}
-	}
-
-	auto, _ := cat.View("jv_auto")
-	vs, err = CompileView(cat, st, auto, "r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vs.Pinned {
-		t.Error("auto view compiled as pinned")
-	}
-	wantOrder := []catalog.Strategy{catalog.StrategyAuxRel, catalog.StrategyGlobalIndex, catalog.StrategyNaive}
-	if len(vs.Options) != len(wantOrder) {
-		t.Fatalf("auto view has %d options, want %d", len(vs.Options), len(wantOrder))
-	}
-	for i, s := range wantOrder {
-		if vs.Options[i].Strategy != s {
-			t.Errorf("option %d = %v, want %v", i, vs.Options[i].Strategy, s)
-		}
+	// An update of r probes s on k: the AR is one routed, clustered search
+	// per tuple, the GI 1 + f(4) and the broadcast L(8) + f(4), so the
+	// compiled auto stage is the AR plan.
+	vs = viewStage(t, cat, st, "r", "jv_auto", 8)
+	if vs.Strategy != catalog.StrategyAuxRel || vs.Steps[0].Via != plan.ViaRoute {
+		t.Errorf("auto view compiled to %v via %v, want auxrel via route", vs.Strategy, vs.Steps[0].Via)
 	}
 }
 
@@ -174,13 +175,8 @@ func TestCompileViewSkipsInfeasibleStrategies(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := stats.New()
-	v, _ := cat.View("jv")
-	vs, err := CompileView(cat, st, v, "r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vs.Options) != 1 || vs.Options[0].Strategy != catalog.StrategyNaive {
-		t.Errorf("options = %v, want [naive]", vs.Options)
+	if vs := viewStage(t, cat, st, "r", "jv", 8); vs.Strategy != catalog.StrategyNaive {
+		t.Errorf("compiled %v, want naive", vs.Strategy)
 	}
 
 	// A pinned strategy whose structures are missing is a compile error, not
@@ -188,69 +184,127 @@ func TestCompileViewSkipsInfeasibleStrategies(t *testing.T) {
 	if err := cat.AddView(rsView("jv_pin", catalog.StrategyAuxRel)); err != nil {
 		t.Fatal(err)
 	}
-	pin, _ := cat.View("jv_pin")
-	if _, err := CompileView(cat, st, pin, "r"); err == nil {
+	if _, err := Compile(cat, st, "r", maintain.OpInsert); err == nil {
 		t.Error("pinned auxrel without an AR compiled without error")
 	}
 }
 
-func TestChooseStrictLessKeepsEarlierOption(t *testing.T) {
-	// An update of s probes r on k, and r is partitioned on k: every
-	// strategy compiles to the same routed step (paper case 1), so the
-	// options price identically and the tie keeps the earlier one — auxrel.
-	cat, st := testCatalog(t, rsView("jv", catalog.StrategyAuto))
-	v, _ := cat.View("jv")
-	vs, err := CompileView(cat, st, v, "s")
-	if err != nil {
+func TestCompileNeedsAPartitionMap(t *testing.T) {
+	cat := catalog.New()
+	if err := cat.AddTable(intTable("r", "k", "a")); err != nil {
 		t.Fatal(err)
 	}
-	if len(vs.Options) != 3 {
-		t.Fatalf("options = %v, want all three strategies", optionNames(vs.Options))
+	if _, err := Compile(cat, stats.New(), "r", maintain.OpInsert); err == nil {
+		t.Error("compiled without a partition map to price at")
 	}
-	for _, o := range vs.Options {
-		if len(o.Steps) != 1 || o.Steps[0] != vs.Options[0].Steps[0] || o.Steps[0].Via != plan.ViaRoute {
-			t.Fatalf("%s compiled to %+v, want the one routed step %+v", o.Strategy, o.Steps, vs.Options[0].Steps)
-		}
-	}
+}
+
+func TestCompileTieKeepsEarlierStrategy(t *testing.T) {
+	// An update of s probes r on k, and r is partitioned on k: every
+	// strategy compiles to the same routed step (paper case 1), so the
+	// methods price identically and the tie keeps the earlier one — auxrel.
+	cat, st := testCatalog(t, rsView("jv", catalog.StrategyAuto))
+	v, _ := cat.View("jv")
 	for _, l := range []int{1, 2, 8} {
-		for _, a := range []int{1, 16, 1000} {
-			if got := vs.Choose(l, a); got != &vs.Options[0] {
-				t.Errorf("L=%d a=%d: tie picked %s, want the earlier auxrel", l, a, got.Strategy)
+		vs := viewStage(t, cat, st, "s", "jv", l)
+		for _, s := range []catalog.Strategy{catalog.StrategyGlobalIndex, catalog.StrategyNaive} {
+			p, err := plan.Build(cat, st, v, "s", s)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if steps := stepsOf(p); len(steps) != 1 || steps[0] != vs.Steps[0] || steps[0].Via != plan.ViaRoute {
+				t.Fatalf("%s compiled to %+v, want the one routed step %+v", s, steps, vs.Steps)
+			}
+		}
+		if vs.Strategy != catalog.StrategyAuxRel {
+			t.Errorf("L=%d: tie compiled to %s, want the earlier auxrel", l, vs.Strategy)
 		}
 	}
 }
 
-func TestChooseMatchesBruteForceMinimum(t *testing.T) {
-	cat, st := testCatalog(t, rsView("jv", catalog.StrategyAuto))
-	v, _ := cat.View("jv")
-	vs, err := CompileView(cat, st, v, "r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Price each option's compiled plan step by step, by Via.
-	price := func(o *StrategyOption, l, a int) float64 {
-		steps := make([]cost.Step, len(o.Plan.Steps))
-		for i, s := range o.Plan.Steps {
-			steps[i] = cost.Step{Via: s.Via, Fanout: s.Fanout, Clustered: s.FragClusteredOnCol}
+// TestCompiledStrategyIsArgminAtEveryDeltaSize is the reason an auto view's
+// method is chosen once per compiled plan rather than per statement: over
+// random 2- and 3-way views, structure sets, layouts and fan-outs, the
+// compiled method is the brute-force minimum of the chain's modeled TW for
+// every delta size, because the pricer is linear in the delta size.
+func TestCompiledStrategyIsArgminAtEveryDeltaSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	cols := []string{"id", "k", "m"}
+	// 960 rows over these distinct counts: f = 1, 1.5, 2, 2.5, 3, 4, 5, 10,
+	// 40, each exact in binary, so a tie at a = 1 stays a tie at every a.
+	distincts := []int64{960, 640, 480, 384, 320, 240, 192, 96, 24}
+	pick := func(xs []string) string { return xs[rng.Intn(len(xs))] }
+	seen := map[catalog.Strategy]int{}
+	for trial := 0; trial < 300; trial++ {
+		names := []string{"t0", "t1", "t2"}[:2+rng.Intn(2)]
+		cat := catalog.New()
+		st := stats.New()
+		for _, n := range names {
+			tb := intTable(n, cols...)
+			tb.PartitionCol = pick(cols)
+			tb.ClusterCol = pick(append([]string{""}, cols...))
+			if err := cat.AddTable(tb); err != nil {
+				t.Fatal(err)
+			}
+			distinct := map[string]int64{}
+			for _, c := range cols {
+				distinct[c] = distincts[rng.Intn(len(distincts))]
+			}
+			st.Set(n, stats.TableStats{Rows: 960, Distinct: distinct})
 		}
-		tw, _ := cost.Chain(l, a, steps)
-		return tw
-	}
-	for _, l := range []int{1, 2, 8} {
-		for _, a := range []int{1, 8, 64, 512, 4096} {
-			got := vs.Choose(l, a)
-			best, bestTW := &vs.Options[0], price(&vs.Options[0], l, a)
-			for i := 1; i < len(vs.Options); i++ {
-				if tw := price(&vs.Options[i], l, a); tw < bestTW {
-					best, bestTW = &vs.Options[i], tw
+		// A chain: t0.k = t1.k [, t1.m = t2.m].
+		v := &catalog.View{Name: "jv", Tables: names, Strategy: catalog.StrategyAuto}
+		v.Joins = append(v.Joins, catalog.JoinPred{Left: "t0", LeftCol: "k", Right: "t1", RightCol: "k"})
+		if len(names) == 3 {
+			v.Joins = append(v.Joins, catalog.JoinPred{Left: "t1", LeftCol: "m", Right: "t2", RightCol: "m"})
+		}
+		for _, j := range v.Joins {
+			for _, side := range [][2]string{{j.Left, j.LeftCol}, {j.Right, j.RightCol}} {
+				if rng.Intn(2) == 0 {
+					if err := cat.AddAuxRel(&catalog.AuxRel{Name: "ar_" + side[0] + "_" + side[1], Table: side[0], PartitionCol: side[1]}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if rng.Intn(2) == 0 {
+					if err := cat.AddGlobalIndex(&catalog.GlobalIndex{Name: "gi_" + side[0] + "_" + side[1], Table: side[0], Col: side[1]}); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
-			if got != best || got.TW(l, a) != bestTW {
-				t.Errorf("L=%d a=%d: Choose picked %v (TW %.1f), brute force %v (TW %.1f)",
-					l, a, got.Strategy, got.TW(l, a), best.Strategy, bestTW)
+		}
+		if err := cat.AddView(v); err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range []int{1, 2, 3, 8, 32} {
+			for _, table := range names {
+				vs := viewStage(t, cat, st, table, "jv", l)
+				seen[vs.Strategy]++
+				for _, a := range []int{1, 2, 7, 256, 4096} {
+					best, bestTW := catalog.StrategyAuto, 0.0
+					for _, s := range []catalog.Strategy{catalog.StrategyAuxRel, catalog.StrategyGlobalIndex, catalog.StrategyNaive} {
+						p, err := plan.Build(cat, st, v, table, s)
+						if err != nil {
+							continue
+						}
+						steps := make([]cost.Step, len(p.Steps))
+						for i, ps := range p.Steps {
+							steps[i] = cost.Step{Via: ps.Via, Fanout: ps.Fanout, Clustered: ps.FragClusteredOnCol}
+						}
+						if tw, _ := cost.Chain(l, a, steps); best == catalog.StrategyAuto || tw < bestTW {
+							best, bestTW = s, tw
+						}
+					}
+					if vs.Strategy != best {
+						t.Fatalf("trial %d, update of %s, L=%d a=%d: compiled %v, brute force %v (TW %.1f)",
+							trial, table, l, a, vs.Strategy, best, bestTW)
+					}
+				}
 			}
 		}
+	}
+	// The draw must exercise every method, or the argument is vacuous.
+	if seen[catalog.StrategyAuxRel] == 0 || seen[catalog.StrategyGlobalIndex] == 0 || seen[catalog.StrategyNaive] == 0 {
+		t.Errorf("compiled methods %v: want each of auxrel, globalindex, naive", seen)
 	}
 }
 
@@ -382,7 +436,7 @@ func TestDescribe(t *testing.T) {
 		"pipeline for insert into r",
 		"base",
 		"ar_r", "gi_r",
-		"jv (adaptive: auxrel|globalindex|naive)",
+		"jv (auto: auxrel)",
 		"jv_pin (pinned: globalindex)",
 	} {
 		if !strings.Contains(d, want) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"joinview/internal/catalog"
+	"joinview/internal/hashpart"
 	"joinview/internal/maintain"
 	"joinview/internal/stats"
 )
@@ -51,10 +52,7 @@ func TestDAGDeduplicatesCommonPrefixes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes, chosen := p.DAG(8, 16)
-	if len(chosen) != 3 {
-		t.Fatalf("chose %d strategies, want 3", len(chosen))
-	}
+	nodes := p.DAG()
 	// r ⋈ s is a single delta-join step; identical across the views, so the
 	// DAG is a single shared node.
 	if len(nodes) != 1 {
@@ -79,7 +77,7 @@ func TestDAGDeduplicatesCommonPrefixes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes, _ = p.DAG(8, 16)
+	nodes = p.DAG()
 	if len(nodes) != 2 {
 		t.Fatalf("distinct pinned strategies share a node: %+v", nodes)
 	}
@@ -107,7 +105,7 @@ func TestSharedTWModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, i1 := p1.SharedTW(8, 16)
+	s1, i1 := p1.SharedTW(16)
 	if s1 != i1 {
 		t.Errorf("one view: shared %.1f != independent %.1f", s1, i1)
 	}
@@ -115,7 +113,7 @@ func TestSharedTWModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s4, i4 := p4.SharedTW(8, 16)
+	s4, i4 := p4.SharedTW(16)
 	if s4 >= i4 {
 		t.Errorf("four views: shared %.1f not below independent %.1f", s4, i4)
 	}
@@ -139,7 +137,7 @@ func TestDescribeDAG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := p.DescribeDAG(8, 16)
+	out := p.DescribeDAG(16)
 	for _, want := range []string{
 		"shared maintenance DAG for insert into r",
 		"executed once, feeds 3 views",
@@ -155,7 +153,7 @@ func TestDescribeDAG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out != p2.DescribeDAG(8, 16) {
+	if out != p2.DescribeDAG(16) {
 		t.Error("DescribeDAG not deterministic across recompiles")
 	}
 }
@@ -177,6 +175,7 @@ func advisorCatalog(t *testing.T, nviews int) (*catalog.Catalog, *stats.Stats) {
 			t.Fatal(err)
 		}
 	}
+	cat.SetPartitionMap(hashpart.Identity(8))
 	st := stats.New()
 	st.Set("r", stats.TableStats{Rows: 1000, Distinct: map[string]int64{"k": 100, "a": 10}})
 	st.Set("s", stats.TableStats{Rows: 4000, Distinct: map[string]int64{"k": 100, "b": 20}})
@@ -190,7 +189,7 @@ func advisorCatalog(t *testing.T, nviews int) (*catalog.Catalog, *stats.Stats) {
 func TestAdviseRecommendsMissingStructures(t *testing.T) {
 	cat, st := advisorCatalog(t, 2)
 	v0 := cat.Version()
-	adv, err := Advise(cat, st, 8)
+	adv, err := Advise(cat, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +234,7 @@ func TestAdviseRecommendsMissingStructures(t *testing.T) {
 			t.Fatalf("applying %s %s: %v", it.Kind(), it.Name(), err)
 		}
 	}
-	again, err := Advise(cat, st, 8)
+	again, err := Advise(cat, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,11 +247,11 @@ func TestAdviseRecommendsMissingStructures(t *testing.T) {
 // statistics, same advice, in the same order.
 func TestAdviseDeterministic(t *testing.T) {
 	cat, st := advisorCatalog(t, 3)
-	a1, err := Advise(cat, st, 8)
+	a1, err := Advise(cat, st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := Advise(cat, st, 8)
+	a2, err := Advise(cat, st)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,8 @@
 //     attributes, so a delta touches one node;
 //   - StrategyGlobalIndex — keep global indexes mapping join values to
 //     global row ids, touching 1 + K nodes;
-//   - StrategyAuto — pick per update with the paper's cost model.
+//   - StrategyAuto — pick the cheapest by the paper's cost model, once per
+//     compiled maintenance plan.
 //
 // Every operation is metered in the paper's logical I/O units (SEARCH = 1,
 // FETCH = 1, INSERT = 2) plus interconnect messages, so the experiments in
@@ -167,10 +168,9 @@ type Options struct {
 	// the delivery stack is concurrent: UseChannels or UseTCP with no fault
 	// injector installed (DESIGN.md "Parallel execution").
 	LockedReads bool
-	// ForceIndexJoin / ForceSortMerge pin the maintenance join algorithm;
-	// by default each node applies the paper's §3.2 cost crossover.
-	ForceIndexJoin bool
-	ForceSortMerge bool
+	// JoinAlgo pins the maintenance join algorithm; by default (JoinAuto)
+	// each node applies the paper's §3.2 cost crossover.
+	JoinAlgo JoinAlgo
 	// BufferPages attaches a per-node LRU buffer pool of that many pages
 	// (0 disables caching simulation). With a pool, Metrics additionally
 	// reports physical I/O — the §3.3 buffering effect.
@@ -254,6 +254,17 @@ type Options struct {
 	ReplicationFactor int
 }
 
+// JoinAlgo selects the local join algorithm of maintenance probes.
+type JoinAlgo uint8
+
+// Join algorithms. JoinAuto is the zero value, so an unset Options.JoinAlgo
+// keeps the per-node cost crossover.
+const (
+	JoinAuto JoinAlgo = iota
+	JoinIndex
+	JoinSortMerge
+)
+
 // Fault-injection surface, re-exported from the internal fault package.
 type (
 	// FaultInjector decides, deterministically from a seed, which
@@ -322,10 +333,10 @@ type DB struct {
 // Open creates a database with empty catalog and storage.
 func Open(opts Options) (*DB, error) {
 	algo := node.AlgoAuto
-	if opts.ForceIndexJoin {
+	switch opts.JoinAlgo {
+	case JoinIndex:
 		algo = node.AlgoIndex
-	}
-	if opts.ForceSortMerge {
+	case JoinSortMerge:
 		algo = node.AlgoSortMerge
 	}
 	c, err := cluster.New(cluster.Config{
@@ -463,19 +474,11 @@ func (db *DB) Metrics() Metrics { return db.c.Metrics() }
 // ResetMetrics zeroes all counters, opening a fresh measurement window.
 func (db *DB) ResetMetrics() { db.c.ResetMetrics() }
 
-// ResolveStrategy reports which maintenance method an auto-strategy view
-// would use for an update of the given size on the given table.
-func (db *DB) ResolveStrategy(viewName, table string, deltaSize int) (Strategy, error) {
-	v, err := db.c.Catalog().View(viewName)
-	if err != nil {
-		return 0, err
-	}
-	return db.c.ResolveStrategy(v, table, deltaSize)
-}
-
 // ExplainPipeline renders the compiled maintenance pipeline for one
 // (table, op) pair — op is "insert" or "delete" — listing its stages in
-// execution order and, for auto-strategy views, the advisor's options.
+// execution order and the method each view stage was compiled to; an
+// auto-strategy view's method is the cheapest by the paper's cost model,
+// priced once per compiled plan.
 func (db *DB) ExplainPipeline(table, op string) (string, error) {
 	return db.c.ExplainPipeline(table, op)
 }

@@ -2,6 +2,7 @@ package joinview
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -151,15 +152,15 @@ func TestFacadeAutoStrategy(t *testing.T) {
 	`); err != nil {
 		t.Fatal(err)
 	}
-	strat, err := db.ResolveStrategy("v", "a", 1)
+	out, err := db.ExplainPipeline("a", "insert")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strat != StrategyAuxRel {
-		t.Errorf("auto strategy for 1-tuple update = %v, want auxrel", strat)
+	if !strings.Contains(out, "v (auto: auxrel)") {
+		t.Errorf("auto view not compiled to auxrel:\n%s", out)
 	}
-	if _, err := db.ResolveStrategy("ghost", "a", 1); err == nil {
-		t.Error("resolving for missing view should fail")
+	if _, err := db.Cluster().ExplainMaintenance("ghost", "a"); err == nil {
+		t.Error("explaining a missing view should fail")
 	}
 	if _, err := db.Exec(`insert into a values (7, 5)`); err != nil {
 		t.Fatal(err)
@@ -266,12 +267,12 @@ func TestOpenValidation(t *testing.T) {
 	if _, err := Open(Options{}); err == nil {
 		t.Error("Open with zero nodes should fail")
 	}
-	db, err := Open(Options{Nodes: 1, ForceIndexJoin: true})
+	db, err := Open(Options{Nodes: 1, JoinAlgo: JoinIndex})
 	if err != nil {
 		t.Fatal(err)
 	}
 	db.Close()
-	db, err = Open(Options{Nodes: 1, ForceSortMerge: true, UseChannels: true})
+	db, err = Open(Options{Nodes: 1, JoinAlgo: JoinSortMerge, UseChannels: true})
 	if err != nil {
 		t.Fatal(err)
 	}
