@@ -99,7 +99,7 @@ func ExampleDB_ExplainPipeline() {
 	}
 	fmt.Print(out)
 	// Output:
-	// pipeline for insert into a (catalog v8, 4 stages)
+	// pipeline for insert into a (4 stages)
 	//   stage 1: base        a
 	//   stage 2: auxrel      ar_a_c (on c)
 	//   stage 3: globalindex gi_a_c (on c)

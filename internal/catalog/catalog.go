@@ -7,8 +7,8 @@ package catalog
 
 import (
 	"fmt"
+	"maps"
 	"sort"
-	"sync/atomic"
 
 	"joinview/internal/expr"
 	"joinview/internal/hashpart"
@@ -364,11 +364,12 @@ func (v *View) OutColsOf(table string) []string {
 	return out
 }
 
-// Catalog is the full metadata store. It is not synchronized: DDL happens
-// before the update streams in every workload, matching the paper's setup.
-// The cluster serializes any later DDL against DML under its global lock;
-// the version counter is atomic so lock-free readers (the plan cache) can
-// still detect concurrent drift.
+// Catalog is one published snapshot of the metadata: tables, views,
+// auxiliary relations, global indexes and the partition map with the router
+// built from it. It is immutable — it has read methods only — so any number
+// of goroutines may read it without a lock. The next catalog is drafted on
+// a Builder and replaces this one as a whole; objects shared between
+// snapshots are never mutated in place.
 type Catalog struct {
 	tables   map[string]*Table
 	views    map[string]*View
@@ -378,65 +379,77 @@ type Catalog struct {
 	// materialized (or reused) for: AR name → set of view names. Identical
 	// ARs are deduplicated at view creation, so the sets are the reference
 	// counts that decide when an auto-created AR may be garbage-collected.
-	arRefs  map[string]map[string]bool
-	version atomic.Uint64
-	// pmap is the cluster's versioned partition map: the epoch-stamped
-	// slot→node assignment the elasticity machinery installs at every
-	// migration cutover. Readers (the plan cache's validity check, the
-	// topology report) load it lock-free; nil means the fixed identity
-	// topology (epoch 0).
-	pmap atomic.Pointer[hashpart.Map]
+	arRefs map[string]map[string]bool
+	// part routes values through the epoch-stamped slot→node partition
+	// map; nil until a map is recorded.
+	part *hashpart.Partitioner
 }
 
-// Version returns the catalog's schema version: a counter bumped by every
-// successful DDL mutation. Compiled maintenance plans record the version
-// they were built against and are invalid once it moves.
-func (c *Catalog) Version() uint64 { return c.version.Load() }
-
-// bump advances the schema version after a successful mutation.
-func (c *Catalog) bump() { c.version.Add(1) }
-
-// SetPartitionMap records the installed slot→node partition map. The
-// cluster calls it at construction and at every migration cutover; the
-// epoch bump (not a catalog-version bump) is what invalidates compiled
-// maintenance plans, so fixed-topology workloads see no extra recompiles.
-func (c *Catalog) SetPartitionMap(m hashpart.Map) {
-	m = m.Clone()
-	c.pmap.Store(&m)
+// Builder drafts the next catalog: it holds a private copy of a snapshot's
+// maps, offers the snapshot's read methods over the draft, and the
+// mutators. Build hands the draft over as a snapshot and spends the
+// builder.
+type Builder struct {
+	*Catalog
 }
 
-// PartitionMap returns the recorded partition map and whether one was set.
-func (c *Catalog) PartitionMap() (hashpart.Map, bool) {
-	p := c.pmap.Load()
-	if p == nil {
-		return hashpart.Map{}, false
-	}
-	return p.Clone(), true
-}
-
-// PartitionEpoch returns the installed partition map's epoch (0 when the
-// topology never changed). Compiled maintenance plans record it and are
-// invalid once it moves.
-func (c *Catalog) PartitionEpoch() uint64 {
-	if p := c.pmap.Load(); p != nil {
-		return p.Epoch
-	}
-	return 0
-}
-
-// New returns an empty catalog.
-func New() *Catalog {
-	return &Catalog{
+// New returns a builder over an empty catalog.
+func New() *Builder {
+	return &Builder{Catalog: &Catalog{
 		tables:   map[string]*Table{},
 		views:    map[string]*View{},
 		auxrels:  map[string]*AuxRel{},
 		gindexes: map[string]*GlobalIndex{},
 		arRefs:   map[string]map[string]bool{},
-	}
+	}}
 }
 
+// Builder returns a draft of the next catalog, starting from c. The maps
+// are copied; the objects they hold are shared and never mutated in place.
+func (c *Catalog) Builder() *Builder {
+	return &Builder{Catalog: &Catalog{
+		tables:   maps.Clone(c.tables),
+		views:    maps.Clone(c.views),
+		auxrels:  maps.Clone(c.auxrels),
+		gindexes: maps.Clone(c.gindexes),
+		arRefs:   maps.Clone(c.arRefs),
+		part:     c.part,
+	}}
+}
+
+// Build returns the draft as an immutable snapshot. The builder must not
+// be used afterwards.
+func (b *Builder) Build() *Catalog {
+	c := b.Catalog
+	b.Catalog = nil
+	return c
+}
+
+// UsePartitionMap records the slot→node partition map the catalog routes
+// through, replacing the router.
+func (b *Builder) UsePartitionMap(m hashpart.Map) error {
+	p, err := hashpart.For(m)
+	if err != nil {
+		return err
+	}
+	b.part = p
+	return nil
+}
+
+// PartitionMap returns the recorded partition map and whether one was set.
+func (c *Catalog) PartitionMap() (hashpart.Map, bool) {
+	if c.part == nil {
+		return hashpart.Map{}, false
+	}
+	return c.part.Map(), true
+}
+
+// Partitioner returns the router over the recorded partition map (nil
+// when none was set).
+func (c *Catalog) Partitioner() *hashpart.Partitioner { return c.part }
+
 // AddTable validates and registers a base table.
-func (c *Catalog) AddTable(t *Table) error {
+func (c *Builder) AddTable(t *Table) error {
 	if t.Name == "" {
 		return fmt.Errorf("catalog: table needs a name")
 	}
@@ -458,7 +471,6 @@ func (c *Catalog) AddTable(t *Table) error {
 		}
 	}
 	c.tables[t.Name] = t
-	c.bump()
 	return nil
 }
 
@@ -475,7 +487,7 @@ func (c *Catalog) Table(name string) (*Table, error) {
 func (c *Catalog) Tables() []string { return sortedKeys(c.tables) }
 
 // AddIndex registers a secondary index on an existing table.
-func (c *Catalog) AddIndex(table string, ix Index) error {
+func (c *Builder) AddIndex(table string, ix Index) error {
 	t, err := c.Table(table)
 	if err != nil {
 		return err
@@ -488,14 +500,16 @@ func (c *Catalog) AddIndex(table string, ix Index) error {
 			return fmt.Errorf("catalog: index %q already exists on %q", ix.Name, table)
 		}
 	}
-	t.Indexes = append(t.Indexes, ix)
-	c.bump()
+	// Copy on write: the old *Table still belongs to published snapshots.
+	tc := *t
+	tc.Indexes = append(t.Indexes[:len(t.Indexes):len(t.Indexes)], ix)
+	c.tables[table] = &tc
 	return nil
 }
 
 // AddAuxRel validates and registers an auxiliary relation, deriving its
 // schema from the base table.
-func (c *Catalog) AddAuxRel(a *AuxRel) error {
+func (c *Builder) AddAuxRel(a *AuxRel) error {
 	if _, dup := c.auxrels[a.Name]; dup {
 		return fmt.Errorf("catalog: auxiliary relation %q already exists", a.Name)
 	}
@@ -520,7 +534,6 @@ func (c *Catalog) AddAuxRel(a *AuxRel) error {
 	a.Cols = cols
 	a.Schema = schema
 	c.auxrels[a.Name] = a
-	c.bump()
 	return nil
 }
 
@@ -557,7 +570,7 @@ func (c *Catalog) AuxRelOn(table, col string, covering []string) (*AuxRel, bool)
 
 // AddGlobalIndex validates and registers a global index. DistClustered is
 // derived from the base table's local layout.
-func (c *Catalog) AddGlobalIndex(g *GlobalIndex) error {
+func (c *Builder) AddGlobalIndex(g *GlobalIndex) error {
 	if _, dup := c.gindexes[g.Name]; dup {
 		return fmt.Errorf("catalog: global index %q already exists", g.Name)
 	}
@@ -570,7 +583,6 @@ func (c *Catalog) AddGlobalIndex(g *GlobalIndex) error {
 	}
 	g.DistClustered = t.ClusterCol == g.Col
 	c.gindexes[g.Name] = g
-	c.bump()
 	return nil
 }
 
@@ -605,7 +617,7 @@ func (c *Catalog) GlobalIndexesFor(table string) []*GlobalIndex {
 }
 
 // AddView validates a view definition, derives its schema, and registers it.
-func (c *Catalog) AddView(v *View) error {
+func (c *Builder) AddView(v *View) error {
 	if _, dup := c.views[v.Name]; dup {
 		return fmt.Errorf("catalog: view %q already exists", v.Name)
 	}
@@ -719,7 +731,6 @@ func (c *Catalog) AddView(v *View) error {
 		}
 	}
 	c.views[v.Name] = v
-	c.bump()
 	return nil
 }
 
@@ -770,18 +781,17 @@ func (c *Catalog) ViewsOn(table string) []*View {
 }
 
 // DropView removes a view from the catalog.
-func (c *Catalog) DropView(name string) error {
+func (c *Builder) DropView(name string) error {
 	if _, ok := c.views[name]; !ok {
 		return fmt.Errorf("catalog: no view %q", name)
 	}
 	delete(c.views, name)
-	c.bump()
 	return nil
 }
 
 // DropTable removes a base table; it must not be referenced by any view,
 // auxiliary relation or global index (the cluster drops those first).
-func (c *Catalog) DropTable(name string) error {
+func (c *Builder) DropTable(name string) error {
 	if _, ok := c.tables[name]; !ok {
 		return fmt.Errorf("catalog: no table %q", name)
 	}
@@ -795,32 +805,30 @@ func (c *Catalog) DropTable(name string) error {
 		return fmt.Errorf("catalog: table %q still has global index %q", name, gis[0].Name)
 	}
 	delete(c.tables, name)
-	c.bump()
 	return nil
 }
 
 // DropAuxRel removes an auxiliary relation from the catalog, along with
 // any view references recorded against it.
-func (c *Catalog) DropAuxRel(name string) error {
+func (c *Builder) DropAuxRel(name string) error {
 	if _, ok := c.auxrels[name]; !ok {
 		return fmt.Errorf("catalog: no auxiliary relation %q", name)
 	}
 	delete(c.auxrels, name)
 	delete(c.arRefs, name)
-	c.bump()
 	return nil
 }
 
 // RefAuxRel records that the named view's maintenance uses the AR — either
 // because the AR was just materialized for it or because view creation
 // deduplicated onto an existing covering AR.
-func (c *Catalog) RefAuxRel(ar, view string) {
-	refs, ok := c.arRefs[ar]
-	if !ok {
+func (c *Builder) RefAuxRel(ar, view string) {
+	refs := maps.Clone(c.arRefs[ar]) // the old set belongs to published snapshots
+	if refs == nil {
 		refs = map[string]bool{}
-		c.arRefs[ar] = refs
 	}
 	refs[view] = true
+	c.arRefs[ar] = refs
 }
 
 // AuxRelRefs returns the names of the views referencing the AR, sorted.
@@ -841,14 +849,16 @@ func (c *Catalog) AuxRelRefs(ar string) []string {
 // and returns the auto-created ARs left with no referencing view, sorted —
 // the garbage a DROP VIEW may now collect. User-created ARs are never
 // returned, however many views came and went.
-func (c *Catalog) UnrefViewAuxRels(view string) []string {
+func (c *Builder) UnrefViewAuxRels(view string) []string {
 	var orphaned []string
 	for name, refs := range c.arRefs {
 		if !refs[view] {
 			continue
 		}
-		delete(refs, view)
-		if len(refs) > 0 {
+		if len(refs) > 1 {
+			refs = maps.Clone(refs) // the old set belongs to published snapshots
+			delete(refs, view)
+			c.arRefs[name] = refs
 			continue
 		}
 		delete(c.arRefs, name)
@@ -861,12 +871,11 @@ func (c *Catalog) UnrefViewAuxRels(view string) []string {
 }
 
 // DropGlobalIndex removes a global index from the catalog.
-func (c *Catalog) DropGlobalIndex(name string) error {
+func (c *Builder) DropGlobalIndex(name string) error {
 	if _, ok := c.gindexes[name]; !ok {
 		return fmt.Errorf("catalog: no global index %q", name)
 	}
 	delete(c.gindexes, name)
-	c.bump()
 	return nil
 }
 

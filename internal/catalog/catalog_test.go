@@ -1,12 +1,14 @@
 package catalog
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"joinview/internal/types"
 )
 
-func tpcrCatalog(t *testing.T) *Catalog {
+func tpcrCatalog(t *testing.T) *Builder {
 	t.Helper()
 	c := New()
 	must := func(err error) {
@@ -390,5 +392,71 @@ func TestParseStrategy(t *testing.T) {
 	}
 	if Strategy(99).String() == "" {
 		t.Error("unknown strategy should still render")
+	}
+}
+
+// TestSnapshotHasNoMutators pins the compile-time half of immutability: a
+// published *Catalog offers read methods only; every mutator lives on the
+// Builder.
+func TestSnapshotHasNoMutators(t *testing.T) {
+	typ := reflect.TypeOf(&Catalog{})
+	for i := 0; i < typ.NumMethod(); i++ {
+		name := typ.Method(i).Name
+		for _, prefix := range []string{"Add", "Drop", "Ref", "Unref", "Set"} {
+			if strings.HasPrefix(name, prefix) {
+				t.Errorf("*Catalog has mutator %s", name)
+			}
+		}
+	}
+	if _, ok := reflect.TypeOf(&Builder{}).MethodByName("AddView"); !ok {
+		t.Error("*Builder lacks AddView")
+	}
+}
+
+// TestBuilderLeavesSnapshotUntouched pins the run-time half: a builder
+// derived from snapshot S shares S's objects, and adding an index, refing
+// an auxiliary relation and dropping a view on it must not reach S.
+func TestBuilderLeavesSnapshotUntouched(t *testing.T) {
+	b := tpcrCatalog(t)
+	if err := b.AddView(jv2(StrategyAuxRel)); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddAuxRel(&AuxRel{Name: "ar_orders", Table: "orders", PartitionCol: "custkey"}); err != nil {
+		t.Fatal(err)
+	}
+	b.RefAuxRel("ar_orders", "jv2")
+	s := b.Build()
+	orders, _ := s.Table("orders")
+
+	next := s.Builder()
+	if err := next.AddIndex("orders", Index{Name: "ix_cust", Col: "custkey"}); err != nil {
+		t.Fatal(err)
+	}
+	next.RefAuxRel("ar_orders", "other")
+	if err := next.DropView("jv2"); err != nil {
+		t.Fatal(err)
+	}
+	if orphaned := next.UnrefViewAuxRels("jv2"); len(orphaned) != 0 {
+		t.Errorf("user-created AR orphaned: %v", orphaned)
+	}
+	n := next.Build()
+
+	if got, _ := s.Table("orders"); got != orders || len(got.Indexes) != 0 {
+		t.Errorf("snapshot's orders table changed: %+v", got)
+	}
+	if got := s.AuxRelRefs("ar_orders"); !reflect.DeepEqual(got, []string{"jv2"}) {
+		t.Errorf("snapshot's AR refs = %v, want [jv2]", got)
+	}
+	if got := s.Views(); !reflect.DeepEqual(got, []string{"jv2"}) {
+		t.Errorf("snapshot's views = %v, want [jv2]", got)
+	}
+	if got, _ := n.Table("orders"); !got.HasIndexOn("custkey") {
+		t.Error("next catalog lacks the new index")
+	}
+	if got := n.AuxRelRefs("ar_orders"); !reflect.DeepEqual(got, []string{"other"}) {
+		t.Errorf("next catalog's AR refs = %v, want [other]", got)
+	}
+	if len(n.Views()) != 0 {
+		t.Errorf("next catalog still has views %v", n.Views())
 	}
 }

@@ -292,7 +292,7 @@ func TestAsyncOverloadBlockFlushFailure(t *testing.T) {
 	// failure in lastErr; its retries keep failing against the dead
 	// node, so the queue stays at its depth bound whichever of flusher
 	// retry and third writer runs first.
-	victim := c.part.NodeFor(types.Int(750))
+	victim := c.Catalog().Partitioner().NodeFor(types.Int(750))
 	inj.Crash(victim)
 	for i := int64(0); i < 2; i++ {
 		if err := c.Insert("orders", []types.Tuple{ord(750+i, i, 1)}); err != nil {

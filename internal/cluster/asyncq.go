@@ -568,17 +568,17 @@ func (c *Cluster) applyEpoch(run *epochRun) error {
 // overlay readers' view of (stored state, done flags) consistent.
 func (c *Cluster) applyGroup(run *epochRun, gi int) error {
 	g := &run.groups[gi]
-	h := c.lockStmt(g.table)
+	h, cat := c.lockStmt(g.table)
 	defer h.Release()
 	if err := c.failIfDegraded(); err != nil {
 		return err
 	}
 	st := stmt{table: g.table, remove: g.deletes, add: g.inserts,
 		tag: &wal.FlushCommit{Epoch: run.epoch, Group: gi}}
-	if err := c.resolve(&st, false); err != nil {
+	if err := c.resolve(cat, &st, false); err != nil {
 		return err
 	}
-	if err := c.apply(&st); err != nil {
+	if err := c.apply(cat, &st); err != nil {
 		return err
 	}
 	c.aq.mu.Lock()

@@ -142,10 +142,12 @@ type Config struct {
 
 // Cluster is a running parallel RDBMS instance.
 type Cluster struct {
-	cfg   Config
-	cat   *catalog.Catalog
+	cfg Config
+	// cat is the published catalog snapshot — schema, partition map and
+	// router. Statements and reads load it once (Catalog); DDL, the
+	// migration cutover and failover replace it whole (publish).
+	cat   atomic.Pointer[catalog.Catalog]
 	st    *stats.Stats
-	part  *hashpart.Partitioner
 	nodes []*node.DataNode
 	// net is the raw delivery stack (direct, channel or TCP link under
 	// latency, timeout and fault-injection middleware; its Bypass reaches a
@@ -218,7 +220,7 @@ type Cluster struct {
 	brkOpen   map[int]bool
 
 	// mcache holds the compiled maintenance plans of the write path,
-	// keyed by (table, op) and invalidated by catalog-version or
+	// keyed by (table, op) and invalidated by a newly published catalog or
 	// statistics drift; pstats counts its hits/misses and the pipeline's
 	// per-stage costs.
 	mcache *mplan.Cache
@@ -296,9 +298,7 @@ func newCluster(cfg Config, wrap func(id int, h netsim.Handler) netsim.Handler) 
 	}
 	c := &Cluster{
 		cfg:         cfg,
-		cat:         catalog.New(),
 		st:          stats.New(),
-		part:        hashpart.New(cfg.Nodes),
 		rng:         rand.New(rand.NewSource(cfg.RetrySeed)),
 		downNodes:   map[int]bool{},
 		repairs:     map[int][]repair{},
@@ -318,17 +318,19 @@ func newCluster(cfg Config, wrap func(id int, h netsim.Handler) netsim.Handler) 
 		rstats:      stats.NewReplCounters(),
 	}
 	c.nNodes.Store(int32(cfg.Nodes))
+	m := hashpart.Identity(cfg.Nodes)
 	if cfg.ReplicationFactor > 1 {
-		m, err := c.part.Map().WithReplicas(cfg.ReplicationFactor)
-		if err != nil {
+		var err error
+		if m, err = m.WithReplicas(cfg.ReplicationFactor); err != nil {
 			return nil, err
 		}
 		m.Epoch++
-		if err := c.part.Install(m); err != nil {
-			return nil, err
-		}
 	}
-	c.cat.SetPartitionMap(c.part.Map())
+	b := catalog.New()
+	if err := b.UsePartitionMap(m); err != nil {
+		return nil, err
+	}
+	c.publish(b.Build())
 	c.coordLog = wal.NewLog(c.coordMeter, cfg.PageRows)
 	handlers := make([]netsim.Handler, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
@@ -369,12 +371,7 @@ func newCluster(cfg Config, wrap func(id int, h netsim.Handler) netsim.Handler) 
 	if c.net.Concurrent() && !cfg.LockedReads {
 		c.mvcc = newEpochTracker()
 	}
-	c.env = maintain.Env{
-		T:        c.tr,
-		Part:     c.part,
-		Cat:      c.cat,
-		Parallel: c.net.Concurrent(),
-	}
+	c.env = maintain.Env{T: c.tr, Parallel: c.net.Concurrent()}
 	if c.mvccOn() {
 		c.env.WriteEpoch = c.writeEpoch
 		c.env.GCFloor = c.gcFloorFor
@@ -393,9 +390,26 @@ func (c *Cluster) Close() {
 	c.tr.Close()
 }
 
-// Catalog exposes the metadata store (read-mostly; DDL goes through the
-// Create* methods).
-func (c *Cluster) Catalog() *catalog.Catalog { return c.cat }
+// Catalog returns the published catalog snapshot. It is immutable, so it
+// can be read without a lock; DDL (the Create*/Drop* methods) and
+// partition-map changes publish a new one.
+func (c *Cluster) Catalog() *catalog.Catalog { return c.cat.Load() }
+
+// publish makes next the catalog every later statement and read loads. It
+// is the one store into c.cat: DDL publishes once its node work succeeded,
+// the migration cutover and failover once the data moved, always under
+// the global lock or the claims that exclude every statement.
+func (c *Cluster) publish(next *catalog.Catalog) { c.cat.Store(next) }
+
+// publishMap publishes the current catalog with partition map m.
+func (c *Cluster) publishMap(m hashpart.Map) error {
+	b := c.Catalog().Builder()
+	if err := b.UsePartitionMap(m); err != nil {
+		return err
+	}
+	c.publish(b.Build())
+	return nil
+}
 
 // Stats exposes the statistics store.
 func (c *Cluster) Stats() *stats.Stats { return c.st }
@@ -589,12 +603,12 @@ func (c *Cluster) ResetMetrics() {
 // RefreshStats recomputes exact statistics for the named table from its
 // stored fragments (row count, per-column distinct counts).
 func (c *Cluster) RefreshStats(table string) error {
-	t, err := c.cat.Table(table)
-	if err != nil {
-		return err
-	}
 	rs := c.beginRead(table)
-	rows, err := rs.unmetered(table)
+	t, err := rs.cat.Table(table)
+	var rows []types.Tuple
+	if err == nil {
+		rows, err = rs.unmetered(table)
+	}
 	rs.end()
 	if err != nil {
 		return err

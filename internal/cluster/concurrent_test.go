@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -441,11 +442,14 @@ func TestEverythingOn(t *testing.T) {
 	}
 }
 
-// TestCatalogReadsBesideDDL runs the library reads that consult the catalog
-// — ExplainMaintenance and ViewRows' existence check — beside a CREATE VIEW
-// / DROP VIEW loop on the channel link. The catalog has no lock of its own,
-// so each read must consult it under a cluster lock; under -race a read
-// that does not is reported against AddView/DropView.
+// TestCatalogReadsBesideDDL runs every exported read that consults the
+// catalog — the explain and advisor surfaces, view and table reads, the
+// storage report, the structure checks, the topology — and an insert beside
+// a CREATE VIEW … USING AUTO / DROP VIEW loop on the channel link. Reads
+// take the published catalog snapshot, which no DDL mutates, so under -race
+// none may be reported against the catalog's builders; and a read of the
+// churned view may fail only with its not-found error, never return a
+// partial result.
 func TestCatalogReadsBesideDDL(t *testing.T) {
 	c, err := New(Config{Nodes: 2, UseChannels: true})
 	if err != nil {
@@ -465,8 +469,8 @@ func TestCatalogReadsBesideDDL(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		defer close(done)
-		for i := 0; i < 40; i++ {
-			if err := c.CreateView(jv1Def("churn", catalog.StrategyAuxRel)); err != nil {
+		for i := 0; i < 30; i++ {
+			if err := c.CreateView(jv1Def("churn", catalog.StrategyAuto)); err != nil {
 				t.Error(err)
 				return
 			}
@@ -476,10 +480,26 @@ func TestCatalogReadsBesideDDL(t *testing.T) {
 			}
 		}
 	}()
+	// churnGone forgives the churned view's not-found error.
+	churnGone := func(err error) error {
+		if err != nil && strings.Contains(err.Error(), `no view "churn"`) {
+			return nil
+		}
+		return err
+	}
+	var key atomic.Int64
+	key.Store(1_000)
 	for _, read := range []func() error{
 		func() error { _, err := c.ExplainMaintenance("jv", "customer"); return err },
+		func() error { _, err := c.ExplainPipeline("orders", "insert"); return err },
+		func() error { _, err := c.AdviseMaterialization(); return err },
 		func() error { _, err := c.ViewRows("jv"); return err },
 		func() error { _, _ = c.ViewRows("churn"); return nil }, // exists or not, atomically
+		func() error { _, err := c.TableRows("orders"); return err },
+		func() error { _, err := c.StorageReport(); return err },
+		func() error { return churnGone(c.CheckAllStructures()) },
+		func() error { _ = c.Topology(); return nil },
+		func() error { return c.Insert("orders", []types.Tuple{ord(key.Add(1), 1, 1)}) },
 	} {
 		wg.Add(1)
 		go func() {
@@ -498,4 +518,5 @@ func TestCatalogReadsBesideDDL(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	noErr(t, c.CheckAllStructures())
 }

@@ -122,7 +122,7 @@ func (c *Cluster) writeOnce(st *stmt, deferred bool) error {
 			return err
 		}
 	}
-	h := c.lockStmt(st.table)
+	h, cat := c.lockStmt(st.table)
 	defer h.Release()
 	if deferred {
 		if err := c.cfg.Faults.Phase("enqueue"); err != nil {
@@ -132,18 +132,18 @@ func (c *Cluster) writeOnce(st *stmt, deferred bool) error {
 	if err := c.failIfDegraded(); err != nil {
 		return err
 	}
-	if err := c.resolve(st, deferred); err != nil {
+	if err := c.resolve(cat, st, deferred); err != nil {
 		return err
 	}
 	if deferred {
 		c.enqueue(st)
 		return nil
 	}
-	return c.apply(st)
+	return c.apply(cat, st)
 }
 
-// resolve turns the statement into concrete work, under the caller's
-// claims: victims/locs are the stored tuples it removes, add everything it
+// resolve turns the statement into concrete work on cat, under the
+// caller's claims: victims/locs are the stored tuples it removes, add everything it
 // inserts (one replacement per victim when set is present), each checked
 // against the schema — a statement that cannot apply is refused here,
 // before anything is stored or enqueued. The located row ids stay valid
@@ -152,8 +152,8 @@ func (c *Cluster) writeOnce(st *stmt, deferred bool) error {
 // state — the stored base overlaid with the maintenance queue — so the
 // victims match what a synchronous statement would have removed; they
 // carry no locations (the flush relocates them by value).
-func (c *Cluster) resolve(st *stmt, deferred bool) error {
-	t, err := c.cat.Table(st.table)
+func (c *Cluster) resolve(cat *catalog.Catalog, st *stmt, deferred bool) error {
+	t, err := cat.Table(st.table)
 	if err != nil {
 		return err
 	}
@@ -170,7 +170,7 @@ func (c *Cluster) resolve(st *stmt, deferred bool) error {
 			st.victims, err = c.overlayVictims(t, st.where, st.victims)
 		}
 	case len(st.remove) > 0:
-		st.victims, st.locs, err = c.locateTuples(t, st.remove)
+		st.victims, st.locs, err = c.locateTuples(cat, t, st.remove)
 	}
 	if err != nil {
 		return err
@@ -193,15 +193,15 @@ func (c *Cluster) resolve(st *stmt, deferred bool) error {
 	return nil
 }
 
-// apply runs a resolved statement: the compiled delete pipeline over its
-// victims, then the compiled insert pipeline over its adds, inside one
+// apply runs a statement resolved on cat: the compiled delete pipeline
+// over its victims, then the compiled insert pipeline over its adds, inside one
 // atomically-committed statement scope — a failure anywhere leaves neither
 // half applied. The caller holds the claims; the publish happens before it
 // releases them, so the statement's version records become part of the
 // committed state for future snapshots. A tagged statement (a flush-epoch
 // group) leaves the row-count statistic alone: its statements charged it
 // when they were acknowledged.
-func (c *Cluster) apply(st *stmt) error {
+func (c *Cluster) apply(cat *catalog.Catalog, st *stmt) error {
 	if st.empty() {
 		// Matched nothing, adds nothing: under presumed abort an empty
 		// statement costs nothing — no participants, no decision record.
@@ -210,16 +210,16 @@ func (c *Cluster) apply(st *stmt) error {
 	var del, ins *mplan.Plan
 	var err error
 	if len(st.victims) > 0 {
-		if del, err = c.planFor(st.table, maintain.OpDelete); err != nil {
+		if del, err = c.planFor(cat, st.table, maintain.OpDelete); err != nil {
 			return err
 		}
 	}
 	if len(st.add) > 0 {
-		if ins, err = c.planFor(st.table, maintain.OpInsert); err != nil {
+		if ins, err = c.planFor(cat, st.table, maintain.OpInsert); err != nil {
 			return err
 		}
 	}
-	err = c.runStmt(st.tag, func(sc *stmtScope) error {
+	err = c.runStmt(cat, st.tag, func(sc *stmtScope) error {
 		if del != nil {
 			if err := c.execPlan(sc, del, st.victims, st.locs); err != nil {
 				return err
@@ -233,7 +233,7 @@ func (c *Cluster) apply(st *stmt) error {
 	if err != nil {
 		return err
 	}
-	c.publishStmt(st.table)
+	c.publishStmt(cat, st.table)
 	if st.tag == nil {
 		c.bumpRows(st.table, int64(len(st.add)-len(st.victims)))
 	}
@@ -263,8 +263,8 @@ func (c *Cluster) findVictims(table string, pred expr.Expr) ([]types.Tuple, []lo
 // locateTuples finds one stored instance per tuple (value-addressed, via
 // each tuple's home node), returning victims and their locations for the
 // delete pipeline.
-func (c *Cluster) locateTuples(tab *catalog.Table, tuples []types.Tuple) ([]types.Tuple, []located, error) {
-	buckets, err := c.part.Spread(tab.Schema, tab.PartitionCol, tuples)
+func (c *Cluster) locateTuples(cat *catalog.Catalog, tab *catalog.Table, tuples []types.Tuple) ([]types.Tuple, []located, error) {
+	buckets, err := cat.Partitioner().Spread(tab.Schema, tab.PartitionCol, tuples)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -302,16 +302,19 @@ func (c *Cluster) ComputeViewDeltaOnly(viewName, table string, tuples []types.Tu
 	// concurrent statements would pollute it.
 	h := c.lockGlobal()
 	defer h.Release()
-	v, err := c.cat.View(viewName)
+	cat := c.Catalog()
+	v, err := cat.View(viewName)
 	if err != nil {
 		return 0, Metrics{}, err
 	}
-	p, err := plan.Build(c.cat, c.st, v, table, strat)
+	p, err := plan.Build(cat, c.st, v, table, strat)
 	if err != nil {
 		return 0, Metrics{}, err
 	}
 	before := c.Metrics()
-	delta, _, err := maintain.ComputeViewDelta(c.env, p, tuples, c.cfg.Algo)
+	env := c.env
+	env.Cat = cat
+	delta, _, err := maintain.ComputeViewDelta(env, p, tuples, c.cfg.Algo)
 	if err != nil {
 		return 0, Metrics{}, err
 	}

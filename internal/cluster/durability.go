@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 
+	"joinview/internal/catalog"
 	"joinview/internal/maintain"
 	"joinview/internal/netsim"
 	"joinview/internal/node"
@@ -48,7 +49,10 @@ type applied struct {
 
 // stmtScope is one write statement's transaction scope and the transport
 // its work goes through: the stage functions scatter over it and env is the
-// cluster's maintain.Env with T = the scope. Being on the delivery path is
+// cluster's maintain.Env with T = the scope and Cat = the catalog snapshot
+// the statement runs on from plan lookup to apply. A DDL operation runs
+// through a scope too: its Cat is the draft it is building, and its undo
+// log is what a failed DDL rolls back. Being on the delivery path is
 // what lets it own the three things a statement needs to be atomic: the
 // transaction id stamped on its mutating sub-requests (0 when durability is
 // off: compensation only), the nodes that joined its two-phase commit, and
@@ -66,11 +70,27 @@ type stmtScope struct {
 	log   []applied
 }
 
-// beginStmt opens the scope of one statement, assigning its transaction id
-// when durability is on.
-func (c *Cluster) beginStmt() *stmtScope {
+// newScope opens a scope on cat outside any transaction (tid 0: its work
+// is compensated on failure, never two-phase committed).
+func (c *Cluster) newScope(cat *catalog.Catalog) *stmtScope {
 	sc := &stmtScope{resilientTransport: c.tr, env: c.env}
-	sc.env.T = sc
+	sc.env.T, sc.env.Cat = sc, cat
+	return sc
+}
+
+// catalogOf returns the catalog statement sc runs on, or the published one
+// for traffic outside any statement (sc nil).
+func (c *Cluster) catalogOf(sc *stmtScope) *catalog.Catalog {
+	if sc != nil {
+		return sc.env.Cat
+	}
+	return c.Catalog()
+}
+
+// beginStmt opens the scope of one statement on cat, assigning its
+// transaction id when durability is on.
+func (c *Cluster) beginStmt(cat *catalog.Catalog) *stmtScope {
+	sc := c.newScope(cat)
 	if c.cfg.Durability {
 		sc.tid = c.tids.Add(1)
 		sc.parts = map[int]bool{}
@@ -161,17 +181,23 @@ func (c *Cluster) Decisions() []uint64 {
 	return out
 }
 
-// runStmt executes body as one atomically-committed statement: its work
-// goes through a fresh scope, a failure rolls the scope's undo log back,
-// and — when durability is on — success commits by presumed-abort
+// runStmt executes body as one atomically-committed statement on cat: its
+// work goes through a fresh scope, a failure rolls the scope's undo log
+// back, and — when durability is on — success commits by presumed-abort
 // two-phase commit, whose commit record carries tag (nil for everything
 // but a flush-epoch group).
-func (c *Cluster) runStmt(tag *wal.FlushCommit, body func(sc *stmtScope) error) error {
-	sc := c.beginStmt()
+func (c *Cluster) runStmt(cat *catalog.Catalog, tag *wal.FlushCommit, body func(sc *stmtScope) error) error {
+	sc := c.beginStmt(cat)
 	err := body(sc)
 	if err == nil {
 		err = c.commitStmt(sc, tag)
 	}
+	return c.settle(sc, err)
+}
+
+// settle ends a scope whose work returned err: a failure rolls the scope's
+// undo log back and is returned, with the rollback's own failure if any.
+func (c *Cluster) settle(sc *stmtScope, err error) error {
 	if err == nil {
 		return nil
 	}
@@ -325,7 +351,9 @@ type RecoveryReport struct {
 	CheckpointPages int
 	LogPagesRead    int
 	RecordsReplayed int
-	// RepairsReplayed counts drained repair-queue entries (rebuild mode).
+	// RepairsReplayed counts drained repair-queue entries: compensations
+	// and in-doubt requests in rebuild mode, a failed DDL's undo in replay
+	// mode.
 	RepairsReplayed int
 	// InDoubtResolved counts transactions settled during recovery:
 	// Committed learned a commit decision, Aborted were undone locally by
@@ -372,9 +400,13 @@ func (c *Cluster) recoverDurable(n int) (RecoveryReport, error) {
 		}
 		rep.InDoubtResolved++
 	}
+	// The log replay re-applied any DDL work the node logged before it
+	// crashed; a DDL that failed queued its undo here.
+	if err := c.drainRepairs(n, &rep); err != nil {
+		return rep, err
+	}
 	c.dmu.Lock()
 	delete(c.downNodes, n)
-	delete(c.repairs, n)
 	delete(c.needRebuild, n)
 	c.dmu.Unlock()
 	rep.PageIOs = c.nodes[n].Meter().Snapshot().Sub(ioBefore).IOs()

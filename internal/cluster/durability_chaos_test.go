@@ -376,7 +376,7 @@ func TestCoordinatorDecisionLoss(t *testing.T) {
 			// lineitem has no views or auxiliary structures in this cluster,
 			// so driving its fragment directly keeps everything consistent.
 			row := li(42, 7, 3.5)
-			target := c.part.NodeFor(row[0])
+			target := c.Catalog().Partitioner().NodeFor(row[0])
 			tid := c.tids.Add(1)
 			if _, err := c.rawDeliver(target, node.Seq{ID: c.seq.Add(1), TID: tid,
 				Req: node.Insert{Frag: "lineitem", Tuples: []types.Tuple{row}}}); err != nil {
@@ -467,7 +467,7 @@ func TestReentrantDurableRecovery(t *testing.T) {
 	// definitely carry an unresolved in-doubt decision across both crashes.
 	var row types.Tuple
 	for k := int64(1); ; k++ {
-		if row = li(k, 1, 2.5); c.part.NodeFor(row[0]) == 2 {
+		if row = li(k, 1, 2.5); c.Catalog().Partitioner().NodeFor(row[0]) == 2 {
 			break
 		}
 	}

@@ -20,7 +20,7 @@ func TestHybridStrategyOverrides(t *testing.T) {
 		t.Fatal(err)
 	}
 	// EnsureStructures must have created the AR the override needs.
-	if _, ok := c.cat.AuxRelOn("orders", "custkey", nil); !ok {
+	if _, ok := c.Catalog().AuxRelOn("orders", "custkey", nil); !ok {
 		t.Fatal("override should have created the orders AR")
 	}
 
@@ -66,7 +66,7 @@ func compiledStrategy(t *testing.T, c *Cluster, view, table string) catalog.Stra
 	t.Helper()
 	h := c.lm.AcquireShared()
 	defer h.Release()
-	mp, err := c.planFor(table, maintain.OpInsert)
+	mp, err := c.planFor(c.Catalog(), table, maintain.OpInsert)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestCompiledStrategyFollowsFanout(t *testing.T) {
 	}
 	noErr(t, c.CreateView(v))
 	v.Strategy = catalog.StrategyAuto
-	if len(c.cat.AuxRelsFor("b")) != 0 {
+	if len(c.Catalog().AuxRelsFor("b")) != 0 {
 		t.Fatal("test needs b without auxiliary relations")
 	}
 	insertA := func(id int64) {

@@ -1,6 +1,9 @@
 package cluster
 
-import "joinview/internal/lockmgr"
+import (
+	"joinview/internal/catalog"
+	"joinview/internal/lockmgr"
+)
 
 // This file decides what each coordinator entry point locks. There is one
 // concurrency-control decision and the delivery stack makes it:
@@ -32,18 +35,24 @@ import "joinview/internal/lockmgr"
 // read holds the global lock shared plus either a pinned snapshot behind
 // the readFence (no claims) or shared claims (no fence) — never both, so it
 // never waits for a claim while holding something a claim holder waits for.
-// Everything that mutates the catalog or the cluster topology takes the
-// global lock exclusively and needs no claims.
+// DDL and everything that changes the cluster topology take the global
+// lock exclusively and need no claims; the migration cutover excludes
+// every statement and read with claims and the readFence instead.
+//
+// The locks order work; they guard no catalog memory. The catalog is an
+// immutable snapshot (Cluster.Catalog) that a statement or read loads once
+// every lock is held — so nothing can publish a newer one until the scope
+// ends — and carries to the end.
 
-// stmtClaims computes the lock set of one DML statement on table: the
-// table and every view over it exclusively, the views' other base tables
-// shared (the statement reads their fragments, auxiliary relations or
-// global indexes while computing the view delta). Must be called with the
-// global shared lock held — it reads the catalog, which DDL mutates under
-// the global exclusive lock.
-func (c *Cluster) stmtClaims(table string) []lockmgr.Claim {
+// stmtClaims computes the lock set of one DML statement on table from cat:
+// the table and every view over it exclusively, the views' other base
+// tables shared (the statement reads their fragments, auxiliary relations
+// or global indexes while computing the view delta). Called under the
+// global shared lock, which holds the view set still until the statement
+// ends.
+func stmtClaims(cat *catalog.Catalog, table string) []lockmgr.Claim {
 	claims := []lockmgr.Claim{lockmgr.X(table)}
-	for _, v := range c.cat.ViewsOn(table) {
+	for _, v := range cat.ViewsOn(table) {
 		claims = append(claims, lockmgr.X(v.Name))
 		for _, t2 := range v.Tables {
 			if t2 != table {
@@ -54,19 +63,19 @@ func (c *Cluster) stmtClaims(table string) []lockmgr.Claim {
 	return claims
 }
 
-// lockStmt acquires the locks for one DML statement on table: the
-// statement's table-level claims plus a shared claim on every hash range
-// currently being migrated, so the migration cutover (which takes those
-// ranges exclusively) cannot slide under a statement that is mid-flight
-// against the moving data — or, where statements do not overlap, the global
-// exclusive lock.
-func (c *Cluster) lockStmt(table string) *lockmgr.Held {
+// lockStmt acquires the locks for one DML statement on table and returns
+// the catalog it runs on: the statement's table-level claims plus a shared
+// claim on every hash range currently being migrated, so the migration
+// cutover (which takes those ranges exclusively) cannot slide under a
+// statement that is mid-flight against the moving data — or, where
+// statements do not overlap, the global exclusive lock.
+func (c *Cluster) lockStmt(table string) (*lockmgr.Held, *catalog.Catalog) {
 	if !c.net.Concurrent() {
-		return c.lm.AcquireGlobal()
+		return c.lm.AcquireGlobal(), c.Catalog()
 	}
 	h := c.lm.AcquireShared()
-	h.Lock(append(c.stmtClaims(table), c.migRangeClaims(lockmgr.S)...)...)
-	return h
+	h.Lock(append(stmtClaims(c.Catalog(), table), c.migRangeClaims(lockmgr.S)...)...)
+	return h, c.Catalog()
 }
 
 // lockRead excludes every in-flight writer of the named relations or views
@@ -86,9 +95,10 @@ func (c *Cluster) claimShared(h *lockmgr.Held, names []string) {
 	if !c.net.Concurrent() {
 		return
 	}
+	cat := c.Catalog()
 	claims := make([]lockmgr.Claim, len(names))
 	for i, n := range names {
-		if spec, ok := c.fragSpecOf(n, false); ok {
+		if spec, ok := fragSpecOf(cat, n, false); ok {
 			n = spec.Owner
 		}
 		claims[i] = lockmgr.S(n)

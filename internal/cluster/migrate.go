@@ -21,9 +21,9 @@ package cluster
 //	cutover  Under an exclusive claim on every migrating hash range (plus
 //	         the tables and views, so readers cannot observe the move):
 //	         promote the moving slots shadow → primary at the
-//	         destinations (node-local) and atomically install the new
-//	         partition map with an epoch bump (which invalidates every
-//	         compiled maintenance plan).
+//	         destinations (node-local) and publish the catalog with the
+//	         new partition map, epoch bumped (every compiled maintenance
+//	         plan belongs to the old catalog and recompiles).
 //	cleanup  Still under the claims: demote or delete the sources' copies,
 //	         and re-register the moved base rows' global-index entries
 //	         under their new row ids.
@@ -195,7 +195,7 @@ func (c *Cluster) LastMigration() (MigrationStats, bool) {
 // Topology reports the partition map, retired nodes and any in-flight
 // migration.
 func (c *Cluster) Topology() Topology {
-	m := c.part.Map()
+	m := c.Catalog().Partitioner().Map()
 	t := Topology{
 		Epoch:             m.Epoch,
 		Nodes:             c.NumNodes(),
@@ -333,7 +333,8 @@ func (c *Cluster) provisionNode() (int, error) {
 	// Empty fragments of every cataloged object (and, under replication,
 	// their shadows), so broadcasts, gathers and checkpoints uniformly
 	// include the new node from here on.
-	for _, spec := range c.fragSpecs() {
+	cat := c.Catalog()
+	for _, spec := range fragSpecs(cat) {
 		reqs := append([]any{spec.createReq(spec.Name, c.cfg.PageRows)}, spec.indexReqs()...)
 		if c.replOn() {
 			reqs = append(reqs, spec.createReq(shadowName(spec.Name), c.cfg.PageRows))
@@ -346,9 +347,9 @@ func (c *Cluster) provisionNode() (int, error) {
 	}
 
 	// Refine the slot table so the new node's share is expressible, then
-	// install it: owners are repeated, so routing is unchanged — only the
+	// publish it: owners are repeated, so routing is unchanged — only the
 	// epoch moves (compiled plans recompile against identical routing).
-	m := c.part.Map()
+	m := cat.Partitioner().Map()
 	for len(m.Owner) < 2*(dst+1) {
 		repl := m.Clone().Repl
 		m = m.Doubled()
@@ -358,11 +359,7 @@ func (c *Cluster) provisionNode() (int, error) {
 	}
 	m.Nodes = dst + 1
 	m.Epoch++
-	if err := c.part.Install(m); err != nil {
-		return dst, err
-	}
-	c.cat.SetPartitionMap(m)
-	return dst, nil
+	return dst, c.publishMap(m)
 }
 
 // RebalanceNode live-migrates a proportional share of hash slots to the
@@ -370,7 +367,7 @@ func (c *Cluster) provisionNode() (int, error) {
 // the most-loaded owners. Rebalancing onto a decommissioned node returns
 // it to service.
 func (c *Cluster) RebalanceNode(dst int) error {
-	cur := c.part.Map()
+	cur := c.Catalog().Partitioner().Map()
 	if dst < 0 || dst >= c.NumNodes() {
 		return fmt.Errorf("cluster: node %d out of range [0,%d)", dst, c.NumNodes())
 	}
@@ -444,7 +441,7 @@ func without(xs []int, v int) []int {
 // leaves every replica set it was in, and a re-replication round
 // (ReplicateRepair's deficit plan) copies replacements onto the survivors.
 func (c *Cluster) DecommissionNode(n int) error {
-	cur := c.part.Map()
+	cur := c.Catalog().Partitioner().Map()
 	if n < 0 || n >= c.NumNodes() {
 		return fmt.Errorf("cluster: node %d out of range [0,%d)", n, c.NumNodes())
 	}
@@ -542,7 +539,7 @@ func (c *Cluster) migrate(routing, target hashpart.Map, moves map[int]migMove) e
 	// the migration; naming them all up front makes the WAL start record a
 	// complete cleanup manifest even if the coordinator dies mid-copy.
 	if !c.replOn() {
-		for _, spec := range c.fragSpecs() {
+		for _, spec := range fragSpecs(c.Catalog()) {
 			m.shadows = append(m.shadows, migShadow{Name: spec.Name, GI: spec.GI})
 		}
 	}
@@ -654,7 +651,7 @@ func (c *Cluster) runMigration(m *migration) error {
 		m.mu.Unlock()
 	}
 	// Snapshot copy, object by object, arming the live mirror.
-	for _, group := range c.fragGroups() {
+	for _, group := range fragGroups(c.Catalog()) {
 		if err := c.setPhase(m, "copy:"+group[0].Owner); err != nil {
 			return err
 		}
@@ -677,7 +674,7 @@ func (c *Cluster) runMigration(m *migration) error {
 // cutover is the migration's commit: under exclusive claims on every
 // moving hash range plus every table and view (so no statement or locked
 // read can observe the move), it promotes the moving slots at their
-// destinations, installs the target map, and cleans up behind it.
+// destinations, publishes the target map, and cleans up behind it.
 //
 // Crash-safety shape: everything BEFORE the map install is additive —
 // destinations gain redundant copies while the sources stay authoritative
@@ -696,7 +693,7 @@ func (c *Cluster) cutover(m *migration, call func(to int, req any) (any, error))
 		h = c.lm.AcquireShared()
 		var claims []lockmgr.Claim
 		claims = append(claims, c.migRangeClaims(lockmgr.X)...)
-		for _, group := range c.fragGroups() {
+		for _, group := range fragGroups(c.Catalog()) {
 			claims = append(claims, lockmgr.X(group[0].Owner))
 		}
 		h.Lock(claims...)
@@ -720,7 +717,8 @@ func (c *Cluster) cutover(m *migration, call func(to int, req any) (any, error))
 	if err := c.failIfStale(m.dsts); err != nil {
 		return err
 	}
-	if e := c.part.Epoch(); e != m.routing.Epoch {
+	cat := c.Catalog()
+	if e := cat.Partitioner().Map().Epoch; e != m.routing.Epoch {
 		return fmt.Errorf("cluster: partition map moved to epoch %d under the migration", e)
 	}
 	c.sess.CompareAndSwap(m.sess, nil)
@@ -739,7 +737,7 @@ func (c *Cluster) cutover(m *migration, call func(to int, req any) (any, error))
 	for _, s := range sortedKeys(m.moves) {
 		arriving[m.moves[s].Dst] = append(arriving[m.moves[s].Dst], s)
 	}
-	for _, group := range c.fragGroups() {
+	for _, group := range fragGroups(cat) {
 		fix := movedRows{gis: giSpecs(group)}
 		for _, spec := range group {
 			needRows := spec.isTable() && len(fix.gis) > 0
@@ -777,12 +775,11 @@ func (c *Cluster) cutover(m *migration, call func(to int, req any) (any, error))
 		}
 	}
 
-	// Commit point: install the target map. Plan-cache entries recompile
-	// on the epoch bump; new statements route to the new homes.
-	if err := c.part.Install(m.target); err != nil {
+	// Commit point: publish the target map. Plan-cache entries recompile
+	// against the new catalog; new statements route to the new homes.
+	if err := c.publishMap(m.target); err != nil {
 		return err
 	}
-	c.cat.SetPartitionMap(m.target)
 	c.migLog(migCommitRec{ID: m.id}, true)
 	m.mu.Lock()
 	m.stats.Epoch = m.target.Epoch
@@ -857,7 +854,8 @@ func (m *migration) srcNodes() []int {
 // the destinations received. Idempotent, so ResumeMigrations can redo it.
 // Callers hold either the cutover claims or the global lock.
 func (c *Cluster) rehome(call func(to int, req any) (any, error), nodes []int) error {
-	pm, specs := c.part.Map(), c.fragSpecs()
+	cat := c.Catalog()
+	pm, specs := cat.Partitioner().Map(), fragSpecs(cat)
 	for _, n := range nodes {
 		var follows []int
 		for s, fs := range pm.Repl {
@@ -978,7 +976,8 @@ func (c *Cluster) dropShadows(dsts []int, shadows []migShadow) error {
 // of a cleanup that may have stopped halfway through re-registering moved
 // rows. Caller holds the global lock.
 func (c *Cluster) rebuildGIs() error {
-	pm, nodes := c.part.Map(), c.nodeIDs()
+	cat := c.Catalog()
+	pm, nodes := cat.Partitioner().Map(), c.nodeIDs()
 	followers := slotSink{
 		route: func(v types.Value, out []int) []int { return append(out, pm.Followers(pm.Slot(v))...) },
 		name:  shadowName,
@@ -987,12 +986,12 @@ func (c *Cluster) rebuildGIs() error {
 			return err
 		},
 	}
-	for _, gi := range c.fragSpecs() {
+	for _, gi := range fragSpecs(cat) {
 		if !gi.GI {
 			continue
 		}
 		for _, n := range nodes {
-			if _, err := c.rebuildGIFrag(gi, n); err != nil {
+			if _, err := c.rebuildGIFrag(cat, gi, n); err != nil {
 				return err
 			}
 		}

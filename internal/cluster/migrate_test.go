@@ -211,7 +211,7 @@ func TestExpandThenDrainRoundTrip(t *testing.T) {
 	// catalog's partition map: it must track the cluster's.
 	assertMapNodes := func(when string) {
 		t.Helper()
-		if pm, _ := c.cat.PartitionMap(); pm.Nodes != c.NumNodes() {
+		if pm, _ := c.Catalog().PartitionMap(); pm.Nodes != c.NumNodes() {
 			t.Fatalf("%s: catalog partition map has %d nodes, cluster %d", when, pm.Nodes, c.NumNodes())
 		}
 	}

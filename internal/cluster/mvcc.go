@@ -1,6 +1,10 @@
 package cluster
 
-import "sync"
+import (
+	"sync"
+
+	"joinview/internal/catalog"
+)
 
 // MVCC snapshot reads: the coordinator tracks one commit epoch per
 // fragment name. A writer statement stamps every mutating request for a
@@ -26,20 +30,12 @@ type epochTracker struct {
 	mu     sync.Mutex
 	commit map[string]uint64         // fragment -> last published epoch
 	pins   map[string]map[uint64]int // fragment -> pinned epoch -> readers
-
-	// pubSets caches each table's publish set ({table} + its ARs + its
-	// views), invalidated on catalog changes, so publishing a statement
-	// costs no allocation on the hot path.
-	setMu   sync.Mutex
-	setVer  uint64
-	pubSets map[string][]string
 }
 
 func newEpochTracker() *epochTracker {
 	return &epochTracker{
-		commit:  map[string]uint64{},
-		pins:    map[string]map[uint64]int{},
-		pubSets: map[string][]string{},
+		commit: map[string]uint64{},
+		pins:   map[string]map[uint64]int{},
 	}
 }
 
@@ -158,55 +154,31 @@ func (c *Cluster) gcFloorFor(frag string) uint64 {
 	return c.mvcc.floor(frag)
 }
 
-// publishStmt publishes a successful statement on table: the table, its
-// auxiliary relations and its views move to their next committed epoch in
-// one atomic step. Must run before the statement's claims are released.
-func (c *Cluster) publishStmt(table string) {
+// publishStmt publishes a successful statement on table, run on cat: the
+// table, its auxiliary relations and its views move to their next
+// committed epoch in one atomic step. Must run before the statement's
+// claims are released.
+func (c *Cluster) publishStmt(cat *catalog.Catalog, table string) {
 	if c.mvcc == nil {
 		return
 	}
-	c.mvcc.publish(c.publishSet(table))
+	c.mvcc.publish(publishSets(cat, []string{table}))
 }
 
-// publishSet returns table's cached publish set, rebuilt when the catalog
-// version moves (DDL holds the global exclusive lock, so readers of the
-// cache never race a rebuild-triggering change mid-statement).
-func (c *Cluster) publishSet(table string) []string {
-	e := c.mvcc
-	e.setMu.Lock()
-	defer e.setMu.Unlock()
-	if v := c.cat.Version(); v != e.setVer {
-		e.setVer = v
-		for k := range e.pubSets {
-			delete(e.pubSets, k)
-		}
-	}
-	if s, ok := e.pubSets[table]; ok {
-		return s
-	}
-	s := []string{table}
-	for _, a := range c.cat.AuxRelsFor(table) {
-		s = append(s, a.Name)
-	}
-	for _, v := range c.cat.ViewsOn(table) {
-		s = append(s, v.Name)
-	}
-	e.pubSets[table] = s
-	return s
-}
-
-// publishSets concatenates the publish sets of the named relations or
-// views: what a read scope over them pins, so a reader sees each relation
-// together with the auxiliary relations and views its writers publish with
-// it. Must be called under the global shared lock (DDL cannot move the
-// catalog mid-expansion).
-func (c *Cluster) publishSets(names []string) []string {
-	if len(names) == 1 {
-		return c.publishSet(names[0])
-	}
+// publishSets lists, per named relation or view, it and the auxiliary
+// relations and views a statement on it publishes with it, as cat defines
+// them: what a read scope over the names pins, so a reader sees each
+// relation together with everything its writers publish with it.
+func publishSets(cat *catalog.Catalog, names []string) []string {
 	var frags []string
 	for _, n := range names {
-		frags = append(frags, c.publishSet(n)...)
+		frags = append(frags, n)
+		for _, a := range cat.AuxRelsFor(n) {
+			frags = append(frags, a.Name)
+		}
+		for _, v := range cat.ViewsOn(n) {
+			frags = append(frags, v.Name)
+		}
 	}
 	return frags
 }

@@ -98,7 +98,7 @@ func TestSnapshotReadsDoNotBlockBehindWriters(t *testing.T) {
 			}
 			// Simulate a writer parked mid-statement: exclusive claims on
 			// the table, the view, shared on the view's other base.
-			h := c.lockStmt("a")
+			h, _ := c.lockStmt("a")
 			done := make(chan error, 1)
 			go func() {
 				rows, err := c.TableRows("a")

@@ -22,11 +22,10 @@ import (
 // meters. The per-strategy step sequencing that used to be hand-rolled
 // per entry point lives only here.
 
-// planFor returns the compiled maintenance plan for (table, op) from the
-// plan cache. Callers hold at least the shared global lock, so the catalog
-// cannot move underneath the lookup.
-func (c *Cluster) planFor(table string, op maintain.Op) (*mplan.Plan, error) {
-	mp, hit, err := c.mcache.Get(c.cat, c.st, table, op)
+// planFor returns the compiled maintenance plan for (table, op) on cat
+// from the plan cache.
+func (c *Cluster) planFor(cat *catalog.Catalog, table string, op maintain.Op) (*mplan.Plan, error) {
+	mp, hit, err := c.mcache.Get(cat, c.st, table, op)
 	if err != nil {
 		c.pstats.RecordLookup(false)
 		return nil, err
@@ -175,8 +174,9 @@ func (c *Cluster) stageBaseInsert(sc *stmtScope, t *catalog.Table, tuples []type
 	// on the hot path.
 	homes := make([]int, len(tuples))
 	counts := make([]int, c.NumNodes())
+	part := sc.env.Cat.Partitioner()
 	for i, tup := range tuples {
-		n := c.part.NodeFor(tup[pi])
+		n := part.NodeFor(tup[pi])
 		homes[i] = n
 		counts[n]++
 	}
@@ -245,7 +245,7 @@ func (c *Cluster) stageAuxRel(sc *stmtScope, t *catalog.Table, ar *catalog.AuxRe
 	if err != nil {
 		return err
 	}
-	buckets, err := c.part.Spread(ar.Schema, ar.PartitionCol, projected)
+	buckets, err := sc.env.Cat.Partitioner().Spread(ar.Schema, ar.PartitionCol, projected)
 	if err != nil {
 		return err
 	}
@@ -284,9 +284,10 @@ func (c *Cluster) stageGlobalIndex(sc *stmtScope, t *catalog.Table, gi *catalog.
 	ci := t.Schema.MustColIndex(gi.Col)
 	giName := gi.Name
 	batches := make([]giBatch, c.NumNodes())
+	part := sc.env.Cat.Partitioner()
 	for _, loc := range locs {
 		val := loc.tuple[ci]
-		home := c.part.NodeFor(val)
+		home := part.NodeFor(val)
 		b := &batches[home]
 		b.vals = append(b.vals, val)
 		b.gs = append(b.gs, storage.GlobalRowID{Node: int32(loc.node), Row: loc.row})
@@ -357,9 +358,7 @@ func (c *Cluster) ExplainPipeline(table, op string) (string, error) {
 	default:
 		return "", fmt.Errorf("cluster: unknown pipeline op %q (want insert or delete)", op)
 	}
-	h := c.lockGlobal()
-	defer h.Release()
-	mp, err := c.planFor(table, mop)
+	mp, err := c.planFor(c.Catalog(), table, mop)
 	if err != nil {
 		return "", err
 	}
@@ -375,12 +374,11 @@ func (c *Cluster) ExplainPipeline(table, op string) (string, error) {
 // into the named table — EXPLAIN for one view stage of the compiled
 // pipeline, with the method it was compiled to.
 func (c *Cluster) ExplainMaintenance(viewName, table string) (string, error) {
-	h := c.lockGlobal()
-	defer h.Release()
-	if _, err := c.cat.View(viewName); err != nil {
+	cat := c.Catalog()
+	if _, err := cat.View(viewName); err != nil {
 		return "", err
 	}
-	mp, err := c.planFor(table, maintain.OpInsert)
+	mp, err := c.planFor(cat, table, maintain.OpInsert)
 	if err != nil {
 		return "", err
 	}
@@ -400,7 +398,5 @@ func (c *Cluster) PlanCacheLen() int { return c.mcache.Len() }
 // reduce the modeled maintenance workload of the present view set under
 // the shared-DAG executor. Pure analysis — nothing is created.
 func (c *Cluster) AdviseMaterialization() (*mplan.Advice, error) {
-	h := c.lockGlobal()
-	defer h.Release()
-	return mplan.Advise(c.cat, c.st)
+	return mplan.Advise(c.Catalog(), c.st)
 }

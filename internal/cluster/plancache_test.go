@@ -39,26 +39,31 @@ func TestPlanCacheSteadyStateHitRate(t *testing.T) {
 	}
 }
 
-// TestPlanCacheDDLInvalidation checks that CREATE/DROP VIEW and DROP TABLE
-// bump the catalog version and evict compiled plans, and that a stale plan
-// never executes: maintenance always reflects the catalog as of the
-// statement, not as of the last compile.
+// TestPlanCacheDDLInvalidation checks that CREATE/DROP VIEW, DROP TABLE
+// and a partition-map install publish a new catalog and evict compiled
+// plans, that DML publishes none, and that a stale plan never executes:
+// maintenance always reflects the catalog as of the statement, not as of
+// the last compile.
 func TestPlanCacheDDLInvalidation(t *testing.T) {
 	c := newTPCR(t, 4, 8, 2, 2)
 
-	// Warm the insert plan before any view exists.
+	// Warm the insert plan before any view exists. DML leaves the catalog
+	// (and so every cached plan) alone.
+	v0 := c.Catalog()
 	if err := c.Insert("customer", []types.Tuple{cust(100, 1)}); err != nil {
 		t.Fatal(err)
 	}
-	v0 := c.Catalog().Version()
+	if c.Catalog() != v0 {
+		t.Fatal("an insert published a new catalog")
+	}
 
 	// CREATE VIEW must invalidate: the very next insert has to maintain
 	// the new view. A stale (view-less) plan would silently skip it.
 	if err := c.CreateView(jv1Def("jv1", catalog.StrategyAuto)); err != nil {
 		t.Fatal(err)
 	}
-	if v := c.Catalog().Version(); v <= v0 {
-		t.Fatalf("CreateView did not bump catalog version: %d -> %d", v0, v)
+	if c.Catalog() == v0 {
+		t.Fatal("CreateView did not publish a new catalog")
 	}
 	before := c.Metrics().Pipeline
 	if err := c.Insert("orders", []types.Tuple{ord(900, 100, 5)}); err != nil {
@@ -73,25 +78,26 @@ func TestPlanCacheDDLInvalidation(t *testing.T) {
 
 	// DROP VIEW must invalidate too: a stale plan would try to maintain
 	// the dropped view's fragments.
-	v1 := c.Catalog().Version()
+	v1 := c.Catalog()
 	if err := c.DropView("jv1"); err != nil {
 		t.Fatal(err)
 	}
-	if v := c.Catalog().Version(); v <= v1 {
-		t.Fatalf("DropView did not bump catalog version: %d -> %d", v1, v)
+	if c.Catalog() == v1 {
+		t.Fatal("DropView did not publish a new catalog")
 	}
 	if err := c.Insert("customer", []types.Tuple{cust(101, 1)}); err != nil {
 		t.Fatalf("insert after DROP VIEW executed a stale plan: %v", err)
 	}
 
-	// DROP TABLE invalidates every plan (catalog-version keyed): inserts
-	// into the surviving tables recompile, not crash.
-	v2 := c.Catalog().Version()
+	// DROP TABLE invalidates every plan (each is valid against its own
+	// catalog snapshot only): inserts into the surviving tables recompile,
+	// not crash.
+	v2 := c.Catalog()
 	if err := c.DropTable("lineitem"); err != nil {
 		t.Fatal(err)
 	}
-	if v := c.Catalog().Version(); v <= v2 {
-		t.Fatalf("DropTable did not bump catalog version: %d -> %d", v2, v)
+	if c.Catalog() == v2 {
+		t.Fatal("DropTable did not publish a new catalog")
 	}
 	before = c.Metrics().Pipeline
 	if err := c.Insert("customer", []types.Tuple{cust(102, 1)}); err != nil {
@@ -104,6 +110,23 @@ func TestPlanCacheDDLInvalidation(t *testing.T) {
 	// And a plan for the dropped table itself can no longer be obtained.
 	if err := c.Insert("lineitem", []types.Tuple{li(1, 1, 1)}); err == nil {
 		t.Error("insert into dropped table succeeded")
+	}
+
+	// A partition-map install (AddNode refines the slot table) publishes
+	// a new catalog too: the next insert recompiles against the new map.
+	v3 := c.Catalog()
+	if _, err := c.AddNode(); err != nil {
+		t.Fatal(err)
+	}
+	if c.Catalog() == v3 {
+		t.Fatal("AddNode did not publish a new catalog")
+	}
+	before = c.Metrics().Pipeline
+	if err := c.Insert("customer", []types.Tuple{cust(103, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	if d := c.Metrics().Pipeline.Sub(before); d.PlanCacheMisses != 1 {
+		t.Errorf("insert after a map install: want 1 miss (recompile), got %+v", d)
 	}
 }
 

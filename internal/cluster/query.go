@@ -6,6 +6,7 @@ import (
 
 	"joinview/internal/catalog"
 	"joinview/internal/expr"
+	"joinview/internal/hashpart"
 	"joinview/internal/maintain"
 	"joinview/internal/netsim"
 	"joinview/internal/node"
@@ -76,7 +77,7 @@ func (c *Cluster) queryJoinOnce(spec QuerySpec) ([]types.Tuple, *types.Schema, e
 		return name, nil
 	}
 
-	first, err := c.cat.Table(spec.Tables[0])
+	first, err := rs.cat.Table(spec.Tables[0])
 	if err != nil {
 		return nil, nil, err
 	}
@@ -95,7 +96,7 @@ func (c *Cluster) queryJoinOnce(spec QuerySpec) ([]types.Tuple, *types.Schema, e
 			return nil, nil, fmt.Errorf("cluster: query join graph disconnected (cartesian products unsupported)")
 		}
 		remaining = rest
-		nextTable, err := c.cat.Table(next)
+		nextTable, err := rs.cat.Table(next)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -114,7 +115,7 @@ func (c *Cluster) queryJoinOnce(spec QuerySpec) ([]types.Tuple, *types.Schema, e
 		case nextTable.PartitionCol == nextCol:
 			// co-located already
 		case func() bool {
-			ar, ok := c.cat.AuxRelOn(next, nextCol, nextTable.Schema.Names())
+			ar, ok := rs.cat.AuxRelOn(next, nextCol, nextTable.Schema.Names())
 			if ok {
 				rightFrag, rightSchema = ar.Name, ar.Schema
 			}
@@ -122,7 +123,7 @@ func (c *Cluster) queryJoinOnce(spec QuerySpec) ([]types.Tuple, *types.Schema, e
 		}():
 			// full-width AR reused as the pre-partitioned copy
 		default:
-			tmp, err := c.shuffle(next, nextTable.Schema, nextCol, rs.epoch(next), newTemp)
+			tmp, err := c.shuffle(rs.cat.Partitioner(), next, nextTable.Schema, nextCol, rs.epoch(next), newTemp)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -131,7 +132,7 @@ func (c *Cluster) queryJoinOnce(spec QuerySpec) ([]types.Tuple, *types.Schema, e
 
 		// Left side: reshuffle unless already partitioned on the join key.
 		if curPartCol != curCol {
-			tmp, err := c.shuffle(curFrag, curSchema, curCol, rs.epoch(curFrag), newTemp)
+			tmp, err := c.shuffle(rs.cat.Partitioner(), curFrag, curSchema, curCol, rs.epoch(curFrag), newTemp)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -206,7 +207,7 @@ func (c *Cluster) queryJoinOnce(spec QuerySpec) ([]types.Tuple, *types.Schema, e
 // fragment clustered on that column: each node's share is scanned
 // (metered, at the reader's pinned epoch when versioned), bucketed and
 // shipped (metered inserts + messages).
-func (c *Cluster) shuffle(frag string, schema *types.Schema, col string, epoch uint64, newTemp func(*types.Schema, string) (string, error)) (string, error) {
+func (c *Cluster) shuffle(part *hashpart.Partitioner, frag string, schema *types.Schema, col string, epoch uint64, newTemp func(*types.Schema, string) (string, error)) (string, error) {
 	if schema.ColIndex(col) < 0 {
 		return "", fmt.Errorf("cluster: shuffle column %q not in schema %v", col, schema.Names())
 	}
@@ -223,7 +224,7 @@ func (c *Cluster) shuffle(frag string, schema *types.Schema, col string, epoch u
 		if err != nil {
 			return "", err
 		}
-		buckets, err := c.part.Spread(schema, col, resp.(node.RowsResult).Tuples)
+		buckets, err := part.Spread(schema, col, resp.(node.RowsResult).Tuples)
 		if err != nil {
 			return "", err
 		}

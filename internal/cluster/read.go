@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 
+	"joinview/internal/catalog"
 	"joinview/internal/fault"
 	"joinview/internal/lockmgr"
 	"joinview/internal/netsim"
@@ -25,9 +26,11 @@ import (
 //     primaries and promoted followers, whose promotion left no versions),
 //     reading the live state.
 //
-// Never nothing. Callers must hold no cluster lock.
+// Never nothing. Everything the scope reads of the catalog comes from cat,
+// loaded once those locks are held. Callers must hold no cluster lock.
 type readScope struct {
 	c    *Cluster
+	cat  *catalog.Catalog
 	h    *lockmgr.Held
 	snap *epochSnap // nil: h excludes the writers instead
 }
@@ -35,15 +38,33 @@ type readScope struct {
 // beginRead opens a read scope over the named base tables, auxiliary
 // relations or views.
 func (c *Cluster) beginRead(names ...string) *readScope {
+	rs, _ := c.beginReadOn(func(*catalog.Catalog) ([]string, error) { return names, nil }) // a fixed pick cannot fail
+	return rs
+}
+
+// beginReadOn opens a read scope over the relations pick names; an error
+// from pick (the object is gone) is returned. pick sees the catalog loaded
+// once the global lock is held shared: only DDL changes which relations
+// exist, and DDL needs that lock exclusively, so the scope's own catalog —
+// loaded once its fence or claims also hold the partition map still —
+// names the same ones.
+func (c *Cluster) beginReadOn(pick func(cat *catalog.Catalog) ([]string, error)) (*readScope, error) {
 	_ = c.heal() // what cannot be healed is reported by rows as unreachable
 	rs := &readScope{c: c, h: c.lm.AcquireShared()}
+	names, err := pick(c.Catalog())
+	if err != nil {
+		rs.h.Release()
+		return nil, err
+	}
 	if _, degraded := c.firstDown(); c.mvcc != nil && !degraded {
 		c.readFence.RLock()
-		rs.snap = c.mvcc.snapshot(c.publishSets(names))
+		rs.cat = c.Catalog()
+		rs.snap = c.mvcc.snapshot(publishSets(rs.cat, names))
 	} else {
 		c.claimShared(rs.h, names)
+		rs.cat = c.Catalog()
 	}
-	return rs
+	return rs, nil
 }
 
 // end closes the scope. Safe to call exactly once.
@@ -104,7 +125,7 @@ func (rs *readScope) rows(frag string, metered bool) ([]types.Tuple, error) {
 	if len(skipped) == 0 {
 		return tuplesOf(resps), nil
 	}
-	m := c.part.Map()
+	m := rs.cat.Partitioner().Map()
 	slots := 0
 	for _, n := range skipped {
 		slots += len(m.SlotsOwnedBy(n))
@@ -185,7 +206,7 @@ func (c *Cluster) RelationRows(names ...string) ([][]types.Tuple, error) {
 func (c *Cluster) ViewRows(name string) ([]types.Tuple, error) {
 	rs := c.beginRead(name)
 	defer rs.end()
-	if _, err := c.cat.View(name); err != nil {
+	if _, err := rs.cat.View(name); err != nil {
 		return nil, err
 	}
 	return rs.rows(name, false)

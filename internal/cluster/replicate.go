@@ -81,7 +81,7 @@ func replSkip(name string) bool {
 // none). The down/stale sets and the copy session are resolved once, when
 // the sink is built.
 func (c *Cluster) followerSink(sc *stmtScope, frag string) slotSink {
-	pm := c.part.Map()
+	pm := c.catalogOf(sc).Partitioner().Map()
 	skip, down := map[int]bool{}, map[int]bool{} // skip: down or evicted
 	c.dmu.Lock()
 	for n := range c.downNodes {
@@ -150,10 +150,13 @@ func (c *Cluster) mirrorAsIfApplied(sc *stmtScope, to int, inv, fwd any) {
 // absorbing every failure: the statement's outcome never depends on a
 // mirror. A lost mirror to a target of the in-flight copy session breaks
 // the session instead (the migration aborts, the repair round reruns). A
-// dead follower is already noted down (failover covers it); any other
+// dead follower is already noted down (failover covers it), and a fragment
+// drop it missed is left for Recover: the shadow it names is one the
+// catalog no longer has, so re-replication would not see it. Any other
 // failure evicts the follower until re-replication.
 func (c *Cluster) deliverMirror(sc *stmtScope, dst int, req any, tuples int) {
 	if c.isDown(dst) {
+		c.queueDrop(sc, dst, req)
 		return
 	}
 	if _, err := c.resilientCall(sc, mirrored, netsim.Coordinator, dst, req); err != nil {
@@ -161,6 +164,7 @@ func (c *Cluster) deliverMirror(sc *stmtScope, dst int, req any, tuples int) {
 		if _, down := fault.IsNodeDown(err); down || errors.Is(err, ErrDegraded) {
 			// noteDown already happened inside deliver; the next statement
 			// (or read) fails over around the node.
+			c.queueDrop(sc, dst, req)
 			return
 		}
 		if c.replOn() {
@@ -261,14 +265,15 @@ func (c *Cluster) withFailover(do func() error) error {
 }
 
 // failoverLocked promotes every unhealed down node's slots to their first
-// live in-sync follower and installs the resulting map. Caller holds the
+// live in-sync follower and publishes the resulting map. Caller holds the
 // global exclusive lock.
 func (c *Cluster) failoverLocked() error {
 	victims := c.unhealedDown()
 	if len(victims) == 0 {
 		return nil
 	}
-	m := c.part.Map()
+	cat := c.Catalog()
+	m := cat.Partitioner().Map()
 	if !m.Replicated() {
 		return fmt.Errorf("%w: nodes %v unavailable", ErrDegraded, victims)
 	}
@@ -318,7 +323,7 @@ func (c *Cluster) failoverLocked() error {
 	owners := sortedKeys(promoted)
 	var tuples []types.Tuple // the current table's promoted rows and their new ids
 	var gs []storage.GlobalRowID
-	for _, spec := range c.fragSpecs() {
+	for _, spec := range fragSpecs(cat) {
 		if spec.isTable() {
 			tuples, gs = nil, nil
 		}
@@ -360,10 +365,9 @@ func (c *Cluster) failoverLocked() error {
 		}
 	}
 
-	if err := c.part.Install(nm); err != nil {
+	if err := c.publishMap(nm); err != nil {
 		return err
 	}
-	c.cat.SetPartitionMap(nm)
 	c.rmu.Lock()
 	for _, v := range victims {
 		c.failedOver[v] = true
@@ -412,12 +416,8 @@ func (c *Cluster) ReplicateRepair() error {
 
 	// Phase A (exclusive): revive down nodes, wipe dirty shadows, plan the
 	// deficit, and install the repair session.
-	h, err := c.lockGlobalDrained()
+	h, err := c.lockQuiesced()
 	if err != nil {
-		return err
-	}
-	if err := c.failIfMigrating(); err != nil {
-		h.Release()
 		return err
 	}
 	down := c.Degraded()
@@ -439,8 +439,7 @@ func (c *Cluster) ReplicateRepair() error {
 	}
 	c.rmu.Unlock()
 
-	m := c.part.Map()
-	nm := m.Clone()
+	nm := c.Catalog().Partitioner().Map().Clone()
 	k := c.cfg.ReplicationFactor
 	if nm.Repl == nil {
 		nm.Repl = make([][]int, len(nm.Owner))
@@ -515,7 +514,7 @@ func (c *Cluster) ReplicateRepair() error {
 	// Phase B (online): copy each object's rows to its dirty followers
 	// under the object's claim, arming it before release so subsequent
 	// writers mirror to the new followers too.
-	for _, group := range c.fragGroups() {
+	for _, group := range fragGroups(c.Catalog()) {
 		if err := c.copyGroup(sess, group, c.rawCall, func(int) {}); err != nil {
 			return err
 		}
@@ -530,11 +529,10 @@ func (c *Cluster) ReplicateRepair() error {
 	if err := c.intact(sess); err != nil {
 		return fmt.Errorf("%w during re-replication; run ReplicateRepair again", err)
 	}
-	nm.Epoch = c.part.Map().Epoch + 1
-	if err := c.part.Install(nm); err != nil {
+	nm.Epoch = c.Catalog().Partitioner().Map().Epoch + 1
+	if err := c.publishMap(nm); err != nil {
 		return err
 	}
-	c.cat.SetPartitionMap(nm)
 	c.sess.Store(nil)
 	c.rmu.Lock()
 	for n := range dirty {
@@ -576,7 +574,11 @@ func (c *Cluster) reviveNodeLocked(n int) error {
 		if _, err := c.rawDeliver(n, node.Ping{}); err != nil {
 			return fmt.Errorf("cluster: node %d not answering, restart it first: %w", n, err)
 		}
-		c.takeRepairs(n)
+		// The wipe below empties every cataloged structure but cannot see
+		// a fragment the catalog no longer names: settle the queue first.
+		if err := c.drainRepairs(n, &RecoveryReport{}); err != nil {
+			return err
+		}
 		c.dmu.Lock()
 		delete(c.downNodes, n)
 		delete(c.needRebuild, n)
@@ -592,7 +594,7 @@ func (c *Cluster) reviveNodeLocked(n int) error {
 // node owns nothing; an evicted-stale follower's mains hold current
 // primary copies and stay).
 func (c *Cluster) wipeNodeLocked(n int, mains bool) error {
-	for _, spec := range c.fragSpecs() {
+	for _, spec := range fragSpecs(c.Catalog()) {
 		names := []string{spec.Name, shadowName(spec.Name)}
 		if !mains {
 			names = names[1:]

@@ -41,7 +41,7 @@ func TestReplicationChaosMatrix(t *testing.T) {
 						if err := c.CreateView(jv1Def("jv1", strat)); err != nil {
 							t.Fatal(err)
 						}
-						m := c.part.Map()
+						m := c.Catalog().Partitioner().Map()
 						victim := m.Owner[0]
 						if role == "crash-follower" {
 							victim = m.Repl[0][0]

@@ -68,18 +68,18 @@ func newReplicatedTPCR(t testing.TB, cfg Config, nCust, ordersPer, linesPer int)
 func replFrags(t testing.TB, c *Cluster) map[string]int {
 	t.Helper()
 	out := map[string]int{}
-	for _, tn := range c.cat.Tables() {
-		tab, err := c.cat.Table(tn)
+	for _, tn := range c.Catalog().Tables() {
+		tab, err := c.Catalog().Table(tn)
 		if err != nil {
 			t.Fatal(err)
 		}
 		out[tn] = tab.Schema.MustColIndex(tab.PartitionCol)
-		for _, ar := range c.cat.AuxRelsFor(tn) {
+		for _, ar := range c.Catalog().AuxRelsFor(tn) {
 			out[ar.Name] = ar.Schema.MustColIndex(ar.PartitionCol)
 		}
 	}
-	for _, vn := range c.cat.Views() {
-		v, err := c.cat.View(vn)
+	for _, vn := range c.Catalog().Views() {
+		v, err := c.Catalog().View(vn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func tuplesEqual(a, b []types.Tuple) bool {
 // global-index fragments the entries of the values it follows.
 func checkReplicaConsistency(t testing.TB, c *Cluster) {
 	t.Helper()
-	m := c.part.Map()
+	m := c.Catalog().Partitioner().Map()
 	if !m.Replicated() {
 		t.Fatal("map is not replicated")
 	}
@@ -162,8 +162,8 @@ func checkReplicaConsistency(t testing.TB, c *Cluster) {
 	}
 	// Global indexes: shadow entries must mirror the primaries' per-slot
 	// entries.
-	for _, tn := range c.cat.Tables() {
-		for _, gi := range c.cat.GlobalIndexesFor(tn) {
+	for _, tn := range c.Catalog().Tables() {
+		for _, gi := range c.Catalog().GlobalIndexesFor(tn) {
 			type ent struct {
 				v types.Value
 				g storage.GlobalRowID
@@ -240,7 +240,7 @@ func TestReplicationConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	m := c.part.Map()
+	m := c.Catalog().Partitioner().Map()
 	if !m.Replicated() {
 		t.Fatal("RF=3 map not replicated")
 	}
@@ -311,7 +311,7 @@ func TestReplicationElasticity(t *testing.T) {
 			dml("before expansion")
 			// A destination that already follows the slot: promoted without a
 			// copy, the source demoted to follower in its place.
-			cur := c.part.Map()
+			cur := c.Catalog().Partitioner().Map()
 			swap := cur.Clone()
 			src, flw := cur.Owner[0], cur.Repl[0][0]
 			reassign(swap, 0, flw, true)
@@ -772,7 +772,7 @@ func TestTopologyReplicationFields(t *testing.T) {
 	inj.Crash(1)
 	// Insert a row whose slot node 1 owns, so the statement notices the
 	// crash and fails over (a write elsewhere would not touch node 1).
-	m := c.part.Map()
+	m := c.Catalog().Partitioner().Map()
 	key := int64(900)
 	for m.Owner[m.Slot(types.Int(key))] != 1 {
 		key++

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"joinview/internal/catalog"
 	"joinview/internal/fault"
 	"joinview/internal/netsim"
 	"joinview/internal/node"
@@ -171,7 +172,8 @@ const (
 	// statement's commit protocol but not its undo log: the mirror of the
 	// primary's inverse undoes it.
 	mirrored
-	// undo is a compensation. When the destination is (or becomes)
+	// undo is a compensation, or a DDL drop of a fragment the published
+	// catalog no longer names. When the destination is (or becomes)
 	// unreachable the request is queued for replay during Recover and the
 	// failure is absorbed, because a rollback must make as much progress as
 	// it can rather than abandon the surviving nodes.
@@ -270,11 +272,7 @@ func (c *Cluster) resilientCall(sc *stmtScope, how delivery, from, to int, req a
 	mut := isMutating(req)
 	if c.isDown(to) {
 		if how == undo && mut {
-			// In durable mode the compensation is simply absorbed: the
-			// crashed node undoes the transaction itself at recovery, from
-			// its own log (presumed abort), so queueing the undo here would
-			// double-apply it.
-			c.queueRepair(to, repair{kind: repairRedo, id: c.seq.Add(1), req: req})
+			c.queueRepair(sc, to, repair{kind: repairRedo, id: c.seq.Add(1), req: req})
 			return nil, nil
 		}
 		return nil, fault.NodeDownError{Node: to}
@@ -323,7 +321,7 @@ func (c *Cluster) deliver(sc *stmtScope, how delivery, from, to int, wreq any, i
 		// they reach it, so the request was not applied.
 		c.noteDown(n)
 		if how == undo && mut {
-			c.queueRepair(to, repair{kind: repairRedo, id: id, req: raw})
+			c.queueRepair(sc, to, repair{kind: repairRedo, id: id, req: raw})
 			return nil, nil
 		}
 		// Tag with ErrDegraded so the statement that discovers the
@@ -354,10 +352,10 @@ func (c *Cluster) deliver(sc *stmtScope, how delivery, from, to int, wreq any, i
 	// leave a repair record for Recover.
 	c.noteDown(to)
 	if how == undo {
-		c.queueRepair(to, repair{kind: repairRedo, id: id, req: raw})
+		c.queueRepair(sc, to, repair{kind: repairRedo, id: id, req: raw})
 		return nil, nil
 	}
-	c.queueRepair(to, repair{kind: repairInDoubt, id: id, req: raw})
+	c.queueRepair(sc, to, repair{kind: repairInDoubt, id: id, req: raw})
 	return nil, fmt.Errorf("cluster: call to node %d in doubt: %w", to, err)
 }
 
@@ -458,12 +456,14 @@ func (c *Cluster) firstDown() (int, bool) {
 	return best, found
 }
 
-func (c *Cluster) queueRepair(n int, r repair) {
-	if c.cfg.Durability {
-		// A durable node recovers from its own log: undecided transactions
-		// are aborted locally (ResolveAbort), which subsumes both queued
-		// compensations and in-doubt inversions. Queueing them as well
-		// would undo the same work twice.
+// queueRepair leaves r, work of scope sc (nil: none) that node n missed or
+// may have applied, for Recover. A durable node recovers from its own log:
+// its undecided transactions are aborted locally (ResolveAbort), which
+// subsumes both queued compensations and in-doubt inversions, so queueing
+// those as well would undo the same work twice — only a DDL's work, which
+// runs in a scope without a transaction, is left for Recover to undo.
+func (c *Cluster) queueRepair(sc *stmtScope, n int, r repair) {
+	if c.cfg.Durability && (sc == nil || sc.tid != 0) {
 		return
 	}
 	c.dmu.Lock()
@@ -579,45 +579,9 @@ func (c *Cluster) RecoverWithReport(n int) (RecoveryReport, error) {
 	if _, err := c.rawDeliver(n, node.Ping{}); err != nil {
 		return rep, fmt.Errorf("cluster: node %d not answering, restart it first: %w", n, err)
 	}
-	repairs := c.takeRepairs(n)
-	drain := func(r repair) error {
-		switch r.kind {
-		case repairRedo:
-			// Replay under the original sequence id: if the compensation
-			// did land before the crash, the node's dedup absorbs it.
-			if _, err := c.rawDeliver(n, node.Seq{ID: r.id, Req: r.req}); err != nil {
-				return fmt.Errorf("cluster: replaying compensation %T at node %d: %w", r.req, n, err)
-			}
-		case repairInDoubt:
-			resp, err := c.rawDeliver(n, node.SeqQuery{ID: r.id})
-			if err != nil {
-				return fmt.Errorf("cluster: resolving in-doubt %T at node %d: %w", r.req, n, err)
-			}
-			sq := resp.(node.SeqQueryResult)
-			if !sq.Applied {
-				return nil
-			}
-			inv := node.InverseOf(r.req, sq.Resp)
-			if inv == nil {
-				return nil // derived structure: the rebuild below repairs it
-			}
-			if _, err := c.rawCall(n, inv); err != nil {
-				return fmt.Errorf("cluster: inverting in-doubt %T at node %d: %w", r.req, n, err)
-			}
-		}
-		return nil
-	}
-	for i, r := range repairs {
-		if err := drain(r); err != nil {
-			// Put the unprocessed tail back so a rerun of Recover picks
-			// up where this one stopped.
-			for _, rest := range repairs[i:] {
-				c.queueRepair(n, rest)
-			}
-			rep.Messages = c.tr.Stats().Messages - netBefore.Messages
-			return rep, err
-		}
-		rep.RepairsReplayed++
+	if err := c.drainRepairs(n, &rep); err != nil {
+		rep.Messages = c.tr.Stats().Messages - netBefore.Messages
+		return rep, err
 	}
 	c.dmu.Lock()
 	delete(c.downNodes, n)
@@ -660,6 +624,70 @@ func (c *Cluster) RecoverWithReport(n int) (RecoveryReport, error) {
 	return rep, nil
 }
 
+// drainRepairs settles the work queued for node n while it was down, in
+// order, counting it in rep: compensations are replayed, in-doubt requests
+// the node turns out to have applied are inverted. On failure the
+// unprocessed tail goes back to the queue, so a rerun of Recover picks up
+// where this one stopped.
+func (c *Cluster) drainRepairs(n int, rep *RecoveryReport) error {
+	repairs := c.takeRepairs(n)
+	drain := func(r repair) error {
+		switch r.kind {
+		case repairRedo:
+			if err := c.redo(n, r); err != nil {
+				return err
+			}
+		case repairInDoubt:
+			resp, err := c.rawDeliver(n, node.SeqQuery{ID: r.id})
+			if err != nil {
+				return fmt.Errorf("cluster: resolving in-doubt %T at node %d: %w", r.req, n, err)
+			}
+			sq := resp.(node.SeqQueryResult)
+			if !sq.Applied {
+				return nil
+			}
+			inv := node.InverseOf(r.req, sq.Resp)
+			if inv == nil {
+				return nil // derived structure: the rebuild repairs it
+			}
+			if _, err := c.rawCall(n, inv); err != nil {
+				return fmt.Errorf("cluster: inverting in-doubt %T at node %d: %w", r.req, n, err)
+			}
+		}
+		return nil
+	}
+	for i, r := range repairs {
+		if err := drain(r); err != nil {
+			c.dmu.Lock()
+			c.repairs[n] = append(repairs[i:len(repairs):len(repairs)], c.repairs[n]...)
+			c.dmu.Unlock()
+			return err
+		}
+		rep.RepairsReplayed++
+	}
+	return nil
+}
+
+// redo replays the queued compensation r at node n under its original
+// sequence id: if it did land before the crash, the node's dedup absorbs
+// it. A fragment drop counts as done when the fragment is already gone.
+func (c *Cluster) redo(n int, r repair) error {
+	if _, err := c.rawDeliver(n, node.Seq{ID: r.id, Req: r.req}); err != nil && !errors.Is(err, node.ErrNoFragment) {
+		return fmt.Errorf("cluster: replaying compensation %T at node %d: %w", r.req, n, err)
+	}
+	return nil
+}
+
+// queueDrop leaves req for Recover at node n, which is down, when req drops
+// a fragment: a DDL drop, the undo of a failed create, or the mirror of
+// either to a shadow. Other work a down node misses needs no queueing here.
+func (c *Cluster) queueDrop(sc *stmtScope, n int, req any) {
+	switch req.(type) {
+	case node.DropFragment, node.DropGlobalIndexFrag:
+		c.queueRepair(sc, n, repair{kind: repairRedo, id: c.seq.Add(1), req: req})
+	}
+}
+
 // pageCount converts a row count to pages under the cluster's geometry.
 func (c *Cluster) pageCount(rows int) int64 {
 	if rows <= 0 {
@@ -676,9 +704,10 @@ func (c *Cluster) pageCount(rows int) int64 {
 // durability layer's log replay is measured against.
 func (c *Cluster) rebuildDerived(n int) (int64, error) {
 	var pages int64
+	cat := c.Catalog()
 	// replace refills node n's fragment with its share of the content.
 	replace := func(spec fragSpec, content []types.Tuple) error {
-		buckets, err := c.part.Spread(spec.Schema, spec.PartCol, content)
+		buckets, err := cat.Partitioner().Spread(spec.Schema, spec.PartCol, content)
 		if err != nil {
 			return err
 		}
@@ -696,14 +725,14 @@ func (c *Cluster) rebuildDerived(n int) (int64, error) {
 		_, err = c.rawCall(n, node.Insert{Frag: spec.Name, Tuples: mine, Unmetered: true})
 		return err
 	}
-	for _, group := range c.fragGroups() {
+	for _, group := range fragGroups(cat) {
 		if v := group[0].View; v != nil {
 			for _, table := range v.Tables {
 				if ts, ok := c.st.Get(table); ok {
 					pages += c.pageCount(int(ts.Rows))
 				}
 			}
-			content, err := c.computeJoin(v, c.gather)
+			content, err := computeJoin(cat, v, c.gather)
 			if err != nil {
 				return pages, err
 			}
@@ -722,7 +751,7 @@ func (c *Cluster) rebuildDerived(n int) (int64, error) {
 		pages += c.pageCount(len(rows))
 		for _, spec := range group[1:] {
 			if spec.GI {
-				giPages, err := c.rebuildGIFrag(spec, n)
+				giPages, err := c.rebuildGIFrag(cat, spec, n)
 				pages += giPages
 				if err != nil {
 					return pages, err
@@ -741,10 +770,10 @@ func (c *Cluster) rebuildDerived(n int) (int64, error) {
 	return pages, nil
 }
 
-// rebuildGIFrag reconstructs node n's fragment of one global index by
-// scanning every base fragment for entries homed at n, returning the page
-// tally (scans read + entries written).
-func (c *Cluster) rebuildGIFrag(gi fragSpec, n int) (int64, error) {
+// rebuildGIFrag reconstructs node n's fragment of one global index of cat
+// by scanning every base fragment for entries homed at n, returning the
+// page tally (scans read + entries written).
+func (c *Cluster) rebuildGIFrag(cat *catalog.Catalog, gi fragSpec, n int) (int64, error) {
 	var pages int64
 	name, base := gi.Name, gi.Table
 	if _, err := c.rawCall(n, gi.dropReq(name)); err != nil {
@@ -765,7 +794,7 @@ func (c *Cluster) rebuildGIFrag(gi fragSpec, n int) (int64, error) {
 		var gs []storage.GlobalRowID
 		for i, tup := range rr.Tuples {
 			v := tup[ci]
-			if c.part.NodeFor(v) != n {
+			if cat.Partitioner().NodeFor(v) != n {
 				continue
 			}
 			vals = append(vals, v)

@@ -92,10 +92,13 @@ func (t *Txn) write(st stmt) (stmt, error) {
 		add:    append([]types.Tuple(nil), st.victims...),
 	}
 	t.u.OnRollback(func() error {
-		if err := t.c.resolve(&inverse, false); err != nil {
+		// Rollback holds the global lock: the catalog loaded here is the
+		// one the inverse statement runs on throughout.
+		cat := t.c.Catalog()
+		if err := t.c.resolve(cat, &inverse, false); err != nil {
 			return err
 		}
-		return t.c.apply(&inverse)
+		return t.c.apply(cat, &inverse)
 	})
 	return st, nil
 }

@@ -83,28 +83,24 @@ func viewSpec(v *catalog.View) fragSpec {
 // isTable reports whether the spec is a base table's own fragment.
 func (s fragSpec) isTable() bool { return s.Table != nil && s.Name == s.Owner }
 
-// fragSpecs is the one ordered walk of the catalog's partitioned
+// fragSpecs is the one ordered walk of a catalog's partitioned
 // structures: per base table (sorted) the table, its auxiliary relations
 // and its global indexes, then the views (sorted).
-func (c *Cluster) fragSpecs() []fragSpec {
+func fragSpecs(cat *catalog.Catalog) []fragSpec {
 	var out []fragSpec
-	for _, tn := range c.cat.Tables() {
-		t, err := c.cat.Table(tn)
-		if err != nil {
-			continue // dropped between the listing and the lookup
-		}
+	for _, tn := range cat.Tables() {
+		t, _ := cat.Table(tn)
 		out = append(out, tableSpec(t))
-		for _, ar := range c.cat.AuxRelsFor(tn) {
+		for _, ar := range cat.AuxRelsFor(tn) {
 			out = append(out, auxRelSpec(ar, t))
 		}
-		for _, gi := range c.cat.GlobalIndexesFor(tn) {
+		for _, gi := range cat.GlobalIndexesFor(tn) {
 			out = append(out, globalIndexSpec(gi, t))
 		}
 	}
-	for _, vn := range c.cat.Views() {
-		if v, err := c.cat.View(vn); err == nil {
-			out = append(out, viewSpec(v))
-		}
+	for _, vn := range cat.Views() {
+		v, _ := cat.View(vn)
+		out = append(out, viewSpec(v))
 	}
 	return out
 }
@@ -112,9 +108,9 @@ func (c *Cluster) fragSpecs() []fragSpec {
 // fragGroups cuts fragSpecs into runs with one owner: a base table with
 // its derived structures, or a single view. One group is what a copy
 // claims, copies and arms together.
-func (c *Cluster) fragGroups() [][]fragSpec {
+func fragGroups(cat *catalog.Catalog) [][]fragSpec {
 	var out [][]fragSpec
-	for _, s := range c.fragSpecs() {
+	for _, s := range fragSpecs(cat) {
 		if n := len(out); n > 0 && out[n-1][0].Owner == s.Owner {
 			out[n-1] = append(out[n-1], s)
 			continue
@@ -136,24 +132,22 @@ func giSpecs(group []fragSpec) []fragSpec {
 
 // fragSpecOf resolves one structure by name; ok is false for names the
 // catalog does not hold (query temporaries, shadows, staging).
-func (c *Cluster) fragSpecOf(name string, gi bool) (fragSpec, bool) {
+func fragSpecOf(cat *catalog.Catalog, name string, gi bool) (fragSpec, bool) {
 	if gi {
-		if g, err := c.cat.GlobalIndex(name); err == nil {
-			if t, err := c.cat.Table(g.Table); err == nil {
-				return globalIndexSpec(g, t), true
-			}
+		if g, err := cat.GlobalIndex(name); err == nil {
+			t, _ := cat.Table(g.Table)
+			return globalIndexSpec(g, t), true
 		}
 		return fragSpec{}, false
 	}
-	if t, err := c.cat.Table(name); err == nil {
+	if t, err := cat.Table(name); err == nil {
 		return tableSpec(t), true
 	}
-	if ar, err := c.cat.AuxRel(name); err == nil {
-		if t, err := c.cat.Table(ar.Table); err == nil {
-			return auxRelSpec(ar, t), true
-		}
+	if ar, err := cat.AuxRel(name); err == nil {
+		t, _ := cat.Table(ar.Table)
+		return auxRelSpec(ar, t), true
 	}
-	if v, err := c.cat.View(name); err == nil {
+	if v, err := cat.View(name); err == nil {
 		return viewSpec(v), true
 	}
 	return fragSpec{}, false
@@ -276,7 +270,7 @@ func (c *Cluster) mirror(sc *stmtScope, to int, req, resp any) {
 		if mut.Len() == 0 {
 			return
 		}
-		if spec, ok := c.fragSpecOf(mut.Target, mut.GI); ok {
+		if spec, ok := fragSpecOf(c.catalogOf(sc), mut.Target, mut.GI); ok {
 			// The sink cannot fail: a mirror never decides a statement's outcome.
 			_ = splitTo(mut, spec, c.followerSink(sc, spec.Name))
 		}
@@ -300,7 +294,7 @@ type copySession struct {
 
 // beginCopy registers the cluster's copy session; only one runs at a time.
 func (c *Cluster) beginCopy(targets map[int][]int) (*copySession, error) {
-	sess := &copySession{targets: targets, total: len(c.fragGroups()), armed: map[string]bool{}}
+	sess := &copySession{targets: targets, total: len(fragGroups(c.Catalog())), armed: map[string]bool{}}
 	if !c.sess.CompareAndSwap(nil, sess) {
 		return nil, fmt.Errorf("cluster: another slot copy (migration or re-replication) is in flight")
 	}
@@ -366,7 +360,7 @@ func (c *Cluster) intact(s *copySession) error {
 func (c *Cluster) copyGroup(sess *copySession, group []fragSpec, call func(to int, req any) (any, error), shipped func(elems int)) error {
 	h := c.lockRead(group[0].Owner)
 	defer h.Release()
-	pm := c.part.Map()
+	pm := c.Catalog().Partitioner().Map()
 	srcSet := map[int]bool{}
 	for s := range sess.targets {
 		srcSet[pm.Owner[s]] = true

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"joinview/internal/catalog"
 	"joinview/internal/expr"
 	"joinview/internal/netsim"
 	"joinview/internal/node"
@@ -66,8 +67,12 @@ func (r StorageReport) OverheadValues() (values int) {
 }
 
 // StorageReport gathers sizes of every table, auxiliary relation, view and
-// global index. It is unmetered.
+// global index. It is unmetered, and reads inside one read scope, so the
+// sizes are those of the structures its catalog lists.
 func (c *Cluster) StorageReport() (StorageReport, error) {
+	rs := c.beginRead()
+	defer rs.end()
+	cat := rs.cat
 	var rep StorageReport
 	add := func(name, kind string, cols int) error {
 		rows, pages := 0, 0
@@ -83,17 +88,17 @@ func (c *Cluster) StorageReport() (StorageReport, error) {
 		rep.Entries = append(rep.Entries, StorageEntry{Name: name, Kind: kind, Rows: rows, Pages: pages, Cols: cols})
 		return nil
 	}
-	for _, name := range c.cat.Tables() {
-		t, _ := c.cat.Table(name)
+	for _, name := range cat.Tables() {
+		t, _ := cat.Table(name)
 		if err := add(name, "table", t.Schema.Len()); err != nil {
 			return rep, err
 		}
-		for _, ar := range c.cat.AuxRelsFor(name) {
+		for _, ar := range cat.AuxRelsFor(name) {
 			if err := add(ar.Name, "auxrel", ar.Schema.Len()); err != nil {
 				return rep, err
 			}
 		}
-		for _, gi := range c.cat.GlobalIndexesFor(name) {
+		for _, gi := range cat.GlobalIndexesFor(name) {
 			rows := 0
 			resps, err := c.tr.Broadcast(netsim.Coordinator, node.GILen{GI: gi.Name})
 			if err != nil {
@@ -105,8 +110,8 @@ func (c *Cluster) StorageReport() (StorageReport, error) {
 			rep.Entries = append(rep.Entries, StorageEntry{Name: gi.Name, Kind: "globalindex", Rows: rows, Cols: 2})
 		}
 	}
-	for _, name := range c.cat.Views() {
-		v, _ := c.cat.View(name)
+	for _, name := range cat.Views() {
+		v, _ := cat.View(name)
 		if err := add(name, "view", v.Schema.Len()); err != nil {
 			return rep, err
 		}
@@ -119,16 +124,22 @@ func (c *Cluster) StorageReport() (StorageReport, error) {
 // π(σ(base)) re-computed from the current base relation (bag equality),
 // both read in one scope.
 func (c *Cluster) CheckAuxRelConsistency(name string) error {
-	ar, err := c.cat.AuxRel(name)
+	rs, err := c.beginReadOn(func(cat *catalog.Catalog) ([]string, error) {
+		ar, err := cat.AuxRel(name)
+		if err != nil {
+			return nil, err
+		}
+		return []string{ar.Table}, nil
+	})
 	if err != nil {
 		return err
 	}
-	base, err := c.cat.Table(ar.Table)
-	if err != nil {
-		return err
-	}
-	rs := c.beginRead(ar.Table)
 	defer rs.end()
+	ar, _ := rs.cat.AuxRel(name)
+	base, err := rs.cat.Table(ar.Table)
+	if err != nil {
+		return err
+	}
 	baseRows, err := rs.unmetered(ar.Table)
 	if err != nil {
 		return err
@@ -147,13 +158,14 @@ func (c *Cluster) CheckAuxRelConsistency(name string) error {
 	// Partitioning invariant: every AR tuple lives at the hash home of
 	// its partition column.
 	pi := ar.Schema.MustColIndex(ar.PartitionCol)
+	part := rs.cat.Partitioner()
 	for n := 0; n < c.NumNodes(); n++ {
 		resp, err := c.call(n, node.AllRows{Frag: name, Epoch: rs.epoch(name)})
 		if err != nil {
 			return err
 		}
 		for _, t := range resp.(node.RowsResult).Tuples {
-			if home := c.part.NodeFor(t[pi]); home != n {
+			if home := part.NodeFor(t[pi]); home != n {
 				return fmt.Errorf("cluster: auxiliary relation %q tuple %v stored at node %d, belongs at %d", name, t, n, home)
 			}
 		}
@@ -167,16 +179,22 @@ func (c *Cluster) CheckAuxRelConsistency(name string) error {
 // entries and row ids carry no versions, so the check reads the live state
 // with the table's writers excluded.
 func (c *Cluster) CheckGlobalIndexConsistency(name string) error {
-	gi, err := c.cat.GlobalIndex(name)
-	if err != nil {
-		return err
-	}
-	t, err := c.cat.Table(gi.Table)
-	if err != nil {
-		return err
-	}
-	h := c.lockRead(gi.Table)
+	h := c.lm.AcquireShared()
 	defer h.Release()
+	// Only DDL redefines the index, and DDL needs the global lock
+	// exclusively.
+	gi, err := c.Catalog().GlobalIndex(name)
+	if err != nil {
+		return err
+	}
+	c.claimShared(h, []string{gi.Table})
+	// With the table's writers excluded no cutover can move the map either:
+	// the check reads one catalog throughout.
+	cat := c.Catalog()
+	t, err := cat.Table(gi.Table)
+	if err != nil {
+		return err
+	}
 	ci := t.Schema.MustColIndex(gi.Col)
 
 	// Base side: (node, row) -> value.
@@ -213,7 +231,7 @@ func (c *Cluster) CheckGlobalIndexConsistency(name string) error {
 				return fmt.Errorf("cluster: global index %q entry says %v, base tuple has %v", name, sc.Vals[i], val)
 			}
 			// Entry must live at the hash home of its value.
-			if home := c.part.NodeFor(sc.Vals[i]); home != n {
+			if home := cat.Partitioner().NodeFor(sc.Vals[i]); home != n {
 				return fmt.Errorf("cluster: global index %q entry for %v stored at node %d, belongs at %d", name, sc.Vals[i], n, home)
 			}
 		}
@@ -225,21 +243,23 @@ func (c *Cluster) CheckGlobalIndexConsistency(name string) error {
 }
 
 // CheckAllStructures verifies every auxiliary relation, every global index
-// and every view against the base relations.
+// and every view of the published catalog against the base relations, each
+// in a read of its own.
 func (c *Cluster) CheckAllStructures() error {
-	for _, table := range c.cat.Tables() {
-		for _, ar := range c.cat.AuxRelsFor(table) {
+	cat := c.Catalog()
+	for _, table := range cat.Tables() {
+		for _, ar := range cat.AuxRelsFor(table) {
 			if err := c.CheckAuxRelConsistency(ar.Name); err != nil {
 				return err
 			}
 		}
-		for _, gi := range c.cat.GlobalIndexesFor(table) {
+		for _, gi := range cat.GlobalIndexesFor(table) {
 			if err := c.CheckGlobalIndexConsistency(gi.Name); err != nil {
 				return err
 			}
 		}
 	}
-	for _, v := range c.cat.Views() {
+	for _, v := range cat.Views() {
 		if err := c.CheckViewConsistency(v); err != nil {
 			return err
 		}

@@ -137,9 +137,9 @@ func TestCheckersCatchCorruption(t *testing.T) {
 	}
 	// Corrupt the AR behind the cluster's back: insert a phantom tuple
 	// directly into one node's fragment.
-	ar, _ := c.cat.AuxRel("ar_orders_custkey")
+	ar, _ := c.Catalog().AuxRel("ar_orders_custkey")
 	phantom := types.Tuple{types.Int(999), types.Int(999), types.Float(0)}
-	home := c.part.NodeFor(types.Int(999))
+	home := c.Catalog().Partitioner().NodeFor(types.Int(999))
 	if _, err := c.call(home, node.Insert{Frag: ar.Name, Tuples: []types.Tuple{phantom}}); err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestCheckersCatchCorruption(t *testing.T) {
 		t.Error("checker should catch a phantom AR tuple")
 	}
 	// Corrupt the GI: dangling entry.
-	giHome := c.part.NodeFor(types.Int(555))
+	giHome := c.Catalog().Partitioner().NodeFor(types.Int(555))
 	if _, err := c.call(giHome, node.GIInsert{GI: "gi_oc", Val: types.Int(555), G: storage.GlobalRowID{Node: 63, Row: 1234}}); err != nil {
 		t.Fatal(err)
 	}
@@ -171,14 +171,14 @@ func TestViewsShareAuxRels(t *testing.T) {
 	if err := c.CreateView(v1); err != nil {
 		t.Fatal(err)
 	}
-	before := len(c.cat.AuxRelsFor("orders"))
+	before := len(c.Catalog().AuxRelsFor("orders"))
 	// A second view with the same join needing a subset of v1's columns.
 	v2 := jv1Def("v2", catalog.StrategyAuxRel)
 	v2.Out = v2.Out[:3] // customer.custkey, customer.acctbal, orders.orderkey
 	if err := c.CreateView(v2); err != nil {
 		t.Fatal(err)
 	}
-	after := len(c.cat.AuxRelsFor("orders"))
+	after := len(c.Catalog().AuxRelsFor("orders"))
 	if after != before {
 		t.Errorf("second view created %d extra ARs; should reuse the covering one", after-before)
 	}
@@ -217,7 +217,7 @@ func TestViewsWithDifferentCoverageGetSeparateARs(t *testing.T) {
 	if err := c.CreateView(jv1Def("wide", catalog.StrategyAuxRel)); err != nil {
 		t.Fatal(err)
 	}
-	ars := c.cat.AuxRelsFor("orders")
+	ars := c.Catalog().AuxRelsFor("orders")
 	if len(ars) != 2 {
 		t.Fatalf("expected 2 ARs, got %v", ars)
 	}

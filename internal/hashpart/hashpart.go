@@ -5,8 +5,9 @@
 //
 // The map is versioned: an epoch-stamped slot→node table replaces the
 // seed's fixed modulo, so cluster elasticity (AddNode/DecommissionNode)
-// can reassign individual hash slots to new owners and install the new
-// map atomically while statements keep routing through the old one. For a
+// can reassign individual hash slots to new owners and publish a new map
+// (with a new Partitioner) while statements keep routing through the old
+// one. For a
 // fixed topology the initial map (identity owners, one slot per node) is
 // byte-identical to `hash % L`, which keeps every paper experiment golden.
 package hashpart
@@ -14,18 +15,17 @@ package hashpart
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"joinview/internal/types"
 )
 
 // Map is an epoch-stamped assignment of hash slots to node ids. A value v
 // belongs to slot Hash(v) % len(Owner), which lives on node Owner[slot].
-// Maps are immutable once installed; elasticity builds a modified copy and
-// installs it with an epoch bump at cutover.
+// Maps are immutable once published; elasticity builds a modified copy and
+// publishes it with an epoch bump at cutover.
 type Map struct {
-	// Epoch increases with every installed map; compiled maintenance
-	// plans record it and recompile when it moves.
+	// Epoch increases with every published map (topology reports and
+	// the migration and failover logs carry it).
 	Epoch uint64
 	// Owner maps slot → node id. len(Owner) is the slot count (the hash
 	// modulus).
@@ -95,7 +95,7 @@ func (m Map) Replicated() bool {
 	return false
 }
 
-// Clone deep-copies the map (callers mutate the copy, never an installed
+// Clone deep-copies the map (callers mutate the copy, never a published
 // map).
 func (m Map) Clone() Map {
 	c := Map{Epoch: m.Epoch, Owner: append([]int(nil), m.Owner...), Nodes: m.Nodes}
@@ -172,10 +172,11 @@ func (m Map) Validate() error {
 	return nil
 }
 
-// Partitioner maps values to node ids through the currently installed Map.
-// Reads are lock-free (atomic pointer load); installs copy-on-write.
+// Partitioner routes values to node ids through one Map. It is immutable:
+// a new map means a new Partitioner, so a router loaded once routes a whole
+// statement through the same map.
 type Partitioner struct {
-	cur atomic.Pointer[Map]
+	m Map
 	// scratch pools the per-Spread working slices (home assignments and
 	// per-node counts): bucketing runs on every maintenance phase of every
 	// statement, so reusing the scratch keeps the hot path allocation-flat.
@@ -197,45 +198,32 @@ func New(n int) *Partitioner {
 	if n < 1 {
 		panic(fmt.Sprintf("hashpart: invalid node count %d", n))
 	}
-	p := &Partitioner{}
-	m := Identity(n)
-	p.cur.Store(&m)
-	p.scratch.New = func() any { return &spreadScratch{counts: make([]int, n)} }
+	return newPartitioner(Identity(n))
+}
+
+// For returns a partitioner routing through m. The map is validated and
+// stored by value, so later caller mutations cannot reach the router.
+func For(m Map) (*Partitioner, error) {
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	return newPartitioner(m.Clone()), nil
+}
+
+func newPartitioner(m Map) *Partitioner {
+	p := &Partitioner{m: m}
+	p.scratch.New = func() any { return &spreadScratch{counts: make([]int, m.Nodes)} }
 	return p
 }
 
-// Map returns the currently installed partition map (immutable; Clone
-// before mutating).
-func (p *Partitioner) Map() Map { return *p.cur.Load() }
-
-// Epoch returns the installed map's epoch.
-func (p *Partitioner) Epoch() uint64 { return p.cur.Load().Epoch }
-
-// Install atomically replaces the partition map. The caller is
-// responsible for having moved the data of every reassigned slot first
-// (the migration coordinator's cutover). The map is validated and stored
-// by value, so later caller mutations cannot corrupt the installed state.
-func (p *Partitioner) Install(m Map) error {
-	if err := m.Validate(); err != nil {
-		return err
-	}
-	m = m.Clone()
-	p.cur.Store(&m)
-	return nil
-}
+// Map returns the partition map (immutable; Clone before mutating).
+func (p *Partitioner) Map() Map { return p.m }
 
 // Nodes returns the node count.
-func (p *Partitioner) Nodes() int { return p.cur.Load().Nodes }
+func (p *Partitioner) Nodes() int { return p.m.Nodes }
 
 // NodeFor returns the home node of a value.
-func (p *Partitioner) NodeFor(v types.Value) int {
-	return p.cur.Load().NodeFor(v)
-}
-
-// Slot returns the hash slot of a value under the installed map.
-func (p *Partitioner) Slot(v types.Value) int {
-	return p.cur.Load().Slot(v)
-}
+func (p *Partitioner) NodeFor(v types.Value) int { return p.m.NodeFor(v) }
 
 // NodeForTuple returns the home node of tuple t partitioned on column col
 // of schema s.
@@ -265,7 +253,7 @@ func (p *Partitioner) Spread(s *types.Schema, col string, tuples []types.Tuple) 
 // SpreadIndex is Spread keyed by column position instead of name, for
 // callers that already resolved the column against their schema.
 func (p *Partitioner) SpreadIndex(i int, tuples []types.Tuple) [][]types.Tuple {
-	m := p.cur.Load()
+	m := &p.m
 	buckets := make([][]types.Tuple, m.Nodes)
 	if len(tuples) == 0 {
 		return buckets
@@ -276,10 +264,6 @@ func (p *Partitioner) SpreadIndex(i int, tuples []types.Tuple) [][]types.Tuple {
 		sc.homes = make([]int, len(tuples))
 	}
 	homes := sc.homes[:len(tuples)]
-	if len(sc.counts) < m.Nodes {
-		// The cluster grew since this scratch was pooled.
-		sc.counts = make([]int, m.Nodes)
-	}
 	counts := sc.counts[:m.Nodes]
 	for n := range counts {
 		counts[n] = 0

@@ -139,9 +139,10 @@ func applyAggToView(env Env, v *catalog.View, groups []AggGroup, op Op) error {
 		return fmt.Errorf("maintain: aggregate view %q must be partitioned on a group column", v.Name)
 	}
 	_ = op // sign already folded into the deltas
-	buckets := make([][]AggGroup, env.Part.Nodes())
+	part := env.Cat.Partitioner()
+	buckets := make([][]AggGroup, part.Nodes())
 	for _, g := range groups {
-		n := env.Part.NodeFor(g.Key[idx])
+		n := part.NodeFor(g.Key[idx])
 		buckets[n] = append(buckets[n], g)
 	}
 	ep, fl := env.stamps(v.Name)

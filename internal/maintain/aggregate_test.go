@@ -46,7 +46,7 @@ func aggCatalog(t *testing.T) (*catalog.Catalog, *catalog.View) {
 		PartitionTable: "a", PartitionCol: "g",
 	}
 	must(cat.AddView(v))
-	return cat, v
+	return cat.Build(), v
 }
 
 func TestMaintenanceProjection(t *testing.T) {

@@ -17,18 +17,17 @@ import (
 	"joinview/internal/catalog"
 	"joinview/internal/expr"
 	"joinview/internal/gindex"
-	"joinview/internal/hashpart"
 	"joinview/internal/netsim"
 	"joinview/internal/node"
 	"joinview/internal/plan"
 	"joinview/internal/types"
 )
 
-// Env bundles what the executor needs from the cluster.
+// Env bundles what the executor needs from the cluster. Cat is the
+// statement's catalog snapshot; its partitioner routes every fan-out.
 type Env struct {
-	T    netsim.Transport
-	Part *hashpart.Partitioner
-	Cat  *catalog.Catalog
+	T   netsim.Transport
+	Cat *catalog.Catalog
 	// Parallel dispatches per-node fan-outs concurrently through the
 	// scatter-gather dispatcher (results still gather in node order, so
 	// metric traces are unchanged). Must stay false on the Direct
@@ -280,7 +279,7 @@ func gatherProbed(resps []any) []types.Tuple {
 // join-attribute value (auxiliary-relation method, Figure 4, or a base
 // relation partitioned on the join attribute, Figure 1) and probes there.
 func routeStep(env Env, step plan.Step, cur []types.Tuple, keyIdx int, algo node.Algo) ([]types.Tuple, int, error) {
-	buckets := env.Part.SpreadIndex(keyIdx, cur)
+	buckets := env.Cat.Partitioner().SpreadIndex(keyIdx, cur)
 	var calls []netsim.Call
 	for n, bucket := range buckets {
 		if len(bucket) == 0 {
@@ -315,7 +314,7 @@ func globalIndexStep(env Env, step plan.Step, cur []types.Tuple, keyIdx int) ([]
 	probed := make([][]int, len(cur))
 	err := netsim.ScatterFunc(env.Parallel, len(cur), func(i int) error {
 		d := cur[i]
-		home := env.Part.NodeFor(d[keyIdx])
+		home := env.Cat.Partitioner().NodeFor(d[keyIdx])
 		resp, err := env.T.Call(netsim.Coordinator, home, node.GILookup{GI: step.GI, Val: d[keyIdx]})
 		if err != nil {
 			return err
@@ -372,7 +371,7 @@ func ApplyToView(env Env, v *catalog.View, tuples []types.Tuple, op Op) error {
 	if idx < 0 {
 		return fmt.Errorf("maintain: view %q schema lacks partition column %s", v.Name, partCol)
 	}
-	buckets := env.Part.SpreadIndex(idx, tuples)
+	buckets := env.Cat.Partitioner().SpreadIndex(idx, tuples)
 	ep, fl := env.stamps(v.Name)
 	var calls []netsim.Call
 	for n, bucket := range buckets {

@@ -57,6 +57,7 @@ func newTestEnv(t *testing.T, l int, strategy catalog.Strategy) *testEnv {
 	must(cat.AddView(view))
 	must(cat.AddAuxRel(&catalog.AuxRel{Name: "ar_b_k", Table: "b", PartitionCol: "k"}))
 	must(cat.AddGlobalIndex(&catalog.GlobalIndex{Name: "gi_b_k", Table: "b", Col: "k"}))
+	must(cat.UsePartitionMap(hashpart.Identity(l)))
 
 	nodes := make([]*node.DataNode, l)
 	handlers := make([]netsim.Handler, l)
@@ -66,7 +67,7 @@ func newTestEnv(t *testing.T, l int, strategy catalog.Strategy) *testEnv {
 	}
 	tr := netsim.NewDirect(handlers)
 	t.Cleanup(tr.Close)
-	env := Env{T: tr, Part: hashpart.New(l), Cat: cat}
+	env := Env{T: tr, Cat: cat.Build()}
 
 	// Allocate fragments everywhere.
 	mustB := func(req any) {
@@ -78,7 +79,7 @@ func newTestEnv(t *testing.T, l int, strategy catalog.Strategy) *testEnv {
 	mustB(node.CreateFragment{Name: "a", Schema: aSchema, ClusterCol: "k"})
 	mustB(node.CreateFragment{Name: "b", Schema: bSchema, ClusterCol: "y"})
 	mustB(node.CreateIndex{Frag: "b", Name: "ix_b_k", Col: "k"})
-	ar, _ := cat.AuxRel("ar_b_k")
+	ar, _ := env.Cat.AuxRel("ar_b_k")
 	mustB(node.CreateFragment{Name: "ar_b_k", Schema: ar.Schema, ClusterCol: "k"})
 	mustB(node.CreateGlobalIndex{Name: "gi_b_k"})
 	mustB(node.CreateFragment{Name: "v", Schema: view.Schema, ClusterCol: "a.k"})
@@ -92,13 +93,13 @@ func (te *testEnv) loadB(t *testing.T, rows [][2]int64) {
 	t.Helper()
 	for _, r := range rows {
 		tup := types.Tuple{types.Int(r[0]), types.Int(r[1])}
-		home := te.env.Part.NodeFor(types.Int(r[1]))
+		home := te.env.Cat.Partitioner().NodeFor(types.Int(r[1]))
 		resp, err := te.env.T.Call(netsim.Coordinator, home, node.Insert{Frag: "b", Tuples: []types.Tuple{tup}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		row := resp.(node.InsertResult).Rows[0]
-		arHome := te.env.Part.NodeFor(types.Int(r[0]))
+		arHome := te.env.Cat.Partitioner().NodeFor(types.Int(r[0]))
 		if _, err := te.env.T.Call(netsim.Coordinator, arHome, node.Insert{Frag: "ar_b_k", Tuples: []types.Tuple{tup}}); err != nil {
 			t.Fatal(err)
 		}

@@ -110,11 +110,7 @@ func (cd *candidate) forViews() []string {
 // use and returns the greedily chosen set that minimizes the modeled
 // shared-DAG maintenance workload on the catalog's installed partition map.
 func Advise(cat *catalog.Catalog, st *stats.Stats) (*Advice, error) {
-	shadow, err := shadowCatalog(cat)
-	if err != nil {
-		return nil, err
-	}
-	baseline, err := workloadTW(shadow, st)
+	baseline, err := workloadTW(cat, st)
 	if err != nil {
 		return nil, err
 	}
@@ -123,15 +119,14 @@ func Advise(cat *catalog.Catalog, st *stats.Stats) (*Advice, error) {
 		return nil, err
 	}
 	adv := &Advice{BaselineTW: baseline, AdvisedTW: baseline}
+	// cur is the what-if catalog: cat plus every structure chosen so far.
+	cur := cat
 	for len(cands) > 0 {
 		bestIdx := -1
 		bestTW := adv.AdvisedTW
 		for i := range cands {
-			trial, err := shadowCatalog(shadow)
+			trial, err := withCandidate(cur, &cands[i])
 			if err != nil {
-				return nil, err
-			}
-			if err := addCandidate(trial, &cands[i]); err != nil {
 				continue // infeasible in this state (e.g. name taken)
 			}
 			tw, err := workloadTW(trial, st)
@@ -148,7 +143,7 @@ func Advise(cat *catalog.Catalog, st *stats.Stats) (*Advice, error) {
 			break
 		}
 		cd := cands[bestIdx]
-		if err := addCandidate(shadow, &cd); err != nil {
+		if cur, err = withCandidate(cur, &cd); err != nil {
 			return nil, err
 		}
 		adv.Items = append(adv.Items, AdviceItem{
@@ -272,64 +267,21 @@ func unionCols(cat *catalog.Catalog, table string, a, b []string) []string {
 	return out
 }
 
-// addCandidate registers copies of the candidate's structures on a shadow
-// catalog.
-func addCandidate(sc *catalog.Catalog, cd *candidate) error {
+// withCandidate returns the catalog cat plus copies of the candidate's
+// structures.
+func withCandidate(cat *catalog.Catalog, cd *candidate) (*catalog.Catalog, error) {
+	b := cat.Builder()
+	var err error
 	if cd.ar != nil {
 		ar := *cd.ar
 		ar.Cols = append([]string(nil), cd.ar.Cols...)
-		return sc.AddAuxRel(&ar)
+		err = b.AddAuxRel(&ar)
+	} else {
+		gi := *cd.gi
+		err = b.AddGlobalIndex(&gi)
 	}
-	gi := *cd.gi
-	return sc.AddGlobalIndex(&gi)
-}
-
-// shadowCatalog clones a catalog's metadata for what-if pricing: fresh
-// structs for every object the registration paths mutate, shared immutable
-// innards (schemas, join lists), and the installed partition map.
-func shadowCatalog(cat *catalog.Catalog) (*catalog.Catalog, error) {
-	sc := catalog.New()
-	if pm, ok := cat.PartitionMap(); ok {
-		sc.SetPartitionMap(pm)
+	if err != nil {
+		return nil, err
 	}
-	tables := cat.Tables()
-	for _, tn := range tables {
-		t, err := cat.Table(tn)
-		if err != nil {
-			return nil, err
-		}
-		tc := *t
-		tc.Indexes = append([]catalog.Index(nil), t.Indexes...)
-		if err := sc.AddTable(&tc); err != nil {
-			return nil, err
-		}
-	}
-	for _, tn := range tables {
-		for _, a := range cat.AuxRelsFor(tn) {
-			ac := *a
-			ac.Cols = append([]string(nil), a.Cols...)
-			if err := sc.AddAuxRel(&ac); err != nil {
-				return nil, err
-			}
-		}
-		for _, g := range cat.GlobalIndexesFor(tn) {
-			gc := *g
-			if err := sc.AddGlobalIndex(&gc); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for _, vn := range cat.Views() {
-		v, err := cat.View(vn)
-		if err != nil {
-			return nil, err
-		}
-		vc := *v
-		vc.Out = append([]catalog.OutCol(nil), v.Out...)
-		vc.Aggs = append([]catalog.AggSpec(nil), v.Aggs...)
-		if err := sc.AddView(&vc); err != nil {
-			return nil, err
-		}
-	}
-	return sc, nil
+	return b.Build(), nil
 }

@@ -14,12 +14,12 @@ type cacheKey struct {
 }
 
 // Cache holds compiled plans keyed by (table, op), validated on every
-// lookup against the catalog version and the recorded statistics reads.
-// Stale entries are evicted and recompiled in place; a stale plan can
-// never be returned. Safe for concurrent use — DML statements on
-// different tables look up plans in parallel, and DDL (which bumps the
-// catalog version under the cluster's exclusive lock) implicitly
-// invalidates every entry at once.
+// lookup against the catalog snapshot they were compiled for (a pointer
+// compare) and the recorded statistics reads. Stale entries are evicted
+// and recompiled in place; a stale plan can never be returned. Safe for
+// concurrent use — DML statements on different tables look up plans in
+// parallel, and DDL or a partition-map change (either publishes a new
+// snapshot) implicitly invalidates every entry at once.
 type Cache struct {
 	mu    sync.RWMutex
 	plans map[cacheKey]*Plan

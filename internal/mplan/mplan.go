@@ -100,7 +100,7 @@ type Plan struct {
 	// Views is the full dependent-view set the plan was compiled for, in
 	// name (= stage) order. Together with (Table, Op) it is the logical
 	// cache key of the shared world: any view joining or leaving the table
-	// changes the set — and bumps the catalog version, which is how Valid
+	// changes the set — and publishes a new catalog, which is how Valid
 	// detects it without re-listing views on the hot path.
 	Views []string
 	// SharedPotential reports that at least two dependent views run
@@ -108,14 +108,11 @@ type Plan struct {
 	// shared-DAG executor can hoist work. False means per-view execution is
 	// already optimal and the executor takes the unshared path unchanged.
 	SharedPotential bool
-	// Version is the catalog version the plan was compiled against.
-	Version uint64
-	// PartEpoch is the partition-map epoch the plan was compiled against:
-	// node homes are baked into a plan's routing, so an elastic topology
-	// change (slot reassignment at migration cutover) must force a
-	// recompile even though the schema version is untouched.
-	PartEpoch uint64
-	// L is the node count of that partition map: the cluster size the
+	// Cat is the catalog snapshot the plan was compiled against, partition
+	// map included: any DDL or map change publishes a new snapshot, so the
+	// plan is valid only against this one.
+	Cat *catalog.Catalog
+	// L is the node count of its partition map: the cluster size the
 	// plan's methods were priced at.
 	L int
 	// Deps are the statistics reads the plan's join orders depend on.
@@ -123,9 +120,8 @@ type Plan struct {
 }
 
 // Compile builds the maintenance plan for one (table, op) from the catalog,
-// its installed partition map and current statistics.
+// its partition map and current statistics.
 func Compile(cat *catalog.Catalog, st *stats.Stats, table string, op maintain.Op) (*Plan, error) {
-	version := cat.Version()
 	t, err := cat.Table(table)
 	if err != nil {
 		return nil, err
@@ -134,7 +130,7 @@ func Compile(cat *catalog.Catalog, st *stats.Stats, table string, op maintain.Op
 	if !ok {
 		return nil, fmt.Errorf("mplan: catalog has no partition map")
 	}
-	mp := &Plan{Table: t, Op: op, Version: version, PartEpoch: pm.Epoch, L: pm.Nodes}
+	mp := &Plan{Table: t, Op: op, Cat: cat, L: pm.Nodes}
 	mp.Stages = append(mp.Stages, Stage{Kind: StageBase})
 	ars := cat.AuxRelsFor(table)
 	for _, ar := range ars {
@@ -226,14 +222,11 @@ func stepsOf(p *plan.Plan) []cost.Step {
 	return steps
 }
 
-// Valid reports whether the plan may still be executed: the catalog has
-// not moved and every statistics value the join orders were derived from
-// is unchanged.
+// Valid reports whether the plan may still be executed: it was compiled
+// against this very catalog snapshot and every statistics value the join
+// orders were derived from is unchanged.
 func (p *Plan) Valid(cat *catalog.Catalog, st *stats.Stats) bool {
-	if cat.Version() != p.Version {
-		return false
-	}
-	if cat.PartitionEpoch() != p.PartEpoch {
+	if cat != p.Cat {
 		return false
 	}
 	for _, d := range p.Deps {
@@ -251,7 +244,7 @@ func (p *Plan) Describe() string {
 	if p.Op == maintain.OpDelete {
 		op = "delete"
 	}
-	fmt.Fprintf(&sb, "pipeline for %s into %s (catalog v%d, %d stages)\n", op, p.Table.Name, p.Version, len(p.Stages))
+	fmt.Fprintf(&sb, "pipeline for %s into %s (%d stages)\n", op, p.Table.Name, len(p.Stages))
 	for i, s := range p.Stages {
 		switch s.Kind {
 		case StageBase:

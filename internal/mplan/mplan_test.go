@@ -66,11 +66,13 @@ func testCatalog(t *testing.T, views ...*catalog.View) (*catalog.Catalog, *stats
 			t.Fatal(err)
 		}
 	}
-	cat.SetPartitionMap(hashpart.Identity(8))
+	if err := cat.UsePartitionMap(hashpart.Identity(8)); err != nil {
+		t.Fatal(err)
+	}
 	st := stats.New()
 	st.Set("r", stats.TableStats{Rows: 100, Distinct: map[string]int64{"k": 100, "a": 10}})
 	st.Set("s", stats.TableStats{Rows: 400, Distinct: map[string]int64{"k": 100, "b": 20}})
-	return cat, st
+	return cat.Build(), st
 }
 
 func stageSummary(p *Plan) []string {
@@ -94,10 +96,12 @@ func TestCompileStageOrder(t *testing.T) {
 	// Two views added out of name order: the compiled stage list must be
 	// base, then ARs, then GIs, then views, each group in name order — the
 	// sequence the seed executor used.
-	cat, st := testCatalog(t, rsView("jvB", catalog.StrategyAuto), rsView("jvA", catalog.StrategyAuto))
-	if err := cat.AddAuxRel(&catalog.AuxRel{Name: "aa_r", Table: "r", PartitionCol: "k"}); err != nil {
+	base, st := testCatalog(t, rsView("jvB", catalog.StrategyAuto), rsView("jvA", catalog.StrategyAuto))
+	b := base.Builder()
+	if err := b.AddAuxRel(&catalog.AuxRel{Name: "aa_r", Table: "r", PartitionCol: "k"}); err != nil {
 		t.Fatal(err)
 	}
+	cat := b.Build()
 	p, err := Compile(cat, st, "r", maintain.OpInsert)
 	if err != nil {
 		t.Fatal(err)
@@ -130,8 +134,11 @@ func TestCompileStageOrder(t *testing.T) {
 // and returns the named view's stage.
 func viewStage(t *testing.T, cat *catalog.Catalog, st *stats.Stats, table, view string, l int) *ViewStage {
 	t.Helper()
-	cat.SetPartitionMap(hashpart.Identity(l))
-	p, err := Compile(cat, st, table, maintain.OpInsert)
+	b := cat.Builder()
+	if err := b.UsePartitionMap(hashpart.Identity(l)); err != nil {
+		t.Fatal(err)
+	}
+	p, err := Compile(b.Build(), st, table, maintain.OpInsert)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,17 +181,22 @@ func TestCompileViewSkipsInfeasibleStrategies(t *testing.T) {
 	if err := cat.AddView(rsView("jv", catalog.StrategyAuto)); err != nil {
 		t.Fatal(err)
 	}
+	if err := cat.UsePartitionMap(hashpart.Identity(8)); err != nil {
+		t.Fatal(err)
+	}
+	snap := cat.Build()
 	st := stats.New()
-	if vs := viewStage(t, cat, st, "r", "jv", 8); vs.Strategy != catalog.StrategyNaive {
+	if vs := viewStage(t, snap, st, "r", "jv", 8); vs.Strategy != catalog.StrategyNaive {
 		t.Errorf("compiled %v, want naive", vs.Strategy)
 	}
 
 	// A pinned strategy whose structures are missing is a compile error, not
 	// a silent fallback.
-	if err := cat.AddView(rsView("jv_pin", catalog.StrategyAuxRel)); err != nil {
+	b := snap.Builder()
+	if err := b.AddView(rsView("jv_pin", catalog.StrategyAuxRel)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Compile(cat, st, "r", maintain.OpInsert); err == nil {
+	if _, err := Compile(b.Build(), st, "r", maintain.OpInsert); err == nil {
 		t.Error("pinned auxrel without an AR compiled without error")
 	}
 }
@@ -194,7 +206,7 @@ func TestCompileNeedsAPartitionMap(t *testing.T) {
 	if err := cat.AddTable(intTable("r", "k", "a")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Compile(cat, stats.New(), "r", maintain.OpInsert); err == nil {
+	if _, err := Compile(cat.Build(), stats.New(), "r", maintain.OpInsert); err == nil {
 		t.Error("compiled without a partition map to price at")
 	}
 }
@@ -275,14 +287,15 @@ func TestCompiledStrategyIsArgminAtEveryDeltaSize(t *testing.T) {
 		if err := cat.AddView(v); err != nil {
 			t.Fatal(err)
 		}
+		snap := cat.Build()
 		for _, l := range []int{1, 2, 3, 8, 32} {
 			for _, table := range names {
-				vs := viewStage(t, cat, st, table, "jv", l)
+				vs := viewStage(t, snap, st, table, "jv", l)
 				seen[vs.Strategy]++
 				for _, a := range []int{1, 2, 7, 256, 4096} {
 					best, bestTW := catalog.StrategyAuto, 0.0
 					for _, s := range []catalog.Strategy{catalog.StrategyAuxRel, catalog.StrategyGlobalIndex, catalog.StrategyNaive} {
-						p, err := plan.Build(cat, st, v, table, s)
+						p, err := plan.Build(snap, st, v, table, s)
 						if err != nil {
 							continue
 						}
@@ -347,12 +360,14 @@ func TestValidTracksCatalogVersionAndFanoutDeps(t *testing.T) {
 	if !p.Valid(cat, st) {
 		t.Fatal("restoring stats did not restore validity")
 	}
-	// Any catalog mutation bumps the version and invalidates every plan.
-	if err := cat.AddIndex("s", catalog.Index{Name: "ix_b", Col: "b"}); err != nil {
+	// Any DDL publishes a new catalog and invalidates every plan compiled
+	// against the old one.
+	b := cat.Builder()
+	if err := b.AddIndex("s", catalog.Index{Name: "ix_b", Col: "b"}); err != nil {
 		t.Fatal(err)
 	}
-	if p.Valid(cat, st) {
-		t.Error("catalog version bump did not invalidate the plan")
+	if p.Valid(b.Build(), st) {
+		t.Error("a new catalog snapshot did not invalidate the plan")
 	}
 }
 
@@ -382,9 +397,11 @@ func TestCacheGetHitMissEvict(t *testing.T) {
 	}
 
 	// DDL invalidates; the next lookup recompiles in place.
-	if err := cat.DropView("jv"); err != nil {
+	b := cat.Builder()
+	if err := b.DropView("jv"); err != nil {
 		t.Fatal(err)
 	}
+	cat = b.Build()
 	p3, hit, err := c.Get(cat, st, "r", maintain.OpInsert)
 	if err != nil {
 		t.Fatal(err)
@@ -392,26 +409,28 @@ func TestCacheGetHitMissEvict(t *testing.T) {
 	if hit || p3 == p1 {
 		t.Error("stale plan returned after DDL")
 	}
-	if p3.Version == p1.Version {
-		t.Error("recompiled plan kept the old catalog version")
+	if p3.Cat == p1.Cat || p3.Cat != cat {
+		t.Error("recompiled plan kept the old catalog")
 	}
 
 	// When recompilation fails (table gone), the stale entry is evicted.
+	b = cat.Builder()
 	for _, ar := range []string{"ar_r", "ar_s"} {
-		if err := cat.DropAuxRel(ar); err != nil {
+		if err := b.DropAuxRel(ar); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, gi := range []string{"gi_r", "gi_s"} {
-		if err := cat.DropGlobalIndex(gi); err != nil {
+		if err := b.DropGlobalIndex(gi); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, tb := range []string{"s", "r"} {
-		if err := cat.DropTable(tb); err != nil {
+		if err := b.DropTable(tb); err != nil {
 			t.Fatal(err)
 		}
 	}
+	cat = b.Build()
 	if _, _, err := c.Get(cat, st, "r", maintain.OpInsert); err == nil {
 		t.Fatal("Get succeeded for a dropped table")
 	}

@@ -101,6 +101,10 @@ func InverseOf(req, resp any) any {
 			neg.Deltas[i] = nd
 		}
 		return neg
+	case CreateFragment:
+		return DropFragment{Name: r.Name}
+	case CreateGlobalIndex:
+		return DropGlobalIndexFrag{Name: r.Name}
 	}
 	return nil
 }

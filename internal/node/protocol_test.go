@@ -341,6 +341,12 @@ func TestInverseRoundTrip(t *testing.T) {
 			}
 			return b
 		},
+		"node.CreateFragment": func(w *world, rng *rand.Rand) any {
+			return CreateFragment{Name: "fresh", Schema: ordersSchema, PageRows: 8}
+		},
+		"node.CreateGlobalIndex": func(w *world, rng *rand.Rand) any {
+			return CreateGlobalIndex{Name: "gi2"}
+		},
 		"node.AggApply": func(w *world, rng *rand.Rand) any {
 			// Fold into one group, drain another to count 0 (the group row
 			// disappears) and create a new one.
@@ -356,8 +362,7 @@ func TestInverseRoundTrip(t *testing.T) {
 		},
 	}
 	noInverse := map[string]bool{
-		"node.CreateFragment": true, "node.CreateIndex": true, "node.CreateGlobalIndex": true,
-		"node.DropFragment": true, "node.DropGlobalIndexFrag": true, "node.LocalJoin": true,
+		"node.CreateIndex": true, "node.DropFragment": true, "node.DropGlobalIndexFrag": true, "node.LocalJoin": true,
 		"node.PromoteSlots": true, "node.GIPromoteSlots": true, "node.GIScrubNode": true,
 	}
 	for _, req := range AllRequests() {

@@ -12,7 +12,7 @@ import (
 // tpcr builds the paper's schema: customer partitioned on custkey, orders
 // on orderkey, lineitem on partkey (so orders needs structures on custkey
 // and orderkey-joins, lineitem on orderkey).
-func tpcr(t *testing.T) *catalog.Catalog {
+func tpcr(t *testing.T) *catalog.Builder {
 	t.Helper()
 	c := catalog.New()
 	must := func(err error) {
@@ -53,7 +53,7 @@ func tpcr(t *testing.T) *catalog.Catalog {
 	return c
 }
 
-func jv2(t *testing.T, c *catalog.Catalog, s catalog.Strategy) *catalog.View {
+func jv2(t *testing.T, c *catalog.Builder, s catalog.Strategy) *catalog.View {
 	t.Helper()
 	v := &catalog.View{
 		Name:   "jv2_" + s.String(),
@@ -79,7 +79,7 @@ func jv2(t *testing.T, c *catalog.Catalog, s catalog.Strategy) *catalog.View {
 func TestAuxRelSpecs(t *testing.T) {
 	c := tpcr(t)
 	v := jv2(t, c, catalog.StrategyAuxRel)
-	specs, err := AuxRelSpecs(c, v)
+	specs, err := AuxRelSpecs(c.Catalog, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestAuxRelSpecs(t *testing.T) {
 func TestGlobalIndexSpecs(t *testing.T) {
 	c := tpcr(t)
 	v := jv2(t, c, catalog.StrategyGlobalIndex)
-	specs, err := GlobalIndexSpecs(c, v)
+	specs, err := GlobalIndexSpecs(c.Catalog, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestGlobalIndexSpecs(t *testing.T) {
 func TestBuildNaivePlan(t *testing.T) {
 	c := tpcr(t)
 	v := jv2(t, c, catalog.StrategyNaive)
-	p, err := Build(c, stats.New(), v, "customer", catalog.StrategyNaive)
+	p, err := Build(c.Catalog, stats.New(), v, "customer", catalog.StrategyNaive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,16 +165,16 @@ func TestBuildNaivePlan(t *testing.T) {
 func TestBuildAuxRelPlanRequiresStructures(t *testing.T) {
 	c := tpcr(t)
 	v := jv2(t, c, catalog.StrategyAuxRel)
-	if _, err := Build(c, stats.New(), v, "customer", catalog.StrategyAuxRel); err == nil {
+	if _, err := Build(c.Catalog, stats.New(), v, "customer", catalog.StrategyAuxRel); err == nil {
 		t.Fatal("plan should fail without ARs")
 	}
-	specs, _ := AuxRelSpecs(c, v)
+	specs, _ := AuxRelSpecs(c.Catalog, v)
 	for i := range specs {
 		if err := c.AddAuxRel(&specs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	p, err := Build(c, stats.New(), v, "customer", catalog.StrategyAuxRel)
+	p, err := Build(c.Catalog, stats.New(), v, "customer", catalog.StrategyAuxRel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,16 +199,16 @@ func TestBuildAuxRelPlanRequiresStructures(t *testing.T) {
 func TestBuildGlobalIndexPlan(t *testing.T) {
 	c := tpcr(t)
 	v := jv2(t, c, catalog.StrategyGlobalIndex)
-	if _, err := Build(c, stats.New(), v, "customer", catalog.StrategyGlobalIndex); err == nil {
+	if _, err := Build(c.Catalog, stats.New(), v, "customer", catalog.StrategyGlobalIndex); err == nil {
 		t.Fatal("plan should fail without GIs")
 	}
-	specs, _ := GlobalIndexSpecs(c, v)
+	specs, _ := GlobalIndexSpecs(c.Catalog, v)
 	for i := range specs {
 		if err := c.AddGlobalIndex(&specs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	p, err := Build(c, stats.New(), v, "customer", catalog.StrategyGlobalIndex)
+	p, err := Build(c.Catalog, stats.New(), v, "customer", catalog.StrategyGlobalIndex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,16 +225,16 @@ func TestBuildRoutesWhenPartitionedOnJoinCol(t *testing.T) {
 	// custkey — every strategy routes directly to the base table.
 	c := tpcr(t)
 	v := jv2(t, c, catalog.StrategyNaive)
-	specs, _ := AuxRelSpecs(c, v)
+	specs, _ := AuxRelSpecs(c.Catalog, v)
 	for i := range specs {
 		c.AddAuxRel(&specs[i])
 	}
-	gspecs, _ := GlobalIndexSpecs(c, v)
+	gspecs, _ := GlobalIndexSpecs(c.Catalog, v)
 	for i := range gspecs {
 		c.AddGlobalIndex(&gspecs[i])
 	}
 	for _, strat := range []catalog.Strategy{catalog.StrategyNaive, catalog.StrategyAuxRel, catalog.StrategyGlobalIndex} {
-		p, err := Build(c, stats.New(), v, "orders", strat)
+		p, err := Build(c.Catalog, stats.New(), v, "orders", strat)
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
 		}
@@ -262,7 +262,7 @@ func TestBuildJoinOrderUsesStats(t *testing.T) {
 	st := stats.New()
 	st.Set("customer", stats.TableStats{Rows: 100, Distinct: map[string]int64{"custkey": 100}})   // fanout 1
 	st.Set("lineitem", stats.TableStats{Rows: 4000, Distinct: map[string]int64{"orderkey": 100}}) // fanout 40
-	p, err := Build(c, st, v, "orders", catalog.StrategyNaive)
+	p, err := Build(c.Catalog, st, v, "orders", catalog.StrategyNaive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestBuildJoinOrderUsesStats(t *testing.T) {
 	st2 := stats.New()
 	st2.Set("customer", stats.TableStats{Rows: 1000, Distinct: map[string]int64{"custkey": 10}}) // fanout 100
 	st2.Set("lineitem", stats.TableStats{Rows: 100, Distinct: map[string]int64{"orderkey": 100}})
-	p2, err := Build(c, st2, v, "orders", catalog.StrategyNaive)
+	p2, err := Build(c.Catalog, st2, v, "orders", catalog.StrategyNaive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,13 +288,13 @@ func TestBuildJoinOrderUsesStats(t *testing.T) {
 func TestBuildErrors(t *testing.T) {
 	c := tpcr(t)
 	v := jv2(t, c, catalog.StrategyNaive)
-	if _, err := Build(c, stats.New(), v, "part", catalog.StrategyNaive); err == nil {
+	if _, err := Build(c.Catalog, stats.New(), v, "part", catalog.StrategyNaive); err == nil {
 		t.Error("planning for a non-member table should fail")
 	}
-	if _, err := Build(c, stats.New(), v, "customer", catalog.StrategyAuto); err == nil {
+	if _, err := Build(c.Catalog, stats.New(), v, "customer", catalog.StrategyAuto); err == nil {
 		t.Error("planning with unresolved auto strategy should fail")
 	}
-	if _, err := Build(c, stats.New(), v, "customer", catalog.Strategy(77)); err == nil {
+	if _, err := Build(c.Catalog, stats.New(), v, "customer", catalog.Strategy(77)); err == nil {
 		t.Error("planning with bogus strategy should fail")
 	}
 }
@@ -302,13 +302,13 @@ func TestBuildErrors(t *testing.T) {
 func TestDescribe(t *testing.T) {
 	c := tpcr(t)
 	v := jv2(t, c, catalog.StrategyAuxRel)
-	specs, _ := AuxRelSpecs(c, v)
+	specs, _ := AuxRelSpecs(c.Catalog, v)
 	for i := range specs {
 		if err := c.AddAuxRel(&specs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	p, err := Build(c, stats.New(), v, "customer", catalog.StrategyAuxRel)
+	p, err := Build(c.Catalog, stats.New(), v, "customer", catalog.StrategyAuxRel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestDescribe(t *testing.T) {
 	if err := c.AddView(tri); err != nil {
 		t.Fatal(err)
 	}
-	pt, err := Build(c, stats.New(), tri, "customer", catalog.StrategyNaive)
+	pt, err := Build(c.Catalog, stats.New(), tri, "customer", catalog.StrategyNaive)
 	if err != nil {
 		t.Fatal(err)
 	}

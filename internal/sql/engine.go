@@ -110,7 +110,7 @@ func ExecStmt(c *cluster.Cluster, st Stmt) (*Result, error) {
 		return &Result{Message: "auxiliary relation " + s.Name + " created"}, nil
 
 	case CreateView:
-		v, err := bindView(c, s)
+		v, err := bindView(c.Catalog(), s)
 		if err != nil {
 			return nil, err
 		}
@@ -163,9 +163,10 @@ type writer interface {
 // execDML binds a parsed INSERT, DELETE or UPDATE against the catalog and
 // runs it on w.
 func execDML(c *cluster.Cluster, w writer, st Stmt) (*Result, error) {
+	cat := c.Catalog()
 	switch s := st.(type) {
 	case Insert:
-		t, err := c.Catalog().Table(s.Table)
+		t, err := cat.Table(s.Table)
 		if err != nil {
 			return nil, err
 		}
@@ -183,7 +184,7 @@ func execDML(c *cluster.Cluster, w writer, st Stmt) (*Result, error) {
 		return &Result{Count: len(tuples)}, nil
 
 	case Delete:
-		pred, err := bindPred(c, s.Table, s.Where)
+		pred, err := bindPred(cat, s.Table, s.Where)
 		if err != nil {
 			return nil, err
 		}
@@ -194,7 +195,7 @@ func execDML(c *cluster.Cluster, w writer, st Stmt) (*Result, error) {
 		return &Result{Count: len(deleted)}, nil
 
 	case Update:
-		pred, err := bindPred(c, s.Table, s.Where)
+		pred, err := bindPred(cat, s.Table, s.Where)
 		if err != nil {
 			return nil, err
 		}
@@ -208,8 +209,8 @@ func execDML(c *cluster.Cluster, w writer, st Stmt) (*Result, error) {
 }
 
 // bindPred converts parsed conditions into a predicate over the table.
-func bindPred(c *cluster.Cluster, table string, conds []Condition) (expr.Expr, error) {
-	t, err := c.Catalog().Table(table)
+func bindPred(cat *catalog.Catalog, table string, conds []Condition) (expr.Expr, error) {
+	t, err := cat.Table(table)
 	if err != nil {
 		return nil, err
 	}
@@ -219,11 +220,11 @@ func bindPred(c *cluster.Cluster, table string, conds []Condition) (expr.Expr, e
 // bindView turns a parsed CREATE VIEW into a catalog view: aliases resolve
 // to table names, equijoin conditions become join predicates, and any
 // non-join condition is rejected (the paper's views are pure equijoins).
-func bindView(c *cluster.Cluster, s CreateView) (*catalog.View, error) {
+func bindView(cat *catalog.Catalog, s CreateView) (*catalog.View, error) {
 	alias := map[string]string{} // binding -> real table
 	v := &catalog.View{Name: s.Name}
 	for _, ref := range s.Query.Tables {
-		if _, err := c.Catalog().Table(ref.Name); err != nil {
+		if _, err := cat.Table(ref.Name); err != nil {
 			return nil, err
 		}
 		if _, dup := alias[ref.Binding()]; dup {
@@ -257,7 +258,7 @@ func bindView(c *cluster.Cluster, s CreateView) (*catalog.View, error) {
 	}
 	resolveItem := func(table, col string) (catalog.OutCol, error) {
 		if table == "" {
-			t, err := uniqueTableFor(c, v.Tables, col)
+			t, err := uniqueTableFor(cat, v.Tables, col)
 			if err != nil {
 				return catalog.OutCol{}, fmt.Errorf("sql: view %q: %w", s.Name, err)
 			}
@@ -362,10 +363,10 @@ func aggregateView(q Select) bool {
 }
 
 // uniqueTableFor finds the single table among names containing column col.
-func uniqueTableFor(c *cluster.Cluster, names []string, col string) (string, error) {
+func uniqueTableFor(cat *catalog.Catalog, names []string, col string) (string, error) {
 	var found string
 	for _, n := range names {
-		t, err := c.Catalog().Table(n)
+		t, err := cat.Table(n)
 		if err != nil {
 			return "", err
 		}
@@ -469,8 +470,9 @@ func execSelect(c *cluster.Cluster, s Select) (*Result, error) {
 	}
 	rels := make([]rel, len(s.Tables))
 	from := make([]string, len(s.Tables))
+	cat := c.Catalog()
 	for i, ref := range s.Tables {
-		schema, err := relationSchema(c, ref.Name)
+		schema, err := relationSchema(cat, ref.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -585,14 +587,14 @@ func execSelect(c *cluster.Cluster, s Select) (*Result, error) {
 
 // relationSchema finds the schema of a base table, auxiliary relation or
 // view by name.
-func relationSchema(c *cluster.Cluster, name string) (*types.Schema, error) {
-	if t, err := c.Catalog().Table(name); err == nil {
+func relationSchema(cat *catalog.Catalog, name string) (*types.Schema, error) {
+	if t, err := cat.Table(name); err == nil {
 		return t.Schema, nil
 	}
-	if a, err := c.Catalog().AuxRel(name); err == nil {
+	if a, err := cat.AuxRel(name); err == nil {
 		return a.Schema, nil
 	}
-	if v, err := c.Catalog().View(name); err == nil {
+	if v, err := cat.View(name); err == nil {
 		return v.Schema, nil
 	}
 	return nil, fmt.Errorf("sql: no table, auxiliary relation or view named %q", name)
