@@ -254,6 +254,24 @@ func (t *Tree) Ascend(start []byte, fn func(key, val []byte) bool) {
 // Scan visits every entry in key order.
 func (t *Tree) Scan(fn func(key, val []byte) bool) { t.Ascend(nil, fn) }
 
+// Entry is one stored (key, value) pair.
+type Entry struct {
+	Key, Val []byte
+}
+
+// Entries returns every entry in key order in one slice of exactly Len
+// entries. The keys and values are the tree's own slices, not copies: the
+// tree never writes them after Insert, so they stay valid after the entry
+// is deleted or the tree changes.
+func (t *Tree) Entries() []Entry {
+	out := make([]Entry, 0, t.size)
+	t.Scan(func(k, v []byte) bool {
+		out = append(out, Entry{Key: k, Val: v})
+		return true
+	})
+	return out
+}
+
 // Height returns the tree height (a single leaf has height 1).
 func (t *Tree) Height() int {
 	h := 1

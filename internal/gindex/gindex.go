@@ -97,30 +97,28 @@ func (f *Fragment) Scan(fn func(v types.Value, g storage.GlobalRowID) bool) {
 }
 
 // Snapshot is a self-contained image of a global-index fragment, for the
-// durability layer's checkpoints (parallel value/row-id slices).
+// durability layer's checkpoints: the tree's encoded entries (key =
+// attribute value, value = global row id) in value order.
 type Snapshot struct {
 	DistClustered bool
-	Vals          []types.Value
-	Gs            []storage.GlobalRowID
+	Entries       []btree.Entry
 }
 
-// Snapshot captures the fragment's current entries.
+// Snapshot captures the fragment's current entries. The image shares the
+// tree's encoded key and value slices, which are allocated once per Insert
+// and never written afterwards, so later mutations of the live fragment do
+// not leak into it. Taking it decodes nothing and allocates once.
 func (f *Fragment) Snapshot() Snapshot {
-	s := Snapshot{DistClustered: f.distClustered}
-	f.Scan(func(v types.Value, g storage.GlobalRowID) bool {
-		s.Vals = append(s.Vals, v)
-		s.Gs = append(s.Gs, g)
-		return true
-	})
-	return s
+	return Snapshot{DistClustered: f.distClustered, Entries: f.tree.Entries()}
 }
 
 // Restore reconstructs a fragment from a snapshot, unmetered (the recovery
-// path accounts checkpoint pages instead).
+// path accounts checkpoint pages instead). The restored tree shares the
+// image's encoded entries.
 func Restore(s Snapshot, meter *storage.Meter) *Fragment {
 	f := New(meter, s.DistClustered)
-	for i, v := range s.Vals {
-		f.InsertUnmetered(v, s.Gs[i])
+	for _, e := range s.Entries {
+		f.tree.Insert(e.Key, e.Val)
 	}
 	return f
 }

@@ -1,6 +1,7 @@
 package gindex
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -99,5 +100,68 @@ func TestGroupByNodePreservesRows(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+type giEntry struct {
+	V types.Value
+	G storage.GlobalRowID
+}
+
+func entriesOf(f *Fragment) []giEntry {
+	var out []giEntry
+	f.Scan(func(v types.Value, g storage.GlobalRowID) bool {
+		out = append(out, giEntry{v, g})
+		return true
+	})
+	return out
+}
+
+// TestSnapshotUnaffectedByLaterWrites: the image shares the tree's encoded
+// entries, so inserting, deleting and re-inserting one value afterwards
+// must not show in what the image restores.
+func TestSnapshotUnaffectedByLaterWrites(t *testing.T) {
+	f := New(&storage.Meter{}, true)
+	for i := int64(0); i < 200; i++ {
+		f.Insert(types.Int(i%50), storage.GlobalRowID{Node: int32(i % 4), Row: storage.RowID(i)})
+	}
+	before := entriesOf(f)
+	snap := f.Snapshot()
+
+	for i := int64(200); i < 600; i++ {
+		f.Insert(types.Int(i%70), storage.GlobalRowID{Node: 9, Row: storage.RowID(i)})
+	}
+	g := storage.GlobalRowID{Node: 1, Row: 5}
+	if !f.Delete(types.Int(5), g) {
+		t.Fatal("Delete of an indexed entry failed")
+	}
+	f.Insert(types.Int(5), storage.GlobalRowID{Node: 3, Row: 5})
+
+	r := Restore(snap, &storage.Meter{})
+	if !r.DistClustered() {
+		t.Error("DistClustered lost")
+	}
+	if got := entriesOf(r); !reflect.DeepEqual(got, before) {
+		t.Fatalf("restored entries differ from the state at the snapshot:\nbefore %v\nafter  %v", before, got)
+	}
+	if got := r.Lookup(types.Int(5)); len(got) != 4 || got[0] != (storage.GlobalRowID{Node: 1, Row: 5}) {
+		t.Fatalf("restored Lookup(5) = %v", got)
+	}
+}
+
+// TestSnapshotAllocsIndependentOfEntries: an image is one entry slice,
+// whatever the fragment's size.
+func TestSnapshotAllocsIndependentOfEntries(t *testing.T) {
+	f := New(&storage.Meter{}, false)
+	for i := int64(0); i < 10_000; i++ {
+		f.Insert(types.Int(i%997), storage.GlobalRowID{Node: int32(i % 4), Row: storage.RowID(i)})
+	}
+	var snap Snapshot
+	allocs := testing.AllocsPerRun(5, func() { snap = f.Snapshot() })
+	if len(snap.Entries) != 10_000 {
+		t.Fatalf("image holds %d entries, want 10000", len(snap.Entries))
+	}
+	if allocs > 1 {
+		t.Fatalf("Snapshot of 10000 entries made %.0f allocations, want at most 1", allocs)
 	}
 }

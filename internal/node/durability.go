@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 
@@ -77,9 +78,9 @@ func (n *DataNode) checkpoint() (CheckpointResult, error) {
 	}
 	ck := &wal.Checkpoint{
 		LSN:       n.store.Log.LastLSN(),
-		Frags:     map[string]storage.FragmentSnapshot{},
-		GIdx:      map[string]gindex.Snapshot{},
-		Seen:      make(map[uint64]any, len(n.seen)),
+		Frags:     make(map[string]storage.FragmentSnapshot, len(n.frags)),
+		GIdx:      make(map[string]gindex.Snapshot, len(n.gidx)),
+		Seen:      maps.Clone(n.seen),
 		SeenOrder: append([]uint64(nil), n.seenOrder...),
 	}
 	pages := 0
@@ -90,10 +91,7 @@ func (n *DataNode) checkpoint() (CheckpointResult, error) {
 	for name, g := range n.gidx {
 		s := g.Snapshot()
 		ck.GIdx[name] = s
-		pages += (len(s.Vals) + n.logPageRows - 1) / n.logPageRows
-	}
-	for id, resp := range n.seen {
-		ck.Seen[id] = resp
+		pages += (len(s.Entries) + n.logPageRows - 1) / n.logPageRows
 	}
 	if pages == 0 {
 		pages = 1 // the image header still costs a page

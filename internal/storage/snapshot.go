@@ -1,6 +1,9 @@
 package storage
 
 import (
+	"encoding/binary"
+
+	"joinview/internal/btree"
 	"joinview/internal/buffer"
 	"joinview/internal/types"
 )
@@ -22,32 +25,30 @@ type FragmentSnapshot struct {
 	ClusterCol string
 	PageRows   int
 	NextRow    RowID
-	Rows       []RowID
-	Tuples     []types.Tuple
-	Indexes    []IndexDef
+	// Entries are the primary tree's encoded entries in layout order: key =
+	// row id (heap) or cluster value || row id (clustered), value = tuple.
+	Entries []btree.Entry
+	Indexes []IndexDef
 }
 
-// Snapshot captures the fragment's current contents. Tuples are cloned, so
-// later mutations of the live fragment do not leak into the image. Taking a
-// snapshot is not metered here; the checkpoint machinery charges the image
-// write as log page I/O.
+// Snapshot captures the fragment's current contents. The image shares the
+// primary tree's encoded keys and tuples instead of copying them: the tree
+// never writes an entry's bytes after Insert (they are carved from the
+// arena once), so later inserts, deletes and re-inserts of the live
+// fragment do not leak into the image. Taking a snapshot decodes nothing
+// and allocates the entry slice once. It is not metered here; the
+// checkpoint machinery charges the image write as log page I/O.
 func (f *Fragment) Snapshot() FragmentSnapshot {
 	s := FragmentSnapshot{
 		Name:     f.name,
 		Schema:   f.schema,
 		PageRows: f.pageRows,
 		NextRow:  f.nextRow,
-		Rows:     make([]RowID, 0, f.Len()),
-		Tuples:   make([]types.Tuple, 0, f.Len()),
+		Entries:  f.rows.Entries(),
 	}
 	if col, ok := f.Clustered(); ok {
 		s.ClusterCol = col
 	}
-	f.scanRaw(func(row RowID, t types.Tuple) bool {
-		s.Rows = append(s.Rows, row)
-		s.Tuples = append(s.Tuples, t.Clone())
-		return true
-	})
 	for name, idx := range f.secondary {
 		s.Indexes = append(s.Indexes, IndexDef{Name: name, Col: f.schema.Cols[idx.col].Name})
 	}
@@ -56,8 +57,11 @@ func (f *Fragment) Snapshot() FragmentSnapshot {
 
 // RestoreFragment reconstructs a fragment from a snapshot, wiring it to the
 // given meter and pool (recovery installs the restored fragment in a freshly
-// wiped node). The rebuild itself is unmetered: the recovery path accounts
-// the checkpoint pages it read instead.
+// wiped node). The image's encoded entries go into the new primary tree as
+// they are, so the fragment shares them with the image; only the columns
+// secondary indexes key on, and a clustered fragment's cluster value for
+// its page touch, are located. The rebuild itself is unmetered: the
+// recovery path accounts the checkpoint pages it read instead.
 func RestoreFragment(s FragmentSnapshot, meter *Meter, pool *buffer.Pool) (*Fragment, error) {
 	f, err := NewFragment(s.Schema, Config{
 		Name:       s.Name,
@@ -74,14 +78,52 @@ func RestoreFragment(s FragmentSnapshot, meter *Meter, pool *buffer.Pool) (*Frag
 			return nil, err
 		}
 	}
-	for i, row := range s.Rows {
-		if err := f.InsertAt(row, s.Tuples[i]); err != nil {
-			return nil, err
+	f.loc = make(map[RowID][]byte, len(s.Entries))
+	for _, e := range s.Entries {
+		rowKey := e.Key[len(e.Key)-8:]
+		row := decodeRowID(rowKey)
+		f.rows.Insert(e.Key, e.Val)
+		f.loc[row] = e.Key
+		for _, idx := range f.secondary {
+			idx.tree.Insert(encodedCol(e.Val, idx.col), rowKey)
 		}
-		f.meter.Insert(-1)
+		f.touchRestored(row, e.Key)
 	}
-	if f.nextRow < s.NextRow {
-		f.nextRow = s.NextRow
-	}
+	f.nextRow = s.NextRow
 	return f, nil
+}
+
+// encodedCol returns the bytes of column col inside an encoded tuple. A
+// tuple encodes each value as AppendValue does, so they are that value's
+// index key.
+func encodedCol(tuple []byte, col int) []byte {
+	_, off := binary.Uvarint(tuple)
+	for i := 0; ; i++ {
+		_, n, err := types.DecodeValue(tuple[off:])
+		if err != nil {
+			panic("storage: corrupt stored tuple: " + err.Error())
+		}
+		if i == col {
+			return tuple[off : off+n : off+n]
+		}
+		off += n
+	}
+}
+
+// touchRestored records the page access of restoring one row, as
+// touchStored does for an insert; a clustered key starts with the encoded
+// cluster value.
+func (f *Fragment) touchRestored(row RowID, key []byte) {
+	if f.pool == nil {
+		return
+	}
+	if f.clusterCol < 0 {
+		f.pool.Touch(f.rowPage(row))
+		return
+	}
+	v, _, err := types.DecodeValue(key)
+	if err != nil {
+		panic("storage: corrupt cluster key: " + err.Error())
+	}
+	f.pool.Touch(f.keyRunPage(v, 0))
 }
