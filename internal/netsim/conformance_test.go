@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -287,6 +288,76 @@ func TestTimeoutOnStuckHandler(t *testing.T) {
 			t.Fatalf("released node: %v, %v", resp, err)
 		}
 	})
+}
+
+// closeSignal is a link that reports when Close begins.
+type closeSignal struct {
+	netsim.Link
+	began chan struct{}
+	once  sync.Once
+}
+
+func (c *closeSignal) Close() {
+	c.once.Do(func() { close(c.began) })
+	c.Link.Close()
+}
+
+// TestCloseBoundedAfterLateReply: a call times out on a stuck handler,
+// Close begins, and only then does the handler answer. On every link
+// Close waits for the handler that is still running, and for nothing
+// else: once the handler returns, its late reply goes nowhere and Close
+// returns within the bound — on TCP, the connection that carries the late
+// reply must not keep a server goroutine alive.
+func TestCloseBoundedAfterLateReply(t *testing.T) {
+	const bound = 5 * time.Second
+	for l := range links {
+		t.Run(links[l].name, func(t *testing.T) {
+			release := make(chan struct{})
+			var releaseOnce sync.Once
+			unstick := func() { releaseOnce.Do(func() { close(release) }) }
+			hs := echo(2)()
+			hs[1] = func(any) (any, error) {
+				<-release
+				return "late", nil
+			}
+			link := &closeSignal{Link: links[l].new(), began: make(chan struct{})}
+			tr, err := netsim.New(link, netsim.Config{Timeout: 20 * time.Millisecond}, hs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { unstick(); tr.Close() })
+			if _, err := tr.Call(netsim.Coordinator, 1, "x"); !errors.Is(err, netsim.ErrTimeout) {
+				t.Fatalf("Call to stuck handler = %v, want ErrTimeout", err)
+			}
+			if resp, err := tr.Call(netsim.Coordinator, 0, "ok"); err != nil || resp != "node0:ok" {
+				t.Fatalf("healthy node: %v, %v", resp, err)
+			}
+			closed := make(chan struct{})
+			go func() {
+				tr.Close()
+				close(closed)
+			}()
+			<-link.began
+			select {
+			case <-closed:
+				t.Fatal("Close returned while a handler was still running")
+			case <-time.After(50 * time.Millisecond):
+			}
+			unstick()
+			start := time.Now()
+			select {
+			case <-closed:
+			case <-time.After(bound):
+				t.Fatalf("Close still waiting %v after the stuck handler answered", bound)
+			}
+			if d := time.Since(start); d > time.Second {
+				t.Errorf("Close took %v after the handler answered", d)
+			}
+			if _, err := tr.Call(netsim.Coordinator, 0, "ok"); !errors.Is(err, netsim.ErrClosed) {
+				t.Errorf("Call after Close = %v, want ErrClosed", err)
+			}
+		})
+	}
 }
 
 // TestBroadcastLatency: a broadcast pays one latency on a concurrent link

@@ -111,7 +111,9 @@ type Link interface {
 	// so that Sends to different nodes overlap.
 	Concurrent() bool
 	// Close releases the link's goroutines and sockets; later Sends fail
-	// with ErrClosed.
+	// with ErrClosed. It returns once every handler already running has
+	// returned, and waits on nothing else: a reply that arrives after
+	// Close began goes nowhere.
 	Close()
 }
 
@@ -329,8 +331,9 @@ type directLink struct {
 }
 
 type directNode struct {
-	mu sync.Mutex
-	h  Handler
+	mu     sync.Mutex
+	h      Handler
+	closed bool
 }
 
 // NewDirectLink returns the deterministic in-process link. AddNode must
@@ -341,8 +344,11 @@ func NewDirectLink() Link { return &directLink{} }
 func (d *directLink) Send(to int, req any) (any, bool, error) {
 	n := d.nodes[to]
 	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed {
+		return nil, false, ErrClosed
+	}
 	resp, err := n.h(req)
-	n.mu.Unlock()
 	return resp, true, err
 }
 
@@ -353,7 +359,15 @@ func (d *directLink) AddNode(h Handler) (int, error) {
 
 func (d *directLink) Concurrent() bool { return false }
 
-func (d *directLink) Close() {}
+// Close takes each node's mutex, so it waits for a handler still running
+// behind a timed-out call.
+func (d *directLink) Close() {
+	for _, n := range d.nodes {
+		n.mu.Lock()
+		n.closed = true
+		n.mu.Unlock()
+	}
+}
 
 // chanLink runs each node as a goroutine draining a buffered inbox;
 // requests carry reply channels. Handlers therefore execute serially per

@@ -86,12 +86,17 @@ func decodeErr(w wireResp) error {
 // server is one node's listening side. The handler mutex serializes
 // request execution per node — the same discipline the channel link's
 // per-node goroutine provides — while different nodes execute
-// concurrently.
+// concurrently. It records the connections it accepted so that close
+// ends them itself instead of waiting for each peer to hang up.
 type server struct {
 	ln net.Listener
 	h  netsim.Handler
 	mu sync.Mutex // serializes handler execution
-	wg sync.WaitGroup
+
+	connMu sync.Mutex // guards conns and closed
+	conns  map[net.Conn]struct{}
+	closed bool
+	wg     sync.WaitGroup
 }
 
 func (s *server) serve() {
@@ -100,16 +105,19 @@ func (s *server) serve() {
 		if err != nil {
 			return // listener closed
 		}
-		s.wg.Add(1)
+		if !s.track(conn) {
+			conn.Close()
+			return
+		}
 		go func() {
 			defer s.wg.Done()
-			defer conn.Close()
+			defer s.untrack(conn)
 			dec := gob.NewDecoder(conn)
 			enc := gob.NewEncoder(conn)
 			for {
 				var req wireReq
 				if err := dec.Decode(&req); err != nil {
-					return // peer closed or stream broken
+					return // peer closed, server closed or stream broken
 				}
 				s.mu.Lock()
 				resp, err := s.h(req.Req)
@@ -126,6 +134,41 @@ func (s *server) serve() {
 	}
 }
 
+// track records an accepted connection and counts its goroutine; it
+// refuses once close has begun.
+func (s *server) track(c net.Conn) bool {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	if s.closed {
+		return false
+	}
+	s.conns[c] = struct{}{}
+	s.wg.Add(1)
+	return true
+}
+
+func (s *server) untrack(c net.Conn) {
+	s.connMu.Lock()
+	delete(s.conns, c)
+	s.connMu.Unlock()
+	c.Close()
+}
+
+// close stops accepting, closes every accepted connection and waits for
+// their goroutines. A goroutine blocked reading a request returns at
+// once; one running a handler returns when the handler does, since its
+// reply has nowhere to go.
+func (s *server) close() {
+	s.ln.Close()
+	s.connMu.Lock()
+	s.closed = true
+	for c := range s.conns {
+		c.Close()
+	}
+	s.connMu.Unlock()
+	s.wg.Wait()
+}
+
 // conn is one pooled client connection with its sticky codec pair (gob
 // streams carry type dictionaries, so encoder and decoder must live as
 // long as the connection).
@@ -138,9 +181,10 @@ type conn struct {
 // pool is a per-destination free list. Checkout is exclusive: one in-flight
 // request per connection, strict request/response lockstep.
 type pool struct {
-	mu   sync.Mutex
-	idle []*conn
-	addr string
+	mu     sync.Mutex
+	idle   []*conn
+	addr   string
+	closed bool
 }
 
 func (p *pool) get() (*conn, error) {
@@ -160,14 +204,21 @@ func (p *pool) get() (*conn, error) {
 	return &conn{c: nc, enc: gob.NewEncoder(nc), dec: gob.NewDecoder(nc)}, nil
 }
 
+// put returns a connection to the pool, or closes it once the pool is
+// closed: a timed-out call's late reply can arrive after Close.
 func (p *pool) put(c *conn) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		c.c.Close()
+		return
+	}
 	p.idle = append(p.idle, c)
-	p.mu.Unlock()
 }
 
 func (p *pool) close() {
 	p.mu.Lock()
+	p.closed = true
 	for _, c := range p.idle {
 		c.c.Close()
 	}
@@ -192,7 +243,7 @@ func (t *link) AddNode(h netsim.Handler) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("tcp: listen: %w", err)
 	}
-	s := &server{ln: ln, h: h}
+	s := &server{ln: ln, h: h, conns: make(map[net.Conn]struct{})}
 	go s.serve()
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -238,8 +289,9 @@ func (t *link) Send(to int, req any) (any, bool, error) {
 
 func (t *link) Concurrent() bool { return true }
 
-// Close closes listeners, in-flight server goroutines and pooled client
-// connections.
+// Close closes listeners, pooled client connections and every connection
+// a server accepted, so it waits on no peer: only on handlers that are
+// still running.
 func (t *link) Close() {
 	t.mu.Lock()
 	if t.closed {
@@ -253,7 +305,6 @@ func (t *link) Close() {
 		p.close()
 	}
 	for _, s := range servers {
-		s.ln.Close()
-		s.wg.Wait()
+		s.close()
 	}
 }

@@ -2,6 +2,7 @@ package types
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -159,7 +160,8 @@ func (s *Schema) Names() []string {
 }
 
 // Validate checks that tuple t conforms to the schema (arity and kinds;
-// NULL is allowed in any column).
+// NULL is allowed in any column). It rejects NaN, which Compare finds
+// equal to every float, so that stored equal values have equal bytes.
 func (s *Schema) Validate(t Tuple) error {
 	if len(t) != len(s.Cols) {
 		return fmt.Errorf("types: tuple arity %d != schema arity %d", len(t), len(s.Cols))
@@ -167,6 +169,9 @@ func (s *Schema) Validate(t Tuple) error {
 	for i, v := range t {
 		if v.K != KindNull && v.K != s.Cols[i].Kind {
 			return fmt.Errorf("types: column %q expects %v, got %v", s.Cols[i].Name, s.Cols[i].Kind, v.K)
+		}
+		if v.K == KindFloat && math.IsNaN(v.F) {
+			return fmt.Errorf("types: column %q: NaN is not a storable value", s.Cols[i].Name)
 		}
 	}
 	return nil

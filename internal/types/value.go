@@ -136,7 +136,7 @@ func Compare(a, b Value) int {
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
 // Hash returns a 64-bit FNV-1a hash of the value, used for hash
-// partitioning and hash joins. Equal values hash equally.
+// partitioning and hash joins. Equal values hash equally (-0 as +0).
 func (v Value) Hash() uint64 {
 	h := fnv.New64a()
 	var buf [9]byte
@@ -146,7 +146,7 @@ func (v Value) Hash() uint64 {
 		putUint64(buf[1:], uint64(v.I))
 		h.Write(buf[:])
 	case KindFloat:
-		putUint64(buf[1:], math.Float64bits(v.F))
+		putUint64(buf[1:], canonicalFloatBits(v.F))
 		h.Write(buf[:])
 	case KindString:
 		h.Write(buf[:1])
@@ -155,6 +155,15 @@ func (v Value) Hash() uint64 {
 		h.Write(buf[:1])
 	}
 	return h.Sum64()
+}
+
+// canonicalFloatBits is f's IEEE-754 bits with -0 folded into +0, the one
+// float pair that Equal holds for but whose bits differ.
+func canonicalFloatBits(f float64) uint64 {
+	if f == 0 {
+		return 0
+	}
+	return math.Float64bits(f)
 }
 
 func putUint64(b []byte, v uint64) {
