@@ -17,12 +17,16 @@ import (
 
 // PageKey identifies one cached page. Fragments map their access patterns
 // onto stable page surrogates: heap rows bucket by row id, clustered runs
-// bucket by key (namespace distinguishes the schemes).
+// bucket by key (namespace distinguishes the schemes). Frag is the id the
+// pool gave the fragment (NewFrag), so a touch hashes no name.
 type PageKey struct {
-	Frag string
+	Frag FragID
 	NS   uint8
 	Page uint64
 }
+
+// FragID names a fragment's pages within one pool.
+type FragID uint32
 
 // Namespaces for PageKey.
 const (
@@ -49,12 +53,17 @@ func (s Stats) PhysicalIOs() int64 { return s.Misses }
 // under the channel transport). A nil *Pool is valid and caches nothing
 // (Touch reports every access as a miss without tracking).
 type Pool struct {
-	capacity  int
-	lru       *list.List // front = most recent; values are PageKey
-	index     map[PageKey]*list.Element
+	capacity int
+	lru      *list.List // front = most recent; values are PageKey
+	// frags indexes the resident pages by fragment id, then by slot(key):
+	// a touch indexes a slice and looks up an integer, the cheapest map
+	// key there is (a struct key hashes field by field, as dear as the
+	// fragment name the id replaced).
+	frags     []map[uint64]*list.Element
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
+	lastFrag  atomic.Uint32 // the last FragID handed out
 }
 
 // New creates a pool holding up to capacity pages; capacity <= 0 returns
@@ -63,11 +72,35 @@ func New(capacity int) *Pool {
 	if capacity <= 0 {
 		return nil
 	}
-	return &Pool{
-		capacity: capacity,
-		lru:      list.New(),
-		index:    make(map[PageKey]*list.Element, capacity),
+	return &Pool{capacity: capacity, lru: list.New()}
+}
+
+// slot is a page's key within its fragment's index. Page numbers are row
+// ids over the page size or below a fragment's page count, far below
+// 2^56, so the namespace fits beneath them.
+func slot(k PageKey) uint64 { return k.Page<<8 | uint64(k.NS) }
+
+// pages returns the index of the fragment's resident pages, making it on
+// first use.
+func (p *Pool) pages(frag FragID) map[uint64]*list.Element {
+	if int(frag) >= len(p.frags) {
+		p.frags = append(p.frags, make([]map[uint64]*list.Element, int(frag)+1-len(p.frags))...)
 	}
+	m := p.frags[frag]
+	if m == nil {
+		m = make(map[uint64]*list.Element)
+		p.frags[frag] = m
+	}
+	return m
+}
+
+// NewFrag returns an id no other fragment of the pool has, for the keys
+// of a new fragment's pages. A nil pool returns 0.
+func (p *Pool) NewFrag() FragID {
+	if p == nil {
+		return 0
+	}
+	return FragID(p.lastFrag.Add(1))
 }
 
 // Touch records an access to the page, returning true on a hit. On a miss
@@ -77,7 +110,8 @@ func (p *Pool) Touch(k PageKey) bool {
 	if p == nil {
 		return false
 	}
-	if el, ok := p.index[k]; ok {
+	pages, s := p.pages(k.Frag), slot(k)
+	if el, ok := pages[s]; ok {
 		p.lru.MoveToFront(el)
 		p.hits.Add(1)
 		return true
@@ -85,27 +119,24 @@ func (p *Pool) Touch(k PageKey) bool {
 	p.misses.Add(1)
 	if p.lru.Len() >= p.capacity {
 		back := p.lru.Back()
-		delete(p.index, back.Value.(PageKey))
+		bk := back.Value.(PageKey)
+		delete(p.frags[bk.Frag], slot(bk))
 		p.lru.Remove(back)
 		p.evictions.Add(1)
 	}
-	p.index[k] = p.lru.PushFront(k)
+	pages[s] = p.lru.PushFront(k)
 	return false
 }
 
 // Invalidate drops every cached page of the fragment (fragment dropped).
-func (p *Pool) Invalidate(frag string) {
-	if p == nil {
+func (p *Pool) Invalidate(frag FragID) {
+	if p == nil || int(frag) >= len(p.frags) {
 		return
 	}
-	for el := p.lru.Front(); el != nil; {
-		next := el.Next()
-		if el.Value.(PageKey).Frag == frag {
-			delete(p.index, el.Value.(PageKey))
-			p.lru.Remove(el)
-		}
-		el = next
+	for _, el := range p.frags[frag] {
+		p.lru.Remove(el)
 	}
+	p.frags[frag] = nil
 }
 
 // Resident returns the number of cached pages.

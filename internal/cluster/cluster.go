@@ -125,7 +125,7 @@ type Config struct {
 	// MVCC (cluster.mvcc_write_tax) and as an escape hatch.
 	LockedReads bool
 	// UseTCP runs the interconnect over real loopback TCP sockets with
-	// gob-encoded envelopes (internal/netsim/tcp) instead of channels or
+	// codec-framed envelopes (internal/netsim/tcp) instead of channels or
 	// direct calls — a third link under the same transport, so every
 	// cluster code path is unchanged. Mutually exclusive with UseChannels.
 	UseTCP bool

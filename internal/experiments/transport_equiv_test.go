@@ -3,13 +3,14 @@ package experiments
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"joinview/internal/cluster"
 )
 
 // TestTransportEquivalence runs every registry experiment at its golden
-// axes on both transports and asserts each render — every tw-ios,
+// axes on the direct and channel transports and asserts each render — every tw-ios,
 // maxnode-ios and msgs cell — is byte-identical to the checked-in seed
 // trace (testdata/seed/*.golden; the paper grids were captured from the
 // original hand-rolled executor before the compiled-plan pipeline replaced
@@ -20,6 +21,10 @@ import (
 // calls were dispatched serially on one goroutine or gathered from a
 // worker pool, nor whether global-index traffic traveled as per-entry
 // messages or batched envelopes.
+//
+// The paper's grids (Table 1, Figures 7–14) also run over the loopback
+// TCP link, whose envelopes cross a real socket in the wire codec; the
+// repo's extensions keep to the two in-process links.
 //
 // An entry with NoGolden (NetworkSensitivity: wall-clock µs) is skipped;
 // one with DirectOnly is checked on the Direct transport alone. Axes are
@@ -46,15 +51,32 @@ func TestTransportEquivalence(t *testing.T) {
 				t.Logf("pinned on Direct only: %s", tc.DirectOnly)
 				return
 			}
-			ConfigHook = func(cfg *cluster.Config) { cfg.UseChannels = true }
 			defer func() { ConfigHook = nil }()
-			chann, err := tc.GoldenGrid()
-			if err != nil {
-				t.Fatalf("channels: %v", err)
-			}
-			if got := chann.Render(); got != string(want) {
-				t.Errorf("channel transport diverges from seed trace\nseed:\n%s\ngot:\n%s", want, got)
+			for _, leg := range []struct {
+				name string
+				hook func(*cluster.Config)
+			}{
+				{"channel", func(cfg *cluster.Config) { cfg.UseChannels = true }},
+				{"tcp", func(cfg *cluster.Config) { cfg.UseTCP = true }},
+			} {
+				if leg.name == "tcp" && !paperGrid(tc.Name) {
+					continue
+				}
+				ConfigHook = leg.hook
+				grid, err := tc.GoldenGrid()
+				if err != nil {
+					t.Fatalf("%s: %v", leg.name, err)
+				}
+				if got := grid.Render(); got != string(want) {
+					t.Errorf("%s transport diverges from seed trace\nseed:\n%s\ngot:\n%s", leg.name, want, got)
+				}
 			}
 		})
 	}
+}
+
+// paperGrid reports whether the experiment reproduces the paper's Table 1
+// or one of its Figures 7–14.
+func paperGrid(name string) bool {
+	return name == "table1" || strings.HasPrefix(name, "fig")
 }

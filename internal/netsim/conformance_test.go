@@ -196,7 +196,7 @@ func TestBroadcastCompletesPastErrors(t *testing.T) {
 // it; a bad destination, a closed transport, a request the wire cannot
 // encode and a request the injector dropped never left.
 func TestEnvelopeCountedIffAccepted(t *testing.T) {
-	type unregistered struct{ X int } // gob cannot carry it inside an interface
+	type unregistered struct{ X int } // not a message the TCP codec knows
 	forEachCell(t, echo(2), func(t *testing.T, tr cell) {
 		envelopes := func() int64 { return tr.Stats().Envelopes }
 		if _, err := tr.Call(0, 1, "boom"); err == nil || envelopes() != 1 {

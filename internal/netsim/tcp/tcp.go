@@ -1,56 +1,28 @@
 // Package tcp is the real-socket netsim.Link: every node listens on a
-// loopback TCP port, requests and responses travel as gob-encoded
-// envelopes, and the coordinator keeps a small per-destination connection
-// pool. It exists to prove the engine's envelope encoding works off
-// in-process channels — the cluster code is byte-for-byte the same over
-// the direct, channel and TCP links, and everything above the wire
-// (accounting, broadcast, latency, timeout, fault injection) is the one
-// netsim.Stack.
+// loopback TCP port, requests and responses travel as length-prefixed
+// frames in a hand-written envelope codec (codec.go) whose rows are the
+// internal/types row format, and the coordinator keeps a per-destination
+// connection pool capped at maxConns. It exists to prove the engine's
+// envelopes work off in-process channels — the cluster code is
+// byte-for-byte the same over the direct, channel and TCP links, and
+// everything above the wire (accounting, broadcast, latency, timeout,
+// fault injection) is the one netsim.Stack.
 //
 // A handler's error crosses the wire as its message plus a small code for
 // the sentinels callers match with errors.Is (node.ErrNoFragment).
 package tcp
 
 import (
-	"encoding/gob"
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
+	"time"
 
-	"joinview/internal/expr"
 	"joinview/internal/netsim"
 	"joinview/internal/node"
 )
-
-func init() {
-	for _, r := range node.AllRequests() {
-		gob.Register(r)
-	}
-	for _, r := range node.AllResponses() {
-		gob.Register(r)
-	}
-	// Predicate trees ride inside FindMatching as expr.Expr values.
-	gob.Register(expr.Col{})
-	gob.Register(expr.Const{})
-	gob.Register(expr.Cmp{})
-	gob.Register(expr.And{})
-	gob.Register(expr.Or{})
-	gob.Register(expr.Not{})
-}
-
-// wireReq frames one request.
-type wireReq struct {
-	Req any
-}
-
-// wireResp frames one response; Err is the handler error's message ("" =
-// success) and Code an index into sentinels (0 = none).
-type wireResp struct {
-	Resp any
-	Err  string
-	Code uint8
-}
 
 // sentinels are the node-raised errors that keep their identity across
 // the wire; a wire code is the position here plus one.
@@ -65,24 +37,6 @@ type wireError struct {
 func (e *wireError) Error() string { return e.msg }
 func (e *wireError) Unwrap() error { return e.sentinel }
 
-func encodeErr(err error) wireResp {
-	w := wireResp{Err: err.Error()}
-	for i, s := range sentinels {
-		if errors.Is(err, s) {
-			w.Code = uint8(i + 1)
-		}
-	}
-	return w
-}
-
-func decodeErr(w wireResp) error {
-	e := &wireError{msg: w.Err}
-	if c := int(w.Code); c >= 1 && c <= len(sentinels) {
-		e.sentinel = sentinels[c-1]
-	}
-	return e
-}
-
 // server is one node's listening side. The handler mutex serializes
 // request execution per node — the same discipline the channel link's
 // per-node goroutine provides — while different nodes execute
@@ -93,18 +47,29 @@ type server struct {
 	h  netsim.Handler
 	mu sync.Mutex // serializes handler execution
 
-	connMu sync.Mutex // guards conns and closed
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
+	connMu   sync.Mutex // guards conns, accepted and closed
+	conns    map[net.Conn]struct{}
+	accepted int // connections accepted over the server's life
+	closed   bool
+	wg       sync.WaitGroup
 }
 
+// serve accepts connections until the listener is closed. Any other
+// Accept error (the process out of file descriptors, say) is waited out
+// with a backoff, so a node does not stop serving over a transient one.
 func (s *server) serve() {
+	var backoff time.Duration
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
-			return // listener closed
+			if errors.Is(err, net.ErrClosed) {
+				return
+			}
+			backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
+			time.Sleep(backoff)
+			continue
 		}
+		backoff = 0
 		if !s.track(conn) {
 			conn.Close()
 			return
@@ -112,25 +77,40 @@ func (s *server) serve() {
 		go func() {
 			defer s.wg.Done()
 			defer s.untrack(conn)
-			dec := gob.NewDecoder(conn)
-			enc := gob.NewEncoder(conn)
-			for {
-				var req wireReq
-				if err := dec.Decode(&req); err != nil {
-					return // peer closed, server closed or stream broken
-				}
-				s.mu.Lock()
-				resp, err := s.h(req.Req)
-				s.mu.Unlock()
-				w := wireResp{Resp: resp}
-				if err != nil {
-					w = encodeErr(err)
-				}
-				if err := enc.Encode(w); err != nil {
-					return
-				}
-			}
+			s.handle(conn)
 		}()
+	}
+}
+
+// handle answers one connection's requests in order until it closes. A
+// request that does not decode, or a response that does not encode, is
+// answered with an error frame: the length prefix keeps the stream in
+// step, so the connection stays usable.
+func (s *server) handle(conn net.Conn) {
+	rd := frameReader{r: bufio.NewReader(conn)}
+	var w writer
+	for {
+		body, err := rd.next()
+		if err != nil {
+			return // peer closed, server closed or stream broken
+		}
+		req, err := rd.dec.request(body)
+		rd.trim()
+		var resp any
+		if err == nil {
+			s.mu.Lock()
+			resp, err = s.h(req)
+			s.mu.Unlock()
+		}
+		frame, err := w.response(resp, err)
+		if err != nil {
+			frame, _ = w.response(nil, err) // an error frame always encodes
+		}
+		_, err = conn.Write(frame)
+		w.trim()
+		if err != nil {
+			return
+		}
 	}
 }
 
@@ -143,6 +123,7 @@ func (s *server) track(c net.Conn) bool {
 		return false
 	}
 	s.conns[c] = struct{}{}
+	s.accepted++
 	s.wg.Add(1)
 	return true
 }
@@ -169,39 +150,67 @@ func (s *server) close() {
 	s.wg.Wait()
 }
 
-// conn is one pooled client connection with its sticky codec pair (gob
-// streams carry type dictionaries, so encoder and decoder must live as
-// long as the connection).
+// conn is one pooled client connection with its frame buffers, which
+// live as long as the connection so a call allocates none.
 type conn struct {
-	c   net.Conn
-	enc *gob.Encoder
-	dec *gob.Decoder
+	c  net.Conn
+	rd frameReader
+	w  writer
 }
 
-// pool is a per-destination free list. Checkout is exclusive: one in-flight
-// request per connection, strict request/response lockstep.
+// maxConns caps the connections a pool holds open to one destination.
+// The server runs one handler at a time per node, so more connections add
+// no throughput; they only spend file descriptors, which a statement that
+// scatters one call per delta row would otherwise exhaust.
+const maxConns = 16
+
+// pool is a per-destination set of at most maxConns connections.
+// Checkout is exclusive: one in-flight request per connection, strict
+// request/response lockstep. A caller that finds none idle and the cap
+// reached waits for one to come back.
 type pool struct {
-	mu     sync.Mutex
-	idle   []*conn
-	addr   string
+	addr  string
+	idle  chan *conn    // returned connections; never more than maxConns
+	slots chan struct{} // one token per open connection
+	done  chan struct{} // closed by close: waiters give up
+
+	mu     sync.Mutex // orders put against close
 	closed bool
 }
 
+func newPool(addr string) *pool {
+	return &pool{
+		addr:  addr,
+		idle:  make(chan *conn, maxConns),
+		slots: make(chan struct{}, maxConns),
+		done:  make(chan struct{}),
+	}
+}
+
+// get checks out an idle connection, dials one while the pool is under
+// its cap, or waits for one to be returned; it fails with ErrClosed once
+// the pool is closed.
 func (p *pool) get() (*conn, error) {
-	p.mu.Lock()
-	if n := len(p.idle); n > 0 {
-		c := p.idle[n-1]
-		p.idle = p.idle[:n-1]
-		p.mu.Unlock()
+	select {
+	case <-p.done:
+		return nil, netsim.ErrClosed
+	case c := <-p.idle:
 		return c, nil
+	default:
 	}
-	addr := p.addr
-	p.mu.Unlock()
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("tcp: dial %s: %w", addr, err)
+	select {
+	case <-p.done:
+		return nil, netsim.ErrClosed
+	case c := <-p.idle:
+		return c, nil
+	case p.slots <- struct{}{}:
+		nc, err := net.Dial("tcp", p.addr)
+		if err != nil {
+			<-p.slots
+			return nil, fmt.Errorf("tcp: dial %s: %w", p.addr, err)
+		}
+		return &conn{c: nc, rd: frameReader{r: bufio.NewReader(nc)}}, nil
 	}
-	return &conn{c: nc, enc: gob.NewEncoder(nc), dec: gob.NewDecoder(nc)}, nil
 }
 
 // put returns a connection to the pool, or closes it once the pool is
@@ -210,20 +219,31 @@ func (p *pool) put(c *conn) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		c.c.Close()
+		p.discard(c)
 		return
 	}
-	p.idle = append(p.idle, c)
+	p.idle <- c
+}
+
+// discard closes a connection whose stream is broken and frees its slot.
+func (p *pool) discard(c *conn) {
+	c.c.Close()
+	<-p.slots
 }
 
 func (p *pool) close() {
 	p.mu.Lock()
 	p.closed = true
-	for _, c := range p.idle {
-		c.c.Close()
-	}
-	p.idle = nil
+	close(p.done)
 	p.mu.Unlock()
+	for {
+		select {
+		case c := <-p.idle:
+			p.discard(c)
+		default:
+			return
+		}
+	}
 }
 
 // link is the TCP implementation of netsim.Link.
@@ -252,12 +272,13 @@ func (t *link) AddNode(h netsim.Handler) (int, error) {
 		return 0, netsim.ErrClosed
 	}
 	t.servers = append(t.servers, s)
-	t.pools = append(t.pools, &pool{addr: ln.Addr().String()})
+	t.pools = append(t.pools, newPool(ln.Addr().String()))
 	return len(t.servers) - 1, nil
 }
 
-// Send reports a request as sent once it is fully encoded onto a
-// connection; a reply that fails to come back is a lost reply.
+// Send reports a request as sent once its frame is written; a reply that
+// fails to come back is a lost reply. A request that does not encode
+// never reaches the connection, which goes back to the pool unused.
 func (t *link) Send(to int, req any) (any, bool, error) {
 	t.mu.RLock()
 	if t.closed {
@@ -271,20 +292,33 @@ func (t *link) Send(to int, req any) (any, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	if err := c.enc.Encode(wireReq{Req: req}); err != nil {
-		c.c.Close()
+	frame, err := c.w.request(req)
+	if err != nil {
+		p.put(c)
 		return nil, false, fmt.Errorf("tcp: send to node %d: %w", to, err)
 	}
-	var w wireResp
-	if err := c.dec.Decode(&w); err != nil {
-		c.c.Close()
+	_, err = c.c.Write(frame)
+	c.w.trim()
+	if err != nil {
+		p.discard(c)
+		return nil, false, fmt.Errorf("tcp: send to node %d: %w", to, err)
+	}
+	body, err := c.rd.next()
+	if err != nil {
+		p.discard(c)
 		return nil, true, fmt.Errorf("tcp: receive from node %d: %w", to, err)
 	}
+	resp, err := c.rd.dec.response(body)
+	c.rd.trim()
 	p.put(c)
-	if w.Err != "" {
-		return nil, true, decodeErr(w)
+	if err != nil {
+		var we *wireError
+		if !errors.As(err, &we) {
+			err = fmt.Errorf("tcp: receive from node %d: %w", to, err)
+		}
+		return nil, true, err
 	}
-	return w.Resp, true, nil
+	return resp, true, nil
 }
 
 func (t *link) Concurrent() bool { return true }

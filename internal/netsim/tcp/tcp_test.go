@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"joinview/internal/netsim"
 	"joinview/internal/node"
@@ -151,5 +152,109 @@ func TestConcurrentCallsSerializePerNode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestScatterStaysUnderConnectionCap: far more concurrent calls to one
+// node than the pool's cap — a statement that scatters one call per delta
+// row — all complete, and the node never accepts more than maxConns
+// connections.
+func TestScatterStaysUnderConnectionCap(t *testing.T) {
+	const calls = 2000
+	l := NewLink().(*link)
+	tr, err := netsim.New(l, netsim.Config{}, []netsim.Handler{func(any) (any, error) {
+		time.Sleep(20 * time.Microsecond)
+		return node.Ack{}, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	var wg sync.WaitGroup
+	errs := make([]error, calls)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = tr.Call(netsim.Coordinator, 0, node.Ping{})
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	s := l.servers[0]
+	s.connMu.Lock()
+	accepted := s.accepted
+	s.connMu.Unlock()
+	if accepted > maxConns {
+		t.Errorf("node accepted %d connections, cap is %d", accepted, maxConns)
+	}
+}
+
+// TestCloseReleasesCallersWaitingForConnections: with every connection
+// busy on a stuck handler, callers waiting for one fail with ErrClosed
+// once Close begins.
+func TestCloseReleasesCallersWaitingForConnections(t *testing.T) {
+	const waiting = 5
+	release := make(chan struct{})
+	l := NewLink().(*link)
+	tr, err := netsim.New(l, netsim.Config{}, []netsim.Handler{func(any) (any, error) {
+		<-release
+		return node.Ack{}, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, maxConns+waiting)
+	for i := 0; i < maxConns+waiting; i++ {
+		go func() {
+			_, err := tr.Call(netsim.Coordinator, 0, node.Ping{})
+			errs <- err
+		}()
+	}
+	s := l.servers[0]
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.connMu.Lock()
+		accepted := s.accepted
+		s.connMu.Unlock()
+		if accepted == maxConns {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d connections opened", accepted, maxConns)
+		}
+	}
+	time.Sleep(20 * time.Millisecond) // the rest are now waiting for a connection
+	closed := make(chan struct{})
+	go func() {
+		tr.Close()
+		close(closed)
+	}()
+	for closing := false; !closing; time.Sleep(time.Millisecond) {
+		s.connMu.Lock()
+		closing = s.closed // and every accepted connection closed
+		s.connMu.Unlock()
+	}
+	close(release)
+	<-closed
+	released := 0
+	for i := 0; i < maxConns+waiting; i++ {
+		select {
+		case err := <-errs:
+			switch {
+			case err == nil:
+				t.Error("a call cut off by Close reported success")
+			case errors.Is(err, netsim.ErrClosed):
+				released++
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a caller waiting for a connection was not released by Close")
+		}
+	}
+	if released < waiting {
+		t.Errorf("%d calls failed with ErrClosed, want the %d that were waiting", released, waiting)
 	}
 }

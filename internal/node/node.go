@@ -438,11 +438,12 @@ func (n *DataNode) Handle(req any) (any, error) {
 		return n.aggApply(r)
 
 	case DropFragment:
-		if _, ok := n.frags[r.Name]; !ok {
+		f, ok := n.frags[r.Name]
+		if !ok {
 			return nil, fmt.Errorf("node %d: dropping fragment %q: %w", n.id, r.Name, ErrNoFragment)
 		}
 		delete(n.frags, r.Name)
-		n.pool.Invalidate(r.Name)
+		f.ReleasePages()
 		return Ack{}, nil
 
 	case DropGlobalIndexFrag:

@@ -310,8 +310,9 @@ func AllRequests() []any {
 }
 
 // AllResponses enumerates one zero value of every response type a node can
-// return. Wire transports (internal/netsim/tcp) register them alongside
-// AllRequests for interface-typed decoding.
+// return. The TCP link's codec (internal/netsim/tcp) tags a message by its
+// type's position in AllRequests followed by AllResponses: the two lists
+// are its tag table too.
 func AllResponses() []any {
 	return []any{
 		InsertResult{}, DeleteResult{}, RowsResult{}, Probed{},

@@ -15,7 +15,7 @@ import (
 
 // rowPage is the heap-page surrogate of a row.
 func (f *Fragment) rowPage(row RowID) buffer.PageKey {
-	return buffer.PageKey{Frag: f.name, NS: buffer.NSRow, Page: uint64(row) / uint64(f.pageRows)}
+	return buffer.PageKey{Frag: f.poolFrag, NS: buffer.NSRow, Page: uint64(row) / uint64(f.pageRows)}
 }
 
 // keyRunPage is the i-th page of the clustered run for key value v. Keys
@@ -29,7 +29,7 @@ func (f *Fragment) keyRunPage(v types.Value, ordinal int) buffer.PageKey {
 		pages = 1
 	}
 	return buffer.PageKey{
-		Frag: f.name,
+		Frag: f.poolFrag,
 		NS:   buffer.NSKey,
 		Page: (v.Hash() + uint64(ordinal/f.pageRows)) % uint64(pages),
 	}
@@ -109,3 +109,7 @@ func (f *Fragment) scanPages(fn func(buffer.PageKey)) {
 
 // Pool returns the fragment's buffer pool (nil when caching is disabled).
 func (f *Fragment) Pool() *buffer.Pool { return f.pool }
+
+// ReleasePages drops the fragment's cached pages from its pool, for a
+// fragment that is being dropped.
+func (f *Fragment) ReleasePages() { f.pool.Invalidate(f.poolFrag) }

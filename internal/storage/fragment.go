@@ -37,6 +37,7 @@ type Fragment struct {
 	pageRows   int
 	meter      *Meter
 	pool       *buffer.Pool
+	poolFrag   buffer.FragID // the fragment's id in its pool's page keys
 
 	// rows is the primary layout. Heap: key = rowid. Clustered: key =
 	// encoded cluster value || rowid (the rowid suffix disambiguates
@@ -76,8 +77,8 @@ type secondaryIndex struct {
 
 // Config parameterizes a fragment.
 type Config struct {
-	// Name identifies the fragment for buffer-pool page keys (the node
-	// uses the relation name). Empty is fine when no pool is attached.
+	// Name is the relation the fragment holds (the node uses the relation
+	// name); error messages and snapshots carry it.
 	Name string
 	// ClusterCol names the attribute the fragment is clustered on; empty
 	// means heap layout.
@@ -101,6 +102,7 @@ func NewFragment(schema *types.Schema, cfg Config) (*Fragment, error) {
 		pageRows:   cfg.PageRows,
 		meter:      cfg.Meter,
 		pool:       cfg.Pool,
+		poolFrag:   cfg.Pool.NewFrag(),
 		rows:       btree.New(),
 		loc:        make(map[RowID][]byte),
 		secondary:  make(map[string]*secondaryIndex),

@@ -159,8 +159,9 @@ type Options struct {
 	// message passing; the default is the deterministic in-process
 	// transport.
 	UseChannels bool
-	// UseTCP runs each node behind a real loopback TCP listener with
-	// gob-encoded messages (mutually exclusive with UseChannels).
+	// UseTCP runs each node behind a real loopback TCP listener, its
+	// messages framed in the link's own envelope codec (mutually exclusive
+	// with UseChannels).
 	UseTCP bool
 	// LockedReads disables MVCC snapshot reads: every read holds shared
 	// lock claims on what it reads, queueing behind concurrent writers.
