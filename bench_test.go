@@ -79,8 +79,8 @@ func BenchmarkAggregateView(b *testing.B) {
 }
 
 // BenchmarkViewVsJoinQuery quantifies why warehouses materialize: reading
-// the maintained view vs recomputing the join with a distributed query
-// (shuffles + co-partitioned local joins), same result set.
+// the maintained view vs recomputing the join with QueryJoin (metered
+// scans of both tables, joined at the coordinator), same result set.
 func BenchmarkViewVsJoinQuery(b *testing.B) {
 	querySpec := cluster.QuerySpec{
 		Tables: []string{"customer", "orders"},

@@ -192,10 +192,6 @@ type Cluster struct {
 	// from it, and when statements overlap, is locks.go.
 	lm *lockmgr.Manager
 
-	// tempSeq names temporary query fragments uniquely across concurrent
-	// QueryJoin calls.
-	tempSeq atomic.Uint64
-
 	// nmu guards the nodes slice against concurrent growth (AddNode runs
 	// under the global exclusive lock, but Metrics readers take no locks);
 	// nNodes mirrors len(nodes) for lock-free hot-path reads.

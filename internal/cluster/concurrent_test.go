@@ -181,9 +181,8 @@ func TestUpdateEmptyVictimScan(t *testing.T) {
 }
 
 // TestConcurrentQueriesAndDML runs read queries against one schema while
-// another schema takes writes: shared claims must let the query run and
-// the cluster-wide temp-fragment counter must keep concurrent QueryJoin
-// intermediates from colliding.
+// another schema takes writes: shared claims must let the queries run
+// beside each other and beside the writer.
 func TestConcurrentQueriesAndDML(t *testing.T) {
 	c := newSessionSchemas(t, 4, 2, catalog.StrategyAuxRel)
 	if err := c.Insert("a0", []types.Tuple{{types.Int(500), types.Int(1)}, {types.Int(501), types.Int(2)}}); err != nil {

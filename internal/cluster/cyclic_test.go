@@ -155,3 +155,19 @@ func TestCyclicViewMaintenanceAllStrategies(t *testing.T) {
 		})
 	}
 }
+
+// A delta that finds no partner at the first step of a cyclic view's chain
+// leaves the view untouched; the statement must not fail on the residual
+// predicate, whose columns the stopped chain never reached.
+func TestCyclicViewDeltaWithoutPartners(t *testing.T) {
+	for _, strat := range allStrategies {
+		t.Run(strat.String(), func(t *testing.T) {
+			c := triangleCluster(t, strat)
+			noErr(t, c.Insert("ta", []types.Tuple{{types.Int(20), types.Int(77), types.Int(100)}})) // no tb.x = 77
+			noErr(t, c.Insert("tc", []types.Tuple{{types.Int(20), types.Int(77), types.Int(100)}})) // no tb.y = 77
+			if err := c.CheckViewConsistency("tri"); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

@@ -465,70 +465,67 @@ func (c *Cluster) DropTable(name string) error {
 }
 
 // computeJoin evaluates the view's full join, as cat defines its tables,
-// at the coordinator with in-memory hash joins over the base rows that rows
-// supplies, returning view-schema tuples: c.gather for initial
-// materialization and rebuilds (under the global exclusive lock), a read
-// scope for the recompute reference in verification.
+// at the coordinator (exec.Join) over the base rows that rows supplies,
+// returning view-schema tuples: c.gather for initial materialization and
+// rebuilds (under the global exclusive lock), a read scope for the
+// recompute reference in verification.
 func computeJoin(cat *catalog.Catalog, v *catalog.View, rows func(frag string) ([]types.Tuple, error)) ([]types.Tuple, error) {
-	first, err := cat.Table(v.Tables[0])
+	rels, err := baseRels(cat, v.Tables, rows)
 	if err != nil {
 		return nil, err
 	}
-	cur, err := rows(v.Tables[0])
+	joined, schema, residual, err := exec.Join(rels, v.Joins)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cluster: view %q: %w", v.Name, err)
 	}
-	curSchema := first.Schema.Prefixed(v.Tables[0])
-	covered := map[string]bool{v.Tables[0]: true}
-	remaining := append([]catalog.JoinPred(nil), v.Joins...)
-
-	for len(covered) < len(v.Tables) {
-		j, next, rest, ok := catalog.NextJoin(remaining, covered)
-		if !ok {
-			return nil, fmt.Errorf("cluster: view %q join graph disconnected", v.Name)
-		}
-		remaining = rest
-		nextTable, err := cat.Table(next)
-		if err != nil {
-			return nil, err
-		}
-		nextRows, err := rows(next)
-		if err != nil {
-			return nil, err
-		}
-		leftIdx := curSchema.ColIndex(j.Other(next) + "." + j.ColOf(j.Other(next)))
-		if leftIdx < 0 {
-			return nil, fmt.Errorf("cluster: join column missing in intermediate for view %q", v.Name)
-		}
-		rightIdx := nextTable.Schema.MustColIndex(j.ColOf(next))
-		cur, err = exec.HashJoin(cur, leftIdx, nextRows, rightIdx)
-		if err != nil {
-			return nil, err
-		}
-		curSchema = curSchema.Concat(nextTable.Schema.Prefixed(next))
-		covered[next] = true
-	}
-
 	// Residual join predicates: the extra edges of a cyclic join graph
 	// (the §2.2 complete-join example) filter the assembled tuples.
-	cur, err = maintain.FilterResidual(cur, curSchema, remaining)
-	if err != nil {
+	if joined, err = maintain.FilterResidual(joined, schema, residual); err != nil {
 		return nil, err
 	}
-
-	proj := expr.NewProjection(v.MaintenanceProjection())
-	out := make([]types.Tuple, 0, len(cur))
-	for _, t := range cur {
-		p, err := proj.Apply(curSchema, t)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p.Clone())
+	out, _, err := project(joined, schema, v.MaintenanceProjection())
+	if err != nil {
+		return nil, err
 	}
 	if v.IsAggregate() {
 		return maintain.FoldAggRows(v, out)
 	}
 	return out, nil
+}
+
+// baseRels reads the named base tables through rows as exec.Join inputs,
+// each bound to its table name.
+func baseRels(cat *catalog.Catalog, tables []string, rows func(frag string) ([]types.Tuple, error)) ([]exec.Rel, error) {
+	rels := make([]exec.Rel, len(tables))
+	for i, name := range tables {
+		t, err := cat.Table(name)
+		if err != nil {
+			return nil, err
+		}
+		r, err := rows(name)
+		if err != nil {
+			return nil, err
+		}
+		rels[i] = exec.Rel{Binding: name, Schema: t.Schema.Prefixed(name), Rows: r}
+	}
+	return rels, nil
+}
+
+// project narrows joined rows to the named columns of schema.
+func project(rows []types.Tuple, schema *types.Schema, names []string) ([]types.Tuple, *types.Schema, error) {
+	proj := expr.NewProjection(names)
+	outSchema, err := proj.OutputSchema(schema)
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make([]types.Tuple, len(rows))
+	for i, t := range rows {
+		// Apply allocates the projected tuple; no defensive clone needed.
+		if out[i], err = proj.Apply(schema, t); err != nil {
+			return nil, nil, err
+		}
+	}
+	return out, outSchema, nil
 }
 
 // RecomputeView evaluates the view's definition from the current base

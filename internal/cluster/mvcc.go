@@ -21,9 +21,9 @@ import (
 // migration cutover via the cluster's readFence.
 //
 // Committed epochs start at 1, so a snapshot epoch is never 0 — 0 is the
-// wire value for "unversioned, read the live state" (temp fragments and
-// every legacy path). Aborted statements never publish: their forward and
-// undo records share one unpublished stamp and cancel in any snapshot.
+// wire value for "unversioned, read the live state" (every legacy path).
+// Aborted statements never publish: their forward and undo records share
+// one unpublished stamp and cancel in any snapshot.
 
 // epochTracker is the coordinator's epoch authority.
 type epochTracker struct {
@@ -110,8 +110,7 @@ func (e *epochTracker) snapshot(frags []string) *epochSnap {
 }
 
 // epoch returns the pinned epoch for frag, or 0 (live read) for fragments
-// outside the pin set — exactly the query temporaries, which no writer
-// ever versions.
+// outside the pin set.
 func (s *epochSnap) epoch(frag string) uint64 { return s.epochs[frag] }
 
 // release unpins the snapshot. Safe to call exactly once.

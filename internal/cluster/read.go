@@ -77,8 +77,7 @@ func (rs *readScope) end() {
 }
 
 // epoch is the epoch to read frag at: its pinned one, or 0 — the live state
-// — without a snapshot and for fragments outside the pin set (exactly the
-// query temporaries, which no writer ever versions).
+// — without a snapshot and for fragments outside the pin set.
 func (rs *readScope) epoch(frag string) uint64 {
 	if rs.snap == nil {
 		return 0

@@ -67,11 +67,8 @@ const replShadowSuffix = "~r"
 func shadowName(name string) string { return name + replShadowSuffix }
 
 // replSkip reports whether a fragment name is outside replication: shadow
-// fragments (mirroring them would recurse) and temporary query fragments
-// (partition-local scratch, gone at statement end).
-func replSkip(name string) bool {
-	return strings.Contains(name, "~") || strings.HasPrefix(name, "__q")
-}
+// fragments (mirroring them would recurse).
+func replSkip(name string) bool { return strings.Contains(name, "~") }
 
 // followerSink is the live mirror's slot sink for one structure: an element
 // goes to the follower nodes of its slot — the installed replica set minus
@@ -665,8 +662,6 @@ func emptyRespFor(req any) any {
 		return node.GILenResult{}
 	case node.GIDeleteBatch:
 		return node.GIDeletedBatch{}
-	case node.LocalJoin:
-		return node.LocalJoinResult{}
 	case node.FragInfo:
 		return node.FragInfoResult{}
 	case node.PromoteSlots:

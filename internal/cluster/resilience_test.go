@@ -37,14 +37,12 @@ func TestInverseCoversAllMutatingRequests(t *testing.T) {
 	}
 	// Mutations with no exact inverse: the remaining DDL requests are
 	// re-issued by rebuildDerived (a failed DDL undoes only the fragments
-	// and global indexes it created), and LocalJoin only writes a query's
-	// partition-local temporary outside any statement scope, so none of
-	// them is ever in a statement's undo log.
+	// and global indexes it created), so none of them is ever in a
+	// statement's undo log.
 	rebuildCovered := map[reflect.Type]bool{
 		reflect.TypeOf(node.CreateIndex{}):         true,
 		reflect.TypeOf(node.DropFragment{}):        true,
 		reflect.TypeOf(node.DropGlobalIndexFrag{}): true,
-		reflect.TypeOf(node.LocalJoin{}):           true,
 		// Replication failover/repair requests travel only via rawCall under
 		// the global exclusive lock (no statement scope, nothing to roll
 		// back); a failed failover or repair round is rerun idempotently.

@@ -131,7 +131,7 @@ func giSpecs(group []fragSpec) []fragSpec {
 }
 
 // fragSpecOf resolves one structure by name; ok is false for names the
-// catalog does not hold (query temporaries, shadows, staging).
+// catalog does not hold (shadows, staging).
 func fragSpecOf(cat *catalog.Catalog, name string, gi bool) (fragSpec, bool) {
 	if gi {
 		if g, err := cat.GlobalIndex(name); err == nil {

@@ -191,9 +191,9 @@ func TestDropStagingAbsorbsOnlyMissingFragments(t *testing.T) {
 			if !errors.Is(err, node.ErrNoFragment) {
 				t.Fatalf("drop of a missing fragment = %v, want node.ErrNoFragment", err)
 			}
-			_, err = c.rawCall(0, node.LocalJoin{Left: "customer", Right: "customer", Out: "customer", LeftCol: "nope", RightCol: "nope"})
+			_, err = c.rawCall(0, node.Insert{Frag: "customer", Tuples: []types.Tuple{{types.Int(1)}}})
 			if err == nil || errors.Is(err, node.ErrNoFragment) {
-				t.Fatalf("local join over unknown columns = %v (unknown fragment: %v), want a real failure", err, err != nil)
+				t.Fatalf("insert of a wrong-arity tuple = %v (unknown fragment: %v), want a real failure", err, err != nil)
 			}
 		})
 	}

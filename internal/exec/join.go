@@ -1,13 +1,14 @@
 // Package exec implements the join algorithms the maintenance strategies
 // and the query path use: index nested loops and sort-merge against a
-// stored fragment (both metered per the paper's cost model), and an
-// unmetered in-memory hash join for coordinator-side query evaluation and
-// view backfill.
+// stored fragment (both metered per the paper's cost model), and the
+// unmetered in-memory equijoin the coordinator evaluates ad-hoc queries,
+// SQL SELECTs, view backfill and the recompute reference with.
 package exec
 
 import (
 	"fmt"
 
+	"joinview/internal/catalog"
 	"joinview/internal/storage"
 	"joinview/internal/types"
 )
@@ -97,9 +98,9 @@ func SortMerge(delta []types.Tuple, deltaKeyIdx int, frag *storage.Fragment, fra
 }
 
 // HashJoin joins two in-memory tuple sets on left[leftIdx] == right[rightIdx],
-// emitting left ++ right in left order. It is unmetered: the coordinator
-// uses it for ad-hoc SELECTs and the initial materialization of views,
-// which the experiments do not charge.
+// emitting left ++ right in left order. It is unmetered: it is Join's step,
+// whose callers charge (or deliberately do not charge) the reads of its
+// inputs themselves.
 func HashJoin(left []types.Tuple, leftIdx int, right []types.Tuple, rightIdx int) ([]types.Tuple, error) {
 	build := map[uint64][]types.Tuple{}
 	for _, r := range right {
@@ -121,4 +122,58 @@ func HashJoin(left []types.Tuple, leftIdx int, right []types.Tuple, rightIdx int
 		}
 	}
 	return out, nil
+}
+
+// Rel is one input of Join: the binding its join predicates name it by,
+// its schema with every column renamed "binding.col", and its rows.
+type Rel struct {
+	Binding string
+	Schema  *types.Schema
+	Rows    []types.Tuple
+}
+
+// Join evaluates the equijoin of rels over preds as a left-deep chain of
+// HashJoin: it starts at rels[0] and each step joins the relation the
+// predicate catalog.NextJoin picks. It returns the joined rows, their schema
+// (the inputs' schemas concatenated in join order) and the predicates no
+// step used — the extra edges of a cyclic join graph — for the caller to
+// filter by. preds is left unmodified.
+func Join(rels []Rel, preds []catalog.JoinPred) ([]types.Tuple, *types.Schema, []catalog.JoinPred, error) {
+	if len(rels) == 0 {
+		return nil, nil, nil, fmt.Errorf("exec: join needs at least one relation")
+	}
+	byBinding := make(map[string]Rel, len(rels))
+	for _, r := range rels {
+		if _, dup := byBinding[r.Binding]; dup {
+			return nil, nil, nil, fmt.Errorf("exec: relation %q joined twice", r.Binding)
+		}
+		byBinding[r.Binding] = r
+	}
+	rows, schema := rels[0].Rows, rels[0].Schema
+	covered := map[string]bool{rels[0].Binding: true}
+	rest := append([]catalog.JoinPred(nil), preds...)
+	for len(covered) < len(rels) {
+		j, next, r, ok := catalog.NextJoin(rest, covered)
+		if !ok {
+			return nil, nil, nil, fmt.Errorf("exec: join graph disconnected (cartesian products unsupported)")
+		}
+		rest = r
+		right, ok := byBinding[next]
+		if !ok {
+			return nil, nil, nil, fmt.Errorf("exec: join predicate names %q, which is not an input", next)
+		}
+		from := j.Other(next)
+		leftCol, rightCol := from+"."+j.ColOf(from), next+"."+j.ColOf(next)
+		li, ri := schema.ColIndex(leftCol), right.Schema.ColIndex(rightCol)
+		if li < 0 || ri < 0 {
+			return nil, nil, nil, fmt.Errorf("exec: join column %s or %s not found", leftCol, rightCol)
+		}
+		var err error
+		if rows, err = HashJoin(rows, li, right.Rows, ri); err != nil {
+			return nil, nil, nil, err
+		}
+		schema = schema.Concat(right.Schema)
+		covered[next] = true
+	}
+	return rows, schema, rest, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"joinview/internal/catalog"
 	"joinview/internal/storage"
 	"joinview/internal/types"
 )
@@ -223,4 +224,39 @@ func sameBag(a, b []types.Tuple) bool {
 		}
 	}
 	return true
+}
+
+// Join reports malformed input as an error: the relations and predicates
+// come from ad-hoc queries and SQL.
+func TestJoinRejectsBadInputs(t *testing.T) {
+	rel := func(binding string) Rel {
+		return Rel{Binding: binding, Schema: fragSchema.Prefixed(binding), Rows: deltaTuples(1, 2)}
+	}
+	pred := func(l, lc, r, rc string) catalog.JoinPred {
+		return catalog.JoinPred{Left: l, LeftCol: lc, Right: r, RightCol: rc}
+	}
+	cases := map[string]struct {
+		rels  []Rel
+		preds []catalog.JoinPred
+	}{
+		"no relations":      {nil, nil},
+		"duplicate binding": {[]Rel{rel("a"), rel("a")}, []catalog.JoinPred{pred("a", "d", "a", "d")}},
+		"disconnected":      {[]Rel{rel("a"), rel("b")}, nil},
+		"unknown binding":   {[]Rel{rel("a"), rel("b")}, []catalog.JoinPred{pred("a", "d", "c", "d")}},
+		"unknown column":    {[]Rel{rel("a"), rel("b")}, []catalog.JoinPred{pred("a", "d", "b", "nope")}},
+	}
+	for name, tc := range cases {
+		if _, _, _, err := Join(tc.rels, tc.preds); err == nil {
+			t.Errorf("%s: Join succeeded, want an error", name)
+		}
+	}
+	// The predicate a step did not use comes back for the caller.
+	preds := []catalog.JoinPred{pred("a", "d", "b", "d"), pred("b", "payload", "a", "payload")}
+	rows, schema, residual, err := Join([]Rel{rel("a"), rel("b")}, preds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 || schema.Len() != 4 || len(residual) != 1 || residual[0] != preds[1] {
+		t.Fatalf("rows %v, schema %v, residual %v", rows, schema.Names(), residual)
+	}
 }

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"joinview/internal/catalog"
 	"joinview/internal/cluster"
@@ -523,52 +522,6 @@ func BufferingEffect(l, a, bufferPages int) (Grid, error) {
 			v.Label,
 			fmt.Sprintf("%d", m.TotalIOs()),
 			fmt.Sprintf("%d", m.PhysicalIOs()),
-		})
-	}
-	return g, nil
-}
-
-// NetworkSensitivity tests §3.1's simplification "the time spent on SEND
-// is much smaller than the time spent on SEARCH, FETCH, and INSERT": it
-// replays the same single-row update stream over the channel transport at
-// zero and elevated per-message latency and reports wall-clock per update.
-// The global-index method sends the most messages per delta (1 + 2K vs the
-// AR method's 2), so it degrades fastest when SEND stops being free.
-func NetworkSensitivity(l, streamLen int, latency time.Duration) (Grid, error) {
-	g := Grid{
-		Title: fmt.Sprintf("Network sensitivity (extension): %d single-row updates, L=%d, %v/message",
-			streamLen, l, latency),
-		Header: []string{"method", "messages", "µs/update (free net)", "µs/update (slow net)"},
-	}
-	// run replays the stream at one latency: messages sent, µs per update.
-	run := func(v Variant, lat time.Duration) (int64, float64, error) {
-		c, spec, err := loadTwoRel(cluster.Config{Nodes: l, Algo: node.AlgoIndex, UseChannels: true, NetLatency: lat},
-			workload.TwoRel{Fanout: PaperN}, v)
-		if err != nil {
-			return 0, 0, err
-		}
-		defer c.Close()
-		start := time.Now()
-		if err := insertEach(c, spec.AInserts(streamLen, 1)); err != nil {
-			return 0, 0, err
-		}
-		micros := float64(time.Since(start).Microseconds()) / float64(streamLen)
-		return c.Metrics().Net.Messages, micros, nil
-	}
-	for _, v := range extensionVariants {
-		_, free, err := run(v, 0)
-		if err != nil {
-			return Grid{}, err
-		}
-		msgs, slow, err := run(v, latency)
-		if err != nil {
-			return Grid{}, err
-		}
-		g.Rows = append(g.Rows, []string{
-			v.Label,
-			fmt.Sprintf("%d", msgs),
-			fmt.Sprintf("%.0f", free),
-			fmt.Sprintf("%.0f", slow),
 		})
 	}
 	return g, nil

@@ -22,9 +22,6 @@ func main() {
 	}
 	dir := os.Args[1]
 	for _, tc := range experiments.Registry {
-		if tc.NoGolden != "" {
-			continue
-		}
 		g, err := tc.GoldenGrid()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", tc.Name, err)

@@ -1,7 +1,5 @@
 package experiments
 
-import "time"
-
 // Axes are the knobs an experiment grid is run at. Each experiment reads
 // the fields its registry entry sets and ignores the rest.
 type Axes struct {
@@ -34,9 +32,9 @@ type Experiment struct {
 	// override them); Golden the pinned small axes whose Direct and channel
 	// renders must equal testdata/seed/<Name>.golden byte for byte.
 	Full, Golden Axes
-	// NoGolden, when non-empty, says why the grid is not pinned at all;
-	// DirectOnly why it is pinned on the Direct transport alone.
-	NoGolden, DirectOnly string
+	// DirectOnly, when non-empty, says why the grid is pinned on the
+	// Direct transport alone.
+	DirectOnly string
 }
 
 // GoldenGrid renders the experiment at its golden axes (the model grid
@@ -111,10 +109,6 @@ var Registry = []Experiment{
 	{Name: "skew",
 		Run:  func(a Axes) (Grid, error) { return SkewSensitivity(a.Ls[0], a.N, 1.5) },
 		Full: Axes{Ls: []int{16}, N: 512}, Golden: Axes{Ls: []int{4}, N: 128}},
-	{Name: "network",
-		Run:      func(a Axes) (Grid, error) { return NetworkSensitivity(a.Ls[0], a.N, 100*time.Microsecond) },
-		Full:     Axes{Ls: []int{8}, N: 200},
-		NoGolden: "reports wall-clock µs per update"},
 	{Name: "faults",
 		Run:    func(a Axes) (Grid, error) { return FaultOverhead(a.Ls[0], a.N, a.Rate, 1) },
 		Full:   Axes{Ls: []int{8}, N: 200, Rate: 0.02},

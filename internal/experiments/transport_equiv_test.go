@@ -26,15 +26,11 @@ import (
 // TCP link, whose envelopes cross a real socket in the wire codec; the
 // repo's extensions keep to the two in-process links.
 //
-// An entry with NoGolden (NetworkSensitivity: wall-clock µs) is skipped;
-// one with DirectOnly is checked on the Direct transport alone. Axes are
-// kept small; jvbench runs the full sweeps.
+// An entry with DirectOnly is checked on the Direct transport alone. Axes
+// are kept small; jvbench runs the full sweeps.
 func TestTransportEquivalence(t *testing.T) {
 	for _, tc := range Registry {
 		t.Run(tc.Name, func(t *testing.T) {
-			if tc.NoGolden != "" {
-				t.Skipf("not pinned: %s", tc.NoGolden)
-			}
 			want, err := os.ReadFile(filepath.Join("testdata", "seed", tc.Name+".golden"))
 			if err != nil {
 				t.Fatalf("seed trace: %v", err)

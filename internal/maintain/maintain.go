@@ -190,6 +190,11 @@ func StepOutSchema(step plan.Step, curSchema *types.Schema) *types.Schema {
 // the per-view tail of a maintenance plan — the part a shared chain result
 // cannot cover.
 func FinishDelta(p *plan.Plan, cur []types.Tuple, curSchema *types.Schema) ([]types.Tuple, error) {
+	if len(cur) == 0 {
+		// A chain that found no partners stops early, so curSchema may
+		// lack the columns the residual predicates name.
+		return nil, nil
+	}
 	cur, err := FilterResidual(cur, curSchema, p.Residual)
 	if err != nil {
 		return nil, err

@@ -547,16 +547,6 @@ func (w *writer) message(m any, depth int) {
 		put(w, m, func(w *writer, m node.DropGlobalIndexFrag) {
 			w.str(m.Name)
 		})
-	case node.LocalJoin:
-		put(w, m, func(w *writer, m node.LocalJoin) {
-			w.str(m.Left)
-			w.str(m.Right)
-			w.str(m.LeftCol)
-			w.str(m.RightCol)
-			w.str(m.Out)
-			w.uvarint(m.LeftEpoch)
-			w.uvarint(m.RightEpoch)
-		})
 	case node.PromoteSlots:
 		put(w, m, func(w *writer, m node.PromoteSlots) {
 			w.str(m.Src)
@@ -647,10 +637,6 @@ func (w *writer) message(m any, depth int) {
 	case node.GIRows:
 		put(w, m, func(w *writer, m node.GIRows) {
 			w.gids(m.IDs)
-		})
-	case node.LocalJoinResult:
-		put(w, m, func(w *writer, m node.LocalJoinResult) {
-			w.int(m.Produced)
 		})
 	case node.PromoteResult:
 		put(w, m, func(w *writer, m node.PromoteResult) {
@@ -1143,11 +1129,6 @@ func decoderOf(zero any) func(r *reader, depth int) any {
 		return func(r *reader, depth int) any {
 			return node.DropGlobalIndexFrag{Name: r.str()}
 		}
-	case node.LocalJoin:
-		return func(r *reader, depth int) any {
-			return node.LocalJoin{Left: r.str(), Right: r.str(), LeftCol: r.str(), RightCol: r.str(), Out: r.str(),
-				LeftEpoch: r.uvarint(), RightEpoch: r.uvarint()}
-		}
 	case node.PromoteSlots:
 		return func(r *reader, depth int) any {
 			return node.PromoteSlots{Src: r.str(), Dst: r.str(), PartIdx: r.int(), Mod: r.int(), Slots: r.ints()}
@@ -1225,10 +1206,6 @@ func decoderOf(zero any) func(r *reader, depth int) any {
 	case node.GIRows:
 		return func(r *reader, depth int) any {
 			return node.GIRows{IDs: r.gids()}
-		}
-	case node.LocalJoinResult:
-		return func(r *reader, depth int) any {
-			return node.LocalJoinResult{Produced: r.int()}
 		}
 	case node.PromoteResult:
 		return func(r *reader, depth int) any {

@@ -500,9 +500,6 @@ func (n *DataNode) Handle(req any) (any, error) {
 		}
 		return GIScrubbed{Removed: len(vals)}, nil
 
-	case LocalJoin:
-		return n.localJoin(r)
-
 	case FragInfo:
 		f, err := n.frag(r.Frag)
 		if err != nil {
@@ -735,54 +732,6 @@ func addValues(a, b types.Value) (types.Value, error) {
 	default:
 		return types.Value{}, fmt.Errorf("cannot add %v and %v", a, b)
 	}
-}
-
-// localJoin hash-joins two co-partitioned local fragments into a third.
-func (n *DataNode) localJoin(r LocalJoin) (any, error) {
-	fl, err := n.frag(r.Left)
-	if err != nil {
-		return nil, err
-	}
-	fr, err := n.frag(r.Right)
-	if err != nil {
-		return nil, err
-	}
-	fo, err := n.frag(r.Out)
-	if err != nil {
-		return nil, err
-	}
-	li := fl.Schema().ColIndex(r.LeftCol)
-	ri := fr.Schema().ColIndex(r.RightCol)
-	if li < 0 || ri < 0 {
-		return nil, fmt.Errorf("node %d: local join columns %q/%q not found", n.id, r.LeftCol, r.RightCol)
-	}
-	// Build from the right side, probe with the left; both sides charged
-	// as one scan each.
-	build := map[uint64][]types.Tuple{}
-	fr.SnapshotScan(r.RightEpoch, func(_ storage.RowID, t types.Tuple) bool {
-		h := t[ri].Hash()
-		build[h] = append(build[h], t)
-		return true
-	})
-	produced := 0
-	var joinErr error
-	fl.SnapshotScan(r.LeftEpoch, func(_ storage.RowID, t types.Tuple) bool {
-		for _, rt := range build[t[li].Hash()] {
-			if !types.Equal(t[li], rt[ri]) {
-				continue
-			}
-			if _, err := fo.Insert(t.Concat(rt)); err != nil {
-				joinErr = err
-				return false
-			}
-			produced++
-		}
-		return true
-	})
-	if joinErr != nil {
-		return nil, joinErr
-	}
-	return LocalJoinResult{Produced: produced}, nil
 }
 
 // fetchJoin implements the fetch step of the global-index method: the K

@@ -15,7 +15,7 @@ func IsMutating(req any) bool {
 	switch req.(type) {
 	case Insert, DeleteRows, DeleteMatch, RestoreRows,
 		GIInsert, GIInsertBatch, GIDelete, GIDeleteBatch, AggApply,
-		LocalJoin, CreateFragment, CreateIndex,
+		CreateFragment, CreateIndex,
 		CreateGlobalIndex, DropFragment, DropGlobalIndexFrag,
 		PromoteSlots, GIPromoteSlots, GIScrubNode:
 		return true
@@ -123,9 +123,8 @@ const (
 	// MirrorDDL: a fragment or index-fragment create/drop, forwarded under
 	// the copy's name.
 	MirrorDDL
-	// MirrorNever: mutating, but deliberately not propagated. LocalJoin
-	// writes a partition-local query temporary; secondary indexes
-	// (CreateIndex) exist on primary fragments only; PromoteSlots,
+	// MirrorNever: mutating, but deliberately not propagated. Secondary
+	// indexes (CreateIndex) exist on primary fragments only; PromoteSlots,
 	// GIPromoteSlots and GIScrubNode are failover's own edits of the copies.
 	MirrorNever
 )
@@ -203,7 +202,7 @@ func SplitMutation(req, resp any) Mutation {
 		return Mutation{Class: MirrorDDL, Target: r.Name, rename: func(n string) any { return DropFragment{Name: n} }}
 	case DropGlobalIndexFrag:
 		return Mutation{Class: MirrorDDL, Target: r.Name, GI: true, rename: func(n string) any { return DropGlobalIndexFrag{Name: n} }}
-	case LocalJoin, CreateIndex, PromoteSlots, GIPromoteSlots, GIScrubNode:
+	case CreateIndex, PromoteSlots, GIPromoteSlots, GIScrubNode:
 		return Mutation{Class: MirrorNever}
 	}
 	return Mutation{}
@@ -301,7 +300,7 @@ func AllRequests() []any {
 		Probe{}, FetchJoin{}, FindMatching{},
 		GIInsert{}, GIInsertBatch{}, GIDelete{}, GIDeleteBatch{}, GILookup{}, GILen{}, GIScan{},
 		Scan{}, AllRows{}, ScanWithRows{},
-		AggApply{}, DropFragment{}, DropGlobalIndexFrag{}, LocalJoin{},
+		AggApply{}, DropFragment{}, DropGlobalIndexFrag{},
 		PromoteSlots{}, GIPromoteSlots{}, GIScrubNode{},
 		FragInfo{}, MeterSnapshot{}, ResetMeter{},
 		Prepare{}, Decide{}, ResolveAbort{}, InDoubtReq{},
@@ -317,7 +316,7 @@ func AllResponses() []any {
 	return []any{
 		InsertResult{}, DeleteResult{}, RowsResult{}, Probed{},
 		GIDeleted{}, GIDeletedBatch{}, GILenResult{}, GIScanResult{},
-		GIRows{}, LocalJoinResult{}, PromoteResult{}, GIScrubbed{},
+		GIRows{}, PromoteResult{}, GIScrubbed{},
 		FragInfoResult{}, SeqQueryResult{}, InDoubtResult{},
 		CheckpointResult{}, RestartResult{}, storage.Counts{}, Ack{},
 	}

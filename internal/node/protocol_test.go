@@ -33,8 +33,7 @@ func TestIsMutatingStable(t *testing.T) {
 	mutating := map[string]bool{
 		"node.Insert": true, "node.DeleteRows": true, "node.DeleteMatch": true,
 		"node.RestoreRows": true, "node.GIInsert": true, "node.GIInsertBatch": true,
-		"node.GIDelete": true, "node.GIDeleteBatch": true,
-		"node.AggApply": true, "node.LocalJoin": true,
+		"node.GIDelete": true, "node.GIDeleteBatch": true, "node.AggApply": true,
 		"node.CreateFragment": true, "node.CreateIndex": true,
 		"node.CreateGlobalIndex": true, "node.DropFragment": true,
 		"node.DropGlobalIndexFrag": true,
@@ -72,8 +71,7 @@ func TestSplitMutationClassifiesEveryMutation(t *testing.T) {
 		"node.GIInsertBatch": MirrorSplit, "node.GIDeleteBatch": MirrorSplit,
 		"node.CreateFragment": MirrorDDL, "node.CreateGlobalIndex": MirrorDDL,
 		"node.DropFragment": MirrorDDL, "node.DropGlobalIndexFrag": MirrorDDL,
-		"node.LocalJoin": MirrorNever, "node.CreateIndex": MirrorNever,
-		"node.PromoteSlots": MirrorNever, "node.GIPromoteSlots": MirrorNever,
+		"node.CreateIndex": MirrorNever, "node.PromoteSlots": MirrorNever, "node.GIPromoteSlots": MirrorNever,
 		"node.GIScrubNode": MirrorNever,
 	}
 	for _, req := range AllRequests() {
@@ -362,7 +360,7 @@ func TestInverseRoundTrip(t *testing.T) {
 		},
 	}
 	noInverse := map[string]bool{
-		"node.CreateIndex": true, "node.DropFragment": true, "node.DropGlobalIndexFrag": true, "node.LocalJoin": true,
+		"node.CreateIndex": true, "node.DropFragment": true, "node.DropGlobalIndexFrag": true,
 		"node.PromoteSlots": true, "node.GIPromoteSlots": true, "node.GIScrubNode": true,
 	}
 	for _, req := range AllRequests() {

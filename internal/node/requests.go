@@ -329,8 +329,8 @@ type AggApply struct {
 	GCFloor uint64
 }
 
-// DropFragment removes a fragment from the node (temporary query spills,
-// dropped relations and views).
+// DropFragment removes a fragment from the node (dropped relations and
+// views, and copies a migration or replica repair no longer needs).
 type DropFragment struct {
 	Name string
 }
@@ -338,25 +338,6 @@ type DropFragment struct {
 // DropGlobalIndexFrag removes this node's global-index fragment.
 type DropGlobalIndexFrag struct {
 	Name string
-}
-
-// LocalJoin hash-joins two local fragments into a third (which must exist
-// with the concatenated schema), emitting left ++ right rows. It charges a
-// scan of both inputs; output writes are charged by the inserts. This is
-// the per-node step of a co-partitioned distributed join.
-type LocalJoin struct {
-	Left, Right       string
-	LeftCol, RightCol string
-	Out               string
-	// LeftEpoch / RightEpoch select the MVCC snapshot each input is read
-	// at (0 = live state); the output fragment is a query temporary and is
-	// never versioned.
-	LeftEpoch, RightEpoch uint64
-}
-
-// LocalJoinResult reports how many tuples the node produced.
-type LocalJoinResult struct {
-	Produced int
 }
 
 // PromoteSlots moves the rows of the given hash slots from one local

@@ -455,28 +455,25 @@ func cmpOp(op string) (expr.CmpOp, error) {
 
 // execSelect evaluates a SELECT at the coordinator: gather every FROM
 // relation in one read scope (so a join of a table with its view sees both
-// at the same statement prefix), chain hash joins over the equijoin
-// conditions, filter the residual predicates, project. It reads base
+// at the same statement prefix), join them over the equijoin conditions
+// (exec.Join), filter the residual predicates, project. It reads base
 // tables, auxiliary relations and materialized views (convenience path —
 // not part of the metered study).
 func execSelect(c *cluster.Cluster, s Select) (*Result, error) {
 	if len(s.Tables) == 0 {
 		return nil, fmt.Errorf("sql: select needs a FROM clause")
 	}
-	type rel struct {
-		binding string
-		schema  *types.Schema
-		rows    []types.Tuple
-	}
-	rels := make([]rel, len(s.Tables))
+	rels := make([]exec.Rel, len(s.Tables))
 	from := make([]string, len(s.Tables))
+	schemas := map[string]*types.Schema{}
 	cat := c.Catalog()
 	for i, ref := range s.Tables {
 		schema, err := relationSchema(cat, ref.Name)
 		if err != nil {
 			return nil, err
 		}
-		rels[i] = rel{binding: ref.Binding(), schema: schema.Prefixed(ref.Binding())}
+		rels[i] = exec.Rel{Binding: ref.Binding(), Schema: schema.Prefixed(ref.Binding())}
+		schemas[ref.Binding()] = rels[i].Schema
 		from[i] = ref.Name
 	}
 	rows, err := c.RelationRows(from...)
@@ -484,59 +481,38 @@ func execSelect(c *cluster.Cluster, s Select) (*Result, error) {
 		return nil, err
 	}
 	for i := range rels {
-		rels[i].rows = rows[i]
+		rels[i].Rows = rows[i]
 	}
 
-	cur := rels[0].rows
-	curSchema := rels[0].schema
-	joined := map[int]bool{0: true}
-	usedCond := make([]bool, len(s.Where))
-	for len(joined) < len(rels) {
-		progress := false
-		for ci, cond := range s.Where {
-			if usedCond[ci] || !cond.IsJoin() {
-				continue
-			}
-			lName := cond.L.Table + "." + cond.L.Col
-			rName := cond.R.Table + "." + cond.R.Col
-			for ri, r := range rels {
-				if joined[ri] {
-					continue
-				}
-				var curCol, nextCol string
-				switch {
-				case curSchema.ColIndex(lName) >= 0 && r.schema.ColIndex(rName) >= 0:
-					curCol, nextCol = lName, rName
-				case curSchema.ColIndex(rName) >= 0 && r.schema.ColIndex(lName) >= 0:
-					curCol, nextCol = rName, lName
-				default:
-					continue
-				}
-				var err error
-				cur, err = exec.HashJoin(cur, curSchema.ColIndex(curCol), r.rows, r.schema.ColIndex(nextCol))
-				if err != nil {
-					return nil, err
-				}
-				curSchema = curSchema.Concat(r.schema)
-				joined[ri] = true
-				usedCond[ci] = true
-				progress = true
-				break
-			}
-		}
-		if !progress {
-			return nil, fmt.Errorf("sql: cannot join all FROM tables with equijoins (cartesian products unsupported)")
+	// An equijoin between columns of two FROM relations is a join
+	// predicate, in WHERE order; every other condition, and each join
+	// predicate no join step used, filters the joined rows.
+	resolves := func(o Operand) bool {
+		schema, ok := schemas[o.Table]
+		return ok && schema.ColIndex(o.Table+"."+o.Col) >= 0
+	}
+	var preds []catalog.JoinPred
+	var filters []Condition
+	for _, cond := range s.Where {
+		if cond.IsJoin() && resolves(cond.L) && resolves(cond.R) {
+			preds = append(preds, catalog.JoinPred{Left: cond.L.Table, LeftCol: cond.L.Col, Right: cond.R.Table, RightCol: cond.R.Col})
+		} else {
+			filters = append(filters, cond)
 		}
 	}
-
-	// Residual predicates (non-join, or extra join conditions).
+	cur, curSchema, residual, err := exec.Join(rels, preds)
+	if err != nil {
+		return nil, fmt.Errorf("sql: %w", err)
+	}
+	for _, p := range residual {
+		filters = append(filters, Condition{Op: "=",
+			L: Operand{IsCol: true, Table: p.Left, Col: p.LeftCol},
+			R: Operand{IsCol: true, Table: p.Right, Col: p.RightCol}})
+	}
 	var filtered []types.Tuple
 	for _, t := range cur {
 		keep := true
-		for ci, cond := range s.Where {
-			if usedCond[ci] {
-				continue
-			}
+		for _, cond := range filters {
 			e, err := selectCondExpr(cond, curSchema)
 			if err != nil {
 				return nil, err

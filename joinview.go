@@ -511,14 +511,14 @@ type Session = sql.Session
 // undo scope.
 func (db *DB) NewSession() *Session { return sql.NewSession(db.c) }
 
-// QuerySpec is an ad-hoc distributed equijoin query.
+// QuerySpec is an ad-hoc equijoin query over base tables.
 type QuerySpec = cluster.QuerySpec
 
-// QueryJoin executes an ad-hoc equijoin the way the parallel engine would
-// without a view: shuffles on join attributes (reusing covering auxiliary
-// relations) and co-partitioned local hash joins, fully metered. Compare
-// its cost against scanning a materialized view to see why warehouses
-// materialize.
+// QueryJoin answers an ad-hoc equijoin without a view: it scans every
+// table in one read scope, scan I/O charged, and joins the rows at the
+// coordinator with the function that also backfills views and recomputes
+// them for verification. It writes nothing. Compare its cost against
+// scanning a materialized view to see why warehouses materialize.
 func (db *DB) QueryJoin(spec QuerySpec) ([]Tuple, *Schema, error) {
 	return db.c.QueryJoin(spec)
 }
