@@ -33,7 +33,7 @@ func TestAllocBudget(t *testing.T) {
 	const l, rows, warm, runs = 8, 8, 24, 64
 	for _, st := range experiments.ConcurrentStrategies() {
 		t.Run(st.Label, func(t *testing.T) {
-			c, err := cluster.New(cluster.Config{Nodes: l, Algo: node.AlgoIndex})
+			c, err := cluster.New(cluster.Config{Nodes: l, JoinAlgo: node.AlgoIndex})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,7 +6,6 @@ package cluster
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,62 +26,50 @@ import (
 	"joinview/internal/wal"
 )
 
-// Config parameterizes a cluster.
+// Config parameterizes a cluster. It is the one declaration of the
+// engine's configuration: the public joinview.Options is this type.
 type Config struct {
 	// Nodes is the number of data-server nodes L (required, >= 1).
 	Nodes int
 	// PageRows is tuples per page (storage.DefaultPageRows if zero);
 	// page counts feed the scan/sort cost accounting.
 	PageRows int
-	// MemPages is the per-node sort memory M in pages (default 10, the
-	// paper's value).
-	MemPages int
-	// UseChannels selects the goroutine-per-node channel transport
-	// instead of the deterministic in-process transport.
+	// UseChannels runs each node as its own goroutine with channel message
+	// passing; the default is the deterministic in-process transport.
 	UseChannels bool
-	// Algo is the default join algorithm for maintenance probes
-	// (node.AlgoAuto applies the §3.2 index/sort-merge crossover).
-	Algo node.Algo
-	// BufferPages attaches a per-node buffer pool of that many pages
+	// JoinAlgo pins the local join algorithm of maintenance probes. The
+	// zero value, node.AlgoAuto, lets each node apply the paper's §3.2
+	// index/sort-merge cost crossover.
+	JoinAlgo node.Algo
+	// BufferPages attaches a per-node LRU buffer pool of that many pages
 	// (0 disables caching simulation). With a pool, Metrics additionally
 	// reports physical I/O (misses), reproducing the §3.3 buffering
 	// effect the paper observed on Teradata.
 	BufferPages int
-	// NetLatency delays every inter-node message by at least this
-	// wall-clock duration, on any transport: the SEND cost the
-	// analytical model deliberately neglects, made tunable. The delay is a
-	// time.Sleep, so it cannot be shorter than the OS timer granularity —
-	// about 1 ms on Linux: 50µs and 100µs both measure ≈1.1 ms per message.
-	NetLatency time.Duration
-	// CallTimeout bounds every transport call, on any transport: a stuck
-	// node yields netsim.ErrTimeout instead of hanging the coordinator.
-	// Zero means unbounded.
+	// CallTimeout bounds every coordinator-to-node call, on any transport:
+	// a stuck node yields netsim.ErrTimeout, a retryable failure, instead
+	// of hanging the statement. Zero means unbounded.
 	CallTimeout time.Duration
-	// RetryAttempts is the maximum delivery attempts per call for
-	// transient failures (injected faults, timeouts). Default 3; with no
-	// faults and no timeout configured, retries never trigger.
+	// RetryAttempts is the number of delivery attempts per call for
+	// transient failures (injected faults, timeouts) before the
+	// coordinator gives up and rolls the statement back. Default 3; with
+	// no faults and no timeout configured, retries never trigger. A retry
+	// is sent at once, with no backoff.
 	RetryAttempts int
-	// RetryBackoff is the base sleep between retry attempts, doubling per
-	// attempt. Zero disables sleeping (the deterministic chaos tests keep
-	// it zero so storms run at full speed).
-	RetryBackoff time.Duration
-	// RetryBackoffMax caps the exponential backoff (default 1s when
-	// RetryBackoff is set): without a cap the doubling both overflows at
-	// high attempt counts and grows sleeps past any useful bound.
-	RetryBackoffMax time.Duration
-	// RetrySeed seeds the deterministic backoff jitter (default 1). Jitter
-	// desynchronizes concurrent retry loops; seeding keeps runs repeatable.
-	RetrySeed int64
 	// Faults installs a fault injector between the coordinator and the
 	// nodes: every delivery consults its schedule. Nil disables injection.
+	// Build one with fault.New (joinview.NewFaultInjector), Arm it when the
+	// storm should start, and use Crash/Restart plus Recover to exercise
+	// node failures.
 	Faults *fault.Injector
 	// Durability attaches a write-ahead log and checkpoint store to every
-	// node and adds presumed-abort two-phase commit to the statement's
-	// rollback-by-compensation (both live in the statement's scope). A node can
-	// then fail-stop (CrashNode), losing all volatile state, and recover
-	// from its own checkpoint + log tail (RestartNode/Recover) instead of
-	// a full derived-fragment rebuild. It has no say in whether statements
-	// overlap (locks.go).
+	// node and runs each DML statement under presumed-abort two-phase
+	// commit; the transaction (id, participants, undo log) belongs to the
+	// statement, the coordinator keeps only the id counter and the
+	// decision log. A node can then fail-stop (CrashNode), losing all
+	// volatile state, and recover from its own checkpoint + log tail
+	// (RestartNode/Recover) instead of a full derived-fragment rebuild. It
+	// has no say in whether statements overlap (locks.go).
 	Durability bool
 	// CheckpointEvery makes each durable node take an automatic checkpoint
 	// after that many logged redo records (0 = manual checkpoints only).
@@ -91,22 +78,26 @@ type Config struct {
 	// many consecutive failed delivery attempts (exhausted retry budgets
 	// or timeouts) against one node, the node is marked suspect and every
 	// further call to it fails fast with ErrSuspect instead of burning the
-	// full retry/backoff budget per statement. Recovery (Recover,
-	// RestartNode) closes the breaker. Zero disables the breaker (the
-	// deterministic chaos schedules assume every delivery is attempted).
+	// full retry budget per statement. Recovery (Recover, RestartNode)
+	// closes the breaker. Zero disables the breaker (the deterministic
+	// chaos schedules assume every delivery is attempted).
 	BreakerThreshold int
 	// AsyncMaintenance defers DML maintenance into the group-commit queue
 	// (asyncq.go): a statement validates, resolves its victims against the
-	// effective state and enqueues its logical delta; a flush epoch later
-	// compacts the queue and drives one batched pipeline run per table.
-	// Off by default — synchronous mode is byte-identical to the seed.
+	// effective state and enqueues its logical delta (durably, under
+	// Durability); a flush epoch later compacts the queue — insert/delete
+	// pairs cancel, repeated keys collapse — and drives one batched
+	// pipeline run per table. Reads pick their staleness with ReadView;
+	// Flush drains on demand. Off by default — synchronous mode is
+	// byte-identical to the seed.
 	AsyncMaintenance bool
 	// EpochSize triggers a background flush whenever the queue holds at
 	// least this many deferred statements (0 = no depth trigger).
 	EpochSize int
 	// FlushInterval triggers a background flush on this wall-clock period
 	// (0 = no timer). With both EpochSize and FlushInterval zero, only
-	// explicit Flush/ReadFresh/DDL calls drain the queue.
+	// explicit Flush, ReadFresh reads, transactions and DDL drain the
+	// queue.
 	FlushInterval time.Duration
 	// MaxQueueDepth bounds the pending-statement count; at the bound
 	// admission control sheds new writers with ErrOverload (or stalls
@@ -121,13 +112,17 @@ type Config struct {
 	// LockedReads disables MVCC snapshot reads: every read scope holds
 	// shared lockmgr claims on the relations it reads instead of a
 	// snapshot, queueing behind concurrent writers (the pre-MVCC behavior).
-	// Kept as the baseline the benchmark's traced pass swaps in to price
-	// MVCC (cluster.mvcc_write_tax) and as an escape hatch.
+	// Snapshot reads are on by default wherever statements overlap — iff
+	// the delivery stack is concurrent: UseChannels or UseTCP with no fault
+	// injector installed (DESIGN.md "Parallel execution"). Kept as the
+	// baseline the benchmark's traced pass swaps in to price MVCC
+	// (cluster.mvcc_write_tax).
 	LockedReads bool
-	// UseTCP runs the interconnect over real loopback TCP sockets with
-	// codec-framed envelopes (internal/netsim/tcp) instead of channels or
-	// direct calls — a third link under the same transport, so every
-	// cluster code path is unchanged. Mutually exclusive with UseChannels.
+	// UseTCP runs the interconnect over real loopback TCP sockets, each
+	// message framed in the link's own envelope codec
+	// (internal/netsim/tcp) — a third link under the same transport, so
+	// every cluster code path is unchanged. Mutually exclusive with
+	// UseChannels.
 	UseTCP bool
 	// ReplicationFactor keeps K synchronous copies of every hash slot's
 	// rows: the primary copy in the owner's fragments plus K-1 follower
@@ -135,8 +130,11 @@ type Config struct {
 	// Every base/AR/GI/view write fans out to the followers inside the
 	// statement's atomicity scope; a node failure promotes its slots to a
 	// surviving follower, so DML keeps committing and reads stay complete
-	// with up to K-1 nodes down. 0 or 1 disables replication (the seed's
-	// behavior, byte-identical). Requires 2 <= K <= Nodes otherwise.
+	// with up to K-1 nodes down; ReplicateRepair restores full strength
+	// online. Elasticity (AddNode, RebalanceNode, DecommissionNode) moves a
+	// slot's owner and keeps its followers. 0 or 1 disables replication
+	// (the seed's behavior, byte-identical). Requires 2 <= K <= Nodes
+	// otherwise.
 	ReplicationFactor int
 }
 
@@ -150,7 +148,7 @@ type Cluster struct {
 	st    *stats.Stats
 	nodes []*node.DataNode
 	// net is the raw delivery stack (direct, channel or TCP link under
-	// latency, timeout and fault-injection middleware; its Bypass reaches a
+	// timeout and fault-injection middleware; its Bypass reaches a
 	// node the fault schedule refuses to talk to); tr is the resilient
 	// transport over net that all cluster and maintenance code uses; env is
 	// the maintenance executor's view of it. A write statement works through
@@ -163,10 +161,6 @@ type Cluster struct {
 	// counts re-deliveries for Metrics.
 	seq     atomic.Uint64
 	retries atomic.Int64
-
-	// rng drives the deterministic retry-backoff jitter.
-	rngMu sync.Mutex
-	rng   *rand.Rand
 
 	// Two-phase commit state (Durability mode) that outlives a statement:
 	// tids numbers transactions, coordLog is the coordinator's forced
@@ -274,17 +268,8 @@ func newCluster(cfg Config, wrap func(id int, h netsim.Handler) netsim.Handler) 
 	if cfg.PageRows <= 0 {
 		cfg.PageRows = storage.DefaultPageRows
 	}
-	if cfg.MemPages <= 0 {
-		cfg.MemPages = 10
-	}
 	if cfg.RetryAttempts <= 0 {
 		cfg.RetryAttempts = 3
-	}
-	if cfg.RetryBackoffMax <= 0 {
-		cfg.RetryBackoffMax = time.Second
-	}
-	if cfg.RetrySeed == 0 {
-		cfg.RetrySeed = 1
 	}
 	if cfg.ReplicationFactor > 1 && cfg.ReplicationFactor > cfg.Nodes {
 		return nil, fmt.Errorf("cluster: ReplicationFactor %d exceeds node count %d", cfg.ReplicationFactor, cfg.Nodes)
@@ -295,7 +280,6 @@ func newCluster(cfg Config, wrap func(id int, h netsim.Handler) netsim.Handler) 
 	c := &Cluster{
 		cfg:         cfg,
 		st:          stats.New(),
-		rng:         rand.New(rand.NewSource(cfg.RetrySeed)),
 		downNodes:   map[int]bool{},
 		repairs:     map[int][]repair{},
 		needRebuild: map[int]bool{},
@@ -330,7 +314,7 @@ func newCluster(cfg Config, wrap func(id int, h netsim.Handler) netsim.Handler) 
 	c.coordLog = wal.NewLog(c.coordMeter, cfg.PageRows)
 	handlers := make([]netsim.Handler, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
-		n := node.New(i, cfg.MemPages)
+		n := node.New(i, 0)
 		if cfg.BufferPages > 0 {
 			n.SetBufferPages(cfg.BufferPages)
 		}
@@ -353,7 +337,7 @@ func newCluster(cfg Config, wrap func(id int, h netsim.Handler) netsim.Handler) 
 	default:
 		link = netsim.NewDirectLink()
 	}
-	mw := netsim.Config{Latency: cfg.NetLatency, Timeout: cfg.CallTimeout}
+	mw := netsim.Config{Timeout: cfg.CallTimeout}
 	if cfg.Faults != nil {
 		mw.Inject = cfg.Faults.Deliver
 	}

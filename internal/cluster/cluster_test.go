@@ -6,6 +6,8 @@ import (
 
 	"joinview/internal/catalog"
 	"joinview/internal/expr"
+	"joinview/internal/node"
+	"joinview/internal/storage"
 	"joinview/internal/types"
 )
 
@@ -466,8 +468,13 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.NumNodes() != 1 || c.Config().MemPages != 10 || c.Config().PageRows == 0 {
-		t.Errorf("defaults not applied: %+v", c.Config())
+	cfg := c.Config()
+	if c.NumNodes() != 1 || cfg.JoinAlgo != node.AlgoAuto || cfg.RetryAttempts != 3 ||
+		cfg.PageRows != storage.DefaultPageRows {
+		t.Errorf("defaults not applied: %+v", cfg)
+	}
+	if m := c.nodes[0].MemPages(); m != 10 {
+		t.Errorf("node sort memory M = %d pages, want the paper's 10", m)
 	}
 	if c.Catalog() == nil || c.Stats() == nil || c.Transport() == nil {
 		t.Error("accessors returned nil")

@@ -314,7 +314,7 @@ func (c *Cluster) ComputeViewDeltaOnly(viewName, table string, tuples []types.Tu
 	before := c.Metrics()
 	env := c.env
 	env.Cat = cat
-	delta, _, err := maintain.ComputeViewDelta(env, p, tuples, c.cfg.Algo)
+	delta, _, err := maintain.ComputeViewDelta(env, p, tuples, c.cfg.JoinAlgo)
 	if err != nil {
 		return 0, Metrics{}, err
 	}

@@ -315,7 +315,7 @@ func (c *Cluster) provisionNode() (int, error) {
 		return -1, err
 	}
 	dst := c.NumNodes()
-	dn := node.New(dst, c.cfg.MemPages)
+	dn := node.New(dst, 0)
 	if c.cfg.BufferPages > 0 {
 		dn.SetBufferPages(c.cfg.BufferPages)
 	}

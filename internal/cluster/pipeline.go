@@ -152,7 +152,7 @@ func (c *Cluster) execSharedJoins(sc *stmtScope, mp *mplan.Plan, tuples []types.
 				sx.memo[step.ChainKey] = sharedResult{schema: curSchema}
 				continue
 			}
-			next, _, err := maintain.ExecStep(sc.env, step, cur, curSchema, c.cfg.Algo)
+			next, _, err := maintain.ExecStep(sc.env, step, cur, curSchema, c.cfg.JoinAlgo)
 			if err != nil {
 				return nil, err
 			}
@@ -337,7 +337,7 @@ func (c *Cluster) stageView(sc *stmtScope, vs *mplan.ViewStage, mp *mplan.Plan, 
 		}
 		delta, err = maintain.FinishDelta(p, cur, curSchema)
 	} else {
-		delta, _, err = maintain.ComputeViewDelta(sc.env, p, tuples, c.cfg.Algo)
+		delta, _, err = maintain.ComputeViewDelta(sc.env, p, tuples, c.cfg.JoinAlgo)
 	}
 	if err != nil {
 		return err

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"joinview/internal/catalog"
 	"joinview/internal/fault"
@@ -26,7 +25,7 @@ var ErrPartial = errors.New("cluster: partial result (node down)")
 // ErrSuspect marks a call refused because the destination's circuit
 // breaker is open: the node failed BreakerThreshold consecutive delivery
 // attempts, so the coordinator fails fast instead of burning the full
-// retry/backoff budget on every statement. Recover/RestartNode close the
+// retry budget on every statement. Recover/RestartNode close the
 // breaker.
 var ErrSuspect = errors.New("cluster: node suspect (circuit breaker open)")
 
@@ -98,11 +97,11 @@ func (c *Cluster) Suspect() []int {
 }
 
 // resilientTransport is the coordinator's delivery layer: every call to the
-// underlying stack (possibly fault-injecting) gets bounded retries with
-// exponential backoff for transient failures, sequence-number wrapping of
-// mutating requests so retries are idempotent, in-doubt resolution via
-// SeqQuery when the retry budget runs out, and node-down bookkeeping that
-// moves the cluster into degraded mode. It overrides the stack's Call and
+// underlying stack (possibly fault-injecting) gets bounded, immediate
+// retries for transient failures, sequence-number wrapping of mutating
+// requests so retries are idempotent, in-doubt resolution via SeqQuery when
+// the retry budget runs out, and node-down bookkeeping that moves the
+// cluster into degraded mode. It overrides the stack's Call and
 // Broadcast and is otherwise the stack, so installing it as maintain.Env's
 // transport upgrades every maintenance path without touching the call
 // sites. Used directly it carries traffic outside any statement (reads,
@@ -119,47 +118,6 @@ type resilientTransport struct {
 // package (node.IsMutating) next to the request types and the redo log
 // that shares it.
 func isMutating(req any) bool { return node.IsMutating(req) }
-
-// backoffDelay computes the sleep before retry attempt (attempt >= 1):
-// exponential doubling from base, shift-clamped and capped by max, then
-// jittered into [d/2, d) so concurrent retry loops desynchronize. jitter
-// returns a value in [0, n); a deterministic seeded source keeps test runs
-// repeatable. Zero base disables sleeping entirely.
-func backoffDelay(base, max time.Duration, attempt int, jitter func(n int64) int64) time.Duration {
-	if base <= 0 {
-		return 0
-	}
-	shift := attempt - 1
-	if shift < 0 {
-		shift = 0
-	}
-	if shift > 16 {
-		shift = 16 // 1<<17 on any sane base is already past every cap
-	}
-	d := base << shift
-	if d <= 0 || (max > 0 && d > max) {
-		d = max
-	}
-	if half := d / 2; half > 0 {
-		d = half + time.Duration(jitter(int64(half)))
-	}
-	return d
-}
-
-// jitter draws from the cluster's seeded backoff rng.
-func (c *Cluster) jitter(n int64) int64 {
-	c.rngMu.Lock()
-	defer c.rngMu.Unlock()
-	return c.rng.Int63n(n)
-}
-
-// sleepBackoff counts the retry and sleeps the bounded, jittered backoff.
-func (c *Cluster) sleepBackoff(attempt int) {
-	c.retries.Add(1)
-	if d := backoffDelay(c.cfg.RetryBackoff, c.cfg.RetryBackoffMax, attempt, c.jitter); d > 0 {
-		time.Sleep(d)
-	}
-}
 
 // delivery says what a request is to the statement it belongs to.
 type delivery uint8
@@ -360,14 +318,14 @@ func (c *Cluster) deliver(sc *stmtScope, how delivery, from, to int, wreq any, i
 }
 
 // retry is the one bounded retry loop: it re-sends wreq while the failure
-// is transient (an injected fault or a timeout), sleeping the jittered
-// backoff between attempts, and returns the last error once the budget is
-// spent. The caller owns idempotence (seal).
+// is transient (an injected fault or a timeout), at once and with no
+// backoff, and returns the last error once the budget is spent. The caller
+// owns idempotence (seal).
 func (c *Cluster) retry(from, to int, wreq any) (any, error) {
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.RetryAttempts; attempt++ {
 		if attempt > 0 {
-			c.sleepBackoff(attempt)
+			c.retries.Add(1)
 		}
 		resp, err := c.net.Call(from, to, wreq)
 		if err == nil {

@@ -1,10 +1,8 @@
 package cluster
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
-	"time"
 
 	"joinview/internal/node"
 	"joinview/internal/storage"
@@ -71,60 +69,5 @@ func TestInverseCoversAllMutatingRequests(t *testing.T) {
 		if inv == nil {
 			t.Errorf("mutating request %v has no inverse and is not rebuild-covered", rt)
 		}
-	}
-}
-
-// TestBackoffDelayBounded checks the retry backoff: zero base disables
-// sleeping, the delay grows from the base, never exceeds the cap even for
-// absurd attempt numbers (shift overflow clamped), and the jitter keeps it
-// within [d/2, d).
-func TestBackoffDelayBounded(t *testing.T) {
-	base, max := 10*time.Millisecond, 80*time.Millisecond
-	maxJitter := func(n int64) int64 { return n - 1 }
-	zeroJitter := func(int64) int64 { return 0 }
-
-	if d := backoffDelay(0, max, 5, maxJitter); d != 0 {
-		t.Fatalf("zero base should disable backoff, got %v", d)
-	}
-	for _, attempt := range []int{1, 2, 3, 4, 10, 63, 64, 1000, 1 << 30} {
-		d := backoffDelay(base, max, attempt, maxJitter)
-		if d <= 0 || d >= max {
-			t.Errorf("attempt %d: delay %v outside (0, %v)", attempt, d, max)
-		}
-		lo := backoffDelay(base, max, attempt, zeroJitter)
-		if lo < base/2 {
-			t.Errorf("attempt %d: zero-jitter delay %v below base/2", attempt, lo)
-		}
-	}
-	// Exponential growth up to the cap (zero jitter gives the midpoint d/2).
-	if d1, d2 := backoffDelay(base, max, 1, zeroJitter), backoffDelay(base, max, 2, zeroJitter); d2 != 2*d1 {
-		t.Errorf("attempt 2 delay %v, want double attempt 1's %v", d2, d1)
-	}
-	// Determinism: same inputs, same delay.
-	if a, b := backoffDelay(base, max, 7, maxJitter), backoffDelay(base, max, 7, maxJitter); a != b {
-		t.Errorf("same inputs gave %v then %v", a, b)
-	}
-}
-
-// TestRetryJitterSeeded checks the jitter source: seeded, deterministic per
-// seed, different across seeds.
-func TestRetryJitterSeeded(t *testing.T) {
-	draws := func(seed int64) string {
-		c, err := New(Config{Nodes: 2, RetrySeed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		var out string
-		for i := 0; i < 8; i++ {
-			out += fmt.Sprintf("%d,", c.jitter(1_000_000))
-		}
-		return out
-	}
-	if a, b := draws(5), draws(5); a != b {
-		t.Fatalf("same seed diverged: %s vs %s", a, b)
-	}
-	if a, b := draws(5), draws(6); a == b {
-		t.Fatalf("different seeds produced identical jitter: %s", a)
 	}
 }

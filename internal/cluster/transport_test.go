@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"errors"
-	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -24,22 +23,19 @@ var transportCfgs = []struct {
 	{"tcp", Config{UseTCP: true}},
 }
 
-// TestEveryTransportCombinationAccepted: latency, timeout and fault
-// injection are middleware over any link, so New takes every combination
-// and each one carries a statement.
+// TestEveryTransportCombinationAccepted: timeout and fault injection are
+// middleware over any link, so New takes every combination and each one
+// carries a statement.
 func TestEveryTransportCombinationAccepted(t *testing.T) {
 	for _, tc := range transportCfgs {
-		for mask := 0; mask < 8; mask++ {
+		for mask := 0; mask < 4; mask++ {
 			cfg := tc.cfg
 			cfg.Nodes = 3
 			name := tc.name
 			if mask&1 != 0 {
-				cfg.NetLatency, name = time.Microsecond, name+"+latency"
-			}
-			if mask&2 != 0 {
 				cfg.CallTimeout, name = 30*time.Second, name+"+timeout"
 			}
-			if mask&4 != 0 {
+			if mask&2 != 0 {
 				cfg.Faults, name = fault.New(fault.Config{Seed: 1}), name+"+faults"
 			}
 			t.Run(name, func(t *testing.T) {
@@ -133,36 +129,6 @@ func TestCallTimeoutFailsStatementAndRollsBack(t *testing.T) {
 				t.Fatalf("auxiliary structures inconsistent after rollback: %v", err)
 			}
 		})
-	}
-}
-
-// TestNetLatencyLeavesLogicalCostsAlone: on the Direct transport latency
-// only costs wall-clock — message counts and every node's page counters
-// equal the latency-0 run's.
-func TestNetLatencyLeavesLogicalCostsAlone(t *testing.T) {
-	run := func(latency time.Duration) Metrics {
-		cl, err := New(Config{Nodes: 4, NetLatency: latency})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := loadChaosCluster(t, cl, catalog.StrategyGlobalIndex, 6, 2)
-		if err := c.Insert("orders", []types.Tuple{ord(900, 1, 1), ord(901, 2, 2)}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Delete("orders", eqOrderKey(900)); err != nil {
-			t.Fatal(err)
-		}
-		return c.Metrics()
-	}
-	m0, m1 := run(0), run(time.Microsecond)
-	if m0.Net != m1.Net {
-		t.Errorf("Net = %+v under latency, %+v without", m1.Net, m0.Net)
-	}
-	if m0.Net.Messages == 0 {
-		t.Error("workload sent no messages")
-	}
-	if !reflect.DeepEqual(m0.Node, m1.Node) {
-		t.Errorf("page counters differ under latency:\n%+v\n%+v", m1.Node, m0.Node)
 	}
 }
 

@@ -14,6 +14,7 @@ package cost
 
 import (
 	"joinview/internal/catalog"
+	"joinview/internal/exec"
 	"joinview/internal/plan"
 )
 
@@ -98,7 +99,7 @@ func (m Model) Resp(mv Method, a int, algo Algo) float64 {
 	bi := m.BiPages()
 	sm := float64(bi)
 	if !s.Clustered {
-		sm = float64(bi * ceilLog(m.MemPages, bi))
+		sm = float64(bi * exec.CeilLog(m.MemPages, bi))
 	}
 	return pick(algo, inl+up, sm+up)
 }
@@ -149,20 +150,4 @@ func ceilDiv(a, b int) int {
 		return a
 	}
 	return (a + b - 1) / b
-}
-
-// ceilLog returns ceil(log_base(pages)), minimum 1 for non-empty input —
-// the pass count of external sort in the model.
-func ceilLog(base, pages int) int {
-	if pages <= 0 {
-		return 0
-	}
-	if base < 2 {
-		base = 2
-	}
-	passes := 1
-	for span := base; span < pages; span *= base {
-		passes++
-	}
-	return passes
 }

@@ -238,9 +238,6 @@ func TestCeilHelpers(t *testing.T) {
 	if ceilDiv(5, 0) != 5 {
 		t.Error("ceilDiv with zero divisor should pass through")
 	}
-	if ceilLog(10, 0) != 0 || ceilLog(10, 10) != 1 || ceilLog(10, 11) != 2 || ceilLog(0, 8) != 3 {
-		t.Error("ceilLog wrong")
-	}
 	if ceilF(10, 4) != 3 || ceilF(10, 0) != 10 {
 		t.Error("ceilF wrong")
 	}

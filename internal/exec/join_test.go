@@ -73,7 +73,8 @@ func TestCeilLog(t *testing.T) {
 		{10, 11, 2},
 		{10, 100, 2},
 		{10, 101, 3},
-		{1, 8, 3}, // degenerate base clamps to 2
+		{1, 8, 3}, // degenerate bases clamp to 2
+		{0, 8, 3},
 		{2, 8, 3},
 	}
 	for _, c := range cases {

@@ -107,7 +107,7 @@ func AdaptiveStrategy(l, statements int) (Grid, error) {
 		Header: []string{"L", "method", "stmts", "tuples", "tw-ios", "maxnode-ios", "msgs", "picks naive/AR/GI"},
 	}
 	cell := func(v Variant) error {
-		c, err := newCluster(cluster.Config{Nodes: l, Algo: node.AlgoIndex})
+		c, err := newCluster(cluster.Config{Nodes: l, JoinAlgo: node.AlgoIndex})
 		if err != nil {
 			return err
 		}

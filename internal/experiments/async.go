@@ -52,7 +52,7 @@ func AsyncMaintenance(l, statements int, epochs []int) (Grid, error) {
 }
 
 func asyncCell(l int, mix string, epoch, statements int) ([]string, error) {
-	c, err := newCluster(cluster.Config{Nodes: l, Algo: node.AlgoIndex, AsyncMaintenance: epoch > 0})
+	c, err := newCluster(cluster.Config{Nodes: l, JoinAlgo: node.AlgoIndex, AsyncMaintenance: epoch > 0})
 	if err != nil {
 		return nil, err
 	}

@@ -130,7 +130,7 @@ func ConcurrentSessions(ls []int, sessions, stmts, rows int) (Grid, error) {
 		Header: []string{"L", "method", "stmts", "tw-ios", "ios/stmt", "maxnode-ios", "msgs", "msgs/stmt"},
 	}
 	cell := func(l int, v Variant) error {
-		c, err := newCluster(cluster.Config{Nodes: l, Algo: node.AlgoIndex})
+		c, err := newCluster(cluster.Config{Nodes: l, JoinAlgo: node.AlgoIndex})
 		if err != nil {
 			return err
 		}

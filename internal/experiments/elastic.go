@@ -29,7 +29,7 @@ func Elastic(sessions, stmts, rows int) (Grid, error) {
 			"tw-ios after", "ios/stmt after", "nodes"},
 	}
 	cell := func(v Variant, rf int) error {
-		c, err := newCluster(cluster.Config{Nodes: 4, Algo: node.AlgoIndex, ReplicationFactor: rf})
+		c, err := newCluster(cluster.Config{Nodes: 4, JoinAlgo: node.AlgoIndex, ReplicationFactor: rf})
 		if err != nil {
 			return err
 		}

@@ -238,7 +238,7 @@ var extensionVariants = []Variant{
 // insert and the view writes, which §3.1 excludes ("the same updates must
 // be performed ... in our model we omit the cost of these updates").
 func MeasuredTW(l, fanout int, v Variant) (int64, error) {
-	c, spec, err := loadTwoRel(cluster.Config{Nodes: l, Algo: node.AlgoIndex}, workload.TwoRel{Fanout: fanout}, v)
+	c, spec, err := loadTwoRel(cluster.Config{Nodes: l, JoinAlgo: node.AlgoIndex}, workload.TwoRel{Fanout: fanout}, v)
 	if err != nil {
 		return 0, err
 	}
@@ -262,7 +262,7 @@ func MeasuredTW(l, fanout int, v Variant) (int64, error) {
 // maximum per-node I/O count (the response-time proxy) and the total
 // workload. algo pins the join algorithm as the paper's figures do.
 func MeasuredResponse(l, fanout, a int, v Variant, algo node.Algo) (maxNode, total int64, err error) {
-	c, spec, err := loadTwoRel(cluster.Config{Nodes: l, Algo: algo}, workload.TwoRel{Fanout: fanout}, v)
+	c, spec, err := loadTwoRel(cluster.Config{Nodes: l, JoinAlgo: algo}, workload.TwoRel{Fanout: fanout}, v)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -505,7 +505,7 @@ func BufferingEffect(l, a, bufferPages int) (Grid, error) {
 		Header: []string{"method", "logical I/Os (model)", "physical I/Os (cached)"},
 	}
 	for _, v := range []Variant{extensionVariants[2], extensionVariants[0]} {
-		c, spec, err := loadTwoRel(cluster.Config{Nodes: l, Algo: node.AlgoIndex, BufferPages: bufferPages},
+		c, spec, err := loadTwoRel(cluster.Config{Nodes: l, JoinAlgo: node.AlgoIndex, BufferPages: bufferPages},
 			workload.TwoRel{Fanout: PaperN}, v)
 		if err != nil {
 			return Grid{}, err
@@ -549,7 +549,7 @@ func SkewSensitivity(l, a int, zipfS float64) (Grid, error) {
 	}
 	for _, v := range extensionVariants {
 		measure := func(zs float64) (int64, error) {
-			c, spec, err := loadTwoRel(cluster.Config{Nodes: l, Algo: node.AlgoIndex}, workload.TwoRel{Fanout: 1, ZipfS: zs}, v)
+			c, spec, err := loadTwoRel(cluster.Config{Nodes: l, JoinAlgo: node.AlgoIndex}, workload.TwoRel{Fanout: 1, ZipfS: zs}, v)
 			if err != nil {
 				return 0, err
 			}
@@ -592,7 +592,7 @@ func StorageTradeoff(l, fanout int) (Grid, error) {
 		{Label: "auxiliary relation", Strategy: catalog.StrategyAuxRel, ClusterB: false},
 		{Label: "global index", Strategy: catalog.StrategyGlobalIndex, ClusterB: false},
 	} {
-		c, _, err := loadTwoRel(cluster.Config{Nodes: l, Algo: node.AlgoIndex}, workload.TwoRel{Fanout: fanout}, v)
+		c, _, err := loadTwoRel(cluster.Config{Nodes: l, JoinAlgo: node.AlgoIndex}, workload.TwoRel{Fanout: fanout}, v)
 		if err != nil {
 			return Grid{}, err
 		}
@@ -637,7 +637,7 @@ func Durability(l, streamLen, ckptEvery int) (Grid, error) {
 	// recovers it: stream I/Os, stream messages, recovery page I/Os.
 	run := func(v Variant, durable bool) (ios, msgs, recoveryPages int64, err error) {
 		c, spec, err := loadTwoRel(cluster.Config{
-			Nodes: l, Algo: node.AlgoIndex, Durability: durable, CheckpointEvery: ckptEvery,
+			Nodes: l, JoinAlgo: node.AlgoIndex, Durability: durable, CheckpointEvery: ckptEvery,
 		}, workload.TwoRel{Fanout: PaperN}, v)
 		if err != nil {
 			return 0, 0, 0, err
@@ -748,7 +748,7 @@ func FaultOverhead(l, streamLen int, rate float64, seed int64) (Grid, error) {
 	// run streams the inserts through the (optionally nil) injector and
 	// returns the stream's metrics plus what repairing fenced nodes cost.
 	run := func(v Variant, inj *fault.Injector) (m cluster.Metrics, repairsReplayed, recoveryPages int64, err error) {
-		c, spec, err := loadTwoRel(cluster.Config{Nodes: l, Algo: node.AlgoIndex, Faults: inj, RetryAttempts: 8},
+		c, spec, err := loadTwoRel(cluster.Config{Nodes: l, JoinAlgo: node.AlgoIndex, Faults: inj, RetryAttempts: 8},
 			workload.TwoRel{Fanout: PaperN}, v)
 		if err != nil {
 			return m, 0, 0, err

@@ -103,7 +103,7 @@ func TestMeasuredTWMatchesModel(t *testing.T) {
 // plan of A: the view's compiled chain plus A's auxiliary-structure upkeep.
 func compiledTW(t *testing.T, l int, v Variant) float64 {
 	t.Helper()
-	c, _, err := loadTwoRel(cluster.Config{Nodes: l, Algo: node.AlgoIndex}, workload.TwoRel{Fanout: PaperN}, v)
+	c, _, err := loadTwoRel(cluster.Config{Nodes: l, JoinAlgo: node.AlgoIndex}, workload.TwoRel{Fanout: PaperN}, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestReplicationWriteAmplification(t *testing.T) {
 // compaction, so flushing an epoch made only of such pairs does no
 // maintenance I/O at all and sends nothing.
 func TestAsyncCancelledPairsCostNothing(t *testing.T) {
-	c, err := newCluster(cluster.Config{Nodes: 8, Algo: node.AlgoIndex, AsyncMaintenance: true})
+	c, err := newCluster(cluster.Config{Nodes: 8, JoinAlgo: node.AlgoIndex, AsyncMaintenance: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func Hotpath(l, rounds, rows int) (Grid, error) {
 		Header: []string{"L", "method", "reads", "stmts", "tw-ios", "maxnode-ios", "msgs", "base rows read", "view rows read"},
 	}
 	cell := func(v Variant, mode string) error {
-		c, err := newCluster(cluster.Config{Nodes: l, Algo: node.AlgoIndex, LockedReads: mode == "locked"})
+		c, err := newCluster(cluster.Config{Nodes: l, JoinAlgo: node.AlgoIndex, LockedReads: mode == "locked"})
 		if err != nil {
 			return err
 		}

@@ -153,7 +153,7 @@ func ManyViews(l, statements int, counts []int) (Grid, error) {
 // stream's metrics with the modeled shared total workload of its
 // delta-join chains.
 func manyViewsRun(l, nviews, statements int) (cluster.Metrics, float64, error) {
-	c, err := newCluster(cluster.Config{Nodes: l, Algo: node.AlgoIndex})
+	c, err := newCluster(cluster.Config{Nodes: l, JoinAlgo: node.AlgoIndex})
 	if err != nil {
 		return cluster.Metrics{}, 0, err
 	}

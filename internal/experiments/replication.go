@@ -33,7 +33,7 @@ func Replication(l, statements int, ks []int) (Grid, error) {
 	cell := func(k int) error {
 		inj := fault.New(fault.Config{Seed: 11})
 		c, err := newCluster(cluster.Config{
-			Nodes: l, Algo: node.AlgoIndex, Faults: inj, RetryAttempts: 3, ReplicationFactor: k,
+			Nodes: l, JoinAlgo: node.AlgoIndex, Faults: inj, RetryAttempts: 3, ReplicationFactor: k,
 		})
 		if err != nil {
 			return err

@@ -306,18 +306,25 @@ func routeStep(env Env, step plan.Step, cur []types.Tuple, keyIdx int, algo node
 	return gatherProbed(resps), len(calls), nil
 }
 
+// giStepWorkers bounds the goroutines of one global-index step. Each runs
+// one lookup-then-fetch chain at a time, so it is also the bound on the
+// step's calls in flight; at 16 it matches the TCP link's connection cap
+// per destination.
+const giStepWorkers = 16
+
 // globalIndexStep implements Figure 6: per intermediate tuple, route to the
 // global-index home node, look up global row ids, and fetch-join at the K
 // nodes holding matches.
 func globalIndexStep(env Env, step plan.Step, cur []types.Tuple, keyIdx int) ([]types.Tuple, int, error) {
 	// One scatter task per delta tuple: the lookup-then-fetch chain of a
 	// tuple is inherently sequential (the fetch targets come out of the
-	// lookup), but distinct tuples are independent. Per-tuple results and
-	// probed-node sets land in delta order, so the gathered output is
+	// lookup), but distinct tuples are independent. They run on at most
+	// giStepWorkers goroutines, whatever the delta's size. Per-tuple results
+	// and probed-node sets land in delta order, so the gathered output is
 	// identical to the serial loop's.
 	outs := make([][]types.Tuple, len(cur))
 	probed := make([][]int, len(cur))
-	err := netsim.ScatterFunc(env.Parallel, len(cur), func(i int) error {
+	err := netsim.ScatterFunc(env.Parallel, len(cur), giStepWorkers, func(i int) error {
 		d := cur[i]
 		home := env.Cat.Partitioner().NodeFor(d[keyIdx])
 		resp, err := env.T.Call(netsim.Coordinator, home, node.GILookup{GI: step.GI, Val: d[keyIdx]})

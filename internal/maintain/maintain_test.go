@@ -1,7 +1,10 @@
 package maintain
 
 import (
+	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"joinview/internal/catalog"
 	"joinview/internal/hashpart"
@@ -186,6 +189,64 @@ func TestStepTraceNodesProbed(t *testing.T) {
 	}
 	if res.Steps[0].NodesProbed < 1 || res.Steps[0].NodesProbed > 2 {
 		t.Errorf("GI probed %d nodes, want K in [1,2]", res.Steps[0].NodesProbed)
+	}
+}
+
+// inFlight wraps a transport and records the most calls it ever had in
+// flight at once. Each call holds its slot a little while, so calls that
+// can overlap do.
+type inFlight struct {
+	netsim.Transport
+	cur, max atomic.Int64
+}
+
+func (f *inFlight) Call(from, to int, req any) (any, error) {
+	n := f.cur.Add(1)
+	defer f.cur.Add(-1)
+	for m := f.max.Load(); n > m && !f.max.CompareAndSwap(m, n); m = f.max.Load() {
+	}
+	time.Sleep(50 * time.Microsecond)
+	return f.Transport.Call(from, to, req)
+}
+
+// TestGlobalIndexStepBoundsCallsInFlight: a 1,000-row global-index step
+// dispatched in parallel keeps at most giStepWorkers calls in flight, and
+// gathers exactly the serial step's output, in the same order.
+func TestGlobalIndexStepBoundsCallsInFlight(t *testing.T) {
+	te := newTestEnv(t, 4, catalog.StrategyGlobalIndex)
+	var bRows [][2]int64
+	for k := int64(0); k < 50; k++ {
+		bRows = append(bRows, [2]int64{k, 10 * k}, [2]int64{k, 10*k + 1})
+	}
+	te.loadB(t, bRows)
+	delta := make([]types.Tuple, 1000)
+	for i := range delta {
+		delta[i] = types.Tuple{types.Int(int64(i % 100)), types.Int(int64(i))}
+	}
+	p := te.plan(t, catalog.StrategyGlobalIndex)
+	want, _, err := ComputeViewDelta(te.env, p, delta, node.AlgoIndex)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	handlers := make([]netsim.Handler, len(te.nodes))
+	for i, n := range te.nodes {
+		handlers[i] = n.Handler()
+	}
+	ch := netsim.NewChan(handlers)
+	t.Cleanup(ch.Close)
+	rec := &inFlight{Transport: ch}
+	env := te.env
+	env.T, env.Parallel = rec, true
+	got, _, err := ComputeViewDelta(env, p, delta, node.AlgoIndex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 1000 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("parallel step gathered %d rows, serial %d (want 1000, equal in order)", len(got), len(want))
+	}
+	if m := rec.max.Load(); m < 2 || m > giStepWorkers {
+		t.Errorf("%d calls in flight at most, want 2..%d", m, giStepWorkers)
 	}
 }
 

@@ -284,7 +284,7 @@ func (s *Stack) Concurrent() bool { return s.link.Concurrent() && s.cfg.Inject =
 func (s *Stack) Broadcast(from int, req any) ([]any, error) {
 	n := s.NumNodes()
 	out, errs := make([]any, n), make([]error, n)
-	_ = ScatterFunc(s.Concurrent(), n, func(to int) error {
+	_ = ScatterFunc(s.Concurrent(), n, n, func(to int) error {
 		resp, err := s.Call(from, to, req)
 		if err != nil {
 			errs[to] = fmt.Errorf("netsim: broadcast to node %d: %w", to, err)

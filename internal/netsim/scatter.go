@@ -1,6 +1,9 @@
 package netsim
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // This file is the coordinator's scatter-gather dispatcher: a
 // parallel-for over per-node work with deterministic gather semantics.
@@ -24,13 +27,16 @@ type Call struct {
 
 // ScatterFunc runs fn(0..n-1). Serial mode (parallel=false, or n<2)
 // executes in order and stops at the first error, exactly like the loop
-// it replaces. Parallel mode runs every index on its own goroutine (n is
-// a node count or a delta's row count per statement), waits for all of
-// them, and returns the lowest-index error (later indexes still ran —
-// whatever tracks applied work for rollback must therefore see every
-// success, not only the prefix; the cluster's statement scope records at
-// the delivery layer, under each call).
-func ScatterFunc(parallel bool, n int, fn func(i int) error) error {
+// it replaces. Parallel mode runs the indexes on min(n, workers)
+// goroutines, each taking the next index not yet started, so a per-node
+// fan-out passes its node count and gets one goroutine per node, while a
+// per-row fan-out passes a constant and starts no more goroutines than
+// that however large its input. It waits for every index and returns the
+// lowest-index error (later indexes still ran — whatever tracks applied
+// work for rollback must therefore see every success, not only the
+// prefix; the cluster's statement scope records at the delivery layer,
+// under each call).
+func ScatterFunc(parallel bool, n, workers int, fn func(i int) error) error {
 	if !parallel || n < 2 {
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {
@@ -40,13 +46,16 @@ func ScatterFunc(parallel bool, n int, fn func(i int) error) error {
 		return nil
 	}
 	errs := make([]error, n)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for w := min(max(workers, 1), n); w > 0; w-- {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			errs[i] = fn(i)
-		}(i)
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				errs[i] = fn(i)
+			}
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -64,7 +73,7 @@ func ScatterFunc(parallel bool, n int, fn func(i int) error) error {
 // failure.
 func ScatterCalls(t Transport, parallel bool, calls []Call) ([]any, error) {
 	out := make([]any, len(calls))
-	err := ScatterFunc(parallel, len(calls), func(i int) error {
+	err := ScatterFunc(parallel, len(calls), len(calls), func(i int) error {
 		resp, err := t.Call(calls[i].From, calls[i].To, calls[i].Req)
 		if err != nil {
 			return err

@@ -91,6 +91,9 @@ func (n *DataNode) ResetPoolStats() {
 // ID returns the node id.
 func (n *DataNode) ID() int { return n.id }
 
+// MemPages returns the node's sort memory M in pages.
+func (n *DataNode) MemPages() int { return n.memPages }
+
 // Meter returns the node's I/O meter.
 func (n *DataNode) Meter() *storage.Meter { return n.meter }
 

@@ -10,25 +10,26 @@ import (
 // Algo selects the join algorithm for a Probe.
 type Algo uint8
 
-// Join algorithm choices.
+// Join algorithm choices. AlgoAuto is the zero value, so an unset
+// algorithm keeps the per-node cost crossover.
 const (
-	// AlgoIndex uses index nested loops via the best local access path.
-	AlgoIndex Algo = iota
-	// AlgoSortMerge uses the sort-merge cost model of §3.2.
-	AlgoSortMerge
 	// AlgoAuto picks whichever the local cost estimate says is cheaper,
 	// mirroring "if |A| is large enough ... sort merge is preferable".
-	AlgoAuto
+	AlgoAuto Algo = iota
+	// AlgoIndex uses index nested loops via the best local access path.
+	AlgoIndex
+	// AlgoSortMerge uses the sort-merge cost model of §3.2.
+	AlgoSortMerge
 )
 
 func (a Algo) String() string {
 	switch a {
+	case AlgoAuto:
+		return "auto"
 	case AlgoIndex:
 		return "index"
 	case AlgoSortMerge:
 		return "sort-merge"
-	case AlgoAuto:
-		return "auto"
 	default:
 		return "unknown"
 	}

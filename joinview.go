@@ -25,8 +25,6 @@
 package joinview
 
 import (
-	"time"
-
 	"joinview/internal/catalog"
 	"joinview/internal/cluster"
 	"joinview/internal/expr"
@@ -145,125 +143,20 @@ func And(terms ...Expr) Expr { return expr.And{Terms: terms} }
 // True is the always-true predicate (DELETE without WHERE).
 var True Expr = expr.And{}
 
-// Options configures a database.
-type Options struct {
-	// Nodes is the number of data-server nodes L (required, >= 1).
-	Nodes int
-	// PageRows is tuples per page for the I/O cost accounting
-	// (default 10).
-	PageRows int
-	// MemPages is the per-node sort memory M in pages (default 10, the
-	// paper's value).
-	MemPages int
-	// UseChannels runs each node as its own goroutine with channel
-	// message passing; the default is the deterministic in-process
-	// transport.
-	UseChannels bool
-	// UseTCP runs each node behind a real loopback TCP listener, its
-	// messages framed in the link's own envelope codec (mutually exclusive
-	// with UseChannels).
-	UseTCP bool
-	// LockedReads disables MVCC snapshot reads: every read holds shared
-	// lock claims on what it reads, queueing behind concurrent writers.
-	// Snapshot reads are on by default wherever statements overlap — iff
-	// the delivery stack is concurrent: UseChannels or UseTCP with no fault
-	// injector installed (DESIGN.md "Parallel execution").
-	LockedReads bool
-	// JoinAlgo pins the maintenance join algorithm; by default (JoinAuto)
-	// each node applies the paper's §3.2 cost crossover.
-	JoinAlgo JoinAlgo
-	// BufferPages attaches a per-node LRU buffer pool of that many pages
-	// (0 disables caching simulation). With a pool, Metrics additionally
-	// reports physical I/O — the §3.3 buffering effect.
-	BufferPages int
-	// NetLatency delays every inter-node message by at least this duration,
-	// on any transport: makes the SEND cost the analytical model
-	// neglects visible in wall-clock. Implemented as a sleep, so values
-	// below the OS timer granularity (about 1 ms on Linux) still cost about
-	// 1 ms per message.
-	NetLatency time.Duration
-	// CallTimeout bounds each coordinator-to-node call, on any transport; a
-	// stuck node surfaces as a retryable timeout instead of hanging the
-	// statement.
-	CallTimeout time.Duration
-	// RetryAttempts is the number of delivery attempts per call before
-	// the coordinator gives up and rolls the statement back (default 3).
-	RetryAttempts int
-	// RetryBackoff is the base sleep between attempts, doubled each retry
-	// (default 0: retry immediately, which keeps simulations fast).
-	RetryBackoff time.Duration
-	// RetryBackoffMax caps the exponential backoff delay (default 1s).
-	RetryBackoffMax time.Duration
-	// RetrySeed seeds the deterministic backoff jitter (default 1).
-	RetrySeed int64
-	// Faults wires a fault injector into the transport for chaos testing:
-	// build one with NewFaultInjector, Arm it when the storm should start,
-	// and use Crash/Restart plus DB.Recover to exercise node failures.
-	Faults *FaultInjector
-	// Durability gives every node a write-ahead log and checkpoint area and
-	// runs each DML statement under presumed-abort two-phase commit; the
-	// transaction (id, participants, undo log) belongs to the statement,
-	// the coordinator keeps only the id counter and the decision log. A
-	// crashed node (CrashNode) loses its volatile state and recovers from
-	// its checkpoint plus log tail (RestartNode / Recover) instead of a
-	// full derived-fragment rebuild. Durable statements overlap, and serve
-	// snapshot reads, exactly as non-durable ones on the same link.
-	Durability bool
-	// CheckpointEvery takes an automatic per-node checkpoint after that
-	// many redo records (0: only explicit Checkpoint calls).
-	CheckpointEvery int
-	// BreakerThreshold enables the per-node circuit breaker: after that
-	// many consecutive exhausted delivery attempts to one node, further
-	// calls to it fail fast with ErrSuspect instead of burning the retry
-	// budget. Recover closes the breaker. Zero disables it.
-	BreakerThreshold int
-	// AsyncMaintenance defers each DML statement's maintenance into a
-	// group-commit queue: the statement validates, resolves its victims
-	// and enqueues its logical delta (durably, under Durability); a flush
-	// epoch later compacts the queue — insert/delete pairs cancel,
-	// repeated keys collapse — and applies one batched pipeline run per
-	// table. Reads pick their staleness with ReadView; Flush drains on
-	// demand. Off by default: synchronous mode is unchanged.
-	AsyncMaintenance bool
-	// EpochSize flushes automatically whenever at least this many deferred
-	// statements are queued (0 disables the depth trigger).
-	EpochSize int
-	// FlushInterval flushes automatically on this wall-clock period (0
-	// disables the timer). With both triggers zero, only Flush, ReadFresh
-	// reads, transactions and DDL drain the queue.
-	FlushInterval time.Duration
-	// MaxQueueDepth bounds the deferred-statement count: at the bound new
-	// writers fail with ErrOverload (or wait, with OverloadBlock). 0 means
-	// unbounded.
-	MaxQueueDepth int
-	// MaxStaleness bounds the age of the oldest deferred statement the
-	// same way. 0 means unbounded.
-	MaxStaleness time.Duration
-	// OverloadBlock makes overloaded writers wait for the flusher to catch
-	// up instead of failing with ErrOverload.
-	OverloadBlock bool
-	// ReplicationFactor keeps K copies of every hash slot's data: each
-	// slot gets K-1 follower nodes holding synchronously mirrored shadow
-	// copies of its base, auxiliary-relation, global-index and view rows.
-	// When a node dies, reads and DML fail over to the followers with no
-	// partial results and no lost statements; ReplicateRepair restores
-	// full strength online. 0 or 1 (the default) disables replication and
-	// leaves every code path byte-identical to the unreplicated engine.
-	// Requires ReplicationFactor <= Nodes. Elasticity (AddNode,
-	// RebalanceNode, DecommissionNode) moves a slot's owner and keeps its
-	// followers.
-	ReplicationFactor int
-}
+// Options configures a database. It is cluster.Config, whose doc comments
+// describe every field; the zero value of each field but Nodes is its
+// default.
+type Options = cluster.Config
 
 // JoinAlgo selects the local join algorithm of maintenance probes.
-type JoinAlgo uint8
+type JoinAlgo = node.Algo
 
 // Join algorithms. JoinAuto is the zero value, so an unset Options.JoinAlgo
 // keeps the per-node cost crossover.
 const (
-	JoinAuto JoinAlgo = iota
-	JoinIndex
-	JoinSortMerge
+	JoinAuto      = node.AlgoAuto
+	JoinIndex     = node.AlgoIndex
+	JoinSortMerge = node.AlgoSortMerge
 )
 
 // Fault-injection surface, re-exported from the internal fault package.
@@ -333,40 +226,7 @@ type DB struct {
 
 // Open creates a database with empty catalog and storage.
 func Open(opts Options) (*DB, error) {
-	algo := node.AlgoAuto
-	switch opts.JoinAlgo {
-	case JoinIndex:
-		algo = node.AlgoIndex
-	case JoinSortMerge:
-		algo = node.AlgoSortMerge
-	}
-	c, err := cluster.New(cluster.Config{
-		Nodes:             opts.Nodes,
-		PageRows:          opts.PageRows,
-		MemPages:          opts.MemPages,
-		UseChannels:       opts.UseChannels,
-		UseTCP:            opts.UseTCP,
-		LockedReads:       opts.LockedReads,
-		Algo:              algo,
-		BufferPages:       opts.BufferPages,
-		NetLatency:        opts.NetLatency,
-		CallTimeout:       opts.CallTimeout,
-		RetryAttempts:     opts.RetryAttempts,
-		RetryBackoff:      opts.RetryBackoff,
-		RetryBackoffMax:   opts.RetryBackoffMax,
-		RetrySeed:         opts.RetrySeed,
-		Faults:            opts.Faults,
-		Durability:        opts.Durability,
-		CheckpointEvery:   opts.CheckpointEvery,
-		BreakerThreshold:  opts.BreakerThreshold,
-		AsyncMaintenance:  opts.AsyncMaintenance,
-		EpochSize:         opts.EpochSize,
-		FlushInterval:     opts.FlushInterval,
-		MaxQueueDepth:     opts.MaxQueueDepth,
-		MaxStaleness:      opts.MaxStaleness,
-		OverloadBlock:     opts.OverloadBlock,
-		ReplicationFactor: opts.ReplicationFactor,
-	})
+	c, err := cluster.New(opts)
 	if err != nil {
 		return nil, err
 	}
