@@ -608,7 +608,7 @@ func (c *Cluster) RefreshStats(table string) error {
 // cluster fails with a node-down error, so derived computations never
 // silently run over partial inputs.
 func (c *Cluster) gather(frag string) ([]types.Tuple, error) {
-	resps, err := c.tr.Broadcast(netsim.Coordinator, node.AllRows{Frag: frag})
+	resps, err := c.tr.Broadcast(netsim.Coordinator, node.Scan{Frag: frag, Unmetered: true})
 	if err != nil {
 		return nil, err
 	}

@@ -232,7 +232,7 @@ func (c *Cluster) createGlobalIndex(b *catalog.Builder, sc *stmtScope, spec *cat
 	// Per source node: read (row id, tuple) pairs, then batch entries to
 	// each global-index home node.
 	for src := 0; src < c.NumNodes(); src++ {
-		resp, err := sc.Call(netsim.Coordinator, src, node.ScanWithRows{Frag: spec.Table})
+		resp, err := sc.Call(netsim.Coordinator, src, node.Scan{Frag: spec.Table, Unmetered: true})
 		if err != nil {
 			return err
 		}

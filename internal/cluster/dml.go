@@ -244,7 +244,7 @@ func (c *Cluster) apply(cat *catalog.Catalog, st *stmt) error {
 // paper's model does not charge victim location, but a real system reads
 // the relation).
 func (c *Cluster) findVictims(table string, pred expr.Expr) ([]types.Tuple, []located, error) {
-	resps, err := c.tr.Broadcast(netsim.Coordinator, node.FindMatching{Frag: table, Pred: pred})
+	resps, err := c.tr.Broadcast(netsim.Coordinator, node.Scan{Frag: table, Pred: pred})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -42,7 +42,7 @@ func assertElasticConsistent(t *testing.T, c *Cluster, label string) {
 // nodeRows scans one node's fragment directly (test-only backdoor).
 func nodeRows(t *testing.T, c *Cluster, n int, frag string) []types.Tuple {
 	t.Helper()
-	resp, err := c.rawCall(n, node.ScanWithRows{Frag: frag})
+	resp, err := c.rawCall(n, node.Scan{Frag: frag, Unmetered: true})
 	if err != nil {
 		t.Fatalf("scan node %d frag %s: %v", n, frag, err)
 	}

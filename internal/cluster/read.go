@@ -95,10 +95,7 @@ func (rs *readScope) epoch(frag string) uint64 {
 func (rs *readScope) rows(frag string, metered bool) ([]types.Tuple, error) {
 	c := rs.c
 	epoch := rs.epoch(frag)
-	var req any = node.AllRows{Frag: frag, Epoch: epoch}
-	if metered {
-		req = node.Scan{Frag: frag, Epoch: epoch}
-	}
+	req := node.Scan{Frag: frag, Epoch: epoch, Unmetered: !metered}
 	_, degraded := c.firstDown()
 	if !degraded || c.replServesComplete() {
 		if degraded {

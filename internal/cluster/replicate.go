@@ -646,7 +646,7 @@ func (c *Cluster) replStatus() (failedOver, stale []int, repair *ReplRepairStatu
 // is nothing on the node for them to touch.
 func emptyRespFor(req any) any {
 	switch req.(type) {
-	case node.AllRows, node.Scan, node.ScanWithRows, node.FindMatching, node.LocateMatch:
+	case node.Scan, node.LocateMatch:
 		return node.RowsResult{}
 	case node.Probe, node.FetchJoin:
 		return node.Probed{}
@@ -658,8 +658,6 @@ func emptyRespFor(req any) any {
 		return node.GIScanResult{}
 	case node.GILookup:
 		return node.GIRows{}
-	case node.GILen:
-		return node.GILenResult{}
 	case node.GIDeleteBatch:
 		return node.GIDeletedBatch{}
 	case node.FragInfo:

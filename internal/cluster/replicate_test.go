@@ -130,7 +130,7 @@ func checkReplicaConsistency(t testing.TB, c *Cluster) {
 			if c.isDown(n) {
 				continue
 			}
-			resp, err := c.rawDeliver(n, node.AllRows{Frag: frag})
+			resp, err := c.rawDeliver(n, node.Scan{Frag: frag, Unmetered: true})
 			if err != nil {
 				t.Fatalf("read %q at node %d: %v", frag, n, err)
 			}
@@ -147,7 +147,7 @@ func checkReplicaConsistency(t testing.TB, c *Cluster) {
 			for s := range follows[f] {
 				want = append(want, slotRows[s]...)
 			}
-			resp, err := c.rawDeliver(f, node.AllRows{Frag: shadowName(frag)})
+			resp, err := c.rawDeliver(f, node.Scan{Frag: shadowName(frag), Unmetered: true})
 			if err != nil {
 				t.Fatalf("read %q at node %d: %v", shadowName(frag), f, err)
 			}
@@ -579,7 +579,7 @@ func TestReplicaShadowRollback(t *testing.T) {
 				if c.isDown(n) {
 					continue
 				}
-				resp, rerr := c.rawDeliver(n, node.AllRows{Frag: frag})
+				resp, rerr := c.rawDeliver(n, node.Scan{Frag: frag, Unmetered: true})
 				if rerr != nil {
 					t.Fatalf("%s: read %q at node %d: %v", stage, frag, n, rerr)
 				}
@@ -851,5 +851,59 @@ func TestRecoverWithReportReplicated(t *testing.T) {
 			}
 			checkReplicaConsistency(t, c)
 		})
+	}
+}
+
+// TestEmptyRespForMatchesLiveNode: the response a failed-over node is
+// answered with has the type a live node gives, for every request that is
+// neither mutating nor transaction or recovery control. A new read request
+// type fails here until it gets a case below.
+func TestEmptyRespForMatchesLiveNode(t *testing.T) {
+	n := node.New(0, 10)
+	schema := types.NewSchema(types.Column{Name: "k", Kind: types.KindInt})
+	for _, req := range []any{
+		node.CreateFragment{Name: "f", Schema: schema, PageRows: 4},
+		node.CreateGlobalIndex{Name: "g"},
+		node.Insert{Frag: "f", Tuples: []types.Tuple{{types.Int(1)}, {types.Int(2)}}},
+	} {
+		if _, err := n.Handle(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	one := []types.Tuple{{types.Int(1)}}
+	reads := []any{
+		node.Ping{},
+		node.Scan{Frag: "f"},
+		node.Scan{Frag: "f", Unmetered: true},
+		node.Scan{Frag: "f", Pred: expr.Cmp{Op: expr.EQ, L: expr.Col{Name: "k"}, R: expr.Const{V: types.Int(1)}}},
+		node.LocateMatch{Frag: "f", HintCol: "k", Tuples: one},
+		node.Probe{Frag: "f", FragCol: "k", Delta: one, Algo: node.AlgoIndex},
+		node.FetchJoin{Frag: "f", FragCol: "k", Delta: one[0]},
+		node.GILookup{GI: "g", Val: types.Int(1)},
+		node.GIScan{GI: "g"},
+		node.FragInfo{Frag: "f"},
+		node.FragInfo{Frag: "g", GI: true},
+	}
+	control := map[string]bool{
+		"node.Seq": true, "node.SeqQuery": true, "node.Prepare": true, "node.Decide": true,
+		"node.ResolveAbort": true, "node.InDoubtReq": true, "node.CheckpointReq": true,
+		"node.CrashReq": true, "node.RestartReq": true,
+	}
+	covered := map[string]bool{}
+	for _, req := range reads {
+		covered[fmt.Sprintf("%T", req)] = true
+		live, err := n.Handle(req)
+		if err != nil {
+			t.Fatalf("%+v: %v", req, err)
+		}
+		if got := emptyRespFor(req); fmt.Sprintf("%T", got) != fmt.Sprintf("%T", live) {
+			t.Errorf("%+v: emptyRespFor gives %T, a live node %T", req, got, live)
+		}
+	}
+	for _, req := range node.AllRequests() {
+		name := fmt.Sprintf("%T", req)
+		if !node.IsMutating(req) && !control[name] && !covered[name] {
+			t.Errorf("read request %s has no case here", name)
+		}
 	}
 }

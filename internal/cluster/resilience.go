@@ -742,7 +742,7 @@ func (c *Cluster) rebuildGIFrag(cat *catalog.Catalog, gi fragSpec, n int) (int64
 	}
 	ci := base.Schema.MustColIndex(gi.GICol)
 	for src := 0; src < c.NumNodes(); src++ {
-		resp, err := c.rawDeliver(src, node.ScanWithRows{Frag: base.Name})
+		resp, err := c.rawDeliver(src, node.Scan{Frag: base.Name, Unmetered: true})
 		if err != nil {
 			return pages, err
 		}

@@ -23,7 +23,6 @@ func TestInverseCoversAllMutatingRequests(t *testing.T) {
 		reflect.TypeOf(node.Insert{}):        node.InsertResult{Rows: []storage.RowID{1}},
 		reflect.TypeOf(node.DeleteRows{}):    node.DeleteResult{Rows: []storage.RowID{1}, Tuples: []types.Tuple{{types.Int(1)}}},
 		reflect.TypeOf(node.DeleteMatch{}):   node.DeleteResult{Rows: []storage.RowID{1}, Tuples: []types.Tuple{{types.Int(1)}}},
-		reflect.TypeOf(node.GIDelete{}):      node.GIDeleted{OK: true},
 		reflect.TypeOf(node.GIDeleteBatch{}): node.GIDeletedBatch{OK: []bool{true}},
 	}
 	// Populated stand-ins where the zero value cannot produce an inverse

@@ -186,7 +186,7 @@ func (s fragSpec) scanReq(name string) any {
 	if s.GI {
 		return node.GIScan{GI: name}
 	}
-	return node.ScanWithRows{Frag: name}
+	return node.Scan{Frag: name, Unmetered: true}
 }
 
 // moveReq moves the elements of the given hash slots from the node-local

@@ -76,7 +76,7 @@ func (c *Cluster) StorageReport() (StorageReport, error) {
 	var rep StorageReport
 	add := func(name, kind string, cols int) error {
 		rows, pages := 0, 0
-		resps, err := c.tr.Broadcast(netsim.Coordinator, node.FragInfo{Frag: name})
+		resps, err := c.tr.Broadcast(netsim.Coordinator, node.FragInfo{Frag: name, GI: kind == "globalindex"})
 		if err != nil {
 			return err
 		}
@@ -99,15 +99,9 @@ func (c *Cluster) StorageReport() (StorageReport, error) {
 			}
 		}
 		for _, gi := range cat.GlobalIndexesFor(name) {
-			rows := 0
-			resps, err := c.tr.Broadcast(netsim.Coordinator, node.GILen{GI: gi.Name})
-			if err != nil {
+			if err := add(gi.Name, "globalindex", 2); err != nil {
 				return rep, err
 			}
-			for _, r := range resps {
-				rows += r.(node.GILenResult).Len
-			}
-			rep.Entries = append(rep.Entries, StorageEntry{Name: gi.Name, Kind: "globalindex", Rows: rows, Cols: 2})
 		}
 	}
 	for _, name := range cat.Views() {
@@ -160,7 +154,7 @@ func (c *Cluster) CheckAuxRelConsistency(name string) error {
 	pi := ar.Schema.MustColIndex(ar.PartitionCol)
 	part := rs.cat.Partitioner()
 	for n := 0; n < c.NumNodes(); n++ {
-		resp, err := c.call(n, node.AllRows{Frag: name, Epoch: rs.epoch(name)})
+		resp, err := c.call(n, node.Scan{Frag: name, Epoch: rs.epoch(name), Unmetered: true})
 		if err != nil {
 			return err
 		}
@@ -204,7 +198,7 @@ func (c *Cluster) CheckGlobalIndexConsistency(name string) error {
 	}
 	baseRows := map[loc]types.Value{}
 	for n := 0; n < c.NumNodes(); n++ {
-		resp, err := c.call(n, node.ScanWithRows{Frag: gi.Table})
+		resp, err := c.call(n, node.Scan{Frag: gi.Table, Unmetered: true})
 		if err != nil {
 			return err
 		}

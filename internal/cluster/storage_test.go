@@ -148,7 +148,7 @@ func TestCheckersCatchCorruption(t *testing.T) {
 	}
 	// Corrupt the GI: dangling entry.
 	giHome := c.Catalog().Partitioner().NodeFor(types.Int(555))
-	if _, err := c.call(giHome, node.GIInsert{GI: "gi_oc", Val: types.Int(555), G: storage.GlobalRowID{Node: 63, Row: 1234}}); err != nil {
+	if _, err := c.call(giHome, node.GIInsertBatch{GI: "gi_oc", Vals: []types.Value{types.Int(555)}, Gs: []storage.GlobalRowID{{Node: 63, Row: 1234}}, Metered: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.CheckGlobalIndexConsistency("gi_oc"); err == nil {

@@ -106,10 +106,7 @@ func (te *testEnv) loadB(t *testing.T, rows [][2]int64) {
 		if _, err := te.env.T.Call(netsim.Coordinator, arHome, node.Insert{Frag: "ar_b_k", Tuples: []types.Tuple{tup}}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := te.env.T.Call(netsim.Coordinator, arHome, node.GIInsert{
-			GI: "gi_b_k", Val: types.Int(r[0]),
-			G: mkGRID(home, row),
-		}); err != nil {
+		if _, err := te.env.T.Call(netsim.Coordinator, arHome, node.GIInsertBatch{GI: "gi_b_k", Vals: []types.Value{types.Int(r[0])}, Gs: []storage.GlobalRowID{mkGRID(home, row)}, Metered: true}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -286,7 +283,7 @@ func TestApplyToViewInsertDelete(t *testing.T) {
 
 func (te *testEnv) countView(t *testing.T) int {
 	t.Helper()
-	resps, err := te.env.T.Broadcast(netsim.Coordinator, node.AllRows{Frag: "v"})
+	resps, err := te.env.T.Broadcast(netsim.Coordinator, node.Scan{Frag: "v", Unmetered: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ import (
 //
 // A message's tag is its type's position in messages plus one, and 0 is
 // nil; the same tags mark the interfaces nested in a message (Seq.Req,
-// SeqQueryResult.Resp). The expr.Expr trees inside FindMatching are tagged
+// SeqQueryResult.Resp). The expr.Expr trees inside Scan.Pred are tagged
 // the same way by their position in exprs. Fields follow in declaration
 // order: integers as varints, floats as their IEEE-754 bits, strings as a
 // length and bytes, and rows and values in the types row format
@@ -42,7 +42,7 @@ import (
 // speaks, then a plain string (the payload of the link contract's tests).
 var messages = append(append(node.AllRequests(), node.AllResponses()...), "")
 
-// exprs is the tag table of the predicate nodes in a FindMatching tree.
+// exprs is the tag table of the predicate nodes in a Scan.Pred tree.
 var exprs = []any{expr.Col{}, expr.Const{}, expr.Cmp{}, expr.And{}, expr.Or{}, expr.Not{}}
 
 const (
@@ -259,15 +259,11 @@ func (w *writer) rowIDs(rs []storage.RowID) {
 	}
 }
 
-func (w *writer) gid(g storage.GlobalRowID) {
-	w.varint(int64(g.Node))
-	w.uvarint(uint64(g.Row))
-}
-
 func (w *writer) gids(gs []storage.GlobalRowID) {
 	w.uvarint(uint64(len(gs)))
 	for _, g := range gs {
-		w.gid(g)
+		w.varint(int64(g.Node))
+		w.uvarint(uint64(g.Row))
 	}
 }
 
@@ -469,17 +465,6 @@ func (w *writer) message(m any, depth int) {
 			w.rowIDs(m.Rows)
 			w.tuple(m.Delta)
 		})
-	case node.FindMatching:
-		put(w, m, func(w *writer, m node.FindMatching) {
-			w.str(m.Frag)
-			w.expr(m.Pred, depth+1)
-		})
-	case node.GIInsert:
-		put(w, m, func(w *writer, m node.GIInsert) {
-			w.str(m.GI)
-			w.value(m.Val)
-			w.gid(m.G)
-		})
 	case node.GIInsertBatch:
 		put(w, m, func(w *writer, m node.GIInsertBatch) {
 			w.str(m.GI)
@@ -487,12 +472,6 @@ func (w *writer) message(m any, depth int) {
 			w.gids(m.Gs)
 			w.bool(m.Metered)
 			w.int32s(m.Sources)
-		})
-	case node.GIDelete:
-		put(w, m, func(w *writer, m node.GIDelete) {
-			w.str(m.GI)
-			w.value(m.Val)
-			w.gid(m.G)
 		})
 	case node.GIDeleteBatch:
 		put(w, m, func(w *writer, m node.GIDeleteBatch) {
@@ -506,10 +485,6 @@ func (w *writer) message(m any, depth int) {
 			w.str(m.GI)
 			w.value(m.Val)
 		})
-	case node.GILen:
-		put(w, m, func(w *writer, m node.GILen) {
-			w.str(m.GI)
-		})
 	case node.GIScan:
 		put(w, m, func(w *writer, m node.GIScan) {
 			w.str(m.GI)
@@ -518,15 +493,8 @@ func (w *writer) message(m any, depth int) {
 		put(w, m, func(w *writer, m node.Scan) {
 			w.str(m.Frag)
 			w.uvarint(m.Epoch)
-		})
-	case node.AllRows:
-		put(w, m, func(w *writer, m node.AllRows) {
-			w.str(m.Frag)
-			w.uvarint(m.Epoch)
-		})
-	case node.ScanWithRows:
-		put(w, m, func(w *writer, m node.ScanWithRows) {
-			w.str(m.Frag)
+			w.expr(m.Pred, depth+1)
+			w.bool(m.Unmetered)
 		})
 	case node.AggApply:
 		put(w, m, func(w *writer, m node.AggApply) {
@@ -570,11 +538,8 @@ func (w *writer) message(m any, depth int) {
 	case node.FragInfo:
 		put(w, m, func(w *writer, m node.FragInfo) {
 			w.str(m.Frag)
+			w.bool(m.GI)
 		})
-	case node.MeterSnapshot:
-		w.tag(tagOf[node.MeterSnapshot](messages))
-	case node.ResetMeter:
-		w.tag(tagOf[node.ResetMeter](messages))
 	case node.Prepare:
 		put(w, m, func(w *writer, m node.Prepare) {
 			w.uvarint(m.TID)
@@ -617,17 +582,9 @@ func (w *writer) message(m any, depth int) {
 		put(w, m, func(w *writer, m node.Probed) {
 			w.tuples(m.Tuples)
 		})
-	case node.GIDeleted:
-		put(w, m, func(w *writer, m node.GIDeleted) {
-			w.bool(m.OK)
-		})
 	case node.GIDeletedBatch:
 		put(w, m, func(w *writer, m node.GIDeletedBatch) {
 			w.bools(m.OK)
-		})
-	case node.GILenResult:
-		put(w, m, func(w *writer, m node.GILenResult) {
-			w.int(m.Len)
 		})
 	case node.GIScanResult:
 		put(w, m, func(w *writer, m node.GIScanResult) {
@@ -673,16 +630,6 @@ func (w *writer) message(m any, depth int) {
 			w.int(m.LogPagesRead)
 			w.int(m.RecordsReplayed)
 			w.u64s(m.InDoubt)
-		})
-	case storage.Counts:
-		put(w, m, func(w *writer, m storage.Counts) {
-			w.varint(m.Searches)
-			w.varint(m.Fetches)
-			w.varint(m.Inserts)
-			w.varint(m.Deletes)
-			w.varint(m.ScanPages)
-			w.varint(m.SortPages)
-			w.varint(m.LogPages)
 		})
 	case node.Ack:
 		put(w, m, func(w *writer, m node.Ack) {
@@ -871,10 +818,6 @@ func (r *reader) rowIDs() []storage.RowID {
 	return rs
 }
 
-func (r *reader) gid() storage.GlobalRowID {
-	return storage.GlobalRowID{Node: r.int32(), Row: storage.RowID(r.uvarint())}
-}
-
 func (r *reader) gids() []storage.GlobalRowID {
 	n := r.count(2)
 	if n == 0 {
@@ -882,7 +825,7 @@ func (r *reader) gids() []storage.GlobalRowID {
 	}
 	gs := make([]storage.GlobalRowID, n)
 	for i := range gs {
-		gs[i] = r.gid()
+		gs[i] = storage.GlobalRowID{Node: r.int32(), Row: storage.RowID(r.uvarint())}
 	}
 	return gs
 }
@@ -1072,21 +1015,9 @@ func decoderOf(zero any) func(r *reader, depth int) any {
 		return func(r *reader, depth int) any {
 			return node.FetchJoin{Frag: r.str(), FragCol: r.str(), Rows: r.rowIDs(), Delta: r.tuple()}
 		}
-	case node.FindMatching:
-		return func(r *reader, depth int) any {
-			return node.FindMatching{Frag: r.str(), Pred: r.expr(depth + 1)}
-		}
-	case node.GIInsert:
-		return func(r *reader, depth int) any {
-			return node.GIInsert{GI: r.str(), Val: r.value(), G: r.gid()}
-		}
 	case node.GIInsertBatch:
 		return func(r *reader, depth int) any {
 			return node.GIInsertBatch{GI: r.str(), Vals: r.values(), Gs: r.gids(), Metered: r.bool(), Sources: r.int32s()}
-		}
-	case node.GIDelete:
-		return func(r *reader, depth int) any {
-			return node.GIDelete{GI: r.str(), Val: r.value(), G: r.gid()}
 		}
 	case node.GIDeleteBatch:
 		return func(r *reader, depth int) any {
@@ -1096,25 +1027,13 @@ func decoderOf(zero any) func(r *reader, depth int) any {
 		return func(r *reader, depth int) any {
 			return node.GILookup{GI: r.str(), Val: r.value()}
 		}
-	case node.GILen:
-		return func(r *reader, depth int) any {
-			return node.GILen{GI: r.str()}
-		}
 	case node.GIScan:
 		return func(r *reader, depth int) any {
 			return node.GIScan{GI: r.str()}
 		}
 	case node.Scan:
 		return func(r *reader, depth int) any {
-			return node.Scan{Frag: r.str(), Epoch: r.uvarint()}
-		}
-	case node.AllRows:
-		return func(r *reader, depth int) any {
-			return node.AllRows{Frag: r.str(), Epoch: r.uvarint()}
-		}
-	case node.ScanWithRows:
-		return func(r *reader, depth int) any {
-			return node.ScanWithRows{Frag: r.str()}
+			return node.Scan{Frag: r.str(), Epoch: r.uvarint(), Pred: r.expr(depth + 1), Unmetered: r.bool()}
 		}
 	case node.AggApply:
 		return func(r *reader, depth int) any {
@@ -1143,12 +1062,8 @@ func decoderOf(zero any) func(r *reader, depth int) any {
 		}
 	case node.FragInfo:
 		return func(r *reader, depth int) any {
-			return node.FragInfo{Frag: r.str()}
+			return node.FragInfo{Frag: r.str(), GI: r.bool()}
 		}
-	case node.MeterSnapshot:
-		return func(*reader, int) any { return node.MeterSnapshot{} }
-	case node.ResetMeter:
-		return func(*reader, int) any { return node.ResetMeter{} }
 	case node.Prepare:
 		return func(r *reader, depth int) any {
 			return node.Prepare{TID: r.uvarint()}
@@ -1187,17 +1102,9 @@ func decoderOf(zero any) func(r *reader, depth int) any {
 		return func(r *reader, depth int) any {
 			return node.Probed{Tuples: r.tuples()}
 		}
-	case node.GIDeleted:
-		return func(r *reader, depth int) any {
-			return node.GIDeleted{OK: r.bool()}
-		}
 	case node.GIDeletedBatch:
 		return func(r *reader, depth int) any {
 			return node.GIDeletedBatch{OK: r.bools()}
-		}
-	case node.GILenResult:
-		return func(r *reader, depth int) any {
-			return node.GILenResult{Len: r.int()}
 		}
 	case node.GIScanResult:
 		return func(r *reader, depth int) any {
@@ -1235,11 +1142,6 @@ func decoderOf(zero any) func(r *reader, depth int) any {
 		return func(r *reader, depth int) any {
 			return node.RestartResult{CheckpointLSN: r.uvarint(), CheckpointPages: r.int(), LogPagesRead: r.int(),
 				RecordsReplayed: r.int(), InDoubt: r.u64s()}
-		}
-	case storage.Counts:
-		return func(r *reader, depth int) any {
-			return storage.Counts{Searches: r.varint(), Fetches: r.varint(), Inserts: r.varint(), Deletes: r.varint(),
-				ScanPages: r.varint(), SortPages: r.varint(), LogPages: r.varint()}
 		}
 	case node.Ack:
 		return func(*reader, int) any { return node.Ack{} }

@@ -238,7 +238,7 @@ func TestCodecEmptySliceArrivesNil(t *testing.T) {
 func TestCodecRefusesUnknownTypes(t *testing.T) {
 	type unregistered struct{ X int }
 	for _, m := range []any{unregistered{1}, 7, node.Seq{Req: unregistered{1}},
-		node.FindMatching{Pred: badExpr{}}, node.SeqQueryResult{Resp: 3.5}} {
+		node.Scan{Pred: badExpr{}}, node.SeqQueryResult{Resp: 3.5}} {
 		var w writer
 		if out, err := w.request(m); err == nil || out != nil {
 			t.Errorf("%#v: got %q, %v; want an error and no frame", m, out, err)
@@ -313,8 +313,8 @@ func TestCodecRejectsTruncatedAndCorrupt(t *testing.T) {
 	huge := []byte{tagOf[node.Insert](messages), 1, 'f', 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}
 	for _, body := range [][]byte{{byte(len(messages) + 1)}, huge,
 		{tagOf[node.Probed](messages), 1, 0xff, 0xff, 0xff, 0x0f, 1}, // one row claiming 2^32 values
-		{tagOf[node.GIDeleted](messages), 2},                         // bool byte 2
-		{tagOf[node.FindMatching](messages), 0, byte(len(exprs) + 1)},
+		{tagOf[node.Scan](messages), 0, 0, 0, 2},                     // Unmetered bool byte 2
+		{tagOf[node.Scan](messages), 0, 0, byte(len(exprs) + 1), 0},  // Pred tag past exprs
 	} {
 		if m, err := decode(body); err == nil {
 			t.Errorf("corrupt body %v decoded as %#v", body, m)

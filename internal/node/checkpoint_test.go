@@ -81,8 +81,8 @@ func TestCheckpointImageUnaffectedByLaterWrites(t *testing.T) {
 		mustHandle(t, n, RestoreRows{Frag: frag, Rows: []storage.RowID{4}, Tuples: []types.Tuple{order(-4, 7)}})
 	}
 	g := storage.GlobalRowID{Node: 0, Row: 4}
-	mustHandle(t, n, GIDelete{GI: "gi", Val: types.Int(4), G: g})
-	mustHandle(t, n, GIInsert{GI: "gi", Val: types.Int(7), G: g})
+	mustHandle(t, n, GIDeleteBatch{GI: "gi", Vals: []types.Value{types.Int(4)}, Gs: []storage.GlobalRowID{g}})
+	mustHandle(t, n, GIInsertBatch{GI: "gi", Vals: []types.Value{types.Int(7)}, Gs: []storage.GlobalRowID{g}, Metered: true})
 	if stateFingerprint(t, n) == before {
 		t.Fatal("the writes left the node unchanged; the test proves nothing")
 	}

@@ -25,7 +25,7 @@ func newDurableNodeWithOrders(t *testing.T) *DataNode {
 
 func ordersContent(t *testing.T, n *DataNode) []types.Tuple {
 	t.Helper()
-	return mustHandle(t, n, AllRows{Frag: "orders"}).(RowsResult).Tuples
+	return mustHandle(t, n, Scan{Frag: "orders", Unmetered: true}).(RowsResult).Tuples
 }
 
 func TestCrashLosesStateUntilRestart(t *testing.T) {
@@ -33,7 +33,7 @@ func TestCrashLosesStateUntilRestart(t *testing.T) {
 	mustHandle(t, n, Seq{ID: 2, Req: Insert{Frag: "orders", Tuples: []types.Tuple{order(1, 5), order(2, 6)}}})
 
 	mustHandle(t, n, CrashReq{})
-	if _, err := n.Handle(AllRows{Frag: "orders"}); err == nil {
+	if _, err := n.Handle(Scan{Frag: "orders", Unmetered: true}); err == nil {
 		t.Fatal("crashed node answered a read")
 	}
 	if _, err := n.Handle(Seq{ID: 3, Req: Insert{Frag: "orders", Tuples: []types.Tuple{order(3, 7)}}}); err == nil {
@@ -88,7 +88,7 @@ func TestReplayPreservesRowIDs(t *testing.T) {
 
 	mustHandle(t, n, CrashReq{})
 	mustHandle(t, n, RestartReq{})
-	rr := mustHandle(t, n, ScanWithRows{Frag: "orders"}).(RowsResult)
+	rr := mustHandle(t, n, Scan{Frag: "orders", Unmetered: true}).(RowsResult)
 	want := map[storage.RowID]bool{ins.Rows[0]: true, ins.Rows[2]: true}
 	got := map[storage.RowID]bool{}
 	for _, row := range rr.Rows {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"joinview/internal/expr"
-	"joinview/internal/storage"
 	"joinview/internal/types"
 )
 
@@ -55,7 +54,7 @@ func randomItemPred(rng *rand.Rand, depth int) expr.Expr {
 	}
 }
 
-// TestFindMatchingMatchesFilter: the FindMatching handler returns the rows
+// TestFindMatchingMatchesFilter: a predicate Scan returns the rows
 // and tuples a full read filtered by expr.Matches returns, in the same
 // order, fails exactly when that filter meets an evaluation error, and
 // charges one scan page per page either way.
@@ -71,7 +70,7 @@ func TestFindMatchingMatchesFilter(t *testing.T) {
 			tuples[i] = types.Tuple{randomItemValue(rng, 0), randomItemValue(rng, 1), randomItemValue(rng, 2)}
 		}
 		mustHandle(t, n, Insert{Frag: "items", Tuples: tuples})
-		all := mustHandle(t, n, ScanWithRows{Frag: "items"}).(RowsResult)
+		all := mustHandle(t, n, Scan{Frag: "items", Unmetered: true}).(RowsResult)
 		pages := int64((len(tuples) + 2) / 3)
 		for p := 0; p < 30; p++ {
 			pred := randomItemPred(rng, 2)
@@ -88,8 +87,8 @@ func TestFindMatchingMatchesFilter(t *testing.T) {
 					want.Tuples = append(want.Tuples, tup)
 				}
 			}
-			mustHandle(t, n, ResetMeter{})
-			resp, err := n.Handle(FindMatching{Frag: "items", Pred: pred})
+			resetMeter(n)
+			resp, err := n.Handle(Scan{Frag: "items", Pred: pred})
 			if (err != nil) != (wantErr != nil) || (err != nil && err.Error() != wantErr.Error()) {
 				t.Fatalf("seed %d, %s: error %v, want %v", seed, pred, err, wantErr)
 			}
@@ -101,7 +100,7 @@ func TestFindMatchingMatchesFilter(t *testing.T) {
 			if err == nil && !reflect.DeepEqual(resp.(RowsResult), want) {
 				t.Fatalf("seed %d, %s (cluster %q):\ngot  %+v\nwant %+v", seed, pred, cluster, resp, want)
 			}
-			if c := mustHandle(t, n, MeterSnapshot{}).(storage.Counts); c.ScanPages != pages || c.IOs() != pages {
+			if c := n.Meter().Snapshot(); c.ScanPages != pages || c.IOs() != pages {
 				t.Fatalf("seed %d, %s: charged %+v, want %d scan pages", seed, pred, c, pages)
 			}
 		}

@@ -312,14 +312,6 @@ func (n *DataNode) Handle(req any) (any, error) {
 	case FetchJoin:
 		return n.fetchJoin(r)
 
-	case GIInsert:
-		g, err := n.gi(r.GI)
-		if err != nil {
-			return nil, err
-		}
-		g.Insert(r.Val, r.G)
-		return Ack{}, nil
-
 	case GIInsertBatch:
 		g, err := n.gi(r.GI)
 		if err != nil {
@@ -351,44 +343,12 @@ func (n *DataNode) Handle(req any) (any, error) {
 		}
 		return res, nil
 
-	case FindMatching:
-		f, err := n.frag(r.Frag)
-		if err != nil {
-			return nil, err
-		}
-		res := RowsResult{}
-		err = f.ScanWhere(expr.Cols(r.Pred, f.Schema()), func(t types.Tuple) (bool, error) {
-			return expr.Matches(r.Pred, f.Schema(), t)
-		}, func(row storage.RowID, t types.Tuple) bool {
-			res.Rows = append(res.Rows, row)
-			res.Tuples = append(res.Tuples, t)
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-		return res, nil
-
-	case GIDelete:
-		g, err := n.gi(r.GI)
-		if err != nil {
-			return nil, err
-		}
-		return GIDeleted{OK: g.Delete(r.Val, r.G)}, nil
-
 	case GILookup:
 		g, err := n.gi(r.GI)
 		if err != nil {
 			return nil, err
 		}
 		return GIRows{IDs: g.Lookup(r.Val)}, nil
-
-	case GILen:
-		g, err := n.gi(r.GI)
-		if err != nil {
-			return nil, err
-		}
-		return GILenResult{Len: g.Len()}, nil
 
 	case GIScan:
 		g, err := n.gi(r.GI)
@@ -404,38 +364,7 @@ func (n *DataNode) Handle(req any) (any, error) {
 		return res, nil
 
 	case Scan:
-		f, err := n.frag(r.Frag)
-		if err != nil {
-			return nil, err
-		}
-		res := RowsResult{Tuples: make([]types.Tuple, 0, f.Len())}
-		f.SnapshotScan(r.Epoch, func(_ storage.RowID, t types.Tuple) bool {
-			res.Tuples = append(res.Tuples, t)
-			return true
-		})
-		return res, nil
-
-	case AllRows:
-		f, err := n.frag(r.Frag)
-		if err != nil {
-			return nil, err
-		}
-		return RowsResult{Tuples: f.SnapshotAll(r.Epoch)}, nil
-
-	case ScanWithRows:
-		f, err := n.frag(r.Frag)
-		if err != nil {
-			return nil, err
-		}
-		// Unmetered: DDL (global-index builds) and delete-victim location
-		// are charged at a higher level where the paper's model does.
-		res := RowsResult{}
-		f.ScanUnmetered(func(row storage.RowID, t types.Tuple) bool {
-			res.Rows = append(res.Rows, row)
-			res.Tuples = append(res.Tuples, t)
-			return true
-		})
-		return res, nil
+		return n.scan(r)
 
 	case AggApply:
 		return n.aggApply(r)
@@ -504,6 +433,13 @@ func (n *DataNode) Handle(req any) (any, error) {
 		return GIScrubbed{Removed: len(vals)}, nil
 
 	case FragInfo:
+		if r.GI {
+			g, err := n.gi(r.Frag)
+			if err != nil {
+				return nil, err
+			}
+			return FragInfoResult{Len: g.Len()}, nil
+		}
 		f, err := n.frag(r.Frag)
 		if err != nil {
 			return nil, err
@@ -542,17 +478,42 @@ func (n *DataNode) Handle(req any) (any, error) {
 	case RestartReq:
 		return n.restart()
 
-	case MeterSnapshot:
-		return n.meter.Snapshot(), nil
-
-	case ResetMeter:
-		n.meter.Reset()
-		n.pool.ResetStats()
-		return Ack{}, nil
-
 	default:
 		return nil, fmt.Errorf("node %d: unknown request type %T", n.id, req)
 	}
+}
+
+// scan answers the one read request (see Scan for its three modes).
+func (n *DataNode) scan(r Scan) (any, error) {
+	f, err := n.frag(r.Frag)
+	if err != nil {
+		return nil, err
+	}
+	var res RowsResult
+	if r.Pred == nil {
+		res = RowsResult{Tuples: make([]types.Tuple, 0, f.Len()), Rows: make([]storage.RowID, 0, f.Len())}
+	}
+	collect := func(row storage.RowID, t types.Tuple) bool {
+		res.Rows = append(res.Rows, row)
+		res.Tuples = append(res.Tuples, t)
+		return true
+	}
+	switch {
+	case r.Pred != nil && (r.Epoch != 0 || r.Unmetered):
+		return nil, fmt.Errorf("node %d: scan of %q: a predicate scan reads the live state, metered", n.id, r.Frag)
+	case r.Pred != nil:
+		err = f.ScanWhere(expr.Cols(r.Pred, f.Schema()), func(t types.Tuple) (bool, error) {
+			return expr.Matches(r.Pred, f.Schema(), t)
+		}, collect)
+	case r.Unmetered:
+		f.ScanUnmetered(r.Epoch, collect)
+	default:
+		f.SnapshotScan(r.Epoch, collect)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 func (n *DataNode) probe(r Probe) (any, error) {
@@ -692,7 +653,7 @@ func (n *DataNode) promoteSlots(r PromoteSlots) (any, error) {
 	want := slotSet(r.Slots)
 	var rows []storage.RowID
 	var tuples []types.Tuple
-	src.ScanUnmetered(func(row storage.RowID, t types.Tuple) bool {
+	src.ScanUnmetered(0, func(row storage.RowID, t types.Tuple) bool {
 		if r.PartIdx < 0 || r.PartIdx >= len(t) {
 			return true
 		}

@@ -1,8 +1,10 @@
 package node
 
 import (
+	"reflect"
 	"testing"
 
+	"joinview/internal/expr"
 	"joinview/internal/storage"
 	"joinview/internal/types"
 )
@@ -19,6 +21,12 @@ func newNodeWithOrders(t *testing.T, clusterCol string) *DataNode {
 		t.Fatal(err)
 	}
 	return n
+}
+
+// resetMeter zeroes the node's I/O counters and buffer-pool statistics.
+func resetMeter(n *DataNode) {
+	n.Meter().Reset()
+	n.ResetPoolStats()
 }
 
 func mustHandle(t *testing.T, n *DataNode, req any) any {
@@ -88,7 +96,7 @@ func TestDeleteRowsAndMatch(t *testing.T) {
 func TestProbeIndex(t *testing.T) {
 	n := newNodeWithOrders(t, "custkey")
 	mustHandle(t, n, Insert{Frag: "orders", Tuples: []types.Tuple{order(1, 5), order(2, 5), order(3, 6)}})
-	mustHandle(t, n, ResetMeter{})
+	resetMeter(n)
 	delta := []types.Tuple{{types.Int(5), types.Int(100)}}
 	res := mustHandle(t, n, Probe{Frag: "orders", FragCol: "custkey", Delta: delta, DeltaKey: 0, Algo: AlgoIndex}).(Probed)
 	if len(res.Tuples) != 2 {
@@ -98,7 +106,7 @@ func TestProbeIndex(t *testing.T) {
 	if len(res.Tuples[0]) != 4 || res.Tuples[0][3].I != 5 {
 		t.Errorf("probe output shape wrong: %v", res.Tuples[0])
 	}
-	c := mustHandle(t, n, MeterSnapshot{}).(storage.Counts)
+	c := n.Meter().Snapshot()
 	if c.Searches != 1 {
 		t.Errorf("index probe charged %+v, want 1 search", c)
 	}
@@ -120,23 +128,23 @@ func TestProbeSortMergeAndAuto(t *testing.T) {
 		tuples[i] = order(int64(i), int64(i%10))
 	}
 	mustHandle(t, n, Insert{Frag: "orders", Tuples: tuples})
-	mustHandle(t, n, ResetMeter{})
+	resetMeter(n)
 
 	delta := []types.Tuple{{types.Int(3), types.Int(0)}}
 	res := mustHandle(t, n, Probe{Frag: "orders", FragCol: "custkey", Delta: delta, DeltaKey: 0, Algo: AlgoSortMerge}).(Probed)
 	if len(res.Tuples) != 20 {
 		t.Fatalf("sort-merge probe = %d tuples", len(res.Tuples))
 	}
-	c := mustHandle(t, n, MeterSnapshot{}).(storage.Counts)
+	c := n.Meter().Snapshot()
 	// 200 rows / 10 per page = 20 pages, clustered on join col -> scan.
 	if c.ScanPages != 20 || c.SortPages != 0 {
 		t.Errorf("sort-merge on clustered charged %+v", c)
 	}
 
 	// Auto with one delta tuple picks index (1 search < 20-page scan).
-	mustHandle(t, n, ResetMeter{})
+	resetMeter(n)
 	mustHandle(t, n, Probe{Frag: "orders", FragCol: "custkey", Delta: delta, DeltaKey: 0, Algo: AlgoAuto})
-	c = mustHandle(t, n, MeterSnapshot{}).(storage.Counts)
+	c = n.Meter().Snapshot()
 	if c.Searches != 1 || c.ScanPages != 0 {
 		t.Errorf("auto should pick index for 1 delta tuple: %+v", c)
 	}
@@ -146,9 +154,9 @@ func TestProbeSortMergeAndAuto(t *testing.T) {
 	for i := range bigDelta {
 		bigDelta[i] = types.Tuple{types.Int(int64(i % 10)), types.Int(0)}
 	}
-	mustHandle(t, n, ResetMeter{})
+	resetMeter(n)
 	mustHandle(t, n, Probe{Frag: "orders", FragCol: "custkey", Delta: bigDelta, DeltaKey: 0, Algo: AlgoAuto})
-	c = mustHandle(t, n, MeterSnapshot{}).(storage.Counts)
+	c = n.Meter().Snapshot()
 	if c.ScanPages != 20 || c.Searches != 0 {
 		t.Errorf("auto should pick sort-merge for 100 delta tuples: %+v", c)
 	}
@@ -162,23 +170,31 @@ func TestGlobalIndexOps(t *testing.T) {
 	}
 	g1 := storage.GlobalRowID{Node: 1, Row: 10}
 	g2 := storage.GlobalRowID{Node: 2, Row: 20}
-	mustHandle(t, n, GIInsert{GI: "gi", Val: types.Int(7), G: g1})
-	mustHandle(t, n, GIInsert{GI: "gi", Val: types.Int(7), G: g2})
+	seven := []types.Value{types.Int(7)}
+	mustHandle(t, n, GIInsertBatch{GI: "gi", Vals: seven, Gs: []storage.GlobalRowID{g1}, Metered: true})
+	mustHandle(t, n, GIInsertBatch{GI: "gi", Vals: seven, Gs: []storage.GlobalRowID{g2}, Metered: true})
+	if c := n.Meter().Snapshot(); c.Inserts != 2 {
+		t.Errorf("two metered single-entry batches charged %+v, want 2 inserts", c)
+	}
 	rows := mustHandle(t, n, GILookup{GI: "gi", Val: types.Int(7)}).(GIRows)
 	if len(rows.IDs) != 2 {
 		t.Fatalf("GILookup = %v", rows)
 	}
-	del := mustHandle(t, n, GIDelete{GI: "gi", Val: types.Int(7), G: g1}).(GIDeleted)
-	if !del.OK {
-		t.Error("GIDelete should succeed")
+	if info := mustHandle(t, n, FragInfo{Frag: "gi", GI: true}).(FragInfoResult); info != (FragInfoResult{Len: 2}) {
+		t.Errorf("FragInfo of a global index = %+v, want 2 entries and no pages", info)
 	}
-	del = mustHandle(t, n, GIDelete{GI: "gi", Val: types.Int(7), G: g1}).(GIDeleted)
-	if del.OK {
-		t.Error("double GIDelete should report false")
+	del := mustHandle(t, n, GIDeleteBatch{GI: "gi", Vals: seven, Gs: []storage.GlobalRowID{g1}}).(GIDeletedBatch)
+	if len(del.OK) != 1 || !del.OK[0] {
+		t.Errorf("GIDeleteBatch = %v, want the entry removed", del.OK)
 	}
-	for _, req := range []any{GIInsert{GI: "x"}, GIDelete{GI: "x"}, GILookup{GI: "x"}} {
+	del = mustHandle(t, n, GIDeleteBatch{GI: "gi", Vals: seven, Gs: []storage.GlobalRowID{g1}}).(GIDeletedBatch)
+	if len(del.OK) != 1 || del.OK[0] {
+		t.Errorf("double GIDeleteBatch = %v, want the entry reported absent", del.OK)
+	}
+	for _, req := range []any{GIInsertBatch{GI: "x"}, GIDeleteBatch{GI: "x"}, GILookup{GI: "x"},
+		FragInfo{Frag: "x", GI: true}, FragInfo{Frag: "gi"}} {
 		if _, err := n.Handle(req); err == nil {
-			t.Errorf("%T on missing GI should fail", req)
+			t.Errorf("%+v on a missing structure should fail", req)
 		}
 	}
 }
@@ -187,13 +203,13 @@ func TestFetchJoinCosts(t *testing.T) {
 	// Non-clustered: one FETCH per row.
 	n := newNodeWithOrders(t, "")
 	ins := mustHandle(t, n, Insert{Frag: "orders", Tuples: []types.Tuple{order(1, 5), order(2, 5), order(3, 5)}}).(InsertResult)
-	mustHandle(t, n, ResetMeter{})
+	resetMeter(n)
 	delta := types.Tuple{types.Int(5), types.Int(0)}
 	res := mustHandle(t, n, FetchJoin{Frag: "orders", FragCol: "custkey", Rows: ins.Rows, Delta: delta}).(Probed)
 	if len(res.Tuples) != 3 || len(res.Tuples[0]) != 4 {
 		t.Fatalf("FetchJoin = %v", res.Tuples)
 	}
-	c := mustHandle(t, n, MeterSnapshot{}).(storage.Counts)
+	c := n.Meter().Snapshot()
 	if c.Fetches != 3 {
 		t.Errorf("non-clustered fetch-join charged %+v, want 3 fetches", c)
 	}
@@ -201,9 +217,9 @@ func TestFetchJoinCosts(t *testing.T) {
 	// Distributed clustered: matching rows share a page.
 	nc := newNodeWithOrders(t, "custkey")
 	ins = mustHandle(t, nc, Insert{Frag: "orders", Tuples: []types.Tuple{order(1, 5), order(2, 5), order(3, 5)}}).(InsertResult)
-	mustHandle(t, nc, ResetMeter{})
+	resetMeter(nc)
 	mustHandle(t, nc, FetchJoin{Frag: "orders", FragCol: "custkey", Rows: ins.Rows, Delta: delta})
-	c = mustHandle(t, nc, MeterSnapshot{}).(storage.Counts)
+	c = nc.Meter().Snapshot()
 	if c.Fetches != 1 {
 		t.Errorf("clustered fetch-join charged %+v, want 1 fetch", c)
 	}
@@ -217,34 +233,71 @@ func TestFetchJoinCosts(t *testing.T) {
 	}
 }
 
+// TestScansAndMeterRequests covers every mode of the one read request.
+// Metered reads charge exactly the fragment's pages as scan I/O and touch
+// each page once; unmetered reads charge nothing and touch no buffer page.
+// Every mode at one epoch returns the same tuples under the same row ids,
+// a match-all predicate returns the live state, a predicate with an epoch
+// or without metering is refused, and a missing fragment fails.
 func TestScansAndMeterRequests(t *testing.T) {
-	n := newNodeWithOrders(t, "")
-	mustHandle(t, n, Insert{Frag: "orders", Tuples: []types.Tuple{order(1, 5), order(2, 6)}})
-	mustHandle(t, n, ResetMeter{})
-	sc := mustHandle(t, n, Scan{Frag: "orders"}).(RowsResult)
-	if len(sc.Tuples) != 2 {
-		t.Fatalf("Scan = %v", sc)
+	n := New(0, 10)
+	n.SetBufferPages(64)
+	mustHandle(t, n, CreateFragment{Name: "orders", Schema: ordersSchema, PageRows: 10})
+	tuples := make([]types.Tuple, 25)
+	for i := range tuples {
+		tuples[i] = order(int64(i), int64(i%3))
 	}
-	c := mustHandle(t, n, MeterSnapshot{}).(storage.Counts)
-	if c.ScanPages != 1 {
-		t.Errorf("Scan charged %+v", c)
+	ins := mustHandle(t, n, Insert{Frag: "orders", Tuples: tuples, Epoch: 1}).(InsertResult)
+	// A delete after epoch 1 makes that snapshot differ from the live state.
+	mustHandle(t, n, DeleteRows{Frag: "orders", Rows: ins.Rows[:1], Epoch: 2})
+	pages := int64(mustHandle(t, n, FragInfo{Frag: "orders"}).(FragInfoResult).Pages)
+	if pages < 2 {
+		t.Fatalf("fragment spans %d pages; the test needs several", pages)
 	}
-	mustHandle(t, n, ResetMeter{})
-	all := mustHandle(t, n, AllRows{Frag: "orders"}).(RowsResult)
-	if len(all.Tuples) != 2 {
-		t.Fatalf("AllRows = %v", all)
+
+	all := expr.Cmp{Op: expr.GE, L: expr.Col{Name: "orderkey"}, R: expr.Const{V: types.Int(0)}}
+	want := map[uint64]int{0: len(tuples) - 1, 1: len(tuples)}
+	var first map[uint64]RowsResult
+	for _, unmetered := range []bool{false, true} {
+		got := map[uint64]RowsResult{}
+		for _, epoch := range []uint64{0, 1} {
+			resetMeter(n)
+			rr := mustHandle(t, n, Scan{Frag: "orders", Epoch: epoch, Unmetered: unmetered}).(RowsResult)
+			c, ps := n.Meter().Snapshot(), n.PoolStatsSnapshot()
+			switch {
+			case unmetered && (c.IOs() != 0 || ps.Hits+ps.Misses != 0):
+				t.Errorf("unmetered scan at epoch %d charged %+v and touched %+v", epoch, c, ps)
+			case !unmetered && (c.ScanPages != pages || c.IOs() != pages || ps.Hits+ps.Misses != pages):
+				t.Errorf("metered scan at epoch %d charged %+v and touched %+v, want %d pages", epoch, c, ps, pages)
+			}
+			if len(rr.Tuples) != want[epoch] || len(rr.Rows) != len(rr.Tuples) {
+				t.Fatalf("scan at epoch %d (unmetered %v): %d tuples, %d rows, want %d", epoch, unmetered, len(rr.Tuples), len(rr.Rows), want[epoch])
+			}
+			got[epoch] = rr
+		}
+		if first == nil {
+			first = got
+		} else if !reflect.DeepEqual(got, first) {
+			t.Errorf("unmetered scans %+v differ from metered %+v", got, first)
+		}
 	}
-	withRows := mustHandle(t, n, ScanWithRows{Frag: "orders"}).(RowsResult)
-	if len(withRows.Rows) != 2 || len(withRows.Tuples) != 2 {
-		t.Fatalf("ScanWithRows = %v", withRows)
+
+	resetMeter(n)
+	matched := mustHandle(t, n, Scan{Frag: "orders", Pred: all}).(RowsResult)
+	if c := n.Meter().Snapshot(); c.ScanPages != pages || c.IOs() != pages {
+		t.Errorf("predicate scan charged %+v, want %d scan pages", c, pages)
 	}
-	c = mustHandle(t, n, MeterSnapshot{}).(storage.Counts)
-	if c.IOs() != 0 {
-		t.Errorf("AllRows/ScanWithRows must be unmetered, charged %+v", c)
+	if !reflect.DeepEqual(matched, first[0]) {
+		t.Errorf("match-all predicate scan %+v differs from the live scan %+v", matched, first[0])
 	}
-	for _, req := range []any{Scan{Frag: "ghost"}, AllRows{Frag: "ghost"}, ScanWithRows{Frag: "ghost"}} {
+
+	for _, req := range []Scan{
+		{Frag: "orders", Pred: all, Epoch: 1},
+		{Frag: "orders", Pred: all, Unmetered: true},
+		{Frag: "ghost"}, {Frag: "ghost", Unmetered: true}, {Frag: "ghost", Pred: all},
+	} {
 		if _, err := n.Handle(req); err == nil {
-			t.Errorf("%T on missing fragment should fail", req)
+			t.Errorf("%+v should fail", req)
 		}
 	}
 }
@@ -259,12 +312,12 @@ func TestCreateIndexRequest(t *testing.T) {
 	if _, err := n.Handle(CreateIndex{Frag: "ghost", Name: "ix", Col: "c"}); err == nil {
 		t.Error("index on missing fragment should fail")
 	}
-	mustHandle(t, n, ResetMeter{})
+	resetMeter(n)
 	res := mustHandle(t, n, Probe{Frag: "orders", FragCol: "custkey", Delta: []types.Tuple{{types.Int(5)}}, DeltaKey: 0, Algo: AlgoIndex}).(Probed)
 	if len(res.Tuples) != 1 {
 		t.Fatal("probe via secondary index failed")
 	}
-	c := mustHandle(t, n, MeterSnapshot{}).(storage.Counts)
+	c := n.Meter().Snapshot()
 	if c.Searches != 1 || c.Fetches != 1 {
 		t.Errorf("secondary probe charged %+v", c)
 	}
@@ -289,7 +342,7 @@ func TestAggApply(t *testing.T) {
 	if _, err := apply(1, 2, 5.5); err != nil {
 		t.Fatal(err)
 	}
-	rows := mustHandle(t, n, AllRows{Frag: "av"}).(RowsResult).Tuples
+	rows := mustHandle(t, n, Scan{Frag: "av", Unmetered: true}).(RowsResult).Tuples
 	if len(rows) != 1 || rows[0][1].I != 2 || rows[0][2].F != 5.5 {
 		t.Fatalf("group = %v", rows)
 	}
@@ -297,7 +350,7 @@ func TestAggApply(t *testing.T) {
 	if _, err := apply(1, 1, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	rows = mustHandle(t, n, AllRows{Frag: "av"}).(RowsResult).Tuples
+	rows = mustHandle(t, n, Scan{Frag: "av", Unmetered: true}).(RowsResult).Tuples
 	if rows[0][1].I != 3 || rows[0][2].F != 6 {
 		t.Fatalf("folded group = %v", rows)
 	}
@@ -305,7 +358,7 @@ func TestAggApply(t *testing.T) {
 	if _, err := apply(1, -3, -6); err != nil {
 		t.Fatal(err)
 	}
-	rows = mustHandle(t, n, AllRows{Frag: "av"}).(RowsResult).Tuples
+	rows = mustHandle(t, n, Scan{Frag: "av", Unmetered: true}).(RowsResult).Tuples
 	if len(rows) != 0 {
 		t.Fatalf("group should be gone: %v", rows)
 	}
@@ -365,7 +418,7 @@ func TestUnknownRequest(t *testing.T) {
 		t.Error("Meter nil")
 	}
 	h := n.Handler()
-	if _, err := h(MeterSnapshot{}); err != nil {
+	if _, err := h(Ping{}); err != nil {
 		t.Error("Handler adapter failed")
 	}
 	if (AlgoIndex).String() != "index" || (AlgoSortMerge).String() != "sort-merge" || (AlgoAuto).String() != "auto" || Algo(9).String() != "unknown" {

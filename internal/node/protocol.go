@@ -14,7 +14,7 @@ import (
 func IsMutating(req any) bool {
 	switch req.(type) {
 	case Insert, DeleteRows, DeleteMatch, RestoreRows,
-		GIInsert, GIInsertBatch, GIDelete, GIDeleteBatch, AggApply,
+		GIInsertBatch, GIDeleteBatch, AggApply,
 		CreateFragment, CreateIndex,
 		CreateGlobalIndex, DropFragment, DropGlobalIndexFrag,
 		PromoteSlots, GIPromoteSlots, GIScrubNode:
@@ -55,14 +55,6 @@ func InverseOf(req, resp any) any {
 			return nil
 		}
 		return RestoreRows{Frag: r.Frag, Rows: dr.Rows, Tuples: dr.Tuples, Epoch: r.Epoch}
-	case GIInsert:
-		return GIDelete{GI: r.GI, Val: r.Val, G: r.G}
-	case GIDelete:
-		gd, ok := resp.(GIDeleted)
-		if !ok || !gd.OK {
-			return nil
-		}
-		return GIInsert{GI: r.GI, Val: r.Val, G: r.G}
 	case GIInsertBatch:
 		return GIDeleteBatch{GI: r.GI, Vals: r.Vals, Gs: r.Gs}
 	case GIDeleteBatch:
@@ -186,10 +178,6 @@ func SplitMutation(req, resp any) Mutation {
 		m := Mutation{Class: MirrorSplit, Target: r.Frag, op: opAgg, tuples: r.Keys, deltas: r.Deltas}
 		m.agg = AggApply{HintCol: r.HintCol, GroupLen: r.GroupLen, CountPos: r.CountPos}
 		return m
-	case GIInsert:
-		return giMutation(r.GI, opGIInsert, true, []types.Value{r.Val}, []storage.GlobalRowID{r.G})
-	case GIDelete:
-		return giMutation(r.GI, opGIDelete, true, []types.Value{r.Val}, []storage.GlobalRowID{r.G})
 	case GIInsertBatch:
 		return giMutation(r.GI, opGIInsert, r.Metered, r.Vals, r.Gs)
 	case GIDeleteBatch:
@@ -297,12 +285,11 @@ func AllRequests() []any {
 		Seq{}, SeqQuery{}, Ping{},
 		CreateFragment{}, CreateIndex{}, CreateGlobalIndex{},
 		Insert{}, DeleteRows{}, RestoreRows{}, DeleteMatch{}, LocateMatch{},
-		Probe{}, FetchJoin{}, FindMatching{},
-		GIInsert{}, GIInsertBatch{}, GIDelete{}, GIDeleteBatch{}, GILookup{}, GILen{}, GIScan{},
-		Scan{}, AllRows{}, ScanWithRows{},
+		Probe{}, FetchJoin{}, Scan{},
+		GIInsertBatch{}, GIDeleteBatch{}, GILookup{}, GIScan{},
 		AggApply{}, DropFragment{}, DropGlobalIndexFrag{},
 		PromoteSlots{}, GIPromoteSlots{}, GIScrubNode{},
-		FragInfo{}, MeterSnapshot{}, ResetMeter{},
+		FragInfo{},
 		Prepare{}, Decide{}, ResolveAbort{}, InDoubtReq{},
 		CheckpointReq{}, CrashReq{}, RestartReq{},
 	}
@@ -315,9 +302,9 @@ func AllRequests() []any {
 func AllResponses() []any {
 	return []any{
 		InsertResult{}, DeleteResult{}, RowsResult{}, Probed{},
-		GIDeleted{}, GIDeletedBatch{}, GILenResult{}, GIScanResult{},
+		GIDeletedBatch{}, GIScanResult{},
 		GIRows{}, PromoteResult{}, GIScrubbed{},
 		FragInfoResult{}, SeqQueryResult{}, InDoubtResult{},
-		CheckpointResult{}, RestartResult{}, storage.Counts{}, Ack{},
+		CheckpointResult{}, RestartResult{}, Ack{},
 	}
 }

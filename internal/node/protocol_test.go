@@ -32,8 +32,8 @@ func TestHandleCoversAllRequests(t *testing.T) {
 func TestIsMutatingStable(t *testing.T) {
 	mutating := map[string]bool{
 		"node.Insert": true, "node.DeleteRows": true, "node.DeleteMatch": true,
-		"node.RestoreRows": true, "node.GIInsert": true, "node.GIInsertBatch": true,
-		"node.GIDelete": true, "node.GIDeleteBatch": true, "node.AggApply": true,
+		"node.RestoreRows": true, "node.GIInsertBatch": true,
+		"node.GIDeleteBatch": true, "node.AggApply": true,
 		"node.CreateFragment": true, "node.CreateIndex": true,
 		"node.CreateGlobalIndex": true, "node.DropFragment": true,
 		"node.DropGlobalIndexFrag": true,
@@ -66,8 +66,7 @@ func TestSplitMutationClassifiesEveryMutation(t *testing.T) {
 	want := map[string]MirrorClass{
 		"node.Insert": MirrorSplit, "node.RestoreRows": MirrorSplit,
 		"node.DeleteRows": MirrorSplit, "node.DeleteMatch": MirrorSplit,
-		"node.AggApply": MirrorSplit,
-		"node.GIInsert": MirrorSplit, "node.GIDelete": MirrorSplit,
+		"node.AggApply":      MirrorSplit,
 		"node.GIInsertBatch": MirrorSplit, "node.GIDeleteBatch": MirrorSplit,
 		"node.CreateFragment": MirrorDDL, "node.CreateGlobalIndex": MirrorDDL,
 		"node.DropFragment": MirrorDDL, "node.DropGlobalIndexFrag": MirrorDDL,
@@ -202,8 +201,8 @@ func checkRebuilt(t *testing.T, name string, got any, idxs []int, tuples, deltas
 }
 
 // TestSplitMutationMetering: a copy's insert charges I/O only when both
-// the original did and the sink is metered; single-entry index requests
-// normalize to their batch form.
+// the original did and the sink is metered, for rows and index entries
+// alike; an index delete rebuilds as the same batch.
 func TestSplitMutationMetering(t *testing.T) {
 	all := []int{0}
 	tup := []types.Tuple{{types.Int(1)}}
@@ -216,13 +215,13 @@ func TestSplitMutationMetering(t *testing.T) {
 		{Insert{Frag: "f", Tuples: tup}, true, Insert{Frag: "c", Tuples: tup}},
 		{Insert{Frag: "f", Tuples: tup}, false, Insert{Frag: "c", Tuples: tup, Unmetered: true}},
 		{Insert{Frag: "f", Tuples: tup, Unmetered: true}, true, Insert{Frag: "c", Tuples: tup, Unmetered: true}},
-		{GIInsert{GI: "g", Val: types.Int(5), G: g}, true,
+		{GIInsertBatch{GI: "g", Vals: []types.Value{types.Int(5)}, Gs: []storage.GlobalRowID{g}, Metered: true}, true,
 			GIInsertBatch{GI: "c", Vals: []types.Value{types.Int(5)}, Gs: []storage.GlobalRowID{g}, Metered: true}},
-		{GIInsert{GI: "g", Val: types.Int(5), G: g}, false,
+		{GIInsertBatch{GI: "g", Vals: []types.Value{types.Int(5)}, Gs: []storage.GlobalRowID{g}, Metered: true}, false,
 			GIInsertBatch{GI: "c", Vals: []types.Value{types.Int(5)}, Gs: []storage.GlobalRowID{g}}},
 		{GIInsertBatch{GI: "g", Vals: []types.Value{types.Int(5)}, Gs: []storage.GlobalRowID{g}}, true,
 			GIInsertBatch{GI: "c", Vals: []types.Value{types.Int(5)}, Gs: []storage.GlobalRowID{g}}},
-		{GIDelete{GI: "g", Val: types.Int(5), G: g}, false,
+		{GIDeleteBatch{GI: "g", Vals: []types.Value{types.Int(5)}, Gs: []storage.GlobalRowID{g}}, false,
 			GIDeleteBatch{GI: "c", Vals: []types.Value{types.Int(5)}, Gs: []storage.GlobalRowID{g}}},
 	} {
 		if got := SplitMutation(tc.req, nil).Rebuild("c", "", all, tc.metered); !reflect.DeepEqual(got, tc.want) {
@@ -272,7 +271,8 @@ func TestInverseRoundTrip(t *testing.T) {
 				continue
 			}
 			w.rows, w.tuples = append(w.rows, id), append(w.tuples, all[i])
-			mustHandle(t, w.n, GIInsert{GI: "gi", Val: all[i][1], G: storage.GlobalRowID{Node: 0, Row: id}})
+			mustHandle(t, w.n, GIInsertBatch{GI: "gi", Metered: true,
+				Vals: []types.Value{all[i][1]}, Gs: []storage.GlobalRowID{{Node: 0, Row: id}}})
 		}
 		mustHandle(t, w.n, DeleteRows{Frag: "orders", Rows: w.holes})
 		w.groups = int64(3 + rng.Intn(4))
@@ -317,13 +317,6 @@ func TestInverseRoundTrip(t *testing.T) {
 			victims := append(pick(w.tuples, some(rng, len(w.tuples))), order(999, 9))
 			return DeleteMatch{Frag: "orders", HintCol: "orderkey", Epoch: epoch, Tuples: victims}
 		},
-		"node.GIInsert": func(w *world, rng *rand.Rand) any {
-			return GIInsert{GI: "gi", Val: types.Int(3), G: storage.GlobalRowID{Node: 2, Row: 77}}
-		},
-		"node.GIDelete": func(w *world, rng *rand.Rand) any {
-			val, g := posting(w, rng.Intn(len(w.rows)))
-			return GIDelete{GI: "gi", Val: val, G: g}
-		},
 		"node.GIInsertBatch": func(w *world, rng *rand.Rand) any {
 			return GIInsertBatch{GI: "gi", Metered: true,
 				Vals: []types.Value{types.Int(1), types.Int(8)},
@@ -348,7 +341,7 @@ func TestInverseRoundTrip(t *testing.T) {
 		"node.AggApply": func(w *world, rng *rand.Rand) any {
 			// Fold into one group, drain another to count 0 (the group row
 			// disappears) and create a new one.
-			drained := mustHandle(t, w.n, AllRows{Frag: "agg"}).(RowsResult).Tuples[0]
+			drained := mustHandle(t, w.n, Scan{Frag: "agg", Unmetered: true}).(RowsResult).Tuples[0]
 			grow := (drained[0].I + 1) % w.groups
 			return AggApply{Frag: "agg", HintCol: "v.g", GroupLen: 1, Epoch: epoch,
 				Keys: []types.Tuple{{types.Int(grow)}, {drained[0]}, {types.Int(w.groups)}},

@@ -27,7 +27,7 @@ func stateFingerprint(t *testing.T, n *DataNode, byValue ...string) string {
 	}
 	sort.Strings(frags)
 	for _, name := range frags {
-		rr := mustHandle(t, n, ScanWithRows{Frag: name}).(RowsResult)
+		rr := mustHandle(t, n, Scan{Frag: name, Unmetered: true}).(RowsResult)
 		type row struct {
 			id  storage.RowID
 			tup types.Tuple
@@ -110,16 +110,14 @@ func TestPropertyReplayIdempotent(t *testing.T) {
 					ir := do(Insert{Frag: "orders", Tuples: tuples}).(InsertResult)
 					for i, id := range ir.Rows {
 						rows = append(rows, live{id, tuples[i]})
-						do(GIInsert{GI: "gi_orders", Val: tuples[i][1],
-							G: storage.GlobalRowID{Node: 0, Row: id}})
+						do(GIInsertBatch{GI: "gi_orders", Vals: []types.Value{tuples[i][1]}, Gs: []storage.GlobalRowID{{Node: 0, Row: id}}, Metered: true})
 					}
 				case k < 7 && len(rows) > 0: // delete by row id
 					i := rng.Intn(len(rows))
 					victim := rows[i]
 					rows = append(rows[:i], rows[i+1:]...)
 					do(DeleteRows{Frag: "orders", Rows: []storage.RowID{victim.id}})
-					do(GIDelete{GI: "gi_orders", Val: victim.tup[1],
-						G: storage.GlobalRowID{Node: 0, Row: victim.id}})
+					do(GIDeleteBatch{GI: "gi_orders", Vals: []types.Value{victim.tup[1]}, Gs: []storage.GlobalRowID{{Node: 0, Row: victim.id}}})
 				case k < 8 && len(rows) > 0: // delete by value (victim chosen at the node)
 					i := rng.Intn(len(rows))
 					victim := rows[i]
@@ -127,8 +125,7 @@ func TestPropertyReplayIdempotent(t *testing.T) {
 					dr := do(DeleteMatch{Frag: "orders", HintCol: "orderkey",
 						Tuples: []types.Tuple{victim.tup}}).(DeleteResult)
 					for j, id := range dr.Rows {
-						do(GIDelete{GI: "gi_orders", Val: dr.Tuples[j][1],
-							G: storage.GlobalRowID{Node: 0, Row: id}})
+						do(GIDeleteBatch{GI: "gi_orders", Vals: []types.Value{dr.Tuples[j][1]}, Gs: []storage.GlobalRowID{{Node: 0, Row: id}}})
 					}
 				case k < 9 && rng.Intn(3) == 0: // occasional checkpoint
 					mustHandle(t, n, CheckpointReq{})
@@ -183,8 +180,10 @@ func TestRecoveryLeavesNoVersions(t *testing.T) {
 				t.Errorf("%s: fragment %q keeps %d version records", when, name, l)
 			}
 			for e := uint64(1); e <= 3; e++ {
-				if got := f.SnapshotAll(e); len(got) != len(f.All()) {
-					t.Errorf("%s: fragment %q at epoch %d shows %d rows, live state has %d", when, name, e, len(got), len(f.All()))
+				shown := 0
+				f.ScanUnmetered(e, func(storage.RowID, types.Tuple) bool { shown++; return true })
+				if shown != f.Len() {
+					t.Errorf("%s: fragment %q at epoch %d shows %d rows, live state has %d", when, name, e, shown, f.Len())
 				}
 			}
 		}

@@ -155,20 +155,13 @@ type FetchJoin struct {
 	Delta   types.Tuple
 }
 
-// GIInsert adds an entry to this node's global-index fragment.
-type GIInsert struct {
-	GI  string
-	Val types.Value
-	G   storage.GlobalRowID
-}
-
 // GIInsertBatch adds many entries at once. Two callers use it: DDL
 // backfill (Metered false — charge-free, like every backfill), and batched
-// index maintenance (Metered true — each entry charges the same INSERT
-// cost a standalone GIInsert would). Maintenance batching packs all of a
-// statement's entries for one home node into a single physical envelope;
-// Sources records each entry's logical origin node so the transport keeps
-// the paper's per-entry SEND accounting (see LogicalCounts).
+// index maintenance (Metered true — each entry charges one index INSERT).
+// Maintenance batching packs all of a statement's entries for one home
+// node into a single physical envelope; Sources records each entry's
+// logical origin node so the transport keeps the paper's per-entry SEND
+// accounting (see LogicalCounts).
 type GIInsertBatch struct {
 	GI      string
 	Vals    []types.Value
@@ -183,14 +176,14 @@ type GIInsertBatch struct {
 
 // LogicalCounts implements netsim.Envelope: with Sources set, every entry
 // counts as one SEND from its source node (free when the source is the
-// destination), matching the per-entry GIInsert calls the batch replaces.
+// destination), the paper's one message per index entry.
 func (b GIInsertBatch) LogicalCounts(from, to int) (messages, local int64) {
 	return batchCounts(b.Sources, from, to, len(b.Vals))
 }
 
 // GIDeleteBatch removes many entries at once (batched index maintenance;
-// always metered — each entry charges like a standalone GIDelete). Sources
-// follows the GIInsertBatch convention.
+// always metered — each entry charges one index DELETE). Sources follows
+// the GIInsertBatch convention.
 type GIDeleteBatch struct {
 	GI      string
 	Vals    []types.Value
@@ -228,40 +221,10 @@ func batchCounts(sources []int32, from, to, n int) (messages, local int64) {
 	return messages, local
 }
 
-// FindMatching locates tuples satisfying a predicate, returning row ids and
-// tuples. It charges a full scan (victim location for DELETE/UPDATE reads
-// the relation).
-type FindMatching struct {
-	Frag string
-	Pred expr.Expr
-}
-
-// GIDelete removes an entry from this node's global-index fragment.
-type GIDelete struct {
-	GI  string
-	Val types.Value
-	G   storage.GlobalRowID
-}
-
-// GIDeleted reports whether the entry existed.
-type GIDeleted struct {
-	OK bool
-}
-
 // GILookup finds the global row ids recorded for a value.
 type GILookup struct {
 	GI  string
 	Val types.Value
-}
-
-// GILen asks for the entry count of this node's global-index fragment.
-type GILen struct {
-	GI string
-}
-
-// GILenResult reports a fragment's entry count.
-type GILenResult struct {
-	Len int
 }
 
 // GIScan reads every entry of this node's global-index fragment,
@@ -281,31 +244,36 @@ type GIRows struct {
 	IDs []storage.GlobalRowID
 }
 
-// Scan reads a whole fragment, charging scan I/O.
+// Scan reads a fragment: every row visible at Epoch, or with Pred set the
+// live rows that satisfy it. It is the node's one read, and it answers
+// RowsResult with the row ids beside the tuples.
+//
+//   - Metered, no Pred: charges one scan I/O per page and touches every
+//     page in the buffer pool (query reads).
+//   - Metered, Pred: the same charge; each row decodes only the columns
+//     Pred names, and only matches decode whole (DELETE/UPDATE victim
+//     location).
+//   - Unmetered: charges nothing and touches no page (DDL backfill,
+//     global-index builds, verification).
+//
+// A Pred with Epoch != 0 or with Unmetered is refused: no caller reads a
+// filtered snapshot or filters for free.
 type Scan struct {
 	Frag string
 	// Epoch selects the MVCC snapshot to read: the state after all
 	// mutations stamped <= Epoch. 0 reads the live state (identical
 	// behaviour and metering to the pre-MVCC engine).
-	Epoch uint64
+	Epoch     uint64
+	Pred      expr.Expr
+	Unmetered bool
 }
 
-// AllRows reads a whole fragment without charging I/O (DDL backfill,
-// verification).
-type AllRows struct {
-	Frag string
-	// Epoch: see Scan.
-	Epoch uint64
-}
+// FindMatching is Scan under the name the benchmark harness's
+// node.find_matching_us probe still builds (FindMatching{Frag, Pred}): a
+// metered predicate scan. It has no tag and no case of its own.
+type FindMatching = Scan
 
-// ScanWithRows reads a whole fragment without charging I/O, returning row
-// ids alongside tuples (used to build global indexes and locate delete
-// victims).
-type ScanWithRows struct {
-	Frag string
-}
-
-// RowsResult carries tuples (and, for ScanWithRows, their row ids).
+// RowsResult carries tuples and their row ids (parallel slices).
 type RowsResult struct {
 	Tuples []types.Tuple
 	Rows   []storage.RowID
@@ -385,9 +353,12 @@ type GIScrubbed struct {
 	Removed int
 }
 
-// FragInfo asks for fragment size information.
+// FragInfo asks for the size of a fragment, or with GI set of a
+// global-index fragment: its entry count, with Pages 0 (the §3.1 model
+// treats an entry list as one page).
 type FragInfo struct {
 	Frag string
+	GI   bool
 }
 
 // FragInfoResult reports fragment size.
@@ -511,12 +482,6 @@ type RestartResult struct {
 	RecordsReplayed int
 	InDoubt         []uint64
 }
-
-// MeterSnapshot asks for the node's I/O counters.
-type MeterSnapshot struct{}
-
-// ResetMeter zeroes the node's I/O counters.
-type ResetMeter struct{}
 
 // Ack is the empty success response.
 type Ack struct{}

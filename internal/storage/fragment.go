@@ -461,8 +461,9 @@ func (f *Fragment) scanRaw(fn func(RowID, types.Tuple) bool) {
 	})
 }
 
-// All returns every tuple in layout order without charging I/O. It exists
-// for tests and reference recomputation; metered code paths use Scan.
+// All returns every tuple in layout order without charging I/O or touching
+// the buffer pool. A metered caller charges and touches the pages itself,
+// as exec.SortMerge does before it reads.
 func (f *Fragment) All() []types.Tuple {
 	out := make([]types.Tuple, 0, f.Len())
 	f.scanRaw(func(_ RowID, t types.Tuple) bool {

@@ -15,12 +15,15 @@ func (f *Fragment) InsertUnmetered(t types.Tuple) (RowID, error) {
 	return row, nil
 }
 
-// GetUnmetered fetches one tuple by row id without charging I/O. Callers
-// that batch-fetch (the global-index maintenance path) charge the meter
-// themselves with page-accurate costs; see node.FetchJoin.
-// ScanUnmetered visits every tuple with its row id in layout order without
-// charging I/O (DDL backfill, global-index builds, verification).
-func (f *Fragment) ScanUnmetered(fn func(RowID, types.Tuple) bool) {
+// ScanUnmetered visits every tuple visible at the given epoch with its row
+// id, in SnapshotScan's order, without charging I/O or touching the buffer
+// pool (DDL backfill, global-index builds, failover, verification). Epoch 0
+// reads the live state.
+func (f *Fragment) ScanUnmetered(epoch uint64, fn func(RowID, types.Tuple) bool) {
+	if ov := f.snapshotOverrides(epoch); ov != nil {
+		f.snapshotRaw(ov, fn)
+		return
+	}
 	f.scanRaw(fn)
 }
 

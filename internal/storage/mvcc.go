@@ -138,21 +138,6 @@ func (f *Fragment) SnapshotScan(epoch uint64, fn func(RowID, types.Tuple) bool) 
 	f.snapshotRaw(ov, fn)
 }
 
-// SnapshotAll returns every tuple visible at the epoch without charging I/O
-// (the AllRows verification path).
-func (f *Fragment) SnapshotAll(epoch uint64) []types.Tuple {
-	ov := f.snapshotOverrides(epoch)
-	if ov == nil {
-		return f.All()
-	}
-	out := make([]types.Tuple, 0, f.Len())
-	f.snapshotRaw(ov, func(_ RowID, t types.Tuple) bool {
-		out = append(out, t)
-		return true
-	})
-	return out
-}
-
 func (f *Fragment) snapshotRaw(ov map[RowID]types.Tuple, fn func(RowID, types.Tuple) bool) {
 	stopped := false
 	f.scanRaw(func(row RowID, t types.Tuple) bool {

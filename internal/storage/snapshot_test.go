@@ -22,7 +22,7 @@ type fragmentState struct {
 func stateOf(t *testing.T, f *Fragment, keys []int64) fragmentState {
 	t.Helper()
 	s := fragmentState{all: f.All(), nextRow: f.nextRow, lookups: map[int64][]Match{}}
-	f.ScanUnmetered(func(row RowID, _ types.Tuple) bool {
+	f.ScanUnmetered(0, func(row RowID, _ types.Tuple) bool {
 		s.rows = append(s.rows, row)
 		return true
 	})
